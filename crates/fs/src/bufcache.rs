@@ -69,7 +69,7 @@
 //!     converts `writing` back to dirty — a failed chain is retryable and
 //!     loses nothing ([`BufCacheStats::async_write_errors`]).
 //!   - *Batched eviction (the deep-queue write path)*: a cache-pressure
-//!     eviction no longer submits one extent-sized chain and drains it in
+//!     eviction does not submit one extent-sized chain and drain it in
 //!     lockstep. The victim's dirty runs are merged with every other ready
 //!     dirty *data* run across the cache, packed into bounded
 //!     multi-control-block chains ([`WB_CHAIN_BLOCKS`] blocks /
@@ -80,9 +80,7 @@
 //!     victim's own chain. One stall therefore pays for many future
 //!     evictions and the queue stays genuinely deep
 //!     ([`BufCacheStats::batched_evictions`], the
-//!     [`BufCache::queue_occupancy`] histogram;
-//!     [`BufCache::set_batched_writeback`] restores the one-deep lockstep
-//!     for the ablation). A writer that still hits a full queue counts a
+//!     [`BufCache::queue_occupancy`] histogram). A writer that still hits a
 //!     [`BufCacheStats::queue_full_stalls`] before spin-reaping; the
 //!     kernel's write path goes one better and *yields*: it kicks the
 //!     flusher, parks the writer on the block-I/O wait channel and retries
@@ -160,8 +158,8 @@
 //!   closure first. A power cut at *any* point of a drain therefore leaves
 //!   either the old tree or a complete new one — never a dirent or FAT
 //!   chain pointing at unwritten clusters ([`BufCache::set_ordered_writeback`]
-//!   reverts to the old pure-LBA drain for the ablation and the regression
-//!   tests). The metadata-transaction recorder
+//!   reverts to the old pure-LBA drain for the xv6 baseline and the
+//!   regression tests). The metadata-transaction recorder
 //!   ([`BufCache::begin_meta_txn`]) additionally pins and collects the
 //!   sectors of a multi-sector update so FAT32's intent log can commit them
 //!   atomically. The cache also hosts the write-ahead log's **group-commit
@@ -596,10 +594,6 @@ pub struct BufCache {
     /// Cleared when the group commits or a full flush makes the frees
     /// durable.
     pending_frees: std::collections::BTreeSet<u32>,
-    /// When false, cache-pressure eviction over a queued device reverts to
-    /// the PR 4 submit-one-chain-then-drain lockstep (the batched-write-back
-    /// ablation switch). On by default.
-    batched_wb: bool,
     /// In-flight asynchronous fills: command id → the runs it will install.
     inflight_reads: HashMap<u64, Vec<Run>>,
     /// In-flight asynchronous write-backs: command id → the runs it persists.
@@ -733,7 +727,6 @@ impl BufCache {
             group: std::collections::BTreeSet::new(),
             group_ops: 0,
             pending_frees: std::collections::BTreeSet::new(),
-            batched_wb: true,
             inflight_reads: HashMap::new(),
             inflight_writes: HashMap::new(),
             affinity_cores: 0,
@@ -812,18 +805,6 @@ impl BufCache {
     /// Whether the drain is dependency-ordered.
     pub fn ordered_writeback(&self) -> bool {
         self.ordered
-    }
-
-    /// Enables or disables batched eviction write-back over queued devices
-    /// (the deep-queue ablation switch). Off reverts cache-pressure eviction
-    /// to the submit-one-chain-then-drain lockstep.
-    pub fn set_batched_writeback(&mut self, batched: bool) {
-        self.batched_wb = batched;
-    }
-
-    /// Whether eviction write-back batches chains across extents.
-    pub fn batched_writeback(&self) -> bool {
-        self.batched_wb
     }
 
     /// Occupancy histogram of the device command queue, sampled right after
@@ -2017,9 +1998,8 @@ impl BufCache {
     /// victims — when a whole shard is in flight the caller reaps the queue
     /// first.
     ///
-    /// Over a queued device with batched write-back on, a dirty victim does
-    /// not serialise the allocator behind its own chain: see
-    /// [`BufCache::evict_batched`].
+    /// Over a queued device a dirty victim does not serialise the allocator
+    /// behind its own chain: see [`BufCache::evict_batched`].
     fn make_room(&mut self, dev: &mut dyn BlockDevice, si: usize) -> FsResult<()> {
         if dev.queue_depth() > 0 {
             // A completion that already fired may hand us a settled victim
@@ -2089,21 +2069,10 @@ impl BufCache {
                 }
             }
             if dev.queue_depth() > 0 {
-                if self.batched_wb {
-                    return self.evict_batched(dev, si, victim_base, runs);
-                }
-                // The pre-batching lockstep (kept as the ablation's off
-                // switch): submit the victim's chain and wait for its
-                // confirmation before reusing the slot.
-                self.submit_write_runs(dev, &runs)?;
-                self.drain_writes(dev)?;
-                if let Some(err) = self.async_error.take() {
-                    return Err(err);
-                }
-            } else {
-                for run in runs {
-                    self.write_out_run(dev, run)?;
-                }
+                return self.evict_batched(dev, si, victim_base, runs);
+            }
+            for run in runs {
+                self.write_out_run(dev, run)?;
             }
         }
         // The closure flush never adds or removes extents, but re-find
@@ -3117,14 +3086,9 @@ impl BufCache {
     /// Submits `runs` as back-to-back bounded chains ([`WB_CHAIN_BLOCKS`] /
     /// [`WB_CHAIN_RUNS`] each). Used by the barriers: blocking on a full
     /// queue is fine there — the whole point of a barrier is to wait — and
-    /// splitting keeps the queue pipelined instead of monolithic. With
-    /// batched write-back off, the barrier reverts to the PR 4 shape (one
-    /// chain carrying every run) so the ablation baseline really is the
-    /// one-deep pipeline throughout.
+    /// splitting keeps the queue pipelined instead of monolithic, and bounds
+    /// what one torn or faulted chain can re-dirty.
     fn submit_chains(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<u64> {
-        if !self.batched_wb {
-            return self.submit_write_runs(dev, runs);
-        }
         let mut total = 0u64;
         for chain in pack_chains(runs, WB_CHAIN_BLOCKS, WB_CHAIN_RUNS) {
             total += self.submit_write_runs(dev, &chain)?;

@@ -67,6 +67,7 @@ pub enum KernelVariant {
     /// single-block filesystem path everywhere (the buffer cache issues one
     /// SD command per block instead of coalescing ranges), the slower
     /// memmove, and a musl-like user library penalty on compute.
+    /// [`KernelConfig::with_variant`] sets its storage-pipeline values.
     Xv6Baseline,
 }
 
@@ -135,16 +136,12 @@ pub struct KernelConfig {
 
     // ---- I/O pipeline (the layer above the unified block cache) ----
     /// Run the `kbio` kernel flusher thread: dirty extents drain in the
-    /// background on a timer instead of synchronously on `close`, so
-    /// write-back SD cycles are charged to `kbio` rather than to whichever
+    /// background on an adaptive timer instead of synchronously on `close`,
+    /// so write-back SD cycles are charged to `kbio` rather than to whichever
     /// task closes last. `fsync` and unmount still force a full synchronous
-    /// flush.
+    /// flush. The cadence, per-pass budget and group-commit timeout are the
+    /// `KBIO_*` and `FAT_GROUP_COMMIT_*` constants in `kernel.rs`.
     pub background_flush: bool,
-    /// How often the `kbio` thread wakes to drain dirty extents, in ms.
-    pub flush_interval_ms: u64,
-    /// Maximum blocks one `kbio` pass writes back (bounds how long the
-    /// background thread holds the SD bus per wakeup).
-    pub flush_budget_blocks: u64,
     /// Streaming read-ahead: FAT32 sequential reads prefetch the next
     /// cluster run so the SD command-setup latency overlaps the previous
     /// transfer.
@@ -157,45 +154,16 @@ pub struct KernelConfig {
     pub ordered_writeback: bool,
     /// FAT32 multi-sector metadata updates (mkdir, rename, remove, file
     /// overwrite) commit through the on-volume intent log, replayed at
-    /// mount — making them atomic across power cuts.
+    /// mount — making them atomic across power cuts. With the log on, one
+    /// commit record covers a group of up to `FAT_GROUP_COMMIT_OPS`
+    /// transactions; `fsync`, `sync_all` and the flusher's timeout pass
+    /// force a pending group out.
     pub fat_intent_log: bool,
     /// SD data phases move by scatter-gather DMA through the asynchronous
     /// command queue instead of the CPU polling the FIFO — the driver
     /// evolution that lifts the polled-transfer floor. Off in the xv6
     /// baseline, whose driver stays polled.
     pub sd_dma: bool,
-    /// Drive the `kbio` flusher's wakeup interval off the cache dirty ratio
-    /// (sleep longer when clean, wake early past the high-water mark)
-    /// instead of the fixed `flush_interval_ms`.
-    pub adaptive_flush: bool,
-    /// Batched eviction write-back: under cache pressure the write path
-    /// gathers dirty runs across extents into bounded multi-control-block
-    /// chains, keeps up to the SD queue's depth in flight, and evicts
-    /// whichever extent settles first — instead of submitting one
-    /// extent-sized chain and immediately draining it. Off restores the
-    /// PR 4 one-deep lockstep (the ablation baseline).
-    pub batched_writeback: bool,
-    /// How many FAT32 logged metadata transactions one intent-log commit
-    /// record may cover (group commit). 1 = every logged operation commits
-    /// (and is durable) on return; larger groups pay one checksummed commit
-    /// flush per group, with `fsync`/`sync_all`/the flusher's timeout pass
-    /// forcing the pending group out.
-    pub group_commit_ops: u32,
-    /// Upper bound on how long a pending commit group may sit open before
-    /// the `kbio` flusher force-commits it, in ms.
-    pub group_commit_timeout_ms: u64,
-    /// Soft shard-to-core affinity in the FAT cache: the shard array is
-    /// partitioned across the active cores and a core's newly allocated
-    /// extents prefer its home partition (spilling — and stealing — only
-    /// when home is full), so each core's misses and write-back chains stay
-    /// on its own shards. Off restores pure LBA-hash placement.
-    pub shard_affinity: bool,
-    /// Per-core DMA completion reaping: the `Dma0` handler (core 0) routes
-    /// each SD chain's completion to the core that submitted it, which
-    /// applies the bookkeeping on its own clock in the same scheduler pass;
-    /// `kbio` adopts chains whose owner core left the active set. Off
-    /// restores core-0 reaping of everything.
-    pub per_core_reap: bool,
     /// Interrupt-blocked demand I/O: a scheduled task whose FAT read hits
     /// an in-flight chain (or whose write finds the SD queue full) blocks
     /// on the block-I/O wait channel and is woken by the completion router,
@@ -210,13 +178,6 @@ pub struct KernelConfig {
     /// xv6 baseline, which tolerates the classic torn states (a dirent
     /// naming a still-free inode, a half-applied overwrite).
     pub xv6fs_journal: bool,
-    /// Posted write cache in the storage device: writes land in a volatile
-    /// device-side cache and only FLUSH CACHE (or a FUA write) makes them
-    /// durable. Models real SD/eMMC behaviour; off keeps the PR 9 model
-    /// where every accepted write is immediately durable. The consistency
-    /// layers are barrier-correct either way — this knob exists so the
-    /// crash sweeps and the barrier-overhead ablation can exercise both.
-    pub posted_write_cache: bool,
 }
 
 impl KernelConfig {
@@ -251,21 +212,12 @@ impl KernelConfig {
             sd_card: n >= 5,
             cores: if n >= 5 { 4 } else { 1 },
             background_flush: n >= 5,
-            flush_interval_ms: 20,
-            flush_budget_blocks: 256,
             prefetch: n >= 5,
             ordered_writeback: true,
             fat_intent_log: true,
             sd_dma: n >= 5,
-            adaptive_flush: n >= 5,
-            batched_writeback: n >= 5,
-            group_commit_ops: if n >= 5 { 8 } else { 1 },
-            group_commit_timeout_ms: 20,
-            shard_affinity: n >= 5,
-            per_core_reap: n >= 5,
             blocking_io: false,
             xv6fs_journal: true,
-            posted_write_cache: false,
         }
     }
 
@@ -274,35 +226,24 @@ impl KernelConfig {
         Self::for_stage(PrototypeStage::Desktop)
     }
 
-    /// The xv6-armv8 baseline configuration used in Figure 9: a complete OS
-    /// but with the baseline's slower library and storage behaviour.
-    pub fn xv6_baseline() -> Self {
-        let mut c = Self::desktop();
-        c.variant = KernelVariant::Xv6Baseline;
-        c.window_manager = false;
-        c.fat32 = true;
-        // xv6 has no background flusher and no read-ahead: close drains
-        // synchronously and every miss is a demand miss (boot also enforces
-        // this whenever the variant is Xv6Baseline).
-        c.background_flush = false;
-        c.prefetch = false;
-        // The baseline predates the crash-consistency layers: dirty blocks
-        // drain in pure LBA order and metadata updates are not logged.
-        c.ordered_writeback = false;
-        c.fat_intent_log = false;
-        c.xv6fs_journal = false;
-        // ...and its SD driver polls the FIFO — no DMA, no command queue,
-        // no deep-queue write batching, no group-committed log.
-        c.sd_dma = false;
-        c.adaptive_flush = false;
-        c.batched_writeback = false;
-        c.group_commit_ops = 1;
-        // One shared cache, one reaping core, spinning demand reads: the
-        // per-core block stack is a Proto-only evolution.
-        c.shard_affinity = false;
-        c.per_core_reap = false;
-        c.blocking_io = false;
-        c
+    /// This configuration under `variant`. The xv6-armv8 baseline of
+    /// Figure 9 keeps the stage's mechanisms but none of Proto's storage
+    /// evolutions: no background flusher (close drains synchronously), no
+    /// read-ahead, pure-LBA drain order, no intent log or xv6fs journal,
+    /// and a polled SD driver. The kernel also turns off range coalescing
+    /// and shard affinity for the variant, and the SD path charges the
+    /// baseline driver's slowdown.
+    pub fn with_variant(mut self, variant: KernelVariant) -> Self {
+        self.variant = variant;
+        if variant == KernelVariant::Xv6Baseline {
+            self.background_flush = false;
+            self.prefetch = false;
+            self.ordered_writeback = false;
+            self.fat_intent_log = false;
+            self.xv6fs_journal = false;
+            self.sd_dma = false;
+        }
+        self
     }
 
     /// Checks that a capability needed by a syscall or driver is present,
@@ -370,52 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn io_pipeline_knobs_follow_the_stage_and_variant() {
-        let p4 = KernelConfig::for_stage(PrototypeStage::Files);
-        assert!(!p4.background_flush && !p4.prefetch);
-        let p5 = KernelConfig::desktop();
-        assert!(p5.background_flush && p5.prefetch);
-        assert!(p5.flush_interval_ms > 0 && p5.flush_budget_blocks > 0);
-        let b = KernelConfig::xv6_baseline();
-        assert!(!b.background_flush && !b.prefetch);
-        assert!(!b.ordered_writeback && !b.fat_intent_log);
-        assert!(p5.ordered_writeback && p5.fat_intent_log);
-        assert!(p4.ordered_writeback, "ordering is a correctness default");
-        assert!(p5.sd_dma && p5.adaptive_flush);
-        assert!(!b.sd_dma, "the baseline's SD driver stays polled");
-        assert!(!p4.sd_dma, "prototype 4 has no SD card at all");
-        assert!(p5.batched_writeback && p5.group_commit_ops > 1);
-        assert!(p5.group_commit_timeout_ms > 0);
-        assert!(
-            !b.batched_writeback && b.group_commit_ops == 1,
-            "the baseline keeps the one-deep write path and per-op commits"
-        );
-        assert_eq!(p4.group_commit_ops, 1, "group commit is a desktop knob");
-        assert!(p5.shard_affinity && p5.per_core_reap);
-        assert!(
-            !b.shard_affinity && !b.per_core_reap,
-            "the baseline keeps hashed placement and core-0 reaping"
-        );
-        assert!(!p4.shard_affinity && !p4.per_core_reap);
-        assert!(
-            !p5.blocking_io && !b.blocking_io,
-            "blocking demand I/O is opt-in via Kernel::set_blocking_io"
-        );
-        assert!(
-            p4.xv6fs_journal && p5.xv6fs_journal,
-            "xv6fs journaling is a correctness default wherever xv6fs exists"
-        );
-        assert!(!b.xv6fs_journal, "the baseline tolerates torn xv6fs states");
-        assert!(
-            !p5.posted_write_cache && !b.posted_write_cache,
-            "the posted device cache is opt-in for crash sweeps and ablations"
-        );
-    }
-
-    #[test]
     fn xv6_baseline_is_a_distinct_variant() {
-        let b = KernelConfig::xv6_baseline();
+        let b = KernelConfig::desktop().with_variant(KernelVariant::Xv6Baseline);
         assert_eq!(b.variant, KernelVariant::Xv6Baseline);
         assert_ne!(b.variant, KernelConfig::desktop().variant);
+        assert_eq!(
+            KernelConfig::desktop().with_variant(KernelVariant::Proto),
+            KernelConfig::desktop(),
+            "the Proto variant is the stage's own configuration"
+        );
     }
 }

@@ -48,6 +48,19 @@ pub const TICK_US: u64 = 10_000;
 /// Dirty-ratio high-water mark: past this, the adaptive flusher wakes early
 /// and writers kick a sleeping `kbio` immediately.
 pub const KBIO_HIGH_WATER: f64 = 0.5;
+/// The `kbio` flusher's midpoint wakeup interval, in ms: a cache past
+/// [`KBIO_HIGH_WATER`] quarters it, a pair of clean caches sleeps four times
+/// as long.
+pub const KBIO_INTERVAL_MS: u64 = 20;
+/// Maximum blocks one `kbio` pass writes back per cache (bounds how long the
+/// background thread holds the SD bus per wakeup).
+pub const KBIO_BUDGET_BLOCKS: u64 = 256;
+/// How many FAT32 logged metadata transactions one intent-log commit record
+/// may cover (group commit) when the intent log is on.
+pub const FAT_GROUP_COMMIT_OPS: u32 = 8;
+/// Upper bound on how long a pending commit group may sit open before the
+/// `kbio` flusher force-commits it, in ms.
+pub const FAT_GROUP_COMMIT_TIMEOUT_MS: u64 = 20;
 /// Nominal size of the kernel image + packed ramdisk, for memory accounting
 /// (the paper's Prototype 5 kernel is ~33 kSLoC plus an 8 MB ramdisk dump).
 pub const KERNEL_IMAGE_BYTES: u64 = 2 * 1024 * 1024 + RAMDISK_BYTES;
@@ -326,7 +339,7 @@ pub struct Kernel {
     kbio_task: TaskId,
     /// `(log_commits, board time µs)` when `kbio` first observed the FAT
     /// intent log's current commit group pending (`None` = no group open).
-    /// Drives the `group_commit_timeout_ms` bound: a group that sits open
+    /// Drives the [`FAT_GROUP_COMMIT_TIMEOUT_MS`] bound: a group that sits open
     /// past it is force-committed by the flusher's next pass. Keyed on the
     /// commit counter so a group that filled up and self-committed between
     /// passes does not leave a stale timestamp that would prematurely
@@ -555,11 +568,12 @@ impl Kernel {
         }
         self.board.charge(0, cost.boot_kernel_misc);
 
-        // Root filesystem on the ramdisk.
+        // Root filesystem on the ramdisk. Both volumes format and mount
+        // under the cache defaults; the configured policies govern the
+        // running system from then on.
         if self.config.xv6fs {
             let mut ramdisk = MemDisk::new(RAMDISK_BYTES / protofs::BLOCK_SIZE as u64);
             let mut bc = BufCache::default();
-            bc.set_ordered_writeback(self.config.ordered_writeback);
             let mut fs = Xv6Fs::mkfs(
                 &mut ramdisk,
                 &mut bc,
@@ -568,7 +582,7 @@ impl Kernel {
             )?;
             fs.set_journal(self.config.xv6fs_journal);
             self.ramdisk = Some(ramdisk);
-            self.root_bufcache = bc;
+            self.root_bufcache = self.with_cache_policies(bc);
             self.rootfs = Some(fs);
         }
 
@@ -593,7 +607,6 @@ impl Kernel {
             self.board.charge(0, cost.boot_sd_init);
             let total = self.board.sdhost.total_blocks();
             let mut bc = BufCache::default();
-            bc.set_ordered_writeback(self.config.ordered_writeback);
             let fat = {
                 let mut dev = protofs::block::SdBlockDevice::new(
                     &mut self.board.sdhost,
@@ -608,68 +621,22 @@ impl Kernel {
                 // Group commit is safe at syscall level because close/fsync
                 // are the kernel's durability points, and both force the
                 // pending group out (as does the flusher's timeout pass).
-                fat.set_group_commit_ops(self.config.group_commit_ops);
+                // Without the log every operation is its own commit.
+                fat.set_group_commit_ops(if self.config.fat_intent_log {
+                    FAT_GROUP_COMMIT_OPS
+                } else {
+                    1
+                });
                 // A fresh format leaves the superblock and FAT dirty in the
                 // write-back cache; put the card in a mountable state now.
                 bc.flush(&mut dev)?;
                 fat
             };
-            self.fat_bufcache = bc;
+            self.fat_bufcache = self.with_fat_cache_policies(bc);
             self.fatfs = Some(fat);
             self.mounts = MountTable::with_fat();
         }
 
-        // The xv6-baseline variant has no multi-block I/O, no read-ahead and
-        // no background flusher: its cache issues one SD command per block
-        // (the policy the §5.2 range coalescing replaced) and close drains
-        // synchronously.
-        if self.config.variant == KernelVariant::Xv6Baseline {
-            self.fat_bufcache.set_coalescing(false);
-            self.root_bufcache.set_coalescing(false);
-            self.config.background_flush = false;
-            self.config.prefetch = false;
-            self.config.ordered_writeback = false;
-            self.config.sd_dma = false;
-            self.fat_bufcache.set_ordered_writeback(false);
-            self.root_bufcache.set_ordered_writeback(false);
-            self.config.batched_writeback = false;
-            self.config.group_commit_ops = 1;
-            self.config.shard_affinity = false;
-            self.config.per_core_reap = false;
-            self.config.blocking_io = false;
-            self.config.xv6fs_journal = false;
-            if let Some(f) = self.fatfs.as_mut() {
-                f.set_intent_log(false);
-                f.set_group_commit_ops(1);
-            }
-            if let Some(f) = self.rootfs.as_mut() {
-                f.set_journal(false);
-            }
-        }
-        // Posted device write cache: writes park in volatile card/ramdisk RAM
-        // until a FLUSH/FUA barrier. The consistency layers above already
-        // emit the barriers; this knob makes cuts actually test them.
-        if self.config.posted_write_cache {
-            if let Some(rd) = self.ramdisk.as_mut() {
-                rd.set_posted_writes(true);
-            }
-            self.board.sdhost.set_posted_writes(true);
-        }
-        self.fat_bufcache.set_prefetch(self.config.prefetch);
-        self.root_bufcache.set_prefetch(self.config.prefetch);
-        self.fat_bufcache
-            .set_batched_writeback(self.config.batched_writeback);
-        self.root_bufcache
-            .set_batched_writeback(self.config.batched_writeback);
-        // Shard-to-core affinity: partition the FAT cache's shards across
-        // the active cores so each core's extents (and their write-back
-        // chains) live in its home shards. The root ramdisk cache has no
-        // device-queue contention to shelter from and keeps hashed
-        // placement.
-        if self.config.shard_affinity {
-            self.fat_bufcache
-                .set_core_affinity(self.board.active_cores());
-        }
         // The DMA data path: scatter-gather chains on channel 0 with the
         // async command queue. The polled mode stays the fallback (and the
         // xv6-baseline behaviour).
@@ -985,8 +952,8 @@ impl Kernel {
                     .iter()
                     .any(|(tid, t)| *tid != id && t.mm == MmRef::Shares(asid));
                 if !shared {
-                    if let Some(mut space) = self.address_spaces.remove(&asid) {
-                        let _ = space.release(&mut self.mm.frames);
+                    if let Some(space) = self.address_spaces.remove(&asid) {
+                        let _ = space.release(&mut self.mm.frames, &self.board.mem);
                     }
                 }
             }
@@ -1145,30 +1112,24 @@ impl Kernel {
                 // them, which is why no storage byte ever moved by DMA.
                 //
                 // The interrupt controller routes Dma0 to core 0 only, but
-                // with per-core reaping each chain's completion bookkeeping
-                // is applied by the core that *submitted* it: this handler
-                // acts as a router, applying its own chains inline and
-                // parking the rest on the owner's `pending_sd_comps` queue
-                // (drained later in the same scheduler pass; queues of
-                // since-deactivated cores are adopted by `kbio`).
+                // each chain's completion bookkeeping is applied by the core
+                // that *submitted* it: this handler acts as a router,
+                // applying its own chains inline and parking the rest on the
+                // owner's `pending_sd_comps` queue (drained later in the same
+                // scheduler pass; queues of since-deactivated cores are
+                // adopted by `kbio`).
                 if self.config.sd_dma {
                     use protofs::block::BlockDevice as _;
                     let comps = {
                         let mut dev = fat_dev!(self, core);
                         dev.poll_completions()
                     };
-                    if self.config.per_core_reap {
-                        for c in comps {
-                            let owner = self.fat_bufcache.chain_owner(c.id).unwrap_or(core);
-                            if owner == core {
-                                self.fat_bufcache.apply_completion(&c);
-                            } else {
-                                self.pending_sd_comps[owner].push(c);
-                            }
-                        }
-                    } else {
-                        for c in &comps {
-                            self.fat_bufcache.apply_completion(c);
+                    for c in comps {
+                        let owner = self.fat_bufcache.chain_owner(c.id).unwrap_or(core);
+                        if owner == core {
+                            self.fat_bufcache.apply_completion(&c);
+                        } else {
+                            self.pending_sd_comps[owner].push(c);
                         }
                     }
                 }
@@ -1261,15 +1222,12 @@ impl Kernel {
 
     // ---- background write-back service (called from the kbio kernel thread) -------------------------
 
-    /// One bounded write-back pass: drains up to `flush_budget_blocks` dirty
-    /// blocks from each write-back cache, charging the SD / ramdisk cycles to
-    /// the `kbio` thread's core and task. Errors are logged and the affected
-    /// blocks stay dirty for the next pass (a faulted card must not panic or
-    /// lose data).
+    /// One bounded write-back pass: drains up to [`KBIO_BUDGET_BLOCKS`]
+    /// dirty blocks from each write-back cache, charging the SD / ramdisk
+    /// cycles to the `kbio` thread's core and task. Errors are logged and the
+    /// affected blocks stay dirty for the next pass (a faulted card must not
+    /// panic or lose data).
     pub(crate) fn kbio_service(&mut self, core: usize) {
-        if !self.config.background_flush {
-            return;
-        }
         // Adopt orphaned completions: the Dma0 router can park a chain on
         // the queue of a core that has since left the active set (the
         // Figure 10 sweep shrinks it between phases). Nobody drains those
@@ -1285,10 +1243,9 @@ impl Kernel {
                 }
             }
         }
-        let budget = self.config.flush_budget_blocks.max(1);
         let kbio = self.kbio_task;
         // The intent log's group-commit timeout: a pending group that has
-        // sat open past `group_commit_timeout_ms` is force-committed here,
+        // sat open past `FAT_GROUP_COMMIT_TIMEOUT_MS` is force-committed here,
         // so a lone logged operation (no burst following it, no fsync) still
         // becomes durable within a bounded window. The commit's SD cycles
         // are charged to kbio like any other background write-back.
@@ -1306,7 +1263,7 @@ impl Kernel {
                     now
                 }
             };
-            if now.saturating_sub(since) >= self.config.group_commit_timeout_ms * 1000 {
+            if now.saturating_sub(since) >= FAT_GROUP_COMMIT_TIMEOUT_MS * 1000 {
                 if let Err(e) = self.commit_fat_group(core, kbio) {
                     self.printk(&format!("kbio: group commit failed: {e}"));
                 }
@@ -1323,7 +1280,7 @@ impl Kernel {
             let before = self.sd_snapshot();
             let result = {
                 let mut dev = fat_dev!(self, core);
-                self.fat_bufcache.flush_some(&mut dev, budget)
+                self.fat_bufcache.flush_some(&mut dev, KBIO_BUDGET_BLOCKS)
             };
             self.charge_sd_delta(core, kbio, before);
             if let Err(e) = result {
@@ -1334,7 +1291,7 @@ impl Kernel {
         if self.rootfs.is_some() && self.root_bufcache.dirty_blocks() > 0 {
             let before = self.root_bufcache.stats().writebacks;
             let result = match self.ramdisk.as_mut() {
-                Some(dev) => self.root_bufcache.flush_some(dev, budget),
+                Some(dev) => self.root_bufcache.flush_some(dev, KBIO_BUDGET_BLOCKS),
                 None => Ok(0),
             };
             let blocks = self.root_bufcache.stats().writebacks - before;
@@ -1793,27 +1750,6 @@ impl Kernel {
         self.config.prefetch = prefetch;
     }
 
-    /// Enables or disables the background flusher policy at runtime (the
-    /// flusher half of the I/O-pipeline ablation). When disabled, `close`
-    /// reverts to draining dirty blocks synchronously; an already-spawned
-    /// `kbio` thread keeps sleeping but performs no write-back. Enabling on
-    /// a kernel that booted without the flusher spawns the `kbio` thread
-    /// now — `close` must never skip its drain with nobody left to do it.
-    pub fn set_background_flush(&mut self, enabled: bool) {
-        if enabled && self.kbio_task == 0 {
-            match self.spawn_kernel_thread("kbio", Box::new(KbioThread)) {
-                Ok(tid) => {
-                    if let Some(t) = self.tasks.get_mut(&tid) {
-                        t.priority = 3;
-                    }
-                    self.kbio_task = tid;
-                }
-                Err(_) => return, // keep synchronous close-flush semantics
-            }
-        }
-        self.config.background_flush = enabled;
-    }
-
     /// Enables or disables the SD DMA data path at runtime (the DMA half of
     /// the storage ablation). Disabling drains the async queue first —
     /// `close`-style semantics must never strand an in-flight chain — and
@@ -1848,23 +1784,18 @@ impl Kernel {
         ))
     }
 
-    /// How long `kbio` should sleep before its next pass. With adaptive
-    /// flushing (the default) the fixed `flush_interval_ms` becomes a
-    /// midpoint: a cache past the high-water mark quarters the interval, a
-    /// completely clean pair of caches sleeps four intervals, anything in
-    /// between keeps the configured cadence.
+    /// How long `kbio` should sleep before its next pass: a cache past the
+    /// high-water mark quarters [`KBIO_INTERVAL_MS`], a completely clean
+    /// pair of caches sleeps four intervals, anything in between keeps the
+    /// midpoint cadence.
     pub fn kbio_next_interval_ms(&self) -> u64 {
-        let base = self.config.flush_interval_ms.max(1);
-        if !self.config.adaptive_flush {
-            return base;
-        }
         let ratio = self.cache_dirty_ratio();
         if ratio >= KBIO_HIGH_WATER {
-            (base / 4).max(1)
+            KBIO_INTERVAL_MS / 4
         } else if ratio > 0.0 {
-            base
+            KBIO_INTERVAL_MS
         } else {
-            base * 4
+            KBIO_INTERVAL_MS * 4
         }
     }
 
@@ -1872,47 +1803,9 @@ impl Kernel {
     /// the high-water mark wakes a sleeping `kbio` immediately instead of
     /// letting dirty data pile up until the timer fires.
     pub(crate) fn maybe_kick_kbio(&mut self) {
-        if !self.config.background_flush || !self.config.adaptive_flush || self.kbio_task == 0 {
-            return;
-        }
-        if self.cache_dirty_ratio() >= KBIO_HIGH_WATER {
+        if self.kbio_task != 0 && self.cache_dirty_ratio() >= KBIO_HIGH_WATER {
             self.wake_task(self.kbio_task);
         }
-    }
-
-    /// Enables or disables dependency-ordered write-back on both caches (the
-    /// crash-consistency ablation switch; on by default everywhere but the
-    /// xv6 baseline). Ordering off restores the pure-LBA drain whose
-    /// power-cut behaviour the regression tests demonstrate.
-    pub fn set_ordered_writeback(&mut self, ordered: bool) {
-        self.fat_bufcache.set_ordered_writeback(ordered);
-        self.root_bufcache.set_ordered_writeback(ordered);
-        self.config.ordered_writeback = ordered;
-    }
-
-    /// Enables or disables batched eviction write-back on both caches (the
-    /// deep-queue ablation switch). Off restores the PR 4 lockstep: one
-    /// extent-sized chain per eviction, drained before the slot is reused.
-    pub fn set_batched_writeback(&mut self, batched: bool) {
-        self.fat_bufcache.set_batched_writeback(batched);
-        self.root_bufcache.set_batched_writeback(batched);
-        self.config.batched_writeback = batched;
-    }
-
-    /// Enables or disables shard-to-core affinity on the FAT cache (the
-    /// placement half of the per-core block stack; the scaling ablation
-    /// switch). Off restores pure hashed shard placement.
-    pub fn set_shard_affinity(&mut self, on: bool) {
-        self.config.shard_affinity = on;
-        self.fat_bufcache
-            .set_core_affinity(if on { self.board.active_cores() } else { 0 });
-    }
-
-    /// Enables or disables per-core DMA completion reaping (the routing
-    /// half of the per-core block stack). Off restores core-0 reaping of
-    /// every chain inside the Dma0 handler.
-    pub fn set_per_core_reap(&mut self, on: bool) {
-        self.config.per_core_reap = on;
     }
 
     /// Enables or disables blocking demand I/O: a scheduled task whose read
@@ -1926,7 +1819,7 @@ impl Kernel {
     }
 
     /// Replaces the FAT cache with a fresh one of `shards` ×
-    /// `extents_per_shard` geometry, re-applying every active cache policy.
+    /// `extents_per_shard` geometry under the configured FAT cache policies.
     /// The multicore scaling bench uses this to give N concurrent streams a
     /// resident working set. Synchronously drains both caches first so no
     /// dirty block or in-flight chain is stranded with the old instance.
@@ -1936,54 +1829,33 @@ impl Kernel {
         extents_per_shard: usize,
     ) -> KResult<()> {
         self.sync_all()?;
-        let mut bc = BufCache::with_geometry(shards, extents_per_shard);
-        bc.set_coalescing(self.config.variant != KernelVariant::Xv6Baseline);
-        bc.set_prefetch(self.config.prefetch);
-        bc.set_ordered_writeback(self.config.ordered_writeback);
-        bc.set_batched_writeback(self.config.batched_writeback);
-        if self.config.shard_affinity {
-            bc.set_core_affinity(self.board.active_cores());
-        }
-        self.fat_bufcache = bc;
+        self.fat_bufcache =
+            self.with_fat_cache_policies(BufCache::with_geometry(shards, extents_per_shard));
         Ok(())
     }
 
-    /// Sets the FAT32 intent log's group-commit size at runtime (the group
-    /// commit ablation switch). Setting it to 1 first commits any pending
-    /// group so no transaction is stranded with nobody left to close it.
-    pub fn set_group_commit_ops(&mut self, ops: u32) {
-        if ops <= 1 && self.fatfs.is_some() && self.fat_bufcache.group_txns() > 0 {
-            if let Err(e) = self.commit_fat_group(0, self.kbio_task) {
-                self.printk(&format!("set_group_commit_ops: commit failed: {e}"));
-            }
-        }
-        self.config.group_commit_ops = ops.max(1);
-        if let Some(f) = self.fatfs.as_mut() {
-            f.set_group_commit_ops(ops);
-        }
+    /// `bc` under the configured cache policies: range coalescing (off only
+    /// in the xv6 baseline, whose cache issues one SD command per block —
+    /// the policy the §5.2 coalescing replaced), read-ahead and
+    /// dependency-ordered write-back.
+    fn with_cache_policies(&self, mut bc: BufCache) -> BufCache {
+        bc.set_coalescing(self.config.variant == KernelVariant::Proto);
+        bc.set_prefetch(self.config.prefetch);
+        bc.set_ordered_writeback(self.config.ordered_writeback);
+        bc
     }
 
-    /// Enables or disables the xv6fs metadata journal at runtime (the
-    /// journal-cost ablation switch). xv6fs commits every transaction at
-    /// its close, so there is never an open group to strand and the toggle
-    /// is immediate.
-    pub fn set_xv6fs_journal(&mut self, on: bool) {
-        self.config.xv6fs_journal = on;
-        if let Some(f) = self.rootfs.as_mut() {
-            f.set_journal(on);
+    /// `bc` under the FAT cache's policies: the shared ones plus, in Proto,
+    /// soft shard-to-core affinity — the shards are partitioned across the
+    /// active cores so each core's extents (and their write-back chains)
+    /// live in its home shards. The root ramdisk cache has no device-queue
+    /// contention to shelter from and keeps hashed placement.
+    fn with_fat_cache_policies(&self, bc: BufCache) -> BufCache {
+        let mut bc = self.with_cache_policies(bc);
+        if self.config.variant == KernelVariant::Proto {
+            bc.set_core_affinity(self.board.active_cores());
         }
-    }
-
-    /// Enables or disables the posted write cache on the SD card and the
-    /// root ramdisk at runtime (the barrier-cost ablation switch). Turning
-    /// the cache off persists whatever it held — a model switch, not a
-    /// data-loss event.
-    pub fn set_posted_write_cache(&mut self, on: bool) {
-        self.config.posted_write_cache = on;
-        self.board.sdhost.set_posted_writes(on);
-        if let Some(rd) = self.ramdisk.as_mut() {
-            rd.set_posted_writes(on);
-        }
+        bc
     }
 
     /// Commits the FAT intent log's pending group (if any), charging the SD
@@ -2015,6 +1887,21 @@ impl Kernel {
     /// cache's write path (index = in-flight commands after a submission).
     pub fn fat_queue_occupancy(&self) -> [u64; 9] {
         self.fat_bufcache.queue_occupancy()
+    }
+
+    /// The FAT32 volume's buffer cache (its policies and state, read-only).
+    pub fn fat_cache(&self) -> &BufCache {
+        &self.fat_bufcache
+    }
+
+    /// The mounted FAT32 volume, if the stage has one.
+    pub fn fat_volume(&self) -> Option<&Fat32> {
+        self.fatfs.as_ref()
+    }
+
+    /// The mounted root xv6fs volume, if the stage has one.
+    pub fn root_volume(&self) -> Option<&Xv6Fs> {
+        self.rootfs.as_ref()
     }
 
     /// Statistics of the FAT32 volume's buffer cache.

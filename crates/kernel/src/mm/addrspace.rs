@@ -374,15 +374,15 @@ impl AddressSpace {
         Ok((child, copied))
     }
 
-    /// Releases every owned frame back to the allocator (called on exit).
-    pub fn release(&mut self, frames: &mut FrameAllocator) -> KResult<usize> {
-        let n = self.owned_frames.len();
-        for f in self.owned_frames.drain(..) {
+    /// Releases every owned frame and the page-table frames themselves back
+    /// to the allocator (called on exit). Returns how many owned (data)
+    /// frames were released.
+    pub fn release(self, frames: &mut FrameAllocator, mem: &PhysMem) -> KResult<usize> {
+        for &f in &self.owned_frames {
             frames.free(f)?;
         }
-        self.regions.clear();
-        self.stats.mapped_pages = 0;
-        Ok(n)
+        self.table.free_tables(mem, frames)?;
+        Ok(self.owned_frames.len())
     }
 }
 
@@ -567,10 +567,10 @@ mod tests {
             false,
         )
         .unwrap();
-        let freed = asp.release(&mut frames).unwrap();
+        let freed = asp.release(&mut frames, &mem).unwrap();
         assert_eq!(freed, 16);
-        // Only the page-table frames themselves remain allocated.
-        assert!(frames.free_frames() >= before - 4);
+        // The page-table frames went back too.
+        assert_eq!(frames.free_frames(), before);
     }
 
     #[test]

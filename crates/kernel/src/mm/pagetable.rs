@@ -320,6 +320,31 @@ impl PageTable {
         }))
     }
 
+    /// Frees the root table and every L2 and L3 table under it, returning
+    /// how many table frames went back to the allocator. The frames the
+    /// tables map are left alone: they belong to whoever mapped them.
+    pub fn free_tables(self, mem: &PhysMem, frames: &mut FrameAllocator) -> KResult<usize> {
+        let mut freed = 0;
+        for i1 in 0..512u64 {
+            let d1 = mem.read_u64(Self::descriptor_addr(self.root, i1))?;
+            if d1 & D_VALID == 0 || d1 & D_TABLE_OR_PAGE == 0 {
+                continue;
+            }
+            let l2 = d1 & ADDR_MASK;
+            for i2 in 0..512u64 {
+                let d2 = mem.read_u64(Self::descriptor_addr(l2, i2))?;
+                if d2 & D_VALID != 0 && d2 & D_TABLE_OR_PAGE != 0 {
+                    frames.free(d2 & ADDR_MASK)?;
+                    freed += 1;
+                }
+            }
+            frames.free(l2)?;
+            freed += 1;
+        }
+        frames.free(self.root)?;
+        Ok(freed + 1)
+    }
+
     /// Counts mapped 4 KB pages under this table (blocks count as 512 pages).
     pub fn mapped_pages(&self, mem: &PhysMem) -> KResult<usize> {
         let mut count = 0usize;
@@ -485,5 +510,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pt.mapped_pages(&mem).unwrap(), 1 + 512);
+    }
+
+    #[test]
+    fn free_tables_returns_every_table_frame_but_no_mapped_frame() {
+        let (mut mem, mut frames, pt) = setup();
+        let before = frames.free_frames() + 1; // the root from `setup`
+        let f = frames.alloc().unwrap();
+        // Two pages in different 2 MB and 1 GB regions: root + 2 L2 + 2 L3.
+        for va in [0x5000, 0x40_0000_0000] {
+            pt.map_page(&mut mem, &mut frames, va, f, MapFlags::user_data())
+                .unwrap();
+        }
+        assert_eq!(pt.free_tables(&mem, &mut frames).unwrap(), 5);
+        assert!(
+            frames.is_allocated(f),
+            "the mapped frame stays with its owner"
+        );
+        assert_eq!(frames.free_frames(), before - 1);
     }
 }

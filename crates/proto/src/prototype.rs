@@ -94,8 +94,7 @@ impl std::fmt::Debug for ProtoSystem {
 impl ProtoSystem {
     /// Builds and boots a system according to `options`.
     pub fn build(options: SystemOptions) -> KResult<ProtoSystem> {
-        let mut config = KernelConfig::for_stage(options.stage);
-        config.variant = options.variant;
+        let mut config = KernelConfig::for_stage(options.stage).with_variant(options.variant);
         if !options.window_manager {
             config.window_manager = false;
         }
@@ -193,5 +192,53 @@ mod tests {
         );
         let log = sys.kernel.console_lines().join("\n");
         assert!(log.contains("DOOM.WAD"), "FAT assets installed: {log}");
+    }
+
+    #[test]
+    fn booted_io_pipeline_follows_the_variant() {
+        use hal::sdhost::SdDataMode;
+        for variant in [KernelVariant::Proto, KernelVariant::Xv6Baseline] {
+            let sys = ProtoSystem::build(SystemOptions {
+                variant,
+                ..SystemOptions::default()
+            })
+            .unwrap();
+            let k = &sys.kernel;
+            let proto = variant == KernelVariant::Proto;
+            let cache = k.fat_cache();
+            assert_eq!(cache.coalescing(), proto, "{variant:?} range coalescing");
+            assert_eq!(cache.prefetch_enabled(), proto, "{variant:?} read-ahead");
+            assert_eq!(cache.ordered_writeback(), proto, "{variant:?} ordering");
+            assert_eq!(
+                cache.core_affinity(),
+                if proto { 4 } else { 0 },
+                "{variant:?} shard affinity"
+            );
+            let mode = k.board.sdhost.data_mode();
+            assert_eq!(mode == SdDataMode::Dma, proto, "{variant:?} SD mode");
+            assert_eq!(k.kbio_task() != 0, proto, "{variant:?} kbio");
+            let fat = k.fat_volume().unwrap();
+            let root = k.root_volume().unwrap();
+            assert_eq!(fat.intent_log_enabled(), proto, "{variant:?} intent log");
+            assert_eq!(root.journal_enabled(), proto, "{variant:?} journal");
+            assert_eq!(
+                fat.group_commit_ops(),
+                if proto {
+                    kernel::kernel::FAT_GROUP_COMMIT_OPS
+                } else {
+                    1
+                },
+                "{variant:?} group commit"
+            );
+            // The configuration describes the system that booted.
+            let c = &k.config;
+            assert_eq!(c.variant, variant);
+            assert_eq!(c.prefetch, cache.prefetch_enabled());
+            assert_eq!(c.ordered_writeback, cache.ordered_writeback());
+            assert_eq!(c.sd_dma, mode == SdDataMode::Dma);
+            assert_eq!(c.background_flush, k.kbio_task() != 0);
+            assert_eq!(c.fat_intent_log, fat.intent_log_enabled());
+            assert_eq!(c.xv6fs_journal, root.journal_enabled());
+        }
     }
 }

@@ -141,6 +141,35 @@ fn fork_gives_the_child_a_private_copy_of_memory() {
 }
 
 #[test]
+fn fork_exit_wait_loop_leaves_the_free_frame_count_unchanged() {
+    let (mut sys, tid) = desktop();
+    struct Child;
+    impl kernel::UserProgram for Child {
+        fn step(&mut self, _ctx: &mut kernel::UserCtx<'_>) -> kernel::StepResult {
+            kernel::StepResult::Exited(3)
+        }
+    }
+    let before = sys.kernel.mm.frames.free_frames();
+    for _ in 0..8 {
+        let child = sys
+            .kernel
+            .with_task_ctx(tid, |ctx| ctx.fork(Box::new(Child)))
+            .unwrap();
+        assert!(sys.kernel.run_until(
+            |k| k.task(child).map(|t| t.is_zombie()).unwrap_or(true),
+            1_000_000
+        ));
+        let reaped = sys.kernel.with_task_ctx(tid, |ctx| ctx.wait_child());
+        assert_eq!(reaped.unwrap(), Some((child, 3)));
+    }
+    assert_eq!(
+        sys.kernel.mm.frames.free_frames(),
+        before,
+        "every exited child returned its data and page-table frames"
+    );
+}
+
+#[test]
 fn pipes_carry_data_between_fork_peers_and_break_cleanly() {
     let (mut sys, tid) = desktop();
     let (r, w) = sys.kernel.with_task_ctx(tid, |ctx| ctx.pipe()).unwrap();

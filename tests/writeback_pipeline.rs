@@ -3,7 +3,9 @@
 //! power cut ("what is actually on the card") with write-back caching in
 //! front of both filesystems.
 
-use kernel::kernel::FAT_PARTITION_START;
+use kernel::kernel::{
+    FAT_GROUP_COMMIT_OPS, FAT_GROUP_COMMIT_TIMEOUT_MS, FAT_PARTITION_START, KBIO_INTERVAL_MS,
+};
 use kernel::OpenFlags;
 use proto_repro::prelude::*;
 use protofs::block::SdBlockDevice;
@@ -311,8 +313,7 @@ fn dma_completions_route_through_the_irq_handler_to_the_flusher() {
 #[test]
 fn adaptive_flusher_interval_tracks_the_dirty_ratio() {
     let mut sys = ProtoSystem::desktop().unwrap();
-    assert!(sys.kernel.config.adaptive_flush);
-    let base = sys.kernel.config.flush_interval_ms;
+    let base = KBIO_INTERVAL_MS;
     // Both caches clean (drain whatever boot left behind): sleep long.
     sys.kernel.sync_all().unwrap();
     assert_eq!(sys.kernel.kbio_next_interval_ms(), base * 4);
@@ -327,11 +328,7 @@ fn adaptive_flusher_interval_tracks_the_dirty_ratio() {
         })
         .unwrap();
     assert!(sys.kernel.cache_dirty_ratio() >= kernel::kernel::KBIO_HIGH_WATER);
-    assert_eq!(sys.kernel.kbio_next_interval_ms(), (base / 4).max(1));
-    // With the knob off, the cadence is fixed regardless of ratio.
-    sys.kernel.config.adaptive_flush = false;
-    assert_eq!(sys.kernel.kbio_next_interval_ms(), base);
-    sys.kernel.config.adaptive_flush = true;
+    assert_eq!(sys.kernel.kbio_next_interval_ms(), base / 4);
     // Drain to quiescence: the long interval returns.
     let drained = sys
         .kernel
@@ -344,7 +341,10 @@ fn adaptive_flusher_interval_tracks_the_dirty_ratio() {
 #[test]
 fn group_commit_defers_logged_txns_until_fsync_forces_them() {
     let mut sys = ProtoSystem::desktop().unwrap();
-    assert!(sys.kernel.config.group_commit_ops > 1);
+    // The two overwrites below fit in one open group.
+    let fat = sys.kernel.fat_volume().unwrap();
+    assert_eq!(fat.group_commit_ops(), FAT_GROUP_COMMIT_OPS);
+    assert!(fat.group_commit_ops() > 2);
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
     // Pre-create two files with contents so the burst writes below are
     // *logged overwrites*, then reach a clean durable baseline.
@@ -425,8 +425,6 @@ fn group_commit_defers_logged_txns_until_fsync_forces_them() {
 #[test]
 fn kbio_commits_a_pending_group_after_the_timeout() {
     let mut sys = ProtoSystem::desktop().unwrap();
-    let timeout_ms = sys.kernel.config.group_commit_timeout_ms;
-    assert!(timeout_ms > 0);
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
     sys.kernel
         .with_task_ctx(writer, |ctx| {
@@ -448,9 +446,10 @@ fn kbio_commits_a_pending_group_after_the_timeout() {
         })
         .unwrap();
     assert_eq!(sys.kernel.fat_group_txns(), 1);
-    let committed = sys
-        .kernel
-        .run_until(|k| k.fat_group_txns() == 0, (timeout_ms + 500) * 1000);
+    let committed = sys.kernel.run_until(
+        |k| k.fat_group_txns() == 0,
+        (FAT_GROUP_COMMIT_TIMEOUT_MS + 500) * 1000,
+    );
     assert!(
         committed,
         "the flusher force-committed the lone transaction"
@@ -476,7 +475,6 @@ fn kbio_commits_a_pending_group_after_the_timeout() {
 #[test]
 fn batched_writeback_keeps_the_queue_deep_under_cache_pressure() {
     let mut sys = ProtoSystem::desktop().unwrap();
-    assert!(sys.kernel.config.batched_writeback);
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
     // Snapshot the occupancy histogram so boot-time install traffic (which
     // also drives the queue deep) cannot satisfy the depth assertions.
@@ -527,9 +525,13 @@ fn batched_writeback_keeps_the_queue_deep_under_cache_pressure() {
 
 #[test]
 fn without_the_flusher_close_drains_synchronously_and_bills_the_writer() {
-    let mut sys = ProtoSystem::desktop().unwrap();
-    // The ablation switch: revert to PR-1 close-flush semantics.
-    sys.kernel.set_background_flush(false);
+    // The xv6 baseline runs no `kbio`: close drains the cache itself.
+    let mut sys = ProtoSystem::build(SystemOptions {
+        variant: KernelVariant::Xv6Baseline,
+        ..SystemOptions::default()
+    })
+    .unwrap();
+    assert_eq!(sys.kernel.kbio_task(), 0);
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
     sys.kernel
         .with_task_ctx(writer, |ctx| {
