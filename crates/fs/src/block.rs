@@ -654,39 +654,25 @@ impl BlockDevice for SdBlockDevice<'_> {
             .map_err(FsError::from)
     }
 
-    /// The barrier: issues the card's cache FLUSH command, charging its
-    /// latency to the issuing core when the posted cache is live. Like real
+    /// The barrier: issues the card's cache FLUSH command. Like real
     /// hardware, a FLUSH covers writes the card has *completed* — the
     /// buffer cache drains its in-flight command queue before calling this,
-    /// which is what makes the barrier cover everything it submitted.
+    /// which is what makes the barrier cover everything it submitted. The
+    /// host counts each FLUSH it serves ([`hal::sdhost::SdHost::flush_cmds`])
+    /// and the caller prices the command from that count, like every other
+    /// polled command.
     fn flush(&mut self) -> FsResult<()> {
-        if self.sd.posted_writes() {
-            if let Some(ctx) = self.dma.as_mut() {
-                let now = ctx.clock.cycles(ctx.core);
-                ctx.clock
-                    .advance_to(ctx.core, now.saturating_add(ctx.cost.sd_flush_latency));
-            }
-        }
         self.sd.flush_cache().map_err(FsError::from)
     }
 
     /// FUA write: a single block programmed straight to flash, bypassing
     /// the posted cache — durable on return without paying a whole-cache
-    /// FLUSH. Priced as a command plus a forced program when the posted
-    /// cache is live; identical to a plain CMD24 otherwise.
+    /// FLUSH. With the posted cache live the host counts it as a FUA
+    /// ([`hal::sdhost::SdHost::fua_cmds`]), priced as a command plus a
+    /// forced program; otherwise it is a plain CMD24.
     fn write_block_fua(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
         let mut buf = [0u8; BLOCK_SIZE];
         buf.copy_from_slice(data);
-        if self.sd.posted_writes() {
-            if let Some(ctx) = self.dma.as_mut() {
-                let now = ctx.clock.cycles(ctx.core);
-                let cost = ctx
-                    .cost
-                    .sd_cmd_latency
-                    .saturating_add(ctx.cost.sd_fua_block_transfer);
-                ctx.clock.advance_to(ctx.core, now.saturating_add(cost));
-            }
-        }
         self.sd
             .write_block_fua(self.partition_start.saturating_add(lba), &buf)
             .map_err(FsError::from)

@@ -91,20 +91,21 @@
 //!     chains, so a torn or faulted chain re-dirties at most
 //!     [`WB_CHAIN_BLOCKS`] blocks — and only its own.
 //!   - *Barriers*: [`BufCache::flush`] (fsync, unmount) and
-//!     [`BufCache::flush_data`] (the intent-log commit point) are
-//!     queue-drain barriers — they submit, then drain every write chain,
-//!     re-check for completion-time errors, and finish with the device's
-//!     own cache-FLUSH command ([`BlockDevice::flush`]), so "flush returned
-//!     Ok" still means "on the medium" even over a card whose posted write
-//!     cache parks completed writes in volatile RAM. Single sectors that
-//!     must be durable without a whole-cache FLUSH (the transaction
-//!     layer's commit-header clear) go down as Force Unit Access writes
-//!     ([`BlockDevice::write_block_fua`]). [`BufCache::flush_some`]
-//!     (the `kbio` budgeted pass) deliberately does *not* drain and never
-//!     issues the device barrier: it reaps whatever finished since the
-//!     last pass, submits up to its budget, and returns — write-back cost
-//!     lands on the device timeline instead of the flusher thread, and
-//!     durability points stay exactly where the barriers are.
+//!     [`BufCache::flush_ready`] (the transaction layer's drains on both
+//!     sides of its commit point) are queue-drain barriers — they submit,
+//!     then drain every write chain, re-check for completion-time errors,
+//!     and finish with the device's own cache-FLUSH command
+//!     ([`BlockDevice::flush`]), so "flush returned Ok" still means "on the
+//!     medium" even over a card whose posted write cache parks completed
+//!     writes in volatile RAM. Single sectors that must be durable without
+//!     a whole-cache FLUSH (the transaction layer's commit-header clear) go
+//!     down as Force Unit Access writes ([`BlockDevice::write_block_fua`]).
+//!     [`BufCache::flush_some`] (the `kbio` budgeted pass) deliberately
+//!     does *not* drain and never issues the device barrier: it reaps
+//!     whatever finished since the last pass, submits up to its budget, and
+//!     returns — write-back cost lands on the device timeline instead of
+//!     the flusher thread, and durability points stay exactly where the
+//!     barriers are.
 //!   - Extents carrying an in-flight chain are pinned against eviction
 //!     (they are the DMA target), and [`BufCache::dirty_blocks`] counts
 //!     in-flight write-backs as still-dirty, so "zero dirty" continues to
@@ -173,7 +174,8 @@
 //!   filesystem-agnostic transaction layer ([`crate::txn::TxnLog`], whose
 //!   clients are FAT32's intent log and the xv6fs metadata journal) writes
 //!   the group's single commit record, capturing the payloads at commit
-//!   time. The state lives in the cache because the filesystem objects
+//!   time and sending header and payloads to the device as one range
+//!   command. The state lives in the cache because the filesystem objects
 //!   themselves are cloned per kernel call.
 //!
 //! * **Bounded write-retry budgets and read-only degradation.** A dirty
@@ -3152,33 +3154,6 @@ impl BufCache {
             }
         }
         self.sanitize_check("flush_ready");
-        dev.flush()?;
-        self.gave_up_barrier_check()
-    }
-
-    /// Drains every dirty *data*-class block (metadata stays cached dirty)
-    /// and issues the device barrier. The intent-log commit path calls this
-    /// so the clusters a logged metadata update references are durable
-    /// before the log record that points at them. A queue-drain barrier on
-    /// asynchronous devices, like [`BufCache::flush`].
-    pub fn flush_data(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
-        let (data, _) = self.classed_dirty_runs();
-        if dev.queue_depth() > 0 {
-            self.reap_ready(dev);
-            self.async_error = None;
-            self.submit_chains(dev, &data)?;
-            self.drain_writes(dev)?;
-            if let Some(e) = self.async_error.take() {
-                return Err(e);
-            }
-            self.sanitize_check("flush_data");
-            dev.flush()?;
-            return self.gave_up_barrier_check();
-        }
-        for run in data {
-            self.write_out_run(dev, run)?;
-        }
-        self.sanitize_check("flush_data");
         dev.flush()?;
         self.gave_up_barrier_check()
     }

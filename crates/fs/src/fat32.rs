@@ -392,17 +392,18 @@ impl Fat32 {
     // updates (mkdir, rename, remove, file overwrite) living in the
     // reserved region at `INTENT_LOG_START`, with group commit folding a
     // burst of transactions into one checksummed record. The mechanism —
-    // ready-drain before the commit record, single-sector header as the
-    // commit point, FLUSH barrier underneath, idempotent validated replay,
-    // pending-free reservation of freed clusters — is documented once, in
-    // `txn.rs`; what stays FAT-specific here is only the geometry (the
-    // reserved region) and which operations are transactions.
+    // ready-drain before the commit record, the header and its payloads
+    // written as one range command, a FLUSH barrier as the commit point,
+    // idempotent checksum-validated replay, pending-free reservation of
+    // freed clusters — is documented once, in `txn.rs`; what stays
+    // FAT-specific here is only the geometry (the reserved region) and
+    // which operations are transactions.
 
     /// Builds the checksummed header sector for a committed record (the
     /// shared layer's format; kept as a named helper for the mount tests
     /// that hand-craft records).
     #[cfg(test)]
-    fn intent_header(targets: &[u64], payloads: &[Vec<u8>]) -> Vec<u8> {
+    fn intent_header(targets: &[u64], payloads: &[u8]) -> Vec<u8> {
         TxnLog::header(targets, payloads)
     }
 
@@ -1817,7 +1818,7 @@ mod tests {
         dev.read_block(root_sector, &mut sector).unwrap();
         sector[0] = 0xE5; // delete /a.txt
         dev.write_block(INTENT_LOG_START + 1, &sector).unwrap();
-        let hdr = Fat32::intent_header(&[root_sector], &[sector.clone()]);
+        let hdr = Fat32::intent_header(&[root_sector], &sector);
         dev.write_block(INTENT_LOG_START, &hdr).unwrap();
         // Remount: the record is replayed and cleared.
         let mut bc2 = BufCache::default();

@@ -39,22 +39,36 @@
 //!
 //! # Crash-ordering guarantees
 //!
-//! The commit sequence for a group is: ready-only cache drain (everything a
-//! logged sector could reference — data blocks, interleaved non-logged
-//! metadata — becomes durable first), payload capture from the cache, log
-//! payload writes, checksummed single-sector header write, **device FLUSH
-//! (the commit point)**, dependency-edge release, pin release, home-sector
-//! drain, header clear (written FUA so it cannot linger in a posted write
-//! cache). A power cut before the commit point leaves the old tree: the
-//! logged sectors were cache-only, pinned, and any allocation units they
-//! freed were reserved against reuse ([`BufCache::note_pending_free`]). A
-//! cut after the commit point is repaired by replay, which is idempotent
-//! (payloads are final contents) and validated (magic, count, target
-//! bounds, FNV-1a over header and payloads), so a torn commit record is
-//! indistinguishable from no record. With a posted write cache underneath
-//! ([`crate::MemDisk::set_posted_writes`]) these guarantees hold *because*
-//! of the explicit FLUSH barriers — see the barrier-elision test in the
-//! crash suite for the counterexample.
+//! A commit record is the header sector followed by its N payload sectors,
+//! laid out exactly as they sit in the log at `[log_start, log_start + 1 +
+//! N)` and written as **one range command** (a CMD25 on the SD card). The
+//! commit sequence for a group is:
+//!
+//! 1. ready-only cache drain: everything a logged sector could reference —
+//!    data blocks, interleaved non-logged metadata — becomes durable first;
+//! 2. payload capture from the cache into the record buffer, then the
+//!    checksummed header into its first sector;
+//! 3. the header‖payload record write;
+//! 4. **device FLUSH — the commit point**;
+//! 5. dependency-edge release, then pin release;
+//! 6. home-sector drain;
+//! 7. header clear, a separate single-sector write issued only after the
+//!    home drain, and written FUA so it cannot linger in a posted write
+//!    cache.
+//!
+//! A power cut before the commit point leaves the old tree: the logged
+//! sectors were cache-only, pinned, and any allocation units they freed were
+//! reserved against reuse ([`BufCache::note_pending_free`]). That includes
+//! a cut *inside* the record command. The header leads the command, so a
+//! torn record can pair a new header with only some of its payloads, the
+//! rest of the slots still holding an earlier record's stale sectors; the
+//! FNV-1a checksum covers the header fields and every payload, so replay
+//! rejects that record like no record at all. A cut after the commit point
+//! is repaired by replay, which is idempotent (payloads are final contents)
+//! and validated (magic, count, target bounds, the checksum). With a posted
+//! write cache underneath ([`crate::MemDisk::set_posted_writes`]) these
+//! guarantees hold *because* of the explicit FLUSH barriers — see the
+//! barrier-elision test in the crash suite for the counterexample.
 //!
 //! # Degraded mode
 //!
@@ -64,8 +78,8 @@
 //! read-only degraded mode — writes (and therefore transactions) fail with
 //! [`FsError::Io`], reads keep working, and dirty data is kept cached
 //! rather than dropped. A commit that fails *before* its commit point
-//! leaves the group pending, so a later barrier retries it; the log is
-//! never half-written because the header is a single sector.
+//! leaves the group pending, so a later barrier retries it; a record the
+//! failure left half-written fails its checksum and is never replayed.
 
 use crate::block::{BlockDevice, BLOCK_SIZE};
 use crate::bufcache::BufCache;
@@ -265,19 +279,30 @@ impl TxnLog {
     }
 
     /// Writes the open commit group's single checksummed record and drains
-    /// it home: ready drain → payload capture → log payloads → header →
-    /// device FLUSH (the commit point) → dependency release → pin release →
-    /// home drain → header clear (FUA). Payloads are captured at *commit*
-    /// time, so the record reflects any non-logged write that shared a
-    /// sector with the group — replay can never roll one back — and the
-    /// pre-commit [`BufCache::flush_ready`] makes every non-group sector
-    /// such content might reference durable before a record points at it.
-    /// Both drains refuse to force dependency cycles, so a transaction
-    /// still open for the *next* group (the log-overflow path) keeps its
-    /// sectors cached and atomic. A failure before the commit point leaves
-    /// the group pending, so the next barrier retries it; past the commit
-    /// point the record repairs any torn home write at replay. A no-op when
-    /// no group is open.
+    /// it home: ready drain → payload capture → one header‖payload range
+    /// write → device FLUSH (the commit point) → dependency release → pin
+    /// release → home drain → header clear (FUA).
+    ///
+    /// The record occupies `[log_start, log_start + 1 + N)` for a group of N
+    /// sectors and goes down as a single [`BlockDevice::write_range`]: one
+    /// device command per commit. A torn record — the header plus only some
+    /// of its payloads, the other slots still holding an earlier record's
+    /// sectors — fails the checksum [`TxnLog::replay`] verifies over the
+    /// header and every payload, exactly like no record.
+    /// The header clear stays a separate single-sector write after the home
+    /// drain: clearing earlier would drop the record while the home
+    /// sectors it repairs are still in flight.
+    ///
+    /// Payloads are captured at *commit* time, so the record reflects any
+    /// non-logged write that shared a sector with the group — replay can
+    /// never roll one back — and the pre-commit [`BufCache::flush_ready`]
+    /// makes every non-group sector such content might reference durable
+    /// before a record points at it. Both drains refuse to force dependency
+    /// cycles, so a transaction still open for the *next* group (the
+    /// log-overflow path) keeps its sectors cached and atomic. A failure
+    /// before the commit point leaves the group pending, so the next barrier
+    /// retries it; past the commit point the record repairs any torn home
+    /// write at replay. A no-op when no group is open.
     pub fn commit_pending(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()> {
         if bc.group_sectors() == 0 {
             return Ok(());
@@ -287,28 +312,26 @@ impl TxnLog {
         // data blocks, and metadata sectors dirtied by interleaved
         // non-logged writers — must be durable before the record.
         bc.flush_ready(dev)?;
-        // Capture the final contents now: all sectors are cached (pinned
-        // since their transactions logged them), so these reads are hits.
-        let mut payloads = Vec::with_capacity(targets.len());
-        for &lba in &targets {
-            let mut p = vec![0u8; BLOCK_SIZE];
-            bc.read(dev, lba, &mut p)?;
-            payloads.push(p);
+        // Capture the final contents now, straight into the payload slots
+        // of the record buffer: all sectors are cached (pinned since their
+        // transactions logged them), so these reads are hits.
+        let mut record = vec![0u8; (1 + targets.len()) * BLOCK_SIZE];
+        let (hdr, payloads) = record.split_at_mut(BLOCK_SIZE);
+        for (&lba, p) in targets.iter().zip(payloads.chunks_exact_mut(BLOCK_SIZE)) {
+            bc.read(dev, lba, p)?;
         }
-        for (i, p) in payloads.iter().enumerate() {
-            dev.write_block(self.log_start + 1 + i as u64, p)?;
-        }
-        let hdr = Self::header(&targets, &payloads);
-        dev.write_block(self.log_start, &hdr)?;
-        dev.flush()?; // commit point
-                      // Past the commit point the record repairs any torn home write, so
-                      // the logged sectors' (deliberately cyclic) ordering edges can go —
-                      // otherwise the home drain would trip the forced-cycle escape hatch
-                      // for updates that are in fact fully protected.
-                      // Drop the ordering edges while the group still pins their sectors,
-                      // *then* release the pins: the cache invariant is "a dependency
-                      // cycle exists only among pinned sectors", and the reverse order
-                      // would leave an unpinned cycle in the window between the calls.
+        hdr.copy_from_slice(&Self::header(&targets, payloads));
+        dev.write_range(self.log_start, 1 + targets.len() as u64, &record)?;
+        // The commit point.
+        dev.flush()?;
+        // Past the commit point the record repairs any torn home write, so
+        // the logged sectors' (deliberately cyclic) ordering edges can go —
+        // otherwise the home drain would trip the forced-cycle escape hatch
+        // for updates that are in fact fully protected.
+        // Drop the ordering edges while the group still pins their sectors,
+        // *then* release the pins: the cache invariant is "a dependency
+        // cycle exists only among pinned sectors", and the reverse order
+        // would leave an unpinned cycle in the window between the calls.
         bc.clear_dependencies(&targets);
         bc.group_clear_committed();
         bc.flush_ready(dev)?; // home sectors (ordered, cycles never forced)
@@ -353,23 +376,17 @@ impl TxnLog {
             }
             targets.push(t);
         }
-        let mut payloads = Vec::with_capacity(count);
-        for i in 0..count {
-            let mut p = vec![0u8; BLOCK_SIZE];
-            dev.read_block(self.log_start + 1 + i as u64, &mut p)?;
-            payloads.push(p);
-        }
-        let mut sum = fnv1a(&hdr[8..12], FNV_OFFSET);
-        sum = fnv1a(&hdr[16..16 + count * 8], sum);
-        for p in &payloads {
-            sum = fnv1a(p, sum);
-        }
-        if sum != u32::from_le_bytes([hdr[12], hdr[13], hdr[14], hdr[15]]) {
+        // The payload slots sit right behind the header: one range read.
+        let mut payloads = vec![0u8; count * BLOCK_SIZE];
+        dev.read_range(self.log_start + 1, count as u64, &mut payloads)?;
+        // A torn record (header plus only some of its payloads, stale
+        // sectors in the other slots) fails the checksum here.
+        if Self::header(&targets, &payloads)[12..16] != hdr[12..16] {
             return Ok(());
         }
         // Redo the home-sector writes (idempotent: the payloads are final
         // contents) through the cache so any cached copies stay coherent.
-        for (t, p) in targets.iter().zip(&payloads) {
+        for (t, p) in targets.iter().zip(payloads.chunks_exact(BLOCK_SIZE)) {
             bc.write(dev, *t, p)?;
             bc.note_metadata(*t, 1);
         }
@@ -379,9 +396,12 @@ impl TxnLog {
         dev.flush()
     }
 
-    /// Builds the checksummed header sector for a committed record (public
-    /// so crash tests can hand-craft valid and torn records).
-    pub fn header(targets: &[u64], payloads: &[Vec<u8>]) -> Vec<u8> {
+    /// Builds the checksummed header sector for a committed record whose
+    /// payload sectors, in target order, are `payloads` — laid back to back
+    /// exactly as they follow the header in the log (public so crash tests
+    /// can hand-craft valid and torn records). The FNV-1a checksum covers
+    /// the count, the targets and every payload byte.
+    pub fn header(targets: &[u64], payloads: &[u8]) -> Vec<u8> {
         let mut hdr = vec![0u8; BLOCK_SIZE];
         hdr[0..8].copy_from_slice(TXN_MAGIC);
         hdr[8..12].copy_from_slice(&(targets.len() as u32).to_le_bytes());
@@ -391,10 +411,176 @@ impl TxnLog {
         }
         let mut sum = fnv1a(&hdr[8..12], FNV_OFFSET);
         sum = fnv1a(&hdr[16..16 + targets.len() * 8], sum);
-        for p in payloads {
-            sum = fnv1a(p, sum);
-        }
+        sum = fnv1a(payloads, sum);
         hdr[12..16].copy_from_slice(&sum.to_le_bytes());
         hdr
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::{BlockIoStats, MemDisk};
+
+    const LOG_START: u64 = 8;
+    const LOG_SECTORS: u64 = 16;
+
+    /// A [`MemDisk`] that also notes every command touching the log area,
+    /// so a test can tell the transaction layer's own writes from the
+    /// cache's home drain.
+    struct LogTap {
+        disk: MemDisk,
+        /// `(write, lba, count)` of each log-area command, in issue order.
+        log_cmds: Vec<(bool, u64, u64)>,
+    }
+
+    impl LogTap {
+        fn new(blocks: u64) -> Self {
+            LogTap {
+                disk: MemDisk::new(blocks),
+                log_cmds: Vec::new(),
+            }
+        }
+
+        fn note(&mut self, write: bool, lba: u64, count: u64) {
+            if lba < LOG_START + LOG_SECTORS && lba + count > LOG_START {
+                self.log_cmds.push((write, lba, count));
+            }
+        }
+    }
+
+    impl BlockDevice for LogTap {
+        fn num_blocks(&self) -> u64 {
+            self.disk.num_blocks()
+        }
+
+        fn read_block(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
+            self.note(false, lba, 1);
+            self.disk.read_block(lba, out)
+        }
+
+        fn write_block(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
+            self.note(true, lba, 1);
+            self.disk.write_block(lba, data)
+        }
+
+        fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
+            self.note(false, lba, count);
+            self.disk.read_range(lba, count, out)
+        }
+
+        fn write_range(&mut self, lba: u64, count: u64, data: &[u8]) -> FsResult<()> {
+            self.note(true, lba, count);
+            self.disk.write_range(lba, count, data)
+        }
+
+        fn flush(&mut self) -> FsResult<()> {
+            self.disk.flush()
+        }
+
+        fn stats(&self) -> BlockIoStats {
+            self.disk.stats()
+        }
+    }
+
+    /// The group's home sectors, scattered and logged out of LBA order.
+    const HOMES: [u64; 3] = [200, 40, 90];
+
+    /// What a test writes to home sector `lba`.
+    fn contents(lba: u64) -> [u8; BLOCK_SIZE] {
+        [lba as u8; BLOCK_SIZE]
+    }
+
+    fn read(disk: &mut MemDisk, lba: u64) -> [u8; BLOCK_SIZE] {
+        let mut out = [0u8; BLOCK_SIZE];
+        disk.read_block(lba, &mut out).unwrap();
+        out
+    }
+
+    /// Opens a group of one-sector transactions, one per home sector, and
+    /// leaves it pending.
+    fn pending_group() -> (LogTap, BufCache, TxnLog) {
+        let mut dev = LogTap::new(256);
+        let mut bc = BufCache::default();
+        let mut log = TxnLog::new(LOG_START, LOG_SECTORS, 256);
+        log.set_group_ops(HOMES.len() as u32 + 1);
+        for lba in HOMES {
+            log.with_txn(&mut dev, &mut bc, |dev, bc| {
+                bc.write(dev, lba, &contents(lba))?;
+                TxnLog::log_sector(bc, lba, 1);
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(bc.group_sectors(), HOMES.len());
+        (dev, bc, log)
+    }
+
+    #[test]
+    fn a_group_commit_is_one_record_write_plus_the_header_clear() {
+        let k = HOMES.len() as u64;
+        let (mut dev, mut bc, log) = pending_group();
+        let (dev0, bc0) = (dev.stats(), bc.stats());
+        log.commit_pending(&mut dev, &mut bc).unwrap();
+        let (d, c) = (dev.stats(), bc.stats());
+        // Everything the device saw beyond the cache's own home drain is
+        // the transaction layer's: one range command and one single write.
+        let range_cmds =
+            (d.range_cmds - dev0.range_cmds) - (c.coalesced_ranges - bc0.coalesced_ranges);
+        let single_cmds = (d.single_cmds - dev0.single_cmds) - (c.single_cmds - bc0.single_cmds);
+        assert_eq!((range_cmds, single_cmds), (1, 1));
+        assert_eq!(
+            d.blocks - dev0.blocks,
+            (1 + k) + k + 1,
+            "record, home drain, clear"
+        );
+        // The range write is the whole record at [log_start, log_start + 1 + k);
+        // the single write is the header clear after the home drain.
+        assert_eq!(
+            dev.log_cmds,
+            vec![(true, LOG_START, 1 + k), (true, LOG_START, 1)]
+        );
+        // The payload slots hold the group's sectors in target (LBA) order,
+        // every home sector is durable, and the header is clear.
+        let mut sorted = HOMES;
+        sorted.sort_unstable();
+        for (slot, lba) in (LOG_START + 1..).zip(sorted) {
+            assert_eq!(read(&mut dev.disk, slot), contents(lba), "slot {slot}");
+            assert_eq!(read(&mut dev.disk, lba), contents(lba), "home {lba}");
+        }
+        assert_eq!(read(&mut dev.disk, LOG_START), [0u8; BLOCK_SIZE]);
+    }
+
+    #[test]
+    fn replay_reads_the_payloads_back_with_one_range_command() {
+        let k = HOMES.len() as u64;
+        let (mut dev, mut bc, log) = pending_group();
+        // Cut power right after the commit point: the record is durable,
+        // no home sector is.
+        dev.disk.power_cut_after(1 + k);
+        assert!(log.commit_pending(&mut dev, &mut bc).is_err());
+        dev.disk.power_restored();
+        for lba in HOMES {
+            assert_eq!(
+                read(&mut dev.disk, lba),
+                [0u8; BLOCK_SIZE],
+                "home drain ran"
+            );
+        }
+        dev.log_cmds.clear();
+        let mut cold = BufCache::default();
+        log.replay(&mut dev, &mut cold).unwrap();
+        assert_eq!(
+            dev.log_cmds,
+            vec![
+                (false, LOG_START, 1),
+                (false, LOG_START + 1, k),
+                (true, LOG_START, 1)
+            ],
+            "header probe, one payload read, header clear"
+        );
+        for lba in HOMES {
+            assert_eq!(read(&mut dev.disk, lba), contents(lba), "replayed {lba}");
+        }
     }
 }

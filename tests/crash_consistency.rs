@@ -23,7 +23,8 @@ use proto_repro::hal::dma::DmaEngine;
 use proto_repro::hal::sdhost::{SdDataMode, SdHost};
 use proto_repro::protofs::block::{SdBlockDevice, SdDmaCtx};
 use proto_repro::protofs::bufcache::BufCache;
-use proto_repro::protofs::fat32::{Bpb, Fat32, FIRST_CLUSTER};
+use proto_repro::protofs::fat32::{Bpb, Fat32, FIRST_CLUSTER, INTENT_LOG_START};
+use proto_repro::protofs::txn::TXN_MAGIC;
 use proto_repro::protofs::xv6fs::{InodeType, Xv6Fs};
 use proto_repro::protofs::{BlockDevice, FsError, MemDisk, BLOCK_SIZE};
 
@@ -685,6 +686,117 @@ fn group_commit_replay_respects_interleaved_unlogged_writes() {
         }
     }
     assert!(saw_b, "the uncut run must land /B");
+}
+
+#[test]
+fn fat32_torn_commit_record_fails_its_checksum_and_is_ignored() {
+    // A commit record is its header sector followed by its k payload
+    // sectors, sent as one range command. A first group commits so its
+    // record's payload slots keep the sectors the second group replaces;
+    // the second group's record command is then cut after j = 1..=k blocks.
+    // The header leads the command, so every such cut persists the new
+    // header over a blend of new and stale payloads: replay must reject it
+    // on the checksum and the remount must show the tree from before the
+    // group. Complete, the record is the commit point even if the home
+    // drain never starts. One file per directory, so the record carries a
+    // dirent sector per file plus the FAT sectors.
+    let n_files = 4usize;
+    let dir = |i: usize| format!("/D{i}");
+    let name = |i: usize| format!("/D{i}/T.BIN");
+    let version = |v: u64, len: usize| -> Vec<Vec<u8>> {
+        (0..n_files)
+            .map(|i| pattern(70 + i as u64, v, len))
+            .collect()
+    };
+    let (olds, mids, news) = (
+        version(1, 12 * 1024),
+        version(2, 10 * 1024),
+        version(3, 9 * 1024),
+    );
+    let sector =
+        |disk: &MemDisk, lba: u64| disk.image()[lba as usize * BLOCK_SIZE..][..BLOCK_SIZE].to_vec();
+    // Returns the second group pending with its data already drained, so
+    // the next device command is its commit record; and the group's
+    // sectors.
+    let setup = || {
+        let (mut disk, mut bc, mut fs) = fresh_fat(true);
+        for (i, old) in olds.iter().enumerate() {
+            fs.create(&mut disk, &mut bc, &dir(i), true).unwrap();
+            fs.write_file(&mut disk, &mut bc, &name(i), old).unwrap();
+        }
+        bc.flush(&mut disk).unwrap();
+        fs.set_group_commit_ops(n_files as u32 + 1);
+        for (i, mid) in mids.iter().enumerate() {
+            fs.write_file(&mut disk, &mut bc, &name(i), mid).unwrap();
+        }
+        fs.commit_pending(&mut disk, &mut bc).unwrap();
+        bc.flush(&mut disk).unwrap();
+        for (i, new) in news.iter().enumerate() {
+            fs.write_file(&mut disk, &mut bc, &name(i), new).unwrap();
+        }
+        bc.flush_ready(&mut disk).unwrap();
+        let targets = bc.group_entries();
+        (disk, bc, fs, targets)
+    };
+    let remount = |disk: &MemDisk, note: &str| -> Vec<Vec<u8>> {
+        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
+        let mut bc2 = BufCache::default();
+        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
+        check_fat_structure(&mut disk2, &mut bc2, &fs2, note);
+        (0..n_files)
+            .map(|i| fs2.read_file(&mut disk2, &mut bc2, &name(i)).unwrap())
+            .collect()
+    };
+    let (disk, _, _, targets) = setup();
+    let k = targets.len() as u64;
+    assert!(k >= 2, "the record must carry several payloads, got {k}");
+    // Every slot the second record will fill still holds the first
+    // record's copy of the same sector — its contents before the group.
+    for (i, &t) in targets.iter().enumerate() {
+        let slot = INTENT_LOG_START + 1 + i as u64;
+        assert_eq!(sector(&disk, slot), sector(&disk, t));
+    }
+    for j in 1..=k + 1 {
+        let (mut disk, mut bc, fs, _) = setup();
+        let before = disk.stats();
+        disk.power_cut_after(j);
+        assert!(fs.commit_pending(&mut disk, &mut bc).is_err());
+        disk.power_restored();
+        assert_eq!(
+            &sector(&disk, INTENT_LOG_START)[..8],
+            TXN_MAGIC,
+            "cut {j}: the record's header persisted"
+        );
+        let files = remount(&disk, &format!("record cut {j}/{}", k + 1));
+        if j <= k {
+            let after = disk.stats();
+            let cmds = (
+                after.range_cmds - before.range_cmds,
+                after.single_cmds - before.single_cmds,
+            );
+            assert_eq!(cmds, (1, 0), "cut {j}: the record is the only command");
+            assert_eq!(disk.torn_writes(), 1, "cut {j} tore the record");
+            assert_eq!(files, mids, "cut {j}: a torn record must not replay");
+        } else {
+            assert_eq!(files, news, "a complete record replays");
+        }
+    }
+    // With a posted write cache the cut drops the command whole: no record,
+    // no header, the old tree.
+    for j in 1..=k {
+        let (mut disk, mut bc, fs, _) = setup();
+        disk.set_posted_writes(true);
+        disk.power_cut_after(j);
+        assert!(fs.commit_pending(&mut disk, &mut bc).is_err());
+        disk.power_restored();
+        assert_eq!(
+            sector(&disk, INTENT_LOG_START),
+            vec![0u8; BLOCK_SIZE],
+            "posted cut {j} left a record"
+        );
+        let files = remount(&disk, &format!("posted record cut {j}/{}", k + 1));
+        assert_eq!(files, mids, "posted cut {j}");
+    }
 }
 
 /// An SD card in DMA mode with its own engine + clock — the scatter-gather

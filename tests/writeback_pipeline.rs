@@ -423,6 +423,62 @@ fn group_commit_defers_logged_txns_until_fsync_forces_them() {
 }
 
 #[test]
+fn the_write_closing_a_group_sends_its_record_as_one_range_command() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let n = FAT_GROUP_COMMIT_OPS as usize;
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    sys.kernel
+        .with_task_ctx(writer, |ctx| {
+            for i in 0..n {
+                let fd = ctx.open(&format!("/d/rec{i}.bin"), OpenFlags::wronly_create())?;
+                ctx.write(fd, &vec![i as u8; 6 * 1024])?;
+                ctx.close(fd)?;
+            }
+            Ok::<(), kernel::KernelError>(())
+        })
+        .unwrap();
+    sys.kernel.sync_all().unwrap();
+    let commits_before = sys.kernel.fat_cache_stats().log_commits;
+    // n logged overwrites: the first n - 1 pend in the group, the n-th
+    // write() closes it.
+    let sd = |sys: &ProtoSystem| {
+        let h = &sys.kernel.board.sdhost;
+        (h.range_cmds(), h.single_block_cmds())
+    };
+    let mut closing = (0, 0);
+    for i in 0..n {
+        let fd = sys
+            .kernel
+            .with_task_ctx(writer, |ctx| {
+                ctx.open(&format!("/d/rec{i}.bin"), OpenFlags::wronly_create())
+            })
+            .unwrap();
+        let before = sd(&sys);
+        sys.kernel
+            .with_task_ctx(writer, |ctx| ctx.write(fd, &vec![0xC0 | i as u8; 7 * 1024]))
+            .unwrap();
+        let after = sd(&sys);
+        if i + 1 < n {
+            assert_eq!(sys.kernel.fat_group_txns(), i as u64 + 1);
+        } else {
+            closing = (after.0 - before.0, after.1 - before.1);
+        }
+        sys.kernel
+            .with_task_ctx(writer, |ctx| ctx.close(fd))
+            .unwrap();
+    }
+    assert_eq!(sys.kernel.fat_group_txns(), 0);
+    assert_eq!(sys.kernel.fat_cache_stats().log_commits, commits_before + 1);
+    // Data and home sectors ride DMA chains; the record is one polled
+    // CMD25 and the header clear one CMD24.
+    assert_eq!(
+        closing,
+        (1, 1),
+        "(range, single) commands of the closing write()"
+    );
+}
+
+#[test]
 fn kbio_commits_a_pending_group_after_the_timeout() {
     let mut sys = ProtoSystem::desktop().unwrap();
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
