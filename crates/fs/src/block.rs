@@ -112,21 +112,12 @@ pub trait BlockDevice {
     /// with a posted write cache ([`MemDisk::set_posted_writes`], the SD
     /// host's cache mode) override it to make every completed-but-volatile
     /// write durable. The write-back buffer cache calls this at the end of
-    /// its own flush, and the transaction layer calls it at each commit
-    /// point — with a posted cache enabled, skipping the barrier is
-    /// demonstrably unsafe (see the crash suite's barrier-elision test).
+    /// its own drains, so the transaction layer's commit point is the FLUSH
+    /// closing the drain that sends its record down — with a posted cache
+    /// enabled, skipping the barrier is demonstrably unsafe (see the crash
+    /// suite's barrier-elision test).
     fn flush(&mut self) -> FsResult<()> {
         Ok(())
-    }
-
-    /// Writes one block with Force Unit Access semantics: the block is
-    /// durable when the call returns, regardless of any posted write cache.
-    /// The default composes `write_block` + `flush`; devices with a real
-    /// FUA command (the SD host) override it to persist just this block
-    /// without draining the whole cache.
-    fn write_block_fua(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        self.write_block(lba, data)?;
-        self.flush()
     }
 
     /// Returns accumulated I/O statistics.
@@ -292,9 +283,9 @@ impl MemDisk {
 
     /// Enables or disables the modeled posted write cache. When on,
     /// completed writes land volatile and become durable only at a
-    /// [`BlockDevice::flush`] (or FUA write); a power cut drops every
-    /// un-flushed block. Off by default: the instant-persist semantics the
-    /// rest of the suite was written against.
+    /// [`BlockDevice::flush`]; a power cut drops every un-flushed block.
+    /// Off by default: the instant-persist semantics the rest of the suite
+    /// was written against.
     pub fn set_posted_writes(&mut self, on: bool) {
         if !on && !self.cache.is_empty() {
             // Leaving posted mode persists what the cache holds — the knob
@@ -663,19 +654,6 @@ impl BlockDevice for SdBlockDevice<'_> {
     /// polled command.
     fn flush(&mut self) -> FsResult<()> {
         self.sd.flush_cache().map_err(FsError::from)
-    }
-
-    /// FUA write: a single block programmed straight to flash, bypassing
-    /// the posted cache — durable on return without paying a whole-cache
-    /// FLUSH. With the posted cache live the host counts it as a FUA
-    /// ([`hal::sdhost::SdHost::fua_cmds`]), priced as a command plus a
-    /// forced program; otherwise it is a plain CMD24.
-    fn write_block_fua(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        buf.copy_from_slice(data);
-        self.sd
-            .write_block_fua(self.partition_start.saturating_add(lba), &buf)
-            .map_err(FsError::from)
     }
 
     fn stats(&self) -> BlockIoStats {

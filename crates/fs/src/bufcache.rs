@@ -91,15 +91,16 @@
 //!     chains, so a torn or faulted chain re-dirties at most
 //!     [`WB_CHAIN_BLOCKS`] blocks — and only its own.
 //!   - *Barriers*: [`BufCache::flush`] (fsync, unmount) and
-//!     [`BufCache::flush_ready`] (the transaction layer's drains on both
-//!     sides of its commit point) are queue-drain barriers — they submit,
-//!     then drain every write chain, re-check for completion-time errors,
-//!     and finish with the device's own cache-FLUSH command
-//!     ([`BlockDevice::flush`]), so "flush returned Ok" still means "on the
-//!     medium" even over a card whose posted write cache parks completed
-//!     writes in volatile RAM. Single sectors that must be durable without
-//!     a whole-cache FLUSH (the transaction layer's commit-header clear) go
-//!     down as Force Unit Access writes ([`BlockDevice::write_block_fua`]).
+//!     [`BufCache::flush_ready`] (every drain of the transaction layer's
+//!     commit) are queue-drain barriers — they submit, then drain every
+//!     write chain, re-check for completion-time errors, and finish with
+//!     the device's own cache-FLUSH command ([`BlockDevice::flush`]), so
+//!     "flush returned Ok" still means "on the medium" even over a card
+//!     whose posted write cache parks completed writes in volatile RAM. The
+//!     transaction layer writes its commit record and its header clear into
+//!     the cache and sends each down with a `flush_ready` of its own: the
+//!     FLUSH closing the record's drain is the commit point, and the one
+//!     closing the clear's drain makes the clear durable.
 //!     [`BufCache::flush_some`] (the `kbio` budgeted pass) deliberately
 //!     does *not* drain and never issues the device barrier: it reaps
 //!     whatever finished since the last pass, submits up to its budget, and
@@ -174,9 +175,10 @@
 //!   filesystem-agnostic transaction layer ([`crate::txn::TxnLog`], whose
 //!   clients are FAT32's intent log and the xv6fs metadata journal) writes
 //!   the group's single commit record, capturing the payloads at commit
-//!   time and sending header and payloads to the device as one range
-//!   command. The state lives in the cache because the filesystem objects
-//!   themselves are cloned per kernel call.
+//!   time and writing header and payloads into the cache as one contiguous
+//!   run, which the next ready drain sends down as one range command (one
+//!   chain on a queued device). The state lives in the cache because the
+//!   filesystem objects themselves are cloned per kernel call.
 //!
 //! * **Bounded write-retry budgets and read-only degradation.** A dirty
 //!   block whose write-back keeps faulting is retried with exponential
@@ -3102,14 +3104,16 @@ impl BufCache {
     /// data first, then metadata whose recorded dependencies are clean —
     /// but, unlike [`BufCache::flush`], never forces a dependency cycle and
     /// never touches sectors held by the open commit group. The intent
-    /// log's commit protocol runs this on both sides of its commit point:
-    /// before it, so every non-group sector a group sector's *commit-time*
-    /// payload might reference (an interleaved non-logged writer sharing a
-    /// sector with the group) is durable before the record that could
-    /// replay over it; after it (the group now cleared and its cyclic edges
-    /// dropped), as the home drain — leaving a *still-open* transaction's
-    /// deliberately cyclic sectors cached and untouched instead of
-    /// force-breaking them the way a full flush would.
+    /// log's commit protocol runs every one of its drains through this:
+    /// before the record, so every non-group sector a group sector's
+    /// *commit-time* payload might reference (an interleaved non-logged
+    /// writer sharing a sector with the group) is durable before the record
+    /// that could replay over it; then to send the record itself, whose
+    /// closing FLUSH is the commit point; after it (the group now cleared
+    /// and its cyclic edges dropped), as the home drain — leaving a
+    /// *still-open* transaction's deliberately cyclic sectors cached and
+    /// untouched instead of force-breaking them the way a full flush would;
+    /// and last to send the header clear.
     pub fn flush_ready(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
         if dev.queue_depth() > 0 {
             self.reap_ready(dev);

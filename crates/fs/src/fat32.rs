@@ -245,9 +245,10 @@ impl Fat32 {
         bc.write(dev, 0, &boot)?;
         bc.note_metadata(0, 1);
         // An empty intent-log header: a reformat must not leave a stale
-        // committed record from the volume's previous life. The log area is
-        // accessed directly (never through the cache) so the commit protocol
-        // can order its writes against the cache's own flushes.
+        // committed record from the volume's previous life. Written straight
+        // to the device, so it is durable before any formatted sector the
+        // cache holds: a cut mid-format can never replay the old record
+        // over the new layout.
         let zero = vec![0u8; BLOCK_SIZE];
         dev.write_block(INTENT_LOG_START, &zero)?;
         // Zero the FAT.
@@ -393,11 +394,11 @@ impl Fat32 {
     // reserved region at `INTENT_LOG_START`, with group commit folding a
     // burst of transactions into one checksummed record. The mechanism —
     // ready-drain before the commit record, the header and its payloads
-    // written as one range command, a FLUSH barrier as the commit point,
-    // idempotent checksum-validated replay, pending-free reservation of
-    // freed clusters — is documented once, in `txn.rs`; what stays
-    // FAT-specific here is only the geometry (the reserved region) and
-    // which operations are transactions.
+    // written through the cache as one run, the FLUSH closing their drain
+    // as the commit point, idempotent checksum-validated replay,
+    // pending-free reservation of freed clusters — is documented once, in
+    // `txn.rs`; what stays FAT-specific here is only the geometry (the
+    // reserved region) and which operations are transactions.
 
     /// Builds the checksummed header sector for a committed record (the
     /// shared layer's format; kept as a named helper for the mount tests

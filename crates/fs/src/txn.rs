@@ -41,25 +41,32 @@
 //!
 //! A commit record is the header sector followed by its N payload sectors,
 //! laid out exactly as they sit in the log at `[log_start, log_start + 1 +
-//! N)` and written as **one range command** (a CMD25 on the SD card). The
-//! commit sequence for a group is:
+//! N)`. The layer issues no device write of its own: like xv6's
+//! `write_log`/`write_head` over `bwrite`, it writes the record and the
+//! header clear into the buffer cache and lets the cache's ready drain
+//! send them down — one contiguous run each, so one range command on a
+//! polled device and one scatter-gather chain on the SD card's DMA queue.
+//! The commit sequence for a group is:
 //!
 //! 1. ready-only cache drain: everything a logged sector could reference —
 //!    data blocks, interleaved non-logged metadata — becomes durable first;
 //! 2. payload capture from the cache into the record buffer, then the
 //!    checksummed header into its first sector;
-//! 3. the header‖payload record write;
-//! 4. **device FLUSH — the commit point**;
+//! 3. the header‖payload record enters the cache, *after* step 1 returned
+//!    (its blocks are data-class, and a drain sends data before metadata),
+//!    and a second ready drain sends it down;
+//! 4. **the device FLUSH closing that drain — the commit point**;
 //! 5. dependency-edge release, then pin release;
 //! 6. home-sector drain;
-//! 7. header clear, a separate single-sector write issued only after the
-//!    home drain, and written FUA so it cannot linger in a posted write
-//!    cache.
+//! 7. header clear: the zeroed header enters the cache only after the home
+//!    drain returned, so it cannot overtake the home sectors, and one more
+//!    ready drain sends it down; the FLUSH closing that drain makes it
+//!    durable, so it cannot linger in a posted write cache.
 //!
 //! A power cut before the commit point leaves the old tree: the logged
 //! sectors were cache-only, pinned, and any allocation units they freed were
 //! reserved against reuse ([`BufCache::note_pending_free`]). That includes
-//! a cut *inside* the record command. The header leads the command, so a
+//! a cut *inside* the record's command. The header leads the run, so a
 //! torn record can pair a new header with only some of its payloads, the
 //! rest of the slots still holding an earlier record's stale sectors; the
 //! FNV-1a checksum covers the header fields and every payload, so replay
@@ -79,7 +86,9 @@
 //! [`FsError::Io`], reads keep working, and dirty data is kept cached
 //! rather than dropped. A commit that fails *before* its commit point
 //! leaves the group pending, so a later barrier retries it; a record the
-//! failure left half-written fails its checksum and is never replayed.
+//! failure left half-written fails its checksum and is never replayed. The
+//! failed record's blocks stay dirty in the cache like any failed
+//! write-back, for a later drain to retry.
 
 use crate::block::{BlockDevice, BLOCK_SIZE};
 use crate::bufcache::BufCache;
@@ -279,19 +288,22 @@ impl TxnLog {
     }
 
     /// Writes the open commit group's single checksummed record and drains
-    /// it home: ready drain → payload capture → one header‖payload range
-    /// write → device FLUSH (the commit point) → dependency release → pin
-    /// release → home drain → header clear (FUA).
+    /// it home: ready drain → payload capture → header‖payload record into
+    /// the cache → ready drain, whose closing FLUSH is the commit point →
+    /// dependency release → pin release → home drain → header clear into
+    /// the cache → ready drain.
     ///
     /// The record occupies `[log_start, log_start + 1 + N)` for a group of N
-    /// sectors and goes down as a single [`BlockDevice::write_range`]: one
-    /// device command per commit. A torn record — the header plus only some
-    /// of its payloads, the other slots still holding an earlier record's
-    /// sectors — fails the checksum [`TxnLog::replay`] verifies over the
-    /// header and every payload, exactly like no record.
-    /// The header clear stays a separate single-sector write after the home
-    /// drain: clearing earlier would drop the record while the home
-    /// sectors it repairs are still in flight.
+    /// sectors. It goes down through [`BufCache::write_range`] and
+    /// [`BufCache::flush_ready`] as one contiguous run: one range command on
+    /// a polled device, one chain on a queued one. A torn record — the
+    /// header plus only some of its payloads, the other slots still holding
+    /// an earlier record's sectors — fails the checksum [`TxnLog::replay`]
+    /// verifies over the header and every payload, exactly like no record.
+    /// The header clear is a separate single-sector write that enters the
+    /// cache only after the home drain returned: clearing earlier would
+    /// drop the record while the home sectors it repairs are still in
+    /// flight. The FLUSH closing its own drain makes the clear durable.
     ///
     /// Payloads are captured at *commit* time, so the record reflects any
     /// non-logged write that shared a sector with the group — replay can
@@ -301,8 +313,9 @@ impl TxnLog {
     /// cycles, so a transaction still open for the *next* group (the
     /// log-overflow path) keeps its sectors cached and atomic. A failure
     /// before the commit point leaves the group pending, so the next barrier
-    /// retries it; past the commit point the record repairs any torn home
-    /// write at replay. A no-op when no group is open.
+    /// retries it, and a record that failed to drain stays dirty in the
+    /// cache; past the commit point the record repairs any torn home write
+    /// at replay. A no-op when no group is open.
     pub fn commit_pending(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()> {
         if bc.group_sectors() == 0 {
             return Ok(());
@@ -321,9 +334,13 @@ impl TxnLog {
             bc.read(dev, lba, p)?;
         }
         hdr.copy_from_slice(&Self::header(&targets, payloads));
-        dev.write_range(self.log_start, 1 + targets.len() as u64, &record)?;
-        // The commit point.
-        dev.flush()?;
+        // The record enters the cache only now that the ready drain has
+        // returned: its blocks are data-class, and a drain sends data ahead
+        // of metadata, so an earlier write could let the record reach the
+        // device before sectors its payloads reference.
+        bc.write_range(dev, self.log_start, 1 + targets.len() as u64, &record)?;
+        // The commit point: the FLUSH that closes this drain.
+        bc.flush_ready(dev)?;
         // Past the commit point the record repairs any torn home write, so
         // the logged sectors' (deliberately cyclic) ordering edges can go —
         // otherwise the home drain would trip the forced-cycle escape hatch
@@ -334,18 +351,24 @@ impl TxnLog {
         // would leave an unpinned cycle in the window between the calls.
         bc.clear_dependencies(&targets);
         bc.group_clear_committed();
-        bc.flush_ready(dev)?; // home sectors (ordered, cycles never forced)
-        let zero = vec![0u8; BLOCK_SIZE];
-        // FUA: the cleared header must not linger in a posted write cache,
-        // or a crash would replay a record whose home sectors have since
-        // been rewritten by non-logged writers.
-        dev.write_block_fua(self.log_start, &zero)
+        // The home drain (ordered, cycles never forced).
+        bc.flush_ready(dev)?;
+        // The clear enters the cache only after the home drain returned, or
+        // the drain would send it (data-class) ahead of the home sectors.
+        // The FLUSH closing its own drain makes it durable: a clear left in
+        // a posted write cache would let a crash replay a record whose home
+        // sectors non-logged writers have since rewritten.
+        bc.write(dev, self.log_start, &[0u8; BLOCK_SIZE])?;
+        bc.flush_ready(dev)
     }
 
     /// Replays a committed log record onto its home sectors, then clears
-    /// the header. A record that fails validation (torn commit, stale
-    /// garbage, targets outside `[log_start + log_sectors, total_sectors)`)
-    /// is ignored: the pre-transaction tree is the consistent one.
+    /// the header through the cache once the home flush has returned — the
+    /// FLUSH closing the clear's own drain makes it durable, as in
+    /// [`TxnLog::commit_pending`]. A record that fails validation (torn
+    /// commit, stale garbage, targets outside `[log_start + log_sectors,
+    /// total_sectors)`) is ignored: the pre-transaction tree is the
+    /// consistent one.
     pub fn replay(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()> {
         let mut hdr = vec![0u8; BLOCK_SIZE];
         dev.read_block(self.log_start, &mut hdr)?;
@@ -391,9 +414,10 @@ impl TxnLog {
             bc.note_metadata(*t, 1);
         }
         bc.flush(dev)?;
-        let zero = vec![0u8; BLOCK_SIZE];
-        dev.write_block(self.log_start, &zero)?;
-        dev.flush()
+        // Cleared only once the home flush has returned, like a commit's
+        // clear, and made durable by the FLUSH closing its own drain.
+        bc.write(dev, self.log_start, &[0u8; BLOCK_SIZE])?;
+        bc.flush_ready(dev)
     }
 
     /// Builds the checksummed header sector for a committed record whose
@@ -426,8 +450,8 @@ mod tests {
     const LOG_SECTORS: u64 = 16;
 
     /// A [`MemDisk`] that also notes every command touching the log area,
-    /// so a test can tell the transaction layer's own writes from the
-    /// cache's home drain.
+    /// so a test can tell the record and the header clear from the cache's
+    /// home drain.
     struct LogTap {
         disk: MemDisk,
         /// `(write, lba, count)` of each log-area command, in issue order.
@@ -523,19 +547,20 @@ mod tests {
         let (dev0, bc0) = (dev.stats(), bc.stats());
         log.commit_pending(&mut dev, &mut bc).unwrap();
         let (d, c) = (dev.stats(), bc.stats());
-        // Everything the device saw beyond the cache's own home drain is
-        // the transaction layer's: one range command and one single write.
+        // The cache issues every command the device saw: the transaction
+        // layer writes nothing to the device itself.
         let range_cmds =
             (d.range_cmds - dev0.range_cmds) - (c.coalesced_ranges - bc0.coalesced_ranges);
         let single_cmds = (d.single_cmds - dev0.single_cmds) - (c.single_cmds - bc0.single_cmds);
-        assert_eq!((range_cmds, single_cmds), (1, 1));
+        assert_eq!((range_cmds, single_cmds), (0, 0));
         assert_eq!(
             d.blocks - dev0.blocks,
             (1 + k) + k + 1,
             "record, home drain, clear"
         );
-        // The range write is the whole record at [log_start, log_start + 1 + k);
-        // the single write is the header clear after the home drain.
+        // The cache's drains send the whole record at [log_start, log_start
+        // + 1 + k) as one range write, and the header clear as one single
+        // write after the home drain.
         assert_eq!(
             dev.log_cmds,
             vec![(true, LOG_START, 1 + k), (true, LOG_START, 1)]

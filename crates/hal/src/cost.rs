@@ -165,11 +165,6 @@ pub struct CostModel {
     /// is enabled; calibrated so a per-fsync barrier stays well under 5% of
     /// a megabyte-scale batched write-back.
     pub sd_flush_latency: Cycles,
-    /// Per-block cost of a Force Unit Access write: a single-block program
-    /// forced straight to flash, bypassing the posted cache. Costlier than
-    /// a cached CMD24 (the card cannot lazily coalesce it) but far cheaper
-    /// than flushing the whole cache for one sector.
-    pub sd_fua_block_transfer: Cycles,
     /// Cost of a buffer-cache lookup/insert.
     pub bufcache_op: Cycles,
     /// Per-byte cost of copying between the buffer cache and user memory.
@@ -275,7 +270,6 @@ impl CostModel {
             sd_range_block_transfer: 470_000,
             sd_dma_block_transfer: 6_000,
             sd_flush_latency: 180_000,
-            sd_fua_block_transfer: 700_000,
             bufcache_op: 800,
             bufcache_copy_per_byte_milli: 600,
             ramdisk_per_byte_milli: 400,
@@ -318,7 +312,6 @@ impl CostModel {
         m.sd_range_block_transfer = 42_000;
         m.sd_dma_block_transfer = 2_000;
         m.sd_flush_latency = 30_000;
-        m.sd_fua_block_transfer = 60_000;
         m.boot_firmware_load = 400_000_000;
         m.boot_usb_init = 120_000_000;
         m
@@ -339,7 +332,6 @@ impl CostModel {
         m.sd_range_block_transfer = 46_000;
         m.sd_dma_block_transfer = 2_200;
         m.sd_flush_latency = 34_000;
-        m.sd_fua_block_transfer = 66_000;
         m.boot_firmware_load = 420_000_000;
         m.boot_usb_init = 130_000_000;
         m

@@ -71,9 +71,9 @@ pub const KERNEL_IMAGE_BYTES: u64 = 2 * 1024 * 1024 + RAMDISK_BYTES;
 /// get their setup latency discounted — it overlaps the previous transfer;
 /// DMA chains charge command issue + control-block setup + per-block
 /// completion bookkeeping, while their data phase runs on the device
-/// timeline and shows up as wait time, not as a CPU charge; cache FLUSH and
-/// FUA commands, served only with the posted write cache on, charge their
-/// own latencies).
+/// timeline and shows up as wait time, not as a CPU charge; cache FLUSH
+/// commands, served only with the posted write cache on, charge their own
+/// latency).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SdSnapshot {
     pub(crate) single_cmds: u64,
@@ -84,7 +84,6 @@ pub(crate) struct SdSnapshot {
     pub(crate) dma_cbs: u64,
     pub(crate) dma_blocks: u64,
     pub(crate) flush_cmds: u64,
-    pub(crate) fua_cmds: u64,
 }
 
 /// Builds the FAT volume's block-device adapter over the SD card, attaching
@@ -1695,7 +1694,6 @@ impl Kernel {
             dma_cbs: self.board.sdhost.sg_control_blocks(),
             dma_blocks: self.board.sdhost.dma_blocks(),
             flush_cmds: self.board.sdhost.flush_cmds(),
-            fua_cmds: self.board.sdhost.fua_cmds(),
         }
     }
 

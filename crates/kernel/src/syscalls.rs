@@ -150,9 +150,7 @@ impl Kernel {
     /// while the data phase itself elapses on the device timeline and shows
     /// up as wait time when (and only when) a demand read has to block on it.
     /// With the card's posted write cache on, each cache FLUSH costs its
-    /// latency and each FUA write — a single-block command the host also
-    /// counts among the singles — costs a command plus a forced program
-    /// instead of a polled block; with the cache off neither is served.
+    /// latency; with the cache off none is served.
     pub(crate) fn charge_sd_delta(
         &mut self,
         core: usize,
@@ -168,12 +166,10 @@ impl Kernel {
         let pio_blocks = (after.blocks - before.blocks).saturating_sub(dma_blocks);
         let prefetched = after.prefetch_cmds - before.prefetch_cmds;
         let flushes = after.flush_cmds - before.flush_cmds;
-        let fuas = after.fua_cmds - before.fua_cmds;
         let cost = &self.board.cost;
         let mut cycles = (singles + ranges + dma_cmds).saturating_sub(prefetched)
             * cost.sd_cmd_latency
-            + singles.saturating_sub(fuas) * cost.sd_block_poll_transfer
-            + fuas * cost.sd_fua_block_transfer
+            + singles * cost.sd_block_poll_transfer
             + flushes * cost.sd_flush_latency
             + pio_blocks.saturating_sub(singles) * cost.sd_range_block_transfer
             + dma_cbs * cost.dma_setup
@@ -1516,26 +1512,18 @@ mod tests {
         clock
     }
 
-    /// With the card's posted write cache on, a FUA write and a FLUSH sent
-    /// through the FAT volume's DMA-mode adapter are each charged exactly
-    /// once, at their own price, by `charge_sd_delta`.
+    /// With the card's posted write cache on, a FLUSH sent through the FAT
+    /// volume's DMA-mode adapter is charged exactly once, at its own price,
+    /// by `charge_sd_delta`.
     #[test]
-    fn posted_cache_fua_and_flush_are_charged_once() {
+    fn posted_cache_flush_is_charged_once() {
         let mut k = Kernel::desktop_pi3();
         k.boot().unwrap();
         assert!(k.config.sd_dma, "the adapter carries a DMA context");
         let task = k.spawn_bench_task("barrier").unwrap();
         k.board.sdhost.set_posted_writes(true);
-        let cost = k.board.cost.clone();
-        let header = protofs::fat32::INTENT_LOG_START;
-        let fua = charged(&mut k, task, |dev| {
-            dev.write_block_fua(header, &[0u8; protofs::BLOCK_SIZE])
-                .unwrap()
-        });
-        assert_eq!(k.board.sdhost.fua_cmds(), 1);
-        assert_eq!(fua, cost.sd_cmd_latency + cost.sd_fua_block_transfer);
         let flush = charged(&mut k, task, |dev| dev.flush().unwrap());
         assert_eq!(k.board.sdhost.flush_cmds(), 1);
-        assert_eq!(flush, cost.sd_flush_latency);
+        assert_eq!(flush, k.board.cost.sd_flush_latency);
     }
 }

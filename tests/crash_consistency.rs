@@ -21,6 +21,9 @@ use proto_repro::hal::clock::Clock;
 use proto_repro::hal::cost::CostModel;
 use proto_repro::hal::dma::DmaEngine;
 use proto_repro::hal::sdhost::{SdDataMode, SdHost};
+use proto_repro::kernel::kernel::{FAT_GROUP_COMMIT_OPS, FAT_PARTITION_START};
+use proto_repro::kernel::{OpenFlags, TaskId};
+use proto_repro::proto::prototype::ProtoSystem;
 use proto_repro::protofs::block::{SdBlockDevice, SdDmaCtx};
 use proto_repro::protofs::bufcache::BufCache;
 use proto_repro::protofs::fat32::{Bpb, Fat32, FIRST_CLUSTER, INTENT_LOG_START};
@@ -99,7 +102,7 @@ fn barrier(model: &mut Model) {
 }
 
 /// Reads one FAT entry straight from the persisted image.
-fn raw_fat_entry(disk: &mut MemDisk, bpb: &Bpb, cluster: u32) -> u32 {
+fn raw_fat_entry(disk: &mut dyn BlockDevice, bpb: &Bpb, cluster: u32) -> u32 {
     let byte = cluster as u64 * 4;
     let sector = bpb.fat_start as u64 + byte / BLOCK_SIZE as u64;
     let off = (byte % BLOCK_SIZE as u64) as usize;
@@ -111,7 +114,7 @@ fn raw_fat_entry(disk: &mut MemDisk, bpb: &Bpb, cluster: u32) -> u32 {
 /// Walks every file reachable from the FAT root and checks the structural
 /// invariants; returns the visible (path, contents) pairs.
 fn check_fat_structure(
-    disk: &mut MemDisk,
+    disk: &mut dyn BlockDevice,
     bc: &mut BufCache,
     fs: &Fat32,
     seed_note: &str,
@@ -1019,6 +1022,113 @@ fn fat32_dma_failed_chain_leaves_blocks_dirty_and_retryable() {
 }
 
 #[test]
+fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
+    // The kernel-level twin of the torn-record sweep: a whole desktop
+    // system with the card in DMA mode, where the commit record rides the
+    // queue as one chain inside the write() that closes a group. The cut
+    // lands D + j blocks into that write, D being what its ready drain
+    // persists before the record. For j = 0..=k the record chain (header
+    // plus k payloads) is cut short: the fresh mount must show every file
+    // at its pre-group version. For j = k + 1 the record is whole and the
+    // home drain is cut, and for j = k + 2 the home drain is cut after one
+    // block: replay brings every file to its new version, which it could
+    // not if the header clear had overtaken the home sectors.
+    let n = FAT_GROUP_COMMIT_OPS as usize;
+    // The FAT volume is mounted at /d.
+    let name = |i: usize| format!("/rec{i}.bin");
+    let path = |i: usize| format!("/d{}", name(i));
+    let olds: Vec<Vec<u8>> = (0..n)
+        .map(|i| pattern(90 + i as u64, 1, 6 * 1024))
+        .collect();
+    let news: Vec<Vec<u8>> = (0..n)
+        .map(|i| pattern(90 + i as u64, 2, 7 * 1024))
+        .collect();
+    let put = |sys: &mut ProtoSystem, writer: TaskId, i: usize, data: &[u8]| {
+        sys.kernel.with_task_ctx(writer, |ctx| {
+            let fd = ctx.open(&path(i), OpenFlags::wronly_create())?;
+            ctx.write(fd, data)?;
+            ctx.close(fd)
+        })
+    };
+    // A system whose n files are synced at their old version, with n - 1
+    // overwrites pending in the group and the last file open: the next
+    // write() closes the group.
+    let setup = || -> (ProtoSystem, TaskId, i32) {
+        let mut sys = ProtoSystem::desktop().unwrap();
+        let sd = &sys.kernel.board.sdhost;
+        assert_eq!(sd.data_mode(), SdDataMode::Dma);
+        assert!(!sd.posted_writes());
+        let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+        for (i, old) in olds.iter().enumerate() {
+            put(&mut sys, writer, i, old).unwrap();
+        }
+        sys.kernel.sync_all().unwrap();
+        for (i, new) in news.iter().enumerate().take(n - 1) {
+            put(&mut sys, writer, i, new).unwrap();
+        }
+        assert_eq!(sys.kernel.fat_group_txns(), n as u64 - 1);
+        let fd = sys
+            .kernel
+            .with_task_ctx(writer, |ctx| {
+                ctx.open(&path(n - 1), OpenFlags::wronly_create())
+            })
+            .unwrap();
+        (sys, writer, fd)
+    };
+    let close_group = |sys: &mut ProtoSystem, writer: TaskId, fd: i32| {
+        sys.kernel
+            .with_task_ctx(writer, |ctx| ctx.write(fd, &news[n - 1]))
+    };
+    // The dry run: a fault on the header sector stops the closing write()
+    // at its record, so every block it persisted is the ready drain's, and
+    // the group it failed to commit is still pending.
+    let (d, k) = {
+        let (mut sys, writer, fd) = setup();
+        sys.kernel
+            .board
+            .sdhost
+            .inject_fault(FAT_PARTITION_START + INTENT_LOG_START);
+        let before = sys.kernel.fat_cache_stats().writebacks;
+        assert!(close_group(&mut sys, writer, fd).is_err());
+        let d = sys.kernel.fat_cache_stats().writebacks - before;
+        (d, sys.kernel.fat_cache().group_sectors() as u64)
+    };
+    assert!(d > 0, "the ready drain persists the pending data first");
+    assert!(k >= 2, "the record must carry several payloads, got {k}");
+    for j in 0..=k + 2 {
+        let (mut sys, writer, fd) = setup();
+        sys.kernel.sd_power_cut_after(d + j);
+        let closing = close_group(&mut sys, writer, fd);
+        assert!(closing.is_err(), "cut {j}: the closing write() fails");
+        sys.kernel.sd_power_restore();
+        let total = sys.kernel.board.sdhost.total_blocks();
+        let mut dev = SdBlockDevice::new(
+            &mut sys.kernel.board.sdhost,
+            FAT_PARTITION_START,
+            total - FAT_PARTITION_START,
+        );
+        let mut bc = BufCache::default();
+        let fs = Fat32::mount(&mut dev, &mut bc).unwrap();
+        let note = format!("dma record cut {j}/{}", k + 2);
+        check_fat_structure(&mut dev, &mut bc, &fs, &note);
+        // A cut record must not replay; a complete one must.
+        let (want, which) = if j <= k {
+            (&olds, "pre-group")
+        } else {
+            (&news, "new")
+        };
+        for (i, w) in want.iter().enumerate() {
+            let got = fs.read_file(&mut dev, &mut bc, &name(i)).unwrap();
+            assert!(
+                got == *w,
+                "{note}: {} is not at its {which} version",
+                name(i)
+            );
+        }
+    }
+}
+
+#[test]
 fn xv6fs_new_file_cut_sweep_never_tears() {
     // Without inode/block reuse in play, the ordering edges promise: a new
     // file's inode drains only after its data and bitmap blocks, so at any
@@ -1190,11 +1300,11 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
 // ---- journaled xv6fs + posted device write cache ---------------------------
 //
 // The sweeps below run against a device whose completed writes sit in a
-// volatile posted cache until a FLUSH/FUA barrier — the model under which a
+// volatile posted cache until a FLUSH barrier — the model under which a
 // missing barrier is an observable bug, not a latent one. The journal's
-// commit protocol (drain data, log payloads, FLUSH, apply home, FUA header
-// clear) makes every metadata operation old-XOR-new; both xv6fs torn states
-// the unjournaled fallback tolerates are asserted impossible here.
+// commit protocol (drain data, log payloads, FLUSH, apply home, header
+// clear, FLUSH) makes every metadata operation old-XOR-new; both xv6fs torn
+// states the unjournaled fallback tolerates are asserted impossible here.
 
 /// A journaled xv6fs on a posted-write-cache MemDisk with `/f` holding
 /// `old` durably.

@@ -10,7 +10,7 @@ use kernel::OpenFlags;
 use proto_repro::prelude::*;
 use protofs::block::SdBlockDevice;
 use protofs::bufcache::BufCache;
-use protofs::fat32::Fat32;
+use protofs::fat32::{Fat32, INTENT_LOG_START};
 use protofs::xv6fs::Xv6Fs;
 use protofs::MemDisk;
 
@@ -422,11 +422,9 @@ fn group_commit_defers_logged_txns_until_fsync_forces_them() {
     }
 }
 
-#[test]
-fn the_write_closing_a_group_sends_its_record_as_one_range_command() {
-    let mut sys = ProtoSystem::desktop().unwrap();
-    let n = FAT_GROUP_COMMIT_OPS as usize;
-    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+/// Writes `n` FAT32 files and syncs them, so each later overwrite is one
+/// logged transaction.
+fn synced_fat_files(sys: &mut ProtoSystem, writer: kernel::TaskId, n: usize) {
     sys.kernel
         .with_task_ctx(writer, |ctx| {
             for i in 0..n {
@@ -438,44 +436,125 @@ fn the_write_closing_a_group_sends_its_record_as_one_range_command() {
         })
         .unwrap();
     sys.kernel.sync_all().unwrap();
+}
+
+/// The contents overwrite `i` gives file `i`.
+fn new_version(i: usize) -> Vec<u8> {
+    vec![0xC0 | i as u8; 7 * 1024]
+}
+
+/// Overwrites file `i` with [`new_version`] in one `write()`, between an
+/// open and a close, and returns what the `write()` itself returned.
+fn overwrite(
+    sys: &mut ProtoSystem,
+    writer: kernel::TaskId,
+    i: usize,
+) -> Result<usize, kernel::KernelError> {
+    let fd = sys
+        .kernel
+        .with_task_ctx(writer, |ctx| {
+            ctx.open(&format!("/d/rec{i}.bin"), OpenFlags::wronly_create())
+        })
+        .unwrap();
+    let written = sys
+        .kernel
+        .with_task_ctx(writer, |ctx| ctx.write(fd, &new_version(i)));
+    sys.kernel
+        .with_task_ctx(writer, |ctx| ctx.close(fd))
+        .unwrap();
+    written
+}
+
+#[test]
+fn the_write_closing_a_group_sends_its_record_down_the_dma_queue() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let n = FAT_GROUP_COMMIT_OPS as usize;
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    synced_fat_files(&mut sys, writer, n);
     let commits_before = sys.kernel.fat_cache_stats().log_commits;
     // n logged overwrites: the first n - 1 pend in the group, the n-th
     // write() closes it.
-    let sd = |sys: &ProtoSystem| {
+    let counts = |sys: &ProtoSystem| {
         let h = &sys.kernel.board.sdhost;
-        (h.range_cmds(), h.single_block_cmds())
+        let c = sys.kernel.fat_cache_stats();
+        [
+            h.range_cmds(),
+            h.single_block_cmds(),
+            h.dma_cmds(),
+            c.coalesced_ranges + c.single_cmds,
+        ]
     };
-    let mut closing = (0, 0);
-    for i in 0..n {
-        let fd = sys
-            .kernel
-            .with_task_ctx(writer, |ctx| {
-                ctx.open(&format!("/d/rec{i}.bin"), OpenFlags::wronly_create())
-            })
-            .unwrap();
-        let before = sd(&sys);
-        sys.kernel
-            .with_task_ctx(writer, |ctx| ctx.write(fd, &vec![0xC0 | i as u8; 7 * 1024]))
-            .unwrap();
-        let after = sd(&sys);
-        if i + 1 < n {
-            assert_eq!(sys.kernel.fat_group_txns(), i as u64 + 1);
-        } else {
-            closing = (after.0 - before.0, after.1 - before.1);
-        }
-        sys.kernel
-            .with_task_ctx(writer, |ctx| ctx.close(fd))
-            .unwrap();
+    for i in 0..n - 1 {
+        overwrite(&mut sys, writer, i).unwrap();
+        assert_eq!(sys.kernel.fat_group_txns(), i as u64 + 1);
     }
+    let before = counts(&sys);
+    overwrite(&mut sys, writer, n - 1).unwrap();
+    let after = counts(&sys);
     assert_eq!(sys.kernel.fat_group_txns(), 0);
     assert_eq!(sys.kernel.fat_cache_stats().log_commits, commits_before + 1);
-    // Data and home sectors ride DMA chains; the record is one polled
-    // CMD25 and the header clear one CMD24.
+    // Data, the record, the home sectors and the header clear all ride
+    // the FAT cache's DMA chains: the closing write() issues no polled
+    // command, and every queued command is a chain the cache submitted.
+    let [ranges, singles, dma, chains]: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
     assert_eq!(
-        closing,
-        (1, 1),
-        "(range, single) commands of the closing write()"
+        (ranges, singles),
+        (0, 0),
+        "(range, single) polled commands of the closing write()"
     );
+    assert!(
+        chains >= 2,
+        "at least the record and the clear, got {chains}"
+    );
+    assert_eq!(dma, chains, "DMA commands = cache chains");
+}
+
+#[test]
+fn a_faulted_commit_record_fails_the_write_and_a_later_sync_commits_it() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let n = FAT_GROUP_COMMIT_OPS as usize;
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    synced_fat_files(&mut sys, writer, n);
+    let commits_before = sys.kernel.fat_cache_stats().log_commits;
+    for i in 0..n - 1 {
+        overwrite(&mut sys, writer, i).unwrap();
+    }
+    // The record's first payload slot faults, so its chain fails: the
+    // write() that closes the group reports the I/O error.
+    let slot = FAT_PARTITION_START + INTENT_LOG_START + 1;
+    sys.kernel.board.sdhost.inject_fault(slot);
+    let closing = overwrite(&mut sys, writer, n - 1);
+    assert!(
+        matches!(
+            closing,
+            Err(kernel::KernelError::Fs(protofs::FsError::Io(_)))
+        ),
+        "the closing write() fails with an I/O error: {closing:?}"
+    );
+    // No commit point was reached: the whole group is still pending, and
+    // one failed chain is a retry, not a reason to degrade.
+    assert_eq!(sys.kernel.fat_group_txns(), n as u64);
+    assert_eq!(sys.kernel.fat_cache_stats().log_commits, commits_before);
+    assert!(!sys.kernel.fat_cache().degraded());
+    // The fault clears: the next barrier commits the group, and every file
+    // reads back at its new version from a cold cache.
+    sys.kernel.board.sdhost.clear_faults();
+    sys.kernel.sync_all().unwrap();
+    assert_eq!(sys.kernel.fat_group_txns(), 0);
+    assert_eq!(sys.kernel.fat_cache_stats().log_commits, commits_before + 1);
+    sys.kernel.drop_fs_caches().unwrap();
+    for i in 0..n {
+        let back = sys
+            .kernel
+            .with_task_ctx(writer, |ctx| {
+                let fd = ctx.open(&format!("/d/rec{i}.bin"), OpenFlags::rdonly())?;
+                let data = ctx.read(fd, 16 * 1024)?;
+                ctx.close(fd)?;
+                Ok::<Vec<u8>, kernel::KernelError>(data)
+            })
+            .unwrap();
+        assert_eq!(back, new_version(i), "file {i}");
+    }
 }
 
 #[test]
