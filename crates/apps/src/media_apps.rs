@@ -309,18 +309,22 @@ impl UserProgram for VideoPlayer {
             ctx.charge_user(c);
             yuv_to_rgb_simd(&frame)
         };
-        // Present: blit centred into the framebuffer.
+        // Present: blit centred into the framebuffer. A frame larger than
+        // the screen (720p on the 640x480 panel) is centre-cropped to it;
+        // the conversion above was still charged for the full frame.
         let (fb_w, fb_h) = match ctx.fb_info() {
             Ok(g) => g,
             Err(_) => return StepResult::Exited(1),
         };
+        let (fb_w, fb_h) = (fb_w as usize, fb_h as usize);
         let draw_start = ctx.now_us();
-        let x0 = (fb_w as usize).saturating_sub(frame.width) / 2;
-        let y0 = (fb_h as usize).saturating_sub(frame.height) / 2;
-        for y in 0..frame.height.min(fb_h as usize) {
-            let offset = (y0 + y) * fb_w as usize + x0;
+        let (w, h) = (frame.width.min(fb_w), frame.height.min(fb_h));
+        let (x0, y0) = ((fb_w - w) / 2, (fb_h - h) / 2);
+        let (sx, sy) = ((frame.width - w) / 2, (frame.height - h) / 2);
+        for y in 0..h {
+            let src = (sy + y) * frame.width + sx;
             if ctx
-                .fb_write(offset, &rgb[y * frame.width..(y + 1) * frame.width])
+                .fb_write((y0 + y) * fb_w + x0, &rgb[src..src + w])
                 .is_err()
             {
                 return StepResult::Exited(1);

@@ -199,6 +199,67 @@ fn decode_83(raw: &[u8; 11]) -> String {
     }
 }
 
+/// One FAT sector held across a walk of the table: entries are decoded
+/// from the sector last read, so a chain walk or a free-cluster scan reads
+/// each FAT sector through the cache once per run of entries it holds
+/// instead of once per 4-byte entry. A reader lives for one walk and is
+/// never written through, so a walk that changes the FAT must not read back
+/// an entry it changed.
+struct FatReader {
+    /// The sector held in `buf`, if any.
+    held: Option<u64>,
+    buf: [u8; BLOCK_SIZE],
+}
+
+impl FatReader {
+    fn new() -> Self {
+        FatReader {
+            held: None,
+            buf: [0; BLOCK_SIZE],
+        }
+    }
+
+    /// The FAT entry of `cluster` (its low 28 bits) — the one place an
+    /// entry is decoded.
+    fn entry(
+        &mut self,
+        fs: &Fat32,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        cluster: u32,
+    ) -> FsResult<u32> {
+        fs.check_fat_index(cluster)?;
+        let (sector, off) = fs.fat_sector_of(cluster);
+        if self.held != Some(sector) {
+            self.held = None;
+            bc.read(dev, sector, &mut self.buf)?;
+            self.held = Some(sector);
+        }
+        let e = &self.buf[off..off + 4];
+        Ok(u32::from_le_bytes([e[0], e[1], e[2], e[3]]) & 0x0FFF_FFFF)
+    }
+}
+
+/// Where a first-fit free-cluster scan resumes, carried across the
+/// clusters of one [`Fat32::alloc_chain`] call (nothing survives the call).
+struct FreeScan {
+    /// The resume point: every cluster below it is in use or reserved.
+    next: u32,
+    /// Whether a cluster below `next` is free but reserved behind a pending
+    /// free — the cue for the commit-and-retry path when the scan runs out.
+    skipped_reserved: bool,
+}
+
+impl FreeScan {
+    /// A scan from the first allocatable cluster.
+    fn start() -> FreeScan {
+        FreeScan {
+            next: FIRST_CLUSTER,
+            skipped_reserved: false,
+        }
+    }
+}
+
 impl Fat32 {
     // ---- formatting / mounting -------------------------------------------------------------
 
@@ -458,14 +519,6 @@ impl Fat32 {
         Ok(())
     }
 
-    fn fat_get(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, cluster: u32) -> FsResult<u32> {
-        self.check_fat_index(cluster)?;
-        let (sector, off) = self.fat_sector_of(cluster);
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        bc.read(dev, sector, &mut buf)?;
-        Ok(u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) & 0x0FFF_FFFF)
-    }
-
     fn fat_set(
         &self,
         dev: &mut dyn BlockDevice,
@@ -483,62 +536,93 @@ impl Fat32 {
         Ok(())
     }
 
-    /// Allocates a free cluster and marks it end-of-chain. With `zero_fill`
-    /// the cluster's contents are zeroed in cache and a FAT→contents
-    /// write-order edge is recorded, so the FAT entry claiming the cluster
-    /// can never land before its (zeroed) contents — a chain must never
-    /// gain a cluster of stale bytes. Callers that *fully overwrite* every
-    /// allocated cluster before publishing it (whole-file writes; the tail
-    /// cluster is zero-padded by the data write itself) pass `zero_fill =
-    /// false` and skip both — their own data ≺ FAT ≺ dirent edges, added
-    /// right after the real data lands, take over, and until then the worst
-    /// a power cut can expose is an allocated-but-unpublished chain: a
-    /// cluster leak, never a visible file with stale bytes. Skipping the
-    /// zero fill halves the device traffic of a large sequential write —
-    /// previously every data cluster travelled twice (once as evicted
-    /// zeros, once as data). `for_metadata` classifies the fresh cluster's
-    /// contents as metadata (directory clusters) so the ordered drain
-    /// treats its dirents as such.
+    /// Allocates the first free cluster at or past `scan`'s resume point
+    /// and marks it end-of-chain, skipping clusters reserved behind a
+    /// pending free.
+    ///
+    /// The allocator's invariant: every cluster below the resume point is
+    /// in use or reserved. So resuming there picks exactly the cluster a
+    /// scan from [`FIRST_CLUSTER`] would, and the clusters of one chain
+    /// cost one pass over the FAT between them, not one pass each. Nothing
+    /// below the resume point changes between the clusters of a chain:
+    /// claims only fill free clusters, and only the commit-and-retry path
+    /// below releases reservations — which is why it rescans from
+    /// [`FIRST_CLUSTER`].
+    ///
+    /// With `zero_fill` the cluster's contents are zeroed in cache and a
+    /// FAT→contents write-order edge is recorded, so the FAT entry claiming
+    /// the cluster can never land before its (zeroed) contents — a chain
+    /// must never gain a cluster of stale bytes. Callers that *fully
+    /// overwrite* every allocated cluster before publishing it (whole-file
+    /// writes; the tail cluster is zero-padded by the data write itself)
+    /// pass `zero_fill = false` and skip both — their own data ≺ FAT ≺
+    /// dirent edges, added right after the real data lands, take over, and
+    /// until then the worst a power cut can expose is an
+    /// allocated-but-unpublished chain: a cluster leak, never a visible file
+    /// with stale bytes. Skipping the zero fill halves the device traffic of
+    /// a large sequential write — previously every data cluster travelled
+    /// twice (once as evicted zeros, once as data). `for_metadata`
+    /// classifies the fresh cluster's contents as metadata (directory
+    /// clusters) so the ordered drain treats its dirents as such.
     fn alloc_cluster(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
+        scan: &mut FreeScan,
         for_metadata: bool,
         zero_fill: bool,
     ) -> FsResult<u32> {
-        let mut saw_pending_free = false;
-        for c in FIRST_CLUSTER..FIRST_CLUSTER + self.bpb.cluster_count {
-            if self.fat_get(dev, bc, c)? == FAT_FREE {
-                if bc.is_pending_free(c) {
-                    saw_pending_free = true;
-                    continue;
+        let c = match self.find_free(dev, bc, scan)? {
+            Some(c) => c,
+            None if scan.skipped_reserved => {
+                // The only free clusters await a durable free. Force the
+                // pending group's commit record out (releasing its
+                // reservations) and rescan — a delete-then-write on a nearly
+                // full volume must not report NoSpace. Committing
+                // mid-transaction is safe: the current transaction's sectors
+                // so far are plain chain links whose early drain can at
+                // worst leak an unpublished cluster across a cut.
+                self.commit_pending(dev, bc)?;
+                if bc.has_pending_frees() {
+                    // Reservations with no group to commit them — left
+                    // behind by a transaction that failed before logging its
+                    // frees. A full flush makes those frees durable too and
+                    // clears the reservations.
+                    bc.flush(dev)?;
                 }
-                return self.claim_cluster(dev, bc, c, for_metadata, zero_fill);
+                *scan = FreeScan::start();
+                self.find_free(dev, bc, scan)?.ok_or(FsError::NoSpace)?
             }
+            None => return Err(FsError::NoSpace),
+        };
+        self.claim_cluster(dev, bc, c, for_metadata, zero_fill)
+    }
+
+    /// Advances `scan` past the first free cluster no pending free
+    /// reserves, at or past its resume point, and returns that cluster;
+    /// `None` once the scan reaches the end of the data area. Reads each
+    /// FAT sector once.
+    fn find_free(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        scan: &mut FreeScan,
+    ) -> FsResult<Option<u32>> {
+        let mut fat = FatReader::new();
+        let end = FIRST_CLUSTER.saturating_add(self.bpb.cluster_count);
+        while scan.next < end {
+            let c = scan.next;
+            scan.next = c.saturating_add(1);
+            if fat.entry(self, dev, bc, c)? != FAT_FREE {
+                continue;
+            }
+            if bc.is_pending_free(c) {
+                scan.skipped_reserved = true;
+                continue;
+            }
+            return Ok(Some(c));
         }
-        if saw_pending_free {
-            // The only free clusters await a durable free. Force the
-            // pending group's commit record out (releasing its
-            // reservations) and rescan — a delete-then-write on a nearly
-            // full volume must not report NoSpace. Committing
-            // mid-transaction is safe: the current transaction's sectors so
-            // far are plain chain links whose early drain can at worst leak
-            // an unpublished cluster across a cut.
-            self.commit_pending(dev, bc)?;
-            if bc.has_pending_frees() {
-                // Reservations with no group to commit them — left behind
-                // by a transaction that failed before logging its frees. A
-                // full flush makes those frees durable too and clears the
-                // reservations.
-                bc.flush(dev)?;
-            }
-            for c in FIRST_CLUSTER..FIRST_CLUSTER + self.bpb.cluster_count {
-                if self.fat_get(dev, bc, c)? == FAT_FREE && !bc.is_pending_free(c) {
-                    return self.claim_cluster(dev, bc, c, for_metadata, zero_fill);
-                }
-            }
-        }
-        Err(FsError::NoSpace)
+        Ok(None)
     }
 
     /// Marks the free cluster `c` end-of-chain and applies the `zero_fill`
@@ -578,8 +662,10 @@ impl Fat32 {
 
     /// Allocates and links an `n`-cluster chain, unwinding the allocation on
     /// failure so a mid-flight `NoSpace` (or I/O error) never leaks
-    /// half-built chains into the FAT. `zero_fill` as in
-    /// [`Fat32::alloc_cluster`]: whole-file writers that overwrite every
+    /// half-built chains into the FAT. One first-fit scan serves the whole
+    /// chain: each cluster's search resumes just past the cluster claimed
+    /// before it, under the invariant stated on [`Fat32::alloc_cluster`].
+    /// `zero_fill` as there: whole-file writers that overwrite every
     /// cluster skip the redundant zero pass.
     fn alloc_chain(
         &self,
@@ -592,25 +678,19 @@ impl Fat32 {
         // Pre-reserve at most a bounded chunk: `n` scales with the caller's
         // write size and the vec grows as clusters land anyway.
         let mut clusters = Vec::with_capacity(n.min(1024));
-        let unwind =
-            |fs: &Fat32, dev: &mut dyn BlockDevice, bc: &mut BufCache, clusters: &[u32]| {
-                for &c in clusters {
-                    // Best-effort: the clusters were EOC-marked singletons.
-                    let _ = fs.fat_set(dev, bc, c, FAT_FREE);
-                }
-            };
+        let mut scan = FreeScan::start();
         for _ in 0..n {
-            match self.alloc_cluster(dev, bc, for_metadata, zero_fill) {
+            match self.alloc_cluster(dev, bc, &mut scan, for_metadata, zero_fill) {
                 Ok(c) => clusters.push(c),
                 Err(e) => {
-                    unwind(self, dev, bc, &clusters);
+                    self.unwind_chain(dev, bc, &clusters);
                     return Err(e);
                 }
             }
         }
         for w in clusters.windows(2) {
             if let Err(e) = self.fat_set(dev, bc, w[0], w[1]) {
-                unwind(self, dev, bc, &clusters);
+                self.unwind_chain(dev, bc, &clusters);
                 return Err(e);
             }
         }
@@ -621,14 +701,20 @@ impl Fat32 {
     /// for operations that fail after [`Fat32::alloc_chain`] succeeded.
     fn unwind_chain(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, clusters: &[u32]) {
         for &c in clusters {
+            // Best-effort: the original error is the one that must surface.
             let _ = self.fat_set(dev, bc, c, FAT_FREE);
         }
     }
 
-    fn free_chain(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, first: u32) -> FsResult<()> {
-        let mut c = first;
-        while (FIRST_CLUSTER..FAT_EOC).contains(&c) {
-            let next = self.fat_get(dev, bc, c)?;
+    /// Frees the clusters of a published chain, as [`Fat32::chain`] walked
+    /// it (so a corrupt or cyclic chain has already failed the walk).
+    fn free_chain(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        clusters: &[u32],
+    ) -> FsResult<()> {
+        for &c in clusters {
             self.fat_set(dev, bc, c, FAT_FREE)?;
             // The free is not durable until the commit record (or a full
             // flush) lands. Reserve the cluster so a later transaction in
@@ -636,23 +722,20 @@ impl Fat32 {
             // the old tree still references — a cut before the commit point
             // must keep showing the intact old file.
             bc.note_pending_free(c);
-            if next == c {
-                return Err(FsError::Corrupt(format!(
-                    "self-referential FAT chain at {c}"
-                )));
-            }
-            c = next;
         }
         Ok(())
     }
 
-    /// Collects the cluster chain starting at `first`.
+    /// Collects the cluster chain starting at `first`, reading each FAT
+    /// sector once per run of entries it holds. A chain that leaves the
+    /// data area or cycles fails with [`FsError::Corrupt`].
     fn chain(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         first: u32,
     ) -> FsResult<Vec<u32>> {
+        let mut fat = FatReader::new();
         let mut out = Vec::new();
         let mut c = first;
         let limit = (self.bpb.cluster_count as usize).saturating_add(2);
@@ -666,7 +749,7 @@ impl Fat32 {
             if out.len() > limit {
                 return Err(FsError::Corrupt("FAT chain cycle".into()));
             }
-            c = self.fat_get(dev, bc, c)?;
+            c = fat.entry(self, dev, bc, c)?;
         }
         Ok(out)
     }
@@ -699,9 +782,10 @@ impl Fat32 {
 
     /// Number of free clusters remaining.
     pub fn free_clusters(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
+        let mut fat = FatReader::new();
         let mut free = 0;
-        for c in FIRST_CLUSTER..FIRST_CLUSTER + self.bpb.cluster_count {
-            if self.fat_get(dev, bc, c)? == FAT_FREE {
+        for c in FIRST_CLUSTER..FIRST_CLUSTER.saturating_add(self.bpb.cluster_count) {
+            if fat.entry(self, dev, bc, c)? == FAT_FREE {
                 free += 1;
             }
         }
@@ -811,7 +895,8 @@ impl Fat32 {
     ) -> FsResult<u64> {
         let raw = Self::encode_dirent(entry)?;
         // Find a free slot in the existing chain.
-        for cluster in self.chain(dev, bc, dir_cluster)? {
+        let chain = self.chain(dev, bc, dir_cluster)?;
+        for &cluster in &chain {
             let mut buf = vec![0u8; CLUSTER_SIZE];
             self.read_cluster(dev, bc, cluster, &mut buf)?;
             for i in 0..CLUSTER_SIZE / DIRENT_SIZE {
@@ -827,7 +912,6 @@ impl Fat32 {
         // caller already opened one. Leaving it async would let a later
         // file's dirent-ordering edges form a cycle with the extension's
         // FAT-before-contents edge whenever they share a FAT sector.
-        let chain = self.chain(dev, bc, dir_cluster)?;
         let last = *chain
             .last()
             .ok_or_else(|| FsError::Corrupt("empty dir chain".into()))?;
@@ -850,7 +934,7 @@ impl Fat32 {
         last: u32,
         raw: &[u8; DIRENT_SIZE],
     ) -> FsResult<u64> {
-        let newc = self.alloc_cluster(dev, bc, true, true)?;
+        let newc = self.alloc_cluster(dev, bc, &mut FreeScan::start(), true, true)?;
         if let Err(e) = self.fat_set(dev, bc, last, newc) {
             self.unwind_chain(dev, bc, &[newc]);
             return Err(e);
@@ -958,7 +1042,7 @@ impl Fat32 {
             return Ok(entry);
         }
         self.with_meta_txn(dev, bc, |fs, dev, bc| {
-            let first_cluster = fs.alloc_cluster(dev, bc, true, true)?;
+            let first_cluster = fs.alloc_cluster(dev, bc, &mut FreeScan::start(), true, true)?;
             let entry = FatEntry {
                 name: name.to_ascii_uppercase(),
                 is_dir: true,
@@ -1140,7 +1224,7 @@ impl Fat32 {
         let old_chain = self.chain(dev, bc, old_first)?;
         if data.is_empty() {
             let dirent_sector = self.update_dirent_for(dev, bc, p, 0, 0)?;
-            self.free_chain(dev, bc, old_first)?;
+            self.free_chain(dev, bc, &old_chain)?;
             self.order_frees_after_dirent(bc, &old_chain, dirent_sector);
             return Ok(());
         }
@@ -1178,7 +1262,7 @@ impl Fat32 {
         for f in new_fat {
             bc.add_dependency(dirent_sector, 1, f, 1);
         }
-        self.free_chain(dev, bc, old_first)?;
+        self.free_chain(dev, bc, &old_chain)?;
         self.order_frees_after_dirent(bc, &old_chain, dirent_sector);
         Ok(())
     }
@@ -1319,17 +1403,17 @@ impl Fat32 {
                 return Err(FsError::NotEmpty(p.to_string()));
             }
         }
+        // Walk the chain before touching anything: a corrupt chain fails the
+        // remove and leaves the file as it was.
+        let old_chain = self.chain(dev, bc, entry.first_cluster)?;
         self.with_meta_txn(dev, bc, |fs, dev, bc| {
             let mut raw = [0u8; DIRENT_SIZE];
             raw[0] = 0xE5;
             let tombstone = fs.write_dirent(dev, bc, cluster, offset, &raw)?;
-            if entry.first_cluster != 0 {
-                // Tombstone-before-frees edges keep the no-log fallback
-                // ordered for chains too large to log.
-                let old_chain = fs.chain(dev, bc, entry.first_cluster)?;
-                fs.free_chain(dev, bc, entry.first_cluster)?;
-                fs.order_frees_after_dirent(bc, &old_chain, tombstone);
-            }
+            fs.free_chain(dev, bc, &old_chain)?;
+            // Tombstone-before-frees edges keep the no-log fallback ordered
+            // for chains too large to log.
+            fs.order_frees_after_dirent(bc, &old_chain, tombstone);
             Ok(())
         })
     }
@@ -2053,5 +2137,226 @@ mod tests {
             fs.read_file(&mut dev, &mut bc, "/a/b/c/deep.txt").unwrap(),
             b"deep"
         );
+    }
+
+    /// Cache lookups (hits + misses) so far.
+    fn lookups(bc: &BufCache) -> u64 {
+        let s = bc.stats();
+        s.hits + s.misses
+    }
+
+    /// Writes the 2 MB `/two.bin` and returns the cache lookups it cost
+    /// and its first cluster.
+    fn write_two_mb(dev: &mut MemDisk, bc: &mut BufCache, fs: &Fat32) -> (u64, u32) {
+        let before = lookups(bc);
+        fs.write_file(dev, bc, "/two.bin", &vec![2u8; 2 << 20])
+            .unwrap();
+        let cost = lookups(bc) - before;
+        (cost, fs.lookup(dev, bc, "/two.bin").unwrap().first_cluster)
+    }
+
+    #[test]
+    fn a_chain_costs_a_few_cache_lookups_per_cluster() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        fs.write_file(&mut dev, &mut bc, "/one.bin", &vec![1u8; 1 << 20])
+            .unwrap();
+        let (cost, first) = write_two_mb(&mut dev, &mut bc, &fs);
+        let clusters = ((2 << 20) / CLUSTER_SIZE) as u64;
+        // Two FAT updates per cluster (claim, link) plus about one read of
+        // the scan's resume sector. A scan restarting at cluster 2 for every
+        // cluster, reading a sector per entry, would cost about 500 here.
+        assert!(
+            cost <= 4 * clusters,
+            "{cost} lookups for {clusters} clusters"
+        );
+        // After 8 MB more, the same write costs exactly the extra FAT
+        // sectors its first scan crosses to reach free space.
+        let (mut dev, mut bc, fs) = fresh_volume();
+        fs.write_file(&mut dev, &mut bc, "/one.bin", &vec![1u8; 1 << 20])
+            .unwrap();
+        for i in 0..8 {
+            fs.write_file(
+                &mut dev,
+                &mut bc,
+                &format!("/o{i}.bin"),
+                &vec![3u8; 1 << 20],
+            )
+            .unwrap();
+        }
+        let (cost_later, first_later) = write_two_mb(&mut dev, &mut bc, &fs);
+        let per_sector = (BLOCK_SIZE / 4) as u32;
+        let extra_sectors = u64::from(first_later / per_sector - first / per_sector);
+        assert!(extra_sectors > 0);
+        assert_eq!(cost_later - cost, extra_sectors);
+    }
+
+    /// A FAT entry decoded straight from its cached sector, independent of
+    /// [`FatReader`].
+    fn raw_entry(fs: &Fat32, dev: &mut MemDisk, bc: &mut BufCache, c: u32) -> u32 {
+        let (sector, off) = fs.fat_sector_of(c);
+        let mut buf = [0u8; BLOCK_SIZE];
+        bc.read(dev, sector, &mut buf).unwrap();
+        u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) & 0x0FFF_FFFF
+    }
+
+    /// The first-fit reference for an `n`-cluster chain: each cluster
+    /// rescans from cluster 2 for the first free cluster no pending free
+    /// reserves, and a scan that runs out having skipped a reserved one
+    /// commits (releasing every reservation) and rescans once. Returns the
+    /// chain and whether it took that retry, or `None` for `NoSpace`.
+    fn reference_chain(
+        fs: &Fat32,
+        dev: &mut MemDisk,
+        bc: &mut BufCache,
+        n: usize,
+    ) -> Option<(Vec<u32>, bool)> {
+        let all: Vec<u32> = (FIRST_CLUSTER..FIRST_CLUSTER + fs.bpb.cluster_count).collect();
+        let mut free: Vec<bool> = all
+            .iter()
+            .map(|&c| raw_entry(fs, dev, bc, c) == FAT_FREE)
+            .collect();
+        let mut reserved: Vec<bool> = all.iter().map(|&c| bc.is_pending_free(c)).collect();
+        let (mut chain, mut retried) = (Vec::new(), false);
+        for _ in 0..n {
+            let mut pick = None;
+            let mut saw_reserved = false;
+            for (i, &c) in all.iter().enumerate() {
+                if free[i] && reserved[i] {
+                    saw_reserved = true;
+                } else if free[i] {
+                    pick = Some((i, c));
+                    break;
+                }
+            }
+            if pick.is_none() && saw_reserved {
+                retried = true;
+                reserved.iter_mut().for_each(|r| *r = false);
+                pick = all.iter().copied().enumerate().find(|&(i, _)| free[i]);
+            }
+            let (i, c) = pick?;
+            free[i] = false;
+            chain.push(c);
+        }
+        Some((chain, retried))
+    }
+
+    /// xorshift64: the seeded op stream of the equivalence test.
+    fn next_rand(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Writes `len` bytes to `p` and checks the chain it got against
+    /// [`reference_chain`]; returns whether the reference took the
+    /// commit-and-retry path.
+    fn write_matching_reference(
+        fs: &Fat32,
+        dev: &mut MemDisk,
+        bc: &mut BufCache,
+        p: &str,
+        len: usize,
+    ) -> bool {
+        let want = reference_chain(fs, dev, bc, len.div_ceil(CLUSTER_SIZE));
+        let result = fs.write_file(dev, bc, p, &vec![0x5Au8; len]);
+        let Some((want, retried)) = want else {
+            assert!(matches!(result, Err(FsError::NoSpace)), "{p}: {result:?}");
+            return false;
+        };
+        result.unwrap();
+        let first = fs.lookup(dev, bc, p).unwrap().first_cluster;
+        assert_eq!(fs.chain(dev, bc, first).unwrap(), want, "{p}");
+        retried
+    }
+
+    #[test]
+    fn resumed_scans_allocate_exactly_what_a_scan_from_cluster_two_would() {
+        for seed in [1u64, 7, 13, 29] {
+            // 2 MB volume, group commit on: removes and overwrites leave
+            // reserved clusters for later writes to skip.
+            let mut dev = MemDisk::new(4096);
+            let mut bc = BufCache::default();
+            let mut fs = Fat32::mkfs(&mut dev, &mut bc).unwrap();
+            fs.set_group_commit_ops(8);
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut live: Vec<String> = Vec::new();
+            for op in 0..120 {
+                let r = next_rand(&mut rng);
+                // A quarter removes, a quarter overwrites, half create.
+                let pick = (r >> 8) as usize % live.len().max(1);
+                let p = match r % 4 {
+                    0 if !live.is_empty() => {
+                        fs.remove(&mut dev, &mut bc, &live.swap_remove(pick))
+                            .unwrap();
+                        continue;
+                    }
+                    1 if !live.is_empty() => live[pick].clone(),
+                    _ => format!("/f{op}.bin"),
+                };
+                let len = 1 + (r >> 16) as usize % (48 * CLUSTER_SIZE);
+                write_matching_reference(&fs, &mut dev, &mut bc, &p, len);
+                if !live.contains(&p) && fs.lookup(&mut dev, &mut bc, &p).is_ok() {
+                    live.push(p);
+                }
+            }
+            // Fill all but four clusters, free that file with the frees
+            // pending in the open group, and write a file that fits only
+            // once they commit.
+            for p in live.drain(..) {
+                fs.remove(&mut dev, &mut bc, &p).unwrap();
+            }
+            fs.commit_pending(&mut dev, &mut bc).unwrap();
+            let free = fs.free_clusters(&mut dev, &mut bc).unwrap() as usize;
+            let big = (free - 4) * CLUSTER_SIZE;
+            write_matching_reference(&fs, &mut dev, &mut bc, "/big.bin", big);
+            fs.remove(&mut dev, &mut bc, "/big.bin").unwrap();
+            assert_eq!(bc.group_txns(), 1, "seed {seed}: the frees pend");
+            assert!(
+                write_matching_reference(&fs, &mut dev, &mut bc, "/last.bin", 8 * CLUSTER_SIZE),
+                "seed {seed}: the write fit without the commit-and-retry path"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cyclic_chain_is_corrupt_and_its_remove_returns() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        fs.write_file(&mut dev, &mut bc, "/loop.bin", &[4u8; 3 * CLUSTER_SIZE])
+            .unwrap();
+        let first = fs
+            .lookup(&mut dev, &mut bc, "/loop.bin")
+            .unwrap()
+            .first_cluster;
+        let chain = fs.chain(&mut dev, &mut bc, first).unwrap();
+        // Point the second cluster back at the first: a two-cluster cycle.
+        fs.fat_set(&mut dev, &mut bc, chain[1], chain[0]).unwrap();
+        assert!(matches!(
+            fs.read_at(&mut dev, &mut bc, "/loop.bin", 0, CLUSTER_SIZE),
+            Err(FsError::Corrupt(_))
+        ));
+        assert!(matches!(
+            fs.remove(&mut dev, &mut bc, "/loop.bin"),
+            Err(FsError::Corrupt(_))
+        ));
+        // The failed remove walked the chain before touching anything.
+        assert!(fs.lookup(&mut dev, &mut bc, "/loop.bin").is_ok());
+    }
+
+    #[test]
+    fn a_chain_entry_past_the_data_area_is_corrupt() {
+        let (mut dev, mut bc, fs) = fresh_volume();
+        fs.write_file(&mut dev, &mut bc, "/far.bin", &[5u8; 2 * CLUSTER_SIZE])
+            .unwrap();
+        let first = fs
+            .lookup(&mut dev, &mut bc, "/far.bin")
+            .unwrap()
+            .first_cluster;
+        let past = FIRST_CLUSTER + fs.bpb().cluster_count + 10;
+        fs.fat_set(&mut dev, &mut bc, first, past).unwrap();
+        assert!(matches!(
+            fs.read_file(&mut dev, &mut bc, "/far.bin"),
+            Err(FsError::Corrupt(_))
+        ));
     }
 }

@@ -17,10 +17,10 @@
 //!
 //! * [`TxnLog::with_txn`] — run a closure as one logged transaction. It
 //!   opens the cache's metadata recorder ([`BufCache::begin_meta_txn`]),
-//!   runs the closure, commits the touched sectors through the log on
-//!   success and always closes the recorder. Every logged operation goes
-//!   through here so no path can forget half of the begin / commit / end
-//!   protocol.
+//!   runs the closure, commits the touched sectors through the log — on
+//!   failure too, returning the closure's error — and always closes the
+//!   recorder. Every logged operation goes through here so no path can
+//!   forget half of the begin / commit / end protocol.
 //! * [`TxnLog::log_sector`] — classify sectors as logged metadata from
 //!   inside a transaction (a thin alias for [`BufCache::note_metadata`],
 //!   which both records the sectors in the open transaction and pins them
@@ -190,14 +190,26 @@ impl TxnLog {
     // ---- the transaction protocol -------------------------------------------------------------
 
     /// Runs `f` as one logged transaction: opens the cache's metadata
-    /// recorder, commits the touched sectors through the log on success,
-    /// and always closes the recorder (releasing its eviction pins).
+    /// recorder, commits the touched sectors through the log, and always
+    /// closes the recorder (releasing its eviction pins).
     ///
     /// Nested calls join the enclosing transaction: if a recorder is
     /// already open, `f` simply runs inside it and the outermost `with_txn`
     /// commits everything — so a compound operation (xv6fs's
     /// truncate-then-write overwrite) is one atomic unit, not a sequence of
     /// individually atomic steps with a torn window between them.
+    ///
+    /// The abort rule: a transaction whose `f` fails still commits every
+    /// sector it touched, as xv6's `end_op` commits regardless, and returns
+    /// `f`'s error. Its sectors may carry deliberately cyclic write-order
+    /// edges that only a commit clears; closing the recorder without one
+    /// would leave that cycle dirty and unpinned, where no drain can order
+    /// it. Callers restore what they must not publish before failing —
+    /// FAT32's failure paths free the clusters they claimed — so the commit
+    /// makes the restored state durable. If that commit fails as well, `f`'s
+    /// error still wins; the group stays pending for the next barrier, as
+    /// after any failed commit. A failed `f` that touched nothing commits
+    /// nothing.
     pub fn with_txn<R>(
         &self,
         dev: &mut dyn BlockDevice,
@@ -210,12 +222,16 @@ impl TxnLog {
         bc.begin_meta_txn();
         let result = f(dev, bc);
         let touched = bc.meta_txn_touched();
-        let result = match result {
-            Ok(v) => self.commit(dev, bc, &touched).map(|()| v),
-            Err(e) => Err(e),
+        let committed = if result.is_ok() || !touched.is_empty() {
+            self.commit(dev, bc, &touched)
+        } else {
+            Ok(())
         };
         bc.end_meta_txn();
-        result
+        match (result, committed) {
+            (Ok(v), Ok(())) => Ok(v),
+            (Err(e), _) | (Ok(_), Err(e)) => Err(e),
+        }
     }
 
     /// Classifies `count` sectors starting at `lba` as logged metadata:

@@ -222,6 +222,34 @@ impl DiskInode {
     }
 }
 
+/// One filesystem block held across a scan, so a scan of bitmap bits or
+/// on-disk inodes reads each block through the cache once per pass instead
+/// of once per bit or inode. A holder lives for one scan, which writes
+/// nothing it holds before it ends.
+#[derive(Default)]
+struct HeldBlock {
+    /// The block held in `data`, if any.
+    blockno: Option<u32>,
+    data: Vec<u8>,
+}
+
+impl HeldBlock {
+    /// Block `blockno`, read through the cache unless it is the one held.
+    fn get(
+        &mut self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        blockno: u32,
+    ) -> FsResult<&[u8]> {
+        if self.blockno != Some(blockno) {
+            self.blockno = None;
+            self.data = Xv6Fs::read_fs_block(dev, bc, blockno)?;
+            self.blockno = Some(blockno);
+        }
+        Ok(&self.data)
+    }
+}
+
 /// The mounted filesystem handle. Methods take the backing device and buffer
 /// cache explicitly, since both are owned by the kernel.
 #[derive(Debug, Clone)]
@@ -241,10 +269,9 @@ impl Xv6Fs {
         blockno: u32,
     ) -> FsResult<Vec<u8>> {
         let mut out = vec![0u8; BSIZE];
-        let sectors_per_block = BSIZE / SECTOR_SIZE;
-        for s in 0..sectors_per_block {
-            let lba = blockno as u64 * sectors_per_block as u64 + s as u64;
-            bc.read(dev, lba, &mut out[s * SECTOR_SIZE..(s + 1) * SECTOR_SIZE])?;
+        let (first, _) = Self::block_lbas(blockno);
+        for (lba, sector) in (first..).zip(out.chunks_exact_mut(SECTOR_SIZE)) {
+            bc.read(dev, lba, sector)?;
         }
         Ok(out)
     }
@@ -292,8 +319,19 @@ impl Xv6Fs {
 
     /// The sector run backing the bitmap block that covers `blockno`.
     fn bitmap_lbas(&self, blockno: u32) -> (u64, u64) {
+        Self::block_lbas(self.bitmap_bit(blockno).0)
+    }
+
+    /// Where `blockno`'s bit lives: the bitmap block, the byte within it
+    /// and the bit's mask.
+    fn bitmap_bit(&self, blockno: u32) -> (u32, usize, u8) {
         let bits_per_block = (BSIZE * 8) as u32;
-        Self::block_lbas(self.sb.bmapstart + blockno / bits_per_block)
+        let bit = (blockno % bits_per_block) as usize;
+        (
+            self.sb.bmapstart + blockno / bits_per_block,
+            bit / 8,
+            1u8 << (bit % 8),
+        )
     }
 
     // ---- formatting and mounting -----------------------------------------------------
@@ -463,12 +501,8 @@ impl Xv6Fs {
         blockno: u32,
         used: bool,
     ) -> FsResult<()> {
-        let bits_per_block = (BSIZE * 8) as u32;
-        let bmap_block = self.sb.bmapstart + blockno / bits_per_block;
+        let (bmap_block, byte, mask) = self.bitmap_bit(blockno);
         let mut data = Self::read_fs_block(dev, bc, bmap_block)?;
-        let bit = (blockno % bits_per_block) as usize;
-        let byte = bit / 8;
-        let mask = 1u8 << (bit % 8);
         if used {
             data[byte] |= mask;
         } else {
@@ -477,56 +511,68 @@ impl Xv6Fs {
         Self::write_meta_fs_block(dev, bc, bmap_block, &data)
     }
 
+    /// Whether `blockno` is marked in use, read through `bits` — the one
+    /// place a bitmap bit is decoded.
     fn bitmap_get(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
+        bits: &mut HeldBlock,
         blockno: u32,
     ) -> FsResult<bool> {
-        let bits_per_block = (BSIZE * 8) as u32;
-        let bmap_block = self.sb.bmapstart + blockno / bits_per_block;
-        let data = Self::read_fs_block(dev, bc, bmap_block)?;
-        let bit = (blockno % bits_per_block) as usize;
-        Ok(data[bit / 8] & (1u8 << (bit % 8)) != 0)
+        let (bmap_block, byte, mask) = self.bitmap_bit(blockno);
+        Ok(bits.get(dev, bc, bmap_block)?[byte] & mask != 0)
     }
 
+    /// Allocates and zeroes the first free data block no pending free
+    /// reserves. Each scan reads every bitmap block once; every block below
+    /// the scan's position is in use or reserved, so the scan picks exactly
+    /// the block a bit-by-bit walk from `datastart` would.
     fn balloc(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
-        let mut saw_pending_free = false;
+        let b = match self.find_free_block(dev, bc)? {
+            (Some(b), _) => b,
+            (None, true) => {
+                // Out of space only because freed blocks are still fenced
+                // behind an undurable free. Commit the journal group (making
+                // the frees durable), drain any remaining ordered frees, and
+                // rescan.
+                self.txn.commit_pending(dev, bc)?;
+                if bc.has_pending_frees() {
+                    bc.flush(dev)?;
+                }
+                self.find_free_block(dev, bc)?.0.ok_or(FsError::NoSpace)?
+            }
+            (None, false) => return Err(FsError::NoSpace),
+        };
+        self.bitmap_set(dev, bc, b, true)?;
+        // Zero freshly allocated blocks, as xv6 does.
+        Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])?;
+        Ok(b)
+    }
+
+    /// First-fit scan of the bitmap from `datastart`: the first free block
+    /// no pending free reserves, and whether the scan skipped a reserved
+    /// one.
+    fn find_free_block(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+    ) -> FsResult<(Option<u32>, bool)> {
+        let mut bits = HeldBlock::default();
+        let mut skipped_reserved = false;
         for b in self.sb.datastart..self.sb.size {
             // Blocks freed by a not-yet-durable transaction must not be
             // recycled: a crash after the reuse but before the free commits
             // would leave the old file's metadata pointing at clobbered data.
             if bc.is_pending_free(b) {
-                saw_pending_free = true;
+                skipped_reserved = true;
                 continue;
             }
-            if !self.bitmap_get(dev, bc, b)? {
-                self.bitmap_set(dev, bc, b, true)?;
-                // Zero freshly allocated blocks, as xv6 does.
-                Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])?;
-                return Ok(b);
+            if !self.bitmap_get(dev, bc, &mut bits, b)? {
+                return Ok((Some(b), skipped_reserved));
             }
         }
-        if saw_pending_free {
-            // Out of space only because freed blocks are still fenced behind
-            // an undurable free. Commit the journal group (making the frees
-            // durable), drain any remaining ordered frees, and rescan.
-            self.txn.commit_pending(dev, bc)?;
-            if bc.has_pending_frees() {
-                bc.flush(dev)?;
-            }
-            for b in self.sb.datastart..self.sb.size {
-                if bc.is_pending_free(b) {
-                    continue;
-                }
-                if !self.bitmap_get(dev, bc, b)? {
-                    self.bitmap_set(dev, bc, b, true)?;
-                    Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])?;
-                    return Ok(b);
-                }
-            }
-        }
-        Err(FsError::NoSpace)
+        Ok((None, skipped_reserved))
     }
 
     fn bfree(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, blockno: u32) -> FsResult<()> {
@@ -540,9 +586,10 @@ impl Xv6Fs {
     /// Number of free data blocks remaining (used by `/proc` style reporting
     /// and the no-space tests).
     pub fn free_blocks(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
+        let mut bits = HeldBlock::default();
         let mut free = 0;
         for b in self.sb.datastart..self.sb.size {
-            if !self.bitmap_get(dev, bc, b)? {
+            if !self.bitmap_get(dev, bc, &mut bits, b)? {
                 free += 1;
             }
         }
@@ -557,13 +604,31 @@ impl Xv6Fs {
         bc: &mut BufCache,
         inum: u32,
     ) -> FsResult<DiskInode> {
+        self.read_inode_via(dev, bc, &mut HeldBlock::default(), inum)
+    }
+
+    /// [`Self::read_inode`] through `inodes`, so a scan reads each inode
+    /// block once — the one place an on-disk inode is decoded.
+    fn read_inode_via(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        inodes: &mut HeldBlock,
+        inum: u32,
+    ) -> FsResult<DiskInode> {
+        let (block, off) = self.checked_inode_slot(inum)?;
+        DiskInode::decode(&inodes.get(dev, bc, block)?[off..off + INODE_SIZE])
+    }
+
+    /// The inode block holding `inum` and the inode's offset within it.
+    fn checked_inode_slot(&self, inum: u32) -> FsResult<(u32, usize)> {
         if inum == 0 || inum >= self.sb.ninodes {
             return Err(FsError::Invalid(format!("bad inode number {inum}")));
         }
-        let block = self.sb.inodestart + inum / IPB as u32;
-        let data = Self::read_fs_block(dev, bc, block)?;
-        let off = (inum as usize % IPB) * INODE_SIZE;
-        DiskInode::decode(&data[off..off + INODE_SIZE])
+        Ok((
+            self.sb.inodestart + inum / IPB as u32,
+            (inum as usize % IPB) * INODE_SIZE,
+        ))
     }
 
     fn write_inode(
@@ -573,24 +638,23 @@ impl Xv6Fs {
         inum: u32,
         ino: &DiskInode,
     ) -> FsResult<()> {
-        if inum == 0 || inum >= self.sb.ninodes {
-            return Err(FsError::Invalid(format!("bad inode number {inum}")));
-        }
-        let block = self.sb.inodestart + inum / IPB as u32;
+        let (block, off) = self.checked_inode_slot(inum)?;
         let mut data = Self::read_fs_block(dev, bc, block)?;
-        let off = (inum as usize % IPB) * INODE_SIZE;
         data[off..off + INODE_SIZE].copy_from_slice(&ino.encode());
         Self::write_meta_fs_block(dev, bc, block, &data)
     }
 
+    /// Allocates the first free inode. The scan reads each inode block
+    /// once; every inode below its position is in use.
     fn ialloc(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         itype: InodeType,
     ) -> FsResult<u32> {
+        let mut inodes = HeldBlock::default();
         for inum in 1..self.sb.ninodes {
-            let ino = self.read_inode(dev, bc, inum)?;
+            let ino = self.read_inode_via(dev, bc, &mut inodes, inum)?;
             if ino.itype == InodeType::Free {
                 let mut fresh = DiskInode::empty();
                 fresh.itype = itype;
@@ -1343,9 +1407,10 @@ mod tests {
         let mut dev = MemDisk::new(256);
         let mut bc = BufCache::default();
         let fs = Xv6Fs::mkfs(&mut dev, &mut bc, 128, 32).unwrap();
+        let contents = |i: u8| vec![i; 8 * 1024];
         let mut i = 0;
         let result = loop {
-            let r = fs.write_file(&mut dev, &mut bc, &format!("/f{i}"), &vec![0u8; 8 * 1024]);
+            let r = fs.write_file(&mut dev, &mut bc, &format!("/f{i}"), &contents(i));
             if r.is_err() {
                 break r;
             }
@@ -1355,6 +1420,43 @@ mod tests {
             }
         };
         assert!(matches!(result, Err(FsError::NoSpace)));
+        // Drop the cache unflushed and remount: every file written before
+        // the NoSpace was committed and reads back.
+        drop(bc);
+        let mut cold = BufCache::default();
+        let fs = Xv6Fs::mount(&mut dev, &mut cold).unwrap();
+        for j in 0..i {
+            assert_eq!(
+                fs.read_file(&mut dev, &mut cold, &format!("/f{j}"))
+                    .unwrap(),
+                contents(j),
+                "/f{j}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_create_costs_a_bounded_number_of_cache_lookups() {
+        let (mut dev, mut bc, fs) = fresh_fs();
+        for i in 0..64 {
+            fs.write_file(&mut dev, &mut bc, &format!("/old{i}"), &[1u8; 4096])
+                .unwrap();
+        }
+        let lookups = |bc: &BufCache| bc.stats().hits + bc.stats().misses;
+        let before = lookups(&bc);
+        let creates = 32;
+        for i in 0..creates {
+            fs.write_file(&mut dev, &mut bc, &format!("/new{i}"), &[2u8; 2560])
+                .unwrap();
+        }
+        // Path walks and directory reads dominate; balloc and ialloc read
+        // each bitmap and inode block once per scan. Scans re-reading a
+        // block per bit and per inode would cost about 2,000 per create.
+        let cost = lookups(&bc) - before;
+        assert!(
+            cost <= 100 * creates,
+            "{cost} lookups for {creates} creates"
+        );
     }
 
     #[test]

@@ -118,6 +118,37 @@ fn prototype5_desktop_runs_doom_players_and_the_window_manager_together() {
 }
 
 #[test]
+fn the_video_player_crops_a_720p_stream_to_the_screen() {
+    // Small assets encode "720p" at 320x240, so install a real 1280x720
+    // stream: wider and taller than the 640x480 framebuffer.
+    use proto_repro::ulib::media::{encode_video, generate_test_video};
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let frames = 3;
+    let stream = encode_video(&generate_test_video(1280, 720, frames));
+    sys.kernel.install_fat_file("/hd720.mpg", &stream).unwrap();
+    let video = sys.spawn("videoplayer", &["/d/hd720.mpg".into()]).unwrap();
+    let exited = sys.kernel.run_until(
+        |k| k.task(video).map(|t| t.is_zombie()).unwrap_or(true),
+        30_000_000,
+    );
+    assert!(exited, "the player finished the stream");
+    let code = sys.kernel.task(video).and_then(|t| t.exit_code);
+    assert_eq!(code, Some(0), "the player exited {code:?}");
+    assert_eq!(
+        sys.kernel.task_metrics(video).unwrap().frames,
+        frames as u64,
+        "every 720p frame was presented"
+    );
+    assert!(sys
+        .kernel
+        .board
+        .framebuffer
+        .scanout_pixels()
+        .iter()
+        .any(|p| *p != 0));
+}
+
+#[test]
 fn blockchain_scales_with_cores() {
     let mut blocks_by_cores = Vec::new();
     for cores in [1usize, 4] {
