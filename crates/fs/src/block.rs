@@ -12,20 +12,22 @@
 //! simple; [`SdBlockDevice`] overrides them with the SD host's real
 //! multi-block commands.
 //!
-//! Devices with an asynchronous command queue (the SD host in DMA mode)
-//! additionally implement the submit/poll/wait half of the trait:
-//! [`BlockDevice::submit_read_sg`]/[`BlockDevice::submit_write_sg`] queue a
-//! scatter-gather command and return immediately, completions are reaped
-//! with [`BlockDevice::poll_completions`] (non-blocking) or
+//! The buffer cache moves every transfer through the submit half of the
+//! trait: [`BlockDevice::submit_read_sg`]/[`BlockDevice::submit_write_sg`]
+//! take a scatter-gather chain of runs and return a [`Submission`]. A device
+//! with an asynchronous command queue (the SD host in DMA mode) queues the
+//! chain and returns its command id; completions are reaped with
+//! [`BlockDevice::poll_completions`] (non-blocking) or
 //! [`BlockDevice::wait_some`] (advances the submitting core's clock to the
 //! next chain's completion deadline — the synchronous wait of a demand
-//! read). Synchronous-only devices report [`BlockDevice::queue_depth`] zero
-//! and the cache stays on the polled paths.
+//! read). A device without a queue (the ramdisk, the SD host in PIO mode)
+//! keeps the trait's defaults: the chain runs as one polled command per run
+//! inside the call, and the finished completion comes back with it.
 
 use hal::clock::Clock;
 use hal::cost::CostModel;
 use hal::dma::DmaEngine;
-use hal::sdhost::{SdDataMode, SdSgRun, SD_DMA_CHANNEL, SD_QUEUE_DEPTH};
+use hal::sdhost::{SdDataMode, SdSgRun, SD_DMA_CHANNEL};
 
 use crate::{FsError, FsResult};
 
@@ -47,10 +49,12 @@ pub struct BlockIoStats {
 /// count)` in device blocks.
 pub type SgRun = (u64, u64);
 
-/// One finished asynchronous command, as reaped from a queued device.
+/// One finished scatter-gather command: reaped from a queued device, or
+/// handed back by a submit that completed it.
 #[derive(Debug, Clone)]
 pub struct SgCompletion {
-    /// Command id returned by the submit call.
+    /// Command id the submit call queued it under (0 for a chain that
+    /// completed at submit).
     pub id: u64,
     /// Whether the command was a write.
     pub write: bool,
@@ -61,6 +65,71 @@ pub struct SgCompletion {
     /// Outcome of the data phase — injected faults and torn power-cut writes
     /// surface here, when the device actually moved the data.
     pub result: FsResult<()>,
+}
+
+/// What a submit call hands back.
+#[derive(Debug, Clone)]
+pub enum Submission {
+    /// The chain is queued; its completion arrives later under this command
+    /// id, through [`BlockDevice::poll_completions`] or
+    /// [`BlockDevice::wait_some`].
+    Queued(u64),
+    /// The chain finished inside the call (a device without a command
+    /// queue).
+    Done(SgCompletion),
+}
+
+/// Runs a scatter-gather read as polled commands: one range command per
+/// run, or a single-block command for a one-block run. The first failing
+/// command ends the chain and fails the completion.
+fn complete_read_sg<D: BlockDevice + ?Sized>(dev: &mut D, runs: &[SgRun]) -> Submission {
+    let total: u64 = runs.iter().map(|&(_, count)| count).sum();
+    let mut data = vec![0u8; total as usize * BLOCK_SIZE];
+    let mut rest = data.as_mut_slice();
+    let result = runs.iter().try_for_each(|&(lba, count)| {
+        let (buf, tail) = std::mem::take(&mut rest).split_at_mut(count as usize * BLOCK_SIZE);
+        rest = tail;
+        match count {
+            1 => dev.read_block(lba, buf),
+            _ => dev.read_range(lba, count, buf),
+        }
+    });
+    Submission::Done(SgCompletion {
+        id: 0,
+        write: false,
+        runs: runs.to_vec(),
+        data: result.is_ok().then_some(data),
+        result,
+    })
+}
+
+/// Runs a scatter-gather write of the run-major `data` as polled commands,
+/// shaped like [`complete_read_sg`]'s.
+fn complete_write_sg<D: BlockDevice + ?Sized>(
+    dev: &mut D,
+    runs: &[SgRun],
+    data: &[u8],
+) -> Submission {
+    let mut rest = data;
+    let result = runs.iter().try_for_each(|&(lba, count)| {
+        let len = count as usize * BLOCK_SIZE;
+        if rest.len() < len {
+            return Err(FsError::Invalid("sg payload shorter than its runs".into()));
+        }
+        let (buf, tail) = rest.split_at(len);
+        rest = tail;
+        match count {
+            1 => dev.write_block(lba, buf),
+            _ => dev.write_range(lba, count, buf),
+        }
+    });
+    Submission::Done(SgCompletion {
+        id: 0,
+        write: true,
+        runs: runs.to_vec(),
+        data: None,
+        result,
+    })
 }
 
 /// A 512-byte-sector block device.
@@ -123,13 +192,7 @@ pub trait BlockDevice {
     /// Returns accumulated I/O statistics.
     fn stats(&self) -> BlockIoStats;
 
-    // ---- asynchronous command queue (devices without one keep the defaults) ----
-
-    /// Depth of the device's asynchronous command queue; zero (the default)
-    /// means the device is synchronous-only and the submit methods fail.
-    fn queue_depth(&self) -> usize {
-        0
-    }
+    // ---- the submit/complete pipeline (the defaults complete at submit) ----
 
     /// Commands submitted and not yet reaped.
     fn inflight(&self) -> usize {
@@ -138,22 +201,19 @@ pub trait BlockDevice {
 
     /// Whether a submit would be accepted right now (queue not full).
     fn can_submit(&self) -> bool {
-        false
+        true
     }
 
-    /// Queues an asynchronous scatter-gather read; the payload arrives in
-    /// the completion.
-    fn submit_read_sg(&mut self, _runs: &[SgRun]) -> FsResult<u64> {
-        Err(FsError::Invalid(
-            "device has no asynchronous command queue".into(),
-        ))
+    /// Submits a scatter-gather read; the payload arrives in the
+    /// completion. The default completes inside the call.
+    fn submit_read_sg(&mut self, runs: &[SgRun]) -> FsResult<Submission> {
+        Ok(complete_read_sg(self, runs))
     }
 
-    /// Queues an asynchronous scatter-gather write of the run-major `data`.
-    fn submit_write_sg(&mut self, _runs: &[SgRun], _data: &[u8]) -> FsResult<u64> {
-        Err(FsError::Invalid(
-            "device has no asynchronous command queue".into(),
-        ))
+    /// Submits a scatter-gather write of the run-major `data`. The default
+    /// completes inside the call.
+    fn submit_write_sg(&mut self, runs: &[SgRun], data: &[u8]) -> FsResult<Submission> {
+        Ok(complete_write_sg(self, runs, data))
     }
 
     /// Reaps already-finished commands without waiting.
@@ -508,9 +568,9 @@ pub struct SdDmaCtx<'a> {
 
 /// Adapter exposing the simulated SD card ([`hal::sdhost::SdHost`]) as a
 /// [`BlockDevice`], so FAT32 can be mounted on partition 2 of the card.
-/// With an [`SdDmaCtx`] attached (and the host in DMA mode) the adapter also
-/// implements the asynchronous submit/poll/wait API on top of the host's
-/// command queue.
+/// With an [`SdDmaCtx`] attached (and the host in DMA mode) the adapter
+/// queues submitted chains on the host's command queue; otherwise they
+/// complete at submit as polled commands.
 #[derive(Debug)]
 pub struct SdBlockDevice<'a> {
     sd: &'a mut hal::sdhost::SdHost,
@@ -537,8 +597,8 @@ impl<'a> SdBlockDevice<'a> {
         }
     }
 
-    /// Wraps a partition with an optional DMA context enabling the
-    /// asynchronous command-queue API.
+    /// Wraps a partition with an optional DMA context enabling the host's
+    /// command queue.
     pub fn with_dma(
         sd: &'a mut hal::sdhost::SdHost,
         partition_start: u64,
@@ -551,6 +611,13 @@ impl<'a> SdBlockDevice<'a> {
             partition_blocks,
             dma,
         }
+    }
+
+    /// Whether chains ride the host's DMA command queue: the adapter holds
+    /// a DMA context and the host is in DMA mode. Otherwise the adapter
+    /// keeps the trait's defaults and completes each chain at submit.
+    fn queued(&self) -> bool {
+        self.dma.is_some() && self.sd.data_mode() == SdDataMode::Dma
     }
 
     fn check_sg(&self, runs: &[SgRun]) -> FsResult<()> {
@@ -664,36 +731,28 @@ impl BlockDevice for SdBlockDevice<'_> {
         }
     }
 
-    fn queue_depth(&self) -> usize {
-        if self.dma.is_some() && self.sd.data_mode() == SdDataMode::Dma {
-            SD_QUEUE_DEPTH
-        } else {
-            0
-        }
-    }
-
     fn inflight(&self) -> usize {
         self.sd.queue_len()
     }
 
     fn can_submit(&self) -> bool {
-        self.queue_depth() > 0 && self.sd.can_submit()
+        !self.queued() || self.sd.can_submit()
     }
 
-    fn submit_read_sg(&mut self, runs: &[SgRun]) -> FsResult<u64> {
-        if self.queue_depth() == 0 {
-            return Err(FsError::Invalid("SD host not in DMA mode".into()));
+    fn submit_read_sg(&mut self, runs: &[SgRun]) -> FsResult<Submission> {
+        if !self.queued() {
+            return Ok(complete_read_sg(self, runs));
         }
         self.check_sg(runs)?;
         let card_runs = self.to_card_runs(runs);
         let id = self.sd.submit_dma_read(&card_runs).map_err(FsError::from)?;
         self.kick();
-        Ok(id)
+        Ok(Submission::Queued(id))
     }
 
-    fn submit_write_sg(&mut self, runs: &[SgRun], data: &[u8]) -> FsResult<u64> {
-        if self.queue_depth() == 0 {
-            return Err(FsError::Invalid("SD host not in DMA mode".into()));
+    fn submit_write_sg(&mut self, runs: &[SgRun], data: &[u8]) -> FsResult<Submission> {
+        if !self.queued() {
+            return Ok(complete_write_sg(self, runs, data));
         }
         self.check_sg(runs)?;
         let card_runs = self.to_card_runs(runs);
@@ -702,7 +761,7 @@ impl BlockDevice for SdBlockDevice<'_> {
             .submit_dma_write(&card_runs, data)
             .map_err(FsError::from)?;
         self.kick();
-        Ok(id)
+        Ok(Submission::Queued(id))
     }
 
     fn poll_completions(&mut self) -> Vec<SgCompletion> {

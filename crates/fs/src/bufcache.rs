@@ -47,14 +47,17 @@
 //!   overlapped with the previous transfer instead of serialised on the
 //!   reading task.
 //!
-//! * **An asynchronous device pipeline.** Over a device with a command queue
-//!   ([`crate::block::BlockDevice::queue_depth`] > 0 — the SD host in DMA
-//!   mode) the cache stops driving transfers synchronously: fills and
-//!   write-backs are *submitted* as scatter-gather chains (one control block
-//!   per contiguous run) and complete later on the device timeline, reaped
-//!   either from the kernel's `Dma0` interrupt handler
-//!   ([`BufCache::apply_completion`]) or by the waiting paths themselves.
-//!   The contract:
+//! * **One device pipeline.** Every fill, prefetch, eviction write-back and
+//!   drain is *submitted* as a scatter-gather chain (one control block per
+//!   contiguous run) through [`BlockDevice::submit_read_sg`] /
+//!   [`BlockDevice::submit_write_sg`]. Over a device with a command queue
+//!   (the SD host in DMA mode) the chain completes later on the device
+//!   timeline, reaped either from the kernel's `Dma0` interrupt handler
+//!   ([`BufCache::apply_completion`]) or by the waiting paths themselves. A
+//!   device without a queue (the ramdisk, the SD host in PIO mode) runs the
+//!   chain as polled commands inside the submit call and hands the finished
+//!   completion back; the cache applies it at once through the same code
+//!   the interrupt path runs, so one set of rules covers both. The contract:
 //!
 //!   - *Fills*: prefetch submits and returns (a full queue drops the
 //!     speculation); a demand read over blocks already in flight **waits for
@@ -233,14 +236,14 @@
 //! The checks walk the whole cache and are compiled to a no-op without the
 //! feature; CI runs the crash-consistency and per-core suites sanitized.
 //!
-//! The §5.2 ablation is preserved as a *policy* rather than a bypass:
-//! [`BufCache::set_coalescing`] switches the fill/write-back paths between
-//! range commands and one-command-per-block — the xv6-baseline behaviour —
-//! without changing what is cached.
+//! The §5.2 ablation is preserved as a *policy* rather than a bypass: with
+//! [`BufCache::set_coalescing`] off, every run is split into one-block runs
+//! before submission, so the device issues one command per block — the
+//! xv6-baseline behaviour — without changing what is cached.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::block::{BlockDevice, BLOCK_SIZE};
+use crate::block::{BlockDevice, SgCompletion, SgRun, Submission, BLOCK_SIZE};
 use crate::FsResult;
 
 /// Blocks per cache extent (8 × 512 B = 4 KB, one FAT32 cluster).
@@ -443,8 +446,8 @@ pub struct BufCacheStats {
     /// (a fully blocking configuration holds this at zero).
     pub demand_spin_reaps: u64,
     /// Failed write-backs re-queued for a bounded retry: each block of a
-    /// failed chain (or failed polled run) counts once per failure while it
-    /// is still within its [`BufCache::set_write_retry_budget`] budget.
+    /// failed chain counts once per failure while it is still within its
+    /// [`BufCache::set_write_retry_budget`] budget.
     pub write_retries: u64,
     /// Blocks that exhausted their write retry budget and were parked: their
     /// data stays cached dirty but is never resubmitted, and the cache
@@ -572,7 +575,7 @@ pub struct BufCache {
     /// Write-order dependencies: a dirty metadata block (key LBA) must not
     /// reach the device before every block of its recorded runs is clean.
     /// Entries are dropped when the metadata block is written back.
-    deps: HashMap<u64, Vec<Run>>,
+    deps: BTreeMap<u64, Vec<Run>>,
     /// Metadata LBAs touched since [`BufCache::begin_meta_txn`] — the
     /// intent-log transaction recorder. While a transaction is open, its
     /// extents are also pinned against eviction so no half of a multi-sector
@@ -587,7 +590,7 @@ pub struct BufCache {
     /// shared mutable state every filesystem call threads — because the
     /// FAT32 object itself is cloned per call; FAT32 drives it through the
     /// `group_*` methods.
-    group: std::collections::BTreeSet<u64>,
+    group: BTreeSet<u64>,
     /// Logged transactions sitting in the open group.
     group_ops: u64,
     /// Allocation units (FAT cluster numbers) freed by a transaction whose
@@ -597,11 +600,11 @@ pub struct BufCache {
     /// the commit point could expose a blend instead of old-XOR-new.
     /// Cleared when the group commits or a full flush makes the frees
     /// durable.
-    pending_frees: std::collections::BTreeSet<u32>,
+    pending_frees: BTreeSet<u32>,
     /// In-flight asynchronous fills: command id → the runs it will install.
-    inflight_reads: HashMap<u64, Vec<Run>>,
+    inflight_reads: BTreeMap<u64, Vec<Run>>,
     /// In-flight asynchronous write-backs: command id → the runs it persists.
-    inflight_writes: HashMap<u64, Vec<Run>>,
+    inflight_writes: BTreeMap<u64, Vec<Run>>,
     /// Soft shard-to-core affinity: the number of cores the shard array is
     /// partitioned across (0 = affinity off, pure LBA-hash placement).
     affinity_cores: usize,
@@ -611,11 +614,11 @@ pub struct BufCache {
     home_core: usize,
     /// Where each resident extent lives when placement diverged from the LBA
     /// hash (extent base → shard index). Entries drop with their extents.
-    placement: HashMap<u64, usize>,
+    placement: BTreeMap<u64, usize>,
     /// In-flight chain ownership: command id → the core that submitted it.
     /// The kernel's completion router reads this to hand each completion to
     /// its submitting core.
-    chain_owners: HashMap<u64, usize>,
+    chain_owners: BTreeMap<u64, usize>,
     /// When true, a demand read that must wait for the device returns
     /// [`crate::FsError::WouldBlock`] instead of spin-reaping completions,
     /// so the kernel can park the task on the completion interrupt.
@@ -623,7 +626,7 @@ pub struct BufCache {
     /// Demand chains submitted in blocking mode: a completion error on one
     /// of these must surface to the retrying reader, not vanish like a
     /// failed prefetch.
-    blocking_reads: HashSet<u64>,
+    blocking_reads: BTreeSet<u64>,
     /// First error reported by a failed blocking demand chain; taken by the
     /// next blocking read retry.
     demand_read_error: Option<crate::FsError>,
@@ -645,18 +648,18 @@ pub struct BufCache {
     /// Consecutive write-back failures per block, reset on a confirmed
     /// write. When a block's count exceeds `write_retry_budget` it moves to
     /// `gave_up` and the cache latches `degraded`.
-    write_fail_counts: HashMap<u64, u32>,
+    write_fail_counts: BTreeMap<u64, u32>,
     /// Blocks past their retry budget. They stay cached dirty (the data is
     /// preserved for inspection / a repaired device) but every run
     /// collector skips them, so they are never resubmitted; durability
     /// barriers fail while this set is non-empty.
-    gave_up: std::collections::BTreeSet<u64>,
+    gave_up: BTreeSet<u64>,
     /// Exponential backoff for the *budgeted* drain: a block with `k`
     /// consecutive failures sits out `2^k` [`BufCache::flush_some`] passes
     /// before the background flusher retries it. Full barriers
     /// ([`BufCache::flush`] and friends) ignore the backoff — an fsync
     /// retries immediately because its caller is waiting on the answer.
-    write_backoff: HashMap<u64, u32>,
+    write_backoff: BTreeMap<u64, u32>,
     /// Consecutive per-block write failures tolerated before the block is
     /// parked in `gave_up` (transient-fault budget; default
     /// [`DEFAULT_WRITE_RETRY_BUDGET`]).
@@ -673,8 +676,8 @@ pub struct BufCache {
     /// rather than by the interrupt handler.
     completions_applied: u64,
     /// Histogram of the device queue's occupancy observed right after each
-    /// write-chain submission (index = commands in flight, clamped to the
-    /// last bucket) — how deep the write path actually keeps the queue.
+    /// queued write-chain submission (index = commands in flight, clamped to
+    /// the last bucket) — how deep the write path actually keeps the queue.
     wb_occupancy: [u64; 9],
     /// Block lookups classified by the read paths — every lookup lands in
     /// exactly one shard's hit or miss counter, so `hits + misses ==
@@ -726,19 +729,19 @@ impl BufCache {
             coalesce: true,
             prefetch: false,
             ordered: true,
-            deps: HashMap::new(),
+            deps: BTreeMap::new(),
             meta_txn: None,
-            group: std::collections::BTreeSet::new(),
+            group: BTreeSet::new(),
             group_ops: 0,
-            pending_frees: std::collections::BTreeSet::new(),
-            inflight_reads: HashMap::new(),
-            inflight_writes: HashMap::new(),
+            pending_frees: BTreeSet::new(),
+            inflight_reads: BTreeMap::new(),
+            inflight_writes: BTreeMap::new(),
             affinity_cores: 0,
             home_core: 0,
-            placement: HashMap::new(),
-            chain_owners: HashMap::new(),
+            placement: BTreeMap::new(),
+            chain_owners: BTreeMap::new(),
             block_demand: false,
-            blocking_reads: HashSet::new(),
+            blocking_reads: BTreeSet::new(),
             demand_read_error: None,
             async_error: None,
             forced_meta_writes: 0,
@@ -752,9 +755,9 @@ impl BufCache {
             queue_full_yields: 0,
             demand_blocks: 0,
             demand_spin_reaps: 0,
-            write_fail_counts: HashMap::new(),
-            gave_up: std::collections::BTreeSet::new(),
-            write_backoff: HashMap::new(),
+            write_fail_counts: BTreeMap::new(),
+            gave_up: BTreeSet::new(),
+            write_backoff: BTreeMap::new(),
             write_retry_budget: DEFAULT_WRITE_RETRY_BUDGET,
             degraded: false,
             write_retries: 0,
@@ -1281,8 +1284,8 @@ impl BufCache {
     /// Ticks every backoff counter one budgeted pass and returns the blocks
     /// still sitting out this pass. Only [`BufCache::flush_some`] calls
     /// this — full barriers retry immediately.
-    fn backoff_tick(&mut self) -> std::collections::BTreeSet<u64> {
-        let mut deferred = std::collections::BTreeSet::new();
+    fn backoff_tick(&mut self) -> BTreeSet<u64> {
+        let mut deferred = BTreeSet::new();
         self.write_backoff.retain(|&b, left| {
             *left -= 1;
             if *left > 0 {
@@ -1296,7 +1299,7 @@ impl BufCache {
     }
 
     /// `runs` minus the blocks in `skip`, re-coalesced.
-    fn without_blocks(runs: Vec<Run>, skip: &std::collections::BTreeSet<u64>) -> Vec<Run> {
+    fn without_blocks(runs: Vec<Run>, skip: &BTreeSet<u64>) -> Vec<Run> {
         if skip.is_empty() {
             return runs;
         }
@@ -1476,8 +1479,8 @@ impl BufCache {
 
     /// Expands an in-flight map's runs into the set of block LBAs covered.
     #[cfg(feature = "sanitize")]
-    fn sanitize_chain_cover(map: &HashMap<u64, Vec<Run>>) -> HashSet<u64> {
-        let mut cover = HashSet::new();
+    fn sanitize_chain_cover(map: &BTreeMap<u64, Vec<Run>>) -> BTreeSet<u64> {
+        let mut cover = BTreeSet::new();
         for runs in map.values() {
             for r in runs {
                 for b in r.start..r.start.saturating_add(r.len) {
@@ -1678,25 +1681,22 @@ impl BufCache {
     /// both the same — metadata may not drain until its references are *on
     /// the device*, not merely on the wire).
     fn is_block_dirty(&self, lba: u64) -> bool {
-        let base = Self::extent_base(lba);
-        let si = self.shard_of(base);
-        self.shards[si]
-            .find(base)
-            .map(|ei| {
-                let e = &self.shards[si].extents[ei];
-                (e.dirty | e.writing) & Extent::bit(lba) != 0
-            })
-            .unwrap_or(false)
+        self.block_has(lba, |e| e.dirty | e.writing)
     }
 
     /// Whether block `lba` is cached and classified as metadata.
     fn block_is_meta(&self, lba: u64) -> bool {
+        self.block_has(lba, |e| e.meta)
+    }
+
+    /// Whether block `lba` is cached with its bit set in the bitmap `map`
+    /// picks from its extent.
+    fn block_has(&self, lba: u64, map: impl Fn(&Extent) -> u8) -> bool {
         let base = Self::extent_base(lba);
         let si = self.shard_of(base);
         self.shards[si]
             .find(base)
-            .map(|ei| self.shards[si].extents[ei].meta & Extent::bit(lba) != 0)
-            .unwrap_or(false)
+            .is_some_and(|ei| map(&self.shards[si].extents[ei]) & Extent::bit(lba) != 0)
     }
 
     /// Whether every recorded write-order dependency of metadata block `lba`
@@ -1809,17 +1809,21 @@ impl BufCache {
         })
     }
 
-    /// Flushes the transitive closure of dirty blocks the given metadata
-    /// blocks depend on, honouring the data-before-metadata order inside the
-    /// closure. Called before an eviction may write a dirty metadata block
-    /// early, so "evict a dirent extent" implies "its clusters and FAT
-    /// sectors reach the device first".
+    /// Flushes the transitive closure of not-yet-durable blocks the given
+    /// metadata blocks depend on, honouring the data-before-metadata order
+    /// inside the closure. Called before an eviction may write a dirty
+    /// metadata block early, so "evict a dirent extent" implies "its
+    /// clusters and FAT sectors reach the device first". Each batch goes
+    /// down as chains and is drained before the next batch (and the
+    /// victim's own chain) is submitted. The device queue is FIFO, so a
+    /// re-dirtied block's newer snapshot lands after any older chain still
+    /// carrying it.
     fn flush_dependency_closure(
         &mut self,
         dev: &mut dyn BlockDevice,
         roots: &[u64],
     ) -> FsResult<()> {
-        let mut set: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+        let mut set: BTreeSet<u64> = BTreeSet::new();
         let mut work: Vec<u64> = roots.to_vec();
         while let Some(m) = work.pop() {
             let runs = match self.deps.get(&m) {
@@ -1846,64 +1850,28 @@ impl BufCache {
                 self.forced_meta_writes += set.len() as u64;
                 batch = set.iter().copied().collect();
             }
+            // Blocks only riding an older chain need no new one; the drain
+            // below waits for them.
             let mut runs: Vec<Run> = Vec::new();
             for &b in &batch {
-                push_block(&mut runs, b);
+                if self.block_has(b, |e| e.dirty) {
+                    push_block(&mut runs, b);
+                }
             }
-            for run in runs {
-                self.write_out_run(dev, run)?;
+            self.submit_chains(dev, &runs)?;
+            self.drain_writes(dev)?;
+            if batch.iter().any(|&b| self.is_block_dirty(b)) {
+                // A dependency failed to persist: evicting the metadata
+                // block now would put it on the device ahead of that data.
+                return Err(self.async_error.take().unwrap_or_else(|| {
+                    crate::FsError::Io("an evicted block's dependency failed to write back".into())
+                }));
             }
             for b in batch {
                 set.remove(&b);
             }
         }
         Ok(())
-    }
-
-    /// Fetches one missing run from the device and installs its blocks into
-    /// their extents, returning the bytes. The single fill path shared by
-    /// demand reads and prefetch: `prefetch` only changes which command
-    /// counter the transfer lands in. Streaming-sized runs are installed at
-    /// the cold end of the LRU (scan resistance) so a large sequential fill
-    /// recycles its own extents instead of flushing hot metadata.
-    fn fill_run(
-        &mut self,
-        dev: &mut dyn BlockDevice,
-        run: Run,
-        prefetch: bool,
-    ) -> FsResult<Vec<u8>> {
-        let mut tmp = vec![0u8; run.len as usize * BLOCK_SIZE];
-        if self.coalesce && run.len > 1 {
-            dev.read_range(run.start, run.len, &mut tmp)?;
-            self.ranges_issued += 1;
-            if prefetch {
-                self.prefetch_cmds += 1;
-            }
-        } else {
-            for b in 0..run.len {
-                let off = b as usize * BLOCK_SIZE;
-                dev.read_block(run.start + b, &mut tmp[off..off + BLOCK_SIZE])?;
-            }
-            self.singles_issued += run.len;
-            if prefetch {
-                self.prefetch_cmds += run.len;
-            }
-        }
-        let cold = run.len >= SCAN_RESIST_BLOCKS;
-        for b in 0..run.len {
-            let blk = run.start + b;
-            let off = b as usize * BLOCK_SIZE;
-            let ext = self.extent_for(dev, blk)?;
-            // Only invalid blocks land in a missing run, so this never
-            // clobbers dirty data.
-            ext.block_mut(blk)
-                .copy_from_slice(&tmp[off..off + BLOCK_SIZE]);
-            ext.valid |= Extent::bit(blk);
-            if cold {
-                ext.cold = true;
-            }
-        }
-        Ok(tmp)
     }
 
     /// Returns a mutable reference to the extent covering `lba`, allocating
@@ -2002,14 +1970,12 @@ impl BufCache {
     /// victims — when a whole shard is in flight the caller reaps the queue
     /// first.
     ///
-    /// Over a queued device a dirty victim does not serialise the allocator
-    /// behind its own chain: see [`BufCache::evict_batched`].
+    /// A dirty victim does not serialise the allocator behind its own chain:
+    /// see [`BufCache::evict_batched`].
     fn make_room(&mut self, dev: &mut dyn BlockDevice, si: usize) -> FsResult<()> {
-        if dev.queue_depth() > 0 {
-            // A completion that already fired may hand us a settled victim
-            // for free.
-            self.reap_ready(dev);
-        }
+        // A completion that already fired may hand us a settled victim for
+        // free.
+        self.reap_ready(dev);
         let victim = loop {
             let pinned: Vec<bool> = self.shards[si]
                 .extents
@@ -2065,6 +2031,7 @@ impl BufCache {
                     self.flush_dependency_closure(dev, &roots)?;
                 }
             }
+            // The closure flush never adds or removes extents.
             let e = &self.shards[si].extents[victim];
             let mut runs: Vec<Run> = Vec::new();
             for i in 0..EXTENT_BLOCKS as u64 {
@@ -2072,25 +2039,16 @@ impl BufCache {
                     push_block(&mut runs, e.base + i);
                 }
             }
-            if dev.queue_depth() > 0 {
-                return self.evict_batched(dev, si, victim_base, runs);
-            }
-            for run in runs {
-                self.write_out_run(dev, run)?;
-            }
+            return self.evict_batched(dev, si, victim_base, runs);
         }
-        // The closure flush never adds or removes extents, but re-find
-        // the victim by base rather than trusting the old index.
-        if let Some(idx) = self.shards[si].find(victim_base) {
-            self.shards[si].extents.swap_remove(idx);
-            self.shards[si].stats.evictions += 1;
-            self.placement.remove(&victim_base);
-        }
+        self.shards[si].extents.swap_remove(victim);
+        self.shards[si].stats.evictions += 1;
+        self.placement.remove(&victim_base);
         self.sanitize_check_completion("make_room");
         Ok(())
     }
 
-    /// Batched eviction over a queued device — the deep-queue write path.
+    /// Batched eviction — the deep-queue write path.
     /// The victim's dirty runs are merged with every other ready dirty
     /// *data* run across the cache (data carries no write-order constraints
     /// of its own, so draining more of it early is always safe under the
@@ -2190,153 +2148,240 @@ impl BufCache {
         pick(true).or_else(|| pick(false))
     }
 
-    // ---- the asynchronous device pipeline ----------------------------------------------
+    // ---- the device pipeline ---------------------------------------------------------------
     //
-    // When the device reports a command queue ([`BlockDevice::queue_depth`]
-    // > 0 — the SD host in DMA mode), fills and write-backs are *submitted*
-    // as scatter-gather chains and complete later: the data phase runs on
-    // the device timeline while the CPU does other work. The cache tracks
-    // per-block in-flight state (`pending` fills, `writing` write-backs) so
-    // demand reads wait on an in-flight range instead of re-issuing it, and
-    // a power cut or fault that surfaces in a completion converts `writing`
-    // back to dirty — nothing is lost. `fsync`/`flush` are queue-drain
-    // barriers: they return only after every chain's completion is reaped.
+    // Fills and write-backs are *submitted* as scatter-gather chains. On a
+    // queued device they complete later: the data phase runs on the device
+    // timeline while the CPU does other work. The cache tracks per-block
+    // in-flight state (`pending` fills, `writing` write-backs) so demand
+    // reads wait on an in-flight range instead of re-issuing it, and a power
+    // cut or fault that surfaces in a completion converts `writing` back to
+    // dirty — nothing is lost. A chain that completes inside its submit call
+    // passes through the same state and is settled before the call returns.
+    // `fsync`/`flush` are queue-drain barriers: they return only after every
+    // chain's completion is reaped.
 
-    /// Routes one device completion into the cache's in-flight state. Called
-    /// from the kernel's `Interrupt::Dma0` handler and from the synchronous
-    /// wait loops. Unknown command ids (cache invalidated since submission)
-    /// are ignored.
-    pub fn apply_completion(&mut self, comp: &crate::block::SgCompletion) {
+    /// Routes one queued device completion into the cache's in-flight
+    /// state. Called from the kernel's `Interrupt::Dma0` handler and from
+    /// the waiting paths. Unknown command ids (cache invalidated since
+    /// submission) are ignored.
+    pub fn apply_completion(&mut self, comp: &SgCompletion) {
         self.completions_applied += 1;
         self.chain_owners.remove(&comp.id);
         let was_blocking_read = self.blocking_reads.remove(&comp.id);
         if comp.write {
-            let Some(runs) = self.inflight_writes.remove(&comp.id) else {
-                return;
-            };
-            match &comp.result {
-                Ok(()) => {
-                    for run in runs {
-                        for b in run.start..run.start + run.len {
-                            let base = Self::extent_base(b);
-                            let si = self.shard_of(base);
-                            let Some(ei) = self.shards[si].find(base) else {
-                                continue;
-                            };
-                            let still_dirty = {
-                                let e = &mut self.shards[si].extents[ei];
-                                if e.writing & Extent::bit(b) == 0 {
-                                    continue;
-                                }
-                                e.writing &= !Extent::bit(b);
-                                e.dirty & Extent::bit(b) != 0
-                            };
-                            self.shards[si].stats.writeback_blocks += 1;
-                            self.note_write_success(b);
-                            // Durable now. A write-order dependency keyed on
-                            // this block is settled unless a later cache
-                            // write re-dirtied it.
-                            if !still_dirty {
-                                self.deps.remove(&b);
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    // The chain failed (fault, torn power-cut write): every
-                    // unconfirmed block converts back to dirty for retry —
-                    // a *budgeted* retry: a block that keeps failing is
-                    // parked and the cache degrades to read-only instead of
-                    // resubmitting the same doomed chain forever.
-                    for run in runs {
-                        for b in run.start..run.start + run.len {
-                            let base = Self::extent_base(b);
-                            let si = self.shard_of(base);
-                            let Some(ei) = self.shards[si].find(base) else {
-                                continue;
-                            };
-                            let failed = {
-                                let ext = &mut self.shards[si].extents[ei];
-                                if ext.writing & Extent::bit(b) != 0 {
-                                    ext.writing &= !Extent::bit(b);
-                                    ext.dirty |= Extent::bit(b);
-                                    true
-                                } else {
-                                    false
-                                }
-                            };
-                            if failed {
-                                self.async_write_errors += 1;
-                                self.note_write_failure(b);
-                            }
-                        }
-                    }
-                    if self.async_error.is_none() {
-                        self.async_error = Some(e.clone());
-                    }
-                }
+            if let Some(runs) = self.inflight_writes.remove(&comp.id) {
+                self.settle_write(&runs, &comp.result);
             }
-        } else {
-            let Some(runs) = self.inflight_reads.remove(&comp.id) else {
-                return;
-            };
-            let total: u64 = runs.iter().map(|r| r.len).sum();
-            let cold = total >= SCAN_RESIST_BLOCKS;
-            match (&comp.result, &comp.data) {
-                (Ok(()), Some(bytes)) => {
-                    let mut off = 0usize;
-                    for run in runs {
-                        for b in run.start..run.start + run.len {
-                            let slice = &bytes[off..off + BLOCK_SIZE];
-                            off += BLOCK_SIZE;
-                            let base = Self::extent_base(b);
-                            let si = self.shard_of(base);
-                            let Some(ei) = self.shards[si].find(base) else {
-                                continue;
-                            };
-                            let e = &mut self.shards[si].extents[ei];
-                            // A write issued after the fill was submitted
-                            // supersedes it (the write cancelled the pending
-                            // bit); never clobber newer data.
-                            if e.pending & Extent::bit(b) == 0 {
-                                continue;
-                            }
-                            e.pending &= !Extent::bit(b);
-                            if e.dirty & Extent::bit(b) == 0 {
-                                e.block_mut(b).copy_from_slice(slice);
-                                e.valid |= Extent::bit(b);
-                                if cold {
-                                    e.cold = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    // Failed fill: the blocks simply stay missing. A demand
-                    // read covering them re-issues and surfaces the error.
-                    // For a chain submitted by a *blocking* demand reader the
-                    // error must reach the parked task, not vanish like a
-                    // failed prefetch: record it for the reader's retry.
-                    if was_blocking_read && self.demand_read_error.is_none() {
-                        self.demand_read_error = Some(match &comp.result {
-                            Err(e) => e.clone(),
-                            Ok(()) => crate::FsError::Io("demand fill chain lost its data".into()),
-                        });
-                    }
-                    for run in runs {
-                        for b in run.start..run.start + run.len {
-                            let base = Self::extent_base(b);
-                            let si = self.shard_of(base);
-                            if let Some(ei) = self.shards[si].find(base) {
-                                self.shards[si].extents[ei].pending &= !Extent::bit(b);
-                            }
-                        }
-                    }
+        } else if let Some(runs) = self.inflight_reads.remove(&comp.id) {
+            // A failed fill's blocks simply stay missing: a demand read
+            // covering them re-issues and surfaces the error. For a chain
+            // submitted by a *blocking* demand reader the error must reach
+            // the parked task, not vanish like a failed prefetch: record it
+            // for the reader's retry.
+            if let Err(e) = self.settle_fill(&runs, comp) {
+                if was_blocking_read && self.demand_read_error.is_none() {
+                    self.demand_read_error = Some(e);
                 }
             }
         }
         self.sanitize_check_completion("apply_completion");
+    }
+
+    /// Settles a finished write chain over `runs`.
+    fn settle_write(&mut self, runs: &[Run], result: &FsResult<()>) {
+        match result {
+            Ok(()) => {
+                for run in runs {
+                    for b in run.start..run.start + run.len {
+                        let base = Self::extent_base(b);
+                        let si = self.shard_of(base);
+                        let Some(ei) = self.shards[si].find(base) else {
+                            continue;
+                        };
+                        let still_dirty = {
+                            let e = &mut self.shards[si].extents[ei];
+                            if e.writing & Extent::bit(b) == 0 {
+                                continue;
+                            }
+                            e.writing &= !Extent::bit(b);
+                            e.dirty & Extent::bit(b) != 0
+                        };
+                        self.shards[si].stats.writeback_blocks += 1;
+                        self.note_write_success(b);
+                        // Durable now. A write-order dependency keyed on
+                        // this block is settled unless a later cache write
+                        // re-dirtied it.
+                        if !still_dirty {
+                            self.deps.remove(&b);
+                        }
+                    }
+                }
+            }
+            Err(e) => {
+                // The chain failed (fault, torn power-cut write): every
+                // unconfirmed block converts back to dirty for retry — a
+                // *budgeted* retry: a block that keeps failing is parked and
+                // the cache degrades to read-only instead of resubmitting
+                // the same doomed chain forever.
+                for run in runs {
+                    for b in run.start..run.start + run.len {
+                        let base = Self::extent_base(b);
+                        let si = self.shard_of(base);
+                        let Some(ei) = self.shards[si].find(base) else {
+                            continue;
+                        };
+                        let failed = {
+                            let ext = &mut self.shards[si].extents[ei];
+                            if ext.writing & Extent::bit(b) != 0 {
+                                ext.writing &= !Extent::bit(b);
+                                ext.dirty |= Extent::bit(b);
+                                true
+                            } else {
+                                false
+                            }
+                        };
+                        if failed {
+                            self.async_write_errors += 1;
+                            self.note_write_failure(b);
+                        }
+                    }
+                }
+                if self.async_error.is_none() {
+                    self.async_error = Some(e.clone());
+                }
+            }
+        }
+    }
+
+    /// Settles a finished fill chain over `runs`: installs its blocks, or
+    /// drops their pending marks and returns the chain's error.
+    fn settle_fill(&mut self, runs: &[Run], comp: &SgCompletion) -> FsResult<()> {
+        let bytes = match (&comp.result, &comp.data) {
+            (Ok(()), Some(bytes)) => bytes,
+            (result, _) => {
+                self.clear_pending_runs(runs);
+                return Err(match result {
+                    Err(e) => e.clone(),
+                    Ok(()) => crate::FsError::Io("fill chain lost its data".into()),
+                });
+            }
+        };
+        let total: u64 = runs.iter().map(|r| r.len).sum();
+        let cold = total >= SCAN_RESIST_BLOCKS;
+        let mut off = 0usize;
+        for run in runs {
+            for b in run.start..run.start + run.len {
+                let slice = &bytes[off..off + BLOCK_SIZE];
+                off += BLOCK_SIZE;
+                let base = Self::extent_base(b);
+                let si = self.shard_of(base);
+                let Some(ei) = self.shards[si].find(base) else {
+                    continue;
+                };
+                let e = &mut self.shards[si].extents[ei];
+                // A write issued after the fill was submitted supersedes it
+                // (the write cancelled the pending bit); never clobber newer
+                // data.
+                if e.pending & Extent::bit(b) == 0 {
+                    continue;
+                }
+                e.pending &= !Extent::bit(b);
+                if e.dirty & Extent::bit(b) == 0 {
+                    e.block_mut(b).copy_from_slice(slice);
+                    e.valid |= Extent::bit(b);
+                    if cold {
+                        e.cold = true;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The device runs for `runs`: as they are, or split into one-block
+    /// runs with coalescing off, so the xv6 baseline issues one command per
+    /// block.
+    fn sg_runs(&self, runs: &[Run]) -> Vec<SgRun> {
+        if self.coalesce {
+            return runs.iter().map(|r| (r.start, r.len)).collect();
+        }
+        runs.iter()
+            .flat_map(|r| (r.start..r.start + r.len).map(|b| (b, 1)))
+            .collect()
+    }
+
+    /// Counts the device commands a submission issued: one per queued
+    /// chain, one per run of a chain that completed at submit.
+    fn count_cmds(&mut self, submitted: &Submission) -> u64 {
+        match submitted {
+            Submission::Queued(_) => {
+                self.ranges_issued += 1;
+                1
+            }
+            Submission::Done(c) => {
+                for &(_, count) in &c.runs {
+                    if count > 1 {
+                        self.ranges_issued += 1;
+                    } else {
+                        self.singles_issued += 1;
+                    }
+                }
+                c.runs.len() as u64
+            }
+        }
+    }
+
+    /// Submits one fill chain over `runs`, whose blocks the caller already
+    /// marked `pending`. Returns the command id while the chain is in
+    /// flight, or `None` once a chain that completed at submit has been
+    /// installed; its failure is returned as the error.
+    fn submit_fill(
+        &mut self,
+        dev: &mut dyn BlockDevice,
+        runs: &[Run],
+        prefetch: bool,
+    ) -> FsResult<Option<u64>> {
+        let submitted = match dev.submit_read_sg(&self.sg_runs(runs)) {
+            Ok(s) => s,
+            Err(e) => {
+                // Unpin: a failed submit leaves nothing in flight, and
+                // pinned-but-never-filled extents must not dodge eviction
+                // forever.
+                self.clear_pending_runs(runs);
+                return Err(e);
+            }
+        };
+        let cmds = self.count_cmds(&submitted);
+        if prefetch {
+            self.prefetch_cmds += cmds;
+        }
+        match submitted {
+            Submission::Queued(id) => {
+                self.inflight_reads.insert(id, runs.to_vec());
+                self.chain_owners.insert(id, self.home_core);
+                Ok(Some(id))
+            }
+            Submission::Done(c) => self.settle_fill(runs, &c).map(|()| None),
+        }
+    }
+
+    /// Marks the blocks of `runs` as a fill in flight (`pending`), allocating
+    /// their extents now. A failed allocation drops the marks already set,
+    /// so no block stays pinned without a chain.
+    fn pin_fill(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<()> {
+        for run in runs {
+            for b in run.start..run.start + run.len {
+                match self.extent_for(dev, b) {
+                    Ok(ext) => ext.pending |= Extent::bit(b),
+                    Err(e) => {
+                        self.clear_pending_runs(runs);
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Clears the `pending` (fill-in-flight) marks of `runs` — the cleanup
@@ -2362,10 +2407,7 @@ impl BufCache {
 
     /// Waits for at least one in-flight command and applies it. Returns the
     /// completions that arrived (empty = nothing was in flight).
-    fn reap_blocking(
-        &mut self,
-        dev: &mut dyn BlockDevice,
-    ) -> FsResult<Vec<crate::block::SgCompletion>> {
+    fn reap_blocking(&mut self, dev: &mut dyn BlockDevice) -> FsResult<Vec<SgCompletion>> {
         let comps = dev.wait_some()?;
         for c in &comps {
             self.apply_completion(c);
@@ -2412,7 +2454,8 @@ impl BufCache {
 
     /// Submits one scatter-gather write chain covering `runs`: snapshots the
     /// payload from the extents, trades the blocks' dirty bits for `writing`,
-    /// waits for queue space if needed, and returns the blocks submitted.
+    /// and waits for queue space if needed. Returns the blocks submitted,
+    /// or 0 when the chain failed inside the submit call.
     fn submit_write_runs(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<u64> {
         if runs.is_empty() {
             return Ok(0);
@@ -2444,8 +2487,7 @@ impl BufCache {
                 }
             }
         }
-        let sg: Vec<(u64, u64)> = runs.iter().map(|r| (r.start, r.len)).collect();
-        let id = dev.submit_write_sg(&sg, &bytes)?;
+        let submitted = dev.submit_write_sg(&self.sg_runs(runs), &bytes)?;
         for run in runs {
             for b in run.start..run.start + run.len {
                 let base = Self::extent_base(b);
@@ -2456,21 +2498,40 @@ impl BufCache {
                 e.writing |= Extent::bit(b);
             }
         }
-        self.inflight_writes.insert(id, runs.to_vec());
-        self.chain_owners.insert(id, self.home_core);
-        self.ranges_issued += 1;
-        let bucket = dev.inflight().min(self.wb_occupancy.len() - 1);
-        self.wb_occupancy[bucket] += 1;
-        Ok(total)
+        self.count_cmds(&submitted);
+        match submitted {
+            Submission::Queued(id) => {
+                self.inflight_writes.insert(id, runs.to_vec());
+                self.chain_owners.insert(id, self.home_core);
+                let bucket = dev.inflight().min(self.wb_occupancy.len() - 1);
+                self.wb_occupancy[bucket] += 1;
+                Ok(total)
+            }
+            Submission::Done(c) => {
+                self.settle_write(runs, &c.result);
+                Ok(if c.result.is_ok() { total } else { 0 })
+            }
+        }
     }
 
     // ---- the range-first API ------------------------------------------------------------
 
     /// Reads `count` contiguous blocks starting at `lba` through the cache
     /// into `out` (`count * BLOCK_SIZE` bytes). Cached blocks are served from
-    /// their extents; missing blocks are coalesced into contiguous runs and
-    /// fetched with the device's range command (one command for a fully cold
-    /// read — the same cost as the retired bypass path).
+    /// their extents; blocks already in flight under an earlier prefetch
+    /// chain are *waited for* (never re-issued — the transfer overlap is the
+    /// point of the DMA pipeline); genuinely missing blocks are coalesced
+    /// into contiguous runs and fetched as one scatter-gather chain (one
+    /// range command for a fully cold read — the same cost as the retired
+    /// bypass path).
+    ///
+    /// The request is served in windows of at most a quarter of the cache:
+    /// a window's fill extents are pinned (`pending`) until they install, so
+    /// bounding the window keeps a huge read from pinning a whole shard with
+    /// nothing evictable — and lets reads far larger than the cache itself
+    /// stream through it. A window never drops below the scan-resistance
+    /// threshold while half the cache holds it, so a streaming read of a
+    /// small cache still installs cold.
     pub fn read_range(
         &mut self,
         dev: &mut dyn BlockDevice,
@@ -2490,67 +2551,6 @@ impl BufCache {
         if count >= EXTENT_BLOCKS as u64 {
             self.note_stream_read(lba, count);
         }
-        if dev.queue_depth() > 0 {
-            return self.read_range_async(dev, lba, count, out);
-        }
-        // Pass 1: serve hits, collect missing runs.
-        let mut missing: Vec<Run> = Vec::new();
-        for i in 0..count {
-            let b = lba + i;
-            let base = Self::extent_base(b);
-            let si = self.shard_of(base);
-            let tick = self.next_tick();
-            self.lookups += 1;
-            let shard = &mut self.shards[si];
-            match shard.find(base) {
-                Some(ei) if shard.extents[ei].has(b) => {
-                    shard.stats.hits += 1;
-                    let ext = &mut shard.extents[ei];
-                    ext.tick = tick;
-                    // Note: a hit does NOT clear `cold`. For streamed or
-                    // prefetched data the first demand hit is its one
-                    // planned use — promoting here would grow an unbounded
-                    // "hot" population out of a one-pass scan and starve
-                    // the read-ahead window of cold slots to recycle.
-                    let off = i as usize * BLOCK_SIZE;
-                    out[off..off + BLOCK_SIZE].copy_from_slice(ext.block(b));
-                }
-                _ => {
-                    shard.stats.misses += 1;
-                    push_block(&mut missing, b);
-                }
-            }
-        }
-        // Pass 2: fetch each missing run with one device command (or
-        // block-by-block when coalescing is off), install it, and copy it
-        // into `out`.
-        for run in missing {
-            let tmp = self.fill_run(dev, run, false)?;
-            let out_off = (run.start - lba) as usize * BLOCK_SIZE;
-            out[out_off..out_off + tmp.len()].copy_from_slice(&tmp);
-        }
-        self.sanitize_check("read_range");
-        Ok(())
-    }
-
-    /// The demand-read path over an asynchronous device: blocks already in
-    /// flight under an earlier prefetch chain are *waited for* (never
-    /// re-issued — the transfer overlap is the point of the DMA pipeline),
-    /// genuinely missing runs are submitted as scatter-gather chains and
-    /// waited for, and everything is finally copied out of the extents.
-    ///
-    /// The request is served in windows of at most a quarter of the cache:
-    /// a window's fill extents are pinned (`pending`) until they install, so
-    /// bounding the window keeps a huge read from pinning a whole shard with
-    /// nothing evictable — and lets reads far larger than the cache itself
-    /// stream through it, exactly like the synchronous path.
-    fn read_range_async(
-        &mut self,
-        dev: &mut dyn BlockDevice,
-        lba: u64,
-        count: u64,
-        out: &mut [u8],
-    ) -> FsResult<()> {
         self.reap_ready(dev);
         // Classify once for the statistics: a valid block is a hit; a block
         // riding an in-flight fill is a hit that waits (`demand_waits`); the
@@ -2570,12 +2570,16 @@ impl BufCache {
                 _ => shard.stats.misses += 1,
             }
         }
-        let window = (self.capacity_blocks() as u64 / 4).max(EXTENT_BLOCKS as u64);
+        let cap = self.capacity_blocks() as u64;
+        let window = (cap / 4)
+            .max(SCAN_RESIST_BLOCKS)
+            .min(cap / 2)
+            .max(EXTENT_BLOCKS as u64);
         let mut start = 0u64;
         while start < count {
             let len = window.min(count - start);
             let off = start as usize * BLOCK_SIZE;
-            self.read_window_async(
+            self.read_window(
                 dev,
                 lba + start,
                 len,
@@ -2583,11 +2587,11 @@ impl BufCache {
             )?;
             start += len;
         }
-        self.sanitize_check("read_range_async");
+        self.sanitize_check("read_range");
         Ok(())
     }
 
-    /// Serves one bounded window of [`BufCache::read_range_async`].
+    /// Serves one bounded window of [`BufCache::read_range`].
     ///
     /// In spin mode (the default) the window loop reaps the device queue
     /// until every block is resident. In blocking mode
@@ -2597,7 +2601,7 @@ impl BufCache {
     /// returns [`crate::FsError::WouldBlock`] instead, the kernel parks the
     /// task on the completion interrupt, and the retried call finds the
     /// installed blocks as hits.
-    fn read_window_async(
+    fn read_window(
         &mut self,
         dev: &mut dyn BlockDevice,
         lba: u64,
@@ -2641,12 +2645,7 @@ impl BufCache {
                 }
                 // Pin target extents (allocating/evicting now, while nothing
                 // is half-installed) and mark the fill in flight.
-                for run in &missing {
-                    for b in run.start..run.start + run.len {
-                        let ext = self.extent_for(dev, b)?;
-                        ext.pending |= Extent::bit(b);
-                    }
-                }
+                self.pin_fill(dev, &missing)?;
                 while !dev.can_submit() {
                     self.demand_spin_reaps += 1;
                     if self.reap_blocking(dev)?.is_empty() {
@@ -2655,23 +2654,14 @@ impl BufCache {
                         ));
                     }
                 }
-                let sg: Vec<(u64, u64)> = missing.iter().map(|r| (r.start, r.len)).collect();
-                let id = match dev.submit_read_sg(&sg) {
-                    Ok(id) => id,
-                    Err(e) => {
-                        // Unpin: a failed submit leaves nothing in flight,
-                        // and pinned-but-never-filled extents must not dodge
-                        // eviction forever.
-                        self.clear_pending_runs(&missing);
-                        return Err(e);
-                    }
+                // A chain that completed at submit is installed (or its
+                // error returned) already: re-check, nothing to wait for.
+                let Some(id) = self.submit_fill(dev, &missing, false)? else {
+                    continue;
                 };
-                self.inflight_reads.insert(id, missing.clone());
-                self.chain_owners.insert(id, self.home_core);
                 if self.block_demand {
                     self.blocking_reads.insert(id);
                 }
-                self.ranges_issued += 1;
                 own_cmds.push(id);
             }
             if self.block_demand {
@@ -2695,14 +2685,10 @@ impl BufCache {
                     self.chain_owners.remove(&id);
                     self.blocking_reads.remove(&id);
                 }
-                for i in 0..count {
-                    let b = lba + i;
-                    let base = Self::extent_base(b);
-                    let si = self.shard_of(base);
-                    if let Some(ei) = self.shards[si].find(base) {
-                        self.shards[si].extents[ei].pending &= !Extent::bit(b);
-                    }
-                }
+                self.clear_pending_runs(&[Run {
+                    start: lba,
+                    len: count,
+                }]);
                 continue;
             }
             self.demand_spin_reaps += 1;
@@ -2721,14 +2707,10 @@ impl BufCache {
                 // Nothing in flight at the device but blocks still marked
                 // pending: stale state (the queue was torn down under us).
                 // Drop the marks so the next iteration re-issues them.
-                for i in 0..count {
-                    let b = lba + i;
-                    let base = Self::extent_base(b);
-                    let si = self.shard_of(base);
-                    if let Some(ei) = self.shards[si].find(base) {
-                        self.shards[si].extents[ei].pending &= !Extent::bit(b);
-                    }
-                }
+                self.clear_pending_runs(&[Run {
+                    start: lba,
+                    len: count,
+                }]);
             }
         }
         // Everything is resident: copy out (and touch for the LRU).
@@ -2752,9 +2734,10 @@ impl BufCache {
     /// Speculatively fills the cache with any uncached blocks of
     /// `[lba, lba + count)` without copying them anywhere — the streaming
     /// read-ahead primitive. Missing blocks are coalesced into runs and
-    /// fetched like a demand fill, but the commands are counted in
-    /// [`BufCacheStats::prefetch_cmds`] so the kernel can account their
-    /// command-setup latency as overlapped with the previous transfer.
+    /// submitted as one chain like a demand fill, but the commands are
+    /// counted in [`BufCacheStats::prefetch_cmds`] so the kernel can account
+    /// their command-setup latency as overlapped with the previous transfer.
+    /// Speculative I/O never blocks: a full queue drops the read-ahead.
     /// Returns the number of blocks fetched. Does not touch hit/miss
     /// statistics and does not disturb the sequential-streak detector.
     pub fn prefetch_range(
@@ -2763,10 +2746,7 @@ impl BufCache {
         lba: u64,
         count: u64,
     ) -> FsResult<u64> {
-        let queued = dev.queue_depth() > 0;
-        if queued {
-            self.reap_ready(dev);
-        }
+        self.reap_ready(dev);
         let mut missing: Vec<Run> = Vec::new();
         for i in 0..count {
             let b = lba + i;
@@ -2776,48 +2756,18 @@ impl BufCache {
             match shard.find(base) {
                 Some(ei) if shard.extents[ei].has(b) => {}
                 // Already riding an earlier chain: nothing to re-issue.
-                Some(ei) if queued && shard.extents[ei].pending & Extent::bit(b) != 0 => {}
+                Some(ei) if shard.extents[ei].pending & Extent::bit(b) != 0 => {}
                 _ => push_block(&mut missing, b),
             }
         }
-        if queued {
-            if missing.is_empty() {
-                return Ok(0);
-            }
-            // Speculative I/O never blocks: a full queue simply drops the
-            // read-ahead (demand will cover the blocks if they matter).
-            if !dev.can_submit() {
-                return Ok(0);
-            }
-            for run in &missing {
-                for b in run.start..run.start + run.len {
-                    let ext = self.extent_for(dev, b)?;
-                    ext.pending |= Extent::bit(b);
-                }
-            }
-            let fetched: u64 = missing.iter().map(|r| r.len).sum();
-            let sg: Vec<(u64, u64)> = missing.iter().map(|r| (r.start, r.len)).collect();
-            let id = match dev.submit_read_sg(&sg) {
-                Ok(id) => id,
-                Err(e) => {
-                    self.clear_pending_runs(&missing);
-                    return Err(e);
-                }
-            };
-            self.inflight_reads.insert(id, missing);
-            self.chain_owners.insert(id, self.home_core);
-            self.ranges_issued += 1;
-            self.prefetch_cmds += 1;
-            self.prefetched_blocks += fetched;
-            self.sanitize_check("prefetch_range");
-            return Ok(fetched);
+        // Demand will cover the blocks if they matter.
+        if missing.is_empty() || !dev.can_submit() {
+            return Ok(0);
         }
-        let mut fetched = 0;
-        for run in missing {
-            self.fill_run(dev, run, true)?;
-            fetched += run.len;
-            self.prefetched_blocks += run.len;
-        }
+        self.pin_fill(dev, &missing)?;
+        let fetched: u64 = missing.iter().map(|r| r.len).sum();
+        self.submit_fill(dev, &missing, true)?;
+        self.prefetched_blocks += fetched;
         self.sanitize_check("prefetch_range");
         Ok(fetched)
     }
@@ -2902,48 +2852,10 @@ impl BufCache {
         runs
     }
 
-    /// Writes one dirty run to the device and clears its dirty bits. Bits are
-    /// cleared only after the data reaches the device, so a failed write-back
-    /// never loses data.
-    fn write_out_run(&mut self, dev: &mut dyn BlockDevice, run: Run) -> FsResult<()> {
-        let missing_extent =
-            || crate::FsError::Corrupt("dirty block has no backing cache extent".into());
-        let mut bytes = vec![0u8; run.len as usize * BLOCK_SIZE];
-        for b in 0..run.len {
-            let blk = run.start + b;
-            let base = Self::extent_base(blk);
-            let si = self.shard_of(base);
-            let ei = self.shards[si].find(base).ok_or_else(missing_extent)?;
-            let off = b as usize * BLOCK_SIZE;
-            bytes[off..off + BLOCK_SIZE].copy_from_slice(self.shards[si].extents[ei].block(blk));
-        }
-        if self.coalesce && run.len > 1 {
-            dev.write_range(run.start, run.len, &bytes)?;
-            self.ranges_issued += 1;
-        } else {
-            for b in 0..run.len {
-                let off = b as usize * BLOCK_SIZE;
-                dev.write_block(run.start + b, &bytes[off..off + BLOCK_SIZE])?;
-            }
-            self.singles_issued += run.len;
-        }
-        for b in 0..run.len {
-            let blk = run.start + b;
-            let base = Self::extent_base(blk);
-            let si = self.shard_of(base);
-            let ei = self.shards[si].find(base).ok_or_else(missing_extent)?;
-            self.shards[si].extents[ei].dirty &= !Extent::bit(blk);
-            self.shards[si].stats.writeback_blocks += 1;
-            // The block is on the device: any write-order dependency keyed
-            // on it is settled.
-            self.deps.remove(&blk);
-        }
-        Ok(())
-    }
-
     /// Writes every dirty block back to the device, coalescing adjacent
-    /// dirty blocks — across extents and shards — into single range
-    /// commands, then flushes the device itself.
+    /// dirty blocks — across extents and shards — into bounded chains
+    /// ([`WB_CHAIN_BLOCKS`] / [`WB_CHAIN_RUNS`] each), then flushes the
+    /// device itself.
     ///
     /// With ordered write-back on (the default) the drain is staged: all
     /// dirty *data* blocks first, then metadata blocks as their recorded
@@ -2951,10 +2863,10 @@ impl BufCache {
     /// flush leaves either the old tree or a complete new one, never a
     /// dirent or FAT chain pointing at unwritten clusters.
     ///
-    /// Over an asynchronous device this is a **queue-drain barrier**: each
-    /// stage submits its runs as scatter-gather chains and then drains the
-    /// queue, so data is *confirmed durable* before the first metadata chain
-    /// is even submitted, and the call returns only once every completion —
+    /// This is a **queue-drain barrier**: each stage submits its runs as
+    /// scatter-gather chains and then drains the queue, so data is
+    /// *confirmed durable* before the first metadata chain is even
+    /// submitted, and the call returns only once every completion —
     /// including any failure that surfaced after submission — has been
     /// reaped. `fsync` and `sync_all` get their durability semantics from
     /// exactly this.
@@ -2967,45 +2879,35 @@ impl BufCache {
     /// pending group (e.g. retrying after a failed commit) simply leaves
     /// those sectors cached dirty for the commit to handle.
     pub fn flush(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
-        if dev.queue_depth() > 0 {
-            return self.flush_async(dev);
-        }
+        // Surface errors from chains that completed since the last barrier
+        // only after this flush has retried their (re-dirtied) blocks — but
+        // do clear the stale flag so an old failure cannot fail a clean run.
+        self.reap_ready(dev);
+        self.async_error = None;
         if self.ordered {
+            self.drain_ordered(dev)?;
+        } else {
             loop {
-                let (data, _) = self.classed_dirty_runs();
-                let mut progress = false;
-                for run in data {
-                    self.write_out_run(dev, run)?;
-                    progress = true;
-                }
-                for run in self.drainable_meta_runs() {
-                    self.write_out_run(dev, run)?;
-                    progress = true;
-                }
-                if !progress {
+                let runs = self.dirty_runs();
+                let runs = self.without_group_sectors(runs);
+                self.drain_chains(dev, &runs)?;
+                if runs.is_empty() {
                     break;
                 }
             }
-            // Anything still dirty (group sectors aside) sits on a
-            // dependency cycle (the filesystem layers are built not to
-            // create one). A full flush must drain regardless; force the
-            // stragglers out and count them. Degraded cache exception:
-            // metadata stuck behind a *parked* data block is not a cycle —
-            // forcing it out would put the metadata on the device ahead of
-            // data that never made it, and this flush is failing anyway.
-            let (_, stuck) = self.classed_dirty_runs();
-            let stuck = self.without_group_sectors(stuck);
-            if !stuck.is_empty() && self.gave_up.is_empty() {
-                self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>();
-                for run in stuck {
-                    self.write_out_run(dev, run)?;
-                }
-            }
-        } else {
-            let runs = self.dirty_runs();
-            for run in self.without_group_sectors(runs) {
-                self.write_out_run(dev, run)?;
-            }
+        }
+        // Anything still dirty (group sectors aside) sits on a dependency
+        // cycle (the filesystem layers are built not to create one). A full
+        // flush must drain regardless; force the stragglers out and count
+        // them. Degraded cache exception: metadata stuck behind a *parked*
+        // data block is not a cycle — forcing it out would put the metadata
+        // on the device ahead of data that never made it, and this flush is
+        // failing anyway.
+        let (_, stuck) = self.classed_dirty_runs();
+        let stuck = self.without_group_sectors(stuck);
+        if !stuck.is_empty() && self.gave_up.is_empty() {
+            self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>();
+            self.drain_chains(dev, &stuck)?;
         }
         self.flushes += 1;
         dev.flush()?;
@@ -3022,82 +2924,40 @@ impl BufCache {
         Ok(())
     }
 
-    /// The queue-drain barrier behind [`BufCache::flush`] for asynchronous
-    /// devices: submit a stage, drain, check for completion-time errors,
-    /// advance to the next stage.
-    fn flush_async(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
-        // Surface errors from chains that completed since the last barrier
-        // only after this flush has retried their (re-dirtied) blocks — but
-        // do clear the stale flag so an old failure cannot fail a clean run.
-        self.reap_ready(dev);
-        self.async_error = None;
-        loop {
-            let mut progress = false;
-            if self.ordered {
-                let (data, _) = self.classed_dirty_runs();
-                progress |= !data.is_empty();
-                self.submit_chains(dev, &data)?;
-                self.drain_writes(dev)?;
-                if let Some(e) = self.async_error.take() {
-                    return Err(e);
-                }
-                let ready = self.drainable_meta_runs();
-                progress |= !ready.is_empty();
-                self.submit_chains(dev, &ready)?;
-                self.drain_writes(dev)?;
-            } else {
-                let runs = self.dirty_runs();
-                let runs = self.without_group_sectors(runs);
-                progress |= !runs.is_empty();
-                self.submit_chains(dev, &runs)?;
-                self.drain_writes(dev)?;
-            }
-            if let Some(e) = self.async_error.take() {
-                return Err(e);
-            }
-            if !progress {
-                break;
-            }
-        }
-        // Anything still dirty (group sectors aside) sits on a dependency
-        // cycle; a full flush must drain regardless (counted, like the
-        // synchronous path — including its degraded-cache exception).
-        let (_, stuck) = self.classed_dirty_runs();
-        let stuck = self.without_group_sectors(stuck);
-        if !stuck.is_empty() && self.gave_up.is_empty() {
-            self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>();
-            self.submit_chains(dev, &stuck)?;
-            self.drain_writes(dev)?;
-            if let Some(e) = self.async_error.take() {
-                return Err(e);
-            }
-        }
-        self.flushes += 1;
-        dev.flush()?;
-        // Parked blocks hold dirty data the device never absorbed: the
-        // barrier must fail (and pending frees stay pending) even though
-        // everything else drained.
-        self.gave_up_barrier_check()?;
-        // A completed full flush made every pending free durable — unless a
-        // pending group still holds the freed sectors back.
-        if self.group.is_empty() {
-            self.pending_frees.clear();
-        }
-        self.sanitize_check("flush_async");
-        Ok(())
-    }
-
     /// Submits `runs` as back-to-back bounded chains ([`WB_CHAIN_BLOCKS`] /
     /// [`WB_CHAIN_RUNS`] each). Used by the barriers: blocking on a full
     /// queue is fine there — the whole point of a barrier is to wait — and
     /// splitting keeps the queue pipelined instead of monolithic, and bounds
     /// what one torn or faulted chain can re-dirty.
-    fn submit_chains(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<u64> {
-        let mut total = 0u64;
+    fn submit_chains(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<()> {
         for chain in pack_chains(runs, WB_CHAIN_BLOCKS, WB_CHAIN_RUNS) {
-            total += self.submit_write_runs(dev, &chain)?;
+            self.submit_write_runs(dev, &chain)?;
         }
-        Ok(total)
+        Ok(())
+    }
+
+    /// Submits `runs` as bounded chains, drains the queue, and returns the
+    /// first error a completion reported.
+    fn drain_chains(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<()> {
+        self.submit_chains(dev, runs)?;
+        self.drain_writes(dev)?;
+        self.async_error.take().map_or(Ok(()), Err)
+    }
+
+    /// The ordered drain's stages, repeated until nothing moves: dirty data,
+    /// then metadata whose dependencies are clean (minus the open commit
+    /// group's sectors). Each stage is confirmed durable before the next is
+    /// submitted.
+    fn drain_ordered(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
+        loop {
+            let (data, _) = self.classed_dirty_runs();
+            self.drain_chains(dev, &data)?;
+            let ready = self.drainable_meta_runs();
+            self.drain_chains(dev, &ready)?;
+            if data.is_empty() && ready.is_empty() {
+                return Ok(());
+            }
+        }
     }
 
     /// Drains everything the ordered contract allows *right now* — dirty
@@ -3115,74 +2975,44 @@ impl BufCache {
     /// untouched instead of force-breaking them the way a full flush would;
     /// and last to send the header clear.
     pub fn flush_ready(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
-        if dev.queue_depth() > 0 {
-            self.reap_ready(dev);
-            self.async_error = None;
-            loop {
-                let mut progress = false;
-                let (data, _) = self.classed_dirty_runs();
-                progress |= !data.is_empty();
-                self.submit_chains(dev, &data)?;
-                self.drain_writes(dev)?;
-                if let Some(e) = self.async_error.take() {
-                    return Err(e);
-                }
-                let ready = self.drainable_meta_runs();
-                progress |= !ready.is_empty();
-                self.submit_chains(dev, &ready)?;
-                self.drain_writes(dev)?;
-                if let Some(e) = self.async_error.take() {
-                    return Err(e);
-                }
-                if !progress {
-                    break;
-                }
-            }
-            self.sanitize_check("flush_ready");
-            dev.flush()?;
-            return self.gave_up_barrier_check();
-        }
-        loop {
-            let mut progress = false;
-            let (data, _) = self.classed_dirty_runs();
-            for run in data {
-                self.write_out_run(dev, run)?;
-                progress = true;
-            }
-            for run in self.drainable_meta_runs() {
-                self.write_out_run(dev, run)?;
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
+        self.reap_ready(dev);
+        self.async_error = None;
+        self.drain_ordered(dev)?;
         self.sanitize_check("flush_ready");
         dev.flush()?;
         self.gave_up_barrier_check()
     }
 
-    /// Writes back dirty blocks up to a budget of `max_blocks`, coalescing
-    /// them into runs exactly like [`BufCache::flush`], and returns how many
-    /// blocks reached the device. This is the incremental drain the kernel's
-    /// `kbio` flusher thread calls on a timer: each pass is bounded so the
-    /// background thread never monopolises the SD bus, and the device-level
-    /// barrier (`dev.flush()`) is deliberately *not* issued — only a full
-    /// [`BufCache::flush`] (fsync, unmount) is a durability point.
+    /// Writes back dirty blocks up to a budget of `max_blocks` and returns
+    /// how many blocks it handed to the device. This is the incremental
+    /// drain the kernel's `kbio` flusher thread calls on a timer: each pass
+    /// is bounded so the background thread never monopolises the SD bus,
+    /// and the device-level barrier (`dev.flush()`) is deliberately *not*
+    /// issued — only a full [`BufCache::flush`] (fsync, unmount) is a
+    /// durability point.
+    ///
+    /// The pass first reaps any completions that arrived since the last one
+    /// and surfaces their errors — this is how `kbio` learns that a chain it
+    /// submitted two wakeups ago hit a fault or a power cut. It then submits
+    /// one chain per contiguous run and returns without waiting: on a
+    /// queued device the data phase runs on the device timeline, and a full
+    /// queue ends the pass. A run that keeps failing (bad sector)
+    /// re-dirties only itself, so the healthy runs around it still drain;
+    /// blocks whose chain failed inside the submit call use no budget, and
+    /// the pass returns their error once it completes.
     ///
     /// Ordering: data runs drain first; metadata runs are considered only
-    /// once no dirty data remains, and only those whose dependencies are
-    /// clean — so cutting power between two budgeted passes is no worse than
-    /// cutting it mid-flush. Faulting runs are skipped (their blocks stay
-    /// dirty for retry) and charge nothing against the budget, so one bad
-    /// extent cannot starve healthy ones; the first error is returned after
-    /// the pass completes.
+    /// once no data block is dirty *or in flight* — i.e. only after the
+    /// data chains' completions confirmed durability — and only those whose
+    /// dependencies are clean, so cutting power between two budgeted passes
+    /// is no worse than cutting it mid-flush. While budget remains, ready
+    /// metadata keeps draining down chains of dependencies that the pass's
+    /// own completions settled.
     pub fn flush_some(&mut self, dev: &mut dyn BlockDevice, max_blocks: u64) -> FsResult<u64> {
-        if dev.queue_depth() > 0 {
-            return self.flush_some_async(dev, max_blocks);
+        self.reap_ready(dev);
+        if let Some(e) = self.async_error.take() {
+            return Err(e);
         }
-        let mut written = 0u64;
-        let mut first_err: Option<crate::FsError> = None;
         // Blocks in failure backoff sit this pass out (gave-up blocks are
         // excluded by the run collectors themselves).
         let deferred = self.backoff_tick();
@@ -3192,181 +3022,25 @@ impl BufCache {
             self.dirty_runs()
         };
         let data_runs = Self::without_blocks(data_runs, &deferred);
-        for run in data_runs {
-            if written >= max_blocks {
-                break;
-            }
-            // Split the final run at the remaining budget.
-            let take = run.len.min(max_blocks - written);
-            match self.write_out_run(
-                dev,
-                Run {
-                    start: run.start,
-                    len: take,
-                },
-            ) {
-                // Only blocks that actually persisted consume budget.
-                Ok(()) => written += take,
-                Err(e) => {
-                    for b in run.start..run.start + take {
-                        self.note_write_failure(b);
-                    }
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if self.ordered && first_err.is_none() {
-            // Metadata drains only once every data block is on the device.
-            while written < max_blocks && !self.any_dirty_data() {
+        let mut submitted = self.submit_budgeted(dev, data_runs, max_blocks)?;
+        if self.ordered {
+            // Metadata drains only once every data block is durable, and
+            // stops at the pass's first failure.
+            while submitted < max_blocks && !self.any_dirty_data() && self.async_error.is_none() {
                 let ready = Self::without_blocks(self.drainable_meta_runs(), &deferred);
-                if ready.is_empty() {
+                let n = self.submit_budgeted(dev, ready, max_blocks - submitted)?;
+                if n == 0 {
                     break;
                 }
-                let mut progress = false;
-                for run in ready {
-                    if written >= max_blocks || first_err.is_some() {
-                        break;
-                    }
-                    let take = run.len.min(max_blocks - written);
-                    match self.write_out_run(
-                        dev,
-                        Run {
-                            start: run.start,
-                            len: take,
-                        },
-                    ) {
-                        Ok(()) => {
-                            written += take;
-                            progress = true;
-                        }
-                        Err(e) => {
-                            for b in run.start..run.start + take {
-                                self.note_write_failure(b);
-                            }
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
-                    }
-                }
-                if !progress {
-                    break;
-                }
+                submitted += n;
             }
             // Liveness backstop: metadata stuck on a dependency cycle (the
             // filesystem layers are built not to create one) must not pin
             // the cache dirty forever — force it out, counted. Metadata
             // waiting on a *parked* block is not a cycle; leave it to the
             // failing barrier rather than writing it out of order.
-            if written < max_blocks
+            if submitted < max_blocks
                 && !self.any_dirty_data()
-                && self.gave_up.is_empty()
-                && self.drainable_meta_runs().is_empty()
-            {
-                let (_, stuck) = self.classed_dirty_runs();
-                let stuck = self.without_group_sectors(stuck);
-                let stuck = Self::without_blocks(stuck, &deferred);
-                for run in stuck {
-                    if written >= max_blocks || first_err.is_some() {
-                        break;
-                    }
-                    let take = run.len.min(max_blocks - written);
-                    self.forced_meta_writes += take;
-                    match self.write_out_run(
-                        dev,
-                        Run {
-                            start: run.start,
-                            len: take,
-                        },
-                    ) {
-                        Ok(()) => written += take,
-                        Err(e) => {
-                            for b in run.start..run.start + take {
-                                self.note_write_failure(b);
-                            }
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if written > 0 {
-            self.partial_flushes += 1;
-        }
-        self.sanitize_check("flush_some");
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(written),
-        }
-    }
-
-    /// The budgeted background drain over an asynchronous device: reaps any
-    /// completions that arrived since the last pass (surfacing their errors
-    /// — this is how `kbio` learns a chain it submitted two wakeups ago hit
-    /// a fault or a power cut), then *submits* up to `max_blocks` as one
-    /// scatter-gather chain and returns without waiting. The data phase runs
-    /// on the device timeline; "written" here means handed to the queue.
-    /// Ordering is preserved across passes because metadata is considered
-    /// only once no data block is dirty *or in flight* — i.e. only after the
-    /// data chains' completions confirmed durability.
-    fn flush_some_async(&mut self, dev: &mut dyn BlockDevice, max_blocks: u64) -> FsResult<u64> {
-        self.reap_ready(dev);
-        if let Some(e) = self.async_error.take() {
-            return Err(e);
-        }
-        let clip = |runs: Vec<Run>, budget: u64| {
-            let mut out: Vec<Run> = Vec::new();
-            let mut left = budget;
-            for r in runs {
-                if left == 0 {
-                    break;
-                }
-                let take = r.len.min(left);
-                out.push(Run {
-                    start: r.start,
-                    len: take,
-                });
-                left -= take;
-            }
-            out
-        };
-        // One chain per contiguous run, never blocking on a full queue: a
-        // run that keeps failing (bad sector) re-dirties only itself, so the
-        // healthy runs around it still drain — the same no-starvation
-        // contract the polled path keeps by skipping faulting runs.
-        let mut submit_each = |cache: &mut Self, runs: Vec<Run>| -> FsResult<u64> {
-            let mut n = 0u64;
-            for run in runs {
-                if !dev.can_submit() {
-                    break;
-                }
-                n += cache.submit_write_runs(dev, &[run])?;
-            }
-            Ok(n)
-        };
-        // Blocks in failure backoff sit this pass out (gave-up blocks are
-        // excluded by the run collectors themselves).
-        let deferred = self.backoff_tick();
-        let data_runs = if self.ordered {
-            self.classed_dirty_runs().0
-        } else {
-            self.dirty_runs()
-        };
-        let data_runs = Self::without_blocks(data_runs, &deferred);
-        let mut submitted = submit_each(self, clip(data_runs, max_blocks))?;
-        if self.ordered && submitted < max_blocks && !self.any_dirty_data() {
-            // Data is durable (previous passes' completions confirmed it):
-            // metadata whose dependencies are clean — and not held by the
-            // open commit group — may follow. The cycle backstop mirrors
-            // the synchronous path, degraded-cache exception included.
-            let ready = Self::without_blocks(self.drainable_meta_runs(), &deferred);
-            if !ready.is_empty() {
-                submitted += submit_each(self, clip(ready, max_blocks - submitted))?;
-            } else if self.dirty_blocks() > 0
                 && self.inflight_writes.is_empty()
                 && self.gave_up.is_empty()
                 && self.drainable_meta_runs().is_empty()
@@ -3374,17 +3048,44 @@ impl BufCache {
                 let (_, stuck) = self.classed_dirty_runs();
                 let stuck = self.without_group_sectors(stuck);
                 let stuck = Self::without_blocks(stuck, &deferred);
-                let stuck = clip(stuck, max_blocks - submitted);
-                if !stuck.is_empty() {
-                    self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>();
-                    submitted += submit_each(self, stuck)?;
-                }
+                let budget = max_blocks - submitted;
+                self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>().min(budget);
+                submitted += self.submit_budgeted(dev, stuck, budget)?;
             }
         }
         if submitted > 0 {
             self.partial_flushes += 1;
         }
-        self.sanitize_check("flush_some_async");
+        self.sanitize_check("flush_some");
+        match self.async_error.take() {
+            Some(e) => Err(e),
+            None => Ok(submitted),
+        }
+    }
+
+    /// Submits `runs` one chain per run, clipped to `budget` blocks, and
+    /// stops early on a full queue. Returns the blocks submitted; blocks
+    /// whose chain failed inside the submit call do not count.
+    fn submit_budgeted(
+        &mut self,
+        dev: &mut dyn BlockDevice,
+        runs: Vec<Run>,
+        budget: u64,
+    ) -> FsResult<u64> {
+        let mut submitted = 0u64;
+        for run in runs {
+            if submitted >= budget || !dev.can_submit() {
+                break;
+            }
+            let len = run.len.min(budget - submitted);
+            submitted += self.submit_write_runs(
+                dev,
+                &[Run {
+                    start: run.start,
+                    len,
+                }],
+            )?;
+        }
         Ok(submitted)
     }
 
@@ -4097,6 +3798,25 @@ mod tests {
     }
 
     #[test]
+    fn a_fill_whose_eviction_fails_leaves_no_block_pinned() {
+        let mut dev = MemDisk::new(256);
+        // Two shards of one extent each. Shard 1 holds block 24's extent
+        // dirty, and its write-back faults.
+        let mut bc = BufCache::with_geometry(2, 1);
+        bc.write(&mut dev, 24, &[1u8; BLOCK_SIZE]).unwrap();
+        dev.inject_fault(24);
+        // One window pins blocks 4..8 in shard 0, then cannot evict shard
+        // 1 for blocks 8..12.
+        let mut out = vec![0u8; BLOCK_SIZE * 8];
+        assert!(bc.read_range(&mut dev, 4, 8, &mut out).is_err());
+        // The re-read fills from the device: no stale pin to wait on.
+        bc.read_range(&mut dev, 4, 4, &mut out[..BLOCK_SIZE * 4])
+            .unwrap();
+        let s = bc.stats();
+        assert_eq!((s.demand_waits, s.demand_spin_reaps), (0, 0));
+    }
+
+    #[test]
     fn meta_txn_records_touched_metadata_and_pins_it() {
         let mut dev = MemDisk::new(256);
         let mut bc = BufCache::default();
@@ -4438,6 +4158,47 @@ mod tests {
                 attempts += 1;
                 assert!(attempts < 8, "retry loop failed to converge");
             }
+        }
+
+        #[test]
+        fn eviction_never_lands_a_stale_dma_chain_over_newer_data() {
+            let mut rig = Rig::new(4096);
+            // One shard of two extents: a third extent forces an eviction.
+            let mut bc = BufCache::with_geometry(1, 2);
+            bc.write(&mut rig.dev(), 100, &[0x11u8; BLOCK_SIZE])
+                .unwrap();
+            bc.flush_some(&mut rig.dev(), 64).unwrap();
+            assert_eq!(bc.inflight_cmds(), 1, "the 0x11 chain is on the wire");
+            // Re-dirty the block while its older snapshot is in flight, and
+            // order a metadata block after it.
+            bc.write(&mut rig.dev(), 100, &[0x22u8; BLOCK_SIZE])
+                .unwrap();
+            bc.write(&mut rig.dev(), 8, &[0x33u8; BLOCK_SIZE]).unwrap();
+            bc.note_metadata(8, 1);
+            bc.add_dependency(8, 1, 100, 1);
+            // Extent 96 rides a chain, so the eviction takes extent 8 and
+            // flushes its dependency closure (block 100) first.
+            let polled = |sd: &SdHost| (sd.single_block_cmds(), sd.range_cmds());
+            let before = polled(&rig.sd);
+            bc.write(&mut rig.dev(), 200, &[0x44u8; BLOCK_SIZE])
+                .unwrap();
+            assert_eq!(bc.stats().evictions, 1);
+            assert_eq!(
+                polled(&rig.sd),
+                before,
+                "(single, range) polled commands of the eviction"
+            );
+            // The 0x22 snapshot queued behind the 0x11 chain, so it landed
+            // last.
+            bc.flush(&mut rig.dev()).unwrap();
+            bc.invalidate_all();
+            let mut out = [0u8; BLOCK_SIZE];
+            bc.read(&mut rig.dev(), 100, &mut out).unwrap();
+            assert!(
+                out.iter().all(|&b| b == 0x22),
+                "block 100 reads back {:#04x}",
+                out[0]
+            );
         }
 
         #[test]

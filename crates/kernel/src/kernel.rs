@@ -6,7 +6,7 @@
 //! own structure — this module covers boot and the core loop, `syscalls.rs`
 //! the user/kernel interface.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use hal::board::SimBoard;
@@ -299,9 +299,9 @@ pub struct Kernel {
     /// Program registry consulted by exec/spawn.
     pub registry: ProgramRegistry,
 
-    tasks: HashMap<TaskId, Task>,
-    programs: HashMap<TaskId, Box<dyn UserProgram>>,
-    address_spaces: HashMap<u64, AddressSpace>,
+    tasks: BTreeMap<TaskId, Task>,
+    programs: BTreeMap<TaskId, Box<dyn UserProgram>>,
+    address_spaces: BTreeMap<u64, AddressSpace>,
     next_asid: u64,
     next_task_id: TaskId,
 
@@ -316,7 +316,7 @@ pub struct Kernel {
     // FAT32 on the SD card.
     pub(crate) fat_bufcache: BufCache,
     pub(crate) fatfs: Option<Fat32>,
-    pub(crate) pseudo_inums: HashMap<String, u32>,
+    pub(crate) pseudo_inums: BTreeMap<String, u32>,
     pub(crate) next_pseudo_inum: u32,
 
     // Drivers.
@@ -326,8 +326,8 @@ pub struct Kernel {
     shared_keyboard: Option<SharedKeyboard>,
 
     // Per-task framebuffer mapping (user VA of the mapping).
-    pub(crate) fb_mappings: HashMap<TaskId, u64>,
-    metrics: HashMap<TaskId, TaskMetrics>,
+    pub(crate) fb_mappings: BTreeMap<TaskId, u64>,
+    metrics: BTreeMap<TaskId, TaskMetrics>,
 
     boot_stats: BootStats,
     booted: bool,
@@ -393,9 +393,9 @@ impl Kernel {
             debugmon: DebugMonitor::new(),
             wm: WindowManager::new(),
             registry: ProgramRegistry::new(),
-            tasks: HashMap::new(),
-            programs: HashMap::new(),
-            address_spaces: HashMap::new(),
+            tasks: BTreeMap::new(),
+            programs: BTreeMap::new(),
+            address_spaces: BTreeMap::new(),
             next_asid: 1,
             next_task_id: 1,
             pipes: PipeTable::new(),
@@ -406,14 +406,14 @@ impl Kernel {
             rootfs: None,
             fat_bufcache: BufCache::default(),
             fatfs: None,
-            pseudo_inums: HashMap::new(),
+            pseudo_inums: BTreeMap::new(),
             next_pseudo_inum: 1,
             kbd: KeyboardDriver::new(),
             sound: SoundDriver::new(),
             usb_stack: UsbStack::new(),
             shared_keyboard: None,
-            fb_mappings: HashMap::new(),
-            metrics: HashMap::new(),
+            fb_mappings: BTreeMap::new(),
+            metrics: BTreeMap::new(),
             boot_stats: BootStats::default(),
             booted: false,
             last_on_core: vec![None; hal::NUM_CORES],

@@ -685,3 +685,53 @@ fn without_the_flusher_close_drains_synchronously_and_bills_the_writer() {
         "the write-back spike is billed to the closing task"
     );
 }
+
+#[test]
+fn fat_syscalls_issue_no_polled_command_while_the_card_is_in_dma_mode() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    // A 48-block FAT cache: the rewrites below evict dirty metadata, whose
+    // dependency closure is written back first. (A 2 x 2 cache is too
+    // small to keep an open commit group's sectors pinned.)
+    sys.kernel.set_fat_cache_geometry(2, 3).unwrap();
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    let version = |round: usize, i: usize| vec![(round * 24 + i) as u8; 6 * 1024];
+    let polled = |sys: &ProtoSystem| {
+        let h = &sys.kernel.board.sdhost;
+        (h.single_block_cmds(), h.range_cmds())
+    };
+    let before = polled(&sys);
+    let dma_before = sys.kernel.board.sdhost.dma_cmds();
+    for round in 0..4 {
+        sys.kernel
+            .with_task_ctx(writer, |ctx| {
+                for i in 0..24 {
+                    let fd = ctx.open(&format!("/d/ev{i}.bin"), OpenFlags::wronly_create())?;
+                    ctx.write(fd, &version(round, i))?;
+                    ctx.close(fd)?;
+                }
+                Ok::<(), kernel::KernelError>(())
+            })
+            .unwrap();
+        sys.kernel.run_for_us(2000);
+    }
+    sys.kernel.sync_all().unwrap();
+    assert_eq!(
+        polled(&sys),
+        before,
+        "(single, range) polled commands while the card is in DMA mode"
+    );
+    assert!(sys.kernel.board.sdhost.dma_cmds() > dma_before);
+    sys.kernel.drop_fs_caches().unwrap();
+    for i in 0..24 {
+        let back = sys
+            .kernel
+            .with_task_ctx(writer, |ctx| {
+                let fd = ctx.open(&format!("/d/ev{i}.bin"), OpenFlags::rdonly())?;
+                let data = ctx.read(fd, 16 * 1024)?;
+                ctx.close(fd)?;
+                Ok::<Vec<u8>, kernel::KernelError>(data)
+            })
+            .unwrap();
+        assert_eq!(back, version(3, i), "file {i}");
+    }
+}
