@@ -152,10 +152,18 @@ pub struct ScalabilityPoint {
 /// Figure 10: sweep the active-core count with the multi-programmed (8
 /// marios) and multi-threaded (miner) workloads.
 pub fn multicore_scaling(measure_ms: u64) -> Vec<ScalabilityPoint> {
+    scaling_sweep(SystemOptions::benchmark(Platform::Pi3), measure_ms)
+}
+
+/// [`multicore_scaling`] over systems built from `base`. Each half starts
+/// its window with every core's clock at the furthest-ahead one: the core
+/// that installed the assets runs seconds ahead of the others, and a core
+/// left behind would do that much extra work inside the window.
+fn scaling_sweep(base: SystemOptions, measure_ms: u64) -> Vec<ScalabilityPoint> {
     let mut out = Vec::new();
     for cores in 1..=4usize {
         // Eight mario instances rendering through the window manager.
-        let mut options = SystemOptions::benchmark(Platform::Pi3);
+        let mut options = base;
         options.window_manager = true;
         options.cores = cores;
         let mut sys = ProtoSystem::build(options).expect("bench system");
@@ -169,17 +177,19 @@ pub fn multicore_scaling(measure_ms: u64) -> Vec<ScalabilityPoint> {
             ];
             tids.push(sys.spawn("mario-sdl", &args).expect("spawn mario"));
         }
+        sys.kernel.sync_core_clocks();
         sys.run_ms(measure_ms);
         let fps: f64 = tids.iter().map(|t| sys.fps_of(*t)).sum::<f64>() / tids.len() as f64;
         let util = sys.kernel.core_utilisations().iter().sum::<f64>() / cores as f64;
 
         // Blockchain miner with four worker threads.
-        let mut options = SystemOptions::benchmark(Platform::Pi3);
+        let mut options = base;
         options.cores = cores;
         let mut sys2 = ProtoSystem::build(options).expect("bench system");
         let tid = sys2
             .spawn("blockchain", &["4".into(), "0".into()])
             .expect("spawn miner");
+        sys2.kernel.sync_core_clocks();
         sys2.run_ms(measure_ms);
         let kernel_log = sys2.kernel.console_lines().join("\n");
         // Blocks per second from the miner's own progress reports: parse the
@@ -275,6 +285,28 @@ mod tests {
         let r = quick(AppRun::Doom, 300, 1500);
         assert!(r.fps > 40.0 && r.fps < 90.0, "DOOM fps {}", r.fps);
         assert!(r.os_memory_mb > 5.0 && r.os_memory_mb < 80.0);
+    }
+
+    /// Fig. 10's app half: cores cannot supply more than linear scaling, so
+    /// no point's FPS per instance may exceed cores × the 1-core value.
+    #[test]
+    fn fig10_fps_per_instance_scales_at_most_linearly() {
+        let mut options = SystemOptions::benchmark(Platform::Pi3);
+        options.small_assets = true;
+        let points = scaling_sweep(options, 400);
+        let one = points[0].mario_fps_per_instance;
+        assert!(one > 0.0, "1-core point rendered nothing");
+        for p in &points {
+            let cap = p.cores as f64 * one * 1.01;
+            assert!(
+                p.mario_fps_per_instance <= cap,
+                "{} cores: {:.2} FPS per instance > {:.2} (linear from {:.2} on 1 core)",
+                p.cores,
+                p.mario_fps_per_instance,
+                cap,
+                one
+            );
+        }
     }
 
     #[test]

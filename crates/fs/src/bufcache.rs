@@ -46,6 +46,16 @@
 //!   kernel's cost accounting can model their command-setup latency as
 //!   overlapped with the previous transfer instead of serialised on the
 //!   reading task.
+//! * **Use-once eviction.** A fill or write of at least
+//!   `SCAN_RESIST_BLOCKS` blocks installs *cold* extents; a hit does not
+//!   make them hot again. Once reads have copied out every valid block of a
+//!   cold extent it is *consumed*, and copy-out stops refreshing its LRU
+//!   tick; a fill or write installing new data makes it unread again.
+//!   Eviction takes consumed cold extents first, then unread cold extents
+//!   (read-ahead not yet read), then hot ones (metadata, small reads),
+//!   oldest first within each class. So a scan never flushes hot metadata,
+//!   and when several streams share the cache each stream's read-ahead
+//!   outlives the data the streams have already read.
 //!
 //! * **One device pipeline.** Every fill, prefetch, eviction write-back and
 //!   drain is *submitted* as a scatter-gather chain (one control block per
@@ -169,10 +179,11 @@
 //!   sectors of a multi-sector update so FAT32's intent log can commit them
 //!   atomically. The cache also hosts the write-ahead log's **group-commit
 //!   accumulator** (`group_*` methods): finished-but-uncommitted logged
-//!   transactions park their sectors here — pinned against eviction,
-//!   excluded from every incremental drain (even when their dependencies
-//!   are clean: draining half a pending rename early would expose it), and
-//!   with their freed allocation units reserved
+//!   transactions park their sectors here — pinned against eviction (the
+//!   group commits early rather than pin a shard full), excluded from every
+//!   incremental drain (even when their dependencies are clean: draining
+//!   half a pending rename early would expose it), and with their freed
+//!   allocation units reserved
 //!   ([`BufCache::note_pending_free`]) so no later transaction can reuse a
 //!   cluster or block the old tree still references — until the
 //!   filesystem-agnostic transaction layer ([`crate::txn::TxnLog`], whose
@@ -217,8 +228,8 @@
 //! 1. **Block state machine legality**, per extent: a block is never both
 //!    fill-pending and writing back (`pending & writing == 0`); a pending
 //!    block is not yet valid (`pending & valid == 0`); only valid blocks
-//!    can be dirty (`dirty ⊆ valid`) or riding a write-back snapshot
-//!    (`writing ⊆ valid`).
+//!    can be dirty (`dirty ⊆ valid`), riding a write-back snapshot
+//!    (`writing ⊆ valid`) or copied out by a read (`copied ⊆ valid`).
 //! 2. **Chain accounting**: every `pending` bit is covered by a run of some
 //!    entry in `inflight_reads`, every `writing` bit by a run of some entry
 //!    in `inflight_writes`, and `chain_owners` keys exactly the union of
@@ -317,10 +328,13 @@ struct Extent {
     /// LRU stamp (larger = more recently used).
     tick: u64,
     /// Scan-resistance class: `true` for extents installed by a streaming
-    /// fill that have not been re-touched. Eviction prefers cold extents
-    /// (oldest first), so one pass of a large scan can never flush hot
-    /// metadata; any later hit promotes the extent to hot.
+    /// fill or written by a streaming write (at least
+    /// [`SCAN_RESIST_BLOCKS`] blocks). Only a smaller write clears it; a
+    /// hit never promotes the extent to hot. See [`Extent::victim_key`].
     cold: bool,
+    /// Bitmap of valid blocks a read has copied out since the block's data
+    /// was installed; a fill or write installing new data clears the bit.
+    copied: u8,
 }
 
 impl Extent {
@@ -335,7 +349,31 @@ impl Extent {
             writing: 0,
             tick: 0,
             cold: false,
+            copied: 0,
         }
+    }
+
+    /// Whether this is a cold extent whose every valid block reads have
+    /// copied out: streamed data already delivered, the first to go.
+    fn consumed(&self) -> bool {
+        self.cold && self.valid & !self.copied == 0
+    }
+
+    /// Eviction order, smallest first: consumed cold extents, then cold
+    /// extents with blocks no read has copied out yet (a stream's
+    /// read-ahead), then hot extents; oldest first within each class. A
+    /// consumed extent's tick stops moving, so streams use their data once
+    /// and a stream's read-ahead outlives what the other streams have
+    /// already read, while a scan still never evicts hot metadata.
+    fn victim_key(&self) -> (u8, u64) {
+        let class = if self.consumed() {
+            0
+        } else if self.cold {
+            1
+        } else {
+            2
+        };
+        (class, self.tick)
     }
 
     fn bit(lba: u64) -> u8 {
@@ -507,11 +545,11 @@ struct Stream {
     tick: u64,
 }
 
-/// Fills spanning at least this many blocks are treated as *streaming*: the
-/// extents they install are inserted at the cold end of the LRU instead of
-/// the hot end, so a large sequential scan recycles its own extents rather
-/// than evicting hot metadata (FAT sectors, directory clusters) — classic
-/// scan resistance.
+/// Fills and writes spanning at least this many blocks are treated as
+/// *streaming*: the extents they install are cold, and every cold extent is
+/// evicted before any hot one ([`Extent::victim_key`]), so a large
+/// sequential scan recycles its own extents rather than evicting hot
+/// metadata (FAT sectors, directory clusters) — classic scan resistance.
 const SCAN_RESIST_BLOCKS: u64 = 2 * EXTENT_BLOCKS as u64;
 
 fn push_block(runs: &mut Vec<Run>, lba: u64) {
@@ -906,6 +944,22 @@ impl BufCache {
     /// Whether the open group already logs `lba`.
     pub fn group_contains(&self, lba: u64) -> bool {
         self.group.contains(&lba)
+    }
+
+    /// Whether the open group pins so many extents of some shard that the
+    /// next transaction could leave the shard with no victim to evict. An
+    /// extent the group pins is never evicted ([`BufCache::make_room`]), so
+    /// the group may hold at most `extents_per_shard - 2` extents of a shard:
+    /// that leaves one for the next transaction's own pin and one victim
+    /// for its fills. [`crate::txn::TxnLog`] commits the group early once
+    /// this holds; the default geometry's 16-extent shards never get there.
+    pub(crate) fn group_crowds_a_shard(&self) -> bool {
+        let mut pinned = vec![0usize; self.shards.len()];
+        let bases: BTreeSet<u64> = self.group.iter().map(|&l| Self::extent_base(l)).collect();
+        for base in bases {
+            pinned[self.shard_of(base)] += 1;
+        }
+        pinned.iter().any(|&n| n + 2 > self.extents_per_shard)
     }
 
     /// Clears the group after its commit record reached the device, counting
@@ -1473,6 +1527,13 @@ impl BufCache {
                     e.writing,
                     e.valid
                 );
+                assert!(
+                    e.copied & !e.valid == 0,
+                    "sanitize[{ctx}]: extent {base} has copied-out bits on invalid blocks \
+                     (copied={:#04x} valid={:#04x})",
+                    e.copied,
+                    e.valid
+                );
             }
         }
     }
@@ -1960,15 +2021,17 @@ impl BufCache {
         ((base / EXTENT_BLOCKS as u64) % shards as u64) as usize
     }
 
-    /// Frees one slot in a full shard. Victim selection: cold (streamed,
-    /// never re-touched) extents go first, oldest first, so a scan recycles
-    /// itself; hot extents fall back to plain LRU. Extents pinned by an open
-    /// metadata transaction or an uncommitted group are avoided when any
-    /// other victim exists, so a half-recorded multi-sector update cannot
-    /// leak to the device before its intent log commits. Extents that are a
-    /// live DMA target (an in-flight fill or write-back chain) are never
-    /// victims — when a whole shard is in flight the caller reaps the queue
-    /// first.
+    /// Frees one slot in a full shard, taking the victim in
+    /// [`Extent::victim_key`] order: consumed cold extents, then unread cold
+    /// extents, then hot ones, oldest first within each class. An extent
+    /// pinned by an open metadata transaction or an uncommitted group is
+    /// never a victim, since evicting it would let a logged sector reach
+    /// home before its commit record: a shard holding nothing else fails
+    /// the allocation. [`crate::txn::TxnLog`] commits its group before the
+    /// group can crowd a shard that far ([`BufCache::group_crowds_a_shard`]).
+    /// Extents that are a live DMA target (an in-flight fill or write-back
+    /// chain) are never victims — when no other candidate exists the caller
+    /// reaps the queue first.
     ///
     /// A dirty victim does not serialise the allocator behind its own chain:
     /// see [`BufCache::evict_batched`].
@@ -1977,31 +2040,26 @@ impl BufCache {
         // free.
         self.reap_ready(dev);
         let victim = loop {
-            let pinned: Vec<bool> = self.shards[si]
+            let pick = self.shards[si]
                 .extents
                 .iter()
-                .map(|e| self.extent_txn_pinned(e.base))
-                .collect();
-            let pick = |skip_pinned: bool| {
-                self.shards[si]
-                    .extents
-                    .iter()
-                    .enumerate()
-                    // An extent holding blocks past their retry budget is
-                    // never a victim: evicting it means writing it, and its
-                    // dirty data is the only copy left.
-                    .filter(|(_, e)| {
-                        e.pending == 0 && e.writing == 0 && !self.extent_gave_up(e.base)
-                    })
-                    .filter(|(i, _)| !skip_pinned || !pinned[*i])
-                    .min_by_key(|(_, e)| (!e.cold, e.tick))
-                    .map(|(i, _)| i)
-            };
-            if let Some(v) = pick(true).or_else(|| pick(false)) {
+                .enumerate()
+                // An extent holding blocks past their retry budget is never
+                // a victim: evicting it means writing it, and its dirty data
+                // is the only copy left.
+                .filter(|(_, e)| {
+                    e.pending == 0
+                        && e.writing == 0
+                        && !self.extent_gave_up(e.base)
+                        && !self.extent_txn_pinned(e.base)
+                })
+                .min_by_key(|(_, e)| e.victim_key())
+                .map(|(i, _)| i);
+            if let Some(v) = pick {
                 break v;
             }
-            // Every extent in the shard rides a chain: reap (waiting if
-            // necessary) until one settles, then retry the selection.
+            // Every other extent in the shard rides a chain: reap (waiting
+            // if necessary) until one settles, then retry the selection.
             let reaped = dev.wait_some()?;
             if reaped.is_empty() {
                 if self.degraded {
@@ -2009,8 +2067,8 @@ impl BufCache {
                         "cache shard pinned by blocks past their write retry budget".into(),
                     ));
                 }
-                return Err(crate::FsError::Corrupt(
-                    "full cache shard has no eviction victim".into(),
+                return Err(crate::FsError::Io(
+                    "full cache shard has no eviction victim: an open transaction pins it".into(),
                 ));
             }
             for c in reaped {
@@ -2130,22 +2188,18 @@ impl BufCache {
         }
     }
 
-    /// An evictable extent of shard `si`: nothing dirty, nothing in flight.
-    /// Pinned extents are avoided while any other candidate exists; among
-    /// candidates the cold-oldest-first preference matches the victim
-    /// policy.
+    /// An evictable extent of shard `si`: nothing dirty, nothing in flight,
+    /// not pinned by an open transaction or group. Among candidates the
+    /// [`Extent::victim_key`] order matches [`BufCache::make_room`].
     fn settled_victim(&self, si: usize) -> Option<usize> {
-        let pick = |skip_pinned: bool| {
-            self.shards[si]
-                .extents
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.dirty == 0 && e.writing == 0 && e.pending == 0)
-                .filter(|(_, e)| !skip_pinned || !self.extent_txn_pinned(e.base))
-                .min_by_key(|(_, e)| (!e.cold, e.tick))
-                .map(|(i, _)| i)
-        };
-        pick(true).or_else(|| pick(false))
+        self.shards[si]
+            .extents
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.dirty == 0 && e.writing == 0 && e.pending == 0)
+            .filter(|(_, e)| !self.extent_txn_pinned(e.base))
+            .min_by_key(|(_, e)| e.victim_key())
+            .map(|(i, _)| i)
     }
 
     // ---- the device pipeline ---------------------------------------------------------------
@@ -2290,6 +2344,7 @@ impl BufCache {
                 if e.dirty & Extent::bit(b) == 0 {
                     e.block_mut(b).copy_from_slice(slice);
                     e.valid |= Extent::bit(b);
+                    e.copied &= !Extent::bit(b);
                     if cold {
                         e.cold = true;
                     }
@@ -2713,7 +2768,8 @@ impl BufCache {
                 }]);
             }
         }
-        // Everything is resident: copy out (and touch for the LRU).
+        // Everything is resident: copy out, and touch for the LRU every
+        // extent but a consumed one (use-once, see `Extent::victim_key`).
         for i in 0..count {
             let b = lba + i;
             let base = Self::extent_base(b);
@@ -2724,9 +2780,12 @@ impl BufCache {
                 .find(base)
                 .ok_or_else(|| crate::FsError::Corrupt("resident block lost its extent".into()))?;
             let ext = &mut shard.extents[ei];
-            ext.tick = tick;
             let off = i as usize * BLOCK_SIZE;
             out[off..off + BLOCK_SIZE].copy_from_slice(ext.block(b));
+            ext.copied |= Extent::bit(b);
+            if !ext.consumed() {
+                ext.tick = tick;
+            }
         }
         Ok(())
     }
@@ -2807,6 +2866,7 @@ impl BufCache {
                 .copy_from_slice(&data[off..off + BLOCK_SIZE]);
             ext.valid |= Extent::bit(b);
             ext.dirty |= Extent::bit(b);
+            ext.copied &= !Extent::bit(b);
             // A plain write reclassifies the block as data; a metadata
             // writer re-tags it via `note_metadata` immediately after.
             ext.meta &= !Extent::bit(b);
@@ -3649,6 +3709,74 @@ mod tests {
         bc.read(&mut dev, 4000, &mut one).unwrap();
         assert_eq!(bc.stats().hits, h + 1, "metadata survived the scan");
         assert_eq!(bc.stats().misses, miss_before + 128);
+    }
+
+    /// Use-once eviction. Four interleaved streams each read a window and
+    /// then prefetch their next one. Four demand windows plus four
+    /// read-ahead windows overflow the cache, while the four read-ahead
+    /// windows alone fit. Evicting what the streams have already copied out
+    /// first keeps each read-ahead window until its stream reads it, so the
+    /// device moves barely more blocks than the streams read.
+    #[test]
+    fn interleaved_streams_read_their_read_ahead_before_it_is_evicted() {
+        const STREAMS: u64 = 4;
+        // One extent in each of the 8 shards.
+        const WINDOW: u64 = 64;
+        const WINDOWS: u64 = 16;
+        let mut dev = MemDisk::new(STREAMS * WINDOWS * WINDOW);
+        for lba in 0..STREAMS * WINDOWS * WINDOW {
+            dev.write_block(lba, &[lba as u8; BLOCK_SIZE]).unwrap();
+        }
+        // Five extents a shard: room for the four read-ahead windows, not
+        // for the demand windows too.
+        let mut bc = BufCache::with_geometry(8, 5);
+        let mut buf = vec![0u8; WINDOW as usize * BLOCK_SIZE];
+        for w in 0..WINDOWS {
+            for s in 0..STREAMS {
+                let lba = (s * WINDOWS + w) * WINDOW;
+                bc.read_range(&mut dev, lba, WINDOW, &mut buf).unwrap();
+                for (i, block) in buf.chunks_exact(BLOCK_SIZE).enumerate() {
+                    assert!(block.iter().all(|&x| x == (lba + i as u64) as u8));
+                }
+                // Read-ahead stops at the end of the stream, as FAT32's
+                // stops at the end of a cluster chain.
+                if w + 1 < WINDOWS {
+                    bc.prefetch_range(&mut dev, lba + WINDOW, WINDOW).unwrap();
+                }
+            }
+        }
+        let st = bc.stats();
+        let read = STREAMS * WINDOWS * WINDOW;
+        let moved = st.misses + st.prefetched_blocks;
+        assert!(
+            moved as f64 <= 1.05 * read as f64,
+            "{moved} blocks moved for {read} read ({} misses, {} prefetched)",
+            st.misses,
+            st.prefetched_blocks
+        );
+    }
+
+    /// A cold extent a reader stopped in the middle of is not consumed: it
+    /// outlives the extents whose every block was copied out, so the rest
+    /// of it is still a hit when the reader comes back.
+    #[test]
+    fn a_partly_read_cold_extent_outlives_consumed_ones() {
+        let mut dev = MemDisk::new(4096);
+        let mut bc = BufCache::with_geometry(1, 4);
+        let mut buf = vec![0u8; 16 * BLOCK_SIZE];
+        // Read-ahead of two extents; the reader stops half-way through the
+        // second one.
+        bc.prefetch_range(&mut dev, 0, 16).unwrap();
+        bc.read_range(&mut dev, 0, 12, &mut buf[..12 * BLOCK_SIZE])
+            .unwrap();
+        // Two more streamed extents fill the cache, then two more need
+        // room: the consumed extents go, the half-read one stays.
+        bc.read_range(&mut dev, 800, 16, &mut buf).unwrap();
+        bc.read_range(&mut dev, 1600, 16, &mut buf).unwrap();
+        let misses = bc.stats().misses;
+        bc.read_range(&mut dev, 12, 4, &mut buf[..4 * BLOCK_SIZE])
+            .unwrap();
+        assert_eq!(bc.stats().misses, misses, "the unread blocks were evicted");
     }
 
     #[test]

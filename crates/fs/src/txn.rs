@@ -259,14 +259,15 @@ impl TxnLog {
 
     /// Folds one just-finished logged transaction into the open commit
     /// group, committing when the group reaches [`TxnLog::group_ops`]
-    /// transactions or would overflow the log area. With the default group
-    /// size of 1 every logged operation is atomic *and durable* on return;
-    /// with a larger group the transaction is atomic at every cut (its
-    /// sectors stay cached, held back by their deliberately cyclic ordering
-    /// edges and pinned against eviction) but becomes durable only at the
-    /// group's single commit flush. Payloads are captured at commit time,
-    /// so a later non-logged write to a shared sector is never rolled back
-    /// by replay.
+    /// transactions, would overflow the log area, or pins too much of one
+    /// cache shard ([`BufCache::group_crowds_a_shard`]). With the default
+    /// group size of 1 every logged operation is atomic *and durable* on
+    /// return; with a larger group the transaction is atomic at every cut
+    /// (its sectors stay cached, held back by their deliberately cyclic
+    /// ordering edges and pinned against eviction) but becomes durable only
+    /// at the group's single commit flush. Payloads are captured at commit
+    /// time, so a later non-logged write to a shared sector is never rolled
+    /// back by replay.
     ///
     /// Falls back to a plain synchronous flush when the log is disabled or
     /// the transaction outgrows the log area — committing any pending group
@@ -297,7 +298,9 @@ impl TxnLog {
             bc.group_append(lba);
         }
         bc.group_note_txn();
-        if bc.group_txns() >= self.group_ops as u64 {
+        // A cache too small for the group commits it early: its pins must
+        // never leave a shard without an eviction victim.
+        if bc.group_txns() >= self.group_ops as u64 || bc.group_crowds_a_shard() {
             self.commit_pending(dev, bc)?;
         }
         Ok(())
@@ -590,6 +593,32 @@ mod tests {
             assert_eq!(read(&mut dev.disk, lba), contents(lba), "home {lba}");
         }
         assert_eq!(read(&mut dev.disk, LOG_START), [0u8; BLOCK_SIZE]);
+    }
+
+    /// A group may pin at most `extents_per_shard - 2` extents of a shard:
+    /// one more for the next transaction's pin and one victim for its
+    /// fills. On a one-shard cache of three extents the second transaction
+    /// of a group sized for eight commits it early.
+    #[test]
+    fn a_group_that_would_crowd_a_cache_shard_commits_early() {
+        let mut dev = LogTap::new(256);
+        let mut bc = BufCache::with_geometry(1, 3);
+        let mut log = TxnLog::new(LOG_START, LOG_SECTORS, 256);
+        log.set_group_ops(8);
+        // Sectors in different extents of the one shard.
+        for (lba, pending) in [(40, 1), (90, 0)] {
+            log.with_txn(&mut dev, &mut bc, |dev, bc| {
+                bc.write(dev, lba, &contents(lba))?;
+                TxnLog::log_sector(bc, lba, 1);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(bc.group_sectors(), pending, "after the txn on {lba}");
+        }
+        assert_eq!(bc.stats().log_commits, 1);
+        for lba in [40, 90] {
+            assert_eq!(read(&mut dev.disk, lba), contents(lba), "home {lba}");
+        }
     }
 
     #[test]

@@ -16,14 +16,25 @@ const STREAMS: usize = 4;
 const FILE_BYTES: usize = 256 * 1024;
 const CHUNK: usize = 64 * 1024;
 
-/// A scheduled reader that streams `/r{i}.bin` once and verifies every byte
-/// against the installed pattern. `KernelError::WouldBlock` means the task
-/// parked on an in-flight chain and was woken to retry; any other error is
-/// fatal unless `retry_errors` is set, in which case it is counted and the
-/// read retried (the torn-chain tests drive this path).
+/// Byte `off` of stream `stream`'s file. The block number is mixed in, so
+/// a block read from the wrong place never matches.
+fn pattern(stream: usize, off: usize) -> u8 {
+    let block = (off / 512) as u32;
+    (block.wrapping_mul(0x9E37_79B9) >> 24) as u8 ^ (off + stream) as u8
+}
+
+/// A scheduled reader that streams `/r{i}.bin` once in `chunk`-byte reads
+/// and verifies every byte against the installed [`pattern`].
+/// `KernelError::WouldBlock` means the task parked on an in-flight chain
+/// (or spun for it) and retries; any other error is fatal unless
+/// `retry_errors` is set, in which case it is counted and the read retried
+/// (the torn-chain tests drive this path).
 struct VerifyingReader {
     path: String,
     stream: usize,
+    /// The file's length, and the bytes asked for per `read()`.
+    len: usize,
+    chunk: usize,
     offset: usize,
     fd: Option<i32>,
     retry_errors: bool,
@@ -35,6 +46,8 @@ impl VerifyingReader {
         VerifyingReader {
             path: format!("/d/r{stream}.bin"),
             stream,
+            len: FILE_BYTES,
+            chunk: CHUNK,
             offset: 0,
             fd: None,
             retry_errors,
@@ -60,10 +73,10 @@ impl UserProgram for VerifyingReader {
                 Err(_) => return StepResult::Exited(1),
             },
         };
-        match ctx.read(fd, CHUNK) {
+        match ctx.read(fd, self.chunk) {
             Ok(chunk) if chunk.is_empty() => {
                 let _ = ctx.close(fd);
-                if self.offset == FILE_BYTES {
+                if self.offset == self.len {
                     StepResult::Exited(0)
                 } else {
                     StepResult::Exited(2)
@@ -71,7 +84,7 @@ impl UserProgram for VerifyingReader {
             }
             Ok(chunk) => {
                 for (k, &byte) in chunk.iter().enumerate() {
-                    if byte != (self.offset + k + self.stream) as u8 {
+                    if byte != pattern(self.stream, self.offset + k) {
                         return StepResult::Exited(3);
                     }
                 }
@@ -105,7 +118,7 @@ fn blocking_system() -> ProtoSystem {
     sys.kernel.set_fat_cache_geometry(16, 128).unwrap();
     sys.kernel.set_blocking_io(true);
     for i in 0..STREAMS {
-        let data: Vec<u8> = (0..FILE_BYTES).map(|b| (b + i) as u8).collect();
+        let data: Vec<u8> = (0..FILE_BYTES).map(|b| pattern(i, b)).collect();
         sys.kernel
             .install_fat_file(&format!("/r{i}.bin"), &data)
             .unwrap();
@@ -240,5 +253,65 @@ fn four_cores_four_streams_wait_on_chains_without_spinning() {
     assert_eq!(
         stats.demand_spin_reaps, before.demand_spin_reaps,
         "the four-stream cold run never spin-reaped a completion"
+    );
+}
+
+/// Use-once eviction through real syscalls, as the `stream_read` benchmark
+/// drives it: four scheduled readers on four cores each stream their own
+/// 4 MB file in 256 KB `read()`s through the default 512 KB FAT cache. A
+/// stream's read-ahead is read before the other streams' reads evict it,
+/// so the card moves barely more blocks than the readers receive. An LRU
+/// whose copy-out keeps consumed extents young evicts the unread read-ahead
+/// first instead, and the card moves about 1.25 blocks per block read.
+#[test]
+fn concurrent_streams_read_their_read_ahead_before_it_is_evicted() {
+    const LEN: usize = 4 * 1024 * 1024;
+    let mut options = SystemOptions::benchmark(Platform::Pi3);
+    options.window_manager = false;
+    options.small_assets = true;
+    options.cores = 4;
+    let mut sys = ProtoSystem::build(options).unwrap();
+    for i in 0..STREAMS {
+        let data: Vec<u8> = (0..LEN).map(|b| pattern(i, b)).collect();
+        sys.kernel
+            .install_fat_file(&format!("/s{i}.bin"), &data)
+            .unwrap();
+    }
+    sys.kernel.drop_fs_caches().unwrap();
+    sys.kernel.sync_core_clocks();
+    let before = sys.kernel.board.sdhost.blocks_transferred();
+    let errs = Arc::new(AtomicU64::new(0));
+    let tids: Vec<TaskId> = (0..STREAMS)
+        .map(|i| {
+            let image = kernel::ProgramImage::small(&format!("streamread{i}"));
+            let reader = VerifyingReader {
+                path: format!("/d/s{i}.bin"),
+                len: LEN,
+                chunk: 256 * 1024,
+                ..VerifyingReader::new(i, false, Arc::clone(&errs))
+            };
+            sys.kernel
+                .spawn_user_program(&image, Box::new(reader), 0)
+                .unwrap()
+        })
+        .collect();
+    let finished = {
+        let ids = tids.clone();
+        sys.kernel.run_until(
+            move |k| {
+                ids.iter()
+                    .all(|t| k.task(*t).map(|t| t.is_zombie()).unwrap_or(true))
+            },
+            60_000_000,
+        )
+    };
+    assert!(finished, "the readers did not finish");
+    assert_clean_exits(&sys, &tids);
+    let moved = sys.kernel.board.sdhost.blocks_transferred() - before;
+    let returned = (STREAMS * LEN / 512) as u64;
+    assert!(
+        moved as f64 <= 1.05 * returned as f64,
+        "the card moved {moved} blocks for {returned} returned ({:.3}x)",
+        moved as f64 / returned as f64
     );
 }

@@ -690,8 +690,7 @@ fn without_the_flusher_close_drains_synchronously_and_bills_the_writer() {
 fn fat_syscalls_issue_no_polled_command_while_the_card_is_in_dma_mode() {
     let mut sys = ProtoSystem::desktop().unwrap();
     // A 48-block FAT cache: the rewrites below evict dirty metadata, whose
-    // dependency closure is written back first. (A 2 x 2 cache is too
-    // small to keep an open commit group's sectors pinned.)
+    // dependency closure is written back first.
     sys.kernel.set_fat_cache_geometry(2, 3).unwrap();
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
     let version = |round: usize, i: usize| vec![(round * 24 + i) as u8; 6 * 1024];
@@ -733,5 +732,53 @@ fn fat_syscalls_issue_no_polled_command_while_the_card_is_in_dma_mode() {
             })
             .unwrap();
         assert_eq!(back, version(3, i), "file {i}");
+    }
+}
+
+/// A FAT cache too small for an open commit group. On a 2 x 2 cache (four
+/// extents) the group's pinned sectors can fill a shard, and evicting one
+/// would send a logged sector home ahead of its commit record (the
+/// sanitizer's pin check catches that, and CI runs this file sanitized).
+/// The group commits before it crowds a shard, and an allocation that
+/// finds only pinned extents fails rather than evict one. Every rewrite
+/// succeeds or returns an error, and each file reads back the last version
+/// whose write succeeded.
+#[test]
+fn a_fat_cache_too_small_for_the_commit_group_never_evicts_a_pinned_sector() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    sys.kernel.set_fat_cache_geometry(2, 2).unwrap();
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    let version = |round: usize, i: usize| vec![(round * 24 + i) as u8; 6 * 1024];
+    // The last round whose write of each file succeeded.
+    let mut last: Vec<Option<usize>> = vec![None; 24];
+    for round in 0..4 {
+        for (i, last) in last.iter_mut().enumerate() {
+            let data = version(round, i);
+            let written = sys.kernel.with_task_ctx(writer, |ctx| {
+                let fd = ctx.open(&format!("/d/ev{i}.bin"), OpenFlags::wronly_create())?;
+                let written = ctx.write(fd, &data);
+                ctx.close(fd)?;
+                written
+            });
+            if let Ok(n) = written {
+                assert_eq!(n, data.len(), "short write of file {i}");
+                *last = Some(round);
+            }
+        }
+        sys.kernel.run_for_us(2000);
+    }
+    sys.kernel.sync_all().unwrap();
+    sys.kernel.drop_fs_caches().unwrap();
+    for (i, last) in last.iter().enumerate() {
+        let back = sys.kernel.with_task_ctx(writer, |ctx| {
+            let fd = ctx.open(&format!("/d/ev{i}.bin"), OpenFlags::rdonly())?;
+            let data = ctx.read(fd, 16 * 1024)?;
+            ctx.close(fd)?;
+            Ok::<Vec<u8>, kernel::KernelError>(data)
+        });
+        match last {
+            Some(round) => assert_eq!(back.unwrap(), version(*round, i), "file {i}"),
+            None => assert!(back.is_err() || back.unwrap().is_empty(), "file {i}"),
+        }
     }
 }
