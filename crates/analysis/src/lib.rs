@@ -1,23 +1,25 @@
 //! `protolint`: offline static analysis for the Proto workspace.
 //!
-//! Seven passes keep the properties that PR 2/3/6 established by hand from
+//! Five passes keep the properties that PR 2/3/6 established by hand from
 //! rotting as the codebase grows:
 //!
 //! * **panic** — no `unwrap`/`expect`/`panic!`/sector-indexing/unchecked
 //!   sector arithmetic on any function reachable from the `sys_*` dispatch.
-//! * **abi** — the numbered `SYSCALL_TABLE`, the kernel dispatch methods and
-//!   the `UserCtx` stubs agree on numbers, names and arities, with no gaps
-//!   and no unregistered `sys_*` entry points.
 //! * **errors** — every `FsError` variant has an explicit `KernelError`
 //!   mapping, and syscall-reachable code never discards a `Result`.
-//! * **concurrency** — no parking while a `&mut` shard borrow is live; the
-//!   per-core completion queues are only touched via the owner-tick API.
 //! * **taint** — no unvalidated syscall argument reaches slice indexing,
 //!   sector arithmetic, or an allocation length (interprocedural).
 //! * **ordering** — metadata-dirtying sites sit in a `with_meta_txn` region
 //!   or behind registered `add_dependency` write-order edges.
 //! * **wouldblock** — functions that return `WouldBlock` mutate no
 //!   structural cache state on the blocking path (retry idempotency).
+//!
+//! Two earlier passes now live in the type system. `abi` checked a
+//! string-typed syscall table against the dispatch functions and stubs;
+//! the stubs now call the dispatch functions directly, and a trapping one
+//! takes an `Entry` that only `Kernel::syscall` mints. `concurrency` policed
+//! completion routing and parking under a cache borrow; routing is now
+//! private to the buffer cache, and parking takes `&mut Kernel`.
 //!
 //! The tool is registry-free (no `syn`): [`lexer`] hand-tokenises Rust,
 //! [`model`] extracts functions and a name-based call graph, and
@@ -45,20 +47,12 @@ use model::Model;
 
 /// Every pass name, in the order they run. The single source of truth for
 /// CLI validation and `--help`.
-pub const PASSES: [&str; 7] = [
-    "panic",
-    "abi",
-    "errors",
-    "concurrency",
-    "taint",
-    "ordering",
-    "wouldblock",
-];
+pub const PASSES: [&str; 5] = ["panic", "errors", "taint", "ordering", "wouldblock"];
 
 /// One reported problem.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Which pass produced it: `panic`, `abi`, `errors`, `concurrency`.
+    /// Which pass produced it: one of [`PASSES`].
     pub pass: &'static str,
     /// Machine-matchable finding kind within the pass (e.g. `unwrap`).
     pub kind: &'static str,
@@ -322,7 +316,7 @@ pub fn parse_baseline_ids(src: &str) -> HashSet<String> {
 /// The source directories a run scans, relative to the workspace root.
 pub const SCAN_DIRS: [&str; 3] = ["crates/fs/src", "crates/kernel/src", "crates/hal/src"];
 
-/// Runs the selected passes (all seven when `only` is empty) over the
+/// Runs the selected passes (all five when `only` is empty) over the
 /// workspace at `root`, applying `root/crates/analysis/allow.toml` if
 /// present.
 pub fn analyze(root: &Path, only: &[String]) -> std::io::Result<Report> {
@@ -336,14 +330,8 @@ pub fn analyze(root: &Path, only: &[String]) -> std::io::Result<Report> {
     if want("panic") {
         all.extend(passes::pass_panic(&model, &reachable));
     }
-    if want("abi") {
-        all.extend(passes::pass_abi(&model));
-    }
     if want("errors") {
         all.extend(passes::pass_errors(&model, &reachable));
-    }
-    if want("concurrency") {
-        all.extend(passes::pass_concurrency(&model));
     }
     if want("taint") {
         all.extend(passes::pass_taint(&model));

@@ -62,17 +62,6 @@ pub struct Func {
     pub body: (usize, usize),
 }
 
-impl Func {
-    /// Arity beyond the implicit syscall context: parameters that are not
-    /// the receiver and not named `task`/`core`.
-    pub fn abi_args(&self) -> usize {
-        self.params
-            .iter()
-            .filter(|p| *p != "task" && *p != "core")
-            .count()
-    }
-}
-
 /// One lexed file plus its extracted functions.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -758,7 +747,6 @@ mod tests {
         assert_eq!(f.impl_type.as_deref(), Some("Kernel"));
         assert!(f.has_self);
         assert_eq!(f.params, vec!["task", "core", "path", "flags"]);
-        assert_eq!(f.abi_args(), 2);
         assert_eq!(f.calls.len(), 1);
         assert_eq!(f.calls[0].name, "helper");
     }

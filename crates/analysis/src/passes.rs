@@ -6,10 +6,12 @@
 //! trees under `tests/fixtures/` exercise the exact same code paths as the
 //! real workspace.
 //!
-//! The first four passes (`panic`, `abi`, `errors`, `concurrency`) are
-//! lexical / call-graph only. The three interprocedural passes (`taint`,
-//! `ordering`, `wouldblock`) run a fixpoint over the
-//! [`dataflow`](crate::dataflow) call graph.
+//! The first two passes (`panic`, `errors`) are lexical / call-graph only.
+//! The three interprocedural passes (`taint`, `ordering`, `wouldblock`) run a
+//! fixpoint over the [`dataflow`](crate::dataflow) call graph. The `abi` and
+//! `concurrency` passes are gone: the compiler now carries their rules (a
+//! trapping `sys_*` takes an `Entry` only `Kernel::syscall` mints, and
+//! completion routing is private to the buffer cache).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -18,20 +20,12 @@ use crate::lexer::{TokKind, Token};
 use crate::model::{Func, Model};
 use crate::Finding;
 
-/// Path suffix of the syscall table / dispatch module.
+/// Path suffix of the syscall dispatch module.
 const SYSCALLS_RS: &str = "kernel/src/syscalls.rs";
-/// Path suffix of the user-side stub module.
-const USERCALL_RS: &str = "kernel/src/usercall.rs";
 /// Path suffix of the kernel error module (FsError→KernelError mapping).
 const ERROR_RS: &str = "kernel/src/error.rs";
 /// Path suffix of the filesystem crate root (defines `FsError`).
 const FS_LIB_RS: &str = "fs/src/lib.rs";
-
-/// The only functions allowed to touch the per-core completion queues
-/// (`pending_sd_comps`) or re-route DMA completions into the cache
-/// (`apply_completion`): the IRQ router, the owner's tick drain, the orphan
-/// adopter, and construction.
-const OWNER_TICK_API: [&str; 4] = ["handle_irq", "kbio_service", "run_slice", "new"];
 
 fn body(model: &Model, fi: usize) -> &[Token] {
     let f = &model.funcs[fi];
@@ -202,296 +196,6 @@ pub fn pass_panic(model: &Model, reachable: &HashSet<usize>) -> Vec<Finding> {
     out
 }
 
-/// One parsed `SyscallDef { .. }` row.
-#[derive(Debug, Default, Clone)]
-pub struct Row {
-    /// Syscall number.
-    pub num: u16,
-    /// Canonical name.
-    pub name: String,
-    /// Kernel dispatch method, `-` if structural.
-    pub dispatch: String,
-    /// `UserCtx` stub method, `-` if none.
-    pub stub: String,
-    /// Arity beyond the task/core context.
-    pub args: u8,
-    /// Source line of the row.
-    pub line: u32,
-}
-
-fn parse_num(text: &str) -> Option<u64> {
-    let digits: String = text.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Parses every `SyscallDef { ... }` literal in the syscalls file. The
-/// struct *definition* is skipped automatically: its field values are type
-/// identifiers, not literals, so the row never completes.
-pub fn parse_table(toks: &[Token]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_ident("SyscallDef") && i + 1 < toks.len() && toks[i + 1].is_punct("{") {
-            let line = toks[i].line;
-            let mut row = Row::default();
-            let mut ok = true;
-            let mut seen = 0u8;
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("}") {
-                if toks[j].kind == TokKind::Ident && j + 2 < toks.len() && toks[j + 1].is_punct(":")
-                {
-                    let v = &toks[j + 2];
-                    match (toks[j].text.as_str(), v.kind) {
-                        ("num", TokKind::Number) => {
-                            row.num = parse_num(&v.text).unwrap_or(u16::MAX as u64) as u16;
-                            seen += 1;
-                        }
-                        ("args", TokKind::Number) => {
-                            row.args = parse_num(&v.text).unwrap_or(u8::MAX as u64) as u8;
-                            seen += 1;
-                        }
-                        ("name", TokKind::Str) => {
-                            row.name = v.text.clone();
-                            seen += 1;
-                        }
-                        ("dispatch", TokKind::Str) => {
-                            row.dispatch = v.text.clone();
-                            seen += 1;
-                        }
-                        ("stub", TokKind::Str) => {
-                            row.stub = v.text.clone();
-                            seen += 1;
-                        }
-                        _ => ok = false,
-                    }
-                    j += 3;
-                    continue;
-                }
-                j += 1;
-            }
-            if ok && seen == 5 {
-                row.line = line;
-                rows.push(row);
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    rows
-}
-
-/// Parses the `AUX_DISPATCH` string list (dispatch entry points that are not
-/// numbered syscalls).
-pub fn parse_aux(toks: &[Token]) -> Vec<String> {
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_ident("AUX_DISPATCH") && i + 1 < toks.len() && toks[i + 1].is_punct(":") {
-            // Skip the type, find `=`, then collect strings to the `]`.
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("=") {
-                j += 1;
-            }
-            let mut out = Vec::new();
-            let mut depth = 0i32;
-            while j < toks.len() {
-                if toks[j].is_punct("[") {
-                    depth += 1;
-                } else if toks[j].is_punct("]") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if toks[j].kind == TokKind::Str {
-                    out.push(toks[j].text.clone());
-                }
-                j += 1;
-            }
-            return out;
-        }
-        i += 1;
-    }
-    Vec::new()
-}
-
-/// Pass 2: syscall-ABI consistency. Cross-checks the numbered table against
-/// the kernel dispatch methods and the `UserCtx` stubs: dense unique
-/// numbers, every named function exists with the declared arity, no `sys_*`
-/// entry point outside the table, no stub calling an unregistered `sys_*`.
-pub fn pass_abi(model: &Model) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let sys_file = match model.files.iter().find(|f| f.path.ends_with(SYSCALLS_RS)) {
-        Some(f) => f,
-        None => {
-            return vec![Finding::file_level(
-                "abi",
-                "no-table",
-                SYSCALLS_RS,
-                "syscalls.rs not found; cannot verify the ABI".into(),
-            )]
-        }
-    };
-    let rows = parse_table(&sys_file.tokens);
-    let aux = parse_aux(&sys_file.tokens);
-    if rows.is_empty() {
-        return vec![Finding::file_level(
-            "abi",
-            "no-table",
-            &sys_file.path,
-            "no SYSCALL_TABLE rows found; the numbered ABI table is the single source of truth"
-                .into(),
-        )];
-    }
-    // Dense, ordered, unique numbers and unique names.
-    let mut names = HashSet::new();
-    for (i, r) in rows.iter().enumerate() {
-        if r.num as usize != i {
-            out.push(Finding::line_level(
-                "abi",
-                "gap",
-                &sys_file.path,
-                r.line,
-                format!("syscall `{}` has number {} at table position {i}; numbers must be dense and ordered", r.name, r.num),
-            ));
-        }
-        if !names.insert(r.name.clone()) {
-            out.push(Finding::line_level(
-                "abi",
-                "dup",
-                &sys_file.path,
-                r.line,
-                format!("duplicate syscall name `{}`", r.name),
-            ));
-        }
-    }
-    let dispatch_set: HashSet<&str> = rows
-        .iter()
-        .filter(|r| r.dispatch != "-")
-        .map(|r| r.dispatch.as_str())
-        .collect();
-    let aux_set: HashSet<&str> = aux.iter().map(|s| s.as_str()).collect();
-    let fn_in = |file: &str, name: &str| -> Option<usize> {
-        model
-            .funcs
-            .iter()
-            .position(|f| !f.is_test && f.file == file && f.name == name)
-    };
-    let usercall_path = model
-        .files
-        .iter()
-        .find(|f| f.path.ends_with(USERCALL_RS))
-        .map(|f| f.path.clone());
-    for r in &rows {
-        if r.dispatch == "-" {
-            // Structural syscalls must not also have a dispatch function.
-            let phantom = format!("sys_{}", r.name);
-            if model.funcs.iter().any(|f| !f.is_test && f.name == phantom) {
-                out.push(Finding::line_level(
-                    "abi",
-                    "phantom",
-                    &sys_file.path,
-                    r.line,
-                    format!(
-                        "`{}` is declared structural (dispatch \"-\") but `{phantom}` exists",
-                        r.name
-                    ),
-                ));
-            }
-        } else {
-            match fn_in(&sys_file.path, &r.dispatch) {
-                None => out.push(Finding::line_level(
-                    "abi",
-                    "missing-dispatch",
-                    &sys_file.path,
-                    r.line,
-                    format!(
-                        "dispatch `{}` for syscall {} `{}` is not defined in syscalls.rs",
-                        r.dispatch, r.num, r.name
-                    ),
-                )),
-                Some(fi) => {
-                    let got = model.funcs[fi].abi_args();
-                    if got != r.args as usize {
-                        out.push(Finding::line_level(
-                            "abi",
-                            "arity",
-                            &sys_file.path,
-                            model.funcs[fi].line,
-                            format!("dispatch `{}` takes {got} args beyond task/core but the table declares {}", r.dispatch, r.args),
-                        ));
-                    }
-                }
-            }
-        }
-        if r.stub != "-" {
-            match usercall_path.as_deref().and_then(|p| fn_in(p, &r.stub)) {
-                None => out.push(Finding::line_level(
-                    "abi",
-                    "missing-stub",
-                    &sys_file.path,
-                    r.line,
-                    format!(
-                        "stub `{}` for syscall {} `{}` is not defined in usercall.rs",
-                        r.stub, r.num, r.name
-                    ),
-                )),
-                Some(fi) => {
-                    let got = model.funcs[fi].abi_args();
-                    if got != r.args as usize {
-                        out.push(Finding::line_level(
-                            "abi",
-                            "stub-arity",
-                            usercall_path.as_deref().unwrap_or(USERCALL_RS),
-                            model.funcs[fi].line,
-                            format!(
-                                "stub `{}` takes {got} args but the table declares {}",
-                                r.stub, r.args
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // Every sys_* entry point in syscalls.rs must be a table dispatch or a
-    // declared aux entry — a syscall cannot land without claiming a number.
-    for f in &model.funcs {
-        if f.is_test || f.file != sys_file.path || !f.name.starts_with("sys_") {
-            continue;
-        }
-        if !dispatch_set.contains(f.name.as_str()) && !aux_set.contains(f.name.as_str()) {
-            out.push(Finding::line_level(
-                "abi",
-                "unregistered",
-                &f.file,
-                f.line,
-                format!("`{}` is a syscall entry point but is neither a SYSCALL_TABLE dispatch nor in AUX_DISPATCH", f.name),
-            ));
-        }
-    }
-    // Every sys_* the stubs reference must be registered too.
-    for f in &model.funcs {
-        if f.is_test || !f.file.ends_with(USERCALL_RS) {
-            continue;
-        }
-        for c in &f.calls {
-            if c.name.starts_with("sys_")
-                && !dispatch_set.contains(c.name.as_str())
-                && !aux_set.contains(c.name.as_str())
-            {
-                out.push(Finding::line_level(
-                    "abi",
-                    "stub-unregistered",
-                    &f.file,
-                    f.line,
-                    format!("stub `{}` calls unregistered dispatch `{}`", f.name, c.name),
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// Extracts the variant names of `enum FsError` from the fs crate root.
 pub fn fs_error_variants(toks: &[Token]) -> Vec<String> {
     let mut i = 0usize;
@@ -545,7 +249,7 @@ pub fn fs_error_variants(toks: &[Token]) -> Vec<String> {
     Vec::new()
 }
 
-/// Pass 3: error-mapping completeness. Every `FsError` variant must be
+/// Pass 2: error-mapping completeness. Every `FsError` variant must be
 /// named in the `From<FsError> for KernelError` conversion, and no
 /// syscall-reachable function may discard a fallible result with `let _ =`
 /// or a statement-level `.ok()`.
@@ -652,114 +356,6 @@ pub fn pass_errors(model: &Model, reachable: &HashSet<usize>) -> Vec<Finding> {
                     "statement-level `.ok()` swallows an error on a syscall-reachable path".into(),
                 ));
             }
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.kind == b.kind);
-    out
-}
-
-/// Pass 4: concurrency discipline. Two rules: (a) no park (`block_current`
-/// / `WaitChannel` enqueue) while a `&mut` cache-shard borrow is still live
-/// in the surrounding block; (b) the per-core completion queues and the
-/// cache's completion router may only be touched from the owner-tick API.
-pub fn pass_concurrency(model: &Model) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for fi in 0..model.funcs.len() {
-        let f = &model.funcs[fi];
-        if f.is_test {
-            continue;
-        }
-        let kernel = f.file.starts_with("crates/kernel/");
-        let fs = f.file.starts_with("crates/fs/");
-        if !kernel && !fs {
-            continue;
-        }
-        let toks = body(model, fi);
-        let n = toks.len();
-        // (b) owner-tick API.
-        if kernel && !OWNER_TICK_API.contains(&f.name.as_str()) {
-            for k in 0..n {
-                let t = &toks[k];
-                let touches_queue = t.is_ident("pending_sd_comps");
-                let routes = t.is_ident("apply_completion")
-                    && k > 0
-                    && toks[k - 1].is_punct(".")
-                    && k + 1 < n
-                    && toks[k + 1].is_punct("(");
-                if touches_queue || routes {
-                    out.push(finding(
-                        "concurrency",
-                        "owner-tick",
-                        f,
-                        t.line,
-                        format!(
-                            "`{}` touches per-core completion routing outside the owner-tick API ({})",
-                            t.text,
-                            OWNER_TICK_API.join("/")
-                        ),
-                    ));
-                }
-            }
-        }
-        // (a) park-under-borrow.
-        let mut depth = 0i32;
-        let mut borrows: Vec<(i32, u32)> = Vec::new(); // (block depth, line)
-        let mut k = 0usize;
-        while k < n {
-            let t = &toks[k];
-            if t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct("}") {
-                depth -= 1;
-                borrows.retain(|&(d, _)| d <= depth);
-            } else if t.is_ident("let") {
-                // Scan the initializer (to the nearest `;` or block opener).
-                let mut j = k + 1;
-                let mut saw_eq = false;
-                let mut shardish = false;
-                let mut mutish = false;
-                while j < n && j < k + 80 {
-                    let u = &toks[j];
-                    if u.is_punct(";") || (saw_eq && u.is_punct("{")) {
-                        break;
-                    }
-                    if u.is_punct("=") {
-                        saw_eq = true;
-                    }
-                    if saw_eq && u.kind == TokKind::Ident {
-                        let l = u.text.to_ascii_lowercase();
-                        if l.contains("shard") || l.contains("cache") {
-                            shardish = true;
-                        }
-                        if l.ends_with("_mut") || l == "mut" {
-                            mutish = true;
-                        }
-                    }
-                    if saw_eq && u.is_punct("&") && j + 1 < n && toks[j + 1].is_ident("mut") {
-                        mutish = true;
-                    }
-                    j += 1;
-                }
-                if shardish && mutish {
-                    borrows.push((depth, t.line));
-                }
-            } else if (t.is_ident("block_current") && k + 1 < n && toks[k + 1].is_punct("("))
-                || t.is_ident("WaitChannel")
-            {
-                if let Some(&(_, bline)) = borrows.last() {
-                    out.push(finding(
-                        "concurrency",
-                        "park-under-borrow",
-                        f,
-                        t.line,
-                        format!(
-                            "task parks here while the `&mut` shard borrow taken on line {bline} is still live"
-                        ),
-                    ));
-                }
-            }
-            k += 1;
         }
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -1204,8 +800,9 @@ struct SinkInfo {
 type SinkKey = (String, u32, &'static str); // (file, line, kind)
 type Summary = Vec<BTreeMap<SinkKey, SinkInfo>>; // indexed by param
 
-/// Pass 5: interprocedural user-input taint. Sources are the non-`task`/
-/// `core` parameters of the `sys_*` dispatch functions; sinks are slice
+/// Pass 3: interprocedural user-input taint. Sources are the parameters of
+/// the `sys_*` dispatch functions other than the calling context (`task`,
+/// `core`, or the `entry` that carries both); sinks are slice
 /// indexing, unchecked `+`/`*` arithmetic and allocation lengths anywhere in
 /// the scanned crates; sanitizers are bounds comparisons, `min`/`clamp`/
 /// `checked_*`/`saturating_*`/`wrapping_*` forms and `check*`/`valid*`-style
@@ -1295,7 +892,8 @@ pub fn pass_taint(model: &Model) -> Vec<Finding> {
             continue;
         }
         for (pi, pname) in func.params.iter().enumerate() {
-            if pname == "task" || pname == "core" || pi >= facts[r].len() {
+            let context = matches!(pname.as_str(), "task" | "core" | "entry");
+            if context || pi >= facts[r].len() {
                 continue;
             }
             for (key, info) in &facts[r][pi] {
@@ -1325,7 +923,7 @@ pub fn pass_taint(model: &Model) -> Vec<Finding> {
     out
 }
 
-/// Pass 6: crash-ordering discipline. Every site that dirties a metadata
+/// Pass 4: crash-ordering discipline. Every site that dirties a metadata
 /// sector (`note_metadata`, or its transaction-layer alias `log_sector`) on
 /// a syscall-reachable path must either sit lexically inside a
 /// `with_meta_txn`/`with_txn` region (or `begin_meta_txn` / `end_meta_txn`
@@ -1504,7 +1102,7 @@ fn local_mut_sites(toks: &[Token]) -> Vec<(usize, u32, String)> {
     out
 }
 
-/// Pass 7: `WouldBlock` retry-safety. A function that can return
+/// Pass 5: `WouldBlock` retry-safety. A function that can return
 /// `FsError::WouldBlock` / `KernelError::WouldBlock` must be retry-idempotent:
 /// no structural cache/chain state may be mutated (directly or via a callee)
 /// on the path that then returns the blocking error — the parked task will

@@ -40,10 +40,6 @@ fn panic_pass_flags_unwrap_panic_index_and_arith_on_reachable_paths() {
             (
                 "crates/kernel/src/syscalls.rs",
                 r#"
-pub const SYSCALL_TABLE: [SyscallDef; 1] = [
-    SyscallDef { num: 0, name: "crash", dispatch: "sys_crash", stub: "-", args: 0 },
-];
-
 pub fn sys_crash(task: usize) -> u64 {
     torn_lookup(task as u64)
 }
@@ -99,69 +95,6 @@ mod tests {
 }
 
 #[test]
-fn abi_pass_flags_gaps_dups_arity_drift_and_unregistered_entry_points() {
-    let root = fixture(
-        "bad_abi",
-        &[
-            (
-                "crates/kernel/src/syscalls.rs",
-                r#"
-pub const SYSCALL_TABLE: [SyscallDef; 3] = [
-    SyscallDef { num: 0, name: "getpid", dispatch: "sys_getpid", stub: "getpid", args: 1 },
-    SyscallDef { num: 2, name: "open", dispatch: "sys_open", stub: "open", args: 2 },
-    SyscallDef { num: 3, name: "getpid", dispatch: "-", stub: "-", args: 0 },
-];
-
-pub const AUX_DISPATCH: [&str; 0] = [];
-
-pub fn sys_getpid(task: usize) -> u64 {
-    task as u64
-}
-
-pub fn sys_rogue(task: usize) -> u64 {
-    task as u64
-}
-"#,
-            ),
-            (
-                "crates/kernel/src/usercall.rs",
-                r#"
-pub struct UserCtx;
-
-impl UserCtx {
-    pub fn getpid(&mut self) -> u64 {
-        0
-    }
-
-    pub fn rogue(&mut self) -> u64 {
-        sys_rogue(0)
-    }
-}
-"#,
-            ),
-        ],
-    );
-    let report = analyze(&root, &["abi".into()]).expect("analyze");
-    let got = kinds(&report, "abi");
-    for want in [
-        "gap",
-        "dup",
-        "phantom",
-        "arity",
-        "missing-dispatch",
-        "missing-stub",
-        "unregistered",
-        "stub-unregistered",
-    ] {
-        assert!(
-            got.contains(want),
-            "missing abi/{want}: {:?}",
-            report.findings
-        );
-    }
-}
-
-#[test]
 fn errors_pass_flags_unmapped_variants_and_discarded_results() {
     let root = fixture(
         "bad_errors",
@@ -206,10 +139,6 @@ impl From<FsError> for KernelError {
             (
                 "crates/kernel/src/syscalls.rs",
                 r#"
-pub const SYSCALL_TABLE: [SyscallDef; 1] = [
-    SyscallDef { num: 0, name: "sync", dispatch: "sys_sync", stub: "-", args: 0 },
-];
-
 pub fn sys_sync(task: usize) -> u64 {
     let _ = flush_all();
     poke().ok();
@@ -239,58 +168,6 @@ pub fn sys_sync(task: usize) -> u64 {
 }
 
 #[test]
-fn concurrency_pass_flags_owner_tick_violations_and_park_under_borrow() {
-    let root = fixture(
-        "bad_concurrency",
-        &[(
-            "crates/kernel/src/kernel.rs",
-            r#"
-impl Kernel {
-    pub fn rogue_poll(&mut self) -> usize {
-        self.pending_sd_comps.len()
-    }
-
-    pub fn handle_irq(&mut self) -> usize {
-        self.pending_sd_comps.len()
-    }
-
-    pub fn sleepy_write(&mut self) {
-        let shard = self.cache_shard_mut(0);
-        block_current(shard);
-    }
-
-    pub fn polite_write(&mut self) {
-        let n = self.queue_len();
-        block_current(n);
-    }
-}
-"#,
-        )],
-    );
-    let report = analyze(&root, &["concurrency".into()]).expect("analyze");
-    let got = kinds(&report, "concurrency");
-    for want in ["owner-tick", "park-under-borrow"] {
-        assert!(
-            got.contains(want),
-            "missing concurrency/{want}: {:?}",
-            report.findings
-        );
-    }
-    // The owner-tick API itself is allowed, and parking without a live
-    // shard borrow is allowed.
-    assert!(
-        report.findings.iter().all(|f| f.func != "handle_irq"),
-        "handle_irq is owner-tick API: {:?}",
-        report.findings
-    );
-    assert!(
-        report.findings.iter().all(|f| f.func != "polite_write"),
-        "parking without a shard borrow is fine: {:?}",
-        report.findings
-    );
-}
-
-#[test]
 fn taint_pass_tracks_syscall_args_to_sinks_through_calls() {
     let root = fixture(
         "bad_taint",
@@ -306,6 +183,10 @@ pub fn sys_safe(task: usize, core: usize, len: usize) -> u64 {
     let bounded = len.min(64);
     stage_copy(0, bounded)
 }
+
+pub fn sys_trapped(entry: Entry) -> usize {
+    scratch_for(entry.core())
+}
 "#,
             ),
             (
@@ -317,6 +198,10 @@ pub fn stage_copy(fd: u64, len: usize) -> u64 {
     let v = table[fd as usize];
     let end = fd + 1;
     v + end + buf[0] as u64
+}
+
+pub fn scratch_for(core: usize) -> usize {
+    vec![0u8; core].len()
 }
 "#,
             ),
@@ -341,16 +226,16 @@ pub fn stage_copy(fd: u64, len: usize) -> u64 {
         "sink attributed through the call chain: {:?}",
         report.findings
     );
-    // `sys_safe` bounds its length with `.min(64)` before the call; nothing
-    // it passes may be reported.
-    assert!(
-        report
-            .findings
-            .iter()
-            .all(|f| !f.message.contains("sys_safe")),
-        "sanitized argument must not taint: {:?}",
-        report.findings
-    );
+    // `sys_safe` bounds its length with `.min(64)` before the call, and
+    // `sys_trapped`'s `Entry` is calling context like `task` and `core`;
+    // nothing either passes may be reported.
+    for clean in ["sys_safe", "sys_trapped"] {
+        assert!(
+            report.findings.iter().all(|f| !f.message.contains(clean)),
+            "{clean} must not taint: {:?}",
+            report.findings
+        );
+    }
 }
 
 #[test]
@@ -529,13 +414,6 @@ fn clean_fixture_produces_no_findings() {
             (
                 "crates/kernel/src/syscalls.rs",
                 r#"
-pub const SYSCALL_TABLE: [SyscallDef; 2] = [
-    SyscallDef { num: 0, name: "getpid", dispatch: "sys_getpid", stub: "getpid", args: 0 },
-    SyscallDef { num: 1, name: "read", dispatch: "sys_read", stub: "read", args: 3 },
-];
-
-pub const AUX_DISPATCH: [&str; 1] = ["sys_debug_dump"];
-
 pub fn sys_getpid(task: usize) -> Result<u64, KernelError> {
     lookup_id(task)
 }
@@ -547,30 +425,6 @@ pub fn sys_read(task: usize, fd: u64, buf: u64, len: u64) -> Result<u64, KernelE
 
 pub fn sys_debug_dump(task: usize) -> Result<u64, KernelError> {
     Ok(task as u64)
-}
-"#,
-            ),
-            (
-                "crates/kernel/src/usercall.rs",
-                r#"
-pub struct UserCtx;
-
-impl UserCtx {
-    pub fn getpid(&mut self) -> u64 {
-        self.invoke(0)
-    }
-
-    pub fn read(&mut self, fd: u64, buf: u64, len: u64) -> u64 {
-        self.invoke3(1, fd, buf, len)
-    }
-
-    fn invoke(&mut self, num: u64) -> u64 {
-        num
-    }
-
-    fn invoke3(&mut self, num: u64, a: u64, b: u64, c: u64) -> u64 {
-        num.wrapping_add(a).wrapping_add(b).wrapping_add(c)
-    }
 }
 "#,
             ),

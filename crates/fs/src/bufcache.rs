@@ -34,9 +34,7 @@
 //!   flusher thread calls on a timer so write-back cost is paid in the
 //!   background instead of spiking whichever task closes last. Both drains
 //!   coalesce adjacent dirty blocks (across extents) into single range
-//!   commands (CMD25). [`FlushGuard`] ties a full flush to scope exit for
-//!   callers that need it; a flush that fails inside the guard's `Drop` is
-//!   counted in [`BufCacheStats::dropped_flush_errors`] rather than lost.
+//!   commands (CMD25).
 //! * **Streaming prefetch.** The cache tracks whether successive range reads
 //!   are sequential ([`BufCache::sequential_streak`]); when the prefetch
 //!   policy is on ([`BufCache::set_prefetch`]) the FAT32 layer uses that
@@ -63,7 +61,7 @@
 //!   [`BlockDevice::submit_write_sg`]. Over a device with a command queue
 //!   (the SD host in DMA mode) the chain completes later on the device
 //!   timeline, reaped either from the kernel's `Dma0` interrupt handler
-//!   ([`BufCache::apply_completion`]) or by the waiting paths themselves. A
+//!   ([`BufCache::route_completions`]) or by the waiting paths themselves. A
 //!   device without a queue (the ramdisk, the SD host in PIO mode) runs the
 //!   chain as polled commands inside the submit call and hands the finished
 //!   completion back; the cache applies it at once through the same code
@@ -129,12 +127,14 @@
 //!   driven from many cores, and its concurrency contract is *ownership*,
 //!   not locking. The kernel stamps the operating core before every cache
 //!   call ([`BufCache::set_home_core`]); the cache records it per submitted
-//!   chain ([`BufCache::chain_owner`]), and the kernel's completion router
-//!   uses that tag to hand each completion to the core that submitted the
-//!   chain — the `Dma0` handler applies its own cores' completions inline
-//!   and queues the rest for their owners (the `kbio` flusher adopts
-//!   orphans whose owner core went offline). Two placement policies hang
-//!   off the same core tag:
+//!   chain, and its completion router ([`BufCache::route_completions`],
+//!   called from the kernel's `Dma0` handler) uses that tag to hand each
+//!   completion to the core that submitted the chain: it applies the
+//!   interrupted core's own chains inline and queues the rest, which each
+//!   owner applies on its next tick ([`BufCache::reap_routed`]; the `kbio`
+//!   flusher adopts orphans whose owner core went offline). The kernel
+//!   cannot name the queues or apply a completion itself. Two placement
+//!   policies hang off the same core tag:
 //!
 //!   - *Shard-to-core affinity* ([`BufCache::set_core_affinity`]): the
 //!     shard array is partitioned across cores and a newly allocated extent
@@ -159,10 +159,10 @@
 //!     block-I/O wait channel, wakes it from the completion router, and
 //!     simply retries the read — by construction the retry finds the
 //!     installed blocks as hits. A failed blocking chain records its error
-//!     for the next retry ([`BufCache::apply_completion`]), so a torn
-//!     chain converts to a surfaced error, never a lost wakeup or a
-//!     deadlock. [`BufCacheStats::demand_spin_reaps`] counts the spin-mode
-//!     reaps that remain; a fully blocking configuration holds it at zero.
+//!     for the next retry, so a torn chain converts to a surfaced error,
+//!     never a lost wakeup or a deadlock.
+//!     [`BufCacheStats::demand_spin_reaps`] counts the spin-mode reaps that
+//!     remain; a fully blocking configuration holds it at zero.
 //!
 //! * **Dependency-ordered draining.** Dirty blocks carry a class (data vs
 //!   filesystem metadata, tagged by the writers via
@@ -434,10 +434,6 @@ pub struct BufCacheStats {
     pub prefetch_cmds: u64,
     /// Blocks brought in ahead of demand by [`BufCache::prefetch_range`].
     pub prefetched_blocks: u64,
-    /// Flushes that failed inside [`FlushGuard`]'s `Drop` (the error cannot
-    /// propagate out of a destructor; it is recorded here instead of being
-    /// silently discarded — the dirty blocks stay dirty).
-    pub dropped_flush_errors: u64,
     /// Metadata blocks written while their recorded write-order dependencies
     /// were still dirty — the ordered drain's escape hatch for dependency
     /// cycles (and for caches too small to hold a pinned transaction). Zero
@@ -654,9 +650,13 @@ pub struct BufCache {
     /// hash (extent base → shard index). Entries drop with their extents.
     placement: BTreeMap<u64, usize>,
     /// In-flight chain ownership: command id → the core that submitted it.
-    /// The kernel's completion router reads this to hand each completion to
+    /// [`BufCache::route_completions`] reads this to hand each completion to
     /// its submitting core.
     chain_owners: BTreeMap<u64, usize>,
+    /// Completions routed to a core other than the one that took the
+    /// interrupt, per owner core, oldest first; [`BufCache::reap_routed`]
+    /// applies them on the owner's tick.
+    routed: BTreeMap<usize, Vec<SgCompletion>>,
     /// When true, a demand read that must wait for the device returns
     /// [`crate::FsError::WouldBlock`] instead of spin-reaping completions,
     /// so the kernel can park the task on the completion interrupt.
@@ -733,7 +733,6 @@ pub struct BufCache {
     partial_flushes: u64,
     prefetch_cmds: u64,
     prefetched_blocks: u64,
-    dropped_flush_errors: u64,
     /// Sequential-stream tracking table (see [`STREAM_SLOTS`]).
     streams: [Stream; STREAM_SLOTS],
 }
@@ -778,6 +777,7 @@ impl BufCache {
             home_core: 0,
             placement: BTreeMap::new(),
             chain_owners: BTreeMap::new(),
+            routed: BTreeMap::new(),
             block_demand: false,
             blocking_reads: BTreeSet::new(),
             demand_read_error: None,
@@ -812,7 +812,6 @@ impl BufCache {
             partial_flushes: 0,
             prefetch_cmds: 0,
             prefetched_blocks: 0,
-            dropped_flush_errors: 0,
             streams: [Stream::default(); STREAM_SLOTS],
         }
     }
@@ -890,8 +889,51 @@ impl BufCache {
 
     /// The core that submitted in-flight chain `id`, if the cache still
     /// tracks it — the routing key for per-core completion reaping.
-    pub fn chain_owner(&self, id: u64) -> Option<usize> {
+    pub(crate) fn chain_owner(&self, id: u64) -> Option<usize> {
         self.chain_owners.get(&id).copied()
+    }
+
+    /// The completion interrupt's router. Takes every chain `dev` has
+    /// finished, applies those submitted from the stamped home core (the
+    /// core taking the interrupt) at once, and queues the rest for their
+    /// owners' [`BufCache::reap_routed`], so each chain's bookkeeping lands
+    /// on the clock of the core that submitted it.
+    ///
+    /// Outside this crate, completions reach the cache only through this
+    /// router and [`BufCache::reap_routed`]; a caller cannot apply one
+    /// itself:
+    ///
+    /// ```compile_fail
+    /// use protofs::block::{BlockDevice, MemDisk};
+    /// use protofs::bufcache::BufCache;
+    ///
+    /// let mut dev = MemDisk::new(64);
+    /// let mut bc = BufCache::new(64);
+    /// for c in dev.poll_completions() {
+    ///     bc.apply_completion(&c);
+    /// }
+    /// ```
+    pub fn route_completions(&mut self, dev: &mut dyn BlockDevice) {
+        for c in dev.poll_completions() {
+            let owner = self.chain_owner(c.id).unwrap_or(self.home_core);
+            if owner == self.home_core {
+                self.apply_completion(&c);
+            } else {
+                self.routed.entry(owner).or_default().push(c);
+            }
+        }
+    }
+
+    /// Applies the completions [`BufCache::route_completions`] queued for
+    /// `owner`, oldest first, and returns how many it applied. The owner
+    /// calls this on its own tick; the flusher calls it for cores that have
+    /// since gone offline, so no completion is stranded.
+    pub fn reap_routed(&mut self, owner: usize) -> usize {
+        let comps = self.routed.remove(&owner).unwrap_or_default();
+        for c in &comps {
+            self.apply_completion(c);
+        }
+        comps.len()
     }
 
     /// Total completions applied through any path, monotone. The kernel's
@@ -1168,7 +1210,6 @@ impl BufCache {
             partial_flushes: self.partial_flushes,
             prefetch_cmds: self.prefetch_cmds,
             prefetched_blocks: self.prefetched_blocks,
-            dropped_flush_errors: self.dropped_flush_errors,
             forced_meta_writes: self.forced_meta_writes,
             demand_waits: self.demand_waits,
             async_write_errors: self.async_write_errors,
@@ -1221,13 +1262,6 @@ impl BufCache {
     /// Asynchronous commands this cache has in flight (fills + write-backs).
     pub fn inflight_cmds(&self) -> usize {
         self.inflight_reads.len() + self.inflight_writes.len()
-    }
-
-    /// Takes the first asynchronous write-back error recorded since the last
-    /// call (completions arrive after the submitting pass returned; this is
-    /// how the flusher and the barriers observe them).
-    pub fn take_async_error(&mut self) -> Option<crate::FsError> {
-        self.async_error.take()
     }
 
     /// Drops every cached buffer **including dirty data** — call
@@ -2215,11 +2249,10 @@ impl BufCache {
     // `fsync`/`flush` are queue-drain barriers: they return only after every
     // chain's completion is reaped.
 
-    /// Routes one queued device completion into the cache's in-flight
-    /// state. Called from the kernel's `Interrupt::Dma0` handler and from
-    /// the waiting paths. Unknown command ids (cache invalidated since
-    /// submission) are ignored.
-    pub fn apply_completion(&mut self, comp: &SgCompletion) {
+    /// Applies one device completion to the cache's in-flight state. Called
+    /// by the completion router, the owner's reap and the waiting paths.
+    /// Unknown command ids (cache invalidated since submission) are ignored.
+    pub(crate) fn apply_completion(&mut self, comp: &SgCompletion) {
         self.completions_applied += 1;
         self.chain_owners.remove(&comp.id);
         let was_blocking_read = self.blocking_reads.remove(&comp.id);
@@ -3148,82 +3181,6 @@ impl BufCache {
         }
         Ok(submitted)
     }
-
-    /// Borrows the cache and device together, flushing when the guard drops.
-    pub fn guard<'c, 'd>(&'c mut self, dev: &'d mut dyn BlockDevice) -> FlushGuard<'c, 'd> {
-        FlushGuard {
-            cache: self,
-            dev,
-            armed: true,
-        }
-    }
-}
-
-/// A scoped cache+device pairing that flushes dirty data on drop — the
-/// "close the volume before yanking the card" idiom.
-///
-/// Prefer [`FlushGuard::finish`] on the success path: a flush error inside
-/// `Drop` cannot propagate, so it is only *counted*
-/// ([`BufCacheStats::dropped_flush_errors`]) and the affected blocks stay
-/// dirty in the cache.
-pub struct FlushGuard<'c, 'd> {
-    cache: &'c mut BufCache,
-    dev: &'d mut dyn BlockDevice,
-    /// Whether the drop-flush is still pending ([`FlushGuard::finish`]
-    /// disarms it).
-    armed: bool,
-}
-
-impl FlushGuard<'_, '_> {
-    /// Reads one block through the cache.
-    pub fn read(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
-        self.cache.read(self.dev, lba, out)
-    }
-
-    /// Writes one block through the cache.
-    pub fn write(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        self.cache.write(self.dev, lba, data)
-    }
-
-    /// Reads a block range through the cache.
-    pub fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
-        self.cache.read_range(self.dev, lba, count, out)
-    }
-
-    /// Writes a block range through the cache.
-    pub fn write_range(&mut self, lba: u64, count: u64, data: &[u8]) -> FsResult<()> {
-        self.cache.write_range(self.dev, lba, count, data)
-    }
-
-    /// Flushes explicitly (errors surface here; a later drop flush only has
-    /// anything to do if more writes follow).
-    pub fn flush(&mut self) -> FsResult<()> {
-        self.cache.flush(self.dev)
-    }
-
-    /// Flushes and disarms the drop-flush, propagating any error — the
-    /// close-path equivalent of `fsync` + `close`. After `finish` the guard
-    /// is consumed and dropping it performs no further I/O.
-    pub fn finish(mut self) -> FsResult<()> {
-        self.armed = false;
-        self.cache.flush(self.dev)
-    }
-
-    /// Read access to the underlying cache (stats, lengths).
-    pub fn cache(&self) -> &BufCache {
-        self.cache
-    }
-}
-
-impl Drop for FlushGuard<'_, '_> {
-    fn drop(&mut self) {
-        // Errors cannot propagate out of `Drop`; record them so callers (and
-        // tests) can observe that a drop-flush failed, and keep the blocks
-        // dirty for a later retry instead of discarding them.
-        if self.armed && self.cache.flush(self.dev).is_err() {
-            self.cache.dropped_flush_errors += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -3496,23 +3453,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_guard_flushes_on_drop() {
-        let mut dev = MemDisk::new(64);
-        let mut bc = BufCache::default();
-        {
-            let mut g = bc.guard(&mut dev);
-            g.write(5, &[3u8; BLOCK_SIZE]).unwrap();
-            // Still cached: device untouched.
-            assert_eq!(g.cache().dirty_blocks(), 1);
-        }
-        // Guard dropped → dirty data written back.
-        assert_eq!(bc.dirty_blocks(), 0);
-        let mut raw = [0u8; BLOCK_SIZE];
-        dev.read_block(5, &mut raw).unwrap();
-        assert_eq!(raw, [3u8; BLOCK_SIZE]);
-    }
-
-    #[test]
     fn device_faults_propagate_through_fills_and_writebacks() {
         let mut dev = MemDisk::new(64);
         dev.inject_fault(9);
@@ -3777,30 +3717,6 @@ mod tests {
         bc.read_range(&mut dev, 12, 4, &mut buf[..4 * BLOCK_SIZE])
             .unwrap();
         assert_eq!(bc.stats().misses, misses, "the unread blocks were evicted");
-    }
-
-    #[test]
-    fn flush_guard_finish_propagates_errors_and_drop_counts_them() {
-        let mut dev = MemDisk::new(64);
-        dev.inject_fault(5);
-        let mut bc = BufCache::default();
-        {
-            let mut g = bc.guard(&mut dev);
-            g.write(5, &[1u8; BLOCK_SIZE]).unwrap();
-            assert!(g.finish().is_err(), "finish surfaces the flush error");
-        }
-        assert_eq!(bc.dirty_blocks(), 1, "data survives the failed finish");
-        assert_eq!(bc.stats().dropped_flush_errors, 0, "finish disarmed drop");
-        {
-            let mut g = bc.guard(&mut dev);
-            g.write(6, &[2u8; BLOCK_SIZE]).unwrap();
-            // Guard dropped with the fault still armed: the error is counted.
-        }
-        assert_eq!(bc.stats().dropped_flush_errors, 1);
-        assert!(bc.dirty_blocks() >= 1, "drop failure keeps blocks dirty");
-        dev.clear_faults();
-        bc.flush(&mut dev).unwrap();
-        assert_eq!(bc.dirty_blocks(), 0);
     }
 
     #[test]

@@ -348,14 +348,6 @@ pub struct Kernel {
     /// passes does not leave a stale timestamp that would prematurely
     /// force-commit its successor.
     fat_group_seen: Option<(u64, u64)>,
-    /// Per-core completion routing queues: SD completions polled by the
-    /// `Dma0` handler (which always runs on core 0 — the interrupt
-    /// controller routes device IRQs there) but owned by a chain another
-    /// core submitted are parked here and applied by that core in the same
-    /// scheduler pass, so completion bookkeeping lands on the submitting
-    /// core's clock. Queues for cores beyond the active set are orphans and
-    /// are adopted by the `kbio` flusher.
-    pending_sd_comps: Vec<Vec<protofs::block::SgCompletion>>,
     /// The cache's `completions_applied` counter as of the last scheduler
     /// pass; any growth wakes the block-I/O wait channel, no matter which
     /// path reaped the completions.
@@ -421,7 +413,6 @@ impl Kernel {
             init_task: 0,
             kbio_task: 0,
             fat_group_seen: None,
-            pending_sd_comps: (0..hal::NUM_CORES).map(|_| Vec::new()).collect(),
             sd_comps_seen: 0,
             in_scheduled_step: false,
         }
@@ -1029,6 +1020,11 @@ impl Kernel {
 
     // ---- wait queues ----------------------------------------------------------------------------
 
+    /// Parks `task` on `channel`. A park only marks the task and takes it
+    /// off the runqueue; the switch happens after the syscall returns. And
+    /// since this takes `&mut Kernel`, no caller can hold a `&mut` borrow of
+    /// a cache (or anything else in the kernel) across it: the compiler
+    /// rejects parking under a borrow.
     pub(crate) fn block_current(&mut self, task: TaskId, channel: WaitChannel) {
         if let Some(t) = self.tasks.get_mut(&task) {
             t.block_on(channel);
@@ -1116,25 +1112,13 @@ impl Kernel {
                 //
                 // The interrupt controller routes Dma0 to core 0 only, but
                 // each chain's completion bookkeeping is applied by the core
-                // that *submitted* it: this handler acts as a router,
-                // applying its own chains inline and parking the rest on the
-                // owner's `pending_sd_comps` queue (drained later in the same
-                // scheduler pass; queues of since-deactivated cores are
-                // adopted by `kbio`).
+                // that *submitted* it: the cache's router applies this
+                // core's chains inline and queues the rest for their owners
+                // (reaped later in the same scheduler pass; queues of
+                // since-deactivated cores are adopted by `kbio`).
                 if self.config.sd_dma {
-                    use protofs::block::BlockDevice as _;
-                    let comps = {
-                        let mut dev = fat_dev!(self, core);
-                        dev.poll_completions()
-                    };
-                    for c in comps {
-                        let owner = self.fat_bufcache.chain_owner(c.id).unwrap_or(core);
-                        if owner == core {
-                            self.fat_bufcache.apply_completion(&c);
-                        } else {
-                            self.pending_sd_comps[owner].push(c);
-                        }
-                    }
+                    let mut dev = fat_dev!(self, core);
+                    self.fat_bufcache.route_completions(&mut dev);
                 }
                 // Anything left (audio transfers) drains as before.
                 let _ = self.board.dma.take_completions();
@@ -1231,20 +1215,13 @@ impl Kernel {
     /// affected blocks stay dirty for the next pass (a faulted card must not
     /// panic or lose data).
     pub(crate) fn kbio_service(&mut self, core: usize) {
-        // Adopt orphaned completions: the Dma0 router can park a chain on
-        // the queue of a core that has since left the active set (the
-        // Figure 10 sweep shrinks it between phases). Nobody drains those
-        // queues in `run_slice`, so the flusher applies them here — a
-        // completion must never strand dirty/pending state.
-        for q in self.board.active_cores()..hal::NUM_CORES {
-            let orphans = std::mem::take(&mut self.pending_sd_comps[q]);
-            if !orphans.is_empty() {
-                let cost = self.board.cost.bufcache_op * orphans.len() as u64;
-                self.board.charge_kernel(core, cost);
-                for c in &orphans {
-                    self.fat_bufcache.apply_completion(c);
-                }
-            }
+        // Adopt orphaned completions: the Dma0 router can queue a chain for
+        // a core that has since left the active set (the Figure 10 sweep
+        // shrinks it between phases). Nobody reaps those queues in
+        // `run_slice`, so the flusher applies them here — a completion must
+        // never strand dirty/pending state.
+        for owner in self.board.active_cores()..hal::NUM_CORES {
+            self.reap_routed(owner, core);
         }
         let kbio = self.kbio_task;
         // The intent log's group-commit timeout: a pending group that has
@@ -1311,6 +1288,16 @@ impl Kernel {
         }
     }
 
+    /// Applies the SD completions the `Dma0` router queued for `owner`,
+    /// charging their bookkeeping to `core`.
+    fn reap_routed(&mut self, owner: usize, core: usize) {
+        let applied = self.fat_bufcache.reap_routed(owner) as u64;
+        if applied > 0 {
+            let cost = self.board.cost.bufcache_op * applied;
+            self.board.charge_kernel(core, cost);
+        }
+    }
+
     // ---- metrics ------------------------------------------------------------------------------------
 
     pub(crate) fn record_frame(&mut self, task: TaskId, phases: FramePhases) {
@@ -1361,7 +1348,7 @@ impl Kernel {
     pub fn run_slice(&mut self) -> bool {
         let _ = self.board.tick_devices();
         // Deliver pending interrupts on every active core, then let each
-        // core apply the SD completions the Dma0 router parked for it —
+        // core apply the SD completions the Dma0 router queued for it —
         // core 0 runs first, so chains another core submitted are reaped
         // by that core within the same pass (no completion ever waits for
         // a later slice).
@@ -1369,14 +1356,7 @@ impl Kernel {
             while let Some(irq) = self.board.intc.take_pending(core) {
                 self.handle_irq(core, irq);
             }
-            let routed = std::mem::take(&mut self.pending_sd_comps[core]);
-            if !routed.is_empty() {
-                let cost = self.board.cost.bufcache_op * routed.len() as u64;
-                self.board.charge_kernel(core, cost);
-                for c in &routed {
-                    self.fat_bufcache.apply_completion(c);
-                }
-            }
+            self.reap_routed(core, core);
         }
         // Any reaped completion — whichever core or path applied it — may
         // unblock a parked demand reader or back-pressured writer.

@@ -10,7 +10,7 @@
 //! * [`config`] — prototype stages and the Table 1 feature matrix.
 //! * [`mm`] — frames, page tables, address spaces, demand paging (§4.3).
 //! * [`sched`] / [`task`] — multitasking (§4.2) and multicore (§4.5).
-//! * [`vfs`], [`pipe`], [`syscalls`] — the file abstraction and the 28
+//! * [`vfs`], [`pipe`], [`syscalls`] — the file abstraction and the 29
 //!   UNIX-like syscalls (§3, §4.4).
 //! * [`kbd`], [`sound`], [`wm`] — the device files behind `/dev/events`,
 //!   `/dev/sb` and `/dev/surface`.

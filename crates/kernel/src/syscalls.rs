@@ -1,6 +1,8 @@
-//! The syscall surface (29 syscalls across task, file and threading groups).
+//! The kernel side of the syscall surface (29 syscalls across task, file and
+//! threading groups; `usercall.rs` lists them with their numbers).
 //!
-//! Every entry point charges the platform's syscall entry/exit cost, checks
+//! Every trapping entry point takes an `Entry`, which only `Kernel::syscall`
+//! mints, after charging the platform's syscall entry cost. Each then checks
 //! the prototype stage it belongs to (Table 1), performs the operation, and
 //! — when the operation cannot complete — parks the calling task on the
 //! right wait queue and returns [`KernelError::WouldBlock`]. Device I/O
@@ -22,122 +24,61 @@ use crate::usercall::{FileStat, UserProgram};
 use crate::vfs::{DeviceFile, FileKind, MountTarget, OpenFile, OpenFlags};
 use crate::wm::Rect;
 
-/// One row of the numbered syscall ABI.
-///
-/// This table is the single source of truth for the user/kernel boundary:
-/// each row names a stable syscall number, the kernel dispatch method that
-/// implements it (in this module), the `UserCtx` stub that user programs
-/// call (in `usercall.rs`), and the argument count both sides must agree on
-/// (beyond the implicit task/core context). The `analysis` crate's
-/// ABI-consistency pass parses this table *and* both sets of function
-/// signatures and fails the build on any number gap, missing function, or
-/// arity drift — so the table cannot silently rot the way the old
-/// hand-maintained name list could. ROADMAP item 2's generated syscall layer
-/// will emit dispatch and stubs *from* this table; the pass is the precursor
-/// that proves the three views agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyscallDef {
-    /// Stable syscall number. Numbers are dense, start at 0, and are never
-    /// reused: a retired syscall would keep its row with "-" entries.
-    pub num: u16,
-    /// Canonical name, as the paper's Table 1 groups them.
-    pub name: &'static str,
-    /// The `Kernel` dispatch method in this module, or `"-"` when the
-    /// operation is handled structurally rather than by a dispatch function
-    /// (`exit` is a `StepResult`, `uptime` reads the clock without trapping).
-    pub dispatch: &'static str,
-    /// The `UserCtx` stub method in `usercall.rs`, or `"-"` when none
-    /// exists (`exit` again).
-    pub stub: &'static str,
-    /// Arguments beyond the implicit task/core context. The stub takes
-    /// exactly this many; the dispatch takes these after `task` and `core`.
-    pub args: u8,
+pub(crate) use entry::Entry;
+
+/// The one way into a trapping syscall. `Entry`'s fields are private to this
+/// module, so nothing outside it, the dispatch functions below included, can
+/// mint one.
+mod entry {
+    use crate::kernel::Kernel;
+    use crate::task::TaskId;
+    use crate::trace::TraceKind;
+
+    /// Proof that a syscall trapped and paid its entry: the calling task and
+    /// the core it trapped on. Every trapping `sys_*` function takes one, so
+    /// none can run without its entry charge.
+    pub(crate) struct Entry {
+        task: TaskId,
+        core: usize,
+    }
+
+    impl Entry {
+        /// The calling task.
+        pub(crate) fn task(&self) -> TaskId {
+            self.task
+        }
+
+        /// The core the call trapped on.
+        pub(crate) fn core(&self) -> usize {
+            self.core
+        }
+    }
+
+    impl Kernel {
+        /// Enters a trapping syscall: charges `core` the platform's syscall
+        /// entry cost, records `SyscallEnter` for `task`, and runs `f` with
+        /// the [`Entry`] it mints.
+        pub(crate) fn syscall<R>(
+            &mut self,
+            task: TaskId,
+            core: usize,
+            f: impl FnOnce(&mut Kernel, Entry) -> R,
+        ) -> R {
+            let c = self.board.cost.trivial_syscall();
+            self.board.charge(core, c);
+            self.trace.record(
+                self.board.now_us(),
+                core,
+                TraceKind::SyscallEnter,
+                Some(task),
+                "",
+            );
+            f(self, Entry { task, core })
+        }
+    }
 }
 
-/// Number of syscalls Proto implements (§3's 29, across the task, file and
-/// threading groups).
-pub const NSYSCALLS: usize = 29;
-
-/// The numbered syscall table, grouped as the paper groups them (task
-/// management & time, file system, threading/synchronisation). `fsync`
-/// joined the file group when the block layer's buffer cache became
-/// write-back: it drains a file's dirty blocks to the device.
-#[rustfmt::skip]
-pub const SYSCALL_TABLE: [SyscallDef; NSYSCALLS] = [
-    // task management & time
-    SyscallDef { num: 0,  name: "getpid",     dispatch: "sys_getpid",       stub: "getpid",       args: 0 },
-    SyscallDef { num: 1,  name: "fork",       dispatch: "sys_fork",         stub: "fork",         args: 1 },
-    SyscallDef { num: 2,  name: "exec",       dispatch: "sys_spawn",        stub: "spawn",        args: 2 },
-    SyscallDef { num: 3,  name: "exit",       dispatch: "-",                stub: "-",            args: 1 },
-    SyscallDef { num: 4,  name: "wait",       dispatch: "sys_wait",         stub: "wait_child",   args: 0 },
-    SyscallDef { num: 5,  name: "kill",       dispatch: "sys_kill",         stub: "kill",         args: 1 },
-    SyscallDef { num: 6,  name: "sleep",      dispatch: "sys_sleep_us",     stub: "sleep_us",     args: 1 },
-    SyscallDef { num: 7,  name: "yield",      dispatch: "sys_yield",        stub: "yield_now",    args: 0 },
-    SyscallDef { num: 8,  name: "sbrk",       dispatch: "sys_sbrk",         stub: "sbrk",         args: 1 },
-    SyscallDef { num: 9,  name: "priority",   dispatch: "sys_set_priority", stub: "set_priority", args: 1 },
-    SyscallDef { num: 10, name: "uptime",     dispatch: "-",                stub: "now_us",       args: 0 },
-    // file system
-    SyscallDef { num: 11, name: "open",       dispatch: "sys_open",         stub: "open",         args: 2 },
-    SyscallDef { num: 12, name: "close",      dispatch: "sys_close",        stub: "close",        args: 1 },
-    SyscallDef { num: 13, name: "read",       dispatch: "sys_read",         stub: "read",         args: 2 },
-    SyscallDef { num: 14, name: "write",      dispatch: "sys_write",        stub: "write",        args: 2 },
-    SyscallDef { num: 15, name: "lseek",      dispatch: "sys_lseek",        stub: "lseek",        args: 2 },
-    SyscallDef { num: 16, name: "fsync",      dispatch: "sys_fsync",        stub: "fsync",        args: 1 },
-    SyscallDef { num: 17, name: "stat",       dispatch: "sys_stat",         stub: "stat",         args: 1 },
-    SyscallDef { num: 18, name: "mkdir",      dispatch: "sys_mkdir",        stub: "mkdir",        args: 1 },
-    SyscallDef { num: 19, name: "unlink",     dispatch: "sys_unlink",       stub: "unlink",       args: 1 },
-    SyscallDef { num: 20, name: "readdir",    dispatch: "sys_list_dir",     stub: "list_dir",     args: 1 },
-    SyscallDef { num: 21, name: "pipe",       dispatch: "sys_pipe",         stub: "pipe",         args: 0 },
-    SyscallDef { num: 22, name: "dup",        dispatch: "sys_dup",          stub: "dup",          args: 1 },
-    SyscallDef { num: 23, name: "mmap_fb",    dispatch: "sys_fb_map",       stub: "fb_map",       args: 0 },
-    SyscallDef { num: 24, name: "fb_flush",   dispatch: "sys_fb_flush",     stub: "fb_flush",     args: 0 },
-    // threading & synchronisation
-    SyscallDef { num: 25, name: "clone",      dispatch: "sys_clone_thread", stub: "clone_thread", args: 1 },
-    SyscallDef { num: 26, name: "sem_create", dispatch: "sys_sem_create",   stub: "sem_create",   args: 1 },
-    SyscallDef { num: 27, name: "sem_wait",   dispatch: "sys_sem_wait",     stub: "sem_wait",     args: 1 },
-    SyscallDef { num: 28, name: "sem_post",   dispatch: "sys_sem_post",     stub: "sem_post",     args: 1 },
-];
-
-/// Kernel entry points named `sys_*` that are *not* numbered syscalls: they
-/// back device files and the window-manager protocol (reads/writes on
-/// `/dev/*` descriptors or library conveniences layered on `read`/`write`).
-/// The ABI-consistency pass requires every `sys_*` function in this module
-/// to be either a table dispatch or listed here, so a new syscall cannot be
-/// added without claiming a number.
-pub const AUX_DISPATCH: [&str; 6] = [
-    "sys_read_key_event",    // decode helper over sys_read on /dev/event*
-    "sys_fb_info",           // framebuffer geometry (mailbox query, no trap)
-    "sys_fb_write",          // store through the user framebuffer mapping
-    "sys_surface_create",    // open("/dev/surface") convenience
-    "sys_surface_configure", // WM protocol message
-    "sys_surface_present",   // WM protocol message
-];
-
-/// Names of the 29 syscalls, derived from [`SYSCALL_TABLE`] so the two can
-/// never drift.
-pub const SYSCALL_NAMES: [&str; NSYSCALLS] = {
-    let mut names = [""; NSYSCALLS];
-    let mut i = 0;
-    while i < NSYSCALLS {
-        names[i] = SYSCALL_TABLE[i].name;
-        i += 1;
-    }
-    names
-};
-
 impl Kernel {
-    pub(crate) fn charge_syscall(&mut self, core: usize, task: TaskId) {
-        let c = self.board.cost.trivial_syscall();
-        self.board.charge(core, c);
-        self.trace.record(
-            self.board.now_us(),
-            core,
-            TraceKind::SyscallEnter,
-            Some(task),
-            "",
-        );
-    }
-
     /// Charges `core` (and attributes to `task`) the cycles implied by the
     /// SD commands issued since `before`. Commands the cache issued as
     /// *prefetch* get their command-setup latency discounted: the read-ahead
@@ -189,13 +130,12 @@ impl Kernel {
     // Task management & time
     // =====================================================================================
 
-    pub(crate) fn sys_getpid(&mut self, task: TaskId, core: usize) -> TaskId {
-        self.charge_syscall(core, task);
-        task
+    pub(crate) fn sys_getpid(&mut self, entry: Entry) -> TaskId {
+        entry.task()
     }
 
-    pub(crate) fn sys_sleep_us(&mut self, task: TaskId, core: usize, us: u64) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_sleep_us(&mut self, entry: Entry, us: u64) -> KResult<()> {
+        let task = entry.task();
         // Saturate: `sleep(u64::MAX)` must park the task forever, not
         // overflow the deadline in debug builds.
         let wake_at = self.now_us().saturating_add(us.max(1));
@@ -206,13 +146,12 @@ impl Kernel {
         Ok(())
     }
 
-    pub(crate) fn sys_yield(&mut self, task: TaskId, core: usize) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_yield(&mut self, _entry: Entry) -> KResult<()> {
         Ok(())
     }
 
-    pub(crate) fn sys_sbrk(&mut self, task: TaskId, core: usize, delta: i64) -> KResult<u64> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_sbrk(&mut self, entry: Entry, delta: i64) -> KResult<u64> {
+        let (task, core) = (entry.task(), entry.core());
         self.config.require(self.config.virtual_memory, "sbrk")?;
         let asid = self.task_asid(task)?;
         let cost = self.board.cost.clone();
@@ -236,11 +175,10 @@ impl Kernel {
 
     pub(crate) fn sys_fork(
         &mut self,
-        task: TaskId,
-        core: usize,
+        entry: Entry,
         child_program: Box<dyn UserProgram>,
     ) -> KResult<TaskId> {
-        self.charge_syscall(core, task);
+        let (task, core) = (entry.task(), entry.core());
         self.config.require(self.config.syscalls_tasks, "fork")?;
         let cost = self.board.cost.clone();
         self.board.charge_kernel(core, cost.fork_base);
@@ -296,28 +234,28 @@ impl Kernel {
 
     pub(crate) fn sys_spawn(
         &mut self,
-        task: TaskId,
-        core: usize,
+        entry: Entry,
         path: &str,
         args: &[String],
     ) -> KResult<TaskId> {
-        self.charge_syscall(core, task);
+        let (task, core) = (entry.task(), entry.core());
         self.config
             .require(self.config.syscalls_files, "exec from a file")?;
-        // Read the image through the normal file path so exec pays real I/O.
-        let fd = self.sys_open(task, core, path, OpenFlags::rdonly())?;
+        // Read the image through the normal file path so exec pays real I/O,
+        // entries included: each open, read and close traps on its own.
+        let fd = self.syscall(task, core, |k, e| k.sys_open(e, path, OpenFlags::rdonly()))?;
         let mut image_bytes = Vec::new();
         loop {
-            match self.sys_read(task, core, fd, 64 * 1024) {
+            match self.syscall(task, core, |k, e| k.sys_read(e, fd, 64 * 1024)) {
                 Ok(chunk) if chunk.is_empty() => break,
                 Ok(chunk) => image_bytes.extend_from_slice(&chunk),
-                Err(e) => {
-                    let _ = self.sys_close(task, core, fd);
-                    return Err(e);
+                Err(err) => {
+                    let _ = self.syscall(task, core, |k, e| k.sys_close(e, fd));
+                    return Err(err);
                 }
             }
         }
-        self.sys_close(task, core, fd)?;
+        self.syscall(task, core, |k, e| k.sys_close(e, fd))?;
         let image = ProgramImage::parse(&image_bytes)?;
         let mut full_args = image.args.clone();
         full_args.extend_from_slice(args);
@@ -325,8 +263,8 @@ impl Kernel {
         self.spawn_user_program(&image, program, task)
     }
 
-    pub(crate) fn sys_wait(&mut self, task: TaskId, core: usize) -> KResult<Option<(TaskId, i32)>> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_wait(&mut self, entry: Entry) -> KResult<Option<(TaskId, i32)>> {
+        let task = entry.task();
         // Reap a pending child if any.
         let pending = self
             .tasks_mut(task)
@@ -345,8 +283,7 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_kill(&mut self, task: TaskId, core: usize, pid: TaskId) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_kill(&mut self, _entry: Entry, pid: TaskId) -> KResult<()> {
         if self.task(pid).is_none() {
             return Err(KernelError::NotFound(format!("task {pid}")));
         }
@@ -354,13 +291,8 @@ impl Kernel {
         Ok(())
     }
 
-    pub(crate) fn sys_set_priority(
-        &mut self,
-        task: TaskId,
-        core: usize,
-        priority: u8,
-    ) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_set_priority(&mut self, entry: Entry, priority: u8) -> KResult<()> {
+        let task = entry.task();
         self.tasks_mut(task)
             .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
             .set_priority(priority)
@@ -372,11 +304,10 @@ impl Kernel {
 
     pub(crate) fn sys_clone_thread(
         &mut self,
-        task: TaskId,
-        core: usize,
+        entry: Entry,
         thread_program: Box<dyn UserProgram>,
     ) -> KResult<TaskId> {
-        self.charge_syscall(core, task);
+        let task = entry.task();
         self.config
             .require(self.config.syscalls_threading, "clone(CLONE_VM)")?;
         let mm = match self.task(task).map(|t| t.mm) {
@@ -406,15 +337,14 @@ impl Kernel {
         Ok(tid)
     }
 
-    pub(crate) fn sys_sem_create(&mut self, task: TaskId, core: usize, value: i64) -> KResult<u64> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_sem_create(&mut self, _entry: Entry, value: i64) -> KResult<u64> {
         self.config
             .require(self.config.syscalls_threading, "semaphores")?;
         Ok(self.sems_create(value))
     }
 
-    pub(crate) fn sys_sem_wait(&mut self, task: TaskId, core: usize, sem: u64) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_sem_wait(&mut self, entry: Entry, sem: u64) -> KResult<()> {
+        let task = entry.task();
         self.config
             .require(self.config.syscalls_threading, "semaphores")?;
         match self.sems_wait(sem, task)? {
@@ -426,8 +356,7 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_sem_post(&mut self, task: TaskId, core: usize, sem: u64) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_sem_post(&mut self, _entry: Entry, sem: u64) -> KResult<()> {
         self.config
             .require(self.config.syscalls_threading, "semaphores")?;
         if let Some(waiter) = self.sems_post(sem)? {
@@ -440,14 +369,8 @@ impl Kernel {
     // Files
     // =====================================================================================
 
-    pub(crate) fn sys_open(
-        &mut self,
-        task: TaskId,
-        core: usize,
-        path: &str,
-        flags: OpenFlags,
-    ) -> KResult<i32> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_open(&mut self, entry: Entry, path: &str, flags: OpenFlags) -> KResult<i32> {
+        let (task, core) = (entry.task(), entry.core());
         self.config
             .require(self.config.syscalls_files, "file syscalls")?;
         let (target, inner) = self.mounts.resolve(path);
@@ -530,8 +453,8 @@ impl Kernel {
             .install(file)
     }
 
-    pub(crate) fn sys_close(&mut self, task: TaskId, core: usize, fd: i32) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_close(&mut self, entry: Entry, fd: i32) -> KResult<()> {
+        let (task, core) = (entry.task(), entry.core());
         let file = self
             .tasks_mut(task)
             .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
@@ -604,8 +527,8 @@ impl Kernel {
     /// cache to the backing device. Proto has no per-file dirty lists, so
     /// this flushes the owning filesystem's cache — the cost accounting
     /// still lands on the calling task, which is the point.
-    pub(crate) fn sys_fsync(&mut self, task: TaskId, core: usize, fd: i32) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_fsync(&mut self, entry: Entry, fd: i32) -> KResult<()> {
+        let (task, core) = (entry.task(), entry.core());
         let kind = {
             let t = self
                 .tasks_mut(task)
@@ -628,8 +551,8 @@ impl Kernel {
         Ok(())
     }
 
-    pub(crate) fn sys_dup(&mut self, task: TaskId, core: usize, fd: i32) -> KResult<i32> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_dup(&mut self, entry: Entry, fd: i32) -> KResult<i32> {
+        let task = entry.task();
         let t = self
             .tasks_mut(task)
             .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
@@ -641,8 +564,8 @@ impl Kernel {
         Ok(new_fd)
     }
 
-    pub(crate) fn sys_pipe(&mut self, task: TaskId, core: usize) -> KResult<(i32, i32)> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_pipe(&mut self, entry: Entry) -> KResult<(i32, i32)> {
+        let task = entry.task();
         self.config.require(self.config.syscalls_files, "pipes")?;
         let id = self.pipes_create();
         let t = self
@@ -668,14 +591,8 @@ impl Kernel {
         Ok((r, w))
     }
 
-    pub(crate) fn sys_lseek(
-        &mut self,
-        task: TaskId,
-        core: usize,
-        fd: i32,
-        offset: u64,
-    ) -> KResult<u64> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_lseek(&mut self, entry: Entry, fd: i32, offset: u64) -> KResult<u64> {
+        let task = entry.task();
         let t = self
             .tasks_mut(task)
             .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
@@ -689,8 +606,8 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_stat(&mut self, task: TaskId, core: usize, path: &str) -> KResult<FileStat> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_stat(&mut self, entry: Entry, path: &str) -> KResult<FileStat> {
+        let (task, core) = (entry.task(), entry.core());
         self.config.require(self.config.syscalls_files, "stat")?;
         let (target, inner) = self.mounts.resolve(path);
         match target {
@@ -731,8 +648,8 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_mkdir(&mut self, task: TaskId, core: usize, path: &str) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_mkdir(&mut self, entry: Entry, path: &str) -> KResult<()> {
+        let core = entry.core();
         self.config.require(self.config.syscalls_files, "mkdir")?;
         let (target, inner) = self.mounts.resolve(path);
         match target {
@@ -757,8 +674,8 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_unlink(&mut self, task: TaskId, core: usize, path: &str) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_unlink(&mut self, entry: Entry, path: &str) -> KResult<()> {
+        let core = entry.core();
         self.config.require(self.config.syscalls_files, "unlink")?;
         let (target, inner) = self.mounts.resolve(path);
         match target {
@@ -783,13 +700,8 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_list_dir(
-        &mut self,
-        task: TaskId,
-        core: usize,
-        path: &str,
-    ) -> KResult<Vec<String>> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_list_dir(&mut self, entry: Entry, path: &str) -> KResult<Vec<String>> {
+        let core = entry.core();
         self.config.require(self.config.syscalls_files, "readdir")?;
         let (target, inner) = self.mounts.resolve(path);
         match target {
@@ -827,14 +739,8 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_read(
-        &mut self,
-        task: TaskId,
-        core: usize,
-        fd: i32,
-        max: usize,
-    ) -> KResult<Vec<u8>> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_read(&mut self, entry: Entry, fd: i32, max: usize) -> KResult<Vec<u8>> {
+        let (task, core) = (entry.task(), entry.core());
         let (kind, offset, flags) = {
             let t = self
                 .tasks_mut(task)
@@ -844,6 +750,11 @@ impl Kernel {
         };
         match kind {
             FileKind::Xv6 { inum } => {
+                // Both filesystems address files with 32-bit offsets; past
+                // them lies end of file.
+                let Ok(offset) = u32::try_from(offset) else {
+                    return Ok(Vec::new());
+                };
                 let fs = self.rootfs_clone()?;
                 let bc = &mut self.root_bufcache;
                 let dev = self.ramdisk.as_mut().ok_or_else(|| {
@@ -853,7 +764,7 @@ impl Kernel {
                 // MAXFILE_BYTES, so a huge `max` must not drive a huge
                 // allocation.
                 let mut buf = vec![0u8; max.min(protofs::xv6fs::MAXFILE_BYTES)];
-                let n = fs.read(dev, bc, inum, offset as u32, &mut buf)?;
+                let n = fs.read(dev, bc, inum, offset, &mut buf)?;
                 buf.truncate(n);
                 let cost = self.board.cost.clone();
                 self.board.charge(
@@ -865,6 +776,9 @@ impl Kernel {
                 Ok(buf)
             }
             FileKind::Fat { volume_path, .. } => {
+                let Ok(offset) = u32::try_from(offset) else {
+                    return Ok(Vec::new());
+                };
                 let fat = self.fatfs_clone()?;
                 // Blocking demand mode: a scheduled task whose read window
                 // hits an in-flight chain parks on the block-I/O channel
@@ -880,13 +794,7 @@ impl Kernel {
                 self.fat_bufcache.set_block_demand(blocking);
                 let result = {
                     let mut dev = fat_dev!(self, core);
-                    fat.read_at(
-                        &mut dev,
-                        &mut self.fat_bufcache,
-                        &volume_path,
-                        offset as u32,
-                        max,
-                    )
+                    fat.read_at(&mut dev, &mut self.fat_bufcache, &volume_path, offset, max)
                 };
                 self.fat_bufcache.set_block_demand(false);
                 self.charge_sd_delta(core, task, before);
@@ -1038,14 +946,8 @@ impl Kernel {
         }
     }
 
-    pub(crate) fn sys_write(
-        &mut self,
-        task: TaskId,
-        core: usize,
-        fd: i32,
-        data: &[u8],
-    ) -> KResult<usize> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_write(&mut self, entry: Entry, fd: i32, data: &[u8]) -> KResult<usize> {
+        let (task, core) = (entry.task(), entry.core());
         let (kind, offset, flags) = {
             let t = self
                 .tasks_mut(task)
@@ -1118,7 +1020,10 @@ impl Kernel {
                 let dev = self.ramdisk.as_mut().ok_or_else(|| {
                     KernelError::NotSupported("root ramdisk not available".into())
                 })?;
-                let n = fs.write(dev, bc, inum, offset as u32, data)?;
+                let offset = u32::try_from(offset).map_err(|_| {
+                    KernelError::Invalid(format!("write offset {offset} past the 4 GiB file limit"))
+                })?;
+                let n = fs.write(dev, bc, inum, offset, data)?;
                 let cost = self.board.cost.clone();
                 self.board.charge(
                     core,
@@ -1239,11 +1144,11 @@ impl Kernel {
 
     pub(crate) fn sys_read_key_event(
         &mut self,
-        task: TaskId,
-        core: usize,
+        entry: Entry,
         fd: i32,
     ) -> KResult<Option<protousb::KeyEvent>> {
-        match self.sys_read(task, core, fd, crate::kbd::EVENT_RECORD_SIZE) {
+        let task = entry.task();
+        match self.sys_read(entry, fd, crate::kbd::EVENT_RECORD_SIZE) {
             Ok(bytes) if bytes.len() >= crate::kbd::EVENT_RECORD_SIZE => {
                 Ok(crate::kbd::decode_event(&bytes))
             }
@@ -1268,8 +1173,7 @@ impl Kernel {
     // Graphics
     // =====================================================================================
 
-    pub(crate) fn sys_fb_info(&mut self, task: TaskId, core: usize) -> KResult<(u32, u32)> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_fb_info(&mut self, _entry: Entry) -> KResult<(u32, u32)> {
         self.config
             .require(self.config.framebuffer, "framebuffer")?;
         let info = self
@@ -1280,8 +1184,8 @@ impl Kernel {
         Ok((info.width, info.height))
     }
 
-    pub(crate) fn sys_fb_map(&mut self, task: TaskId, core: usize) -> KResult<u64> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_fb_map(&mut self, entry: Entry) -> KResult<u64> {
+        let (task, core) = (entry.task(), entry.core());
         self.config
             .require(self.config.framebuffer, "framebuffer")?;
         let info = self
@@ -1346,8 +1250,8 @@ impl Kernel {
         Ok(())
     }
 
-    pub(crate) fn sys_fb_flush(&mut self, task: TaskId, core: usize) -> KResult<()> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_fb_flush(&mut self, entry: Entry) -> KResult<()> {
+        let (task, core) = (entry.task(), entry.core());
         self.config
             .require(self.config.framebuffer, "framebuffer")?;
         let lines = self.board.framebuffer.flush_all();
@@ -1363,13 +1267,8 @@ impl Kernel {
         Ok(())
     }
 
-    pub(crate) fn sys_surface_create(
-        &mut self,
-        task: TaskId,
-        core: usize,
-        title: &str,
-    ) -> KResult<i32> {
-        self.charge_syscall(core, task);
+    pub(crate) fn sys_surface_create(&mut self, entry: Entry, title: &str) -> KResult<i32> {
+        let task = entry.task();
         self.config
             .require(self.config.window_manager, "window manager")?;
         let surface_id = self.wm.create_surface(task, title);
@@ -1382,13 +1281,12 @@ impl Kernel {
 
     pub(crate) fn sys_surface_configure(
         &mut self,
-        task: TaskId,
-        core: usize,
+        entry: Entry,
         fd: i32,
         rect: Rect,
         floating: bool,
     ) -> KResult<()> {
-        self.charge_syscall(core, task);
+        let task = entry.task();
         let surface_id = self.surface_id_for(task, fd)?;
         self.wm.configure(surface_id, rect, floating)
     }

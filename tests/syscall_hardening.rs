@@ -93,3 +93,57 @@ fn fat_writes_past_the_file_size_limit_are_rejected() {
         );
     }
 }
+
+#[test]
+fn reads_past_4_gib_are_past_end_of_file() {
+    // The filesystems take 32-bit file offsets. A read at 4 GiB used to
+    // truncate the descriptor's offset to 0 and return the file's first
+    // bytes; it now reads nothing, as at end of file, on both filesystems.
+    let (mut sys, tid) = desktop();
+    for path in ["/far.txt", "/d/far.txt"] {
+        let (far, near) = sys
+            .kernel
+            .with_task_ctx(tid, |ctx| {
+                let fd = ctx.open(path, OpenFlags::wronly_create())?;
+                ctx.write(fd, b"HEADER-BYTES")?;
+                ctx.close(fd)?;
+                let fd = ctx.open(path, OpenFlags::rdonly())?;
+                ctx.lseek(fd, 1 << 32)?;
+                let far = ctx.read(fd, 64)?;
+                ctx.lseek(fd, 0)?;
+                let near = ctx.read(fd, 64)?;
+                ctx.close(fd)?;
+                Ok::<_, kernel::KernelError>((far, near))
+            })
+            .unwrap();
+        assert!(far.is_empty(), "{path}: read at 4 GiB returned {far:?}");
+        assert_eq!(near, b"HEADER-BYTES", "{path}");
+    }
+}
+
+#[test]
+fn root_writes_past_4_gib_are_rejected() {
+    // A write at 4 GiB used to land on the file's first bytes ("XXADER-
+    // BYTES"). Like FAT writes past the file size limit, it now fails and
+    // leaves the file alone.
+    let (mut sys, tid) = desktop();
+    let (r, back) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            let fd = ctx.open("/far.txt", OpenFlags::wronly_create())?;
+            ctx.write(fd, b"HEADER-BYTES")?;
+            ctx.lseek(fd, 1 << 32)?;
+            let r = ctx.write(fd, b"XX");
+            ctx.close(fd)?;
+            let fd = ctx.open("/far.txt", OpenFlags::rdonly())?;
+            let back = ctx.read(fd, 64)?;
+            ctx.close(fd)?;
+            Ok::<_, kernel::KernelError>((r, back))
+        })
+        .unwrap();
+    assert!(
+        matches!(r, Err(kernel::KernelError::Invalid(_))),
+        "write at 4 GiB: {r:?}"
+    );
+    assert_eq!(back, b"HEADER-BYTES");
+}

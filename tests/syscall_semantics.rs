@@ -257,3 +257,134 @@ fn sd_card_faults_surface_as_io_errors_not_panics() {
     assert!(result.is_err(), "injected SD fault is reported");
     sys.kernel.board.sdhost.clear_faults();
 }
+
+/// The `SyscallEnter` events that one call of `f` on `tid`'s context
+/// records.
+fn entries<R>(
+    sys: &mut ProtoSystem,
+    tid: kernel::TaskId,
+    f: impl FnOnce(&mut kernel::UserCtx<'_>) -> R,
+) -> usize {
+    sys.kernel.trace.clear();
+    sys.kernel.with_task_ctx(tid, f);
+    sys.kernel
+        .trace
+        .of_kind(kernel::trace::TraceKind::SyscallEnter)
+        .iter()
+        .filter(|e| e.task == Some(tid))
+        .count()
+}
+
+#[test]
+fn each_stub_records_one_entry_per_trap() {
+    // Every numbered trapping stub, plus fb_info and the two surface calls,
+    // enters the kernel exactly once; read_key_event enters once, through
+    // read. The clock read and the two pixel copies do not trap.
+    let (mut sys, tid) = desktop();
+    struct Exit;
+    impl kernel::UserProgram for Exit {
+        fn step(&mut self, _ctx: &mut kernel::UserCtx<'_>) -> kernel::StepResult {
+            kernel::StepResult::Exited(0)
+        }
+    }
+    let victim = sys.kernel.spawn_bench_task("victim").unwrap();
+    let (fd, events, surface, sem, image_size) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            let fd = ctx.open("/traps.txt", OpenFlags::wronly_create())?;
+            ctx.write(fd, b"trap")?;
+            ctx.close(fd)?;
+            let fd = ctx.open("/traps.txt", OpenFlags::rdwr())?;
+            let events = ctx.open("/dev/events", OpenFlags::rdonly_nonblock())?;
+            let surface = ctx.surface_create("traps")?;
+            let sem = ctx.sem_create(1)?;
+            let image_size = ctx.stat("/bin/helloworld")?.size;
+            Ok::<_, kernel::KernelError>((fd, events, surface, sem, image_size))
+        })
+        .unwrap();
+    let rect = kernel::wm::Rect {
+        x: 0,
+        y: 0,
+        w: 8,
+        h: 8,
+    };
+    assert_eq!(entries(&mut sys, tid, |c| c.getpid()), 1, "getpid");
+    assert_eq!(entries(&mut sys, tid, |c| c.now_us()), 0, "now_us");
+    assert_eq!(entries(&mut sys, tid, |c| c.sleep_us(1)), 1, "sleep_us");
+    assert_eq!(entries(&mut sys, tid, |c| c.sleep_ms(1)), 1, "sleep_ms");
+    assert_eq!(entries(&mut sys, tid, |c| c.yield_now()), 1, "yield_now");
+    assert_eq!(entries(&mut sys, tid, |c| c.sbrk(4096)), 1, "sbrk");
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.fork(Box::new(Exit))),
+        1,
+        "fork"
+    );
+    assert_eq!(entries(&mut sys, tid, |c| c.wait_child()), 1, "wait_child");
+    assert_eq!(entries(&mut sys, tid, |c| c.kill(victim)), 1, "kill");
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.set_priority(1)),
+        1,
+        "set_priority"
+    );
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.clone_thread(Box::new(Exit))),
+        1,
+        "clone_thread"
+    );
+    assert_eq!(entries(&mut sys, tid, |c| c.sem_create(0)), 1, "sem_create");
+    assert_eq!(entries(&mut sys, tid, |c| c.sem_wait(sem)), 1, "sem_wait");
+    assert_eq!(entries(&mut sys, tid, |c| c.sem_post(sem)), 1, "sem_post");
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.open("/traps.txt", OpenFlags::rdonly())),
+        1,
+        "open"
+    );
+    assert_eq!(entries(&mut sys, tid, |c| c.read(fd, 4)), 1, "read");
+    assert_eq!(entries(&mut sys, tid, |c| c.write(fd, b"more")), 1, "write");
+    assert_eq!(entries(&mut sys, tid, |c| c.lseek(fd, 0)), 1, "lseek");
+    assert_eq!(entries(&mut sys, tid, |c| c.fsync(fd)), 1, "fsync");
+    assert_eq!(entries(&mut sys, tid, |c| c.stat("/traps.txt")), 1, "stat");
+    assert_eq!(entries(&mut sys, tid, |c| c.mkdir("/trapdir")), 1, "mkdir");
+    assert_eq!(entries(&mut sys, tid, |c| c.list_dir("/")), 1, "list_dir");
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.unlink("/trapdir")),
+        1,
+        "unlink"
+    );
+    assert_eq!(entries(&mut sys, tid, |c| c.pipe()), 1, "pipe");
+    assert_eq!(entries(&mut sys, tid, |c| c.dup(fd)), 1, "dup");
+    assert_eq!(entries(&mut sys, tid, |c| c.close(fd)), 1, "close");
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.read_key_event(events)),
+        1,
+        "read_key_event"
+    );
+    assert_eq!(entries(&mut sys, tid, |c| c.fb_info()), 1, "fb_info");
+    assert_eq!(entries(&mut sys, tid, |c| c.fb_map()), 1, "fb_map");
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.fb_write(0, &[0; 8])),
+        0,
+        "fb_write"
+    );
+    assert_eq!(entries(&mut sys, tid, |c| c.fb_flush()), 1, "fb_flush");
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.surface_create("more")),
+        1,
+        "surface_create"
+    );
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.surface_configure(surface, rect, false)),
+        1,
+        "surface_configure"
+    );
+    assert_eq!(
+        entries(&mut sys, tid, |c| c.surface_present(surface, &[0; 64])),
+        0,
+        "surface_present"
+    );
+    // exec enters once itself, then reads its image through open, one read
+    // per 64 KB until the empty read at end of file, and close.
+    let reads = image_size.div_ceil(64 * 1024) as usize + 1;
+    let spawned = entries(&mut sys, tid, |c| c.spawn("/bin/helloworld", &[]).unwrap());
+    assert_eq!(spawned, 1 + 1 + reads + 1);
+}
