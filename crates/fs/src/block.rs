@@ -27,7 +27,7 @@
 use hal::clock::Clock;
 use hal::cost::CostModel;
 use hal::dma::DmaEngine;
-use hal::sdhost::{SdDataMode, SdSgRun, SD_DMA_CHANNEL};
+use hal::sdhost::{DmaTraffic, SdDataMode, SdSgRun, SD_DMA_CHANNEL};
 
 use crate::{FsError, FsResult};
 
@@ -549,20 +549,23 @@ impl BlockDevice for MemDisk {
 }
 
 /// The board-side context a DMA-mode [`SdBlockDevice`] drives: the engine
-/// the chains run on, the clock a synchronous wait advances, and the cost
-/// model pricing each chain. All fields are disjoint board members, so the
-/// kernel borrows them alongside the SD host without conflict.
+/// the chains run on, the clock that submits charge and waits advance, and
+/// the cost model pricing each chain. All fields are disjoint board
+/// members, so the kernel borrows them alongside the SD host without
+/// conflict.
 #[derive(Debug)]
 pub struct SdDmaCtx<'a> {
     /// The DMA engine carrying the scatter-gather chains (channel 0).
     pub engine: &'a mut DmaEngine,
-    /// The per-core virtual clock; waits advance `core`'s counter to the
-    /// chain's completion deadline.
+    /// The per-core virtual clock. Each write chain's driver CPU work
+    /// ([`CostModel::sd_dma_cpu`]) is charged to `core`'s counter when the
+    /// chain is submitted, and waits advance it to a chain's completion
+    /// deadline.
     pub clock: &'a mut Clock,
-    /// Platform cost model (chain durations).
+    /// Platform cost model (chain durations and driver CPU work).
     pub cost: &'a CostModel,
-    /// The core on whose behalf this adapter runs (submission timestamps and
-    /// wait advances).
+    /// The core on whose behalf this adapter runs (write-chain charges,
+    /// submission timestamps and wait advances).
     pub core: usize,
 }
 
@@ -760,6 +763,17 @@ impl BlockDevice for SdBlockDevice<'_> {
             .sd
             .submit_dma_write(&card_runs, data)
             .map_err(FsError::from)?;
+        // The driver builds and issues the chain before its data phase can
+        // start, so its CPU work lands on the submitting core now: a
+        // streaming writer builds the next chains while this one transfers.
+        if let Some(ctx) = self.dma.as_mut() {
+            let chain = DmaTraffic {
+                cmds: 1,
+                control_blocks: runs.len() as u64,
+                blocks: runs.iter().map(|&(_, count)| count).sum(),
+            };
+            ctx.clock.advance(ctx.core, ctx.cost.sd_dma_cpu(chain));
+        }
         self.kick();
         Ok(Submission::Queued(id))
     }

@@ -91,7 +91,14 @@
 //!     victim's own chain. One stall therefore pays for many future
 //!     evictions and the queue stays genuinely deep
 //!     ([`BufCacheStats::batched_evictions`], the
-//!     [`BufCache::queue_occupancy`] histogram). A writer that still hits a
+//!     [`BufCache::queue_occupancy`] histogram). The SD adapter charges each
+//!     chain's driver CPU work (command issue, control blocks, per-block
+//!     bookkeeping and bounce copy) to the submitting core as it builds the
+//!     chain, before the chain starts: while chain N's data phase runs on
+//!     the card, the writer's CPU builds the chains queued behind it, and
+//!     its queue-full wait absorbs that work, so a streaming write costs
+//!     about the card's data phase rather than the data phase plus the
+//!     driver's work. A writer that still finds the queue full counts a
 //!     [`BufCacheStats::queue_full_stalls`] before spin-reaping; the
 //!     kernel's write path goes one better and *yields*: it kicks the
 //!     flusher, parks the writer on the block-I/O wait channel and retries
@@ -271,8 +278,10 @@ pub const DEFAULT_SHARDS: usize = 8;
 pub const DEFAULT_NBUF: usize = 1024;
 /// Maximum blocks one batched write-back chain carries (64 KB). Splitting a
 /// full-cache drain into chains of this size lets the queue pipeline several
-/// entries (command setup of chain N+1 overlaps chain N's data phase) and
-/// bounds how much is re-dirtied when a single chain is torn or faulted.
+/// entries and bounds how much is re-dirtied when a single chain is torn or
+/// faulted. The SD adapter charges a chain's driver CPU work to the
+/// submitting core when it builds the chain, so building chain N+1 overlaps
+/// chain N's data phase on the card.
 pub const WB_CHAIN_BLOCKS: u64 = 128;
 /// Maximum scatter-gather runs (control blocks) per batched write-back
 /// chain, bounding descriptor-table size for badly fragmented dirty sets.

@@ -14,6 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::clock::Cycles;
+use crate::sdhost::DmaTraffic;
 
 /// The evaluation platforms of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -385,6 +386,23 @@ impl CostModel {
             .saturating_add(blocks.saturating_mul(self.sd_dma_block_transfer))
             .saturating_add(self.per_byte(self.dma_per_byte_milli, bytes))
     }
+
+    /// CPU work the SD driver spends on scatter-gather DMA chains: one
+    /// command issue per chain, one control block per contiguous run, and
+    /// per block the completion bookkeeping plus the bounce copy between the
+    /// DMA region and the cache. The data phase is not included; it runs on
+    /// the device timeline ([`Self::sd_dma_run`]). The price is linear in
+    /// each count, so chains priced one at a time sum to their total's price.
+    pub fn sd_dma_cpu(&self, chains: DmaTraffic) -> Cycles {
+        let per_block = self
+            .bufcache_op
+            .saturating_add(self.per_byte(self.memmove_fast_per_byte_milli, 512));
+        chains
+            .cmds
+            .saturating_mul(self.sd_cmd_latency)
+            .saturating_add(chains.control_blocks.saturating_mul(self.dma_setup))
+            .saturating_add(chains.blocks.saturating_mul(per_block))
+    }
 }
 
 impl Default for CostModel {
@@ -462,6 +480,29 @@ mod tests {
             m.sd_range_block_transfer
         );
         assert!(per_block_dma * 100 < m.sd_block_poll_transfer);
+    }
+
+    #[test]
+    fn dma_chain_cpu_prices_chains_one_at_a_time_or_summed_alike() {
+        let m = CostModel::pi3();
+        let chain = |control_blocks, blocks| DmaTraffic {
+            cmds: 1,
+            control_blocks,
+            blocks,
+        };
+        let (a, b) = (chain(1, 128), chain(3, 7));
+        let both = DmaTraffic {
+            cmds: 2,
+            control_blocks: 4,
+            blocks: 135,
+        };
+        assert_eq!(m.sd_dma_cpu(a) + m.sd_dma_cpu(b), m.sd_dma_cpu(both));
+        // Command issue, one control block, and 0.25 cycles/byte of bounce
+        // copy plus the cache's bookkeeping for each block.
+        assert_eq!(
+            m.sd_dma_cpu(a),
+            m.sd_cmd_latency + m.dma_setup + 128 * (m.bufcache_op + 128)
+        );
     }
 
     #[test]

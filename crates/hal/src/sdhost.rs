@@ -68,6 +68,29 @@ pub struct SdSgRun {
     pub count: u64,
 }
 
+/// The traffic one direction's DMA chains have carried since boot, counted
+/// at submit so the submitting task's accounting window sees it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DmaTraffic {
+    /// DMA-mode commands, one scatter-gather chain each.
+    pub cmds: u64,
+    /// Scatter-gather control blocks programmed, one per contiguous run.
+    pub control_blocks: u64,
+    /// Blocks committed to the chains.
+    pub blocks: u64,
+}
+
+impl DmaTraffic {
+    /// The traffic added since the earlier reading `before`.
+    pub fn since(self, before: DmaTraffic) -> DmaTraffic {
+        DmaTraffic {
+            cmds: self.cmds - before.cmds,
+            control_blocks: self.control_blocks - before.control_blocks,
+            blocks: self.blocks - before.blocks,
+        }
+    }
+}
+
 /// A command sitting in (or at the head of) the async queue.
 #[derive(Debug, Clone)]
 struct SdQueuedCmd {
@@ -141,13 +164,10 @@ pub struct SdHost {
     /// The command whose chain is currently on the channel.
     inflight: Option<SdQueuedCmd>,
     next_cmd_id: u64,
-    /// Statistics: DMA-mode commands submitted.
-    dma_cmds: u64,
-    /// Statistics: scatter-gather control blocks programmed.
-    sg_control_blocks: u64,
-    /// Statistics: blocks committed to DMA chains (counted at submit so the
-    /// submitting task's accounting window sees them).
-    dma_blocks: u64,
+    /// Statistics: DMA read chains submitted.
+    dma_reads: DmaTraffic,
+    /// Statistics: DMA write chains submitted.
+    dma_writes: DmaTraffic,
     /// Statistics: deepest the command queue has ever been (queued +
     /// in-flight). One-deep means the submit-then-drain lockstep; the
     /// batched write-back path should push this toward [`SD_QUEUE_DEPTH`].
@@ -183,9 +203,8 @@ impl SdHost {
             queue: VecDeque::new(),
             inflight: None,
             next_cmd_id: 1,
-            dma_cmds: 0,
-            sg_control_blocks: 0,
-            dma_blocks: 0,
+            dma_reads: DmaTraffic::default(),
+            dma_writes: DmaTraffic::default(),
             queue_high_water: 0,
         }
     }
@@ -521,17 +540,27 @@ impl SdHost {
 
     /// DMA-mode commands submitted since boot.
     pub fn dma_cmds(&self) -> u64 {
-        self.dma_cmds
+        self.dma_reads.cmds + self.dma_writes.cmds
     }
 
     /// Scatter-gather control blocks programmed since boot.
     pub fn sg_control_blocks(&self) -> u64 {
-        self.sg_control_blocks
+        self.dma_reads.control_blocks + self.dma_writes.control_blocks
     }
 
     /// Blocks committed to DMA chains since boot.
     pub fn dma_blocks(&self) -> u64 {
-        self.dma_blocks
+        self.dma_reads.blocks + self.dma_writes.blocks
+    }
+
+    /// The DMA read chains submitted since boot.
+    pub fn dma_reads(&self) -> DmaTraffic {
+        self.dma_reads
+    }
+
+    /// The DMA write chains submitted since boot.
+    pub fn dma_writes(&self) -> DmaTraffic {
+        self.dma_writes
     }
 
     /// Deepest the asynchronous command queue has ever been.
@@ -587,10 +616,15 @@ impl SdHost {
     fn enqueue(&mut self, write: bool, runs: Vec<SdSgRun>, data: Option<Vec<u8>>) -> u64 {
         let id = self.next_cmd_id;
         self.next_cmd_id += 1;
-        self.dma_cmds += 1;
-        self.sg_control_blocks += runs.len() as u64;
         let total: u64 = runs.iter().map(|r| r.count).sum();
-        self.dma_blocks += total;
+        let traffic = if write {
+            &mut self.dma_writes
+        } else {
+            &mut self.dma_reads
+        };
+        traffic.cmds += 1;
+        traffic.control_blocks += runs.len() as u64;
+        traffic.blocks += total;
         // Counted at submit: the command is committed to the wire. (A torn
         // write may persist fewer; the crash tests check the medium, not the
         // odometer.)
@@ -880,6 +914,12 @@ mod tests {
         assert_eq!(sd.dma_cmds(), 2);
         assert_eq!(sd.sg_control_blocks(), 4);
         assert_eq!(sd.dma_blocks(), 12);
+        let one_chain = DmaTraffic {
+            cmds: 1,
+            control_blocks: 2,
+            blocks: 6,
+        };
+        assert_eq!((sd.dma_reads(), sd.dma_writes()), (one_chain, one_chain));
         assert_eq!(sd.queue_len(), 0);
     }
 

@@ -69,20 +69,20 @@ pub const KERNEL_IMAGE_BYTES: u64 = 2 * 1024 * 1024 + RAMDISK_BYTES;
 /// prefetch-command counter; syscalls diff two snapshots to charge the right
 /// cycle cost for exactly the commands they caused (prefetch-issued commands
 /// get their setup latency discounted — it overlaps the previous transfer;
-/// DMA chains charge command issue + control-block setup + per-block
+/// DMA read chains charge command issue + control-block setup + per-block
 /// completion bookkeeping, while their data phase runs on the device
-/// timeline and shows up as wait time, not as a CPU charge; cache FLUSH
-/// commands, served only with the posted write cache on, charge their own
-/// latency).
+/// timeline and shows up as wait time, not as a CPU charge; DMA write
+/// chains were charged the same work by the adapter at submit and are only
+/// attributed; cache FLUSH commands, served only with the posted write
+/// cache on, charge their own latency).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SdSnapshot {
     pub(crate) single_cmds: u64,
     pub(crate) range_cmds: u64,
     pub(crate) blocks: u64,
     pub(crate) prefetch_cmds: u64,
-    pub(crate) dma_cmds: u64,
-    pub(crate) dma_cbs: u64,
-    pub(crate) dma_blocks: u64,
+    pub(crate) dma_reads: hal::sdhost::DmaTraffic,
+    pub(crate) dma_writes: hal::sdhost::DmaTraffic,
     pub(crate) flush_cmds: u64,
 }
 
@@ -1253,9 +1253,11 @@ impl Kernel {
         }
         // FAT32 on the SD card. In DMA mode `flush_some` first reaps any
         // chains that completed since the last pass (surfacing their
-        // errors), then *submits* up to the budget and returns — the data
-        // phase runs on the device timeline, so kbio's CPU bill is just the
-        // command issue and bookkeeping.
+        // errors), then *submits* up to the budget and returns. The adapter
+        // charges each chain's command issue and bookkeeping to this core
+        // as it submits the chain, and `charge_sd_delta` attributes them to
+        // kbio; the data phase runs on the device timeline, so that CPU
+        // work is all kbio is billed.
         if self.fatfs.is_some() && self.fat_bufcache.dirty_blocks() > 0 {
             let before = self.sd_snapshot();
             let result = {
@@ -1670,9 +1672,8 @@ impl Kernel {
             range_cmds: self.board.sdhost.range_cmds(),
             blocks: self.board.sdhost.blocks_transferred(),
             prefetch_cmds: self.fat_bufcache.stats().prefetch_cmds,
-            dma_cmds: self.board.sdhost.dma_cmds(),
-            dma_cbs: self.board.sdhost.sg_control_blocks(),
-            dma_blocks: self.board.sdhost.dma_blocks(),
+            dma_reads: self.board.sdhost.dma_reads(),
+            dma_writes: self.board.sdhost.dma_writes(),
             flush_cmds: self.board.sdhost.flush_cmds(),
         }
     }

@@ -80,18 +80,28 @@ mod entry {
 
 impl Kernel {
     /// Charges `core` (and attributes to `task`) the cycles implied by the
-    /// SD commands issued since `before`. Commands the cache issued as
-    /// *prefetch* get their command-setup latency discounted: the read-ahead
-    /// is dispatched while the previous transfer's data is still streaming,
-    /// so its setup overlaps instead of serialising. Polled commands still
-    /// pay their full data phase on the CPU; DMA chains instead charge the
-    /// CPU-side work only — control-block construction (`dma_setup` per
-    /// scatter-gather run), per-block cache bookkeeping on the completion
-    /// path, and the bounce copy between the DMA region and the extents —
-    /// while the data phase itself elapses on the device timeline and shows
-    /// up as wait time when (and only when) a demand read has to block on it.
-    /// With the card's posted write cache on, each cache FLUSH costs its
-    /// latency; with the cache off none is served.
+    /// SD commands issued since `before`: DMA read chains, polled (PIO)
+    /// commands and cache FLUSHes. Commands the cache issued as *prefetch*
+    /// get their command-setup latency discounted: the read-ahead is
+    /// dispatched while the previous transfer's data is still streaming, so
+    /// its setup overlaps instead of serialising. Polled commands still pay
+    /// their full data phase on the CPU; DMA read chains instead charge the
+    /// CPU-side work only ([`hal::cost::CostModel::sd_dma_cpu`]) — command
+    /// issue, control-block construction (`dma_setup` per scatter-gather
+    /// run), per-block cache bookkeeping on the completion path, and the
+    /// bounce copy between the DMA region and the extents — while the data
+    /// phase itself elapses on the device timeline and shows up as wait
+    /// time when (and only when) a demand read has to block on it. With the
+    /// card's posted write cache on, each cache FLUSH costs its latency;
+    /// with the cache off none is served.
+    ///
+    /// DMA write chains are not charged here: the SD adapter charged each
+    /// one's CPU work, at the same price, to the submitting core when it
+    /// built the chain, so the cycles overlap the data phases of the chains
+    /// ahead of it in the queue. This only attributes them to `task`. The
+    /// FAT arms of `sys_mkdir`, `sys_unlink` and `sys_list_dir` take no
+    /// snapshot, so their write chains are charged to the clock at submit
+    /// but attributed to no task.
     pub(crate) fn charge_sd_delta(
         &mut self,
         core: usize,
@@ -101,28 +111,28 @@ impl Kernel {
         let after = self.sd_snapshot();
         let singles = after.single_cmds - before.single_cmds;
         let ranges = after.range_cmds - before.range_cmds;
-        let dma_cmds = after.dma_cmds - before.dma_cmds;
-        let dma_cbs = after.dma_cbs - before.dma_cbs;
-        let dma_blocks = after.dma_blocks - before.dma_blocks;
-        let pio_blocks = (after.blocks - before.blocks).saturating_sub(dma_blocks);
+        let reads = after.dma_reads.since(before.dma_reads);
+        let writes = after.dma_writes.since(before.dma_writes);
+        let pio_blocks =
+            (after.blocks - before.blocks).saturating_sub(reads.blocks + writes.blocks);
         let prefetched = after.prefetch_cmds - before.prefetch_cmds;
         let flushes = after.flush_cmds - before.flush_cmds;
         let cost = &self.board.cost;
-        let mut cycles = (singles + ranges + dma_cmds).saturating_sub(prefetched)
-            * cost.sd_cmd_latency
+        let prefetch_discount = prefetched.min(singles + ranges + reads.cmds) * cost.sd_cmd_latency;
+        let mut cycles = (singles + ranges) * cost.sd_cmd_latency
             + singles * cost.sd_block_poll_transfer
             + flushes * cost.sd_flush_latency
             + pio_blocks.saturating_sub(singles) * cost.sd_range_block_transfer
-            + dma_cbs * cost.dma_setup
-            + dma_blocks * cost.bufcache_op
-            + cost.per_byte(cost.memmove_fast_per_byte_milli, dma_blocks * 512);
+            + cost.sd_dma_cpu(reads)
+            - prefetch_discount;
         if self.config.variant == crate::config::KernelVariant::Xv6Baseline {
             // The baseline's simpler SD driver is measurably slower (§7.2).
             cycles = cycles * 8 / 5;
         }
+        let charged_at_submit = cost.sd_dma_cpu(writes);
         self.board.charge(core, cycles);
         if let Some(t) = self.tasks_mut(task) {
-            t.sd_cycles += cycles;
+            t.sd_cycles += cycles + charged_at_submit;
         }
     }
 
@@ -431,11 +441,12 @@ impl Kernel {
                     }
                     Err(protofs::FsError::NotFound(_)) if flags.create => {
                         let before = self.sd_snapshot();
-                        {
+                        let created = {
                             let mut dev = fat_dev!(self, core);
-                            fat.create(&mut dev, &mut self.fat_bufcache, &inner, false)?;
-                        }
+                            fat.create(&mut dev, &mut self.fat_bufcache, &inner, false)
+                        };
                         self.charge_sd_delta(core, task, before);
+                        created?;
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -627,11 +638,13 @@ impl Kernel {
             MountTarget::Fat => {
                 let fat = self.fatfs_clone()?;
                 let before = self.sd_snapshot();
-                let entry = {
+                let found = {
                     let mut dev = fat_dev!(self, core);
-                    fat.lookup(&mut dev, &mut self.fat_bufcache, &inner)?
+                    fat.lookup(&mut dev, &mut self.fat_bufcache, &inner)
                 };
+                // Charge the SD work even when the lookup fails.
                 self.charge_sd_delta(core, task, before);
+                let entry = found?;
                 Ok(FileStat {
                     size: entry.size as u64,
                     is_dir: entry.is_dir,
@@ -1057,40 +1070,10 @@ impl Kernel {
                 }
                 let fat = self.fatfs_clone()?;
                 let before = self.sd_snapshot();
-                {
-                    let mut dev = fat_dev!(self, core);
-                    if offset == 0 {
-                        fat.write_file(&mut dev, &mut self.fat_bufcache, &volume_path, data)?;
-                    } else {
-                        // Read-modify-write for writes at an offset. FAT32
-                        // caps a file at u32::MAX bytes; reject anything that
-                        // would overflow or exceed it before sizing the
-                        // buffer.
-                        let off = usize::try_from(offset)
-                            .ok()
-                            .filter(|&o| o <= u32::MAX as usize)
-                            .ok_or_else(|| {
-                                KernelError::Invalid(format!("FAT write offset {offset} too large"))
-                            })?;
-                        let end = off
-                            .checked_add(data.len())
-                            .filter(|&e| e <= u32::MAX as usize)
-                            .ok_or_else(|| {
-                                KernelError::Invalid(format!(
-                                    "FAT write of {} bytes at {offset} exceeds the FAT32 file size limit",
-                                    data.len()
-                                ))
-                            })?;
-                        let mut whole =
-                            fat.read_file(&mut dev, &mut self.fat_bufcache, &volume_path)?;
-                        if whole.len() < end {
-                            whole.resize(end, 0);
-                        }
-                        whole[off..end].copy_from_slice(data);
-                        fat.write_file(&mut dev, &mut self.fat_bufcache, &volume_path, &whole)?;
-                    }
-                }
+                let written = self.fat_write_at(core, &fat, &volume_path, offset, data);
+                // Charge the SD work even when the write fails.
                 self.charge_sd_delta(core, task, before);
+                written?;
                 self.advance_offset(task, fd, data.len() as u64)?;
                 self.mark_written(task, fd);
                 self.maybe_kick_kbio();
@@ -1322,6 +1305,45 @@ impl Kernel {
         }
     }
 
+    /// Writes `data` at `offset` of the FAT file `volume_path`: the whole
+    /// file at offset 0, a read-modify-write of it anywhere else.
+    fn fat_write_at(
+        &mut self,
+        core: usize,
+        fat: &protofs::fat32::Fat32,
+        volume_path: &str,
+        offset: u64,
+        data: &[u8],
+    ) -> KResult<()> {
+        let mut dev = fat_dev!(self, core);
+        if offset == 0 {
+            fat.write_file(&mut dev, &mut self.fat_bufcache, volume_path, data)?;
+            return Ok(());
+        }
+        // FAT32 caps a file at u32::MAX bytes; reject anything that would
+        // overflow or exceed it before sizing the buffer.
+        let off = usize::try_from(offset)
+            .ok()
+            .filter(|&o| o <= u32::MAX as usize)
+            .ok_or_else(|| KernelError::Invalid(format!("FAT write offset {offset} too large")))?;
+        let end = off
+            .checked_add(data.len())
+            .filter(|&e| e <= u32::MAX as usize)
+            .ok_or_else(|| {
+                KernelError::Invalid(format!(
+                    "FAT write of {} bytes at {offset} exceeds the FAT32 file size limit",
+                    data.len()
+                ))
+            })?;
+        let mut whole = fat.read_file(&mut dev, &mut self.fat_bufcache, volume_path)?;
+        if whole.len() < end {
+            whole.resize(end, 0);
+        }
+        whole[off..end].copy_from_slice(data);
+        fat.write_file(&mut dev, &mut self.fat_bufcache, volume_path, &whole)?;
+        Ok(())
+    }
+
     fn advance_offset(&mut self, task: TaskId, fd: i32, by: u64) -> KResult<()> {
         let t = self
             .tasks_mut(task)
@@ -1423,5 +1445,45 @@ mod tests {
         let flush = charged(&mut k, task, |dev| dev.flush().unwrap());
         assert_eq!(k.board.sdhost.flush_cmds(), 1);
         assert_eq!(flush, k.board.cost.sd_flush_latency);
+    }
+
+    /// A DMA write chain's driver CPU work is charged to the submitting
+    /// core inside the submit, before the chain's data phase starts, and
+    /// `charge_sd_delta` then bills exactly that to the task without
+    /// advancing the clock again.
+    #[test]
+    fn dma_write_chain_is_charged_at_submit_and_billed_once() {
+        use hal::sdhost::{DmaTraffic, SD_DMA_CHANNEL};
+        let mut k = Kernel::desktop_pi3();
+        k.boot().unwrap();
+        assert!(k.config.sd_dma, "the adapter carries a DMA context");
+        assert_eq!(k.board.sdhost.queue_len(), 0, "boot left the queue empty");
+        let task = k.spawn_bench_task("writer").unwrap();
+        let chain = DmaTraffic {
+            cmds: 1,
+            control_blocks: 2,
+            blocks: 24,
+        };
+        let price = k.board.cost.sd_dma_cpu(chain);
+        let before = k.sd_snapshot();
+        let (clock0, task0) = (k.board.clock.cycles(0), k.task_sd_cycles(task));
+        {
+            let mut dev = fat_dev!(k, 0);
+            let top = dev.num_blocks();
+            let runs = [(top - 64, 16), (top - 32, 8)];
+            let data = vec![0x5Au8; 24 * protofs::block::BLOCK_SIZE];
+            dev.submit_write_sg(&runs, &data).unwrap();
+            assert_eq!(dev.inflight(), 1, "the chain has not completed");
+        }
+        assert_eq!(k.board.clock.cycles(0) - clock0, price, "charged at submit");
+        let data_phase = k.board.cost.sd_dma_run(16) + k.board.cost.sd_dma_run(8);
+        assert_eq!(
+            k.board.dma.busy_until(SD_DMA_CHANNEL),
+            Some(clock0 + price + data_phase),
+            "the data phase starts after the driver built the chain"
+        );
+        k.charge_sd_delta(0, task, before);
+        assert_eq!(k.board.clock.cycles(0) - clock0, price, "charged once");
+        assert_eq!(k.task_sd_cycles(task) - task0, price, "billed to the task");
     }
 }

@@ -258,6 +258,38 @@ fn sd_card_faults_surface_as_io_errors_not_panics() {
     sys.kernel.board.sdhost.clear_faults();
 }
 
+/// A FAT syscall that fails still pays for the SD work it did: `stat` of a
+/// missing name in a cold 100-entry directory reads the directory from the
+/// card before it can report the name absent, and the caller is billed.
+#[test]
+fn a_failing_fat_stat_is_charged_for_the_directory_it_read() {
+    let (mut sys, tid) = desktop();
+    sys.kernel
+        .with_task_ctx(tid, |ctx| {
+            for i in 0..100 {
+                let fd = ctx.open(&format!("/d/entry{i}.txt"), OpenFlags::wronly_create())?;
+                ctx.close(fd)?;
+            }
+            Ok::<(), kernel::KernelError>(())
+        })
+        .unwrap();
+    sys.kernel.drop_fs_caches().unwrap();
+    let billed = |sys: &ProtoSystem| sys.kernel.task_sd_cycles(tid);
+    let (billed0, cmds0) = (billed(&sys), sys.kernel.board.sdhost.dma_cmds());
+    let missing = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| ctx.stat("/d/absent.txt"));
+    assert!(missing.is_err(), "the name is not there");
+    assert!(
+        sys.kernel.board.sdhost.dma_cmds() > cmds0,
+        "the lookup read the directory from the card"
+    );
+    assert!(
+        billed(&sys) > billed0,
+        "the failed stat was charged for its SD commands"
+    );
+}
+
 /// The `SyscallEnter` events that one call of `f` on `tid`'s context
 /// records.
 fn entries<R>(

@@ -607,13 +607,25 @@ fn kbio_commits_a_pending_group_after_the_timeout() {
     );
 }
 
+/// A 2 MB write and fsync through syscalls on the DMA card. The writer
+/// keeps the queue deep, and it builds each write chain while the chains
+/// queued ahead of it transfer: the driver's CPU work is charged when a
+/// chain is submitted, so it overlaps the card's data phase instead of
+/// following it, and the call takes little more than that data phase.
 #[test]
 fn batched_writeback_keeps_the_queue_deep_under_cache_pressure() {
     let mut sys = ProtoSystem::desktop().unwrap();
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    let core = sys.kernel.task(writer).unwrap().core;
     // Snapshot the occupancy histogram so boot-time install traffic (which
     // also drives the queue deep) cannot satisfy the depth assertions.
     let occupancy_before = sys.kernel.fat_queue_occupancy();
+    let moved = |sys: &ProtoSystem| {
+        let h = &sys.kernel.board.sdhost;
+        (h.dma_blocks(), h.sg_control_blocks())
+    };
+    let (blocks0, cbs0) = moved(&sys);
+    let start = sys.kernel.board.clock.cycles(core);
     // 2 MB through the 512 KB cache: most blocks move under eviction
     // pressure. With batching, the writer keeps several scatter-gather
     // chains in flight instead of the one-deep submit-then-drain lockstep.
@@ -625,6 +637,20 @@ fn batched_writeback_keeps_the_queue_deep_under_cache_pressure() {
             ctx.close(fd)
         })
         .unwrap();
+    let elapsed = sys.kernel.board.clock.cycles(core) - start;
+    let (blocks1, cbs1) = moved(&sys);
+    let (blocks, cbs) = (blocks1 - blocks0, cbs1 - cbs0);
+    assert!(blocks >= 4096, "the file went to the card: {blocks} blocks");
+    // `sd_dma_run` prices one control block, setup included; the others
+    // add their own setup.
+    let cost = &sys.kernel.board.cost;
+    let data_phase = cost.sd_dma_run(blocks) + (cbs - 1) * cost.dma_setup;
+    let ratio = elapsed as f64 / data_phase as f64;
+    assert!(
+        ratio <= 1.15,
+        "write + fsync took {elapsed} cycles, {ratio:.3}x the card's {data_phase}-cycle \
+         data phase for {blocks} blocks in {cbs} control blocks"
+    );
     let occupancy: Vec<u64> = sys
         .kernel
         .fat_queue_occupancy()
