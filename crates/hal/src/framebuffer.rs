@@ -14,6 +14,8 @@
 //! the behaviour that produces the stale-pixel artifacts of §4.3 when the
 //! per-frame flush is forgotten.
 
+use std::ops::Range;
+
 use crate::cache::{DirtyLineTracker, CACHE_LINE_SIZE};
 use crate::{HalError, HalResult};
 
@@ -24,6 +26,13 @@ pub const DEFAULT_WIDTH: u32 = 640;
 pub const DEFAULT_HEIGHT: u32 = 480;
 /// Bytes per pixel (32-bit ARGB).
 pub const BYTES_PER_PIXEL: u32 = 4;
+/// Framebuffer lines the CPU cache holds dirty before it evicts the
+/// lowest-numbered one to scanout: 128 KB of the Pi 3's 512 KB L2. A
+/// 640x480 frame spans 19,200 lines, so a frame drawn without a clean
+/// leaves its last 2,048 lines stale.
+const FB_CACHE_LINES: usize = 2048;
+/// Pixels per cache line.
+const LINE_PX: usize = CACHE_LINE_SIZE / BYTES_PER_PIXEL as usize;
 
 /// Geometry and placement of an allocated framebuffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +86,7 @@ impl Framebuffer {
             info: None,
             staged: Vec::new(),
             scanout: Vec::new(),
-            dirty: DirtyLineTracker::new(2048),
+            dirty: DirtyLineTracker::new(0, FB_CACHE_LINES),
             pixels_written: 0,
             flushes: 0,
         }
@@ -99,7 +108,7 @@ impl Framebuffer {
         self.info = Some(info);
         self.staged = vec![0u32; (width * height) as usize];
         self.scanout = vec![0u32; (width * height) as usize];
-        self.dirty = DirtyLineTracker::new(2048);
+        self.dirty = DirtyLineTracker::new(size as usize, FB_CACHE_LINES);
         self.pixels_written = 0;
         self.flushes = 0;
         info
@@ -123,10 +132,14 @@ impl Framebuffer {
     /// Writes `pixels` starting at pixel index `offset_px`.
     ///
     /// With `cached == true` the write lands in the staged plane and will not
-    /// be visible on the display until the covering lines are cleaned; the
-    /// returned evicted lines are committed immediately (modelling capacity
-    /// write-back). With `cached == false` (a device/non-cacheable mapping)
-    /// the write goes straight to scanout.
+    /// be visible on the display until the covering lines are cleaned. When
+    /// the cache holds more dirty lines than it can, the lowest-numbered ones
+    /// are written back to scanout at once (modelling capacity write-back),
+    /// one copy per run of consecutive lines. With `cached == false` (a
+    /// device/non-cacheable mapping) the write goes straight to scanout.
+    ///
+    /// A write that does not fit in the framebuffer, including one whose end
+    /// overflows `usize`, fails with [`HalError::OutOfRange`].
     pub fn write_pixels(
         &mut self,
         offset_px: usize,
@@ -134,25 +147,26 @@ impl Framebuffer {
         cached: bool,
     ) -> HalResult<()> {
         let info = self.require_info()?;
-        if offset_px + pixels.len() > info.pixel_count() {
-            return Err(HalError::OutOfRange(format!(
-                "framebuffer write of {} px at {} exceeds {} px",
-                pixels.len(),
-                offset_px,
-                info.pixel_count()
-            )));
-        }
-        self.staged[offset_px..offset_px + pixels.len()].copy_from_slice(pixels);
+        let end = offset_px
+            .checked_add(pixels.len())
+            .filter(|&end| end <= info.pixel_count())
+            .ok_or_else(|| {
+                HalError::OutOfRange(format!(
+                    "framebuffer write of {} px at {} exceeds {} px",
+                    pixels.len(),
+                    offset_px,
+                    info.pixel_count()
+                ))
+            })?;
+        self.staged[offset_px..end].copy_from_slice(pixels);
         self.pixels_written += pixels.len() as u64;
         if cached {
             let byte_off = offset_px * BYTES_PER_PIXEL as usize;
             let byte_len = pixels.len() * BYTES_PER_PIXEL as usize;
             let evicted = self.dirty.mark_dirty(byte_off, byte_len);
-            for line in evicted {
-                self.commit_line(line);
-            }
+            self.write_back(evicted);
         } else {
-            self.scanout[offset_px..offset_px + pixels.len()].copy_from_slice(pixels);
+            self.scanout[offset_px..end].copy_from_slice(pixels);
         }
         Ok(())
     }
@@ -168,38 +182,39 @@ impl Framebuffer {
         Ok(())
     }
 
-    fn commit_line(&mut self, line: usize) {
-        let start_byte = line * CACHE_LINE_SIZE;
-        let start_px = start_byte / BYTES_PER_PIXEL as usize;
-        let end_px =
-            ((start_byte + CACHE_LINE_SIZE) / BYTES_PER_PIXEL as usize).min(self.staged.len());
-        if start_px >= self.staged.len() {
-            return;
+    /// Copies each run of lines from the staged plane to scanout, one copy
+    /// per run, and returns the number of lines written back.
+    fn write_back(&mut self, runs: Vec<Range<usize>>) -> usize {
+        let mut lines = 0;
+        for run in runs {
+            lines += run.len();
+            // The tracker covers the allocation, so a run starts inside it;
+            // only the last line of an allocation that is not a whole number
+            // of lines extends past the planes.
+            let px = run.start * LINE_PX..(run.end * LINE_PX).min(self.staged.len());
+            self.scanout[px.clone()].copy_from_slice(&self.staged[px]);
         }
-        self.scanout[start_px..end_px].copy_from_slice(&self.staged[start_px..end_px]);
+        lines
     }
 
     /// Cleans the CPU cache for the byte range `[offset, offset+len)` of the
-    /// framebuffer (the `dc civac` loop a Proto syscall performs each frame).
-    /// Returns the number of lines written back, so callers can charge the
-    /// per-line maintenance cost.
+    /// framebuffer (the `dc civac` loop a Proto syscall performs each frame),
+    /// writing the dirty lines back to scanout one run of consecutive lines
+    /// at a time. Returns the number of lines written back, so callers can
+    /// charge the per-line maintenance cost.
     pub fn flush_range(&mut self, offset: usize, len: usize) -> usize {
-        let lines = self.dirty.clean_range(offset, len);
-        for line in &lines {
-            self.commit_line(*line);
-        }
+        let cleaned = self.dirty.clean_range(offset, len);
         self.flushes += 1;
-        lines.len()
+        self.write_back(cleaned)
     }
 
-    /// Cleans the entire framebuffer. Returns the number of lines written back.
+    /// Cleans the entire framebuffer, writing the dirty lines back to scanout
+    /// one run of consecutive lines at a time. Returns the number of lines
+    /// written back.
     pub fn flush_all(&mut self) -> usize {
-        let lines = self.dirty.clean_all();
-        for line in &lines {
-            self.commit_line(*line);
-        }
+        let cleaned = self.dirty.clean_all();
         self.flushes += 1;
-        lines.len()
+        self.write_back(cleaned)
     }
 
     /// Reads back what the display is scanning out (what a camera pointed at
@@ -299,6 +314,29 @@ mod tests {
         let too_many = vec![0u32; 64 * 32 + 1];
         assert!(fb.write_pixels(0, &too_many, false).is_err());
         assert!(fb.write_pixels(64 * 32 - 1, &[0, 0], false).is_err());
+        // The end of this one overflows `usize`.
+        assert!(fb.write_pixels(usize::MAX - 1, &[0, 0], true).is_err());
+    }
+
+    #[test]
+    fn an_unflushed_frame_leaves_exactly_its_last_cache_lines_stale() {
+        // One 640x480 frame drawn a row at a time, as DOOM draws it: 19,200
+        // lines against the 2,048 the cache holds, evicted lowest first.
+        let mut fb = Framebuffer::new();
+        fb.allocate(DEFAULT_WIDTH, DEFAULT_HEIGHT, 0x3C10_0000);
+        let (w, h) = (DEFAULT_WIDTH as usize, DEFAULT_HEIGHT as usize);
+        let frame: Vec<u32> = (0..w * h).map(|i| 0xFF00_0000 | i as u32).collect();
+        for y in 0..h {
+            fb.write_pixels(y * w, &frame[y * w..(y + 1) * w], true)
+                .unwrap();
+        }
+        let written_back = w * h - FB_CACHE_LINES * LINE_PX;
+        assert_eq!(fb.stale_pixels(), FB_CACHE_LINES * LINE_PX);
+        assert_eq!(&fb.scanout_pixels()[..written_back], &frame[..written_back]);
+        assert!(fb.scanout_pixels()[written_back..].iter().all(|&p| p == 0));
+        assert_eq!(fb.flush_all(), FB_CACHE_LINES);
+        assert_eq!(fb.stale_pixels(), 0);
+        assert_eq!(fb.scanout_pixels(), &frame[..]);
     }
 
     #[test]

@@ -1222,11 +1222,9 @@ impl Kernel {
                 "framebuffer not mapped; call fb_map() first".into(),
             ));
         }
-        let cost = self.board.cost.clone();
-        self.board.charge_user(
-            core,
-            cost.per_byte(cost.pixel_draw_per_px_milli, pixels.len() as u64),
-        );
+        let cost = &self.board.cost;
+        let cycles = cost.per_byte(cost.pixel_draw_per_px_milli, pixels.len() as u64);
+        self.board.charge_user(core, cycles);
         self.board
             .framebuffer
             .write_pixels(offset_px, pixels, true)?;

@@ -147,3 +147,36 @@ fn root_writes_past_4_gib_are_rejected() {
     );
     assert_eq!(back, b"HEADER-BYTES");
 }
+
+#[test]
+fn framebuffer_writes_whose_end_overflows_are_rejected() {
+    // The bounds check itself overflowed: `offset_px + pixels.len()` at an
+    // offset of usize::MAX - 1 panicked the kernel, on the addition in debug
+    // builds and on the slice index in release builds. `protolint --pass
+    // taint` never flagged this site, because it counts an identifier used
+    // in a comparison as sanitized, and here the comparison was the
+    // overflowing addition. A write one pixel past the end must fail the
+    // same way, and a write that ends at the last pixel must still land.
+    let (mut sys, tid) = desktop();
+    let (huge, past_end, last, end) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            ctx.fb_map()?;
+            let (w, h) = ctx.fb_info()?;
+            let end = (w * h) as usize;
+            let huge = ctx.fb_write(usize::MAX - 1, &[0, 0]);
+            let past_end = ctx.fb_write(end - 1, &[0, 0]);
+            let last = ctx.fb_write(end - 2, &[0xFF12_3456, 0xFF65_4321]);
+            Ok::<_, kernel::KernelError>((huge, past_end, last, end))
+        })
+        .unwrap();
+    for (what, r) in [("usize::MAX - 1", huge), ("one past the end", past_end)] {
+        assert!(
+            matches!(r, Err(kernel::KernelError::Device(_))),
+            "write at {what}: {r:?}"
+        );
+    }
+    last.unwrap();
+    let fb = &sys.kernel.board.framebuffer;
+    assert_eq!(fb.staged_pixels()[end - 2..], [0xFF12_3456, 0xFF65_4321]);
+}
