@@ -20,6 +20,18 @@
 //!   of [`EXTENT_BLOCKS`] sectors (4 KB — exactly one FAT32 cluster), with
 //!   per-block valid and dirty bitmaps. A FAT32 cluster read occupies one
 //!   extent instead of eight separately tracked buffers.
+//! * **Walked an extent at a time.** Every range operation — the hit/miss
+//!   count, the search for missing blocks, fills and their installs,
+//!   copy-out, writes, write-back snapshots and settles — walks its range
+//!   as per-extent spans (`spans`): it finds each extent once, updates its
+//!   bitmaps a span at a time, and moves each span's bytes with one copy.
+//!   What is counted per block stays per block. Every block is one lookup
+//!   in the statistics, and the LRU clock advances once per block: a span
+//!   that allocates or writes an extent takes its first block's tick
+//!   before any eviction and leaves the extent stamped with its last
+//!   block's, and copy-out ticks each block and applies the use-once test
+//!   to each in turn. Every tick, and so every eviction, is what a
+//!   block-at-a-time walk would produce.
 //! * **Range I/O first-class.** [`BufCache::read_range`] and
 //!   [`BufCache::write_range`] are the native operations; single-block
 //!   [`BufCache::read`]/[`BufCache::write`] are the one-block special case.
@@ -388,22 +400,6 @@ impl Extent {
     fn bit(lba: u64) -> u8 {
         1 << (lba % EXTENT_BLOCKS as u64)
     }
-
-    fn slot(lba: u64) -> usize {
-        (lba % EXTENT_BLOCKS as u64) as usize * BLOCK_SIZE
-    }
-
-    fn has(&self, lba: u64) -> bool {
-        self.valid & Self::bit(lba) != 0
-    }
-
-    fn block(&self, lba: u64) -> &[u8] {
-        &self.data[Self::slot(lba)..Self::slot(lba) + BLOCK_SIZE]
-    }
-
-    fn block_mut(&mut self, lba: u64) -> &mut [u8] {
-        &mut self.data[Self::slot(lba)..Self::slot(lba) + BLOCK_SIZE]
-    }
 }
 
 /// Per-shard statistics.
@@ -558,9 +554,115 @@ struct Stream {
 const SCAN_RESIST_BLOCKS: u64 = 2 * EXTENT_BLOCKS as u64;
 
 fn push_block(runs: &mut Vec<Run>, lba: u64) {
+    push_run(runs, lba, 1);
+}
+
+/// Appends `[start, start + len)` to `runs`, extending the last run when
+/// the new blocks continue it.
+fn push_run(runs: &mut Vec<Run>, start: u64, len: u64) {
     match runs.last_mut() {
-        Some(r) if r.start + r.len == lba => r.len += 1,
-        _ => runs.push(Run { start: lba, len: 1 }),
+        Some(r) if r.start.saturating_add(r.len) == start => r.len += len,
+        _ => runs.push(Run { start, len }),
+    }
+}
+
+/// The part of one extent a block range covers: the unit of every range
+/// walk in the cache ([`spans`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    /// The extent's first LBA.
+    base: u64,
+    /// The span's first LBA.
+    lba: u64,
+    /// Blocks in the span, 1 to [`EXTENT_BLOCKS`].
+    len: u64,
+    /// Blocks of the walk before this span: where the span's bytes start
+    /// in a buffer that holds the whole range (or the runs' payload).
+    skip: u64,
+}
+
+impl Span {
+    /// The span's first block as an index into its extent.
+    fn first(&self) -> usize {
+        (self.lba - self.base) as usize
+    }
+
+    /// The span's LBAs.
+    fn blocks(&self) -> std::ops::Range<u64> {
+        self.lba..self.lba.saturating_add(self.len)
+    }
+
+    /// The span's blocks as an extent bitmap.
+    fn mask(&self) -> u8 {
+        (((1u16 << self.len) - 1) << self.first()) as u8
+    }
+
+    /// The span's bytes within its extent's data.
+    fn slots(&self) -> std::ops::Range<usize> {
+        let at = self.first() * BLOCK_SIZE;
+        at..at + self.len as usize * BLOCK_SIZE
+    }
+
+    /// The span's bytes within the walk's buffer.
+    fn bytes(&self) -> std::ops::Range<usize> {
+        let at = self.skip as usize * BLOCK_SIZE;
+        at..at + self.len as usize * BLOCK_SIZE
+    }
+}
+
+/// Splits `[lba, lba + count)` into per-extent spans, in LBA order.
+fn spans(lba: u64, count: u64) -> impl Iterator<Item = Span> {
+    run_spans(std::iter::once(Run {
+        start: lba,
+        len: count,
+    }))
+}
+
+/// The spans of `runs`, one run after another, with `skip` counted across
+/// the runs as their blocks sit in a run-major payload.
+fn run_spans(runs: impl IntoIterator<Item = Run>) -> impl Iterator<Item = Span> {
+    let mut before = 0u64;
+    runs.into_iter().flat_map(move |r| {
+        let skip = before;
+        before += r.len;
+        let end = r.start.saturating_add(r.len);
+        let mut next = r.start;
+        std::iter::from_fn(move || {
+            if next >= end {
+                return None;
+            }
+            let base = BufCache::extent_base(next);
+            let len = base.saturating_add(EXTENT_BLOCKS as u64).min(end) - next;
+            let span = Span {
+                base,
+                lba: next,
+                len,
+                skip: skip + (next - r.start),
+            };
+            next += len;
+            Some(span)
+        })
+    })
+}
+
+/// The maximal runs of set bits in an extent bitmap, lowest first, as
+/// (first block index, blocks).
+fn bit_runs(mut bits: u8) -> impl Iterator<Item = (usize, usize)> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let first = bits.trailing_zeros();
+        let len = (bits >> first).trailing_ones();
+        bits &= !((((1u16 << len) - 1) << first) as u8);
+        Some((first as usize, len as usize))
+    })
+}
+
+/// Appends the blocks of the extent at `base` set in `bits` to `runs`.
+fn push_bits(runs: &mut Vec<Run>, base: u64, bits: u8) {
+    for (i, n) in bit_runs(bits) {
+        push_run(runs, base + i as u64, n as u64);
     }
 }
 
@@ -1733,7 +1835,11 @@ impl BufCache {
                 .shards
                 .get(si)
                 .and_then(|s| s.find(base).map(|ei| (s, ei)))
-                .map(|(s, ei)| s.extents.get(ei).is_some_and(|e| e.has(lba)))
+                .map(|(s, ei)| {
+                    s.extents
+                        .get(ei)
+                        .is_some_and(|e| e.valid & Extent::bit(lba) != 0)
+                })
                 .unwrap_or(false);
             assert!(
                 resident,
@@ -1796,19 +1902,31 @@ impl BufCache {
     /// Whether block `lba` is cached with its bit set in the bitmap `map`
     /// picks from its extent.
     fn block_has(&self, lba: u64, map: impl Fn(&Extent) -> u8) -> bool {
-        let base = Self::extent_base(lba);
+        self.resident(Self::extent_base(lba))
+            .is_some_and(|e| map(e) & Extent::bit(lba) != 0)
+    }
+
+    /// The cached extent at `base`, if resident.
+    fn resident(&self, base: u64) -> Option<&Extent> {
+        let shard = &self.shards[self.shard_of(base)];
+        shard.find(base).map(|ei| &shard.extents[ei])
+    }
+
+    /// The cached extent at `base`, if resident, for update.
+    fn resident_mut(&mut self, base: u64) -> Option<&mut Extent> {
         let si = self.shard_of(base);
-        self.shards[si]
-            .find(base)
-            .is_some_and(|ei| map(&self.shards[si].extents[ei]) & Extent::bit(lba) != 0)
+        let shard = &mut self.shards[si];
+        shard.find(base).map(|ei| &mut shard.extents[ei])
     }
 
     /// Whether every recorded write-order dependency of metadata block `lba`
     /// is clean (no dependencies counts as satisfied).
     fn deps_clean(&self, lba: u64) -> bool {
         self.deps.get(&lba).is_none_or(|runs| {
-            runs.iter()
-                .all(|r| (r.start..r.start + r.len).all(|b| !self.is_block_dirty(b)))
+            run_spans(runs.iter().copied()).all(|sp| {
+                self.resident(sp.base)
+                    .is_none_or(|e| (e.dirty | e.writing) & sp.mask() == 0)
+            })
         })
     }
 
@@ -1979,13 +2097,21 @@ impl BufCache {
     }
 
     /// Returns a mutable reference to the extent covering `lba`, allocating
-    /// (and evicting, with write-back) as needed. With affinity on, a new
-    /// extent is placed by [`BufCache::place_shard`] instead of the LBA
-    /// hash and the divergence is remembered until the extent is evicted.
-    fn extent_for(&mut self, dev: &mut dyn BlockDevice, lba: u64) -> FsResult<&mut Extent> {
+    /// (and evicting, with write-back) as needed, and stamps it for the LRU
+    /// on behalf of `blocks` blocks of one span: the clock advances once
+    /// per block, the first tick taken before any eviction, and the extent
+    /// keeps the last. With affinity on, a new extent is placed by
+    /// [`BufCache::place_shard`] instead of the LBA hash and the divergence
+    /// is remembered until the extent is evicted.
+    fn extent_for(
+        &mut self,
+        dev: &mut dyn BlockDevice,
+        lba: u64,
+        blocks: u64,
+    ) -> FsResult<&mut Extent> {
         let base = Self::extent_base(lba);
         let mut si = self.shard_of(base);
-        let tick = self.next_tick();
+        self.next_tick();
         let cap = self.extents_per_shard;
 
         if self.shards[si].find(base).is_none() {
@@ -2008,6 +2134,7 @@ impl BufCache {
             }
         }
 
+        self.tick += blocks.saturating_sub(1);
         let shard = &mut self.shards[si];
         let idx = match shard.find(base) {
             Some(i) => i,
@@ -2017,7 +2144,7 @@ impl BufCache {
             }
         };
         let ext = &mut shard.extents[idx];
-        ext.tick = tick;
+        ext.tick = self.tick;
         Ok(ext)
     }
 
@@ -2288,27 +2415,26 @@ impl BufCache {
     fn settle_write(&mut self, runs: &[Run], result: &FsResult<()>) {
         match result {
             Ok(()) => {
-                for run in runs {
-                    for b in run.start..run.start + run.len {
-                        let base = Self::extent_base(b);
-                        let si = self.shard_of(base);
-                        let Some(ei) = self.shards[si].find(base) else {
+                for sp in run_spans(runs.iter().copied()) {
+                    let si = self.shard_of(sp.base);
+                    let shard = &mut self.shards[si];
+                    let Some(ei) = shard.find(sp.base) else {
+                        continue;
+                    };
+                    let e = &mut shard.extents[ei];
+                    let done = e.writing & sp.mask();
+                    e.writing &= !done;
+                    let still_dirty = e.dirty & done;
+                    shard.stats.writeback_blocks += u64::from(done.count_ones());
+                    for b in sp.blocks() {
+                        if done & Extent::bit(b) == 0 {
                             continue;
-                        };
-                        let still_dirty = {
-                            let e = &mut self.shards[si].extents[ei];
-                            if e.writing & Extent::bit(b) == 0 {
-                                continue;
-                            }
-                            e.writing &= !Extent::bit(b);
-                            e.dirty & Extent::bit(b) != 0
-                        };
-                        self.shards[si].stats.writeback_blocks += 1;
+                        }
                         self.note_write_success(b);
-                        // Durable now. A write-order dependency keyed on
-                        // this block is settled unless a later cache write
+                        // Durable now. A write-order dependency keyed on this
+                        // block is settled unless a later cache write
                         // re-dirtied it.
-                        if !still_dirty {
+                        if still_dirty & Extent::bit(b) == 0 {
                             self.deps.remove(&b);
                         }
                     }
@@ -2320,24 +2446,15 @@ impl BufCache {
                 // *budgeted* retry: a block that keeps failing is parked and
                 // the cache degrades to read-only instead of resubmitting
                 // the same doomed chain forever.
-                for run in runs {
-                    for b in run.start..run.start + run.len {
-                        let base = Self::extent_base(b);
-                        let si = self.shard_of(base);
-                        let Some(ei) = self.shards[si].find(base) else {
-                            continue;
-                        };
-                        let failed = {
-                            let ext = &mut self.shards[si].extents[ei];
-                            if ext.writing & Extent::bit(b) != 0 {
-                                ext.writing &= !Extent::bit(b);
-                                ext.dirty |= Extent::bit(b);
-                                true
-                            } else {
-                                false
-                            }
-                        };
-                        if failed {
+                for sp in run_spans(runs.iter().copied()) {
+                    let Some(ext) = self.resident_mut(sp.base) else {
+                        continue;
+                    };
+                    let failed = ext.writing & sp.mask();
+                    ext.writing &= !failed;
+                    ext.dirty |= failed;
+                    for b in sp.blocks() {
+                        if failed & Extent::bit(b) != 0 {
                             self.async_write_errors += 1;
                             self.note_write_failure(b);
                         }
@@ -2365,32 +2482,26 @@ impl BufCache {
         };
         let total: u64 = runs.iter().map(|r| r.len).sum();
         let cold = total >= SCAN_RESIST_BLOCKS;
-        let mut off = 0usize;
-        for run in runs {
-            for b in run.start..run.start + run.len {
-                let slice = &bytes[off..off + BLOCK_SIZE];
-                off += BLOCK_SIZE;
-                let base = Self::extent_base(b);
-                let si = self.shard_of(base);
-                let Some(ei) = self.shards[si].find(base) else {
-                    continue;
-                };
-                let e = &mut self.shards[si].extents[ei];
-                // A write issued after the fill was submitted supersedes it
-                // (the write cancelled the pending bit); never clobber newer
-                // data.
-                if e.pending & Extent::bit(b) == 0 {
-                    continue;
-                }
-                e.pending &= !Extent::bit(b);
-                if e.dirty & Extent::bit(b) == 0 {
-                    e.block_mut(b).copy_from_slice(slice);
-                    e.valid |= Extent::bit(b);
-                    e.copied &= !Extent::bit(b);
-                    if cold {
-                        e.cold = true;
-                    }
-                }
+        for sp in run_spans(runs.iter().copied()) {
+            let Some(e) = self.resident_mut(sp.base) else {
+                continue;
+            };
+            // A write issued after the fill was submitted supersedes it (the
+            // write cancelled the pending bit); never clobber newer data.
+            let filled = e.pending & sp.mask();
+            e.pending &= !filled;
+            let install = filled & !e.dirty;
+            // One copy for the span when it installs whole.
+            for (i, n) in bit_runs(install) {
+                let at = i * BLOCK_SIZE;
+                let from = sp.bytes().start + (i - sp.first()) * BLOCK_SIZE;
+                let len = n * BLOCK_SIZE;
+                e.data[at..at + len].copy_from_slice(&bytes[from..from + len]);
+            }
+            e.valid |= install;
+            e.copied &= !install;
+            if cold && install != 0 {
+                e.cold = true;
             }
         }
         Ok(())
@@ -2467,14 +2578,12 @@ impl BufCache {
     /// their extents now. A failed allocation drops the marks already set,
     /// so no block stays pinned without a chain.
     fn pin_fill(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<()> {
-        for run in runs {
-            for b in run.start..run.start + run.len {
-                match self.extent_for(dev, b) {
-                    Ok(ext) => ext.pending |= Extent::bit(b),
-                    Err(e) => {
-                        self.clear_pending_runs(runs);
-                        return Err(e);
-                    }
+        for sp in run_spans(runs.iter().copied()) {
+            match self.extent_for(dev, sp.lba, sp.len) {
+                Ok(ext) => ext.pending |= sp.mask(),
+                Err(e) => {
+                    self.clear_pending_runs(runs);
+                    return Err(e);
                 }
             }
         }
@@ -2484,13 +2593,9 @@ impl BufCache {
     /// Clears the `pending` (fill-in-flight) marks of `runs` — the cleanup
     /// for a fill that failed to submit or whose chain was lost.
     fn clear_pending_runs(&mut self, runs: &[Run]) {
-        for run in runs {
-            for b in run.start..run.start + run.len {
-                let base = Self::extent_base(b);
-                let si = self.shard_of(base);
-                if let Some(ei) = self.shards[si].find(base) {
-                    self.shards[si].extents[ei].pending &= !Extent::bit(b);
-                }
+        for sp in run_spans(runs.iter().copied()) {
+            if let Some(e) = self.resident_mut(sp.base) {
+                e.pending &= !sp.mask();
             }
         }
     }
@@ -2528,17 +2633,11 @@ impl BufCache {
                     // it or the completion router holds a route to nowhere.
                     self.chain_owners.remove(&id);
                     if let Some(runs) = self.inflight_writes.remove(&id) {
-                        for run in runs {
-                            for b in run.start..run.start + run.len {
-                                let base = Self::extent_base(b);
-                                let si = self.shard_of(base);
-                                if let Some(ei) = self.shards[si].find(base) {
-                                    let e = &mut self.shards[si].extents[ei];
-                                    if e.writing & Extent::bit(b) != 0 {
-                                        e.writing &= !Extent::bit(b);
-                                        e.dirty |= Extent::bit(b);
-                                    }
-                                }
+                        for sp in run_spans(runs) {
+                            if let Some(e) = self.resident_mut(sp.base) {
+                                let lost = e.writing & sp.mask();
+                                e.writing &= !lost;
+                                e.dirty |= lost;
                             }
                         }
                     }
@@ -2561,15 +2660,9 @@ impl BufCache {
             || crate::FsError::Corrupt("dirty block has no backing cache extent".into());
         let total: u64 = runs.iter().map(|r| r.len).sum();
         let mut bytes = vec![0u8; total as usize * BLOCK_SIZE];
-        let mut off = 0usize;
-        for run in runs {
-            for b in run.start..run.start + run.len {
-                let base = Self::extent_base(b);
-                let si = self.shard_of(base);
-                let ei = self.shards[si].find(base).ok_or_else(missing_extent)?;
-                bytes[off..off + BLOCK_SIZE].copy_from_slice(self.shards[si].extents[ei].block(b));
-                off += BLOCK_SIZE;
-            }
+        for sp in run_spans(runs.iter().copied()) {
+            let e = self.resident(sp.base).ok_or_else(missing_extent)?;
+            bytes[sp.bytes()].copy_from_slice(&e.data[sp.slots()]);
         }
         if !dev.can_submit() {
             // The writer is about to spin-reap someone's chains to make
@@ -2585,15 +2678,10 @@ impl BufCache {
             }
         }
         let submitted = dev.submit_write_sg(&self.sg_runs(runs), &bytes)?;
-        for run in runs {
-            for b in run.start..run.start + run.len {
-                let base = Self::extent_base(b);
-                let si = self.shard_of(base);
-                let ei = self.shards[si].find(base).ok_or_else(missing_extent)?;
-                let e = &mut self.shards[si].extents[ei];
-                e.dirty &= !Extent::bit(b);
-                e.writing |= Extent::bit(b);
-            }
+        for sp in run_spans(runs.iter().copied()) {
+            let e = self.resident_mut(sp.base).ok_or_else(missing_extent)?;
+            e.dirty &= !sp.mask();
+            e.writing |= sp.mask();
         }
         self.count_cmds(&submitted);
         match submitted {
@@ -2652,20 +2740,18 @@ impl BufCache {
         // Classify once for the statistics: a valid block is a hit; a block
         // riding an in-flight fill is a hit that waits (`demand_waits`); the
         // rest are misses.
-        for i in 0..count {
-            let b = lba + i;
-            let base = Self::extent_base(b);
-            let si = self.shard_of(base);
-            self.lookups += 1;
+        for sp in spans(lba, count) {
+            let si = self.shard_of(sp.base);
             let shard = &mut self.shards[si];
-            match shard.find(base) {
-                Some(ei) if shard.extents[ei].has(b) => shard.stats.hits += 1,
-                Some(ei) if shard.extents[ei].pending & Extent::bit(b) != 0 => {
-                    shard.stats.hits += 1;
-                    self.demand_waits += 1;
-                }
-                _ => shard.stats.misses += 1,
-            }
+            let (valid, pending) = shard.find(sp.base).map_or((0, 0), |ei| {
+                (shard.extents[ei].valid, shard.extents[ei].pending)
+            });
+            let hits = u64::from((valid & sp.mask()).count_ones());
+            let waits = u64::from((pending & !valid & sp.mask()).count_ones());
+            shard.stats.hits += hits + waits;
+            shard.stats.misses += sp.len - hits - waits;
+            self.demand_waits += waits;
+            self.lookups += sp.len;
         }
         let cap = self.capacity_blocks() as u64;
         let window = (cap / 4)
@@ -2716,17 +2802,12 @@ impl BufCache {
             // What still needs the device this iteration?
             let mut missing: Vec<Run> = Vec::new();
             let mut waiting = false;
-            for i in 0..count {
-                let b = lba + i;
-                let base = Self::extent_base(b);
-                let si = self.shard_of(base);
-                match self.shards[si].find(base) {
-                    Some(ei) if self.shards[si].extents[ei].has(b) => {}
-                    Some(ei) if self.shards[si].extents[ei].pending & Extent::bit(b) != 0 => {
-                        waiting = true;
-                    }
-                    _ => push_block(&mut missing, b),
-                }
+            for sp in spans(lba, count) {
+                let (valid, pending) = self
+                    .resident(sp.base)
+                    .map_or((0, 0), |e| (e.valid, e.pending));
+                waiting |= pending & !valid & sp.mask() != 0;
+                push_bits(&mut missing, sp.base, sp.mask() & !valid & !pending);
             }
             if missing.is_empty() && !waiting {
                 break;
@@ -2812,21 +2893,22 @@ impl BufCache {
         }
         // Everything is resident: copy out, and touch for the LRU every
         // extent but a consumed one (use-once, see `Extent::victim_key`).
-        for i in 0..count {
-            let b = lba + i;
-            let base = Self::extent_base(b);
-            let si = self.shard_of(base);
-            let tick = self.next_tick();
+        // Each block takes a tick and is tested on its own, so an extent
+        // consumed part-way through the span keeps the tick it had then.
+        for sp in spans(lba, count) {
+            let si = self.shard_of(sp.base);
             let shard = &mut self.shards[si];
             let ei = shard
-                .find(base)
+                .find(sp.base)
                 .ok_or_else(|| crate::FsError::Corrupt("resident block lost its extent".into()))?;
             let ext = &mut shard.extents[ei];
-            let off = i as usize * BLOCK_SIZE;
-            out[off..off + BLOCK_SIZE].copy_from_slice(ext.block(b));
-            ext.copied |= Extent::bit(b);
-            if !ext.consumed() {
-                ext.tick = tick;
+            out[sp.bytes()].copy_from_slice(&ext.data[sp.slots()]);
+            for i in sp.first()..sp.first() + sp.len as usize {
+                self.tick += 1;
+                ext.copied |= 1 << i;
+                if !ext.consumed() {
+                    ext.tick = self.tick;
+                }
             }
         }
         Ok(())
@@ -2849,17 +2931,10 @@ impl BufCache {
     ) -> FsResult<u64> {
         self.reap_ready(dev);
         let mut missing: Vec<Run> = Vec::new();
-        for i in 0..count {
-            let b = lba + i;
-            let base = Self::extent_base(b);
-            let si = self.shard_of(base);
-            let shard = &self.shards[si];
-            match shard.find(base) {
-                Some(ei) if shard.extents[ei].has(b) => {}
-                // Already riding an earlier chain: nothing to re-issue.
-                Some(ei) if shard.extents[ei].pending & Extent::bit(b) != 0 => {}
-                _ => push_block(&mut missing, b),
-            }
+        for sp in spans(lba, count) {
+            // Blocks already riding an earlier chain need no re-issue.
+            let held = self.resident(sp.base).map_or(0, |e| e.valid | e.pending);
+            push_bits(&mut missing, sp.base, sp.mask() & !held);
         }
         // Demand will cover the blocks if they matter.
         if missing.is_empty() || !dev.can_submit() {
@@ -2900,21 +2975,19 @@ impl BufCache {
         // itself instead of pinning the whole cache hot and starving later
         // streams. Small writes (FAT sectors, dirents) stay hot.
         let cold = count >= SCAN_RESIST_BLOCKS;
-        for i in 0..count {
-            let b = lba + i;
-            let off = i as usize * BLOCK_SIZE;
-            let ext = self.extent_for(dev, b)?;
-            ext.block_mut(b)
-                .copy_from_slice(&data[off..off + BLOCK_SIZE]);
-            ext.valid |= Extent::bit(b);
-            ext.dirty |= Extent::bit(b);
-            ext.copied &= !Extent::bit(b);
+        for sp in spans(lba, count) {
+            let ext = self.extent_for(dev, sp.lba, sp.len)?;
+            ext.data[sp.slots()].copy_from_slice(&data[sp.bytes()]);
+            let m = sp.mask();
+            ext.valid |= m;
+            ext.dirty |= m;
+            ext.copied &= !m;
             // A plain write reclassifies the block as data; a metadata
             // writer re-tags it via `note_metadata` immediately after.
-            ext.meta &= !Extent::bit(b);
+            ext.meta &= !m;
             // A write supersedes any in-flight fill of the same block: the
             // completion must not clobber this newer data.
-            ext.pending &= !Extent::bit(b);
+            ext.pending &= !m;
             ext.cold = cold;
         }
         self.sanitize_check("write_range");
@@ -3233,6 +3306,64 @@ mod tests {
         let total: u64 = chains.iter().flatten().map(|r| r.len).sum();
         assert_eq!(total, 20);
         assert!(pack_chains(&[], 128, 16).is_empty());
+    }
+
+    fn span(base: u64, lba: u64, len: u64, skip: u64) -> Span {
+        Span {
+            base,
+            lba,
+            len,
+            skip,
+        }
+    }
+
+    #[test]
+    fn range_walk_splits_at_extent_boundaries() {
+        let walk = |lba, count| spans(lba, count).collect::<Vec<_>>();
+        // One block, and exactly one extent.
+        assert_eq!(walk(21, 1), [span(16, 21, 1, 0)]);
+        assert_eq!(walk(16, 8), [span(16, 16, 8, 0)]);
+        assert_eq!(walk(16, 8)[0].mask(), 0xFF);
+        // A partial head and a partial tail around one whole extent.
+        let parts = walk(13, 14);
+        assert_eq!(
+            parts,
+            [span(8, 13, 3, 0), span(16, 16, 8, 3), span(24, 24, 3, 11)]
+        );
+        assert_eq!(
+            parts.iter().map(Span::mask).collect::<Vec<_>>(),
+            [0xE0, 0xFF, 0x07]
+        );
+        assert_eq!(parts[0].slots(), 5 * BLOCK_SIZE..8 * BLOCK_SIZE);
+        assert_eq!(parts[2].bytes(), 11 * BLOCK_SIZE..14 * BLOCK_SIZE);
+        // Many extents cover the range once, in order.
+        let many = walk(3, 1000);
+        assert_eq!(many.len(), 126);
+        assert_eq!(many.iter().map(|s| s.len).sum::<u64>(), 1000);
+        assert!(many.windows(2).all(|w| w[1].lba == w[0].lba + w[0].len));
+        assert!(many.iter().all(|s| s.skip == s.lba - 3));
+        assert!(walk(40, 0).is_empty());
+        // Across runs, `skip` keeps counting through the payload.
+        let runs = [Run { start: 6, len: 4 }, Run { start: 30, len: 2 }];
+        assert_eq!(
+            run_spans(runs).collect::<Vec<_>>(),
+            [span(0, 6, 2, 0), span(8, 8, 2, 2), span(24, 30, 2, 4)]
+        );
+        // A range at the top of the LBA space ends there.
+        assert_eq!(walk(u64::MAX - 2, 8).iter().map(|s| s.len).sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn bit_runs_are_maximal_and_ascending() {
+        assert_eq!(bit_runs(0).count(), 0);
+        assert_eq!(bit_runs(0xFF).collect::<Vec<_>>(), [(0, 8)]);
+        assert_eq!(
+            bit_runs(0b1011_0110).collect::<Vec<_>>(),
+            [(1, 2), (4, 2), (7, 1)]
+        );
+        let mut runs = vec![Run { start: 14, len: 2 }];
+        push_bits(&mut runs, 16, 0b1000_0011);
+        assert_eq!(runs, [Run { start: 14, len: 4 }, Run { start: 23, len: 1 }]);
     }
 
     #[test]
@@ -4270,6 +4401,105 @@ mod tests {
                 hal::sdhost::SD_QUEUE_DEPTH as u64,
                 "overflow prefetches were dropped, not blocked on"
             );
+        }
+
+        /// Drives a small cache over a queued SD card with a seeded mix of
+        /// reads, read-ahead and writes, checks every read against the last
+        /// bytes written to each block, and returns the cache's statistics,
+        /// its LRU clock and the sum of its extents' ticks.
+        fn seeded_mix(seed: u64) -> (BufCacheStats, u64, u64) {
+            // 4 shards x 4 extents = 128 blocks over a 1024-block region:
+            // every range may start and end mid-extent and crosses shards,
+            // the cache evicts constantly, and demand reads and writes land
+            // on read-ahead still in flight.
+            const REGION: u64 = 1024;
+            let mut rig = Rig::new(4096);
+            let mut want: Vec<[u8; BLOCK_SIZE]> =
+                (0..REGION).map(|b| [(b % 251) as u8; BLOCK_SIZE]).collect();
+            for (lba, block) in (0..).zip(&want) {
+                rig.sd.write_block(lba, block).unwrap();
+            }
+            let mut bc = BufCache::with_geometry(4, 4);
+            let mut rng = seed;
+            let mut next = move |bound: u64| {
+                // xorshift64: a fixed sequence per seed.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            for step in 0..2000u64 {
+                let lba = next(REGION);
+                let count = 1 + next(48.min(REGION - lba));
+                match next(8) {
+                    0..=3 => {
+                        let mut out = vec![0u8; count as usize * BLOCK_SIZE];
+                        bc.read_range(&mut rig.dev(), lba, count, &mut out).unwrap();
+                        for (i, got) in out.chunks_exact(BLOCK_SIZE).enumerate() {
+                            let b = lba as usize + i;
+                            assert!(got == want[b], "seed {seed} step {step} block {b}");
+                        }
+                    }
+                    4..=5 => {
+                        bc.prefetch_range(&mut rig.dev(), lba, count).unwrap();
+                    }
+                    _ => {
+                        let mut data = vec![0u8; count as usize * BLOCK_SIZE];
+                        for (i, block) in data.chunks_exact_mut(BLOCK_SIZE).enumerate() {
+                            block.fill((step as usize * 7 + i) as u8);
+                            want[lba as usize + i].copy_from_slice(block);
+                        }
+                        bc.write_range(&mut rig.dev(), lba, count, &data).unwrap();
+                    }
+                }
+            }
+            bc.flush(&mut rig.dev()).unwrap();
+            let mut card = vec![0u8; REGION as usize * BLOCK_SIZE];
+            rig.sd.read_range(0, REGION, &mut card).unwrap();
+            assert!(
+                card.chunks_exact(BLOCK_SIZE)
+                    .zip(&want)
+                    .all(|(c, w)| c == w),
+                "seed {seed}: the card does not hold the last writes"
+            );
+            let ticks = bc.shards.iter().flat_map(|s| &s.extents).map(|e| e.tick);
+            (bc.stats(), bc.tick, ticks.sum())
+        }
+
+        #[test]
+        fn seeded_reads_prefetches_and_writes_keep_data_and_statistics() {
+            // The figures, LRU clock and extent ticks the per-block walks
+            // produced. The ticks pick every eviction victim, so a walk that
+            // advanced them by a different amount, or counted a lookup
+            // twice, moves these.
+            for (seed, want, clock, ticks) in [
+                (
+                    1u64,
+                    [2309, 22204, 132, 6752, 10885, 398, 11385, 485],
+                    70112,
+                    1119612,
+                ),
+                (
+                    29,
+                    [2301, 21864, 193, 6800, 10389, 432, 12369, 457],
+                    69844,
+                    1115888,
+                ),
+            ] {
+                let (s, got_clock, got_ticks) = seeded_mix(seed);
+                let got = [
+                    s.hits,
+                    s.misses,
+                    s.demand_waits,
+                    s.evictions,
+                    s.prefetched_blocks,
+                    s.batched_evictions,
+                    s.writebacks,
+                    s.prefetch_cmds,
+                ];
+                assert_eq!(got, want, "seed {seed}");
+                assert_eq!((got_clock, got_ticks), (clock, ticks), "seed {seed}");
+            }
         }
     }
 

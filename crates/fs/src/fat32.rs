@@ -1299,6 +1299,10 @@ impl Fat32 {
     /// sequential stream — the next [`PREFETCH_CLUSTERS`] of the chain are
     /// range-filled ahead of demand so a streaming consumer finds them
     /// already cached.
+    ///
+    /// A cluster run the request covers whole is read straight into the
+    /// returned buffer; only a run the request starts or ends inside goes
+    /// through a scratch buffer, from which the requested part is copied.
     pub fn read_at(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1330,18 +1334,18 @@ impl Fat32 {
         for (first, count) in cluster_runs(needed) {
             let run_bytes = count as usize * CLUSTER_SIZE;
             let run_start = ci * CLUSTER_SIZE; // file offset of the run start
-            let mut buf = vec![0u8; run_bytes];
-            let sector = self.cluster_to_sector(first)?;
-            bc.read_range(
-                dev,
-                sector,
-                count as u64 * SECTORS_PER_CLUSTER as u64,
-                &mut buf,
-            )?;
+            let blocks = count as u64 * SECTORS_PER_CLUSTER as u64;
             let want_start = offset.max(run_start);
             let want_end = (offset + len).min(run_start + run_bytes);
-            out[want_start - offset..want_end - offset]
-                .copy_from_slice(&buf[want_start - run_start..want_end - run_start]);
+            let sector = self.cluster_to_sector(first)?;
+            let want = &mut out[want_start - offset..want_end - offset];
+            if want.len() == run_bytes {
+                bc.read_range(dev, sector, blocks, want)?;
+            } else {
+                let mut buf = vec![0u8; run_bytes];
+                bc.read_range(dev, sector, blocks, &mut buf)?;
+                want.copy_from_slice(&buf[want_start - run_start..want_end - run_start]);
+            }
             ci += count as usize;
         }
         // Streaming read-ahead: fill the next cluster run of the chain while

@@ -25,8 +25,27 @@
 //! persists only its scatter-gather prefix, exactly like the polled path.
 //! The polled mode stays fully functional so the xv6-baseline ablation (and
 //! tiny metadata transfers) remain honest.
+//!
+//! # The card store
+//!
+//! The medium is kept in 64 KB chunks of 128 blocks, each allocated on its
+//! first write; a block no write ever reached reads as zero. A command moves
+//! its data one run at a time, with one copy per chunk the run touches. With
+//! the posted write cache on, completed writes sit in a per-block volatile
+//! overlay that every read consults over the medium, and that a power cut
+//! drops.
+//!
+//! A write run persists a *prefix*, computed once per run: the blocks before
+//! the run's first faulty block, cut short by an armed power budget. A DMA
+//! write chain persists its runs' prefixes in order and stops at the first
+//! run that falls short — with the fault's error, or with the power cut's,
+//! which also drops the posted overlay, the chain's own prefix included. A
+//! polled range write checks the whole range for faults before it moves
+//! anything. Either way the card ends in the state a block-by-block transfer
+//! would leave.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use crate::clock::Cycles;
 use crate::cost::CostModel;
@@ -40,6 +59,12 @@ pub const BLOCK_SIZE: usize = 512;
 /// simulating 32 GB sparsely is pointless — the default image is 256 MB,
 /// plenty for game assets and test media.
 pub const DEFAULT_CARD_BLOCKS: u64 = (256 << 20) / BLOCK_SIZE as u64;
+
+/// Blocks per chunk of the card store (64 KB).
+const CHUNK_BLOCKS: u64 = 128;
+
+/// Bytes per chunk of the card store.
+const CHUNK_BYTES: usize = CHUNK_BLOCKS as usize * BLOCK_SIZE;
 
 /// Depth of the asynchronous command queue in DMA mode. Eight in-flight
 /// commands is plenty to keep the card streaming while bounding the memory
@@ -121,8 +146,8 @@ pub struct SdCompletion {
 /// The SD host controller + card model.
 #[derive(Debug)]
 pub struct SdHost {
-    /// Card contents, stored sparsely by block index.
-    blocks: std::collections::HashMap<u64, Box<[u8]>>,
+    /// The persisted medium.
+    medium: ChunkStore,
     total_blocks: u64,
     initialized: bool,
     /// Statistics: single-block commands issued.
@@ -132,7 +157,7 @@ pub struct SdHost {
     /// Statistics: total blocks transferred.
     blocks_transferred: u64,
     /// Blocks that will fail on access (error injection).
-    faulty_blocks: std::collections::HashSet<u64>,
+    faulty_blocks: BTreeSet<u64>,
     /// If set, the card is "removed" and every command fails.
     removed: bool,
     /// Remaining blocks that may persist before the armed power cut fires
@@ -152,7 +177,7 @@ pub struct SdHost {
     posted: bool,
     /// The volatile write cache (block → contents). BTreeMap so a flush
     /// persists in deterministic LBA order.
-    cache: std::collections::BTreeMap<u64, Box<[u8]>>,
+    cache: BTreeMap<u64, Box<[u8]>>,
     /// Statistics: cache FLUSH commands served.
     flush_cmds: u64,
     /// Statistics: FUA (forced-program) single-block writes served.
@@ -184,19 +209,19 @@ impl SdHost {
     /// Creates a host with an empty (all-zero) card of `total_blocks` blocks.
     pub fn new(total_blocks: u64) -> Self {
         SdHost {
-            blocks: std::collections::HashMap::new(),
+            medium: ChunkStore::default(),
             total_blocks,
             initialized: false,
             single_block_cmds: 0,
             range_cmds: 0,
             blocks_transferred: 0,
-            faulty_blocks: std::collections::HashSet::new(),
+            faulty_blocks: BTreeSet::new(),
             removed: false,
             power_budget: None,
             power_lost: false,
             torn_writes: 0,
             posted: false,
-            cache: std::collections::BTreeMap::new(),
+            cache: BTreeMap::new(),
             flush_cmds: 0,
             fua_cmds: 0,
             data_mode: SdDataMode::Pio,
@@ -280,11 +305,8 @@ impl SdHost {
     /// power cut drops every un-flushed block. Disabling the mode persists
     /// whatever the cache holds (a model switch, not a data-loss event).
     pub fn set_posted_writes(&mut self, on: bool) {
-        if !on && !self.cache.is_empty() {
-            let cached = std::mem::take(&mut self.cache);
-            for (lba, buf) in cached {
-                self.blocks.insert(lba, buf);
-            }
+        if !on {
+            self.persist_cache();
         }
         self.posted = on;
     }
@@ -330,12 +352,16 @@ impl SdHost {
         }
         if self.posted {
             self.flush_cmds += 1;
-            let cached = std::mem::take(&mut self.cache);
-            for (lba, buf) in cached {
-                self.blocks.insert(lba, buf);
-            }
+            self.persist_cache();
         }
         Ok(())
+    }
+
+    /// Programs every block of the volatile write cache to the medium.
+    fn persist_cache(&mut self) {
+        for (lba, buf) in std::mem::take(&mut self.cache) {
+            self.medium.write(lba, &buf);
+        }
     }
 
     /// Accounts `count` blocks about to persist against an armed power-cut
@@ -379,26 +405,40 @@ impl SdHost {
                 self.total_blocks
             )));
         }
-        for b in lba..lba.saturating_add(count) {
-            if self.faulty_blocks.contains(&b) {
-                return Err(HalError::InjectedFault(format!("SD block {b}")));
-            }
-        }
-        Ok(())
-    }
-
-    fn read_one(&self, lba: u64, out: &mut [u8]) {
-        match self.cache.get(&lba).or_else(|| self.blocks.get(&lba)) {
-            Some(b) => out.copy_from_slice(b),
-            None => out.fill(0),
+        match self.first_fault(lba, count) {
+            Some(b) => Err(HalError::InjectedFault(format!("SD block {b}"))),
+            None => Ok(()),
         }
     }
 
-    fn write_one(&mut self, lba: u64, data: &[u8]) {
-        if self.posted {
-            self.cache.insert(lba, data.to_vec().into_boxed_slice());
-        } else {
-            self.blocks.insert(lba, data.to_vec().into_boxed_slice());
+    /// The lowest faulty block of `[lba, lba + count)`, if any.
+    fn first_fault(&self, lba: u64, count: u64) -> Option<u64> {
+        self.faulty_blocks
+            .range(lba..lba.saturating_add(count))
+            .next()
+            .copied()
+    }
+
+    /// Reads the blocks from `lba` into `out` (a whole number of blocks):
+    /// the medium, overlaid with any posted copies.
+    fn read_run(&self, lba: u64, out: &mut [u8]) {
+        self.medium.read(lba, out);
+        let blocks = (out.len() / BLOCK_SIZE) as u64;
+        for (&b, buf) in self.cache.range(lba..lba.saturating_add(blocks)) {
+            let at = (b - lba) as usize;
+            out[at * BLOCK_SIZE..][..BLOCK_SIZE].copy_from_slice(buf);
+        }
+    }
+
+    /// Writes the blocks of `data` from `lba`: into the posted write cache
+    /// when it is on, to the medium otherwise.
+    fn write_run(&mut self, lba: u64, data: &[u8]) {
+        if !self.posted {
+            self.medium.write(lba, data);
+            return;
+        }
+        for (b, block) in (lba..).zip(data.chunks_exact(BLOCK_SIZE)) {
+            self.cache.insert(b, block.into());
         }
     }
 
@@ -407,7 +447,7 @@ impl SdHost {
         self.check_ready(lba, 1)?;
         self.single_block_cmds += 1;
         self.blocks_transferred += 1;
-        self.read_one(lba, out);
+        self.read_run(lba, out);
         Ok(())
     }
 
@@ -421,7 +461,7 @@ impl SdHost {
         }
         self.single_block_cmds += 1;
         self.blocks_transferred += 1;
-        self.write_one(lba, data);
+        self.write_run(lba, data);
         Ok(())
     }
 
@@ -445,7 +485,7 @@ impl SdHost {
             // the forced program.
             self.cache.remove(&lba);
         }
-        self.blocks.insert(lba, data.to_vec().into_boxed_slice());
+        self.medium.write(lba, data);
         Ok(())
     }
 
@@ -460,10 +500,7 @@ impl SdHost {
         self.check_ready(lba, count)?;
         self.range_cmds += 1;
         self.blocks_transferred += count;
-        for i in 0..count {
-            let start = (i as usize) * BLOCK_SIZE;
-            self.read_one(lba.saturating_add(i), &mut out[start..start + BLOCK_SIZE]);
-        }
+        self.read_run(lba, out);
         Ok(())
     }
 
@@ -484,10 +521,7 @@ impl SdHost {
         // re-inserting the prefix would fake durability. No tearing either
         // — loss, not a torn flash program.
         if !self.posted || persist == count {
-            for i in 0..persist {
-                let start = (i as usize) * BLOCK_SIZE;
-                self.write_one(lba.saturating_add(i), &data[start..start + BLOCK_SIZE]);
-            }
+            self.write_run(lba, &data[..persist as usize * BLOCK_SIZE]);
         }
         if persist < count {
             if persist > 0 && !self.posted {
@@ -726,41 +760,100 @@ impl SdHost {
             let mut off = 0usize;
             let mut persisted_in_cmd = 0u64;
             for r in &cmd.runs {
-                for i in 0..r.count {
-                    let b = r.lba.saturating_add(i);
-                    if self.faulty_blocks.contains(&b) {
-                        return Err(HalError::InjectedFault(format!("SD block {b}")));
-                    }
-                    if self.power_allow(1) == 0 {
-                        if persisted_in_cmd > 0 && !self.posted {
-                            self.torn_writes += 1;
-                        }
-                        return Err(HalError::InvalidState(format!(
-                            "power cut mid-DMA CMD25: {persisted_in_cmd} blocks of \
-                             the chain persisted"
-                        )));
-                    }
-                    self.write_one(b, &data[off..off + BLOCK_SIZE]);
-                    persisted_in_cmd += 1;
-                    off += BLOCK_SIZE;
+                // The run's persisting prefix: up to its first faulty block,
+                // within the power budget.
+                let fault = self.first_fault(r.lba, r.count);
+                let clean = fault.map_or(r.count, |b| b - r.lba);
+                let persist = self.power_allow(clean);
+                // A cut in posted mode dropped the volatile cache, and with
+                // it any prefix this chain parked there.
+                if persist == clean || !self.posted {
+                    let len = persist as usize * BLOCK_SIZE;
+                    self.write_run(r.lba, &data[off..off + len]);
                 }
+                persisted_in_cmd += persist;
+                if persist < clean {
+                    if persisted_in_cmd > 0 && !self.posted {
+                        self.torn_writes += 1;
+                    }
+                    return Err(HalError::InvalidState(format!(
+                        "power cut mid-DMA CMD25: {persisted_in_cmd} blocks of \
+                         the chain persisted"
+                    )));
+                }
+                if let Some(b) = fault {
+                    return Err(HalError::InjectedFault(format!("SD block {b}")));
+                }
+                off += r.count as usize * BLOCK_SIZE;
             }
             Ok(None)
         } else {
+            // A read fails at its first faulty block and delivers nothing.
+            for r in &cmd.runs {
+                if let Some(b) = self.first_fault(r.lba, r.count) {
+                    return Err(HalError::InjectedFault(format!("SD block {b}")));
+                }
+            }
             let total: usize = cmd.runs.iter().map(|r| r.count as usize).sum();
             let mut out = vec![0u8; total * BLOCK_SIZE];
             let mut off = 0usize;
             for r in &cmd.runs {
-                for i in 0..r.count {
-                    let b = r.lba.saturating_add(i);
-                    if self.faulty_blocks.contains(&b) {
-                        return Err(HalError::InjectedFault(format!("SD block {b}")));
-                    }
-                    self.read_one(b, &mut out[off..off + BLOCK_SIZE]);
-                    off += BLOCK_SIZE;
-                }
+                let len = r.count as usize * BLOCK_SIZE;
+                self.read_run(r.lba, &mut out[off..off + len]);
+                off += len;
             }
             Ok(Some(out))
+        }
+    }
+}
+
+/// The persisted medium: [`CHUNK_BLOCKS`]-block chunks, each allocated on
+/// its first write. A block no write reached reads as zero.
+#[derive(Debug, Default)]
+struct ChunkStore {
+    /// Chunk `i` holds blocks `[i * CHUNK_BLOCKS, (i + 1) * CHUNK_BLOCKS)`;
+    /// the vector grows to the highest chunk written.
+    chunks: Vec<Option<Box<[u8]>>>,
+}
+
+impl ChunkStore {
+    /// Splits the `len` bytes from block `lba` into per-chunk pieces: the
+    /// chunk's index, the piece's bytes within the chunk, and its bytes
+    /// within the caller's buffer.
+    fn pieces(lba: u64, len: usize) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+        let first = (lba / CHUNK_BLOCKS) as usize;
+        let mut at = (lba % CHUNK_BLOCKS) as usize * BLOCK_SIZE;
+        let mut done = 0usize;
+        (first..).map_while(move |chunk| {
+            if done == len {
+                return None;
+            }
+            let n = (CHUNK_BYTES - at).min(len - done);
+            let piece = (chunk, at..at + n, done..done + n);
+            done += n;
+            at = 0;
+            Some(piece)
+        })
+    }
+
+    /// Copies the blocks from `lba` into `out`, one copy per chunk.
+    fn read(&self, lba: u64, out: &mut [u8]) {
+        for (chunk, within, buf) in Self::pieces(lba, out.len()) {
+            match self.chunks.get(chunk) {
+                Some(Some(c)) => out[buf].copy_from_slice(&c[within]),
+                _ => out[buf].fill(0),
+            }
+        }
+    }
+
+    /// Stores the blocks of `data` from `lba`, one copy per chunk.
+    fn write(&mut self, lba: u64, data: &[u8]) {
+        for (chunk, within, buf) in Self::pieces(lba, data.len()) {
+            if self.chunks.len() <= chunk {
+                self.chunks.resize_with(chunk + 1, || None);
+            }
+            let c = self.chunks[chunk].get_or_insert_with(|| vec![0u8; CHUNK_BYTES].into());
+            c[within].copy_from_slice(&data[buf]);
         }
     }
 }
@@ -977,6 +1070,417 @@ mod tests {
         assert_eq!(&buf[..], &data[2 * BLOCK_SIZE..3 * BLOCK_SIZE]);
         sd.read_block(23, &mut buf).unwrap();
         assert_eq!(buf, [0u8; BLOCK_SIZE], "past the cut nothing landed");
+    }
+
+    // ---- the chunk store against the per-sector reference ----------------------------
+
+    /// The card as it was kept before the chunk store: one boxed sector per
+    /// written block, and a DMA data phase that moves a chain block by
+    /// block. [`chunk_store_matches_the_per_sector_card`] drives it and
+    /// [`SdHost`] with the same commands.
+    #[derive(Default)]
+    struct SectorCard {
+        total_blocks: u64,
+        blocks: std::collections::HashMap<u64, Box<[u8]>>,
+        cache: BTreeMap<u64, Box<[u8]>>,
+        faulty_blocks: std::collections::HashSet<u64>,
+        posted: bool,
+        power_budget: Option<u64>,
+        power_lost: bool,
+        torn_writes: u64,
+        blocks_transferred: u64,
+    }
+
+    impl SectorCard {
+        fn power_allow(&mut self, count: u64) -> u64 {
+            match self.power_budget {
+                None => count,
+                Some(budget) => {
+                    let allowed = budget.min(count);
+                    self.power_budget = Some(budget - allowed);
+                    if allowed < count {
+                        self.power_lost = true;
+                        self.cache.clear();
+                    }
+                    allowed
+                }
+            }
+        }
+
+        fn check_ready(&self, lba: u64, count: u64) -> HalResult<()> {
+            if self.power_lost {
+                return Err(HalError::InvalidState("card lost power".into()));
+            }
+            if lba
+                .checked_add(count)
+                .is_none_or(|end| end > self.total_blocks)
+            {
+                return Err(HalError::OutOfRange(format!(
+                    "SD access lba={lba} count={count} beyond {} blocks",
+                    self.total_blocks
+                )));
+            }
+            for b in lba..lba.saturating_add(count) {
+                if self.faulty_blocks.contains(&b) {
+                    return Err(HalError::InjectedFault(format!("SD block {b}")));
+                }
+            }
+            Ok(())
+        }
+
+        fn read_one(&self, lba: u64, out: &mut [u8]) {
+            match self.cache.get(&lba).or_else(|| self.blocks.get(&lba)) {
+                Some(b) => out.copy_from_slice(b),
+                None => out.fill(0),
+            }
+        }
+
+        fn write_one(&mut self, lba: u64, data: &[u8]) {
+            if self.posted {
+                self.cache.insert(lba, data.into());
+            } else {
+                self.blocks.insert(lba, data.into());
+            }
+        }
+
+        fn read_range(&mut self, lba: u64, count: u64) -> HalResult<Vec<u8>> {
+            self.check_ready(lba, count)?;
+            self.blocks_transferred += count;
+            let mut out = vec![0u8; count as usize * BLOCK_SIZE];
+            for (i, block) in out.chunks_exact_mut(BLOCK_SIZE).enumerate() {
+                self.read_one(lba.saturating_add(i as u64), block);
+            }
+            Ok(out)
+        }
+
+        fn write_range(&mut self, lba: u64, data: &[u8]) -> HalResult<()> {
+            let count = (data.len() / BLOCK_SIZE) as u64;
+            self.check_ready(lba, count)?;
+            let persist = self.power_allow(count);
+            self.blocks_transferred += persist;
+            if !self.posted || persist == count {
+                for i in 0..persist {
+                    let start = i as usize * BLOCK_SIZE;
+                    self.write_one(lba.saturating_add(i), &data[start..start + BLOCK_SIZE]);
+                }
+            }
+            if persist < count {
+                if persist > 0 && !self.posted {
+                    self.torn_writes += 1;
+                }
+                return Err(HalError::InvalidState(format!(
+                    "power cut mid-CMD25 at block {lba}: {persist} of {count} blocks persisted"
+                )));
+            }
+            Ok(())
+        }
+
+        fn write_block(&mut self, lba: u64, data: &[u8]) -> HalResult<()> {
+            self.check_ready(lba, 1)?;
+            if self.power_allow(1) == 0 {
+                return Err(HalError::InvalidState(format!(
+                    "power cut before CMD24 write of block {lba}"
+                )));
+            }
+            self.blocks_transferred += 1;
+            self.write_one(lba, data);
+            Ok(())
+        }
+
+        fn write_block_fua(&mut self, lba: u64, data: &[u8]) -> HalResult<()> {
+            self.check_ready(lba, 1)?;
+            if self.power_allow(1) == 0 {
+                return Err(HalError::InvalidState(format!(
+                    "power cut before FUA write of block {lba}"
+                )));
+            }
+            self.blocks_transferred += 1;
+            self.cache.remove(&lba);
+            self.blocks.insert(lba, data.into());
+            Ok(())
+        }
+
+        fn flush_cache(&mut self) -> HalResult<()> {
+            if self.power_lost {
+                return Err(HalError::InvalidState("card lost power".into()));
+            }
+            if self.posted {
+                for (lba, buf) in std::mem::take(&mut self.cache) {
+                    self.blocks.insert(lba, buf);
+                }
+            }
+            Ok(())
+        }
+
+        fn set_posted_writes(&mut self, on: bool) {
+            if !on {
+                for (lba, buf) in std::mem::take(&mut self.cache) {
+                    self.blocks.insert(lba, buf);
+                }
+            }
+            self.posted = on;
+        }
+
+        /// Submits a batch of chains, then runs their data phases in order.
+        fn dma_batch(&mut self, chains: &[(Option<&[u8]>, Vec<SdSgRun>)]) -> Vec<ChainOutcome> {
+            let mut accepted = Vec::new();
+            let mut out = Vec::new();
+            for (_, runs) in chains {
+                if self.power_lost {
+                    out.push(Err(HalError::InvalidState("card lost power".into())));
+                    continue;
+                }
+                self.blocks_transferred += runs.iter().map(|r| r.count).sum::<u64>();
+                accepted.push(out.len());
+                out.push(Ok(None));
+            }
+            for slot in accepted {
+                let (data, runs) = &chains[slot];
+                out[slot] = self.data_phase(*data, runs);
+            }
+            out
+        }
+
+        fn data_phase(&mut self, data: Option<&[u8]>, runs: &[SdSgRun]) -> ChainOutcome {
+            if self.power_lost {
+                return Err(HalError::InvalidState("card lost power".into()));
+            }
+            let mut off = 0usize;
+            if let Some(data) = data {
+                let mut persisted_in_cmd = 0u64;
+                for r in runs {
+                    for i in 0..r.count {
+                        let b = r.lba.saturating_add(i);
+                        if self.faulty_blocks.contains(&b) {
+                            return Err(HalError::InjectedFault(format!("SD block {b}")));
+                        }
+                        if self.power_allow(1) == 0 {
+                            if persisted_in_cmd > 0 && !self.posted {
+                                self.torn_writes += 1;
+                            }
+                            return Err(HalError::InvalidState(format!(
+                                "power cut mid-DMA CMD25: {persisted_in_cmd} blocks of \
+                                 the chain persisted"
+                            )));
+                        }
+                        self.write_one(b, &data[off..off + BLOCK_SIZE]);
+                        persisted_in_cmd += 1;
+                        off += BLOCK_SIZE;
+                    }
+                }
+                return Ok(None);
+            }
+            let total: u64 = runs.iter().map(|r| r.count).sum();
+            let mut out = vec![0u8; total as usize * BLOCK_SIZE];
+            for r in runs {
+                for i in 0..r.count {
+                    let b = r.lba.saturating_add(i);
+                    if self.faulty_blocks.contains(&b) {
+                        return Err(HalError::InjectedFault(format!("SD block {b}")));
+                    }
+                    self.read_one(b, &mut out[off..off + BLOCK_SIZE]);
+                    off += BLOCK_SIZE;
+                }
+            }
+            Ok(Some(out))
+        }
+    }
+
+    type ChainOutcome = HalResult<Option<Vec<u8>>>;
+
+    /// Submits a batch of chains to `sd` and drains them, returning each
+    /// chain's outcome in submission order (a refused submit fails there).
+    fn sd_batch(
+        sd: &mut SdHost,
+        engine: &mut DmaEngine,
+        cost: &CostModel,
+        chains: &[(Option<&[u8]>, Vec<SdSgRun>)],
+    ) -> Vec<ChainOutcome> {
+        let mut out: Vec<ChainOutcome> = Vec::new();
+        let mut ids = Vec::new();
+        for (data, runs) in chains {
+            let submitted = match data {
+                Some(data) => sd.submit_dma_write(runs, data),
+                None => sd.submit_dma_read(runs),
+            };
+            match submitted {
+                Ok(id) => {
+                    ids.push((id, out.len()));
+                    out.push(Ok(None));
+                }
+                Err(e) => out.push(Err(e)),
+            }
+        }
+        for done in drain(sd, engine, cost) {
+            let slot = ids
+                .iter()
+                .find(|(id, _)| *id == done.id)
+                .expect("known id")
+                .1;
+            out[slot] = done.result.map(|()| done.data);
+        }
+        out
+    }
+
+    #[test]
+    fn chunk_store_matches_the_per_sector_card() {
+        const CARD_BLOCKS: u64 = 8 * CHUNK_BLOCKS;
+        for seed in [1u64, 29, 7, 11] {
+            let mut rng = seed;
+            let mut next = move |bound: u64| {
+                // xorshift64: a fixed sequence per seed.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            let (mut sd, mut engine, cost) = dma_host();
+            sd = SdHost {
+                total_blocks: CARD_BLOCKS,
+                ..sd
+            };
+            let mut card = SectorCard {
+                total_blocks: CARD_BLOCKS,
+                ..SectorCard::default()
+            };
+            // A run of up to 300 blocks: most cross a chunk boundary, and
+            // one in four starts a few blocks short of one.
+            let run = |next: &mut dyn FnMut(u64) -> u64| {
+                let lba = if next(4) == 0 {
+                    (next(8) + 1) * CHUNK_BLOCKS - 1 - next(4)
+                } else {
+                    next(CARD_BLOCKS)
+                };
+                let count = 1 + next(300.min(CARD_BLOCKS - lba));
+                SdSgRun { lba, count }
+            };
+            let payload = |tag: u64, blocks: u64| -> Vec<u8> {
+                (0..blocks as usize * BLOCK_SIZE)
+                    .map(|j| ((tag as usize + j / BLOCK_SIZE * 7 + j) % 251) as u8)
+                    .collect()
+            };
+            let (mut torn, mut faulted, mut posted_cuts) = (0, 0, 0);
+            for step in 0..600u64 {
+                let what = next(20);
+                let ctx = format!("seed {seed} step {step} op {what}");
+                match what {
+                    0..=2 => {
+                        let r = run(&mut next);
+                        if next(3) == 0 {
+                            let mut one = [0u8; BLOCK_SIZE];
+                            let got = sd.read_block(r.lba, &mut one).map(|()| one.to_vec());
+                            assert_eq!(got, card.read_range(r.lba, 1), "{ctx}");
+                        } else {
+                            let mut got = vec![0u8; r.count as usize * BLOCK_SIZE];
+                            let got = sd.read_range(r.lba, r.count, &mut got).map(|()| got);
+                            assert_eq!(got, card.read_range(r.lba, r.count), "{ctx}");
+                        };
+                    }
+                    3..=5 => {
+                        let r = run(&mut next);
+                        let data = payload(step, r.count);
+                        let (got, want) = if next(3) == 0 {
+                            let one = &data[..BLOCK_SIZE];
+                            let block = one.try_into().expect("one block");
+                            (sd.write_block(r.lba, block), card.write_block(r.lba, one))
+                        } else {
+                            (
+                                sd.write_range(r.lba, r.count, &data),
+                                card.write_range(r.lba, &data),
+                            )
+                        };
+                        assert_eq!(got, want, "{ctx}");
+                    }
+                    6 => {
+                        let lba = next(CARD_BLOCKS);
+                        let data = payload(step, 1);
+                        let block: &[u8; BLOCK_SIZE] = data[..].try_into().expect("one block");
+                        assert_eq!(
+                            sd.write_block_fua(lba, block),
+                            card.write_block_fua(lba, &data),
+                            "{ctx}"
+                        );
+                    }
+                    7..=13 => {
+                        // A batch of one to three chains of one to four runs.
+                        let mut payloads = Vec::new();
+                        let mut shapes = Vec::new();
+                        for c in 0..1 + next(3) {
+                            let runs: Vec<SdSgRun> =
+                                (0..1 + next(4)).map(|_| run(&mut next)).collect();
+                            let write = next(2) == 0;
+                            let blocks = runs.iter().map(|r| r.count).sum();
+                            payloads.push(write.then(|| payload(step * 4 + c, blocks)));
+                            shapes.push(runs);
+                        }
+                        let chains: Vec<(Option<&[u8]>, Vec<SdSgRun>)> = payloads
+                            .iter()
+                            .zip(shapes)
+                            .map(|(p, runs)| (p.as_deref(), runs))
+                            .collect();
+                        let got = sd_batch(&mut sd, &mut engine, &cost, &chains);
+                        let want = card.dma_batch(&chains);
+                        assert_eq!(got, want, "{ctx}");
+                        for r in &want {
+                            match r {
+                                Err(HalError::InjectedFault(_)) => faulted += 1,
+                                Err(HalError::InvalidState(e)) if e.starts_with("power cut") => {
+                                    posted_cuts += u32::from(card.posted);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                    14 => {
+                        let on = next(2) == 0;
+                        sd.set_posted_writes(on);
+                        card.set_posted_writes(on);
+                    }
+                    15 => assert_eq!(sd.flush_cache(), card.flush_cache(), "{ctx}"),
+                    16 => {
+                        let lba = next(CARD_BLOCKS);
+                        sd.inject_fault(lba);
+                        card.faulty_blocks.insert(lba);
+                    }
+                    17 => {
+                        sd.clear_faults();
+                        card.faulty_blocks.clear();
+                    }
+                    18 => {
+                        // Armed so that a chain in flight soon crosses it.
+                        let budget = next(200);
+                        sd.power_cut_after(budget);
+                        (card.power_budget, card.power_lost) = (Some(budget), false);
+                    }
+                    _ => {
+                        sd.power_restored();
+                        (card.power_budget, card.power_lost) = (None, false);
+                    }
+                }
+                torn = card.torn_writes;
+                assert_eq!(sd.torn_writes(), card.torn_writes, "{ctx}");
+                assert_eq!(sd.blocks_transferred(), card.blocks_transferred, "{ctx}");
+                assert_eq!(sd.power_lost(), card.power_lost, "{ctx}");
+                assert_eq!(sd.cached_blocks(), card.cache.len(), "{ctx}");
+            }
+            // The whole card, medium and overlay, reads back the same.
+            sd.power_restored();
+            (card.power_budget, card.power_lost) = (None, false);
+            sd.clear_faults();
+            card.faulty_blocks.clear();
+            let mut all = vec![0u8; CARD_BLOCKS as usize * BLOCK_SIZE];
+            sd.read_range(0, CARD_BLOCKS, &mut all).unwrap();
+            assert!(
+                all == card.read_range(0, CARD_BLOCKS).unwrap(),
+                "seed {seed}: final card contents differ"
+            );
+            // Every seed tears a chain, faults one, and cuts one in posted
+            // mode.
+            assert!(
+                torn > 0 && faulted > 0 && posted_cuts > 0,
+                "seed {seed}: {torn} torn, {faulted} faulted, {posted_cuts} posted cuts"
+            );
+        }
     }
 
     #[test]

@@ -145,8 +145,14 @@ impl AddressSpace {
         flags: MapFlags,
     ) -> KResult<PhysAddr> {
         let frame = frames.alloc()?;
-        mem.fill(frame, FRAME_SIZE, 0)?;
-        self.table.map_page(mem, frames, va, frame, flags)?;
+        if let Err(e) = mem
+            .fill(frame, FRAME_SIZE, 0)
+            .map_err(KernelError::from)
+            .and_then(|()| self.table.map_page(mem, frames, va, frame, flags))
+        {
+            frames.free(frame)?;
+            return Err(e);
+        }
         self.owned_frames.push(frame);
         self.stats.mapped_pages += 1;
         Ok(frame)
@@ -257,7 +263,9 @@ impl AddressSpace {
     }
 
     /// Grows (or shrinks, with a negative delta) the heap; returns the old
-    /// break, like `sbrk`.
+    /// break, like `sbrk`. A growth maps all its pages or none: one the free
+    /// frames cannot back fails before it maps anything, and one whose page
+    /// tables run out part-way unmaps and frees the pages it mapped.
     pub fn sbrk(
         &mut self,
         frames: &mut FrameAllocator,
@@ -269,10 +277,27 @@ impl AddressSpace {
             return Ok(old);
         }
         if delta > 0 {
-            let new_top = old + delta as u64;
-            let mut va = old.div_ceil(FRAME_SIZE as u64) * FRAME_SIZE as u64;
+            let new_top = old
+                .checked_add(delta.unsigned_abs())
+                .ok_or(KernelError::NoMemory)?;
+            let first = old.div_ceil(FRAME_SIZE as u64) * FRAME_SIZE as u64;
+            let pages = new_top.saturating_sub(first).div_ceil(FRAME_SIZE as u64);
+            if pages > frames.free_frames() as u64 {
+                return Err(KernelError::NoMemory);
+            }
+            let owned_before = self.owned_frames.len();
+            let mut va = first;
             while va < new_top {
-                self.map_one(frames, mem, va, MapFlags::user_data())?;
+                if let Err(e) = self.map_one(frames, mem, va, MapFlags::user_data()) {
+                    let mut undo = first;
+                    for frame in self.owned_frames.split_off(owned_before) {
+                        self.table.unmap_page(mem, undo)?;
+                        frames.free(frame)?;
+                        self.stats.mapped_pages -= 1;
+                        undo += FRAME_SIZE as u64;
+                    }
+                    return Err(e);
+                }
                 va += FRAME_SIZE as u64;
             }
             self.heap_top = new_top;
@@ -281,8 +306,7 @@ impl AddressSpace {
                 r.len = self.heap_top.saturating_sub(r.start).max(r.len);
             }
         } else {
-            let shrink = (-delta) as u64;
-            self.heap_top = old.saturating_sub(shrink).max(self.heap_base);
+            self.heap_top = old.saturating_sub(delta.unsigned_abs()).max(self.heap_base);
         }
         Ok(old)
     }
@@ -495,6 +519,41 @@ mod tests {
         assert_eq!(asp.heap_top(), old + 64 * 1024);
         // sbrk(0) just reports the break.
         assert_eq!(asp.sbrk(&mut frames, &mut mem, 0).unwrap(), asp.heap_top());
+    }
+
+    #[test]
+    fn a_growth_whose_page_tables_run_out_maps_nothing() {
+        // 64 frames: the root table, then the heap's first page with its L2
+        // and L3 tables, leave 60 free. Growing by 60 pages passes the
+        // free-frame check, but the pages past the 2 MB boundary need a new
+        // L3 table, so the 60th page finds no frame.
+        let mut mem = PhysMem::new();
+        let mut frames = FrameAllocator::new(0x0100_0000, 64);
+        let mut asp = AddressSpace::new(&mut frames, &mut mem).unwrap();
+        asp.add_region(
+            &mut frames,
+            &mut mem,
+            RegionKind::Heap,
+            0x1F_F000,
+            4096,
+            MapFlags::user_data(),
+            false,
+        )
+        .unwrap();
+        assert_eq!(frames.free_frames(), 60);
+        let top = asp.heap_top();
+        assert_eq!(
+            asp.sbrk(&mut frames, &mut mem, 60 * 4096),
+            Err(KernelError::NoMemory)
+        );
+        assert_eq!(asp.heap_top(), top);
+        assert_eq!(asp.stats().mapped_pages, 1);
+        assert!(asp.translate(&mem, top).unwrap().is_none());
+        // Only the new L3 table stays, owned by the page table.
+        assert_eq!(frames.free_frames(), 59);
+        assert_eq!(asp.sbrk(&mut frames, &mut mem, 4096).unwrap(), top);
+        assert_eq!(asp.release(&mut frames, &mem).unwrap(), 2);
+        assert_eq!(frames.free_frames(), 64);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Regression tests for taint-pass findings: adversarial syscall arguments
 //! (huge lengths, extreme offsets, forever sleeps) must be clamped or
 //! rejected, never overflow an addition or drive an unbounded allocation.
-//! Each test pins a site `protolint --pass taint` flagged before the fix.
+//! Each test pins a site `protolint --pass taint` flagged before the fix,
+//! unless its comment says the pass missed it.
 
 use kernel::OpenFlags;
 use proto_repro::prelude::*;
@@ -179,4 +180,67 @@ fn framebuffer_writes_whose_end_overflows_are_rejected() {
     last.unwrap();
     let fb = &sys.kernel.board.framebuffer;
     assert_eq!(fb.staged_pixels()[end - 2..], [0xFF12_3456, 0xFF65_4321]);
+}
+
+/// The heap base and the free frames of the bench task `tid`.
+fn heap_base_and_free_frames(sys: &ProtoSystem, tid: kernel::TaskId) -> (u64, usize) {
+    let heap = sys
+        .kernel
+        .address_space_of(tid)
+        .and_then(|space| {
+            space
+                .regions()
+                .iter()
+                .find(|r| r.kind == kernel::mm::RegionKind::Heap)
+                .map(|r| r.start)
+        })
+        .expect("the bench task has a heap");
+    (heap, sys.kernel.mm.frames.free_frames())
+}
+
+#[test]
+fn shrinking_the_heap_by_i64_min_stops_at_the_heap_base() {
+    // `sbrk` negated the delta, which overflows for i64::MIN: a debug build
+    // panicked with "attempt to negate with overflow". `protolint --pass
+    // taint` missed this site, because negation is not one of its sinks.
+    let (mut sys, tid) = desktop();
+    let (base, _) = heap_base_and_free_frames(&sys, tid);
+    let (old, after) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            let old = ctx.sbrk(0)?;
+            let r = ctx.sbrk(i64::MIN)?;
+            assert_eq!(r, old, "sbrk returns the old break");
+            Ok::<_, kernel::KernelError>((old, ctx.sbrk(0)?))
+        })
+        .unwrap();
+    assert!(old >= base);
+    assert_eq!(after, base, "the break stops at the heap base");
+}
+
+#[test]
+fn a_heap_growth_past_free_memory_maps_nothing() {
+    // A growth larger than the free frames used to map every free frame
+    // before it failed, and kept them: the machine stayed out of memory
+    // until the task exited, and the next small growth failed too. The
+    // taint pass missed this site as well: it takes the `delta > 0` test
+    // for a bounds check, and the delta then only bounds a mapping loop.
+    let (mut sys, tid) = desktop();
+    let (_, free_before) = heap_base_and_free_frames(&sys, tid);
+    let (old, huge, after) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            let old = ctx.sbrk(0)?;
+            let huge = ctx.sbrk(64 << 30);
+            Ok::<_, kernel::KernelError>((old, huge, ctx.sbrk(0)?))
+        })
+        .unwrap();
+    assert!(
+        matches!(huge, Err(kernel::KernelError::NoMemory)),
+        "sbrk(64 GiB): {huge:?}"
+    );
+    assert_eq!(after, old, "the break did not move");
+    assert_eq!(heap_base_and_free_frames(&sys, tid).1, free_before);
+    let small = sys.kernel.with_task_ctx(tid, |ctx| ctx.sbrk(4096)).unwrap();
+    assert_eq!(small, old, "a small growth still succeeds");
 }
