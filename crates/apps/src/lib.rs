@@ -23,9 +23,52 @@ pub mod shell;
 pub mod slider;
 pub mod sysmon;
 
+use std::task::Poll;
+
 use kernel::kernel::Kernel;
 use kernel::usercall::{StepResult, UserCtx, UserProgram};
-use kernel::ProgramImage;
+use kernel::vfs::OpenFlags;
+use kernel::{KernelError, ProgramImage};
+
+/// A whole-file load that survives the task parking part-way.
+///
+/// It reads in 256 KB reads, stops at the first empty read (or at an error
+/// other than `WouldBlock`, which ends the file early), then closes the
+/// file. With blocking I/O on, a cold FAT lookup or read parks the task and
+/// returns `KernelError::WouldBlock`. The load then keeps its descriptor
+/// and the bytes read so far, the step returns `StepResult::Continue`, and
+/// the next step, once the task is woken, retries the call that parked.
+#[derive(Debug, Default)]
+pub(crate) struct WholeFile {
+    fd: Option<i32>,
+    data: Vec<u8>,
+}
+
+impl WholeFile {
+    /// Advances the load of `path`: `Pending` while the task is parked,
+    /// then the file's bytes, or `None` if it cannot be opened.
+    pub(crate) fn poll(&mut self, ctx: &mut UserCtx<'_>, path: &str) -> Poll<Option<Vec<u8>>> {
+        let fd = match self.fd {
+            Some(fd) => fd,
+            None => match ctx.open(path, OpenFlags::rdonly()) {
+                Ok(fd) => *self.fd.insert(fd),
+                Err(KernelError::WouldBlock) => return Poll::Pending,
+                Err(_) => return Poll::Ready(None),
+            },
+        };
+        loop {
+            match ctx.read(fd, 256 * 1024) {
+                Ok(chunk) if chunk.is_empty() => break,
+                Ok(chunk) => self.data.extend_from_slice(&chunk),
+                Err(KernelError::WouldBlock) => return Poll::Pending,
+                Err(_) => break,
+            }
+        }
+        let _ = ctx.close(fd);
+        self.fd = None;
+        Poll::Ready(Some(std::mem::take(&mut self.data)))
+    }
+}
 
 /// The simplest program: prints a greeting and exits. It is the first app of
 /// every prototype (Table 1's `helloworld` row).

@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+use std::task::Poll;
 
 use kernel::usercall::{FramePhases, StepResult, UserCtx, UserProgram};
 use kernel::vfs::OpenFlags;
@@ -17,19 +18,7 @@ use kernel::KernelError;
 use ulib::image::Image;
 use ulib::media::{yuv_to_rgb_scalar, yuv_to_rgb_simd, AudioDecoder, VideoDecoder};
 
-fn read_whole_file(ctx: &mut UserCtx<'_>, path: &str) -> Option<Vec<u8>> {
-    let fd = ctx.open(path, OpenFlags::rdonly()).ok()?;
-    let mut data = Vec::new();
-    loop {
-        match ctx.read(fd, 256 * 1024) {
-            Ok(chunk) if chunk.is_empty() => break,
-            Ok(chunk) => data.extend_from_slice(&chunk),
-            Err(_) => break,
-        }
-    }
-    let _ = ctx.close(fd);
-    Some(data)
-}
+use crate::WholeFile;
 
 // =====================================================================================
 // MusicPlayer
@@ -99,6 +88,7 @@ impl UserProgram for AudioStreamThread {
 #[derive(Debug)]
 pub struct MusicPlayer {
     track_path: String,
+    track: WholeFile,
     decoder: Option<AudioDecoder>,
     shared: Arc<Mutex<VecDeque<Vec<i16>>>>,
     finished: Arc<Mutex<bool>>,
@@ -118,6 +108,7 @@ impl MusicPlayer {
                 .first()
                 .cloned()
                 .unwrap_or_else(|| "/d/track1.ogg".into()),
+            track: WholeFile::default(),
             decoder: None,
             shared: Arc::new(Mutex::new(VecDeque::new())),
             finished: Arc::new(Mutex::new(false)),
@@ -139,7 +130,10 @@ impl UserProgram for MusicPlayer {
     fn step(&mut self, ctx: &mut UserCtx<'_>) -> StepResult {
         let cost = ctx.cost();
         if self.decoder.is_none() {
-            let Some(data) = read_whole_file(ctx, &self.track_path) else {
+            let Poll::Ready(data) = self.track.poll(ctx, &self.track_path) else {
+                return StepResult::Continue;
+            };
+            let Some(data) = data else {
                 ctx.print("musicplayer: no track found");
                 return StepResult::Exited(1);
             };
@@ -227,6 +221,7 @@ impl UserProgram for MusicPlayer {
 #[derive(Debug)]
 pub struct VideoPlayer {
     video_path: String,
+    video: WholeFile,
     decoder: Option<VideoDecoder>,
     mapped: bool,
     frames_shown: u64,
@@ -248,6 +243,7 @@ impl VideoPlayer {
                 .first()
                 .cloned()
                 .unwrap_or_else(|| "/d/video480.mpg".into()),
+            video: WholeFile::default(),
             decoder: None,
             mapped: false,
             frames_shown: 0,
@@ -268,7 +264,10 @@ impl UserProgram for VideoPlayer {
     fn step(&mut self, ctx: &mut UserCtx<'_>) -> StepResult {
         let cost = ctx.cost();
         if self.decoder.is_none() {
-            let Some(data) = read_whole_file(ctx, &self.video_path) else {
+            let Poll::Ready(data) = self.video.poll(ctx, &self.video_path) else {
+                return StepResult::Continue;
+            };
+            let Some(data) = data else {
                 ctx.print("videoplayer: no video found");
                 return StepResult::Exited(1);
             };

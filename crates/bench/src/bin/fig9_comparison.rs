@@ -1,7 +1,7 @@
 //! Figure 9: normalised microbenchmark latency vs xv6, Linux and FreeBSD.
 use bench::baselines::{micro_factor, BaselineOs};
 use bench::report;
-use hal::cost::Platform;
+use hal::cost::{CostModel, Platform};
 fn main() {
     let iters: u32 = std::env::args()
         .nth(1)
@@ -41,7 +41,14 @@ fn main() {
         ),
     ];
     println!("Figure 9 — normalised latency (ours = 1.0, lower is better)\n");
-    println!("xv6 column is measured from the executable baseline variant;");
+    let penalty = CostModel::for_platform(Platform::Pi3).musl_compute_penalty;
+    println!("xv6 column: the same benchmarks on the Xv6Baseline kernel variant.");
+    println!("  getpid, fork, sbrk, ipc, ramfs/r run Proto's own code paths: 1.00.");
+    println!(
+        "  malloc, memset, md5sum, qsort are Proto's charge x musl_compute_penalty ({penalty:.2})."
+    );
+    println!("  ramfs/w: close drains the write-back synchronously (no background flusher).");
+    println!("  diskfs/r, diskfs/w: the polled SD path, its SD cycles x 8/5 (charge_sd_delta).");
     println!("Linux/FreeBSD columns are calibrated reference factors from the paper.\n");
     let mut rows = Vec::new();
     let mut dump = Vec::new();
