@@ -1,11 +1,11 @@
 //! Interprocedural dataflow scaffolding: an explicit call graph over the
 //! [`Model`](crate::model::Model) plus a generic monotone worklist fixpoint.
 //!
-//! The passes that need whole-program facts (taint summaries, metadata-write
-//! protection, mutates-before-blocking bits) all share the same shape: a
-//! per-function fact, a transfer function that recomputes one function's fact
-//! from its own body plus its neighbours' current facts, and a worklist that
-//! re-queues dependents until nothing changes. [`solve`] implements that loop
+//! The passes that need whole-program facts (metadata-write protection,
+//! mutates-before-blocking bits) share the same shape: a per-function fact,
+//! a transfer function that recomputes one function's fact from its own body
+//! plus its neighbours' current facts, and a worklist that re-queues
+//! dependents until nothing changes. [`solve`] implements that loop
 //! once, with a hard iteration cap so even a buggy (non-monotone) transfer
 //! function terminates — the cap is far above what any monotone analysis on
 //! this workspace needs, and the returned round count lets tests assert the

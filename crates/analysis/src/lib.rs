@@ -1,25 +1,26 @@
 //! `protolint`: offline static analysis for the Proto workspace.
 //!
-//! Five passes keep the properties that PR 2/3/6 established by hand from
-//! rotting as the codebase grows:
+//! Three passes keep properties the kernel and storage stack established
+//! by hand from rotting as the codebase grows:
 //!
 //! * **panic** — no `unwrap`/`expect`/`panic!`/sector-indexing/unchecked
 //!   sector arithmetic on any function reachable from the `sys_*` dispatch.
-//! * **errors** — every `FsError` variant has an explicit `KernelError`
-//!   mapping, and syscall-reachable code never discards a `Result`.
-//! * **taint** — no unvalidated syscall argument reaches slice indexing,
-//!   sector arithmetic, or an allocation length (interprocedural).
 //! * **ordering** — metadata-dirtying sites sit in a `with_meta_txn` region
 //!   or behind registered `add_dependency` write-order edges.
 //! * **wouldblock** — functions that return `WouldBlock` mutate no
 //!   structural cache state on the blocking path (retry idempotency).
 //!
-//! Two earlier passes now live in the type system. `abi` checked a
-//! string-typed syscall table against the dispatch functions and stubs;
+//! Four earlier passes now live in the compiler or in a test. `abi` checked
+//! a string-typed syscall table against the dispatch functions and stubs;
 //! the stubs now call the dispatch functions directly, and a trapping one
 //! takes an `Entry` that only `Kernel::syscall` mints. `concurrency` policed
 //! completion routing and parking under a cache borrow; routing is now
-//! private to the buffer cache, and parking takes `&mut Kernel`.
+//! private to the buffer cache, and parking takes `&mut Kernel`. `errors`
+//! checked the `FsError` mapping and discarded results; rustc's
+//! exhaustiveness check and clippy's `let_underscore_must_use` and
+//! `unused_result_ok` lints carry both rules. `taint` followed syscall
+//! arguments to indexing, arithmetic and allocation sinks; a boundary sweep
+//! through every `UserCtx` stub (`tests/syscall_hardening.rs`) replaces it.
 //!
 //! The tool is registry-free (no `syn`): [`lexer`] hand-tokenises Rust,
 //! [`model`] extracts functions and a name-based call graph, and
@@ -47,7 +48,7 @@ use model::Model;
 
 /// Every pass name, in the order they run. The single source of truth for
 /// CLI validation and `--help`.
-pub const PASSES: [&str; 5] = ["panic", "errors", "taint", "ordering", "wouldblock"];
+pub const PASSES: [&str; 3] = ["panic", "ordering", "wouldblock"];
 
 /// One reported problem.
 #[derive(Debug, Clone)]
@@ -67,41 +68,6 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// A finding anchored to a file but no particular line.
-    pub fn file_level(
-        pass: &'static str,
-        kind: &'static str,
-        file: &str,
-        message: String,
-    ) -> Finding {
-        Finding {
-            pass,
-            kind,
-            file: file.to_string(),
-            func: String::new(),
-            line: 0,
-            message,
-        }
-    }
-
-    /// A finding anchored to a line but no particular function.
-    pub fn line_level(
-        pass: &'static str,
-        kind: &'static str,
-        file: &str,
-        line: u32,
-        message: String,
-    ) -> Finding {
-        Finding {
-            pass,
-            kind,
-            file: file.to_string(),
-            func: String::new(),
-            line,
-            message,
-        }
-    }
-
     /// Stable identity for baselines: an FNV-1a hash over pass, file,
     /// function and kind — deliberately *not* the line or message, so a
     /// finding keeps its ID across unrelated edits to the same file.
@@ -316,7 +282,7 @@ pub fn parse_baseline_ids(src: &str) -> HashSet<String> {
 /// The source directories a run scans, relative to the workspace root.
 pub const SCAN_DIRS: [&str; 3] = ["crates/fs/src", "crates/kernel/src", "crates/hal/src"];
 
-/// Runs the selected passes (all five when `only` is empty) over the
+/// Runs the selected passes (all of them when `only` is empty) over the
 /// workspace at `root`, applying `root/crates/analysis/allow.toml` if
 /// present.
 pub fn analyze(root: &Path, only: &[String]) -> std::io::Result<Report> {
@@ -329,12 +295,6 @@ pub fn analyze(root: &Path, only: &[String]) -> std::io::Result<Report> {
     let mut all: Vec<Finding> = Vec::new();
     if want("panic") {
         all.extend(passes::pass_panic(&model, &reachable));
-    }
-    if want("errors") {
-        all.extend(passes::pass_errors(&model, &reachable));
-    }
-    if want("taint") {
-        all.extend(passes::pass_taint(&model));
     }
     if want("ordering") {
         all.extend(passes::pass_ordering(&model));
@@ -423,7 +383,7 @@ mod tests {
     #[test]
     fn finding_ids_are_stable_across_line_and_message_changes() {
         let a = Finding {
-            pass: "taint",
+            pass: "panic",
             kind: "index",
             file: "crates/fs/src/fat32.rs".into(),
             func: "read_at".into(),
@@ -447,7 +407,7 @@ mod tests {
     #[test]
     fn baseline_ids_parse_and_filter_findings() {
         let f = Finding {
-            pass: "taint",
+            pass: "panic",
             kind: "index",
             file: "a.rs".into(),
             func: "f".into(),
@@ -455,7 +415,7 @@ mod tests {
             message: String::new(),
         };
         let src = format!(
-            "{{\n  \"findings\": [\n    {{ \"id\": \"{}\", \"pass\": \"taint\" }}\n  ]\n}}\n",
+            "{{\n  \"findings\": [\n    {{ \"id\": \"{}\", \"pass\": \"panic\" }}\n  ]\n}}\n",
             f.id()
         );
         let ids = parse_baseline_ids(&src);

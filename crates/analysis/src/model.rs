@@ -25,10 +25,8 @@ pub struct Call {
     pub qual: Option<String>,
     /// True for `.name(..)` method-call syntax.
     pub method: bool,
-    /// Identifier tokens appearing in each argument position, in order. The
-    /// split is lexical (top-level commas), so a closure argument may smear
-    /// across positions — over-approximate, which is safe for taint.
-    pub args: Vec<Vec<String>>,
+    /// Number of arguments at the call site, counted at top-level commas.
+    pub arity: usize,
     /// 1-based source line of the call.
     pub line: u32,
     /// Token index of the callee name, relative to the enclosing body span.
@@ -190,7 +188,7 @@ impl Model {
             .into_iter()
             .filter(|&i| {
                 let f = &self.funcs[i];
-                let mut expect = call.args.len();
+                let mut expect = call.arity;
                 // `Type::method(recv, ..)` passes the receiver explicitly.
                 if f.has_self && call.qual.is_some() && !call.method {
                     expect = expect.saturating_sub(1);
@@ -607,14 +605,13 @@ fn txn_mask(body: &[Token]) -> Vec<bool> {
     mask
 }
 
-/// Collects the identifier tokens of each argument of the call whose opening
-/// paren is at `open`. Arguments are split at top-level commas; an argument
-/// with no identifiers (a literal) still occupies its position, and a
-/// trailing comma does not create a phantom argument.
-fn call_args(body: &[Token], open: usize) -> Vec<Vec<String>> {
+/// Counts the arguments of the call whose opening paren is at `open`.
+/// Arguments are split at top-level commas; an argument with no identifiers
+/// (a literal) still counts, and a trailing comma does not create a phantom
+/// argument.
+fn call_arity(body: &[Token], open: usize) -> usize {
     let n = body.len();
-    let mut args: Vec<Vec<String>> = Vec::new();
-    let mut cur: Vec<String> = Vec::new();
+    let mut args = 0usize;
     let mut cur_tokens = 0usize;
     let mut paren = 0i32;
     let mut bracket = 0i32;
@@ -648,18 +645,16 @@ fn call_args(body: &[Token], open: usize) -> Vec<Vec<String>> {
         } else if t.is_punct("}") {
             brace -= 1;
         } else if t.is_punct(",") && paren == 1 && bracket == 0 && brace == 0 {
-            args.push(std::mem::take(&mut cur));
+            args += 1;
             cur_tokens = 0;
             j += 1;
             continue;
-        } else if t.kind == TokKind::Ident {
-            cur.push(t.text.clone());
         }
         cur_tokens += 1;
         j += 1;
     }
     if cur_tokens > 0 {
-        args.push(cur);
+        args += 1;
     }
     args
 }
@@ -717,7 +712,7 @@ fn extract_calls(body: &[Token]) -> Vec<Call> {
             name: t.text.clone(),
             qual,
             method,
-            args: call_args(body, k + 1),
+            arity: call_arity(body, k + 1),
             line: t.line,
             tok: k,
             in_txn: mask[k],
@@ -779,14 +774,12 @@ mod tests {
     }
 
     #[test]
-    fn call_args_capture_idents_per_position() {
-        let m = model_of("fn f(x: u64, y: u64) { g(x + 1, h(y), 3) }");
-        let call = &m.funcs[0].calls[0];
-        assert_eq!(call.name, "g");
-        assert_eq!(call.args.len(), 3);
-        assert_eq!(call.args[0], vec!["x"]);
-        assert_eq!(call.args[1], vec!["h", "y"]);
-        assert!(call.args[2].is_empty());
+    fn call_arity_counts_top_level_arguments() {
+        let m = model_of("fn f(x: u64, y: u64) { g(x + 1, h(y, [1, 2]), 3,); k() }");
+        let calls = &m.funcs[0].calls;
+        assert_eq!((calls[0].name.as_str(), calls[0].arity), ("g", 3));
+        assert_eq!((calls[1].name.as_str(), calls[1].arity), ("h", 2));
+        assert_eq!((calls[2].name.as_str(), calls[2].arity), ("k", 0));
     }
 
     #[test]

@@ -6,26 +6,24 @@
 //! trees under `tests/fixtures/` exercise the exact same code paths as the
 //! real workspace.
 //!
-//! The first two passes (`panic`, `errors`) are lexical / call-graph only.
-//! The three interprocedural passes (`taint`, `ordering`, `wouldblock`) run a
-//! fixpoint over the [`dataflow`](crate::dataflow) call graph. The `abi` and
-//! `concurrency` passes are gone: the compiler now carries their rules (a
-//! trapping `sys_*` takes an `Entry` only `Kernel::syscall` mints, and
-//! completion routing is private to the buffer cache).
+//! The `panic` pass is lexical / call-graph only. The two interprocedural
+//! passes (`ordering`, `wouldblock`) run a fixpoint over the
+//! [`dataflow`](crate::dataflow) call graph. Four earlier passes are gone
+//! because the compiler or a test now carries their rules: `abi` and
+//! `concurrency` (a trapping `sys_*` takes an `Entry` only `Kernel::syscall`
+//! mints, and completion routing is private to the buffer cache), `errors`
+//! (rustc's exhaustiveness check and clippy's discarded-result lints) and
+//! `taint` (the boundary sweep in `tests/syscall_hardening.rs`).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::dataflow::{solve, CallGraph};
 use crate::lexer::{TokKind, Token};
-use crate::model::{Func, Model};
+use crate::model::Model;
 use crate::Finding;
 
 /// Path suffix of the syscall dispatch module.
 const SYSCALLS_RS: &str = "kernel/src/syscalls.rs";
-/// Path suffix of the kernel error module (FsError→KernelError mapping).
-const ERROR_RS: &str = "kernel/src/error.rs";
-/// Path suffix of the filesystem crate root (defines `FsError`).
-const FS_LIB_RS: &str = "fs/src/lib.rs";
 
 fn body(model: &Model, fi: usize) -> &[Token] {
     let f = &model.funcs[fi];
@@ -196,173 +194,6 @@ pub fn pass_panic(model: &Model, reachable: &HashSet<usize>) -> Vec<Finding> {
     out
 }
 
-/// Extracts the variant names of `enum FsError` from the fs crate root.
-pub fn fs_error_variants(toks: &[Token]) -> Vec<String> {
-    let mut i = 0usize;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("enum") && toks[i + 1].is_ident("FsError") {
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct("{") {
-                j += 1;
-            }
-            let mut depth = 0i32;
-            let mut variants = Vec::new();
-            let mut expect = true;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
-                    depth += 1;
-                } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if depth == 1 {
-                    if t.is_punct("#") {
-                        // Attribute on a variant: skip `#[...]`.
-                        let mut d = 0i32;
-                        j += 1;
-                        while j < toks.len() {
-                            if toks[j].is_punct("[") {
-                                d += 1;
-                            } else if toks[j].is_punct("]") {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            j += 1;
-                        }
-                    } else if expect && t.kind == TokKind::Ident {
-                        variants.push(t.text.clone());
-                        expect = false;
-                    } else if t.is_punct(",") {
-                        expect = true;
-                    }
-                }
-                j += 1;
-            }
-            return variants;
-        }
-        i += 1;
-    }
-    Vec::new()
-}
-
-/// Pass 2: error-mapping completeness. Every `FsError` variant must be
-/// named in the `From<FsError> for KernelError` conversion, and no
-/// syscall-reachable function may discard a fallible result with `let _ =`
-/// or a statement-level `.ok()`.
-pub fn pass_errors(model: &Model, reachable: &HashSet<usize>) -> Vec<Finding> {
-    let mut out = Vec::new();
-    // Variant coverage.
-    let variants = model
-        .files
-        .iter()
-        .find(|f| f.path.ends_with(FS_LIB_RS))
-        .map(|f| fs_error_variants(&f.tokens))
-        .unwrap_or_default();
-    if variants.is_empty() {
-        out.push(Finding::file_level(
-            "errors",
-            "no-enum",
-            FS_LIB_RS,
-            "FsError enum not found; cannot verify the error mapping".into(),
-        ));
-    }
-    let error_file = model.files.iter().find(|f| f.path.ends_with(ERROR_RS));
-    let mut mapped: HashSet<String> = HashSet::new();
-    if let Some(ef) = error_file {
-        for &fi in &ef.funcs {
-            let f = &model.funcs[fi];
-            if f.is_test || f.name != "from" || f.impl_type.as_deref() != Some("KernelError") {
-                continue;
-            }
-            let toks = body(model, fi);
-            for k in 0..toks.len() {
-                if toks[k].is_ident("FsError")
-                    && k + 2 < toks.len()
-                    && toks[k + 1].is_punct("::")
-                    && toks[k + 2].kind == TokKind::Ident
-                {
-                    mapped.insert(toks[k + 2].text.clone());
-                }
-            }
-        }
-        for v in &variants {
-            if !mapped.contains(v) {
-                out.push(Finding::file_level(
-                    "errors",
-                    "unmapped",
-                    &ef.path,
-                    format!("FsError::{v} is not named in `From<FsError> for KernelError`; a new fs error must choose its kernel shape explicitly"),
-                ));
-            }
-        }
-    } else if !variants.is_empty() {
-        out.push(Finding::file_level(
-            "errors",
-            "no-impl",
-            ERROR_RS,
-            "kernel error module not found; FsError has no verified mapping".into(),
-        ));
-    }
-    // Discarded results on reachable paths.
-    for &fi in reachable {
-        let f = &model.funcs[fi];
-        if !f.file.starts_with("crates/fs/") && !f.file.starts_with("crates/kernel/") {
-            continue;
-        }
-        let toks = body(model, fi);
-        let n = toks.len();
-        for k in 0..n {
-            if toks[k].is_ident("let")
-                && k + 2 < n
-                && toks[k + 1].is_ident("_")
-                && toks[k + 2].is_punct("=")
-            {
-                // Only flag when the discarded value comes from a call.
-                let mut j = k + 3;
-                let mut call = false;
-                while j < n && !toks[j].is_punct(";") && j < k + 120 {
-                    if toks[j].is_punct("(") {
-                        call = true;
-                        break;
-                    }
-                    j += 1;
-                }
-                if call {
-                    out.push(finding(
-                        "errors",
-                        "discard-let",
-                        f,
-                        toks[k].line,
-                        "`let _ =` discards a fallible result on a syscall-reachable path".into(),
-                    ));
-                }
-            }
-            if toks[k].is_punct(".")
-                && k + 4 < n
-                && toks[k + 1].is_ident("ok")
-                && toks[k + 2].is_punct("(")
-                && toks[k + 3].is_punct(")")
-                && toks[k + 4].is_punct(";")
-            {
-                out.push(finding(
-                    "errors",
-                    "discard-ok",
-                    f,
-                    toks[k + 1].line,
-                    "statement-level `.ok()` swallows an error on a syscall-reachable path".into(),
-                ));
-            }
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.kind == b.kind);
-    out
-}
-
 fn finding(
     pass: &'static str,
     kind: &'static str,
@@ -381,549 +212,10 @@ fn finding(
 }
 
 // ---------------------------------------------------------------------------
-// Interprocedural passes: taint, ordering, wouldblock
+// Interprocedural passes: ordering, wouldblock
 // ---------------------------------------------------------------------------
 
-/// Methods that bound, check, or deliberately wrap the value they are called
-/// on — their result (and, flow-insensitively, their receiver) is treated as
-/// validated.
-fn sanitizing_method(name: &str) -> bool {
-    matches!(name, "min" | "clamp" | "try_into" | "rem_euclid")
-        || name.starts_with("checked_")
-        || name.starts_with("saturating_")
-        || name.starts_with("wrapping_")
-}
-
-/// Call names whose arguments count as validated afterwards (bounds checks,
-/// validated constructors, assertions).
-fn sanitizing_call(name: &str) -> bool {
-    let l = name.to_ascii_lowercase();
-    l.contains("check")
-        || l.contains("valid")
-        || l.contains("clamp")
-        || l.contains("bound")
-        || l.contains("require")
-        || l.contains("assert")
-        || l.contains("try_from")
-        || l == "min"
-        || l == "max"
-}
-
-/// Per-function lexical taint facts feeding the interprocedural summary.
-/// Deliberately flow-insensitive: an identifier that is bounds-checked
-/// *anywhere* in a function counts as sanitized everywhere in it. That
-/// under-reports (a check after the sink still clears it) but keeps the
-/// analysis simple and the false-positive rate workable.
-struct LocalFlow {
-    /// ident → parameter indices it lexically derives from.
-    taint: HashMap<String, BTreeSet<usize>>,
-    /// idents that appear in a bounding/checking context somewhere in the fn.
-    sanitized: HashSet<String>,
-    /// Local sinks: (kind, line, params reaching it, description).
-    sinks: Vec<(&'static str, u32, BTreeSet<usize>, String)>,
-}
-
-impl LocalFlow {
-    fn effective(&self, id: &str) -> BTreeSet<usize> {
-        if self.sanitized.contains(id) {
-            return BTreeSet::new();
-        }
-        self.taint.get(id).cloned().unwrap_or_default()
-    }
-}
-
-const CMP_OPS: [&str; 5] = ["<", "<=", ">", ">=", "=="];
-
-/// True when the token range holds a sanitizing construct (`.min(...)`,
-/// `checked_add(...)`, `check_*(...)`, …).
-fn range_sanitizes(toks: &[Token]) -> bool {
-    for k in 0..toks.len() {
-        let t = &toks[k];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let called = k + 1 < toks.len() && toks[k + 1].is_punct("(");
-        if called && (sanitizing_method(&t.text) || sanitizing_call(&t.text)) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Computes the lexical taint facts for one function body.
-fn local_flow(f: &Func, toks: &[Token]) -> LocalFlow {
-    let n = toks.len();
-    let mut taint: HashMap<String, BTreeSet<usize>> = HashMap::new();
-    for (i, p) in f.params.iter().enumerate() {
-        taint.entry(p.clone()).or_default().insert(i);
-    }
-    // Sanitized idents: compared, bounded, or passed to a validator.
-    let mut sanitized: HashSet<String> = HashSet::new();
-    for k in 0..n {
-        let t = &toks[k];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if k + 3 < n
-            && toks[k + 1].is_punct(".")
-            && toks[k + 2].kind == TokKind::Ident
-            && sanitizing_method(&toks[k + 2].text)
-            && toks[k + 3].is_punct("(")
-        {
-            sanitized.insert(t.text.clone());
-        }
-        if k + 1 < n && toks[k + 1].is_punct("(") && sanitizing_call(&t.text) {
-            let mut depth = 0i32;
-            let mut j = k + 1;
-            while j < n {
-                if toks[j].is_punct("(") {
-                    depth += 1;
-                } else if toks[j].is_punct(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if toks[j].kind == TokKind::Ident {
-                    sanitized.insert(toks[j].text.clone());
-                }
-                j += 1;
-            }
-        }
-    }
-    // Comparison operands count as bounds-checked. Walk a few tokens out on
-    // both sides of the operator so the *base* of a field chain or cast
-    // (`ino.size as usize > MAX`, `rect.w > 4096`) is marked, not just the
-    // token touching the operator.
-    let boundary = |t: &Token| {
-        t.is_punct(";")
-            || t.is_punct(",")
-            || t.is_punct("{")
-            || t.is_punct("}")
-            || t.is_punct("&&")
-            || t.is_punct("||")
-            || t.is_punct("=")
-            || (t.kind == TokKind::Ident
-                && matches!(
-                    t.text.as_str(),
-                    "if" | "while" | "let" | "return" | "match" | "else" | "for" | "in"
-                ))
-    };
-    for k in 0..n {
-        if !CMP_OPS.iter().any(|c| toks[k].is_punct(c)) {
-            continue;
-        }
-        let mut j = k;
-        for _ in 0..8 {
-            if j == 0 {
-                break;
-            }
-            j -= 1;
-            if boundary(&toks[j]) {
-                break;
-            }
-            if toks[j].kind == TokKind::Ident && toks[j].text != "as" {
-                sanitized.insert(toks[j].text.clone());
-            }
-        }
-        let mut j = k;
-        for _ in 0..8 {
-            j += 1;
-            if j >= n || boundary(&toks[j]) {
-                break;
-            }
-            if toks[j].kind == TokKind::Ident && toks[j].text != "as" {
-                sanitized.insert(toks[j].text.clone());
-            }
-        }
-    }
-    // Propagate taint through `let` bindings to a (bounded) local fixpoint.
-    for _ in 0..8 {
-        let mut changed = false;
-        let mut k = 0usize;
-        while k < n {
-            if !toks[k].is_ident("let") {
-                k += 1;
-                continue;
-            }
-            // Bound idents: everything before `:`/`=`, skipping punctuation,
-            // `mut`, `_` and uppercase (enum patterns like `Some`).
-            let mut bound: Vec<String> = Vec::new();
-            let mut j = k + 1;
-            let mut eq = None;
-            while j < n && j < k + 24 {
-                let t = &toks[j];
-                if t.is_punct("=") {
-                    eq = Some(j);
-                    break;
-                }
-                if t.is_punct(":") || t.is_punct(";") {
-                    break;
-                }
-                if t.kind == TokKind::Ident
-                    && t.text != "mut"
-                    && t.text != "_"
-                    && !t.text.starts_with(char::is_uppercase)
-                {
-                    bound.push(t.text.clone());
-                }
-                j += 1;
-            }
-            if eq.is_none() {
-                // Skip past a type annotation to the `=` (types contain no `=`).
-                while j < n && j < k + 64 && !toks[j].is_punct("=") && !toks[j].is_punct(";") {
-                    j += 1;
-                }
-                if j < n && toks[j].is_punct("=") {
-                    eq = Some(j);
-                }
-            }
-            let Some(eq) = eq else {
-                k = j.max(k + 1);
-                continue;
-            };
-            // RHS: to the `;` at zero nesting depth (block initializers keep
-            // their braces balanced), capped for safety.
-            let mut depth = 0i32;
-            let mut j = eq + 1;
-            let start = j;
-            while j < n && j < eq + 600 {
-                let t = &toks[j];
-                if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-                    depth += 1;
-                } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-                    depth -= 1;
-                } else if t.is_punct(";") && depth == 0 {
-                    break;
-                }
-                j += 1;
-            }
-            let rhs = &toks[start..j.min(n)];
-            if !bound.is_empty() && !range_sanitizes(rhs) {
-                let mut carried: BTreeSet<usize> = BTreeSet::new();
-                for t in rhs {
-                    if t.kind == TokKind::Ident && !sanitized.contains(&t.text) {
-                        if let Some(s) = taint.get(&t.text) {
-                            carried.extend(s.iter().copied());
-                        }
-                    }
-                }
-                if !carried.is_empty() {
-                    for b in &bound {
-                        let e = taint.entry(b.clone()).or_default();
-                        let before = e.len();
-                        e.extend(carried.iter().copied());
-                        if e.len() != before {
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            k = j.max(k + 1);
-        }
-        if !changed {
-            break;
-        }
-    }
-    let lf = LocalFlow {
-        taint,
-        sanitized,
-        sinks: Vec::new(),
-    };
-    let mut sinks: Vec<(&'static str, u32, BTreeSet<usize>, String)> = Vec::new();
-    for k in 0..n {
-        let t = &toks[k];
-        // Allocation length: `vec![elem; len]`.
-        if t.is_ident("vec") && k + 2 < n && toks[k + 1].is_punct("!") && toks[k + 2].is_punct("[")
-        {
-            let mut depth = 0i32;
-            let mut after_semi = false;
-            let mut set = BTreeSet::new();
-            let mut j = k + 2;
-            while j < n {
-                let u = &toks[j];
-                if u.is_punct("[") {
-                    depth += 1;
-                } else if u.is_punct("]") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if u.is_punct(";") && depth == 1 {
-                    after_semi = true;
-                } else if after_semi && u.kind == TokKind::Ident {
-                    set.extend(lf.effective(&u.text));
-                }
-                j += 1;
-            }
-            if !set.is_empty() {
-                sinks.push((
-                    "alloc",
-                    t.line,
-                    set,
-                    "a `vec![_; n]` allocation length".into(),
-                ));
-            }
-        }
-        // Allocation length: `with_capacity` / `resize` / `reserve`.
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "with_capacity" | "resize" | "reserve" | "reserve_exact"
-            )
-            && k + 1 < n
-            && toks[k + 1].is_punct("(")
-        {
-            let mut depth = 0i32;
-            let mut set = BTreeSet::new();
-            let mut j = k + 1;
-            while j < n {
-                let u = &toks[j];
-                if u.is_punct("(") {
-                    depth += 1;
-                } else if u.is_punct(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if u.is_punct(",") && depth == 1 {
-                    break; // only the length argument
-                } else if u.kind == TokKind::Ident {
-                    set.extend(lf.effective(&u.text));
-                }
-                j += 1;
-            }
-            if !set.is_empty() {
-                sinks.push((
-                    "alloc",
-                    t.line,
-                    set,
-                    format!("a `{}` allocation length", t.text),
-                ));
-            }
-        }
-        // Slice indexing with a tainted index expression.
-        if t.is_punct("[") && k > 0 {
-            let p = &toks[k - 1];
-            let base_ok = p.kind == TokKind::Ident || p.is_punct(")") || p.is_punct("]");
-            if base_ok {
-                let mut depth = 0i32;
-                let mut set = BTreeSet::new();
-                let mut j = k;
-                while j < n {
-                    let u = &toks[j];
-                    if u.is_punct("[") {
-                        depth += 1;
-                    } else if u.is_punct("]") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    } else if u.kind == TokKind::Ident {
-                        set.extend(lf.effective(&u.text));
-                    }
-                    j += 1;
-                }
-                if !set.is_empty() {
-                    let base = if p.kind == TokKind::Ident {
-                        p.text.as_str()
-                    } else {
-                        "_"
-                    };
-                    sinks.push((
-                        "index",
-                        t.line,
-                        set,
-                        format!("slice indexing `{base}[...]`"),
-                    ));
-                }
-            }
-        }
-        // Unchecked arithmetic with a tainted operand.
-        let compound = t.is_punct("+=") || t.is_punct("*=");
-        let plain = t.is_punct("+") || t.is_punct("*");
-        if compound || plain {
-            if plain {
-                // A `*` (or `+`) is binary only after a value token; after a
-                // keyword (`return *x`) or another operator it is a deref.
-                let binary = k > 0
-                    && ((toks[k - 1].kind == TokKind::Ident
-                        && !matches!(
-                            toks[k - 1].text.as_str(),
-                            "return"
-                                | "in"
-                                | "if"
-                                | "else"
-                                | "match"
-                                | "let"
-                                | "while"
-                                | "break"
-                                | "as"
-                                | "mut"
-                                | "ref"
-                                | "move"
-                        ))
-                        || toks[k - 1].kind == TokKind::Number
-                        || toks[k - 1].is_punct(")")
-                        || toks[k - 1].is_punct("]"));
-                if !binary {
-                    continue;
-                }
-            }
-            let mut set = BTreeSet::new();
-            if k > 0 && toks[k - 1].kind == TokKind::Ident {
-                set.extend(lf.effective(&toks[k - 1].text));
-            }
-            if k + 1 < n && toks[k + 1].kind == TokKind::Ident {
-                set.extend(lf.effective(&toks[k + 1].text));
-            }
-            if !set.is_empty() {
-                sinks.push((
-                    "arith",
-                    t.line,
-                    set,
-                    format!("unchecked `{}` arithmetic", t.text),
-                ));
-            }
-        }
-    }
-    LocalFlow { sinks, ..lf }
-}
-
-/// One sink a tainted parameter can reach, as carried in a summary.
-#[derive(Debug, Clone, PartialEq)]
-struct SinkInfo {
-    func: String,
-    what: String,
-    via: Vec<String>,
-}
-
-type SinkKey = (String, u32, &'static str); // (file, line, kind)
-type Summary = Vec<BTreeMap<SinkKey, SinkInfo>>; // indexed by param
-
-/// Pass 3: interprocedural user-input taint. Sources are the parameters of
-/// the `sys_*` dispatch functions other than the calling context (`task`,
-/// `core`, or the `entry` that carries both); sinks are slice
-/// indexing, unchecked `+`/`*` arithmetic and allocation lengths anywhere in
-/// the scanned crates; sanitizers are bounds comparisons, `min`/`clamp`/
-/// `checked_*`/`saturating_*`/`wrapping_*` forms and `check*`/`valid*`-style
-/// calls. A finding means a syscall argument reaches a sink with no
-/// sanitizer on the (lexical, flow-insensitive) path.
-pub fn pass_taint(model: &Model) -> Vec<Finding> {
-    let n = model.funcs.len();
-    let cg = CallGraph::build(model);
-    let locals: Vec<LocalFlow> = (0..n)
-        .map(|f| {
-            if model.funcs[f].is_test {
-                LocalFlow {
-                    taint: HashMap::new(),
-                    sanitized: HashSet::new(),
-                    sinks: Vec::new(),
-                }
-            } else {
-                local_flow(&model.funcs[f], body(model, f))
-            }
-        })
-        .collect();
-    let (facts, _rounds) = solve(
-        n,
-        |f| cg.callers[f].clone(),
-        |_| Summary::new(),
-        |f, facts| {
-            let func = &model.funcs[f];
-            if func.is_test {
-                return Summary::new();
-            }
-            let lf = &locals[f];
-            let mut out: Summary = vec![BTreeMap::new(); func.params.len()];
-            for (kind, line, params, what) in &lf.sinks {
-                for &p in params {
-                    if p < out.len() {
-                        out[p]
-                            .entry((func.file.clone(), *line, kind))
-                            .or_insert_with(|| SinkInfo {
-                                func: func.name.clone(),
-                                what: what.clone(),
-                                via: Vec::new(),
-                            });
-                    }
-                }
-            }
-            for &(ci, g) in &cg.callees[f] {
-                let call = &func.calls[ci];
-                let callee = &model.funcs[g];
-                // `Type::method(recv, ...)` passes the receiver positionally.
-                let skip = usize::from(callee.has_self && call.qual.is_some() && !call.method);
-                for (ai, ids) in call.args.iter().enumerate() {
-                    if ai < skip {
-                        continue;
-                    }
-                    let pi = ai - skip;
-                    if pi >= callee.params.len() || pi >= facts[g].len() {
-                        continue;
-                    }
-                    let mut carried: BTreeSet<usize> = BTreeSet::new();
-                    for id in ids {
-                        carried.extend(lf.effective(id));
-                    }
-                    if carried.is_empty() {
-                        continue;
-                    }
-                    for (key, info) in &facts[g][pi] {
-                        for &p in &carried {
-                            if p < out.len() && !out[p].contains_key(key) {
-                                let mut info = info.clone();
-                                if info.via.len() < 6 {
-                                    info.via.insert(0, callee.name.clone());
-                                }
-                                out[p].insert(key.clone(), info);
-                            }
-                        }
-                    }
-                }
-            }
-            out
-        },
-    );
-    // Report at the syscall roots, deduplicating sinks across roots.
-    let mut out = Vec::new();
-    let mut seen: HashSet<SinkKey> = HashSet::new();
-    for (r, func) in model.funcs.iter().enumerate() {
-        if func.is_test || !func.name.starts_with("sys_") || !func.file.ends_with(SYSCALLS_RS) {
-            continue;
-        }
-        for (pi, pname) in func.params.iter().enumerate() {
-            let context = matches!(pname.as_str(), "task" | "core" | "entry");
-            if context || pi >= facts[r].len() {
-                continue;
-            }
-            for (key, info) in &facts[r][pi] {
-                if !seen.insert(key.clone()) {
-                    continue;
-                }
-                let path = if info.via.is_empty() {
-                    String::new()
-                } else {
-                    format!(" (via `{}`)", info.via.join("` → `"))
-                };
-                out.push(Finding {
-                    pass: "taint",
-                    kind: key.2,
-                    file: key.0.clone(),
-                    func: info.func.clone(),
-                    line: key.1,
-                    message: format!(
-                        "user-controlled `{pname}` of `{}` reaches {} with no sanitizer on the path{path}",
-                        func.name, info.what
-                    ),
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.kind).cmp(&(&b.file, b.line, b.kind)));
-    out
-}
-
-/// Pass 4: crash-ordering discipline. Every site that dirties a metadata
+/// Pass 2: crash-ordering discipline. Every site that dirties a metadata
 /// sector (`note_metadata`, or its transaction-layer alias `log_sector`) on
 /// a syscall-reachable path must either sit lexically inside a
 /// `with_meta_txn`/`with_txn` region (or `begin_meta_txn` / `end_meta_txn`
@@ -1102,7 +394,7 @@ fn local_mut_sites(toks: &[Token]) -> Vec<(usize, u32, String)> {
     out
 }
 
-/// Pass 5: `WouldBlock` retry-safety. A function that can return
+/// Pass 3: `WouldBlock` retry-safety. A function that can return
 /// `FsError::WouldBlock` / `KernelError::WouldBlock` must be retry-idempotent:
 /// no structural cache/chain state may be mutated (directly or via a callee)
 /// on the path that then returns the blocking error — the parked task will

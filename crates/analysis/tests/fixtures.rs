@@ -95,150 +95,6 @@ mod tests {
 }
 
 #[test]
-fn errors_pass_flags_unmapped_variants_and_discarded_results() {
-    let root = fixture(
-        "bad_errors",
-        &[
-            (
-                "crates/fs/src/lib.rs",
-                r#"
-pub enum FsError {
-    NotFound,
-    Corrupt(String),
-    NoSpace,
-}
-
-pub fn flush_all() -> Result<(), FsError> {
-    Ok(())
-}
-
-pub fn poke() -> Result<(), FsError> {
-    Ok(())
-}
-"#,
-            ),
-            (
-                "crates/kernel/src/error.rs",
-                r#"
-pub enum KernelError {
-    NoEnt,
-    Fault(String),
-}
-
-impl From<FsError> for KernelError {
-    fn from(e: FsError) -> Self {
-        match e {
-            FsError::NotFound => KernelError::NoEnt,
-            FsError::Corrupt(m) => KernelError::Fault(m),
-            _ => KernelError::NoEnt,
-        }
-    }
-}
-"#,
-            ),
-            (
-                "crates/kernel/src/syscalls.rs",
-                r#"
-pub fn sys_sync(task: usize) -> u64 {
-    let _ = flush_all();
-    poke().ok();
-    task as u64
-}
-"#,
-            ),
-        ],
-    );
-    let report = analyze(&root, &["errors".into()]).expect("analyze");
-    let got = kinds(&report, "errors");
-    for want in ["unmapped", "discard-let", "discard-ok"] {
-        assert!(
-            got.contains(want),
-            "missing errors/{want}: {:?}",
-            report.findings
-        );
-    }
-    // Only the variant hidden behind the `_` arm is unmapped.
-    let unmapped: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.kind == "unmapped")
-        .collect();
-    assert_eq!(unmapped.len(), 1, "exactly NoSpace: {unmapped:?}");
-    assert!(unmapped[0].message.contains("NoSpace"));
-}
-
-#[test]
-fn taint_pass_tracks_syscall_args_to_sinks_through_calls() {
-    let root = fixture(
-        "bad_taint",
-        &[
-            (
-                "crates/kernel/src/syscalls.rs",
-                r#"
-pub fn sys_read(task: usize, core: usize, fd: u64, len: usize) -> u64 {
-    stage_copy(fd, len)
-}
-
-pub fn sys_safe(task: usize, core: usize, len: usize) -> u64 {
-    let bounded = len.min(64);
-    stage_copy(0, bounded)
-}
-
-pub fn sys_trapped(entry: Entry) -> usize {
-    scratch_for(entry.core())
-}
-"#,
-            ),
-            (
-                "crates/fs/src/lib.rs",
-                r#"
-pub fn stage_copy(fd: u64, len: usize) -> u64 {
-    let table = [0u64; 4];
-    let buf = vec![0u8; len];
-    let v = table[fd as usize];
-    let end = fd + 1;
-    v + end + buf[0] as u64
-}
-
-pub fn scratch_for(core: usize) -> usize {
-    vec![0u8; core].len()
-}
-"#,
-            ),
-        ],
-    );
-    let report = analyze(&root, &["taint".into()]).expect("analyze");
-    let got = kinds(&report, "taint");
-    for want in ["alloc", "index", "arith"] {
-        assert!(
-            got.contains(want),
-            "missing taint/{want}: {:?}",
-            report.findings
-        );
-    }
-    // The flow is interprocedural: the sinks live in the fs helper, the
-    // source is the syscall argument.
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.func == "stage_copy" && f.message.contains("via `stage_copy`")),
-        "sink attributed through the call chain: {:?}",
-        report.findings
-    );
-    // `sys_safe` bounds its length with `.min(64)` before the call, and
-    // `sys_trapped`'s `Entry` is calling context like `task` and `core`;
-    // nothing either passes may be reported.
-    for clean in ["sys_safe", "sys_trapped"] {
-        assert!(
-            report.findings.iter().all(|f| !f.message.contains(clean)),
-            "{clean} must not taint: {:?}",
-            report.findings
-        );
-    }
-}
-
-#[test]
 fn ordering_pass_flags_unprotected_metadata_writes_on_syscall_paths() {
     let root = fixture(
         "bad_ordering",
@@ -419,31 +275,11 @@ pub fn sys_getpid(task: usize) -> Result<u64, KernelError> {
 }
 
 pub fn sys_read(task: usize, fd: u64, buf: u64, len: u64) -> Result<u64, KernelError> {
-    let _unused = task;
     read_file(fd, buf, len)
 }
 
 pub fn sys_debug_dump(task: usize) -> Result<u64, KernelError> {
     Ok(task as u64)
-}
-"#,
-            ),
-            (
-                "crates/kernel/src/error.rs",
-                r#"
-pub enum KernelError {
-    NoEnt,
-    Fault(String),
-}
-
-impl From<FsError> for KernelError {
-    fn from(e: FsError) -> Self {
-        match e {
-            FsError::NotFound => KernelError::NoEnt,
-            FsError::Corrupt(m) => KernelError::Fault(m),
-            FsError::WouldBlock => KernelError::NoEnt,
-        }
-    }
 }
 "#,
             ),
@@ -461,9 +297,7 @@ pub fn lookup_id(task: usize) -> Result<u64, KernelError> {
 }
 
 pub fn read_file(fd: u64, buf: u64, len: u64) -> Result<u64, KernelError> {
-    let cap = len.min(4096);
-    let scratch = vec![0u8; cap as usize];
-    Ok(fd.wrapping_add(buf).wrapping_add(scratch.len() as u64))
+    Ok(fd.wrapping_add(buf).wrapping_add(len))
 }
 
 pub fn poll_ready(flag: u64) -> Result<u64, FsError> {

@@ -134,7 +134,7 @@ fn fs_run(coalesce: bool, prefetch: bool, dma: bool) -> FsRun {
     let mut sys = ProtoSystem::build(options).expect("system");
     sys.kernel.set_fat_range_coalescing(coalesce);
     sys.kernel.set_fat_prefetch(prefetch);
-    sys.kernel.set_sd_dma(dma);
+    sys.kernel.set_sd_dma(dma).expect("switch the SD data path");
     let tid = sys.kernel.spawn_bench_task("reader").expect("task");
     let core = sys.kernel.task(tid).expect("task exists").core;
     let cache_before = sys.kernel.fat_cache_stats();

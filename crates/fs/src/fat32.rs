@@ -701,7 +701,10 @@ impl Fat32 {
     /// for operations that fail after [`Fat32::alloc_chain`] succeeded.
     fn unwind_chain(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, clusters: &[u32]) {
         for &c in clusters {
-            // Best-effort: the original error is the one that must surface.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best effort: the chain was never published, and the error that started the unwind is the one to surface"
+            )]
             let _ = self.fat_set(dev, bc, c, FAT_FREE);
         }
     }
@@ -1370,6 +1373,10 @@ impl Fat32 {
                 let window = &ahead[..take];
                 for (first, count) in cluster_runs(window) {
                     let sector = self.cluster_to_sector(first)?;
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "read-ahead is opportunistic: a failed prefetch must not fail the demand read that triggered it"
+                    )]
                     let _ =
                         bc.prefetch_range(dev, sector, count as u64 * SECTORS_PER_CLUSTER as u64);
                 }

@@ -819,6 +819,10 @@ impl Xv6Fs {
                     len += 1;
                 }
                 let (lba, spb) = Self::block_lbas(ahead[i]);
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "read-ahead is opportunistic: a failed prefetch must not fail the demand read, which reads through the cache and reports a real device error itself"
+                )]
                 let _ = bc.prefetch_range(dev, lba, len as u64 * spb);
                 i += len;
             }
@@ -826,8 +830,10 @@ impl Xv6Fs {
         Ok(to_read)
     }
 
-    /// Writes `data` to inode `inum` starting at `offset`, growing the file
-    /// as needed (up to [`MAXFILE_BYTES`]). Returns bytes written.
+    /// Writes `data` to file `inum` starting at `offset`, growing the file
+    /// as needed (up to [`MAXFILE_BYTES`]). Returns bytes written. Only the
+    /// directory code writes a directory's entries, so a directory `inum`
+    /// fails with [`FsError::IsADirectory`].
     pub fn write(
         &self,
         dev: &mut dyn BlockDevice,
@@ -836,9 +842,25 @@ impl Xv6Fs {
         offset: u32,
         data: &[u8],
     ) -> FsResult<usize> {
+        self.write_inode_data(dev, bc, inum, InodeType::File, offset, data)
+    }
+
+    /// Writes `data` into inode `inum`, which must be of type `itype`.
+    fn write_inode_data(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        inum: u32,
+        itype: InodeType,
+        offset: u32,
+        data: &[u8],
+    ) -> FsResult<usize> {
         let mut ino = self.read_inode(dev, bc, inum)?;
-        if ino.itype == InodeType::Free {
-            return Err(FsError::NotFound(format!("inode {inum} is free")));
+        match ino.itype {
+            InodeType::Free => return Err(FsError::NotFound(format!("inode {inum} is free"))),
+            t if t == itype => {}
+            InodeType::Dir => return Err(FsError::IsADirectory(format!("inode {inum}"))),
+            InodeType::File => return Err(FsError::NotADirectory(format!("inode {inum}"))),
         }
         let end = offset as usize + data.len();
         if end > MAXFILE_BYTES {
@@ -846,7 +868,7 @@ impl Xv6Fs {
                 "write to {end} bytes exceeds xv6fs limit of {MAXFILE_BYTES}"
             )));
         }
-        let is_dir = ino.itype == InodeType::Dir;
+        let is_dir = itype == InodeType::Dir;
         let (ino_lba, ino_n) = self.inode_lbas(inum);
         let mut touched_blocks: Vec<u32> = Vec::new();
         let mut done = 0usize;
@@ -975,7 +997,7 @@ impl Xv6Fs {
         let mut ent = [0u8; DIRENT_SIZE];
         ent[0..4].copy_from_slice(&child_inum.to_le_bytes());
         ent[4..4 + name.len()].copy_from_slice(name.as_bytes());
-        self.write(dev, bc, dir_inum, slot_offset, &ent)?;
+        self.write_inode_data(dev, bc, dir_inum, InodeType::Dir, slot_offset, &ent)?;
         // Journal off: no dirent → child-inode ordering edge is recorded.
         // The parent directory's inode shares its on-disk block with most
         // child inodes (16 inodes per block), and the parent inode must
@@ -1049,7 +1071,7 @@ impl Xv6Fs {
             if ent_name == name.as_bytes() {
                 let offset = (i * DIRENT_SIZE) as u32;
                 let zero = [0u8; DIRENT_SIZE];
-                self.write(dev, bc, dir_inum, offset, &zero)?;
+                self.write_inode_data(dev, bc, dir_inum, InodeType::Dir, offset, &zero)?;
                 let slot_block =
                     self.bmap(dev, bc, &mut ino, dir_inum, offset as usize / BSIZE, false)?;
                 return Ok((inum, slot_block));

@@ -31,6 +31,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Discarded results: production code handles or returns a fallible
+// call's error, or drops it under an `#[expect]` whose reason says why.
+#![cfg_attr(
+    not(test),
+    warn(clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
 
 pub mod board;
 pub mod cache;

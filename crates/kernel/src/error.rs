@@ -68,11 +68,12 @@ impl std::fmt::Display for KernelError {
 impl std::error::Error for KernelError {}
 
 impl From<FsError> for KernelError {
+    // Every `FsError` variant is mapped explicitly: rustc's exhaustiveness
+    // check fails the build on a variant this match does not name, and the
+    // denied clippy lint keeps a catch-all arm from coming back, so a new
+    // filesystem error cannot silently lose its errno shape.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn from(e: FsError) -> Self {
-        // Every `FsError` variant is mapped explicitly — the `analysis`
-        // crate's error-mapping pass fails the build on a variant this match
-        // does not name, so a new filesystem error cannot silently fall into
-        // a catch-all and lose its errno shape.
         match e {
             FsError::NotFound(s) => KernelError::NotFound(s),
             FsError::AlreadyExists(s) => KernelError::AlreadyExists(s),

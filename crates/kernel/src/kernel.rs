@@ -251,6 +251,10 @@ impl UserProgram for WmThread {
     fn step(&mut self, ctx: &mut UserCtx<'_>) -> StepResult {
         let core = ctx.core;
         ctx.kernel.wm_service(core);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a sleep cannot fail, and a kernel thread has no caller to report to"
+        )]
         let _ = ctx.sleep_ms(16);
         StepResult::Continue
     }
@@ -272,6 +276,10 @@ impl UserProgram for KbioThread {
         // Adaptive cadence: the post-drain dirty ratio decides how soon the
         // flusher needs to look again.
         let interval = ctx.kernel.kbio_next_interval_ms();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a sleep cannot fail, and a kernel thread has no caller to report to"
+        )]
         let _ = ctx.sleep_ms(interval);
         StepResult::Continue
     }
@@ -947,6 +955,10 @@ impl Kernel {
                     .any(|(tid, t)| *tid != id && t.mm == MmRef::Shares(asid));
                 if !shared {
                     if let Some(space) = self.address_spaces.remove(&asid) {
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "exit has no caller to report to, and the teardown must go on to free the task's other resources"
+                        )]
                         let _ = space.release(&mut self.mm.frames, &self.board.mem);
                     }
                 }
@@ -974,6 +986,10 @@ impl Kernel {
     pub(crate) fn drop_open_file(&mut self, f: OpenFile) {
         match f.kind {
             crate::vfs::FileKind::Pipe { id, write_end } => {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "closing an end fails only for a pipe that is already gone, which leaves nothing to close"
+                )]
                 let _ = self.pipes.close_end(id, write_end);
                 // Whoever is blocked on the other side should re-evaluate.
                 self.wake_all(WaitChannel::PipeRead(id));
@@ -1348,7 +1364,9 @@ impl Kernel {
     /// Runs one scheduling iteration on the least-advanced active core.
     /// Returns `true` if a task was stepped (false means the core idled).
     pub fn run_slice(&mut self) -> bool {
-        let _ = self.board.tick_devices();
+        if let Err(e) = self.board.tick_devices() {
+            self.printk(&format!("dma: transfer failed: {e}"));
+        }
         // Deliver pending interrupts on every active core, then let each
         // core apply the SD completions the Dma0 router queued for it —
         // core 0 runs first, so chains another core submitted are reaped
@@ -1711,6 +1729,10 @@ impl Kernel {
         struct Inert;
         impl UserProgram for Inert {
             fn step(&mut self, ctx: &mut UserCtx<'_>) -> StepResult {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a sleep cannot fail, and the inert task has no caller to report to"
+                )]
                 let _ = ctx.sleep_ms(1000);
                 StepResult::Continue
             }
@@ -1738,11 +1760,12 @@ impl Kernel {
     /// Enables or disables the SD DMA data path at runtime (the DMA half of
     /// the storage ablation). Disabling drains the async queue first —
     /// `close`-style semantics must never strand an in-flight chain — and
-    /// drops the host back to polled transfers.
-    pub fn set_sd_dma(&mut self, enabled: bool) {
+    /// drops the host back to polled transfers. If that barrier fails, its
+    /// error is returned and the data path stays as it was.
+    pub fn set_sd_dma(&mut self, enabled: bool) -> KResult<()> {
         if !enabled && self.config.sd_dma {
             // Barrier while the DMA context still exists.
-            let _ = self.sync_all();
+            self.sync_all()?;
         }
         self.config.sd_dma = enabled && self.config.sd_card;
         self.board.sdhost.set_data_mode(if self.config.sd_dma {
@@ -1753,6 +1776,7 @@ impl Kernel {
         if self.config.sd_dma {
             self.board.intc.enable(Interrupt::Dma0);
         }
+        Ok(())
     }
 
     /// Worst-case dirty ratio across the write-back caches (0.0 = both

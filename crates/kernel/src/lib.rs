@@ -27,6 +27,12 @@
 // rationale): production code may not unwrap/expect; unit tests may.
 #![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
+// Discarded results: production code handles or returns a fallible
+// call's error, or drops it under an `#[expect]` whose reason says why.
+#![cfg_attr(
+    not(test),
+    warn(clippy::let_underscore_must_use, clippy::unused_result_ok)
+)]
 
 pub mod config;
 pub mod debug;

@@ -194,17 +194,22 @@ impl SemTable {
 
     /// V / post / up. Returns the task to wake, if any was queued. When a
     /// waiter exists it is granted the count directly (so it will not lose a
-    /// race with a later caller).
+    /// race with a later caller). A post that would carry the count past
+    /// `i64::MAX` fails with [`KernelError::LimitExceeded`] and changes
+    /// nothing.
     pub fn post(&mut self, id: u64) -> KResult<Option<TaskId>> {
         let sem = self.get_mut(id)?;
-        sem.ups += 1;
-        if let Some(waiter) = (!sem.waiters.is_empty()).then(|| sem.waiters.remove(0)) {
-            sem.downs += 1;
-            Ok(Some(waiter))
+        let waiter = if sem.waiters.is_empty() {
+            sem.value = sem.value.checked_add(1).ok_or_else(|| {
+                KernelError::LimitExceeded(format!("semaphore {id} is at its maximum count"))
+            })?;
+            None
         } else {
-            sem.value += 1;
-            Ok(None)
-        }
+            sem.downs += 1;
+            Some(sem.waiters.remove(0))
+        };
+        sem.ups += 1;
+        Ok(waiter)
     }
 
     /// Removes `task` from every wait list (when it exits while blocked).
@@ -276,6 +281,18 @@ mod tests {
         // With no waiters, posts accumulate.
         assert_eq!(st.post(s).unwrap(), None);
         assert_eq!(st.value(s).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_post_at_the_maximum_count_fails_and_changes_nothing() {
+        let mut st = SemTable::new();
+        let s = st.create(i64::MAX);
+        let ups = st.sems[&s].ups;
+        assert!(matches!(st.post(s), Err(KernelError::LimitExceeded(_))));
+        assert_eq!(st.value(s).unwrap(), i64::MAX);
+        assert_eq!(st.sems[&s].ups, ups, "a failed post is not counted");
+        assert_eq!(st.wait(s, 1).unwrap(), SemWaitResult::Acquired);
+        assert_eq!(st.value(s).unwrap(), i64::MAX - 1);
     }
 
     #[test]

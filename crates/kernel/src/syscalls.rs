@@ -224,21 +224,7 @@ impl Kernel {
         };
         // Spawn without building a new address space (we already copied one).
         let child = self.spawn_forked_child(task, &image.name, child_program, child_mm)?;
-        // Duplicate descriptor table.
-        let fds = self.task(task).map(|t| t.fds.clone_for_fork());
-        if let Some(fds) = fds {
-            // Bump pipe reference counts for inherited pipe fds.
-            for fd in 0..crate::vfs::MAX_FDS as i32 {
-                if let Ok(f) = fds.get(fd) {
-                    if let FileKind::Pipe { id, write_end } = f.kind {
-                        let _ = self.pipes_add_ref(id, write_end);
-                    }
-                }
-            }
-            if let Some(t) = self.tasks_mut(child) {
-                t.fds = fds;
-            }
-        }
+        self.inherit_fds(task, child);
         Ok(child)
     }
 
@@ -260,6 +246,10 @@ impl Kernel {
                 Ok(chunk) if chunk.is_empty() => break,
                 Ok(chunk) => image_bytes.extend_from_slice(&chunk),
                 Err(err) => {
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "the read's error is the one to return, and a failed close must not mask it"
+                    )]
                     let _ = self.syscall(task, core, |k, e| k.sys_close(e, fd));
                     return Err(err);
                 }
@@ -330,20 +320,8 @@ impl Kernel {
             .unwrap_or_else(|| "thread".into());
         let tid = self.spawn_forked_child(task, &name, thread_program, mm)?;
         // Threads share the file table conceptually; we copy it (offsets are
-        // private), bumping pipe references.
-        let fds = self.task(task).map(|t| t.fds.clone_for_fork());
-        if let Some(fds) = fds {
-            for fd in 0..crate::vfs::MAX_FDS as i32 {
-                if let Ok(f) = fds.get(fd) {
-                    if let FileKind::Pipe { id, write_end } = f.kind {
-                        let _ = self.pipes_add_ref(id, write_end);
-                    }
-                }
-            }
-            if let Some(t) = self.tasks_mut(tid) {
-                t.fds = fds;
-            }
-        }
+        // private).
+        self.inherit_fds(task, tid);
         Ok(tid)
     }
 
@@ -1292,6 +1270,28 @@ impl Kernel {
     // =====================================================================================
     // Small internal helpers
     // =====================================================================================
+
+    /// Gives `child` a copy of `parent`'s descriptor table, bumping the
+    /// reference count of each inherited pipe end.
+    fn inherit_fds(&mut self, parent: TaskId, child: TaskId) {
+        let Some(fds) = self.task(parent).map(|t| t.fds.clone_for_fork()) else {
+            return;
+        };
+        for fd in 0..crate::vfs::MAX_FDS as i32 {
+            if let Ok(f) = fds.get(fd) {
+                if let FileKind::Pipe { id, write_end } = f.kind {
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "adding a reference fails only for a pipe that is gone, and the parent's descriptor keeps this one alive"
+                    )]
+                    let _ = self.pipes_add_ref(id, write_end);
+                }
+            }
+        }
+        if let Some(t) = self.tasks_mut(child) {
+            t.fds = fds;
+        }
+    }
 
     fn surface_id_for(&self, task: TaskId, fd: i32) -> KResult<u64> {
         let t = self

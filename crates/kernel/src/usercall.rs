@@ -53,6 +53,11 @@
 //! query), `surface_create` and `surface_configure` (the window manager's
 //! protocol). `fb_write` and `surface_present` do not trap: they copy pixels
 //! through the caller's mapping or surface and pay only for the copy.
+//!
+//! Every stub here has a row in the boundary sweep of
+//! `tests/syscall_hardening.rs`, which drives it with integer edges and odd
+//! paths on both mounts and fails on any panic. A new stub adds a row there;
+//! the sweep's table check fails until it does.
 
 use hal::cost::CostModel;
 use protousb::KeyEvent;
@@ -181,9 +186,10 @@ impl<'a> UserCtx<'a> {
     // ---- task & time syscalls --------------------------------------------------------
 
     /// Sleeps for `ms` milliseconds: the task will not be stepped again until
-    /// the deadline passes.
+    /// the deadline passes. The conversion saturates, so `sleep_ms(u64::MAX)`
+    /// parks forever as `sleep_us(u64::MAX)` does.
     pub fn sleep_ms(&mut self, ms: u64) -> KResult<()> {
-        self.trap(|k, e| k.sys_sleep_us(e, ms * 1000))
+        self.trap(|k, e| k.sys_sleep_us(e, ms.saturating_mul(1000)))
     }
 
     /// Sleeps for `us` microseconds.

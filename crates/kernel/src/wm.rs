@@ -248,13 +248,18 @@ impl WindowManager {
         if !self.surfaces.iter().any(|s| s.id == id) {
             return Err(KernelError::NotFound(format!("surface {id}")));
         }
+        self.raise(id);
+        Ok(())
+    }
+
+    /// Raises the existing surface `id` and focuses it.
+    fn raise(&mut self, id: u64) {
         self.z_order.retain(|z| *z != id);
         self.z_order.push(id);
         if self.focused != Some(id) {
             self.focused = Some(id);
             self.stats.focus_switches += 1;
         }
-        Ok(())
     }
 
     /// Cycles focus to the next surface (Ctrl+Tab).
@@ -268,7 +273,7 @@ impl WindowManager {
             Some(pos) => ids[(pos + 1) % ids.len()],
             None => ids[0],
         };
-        let _ = self.focus(next);
+        self.raise(next);
     }
 
     /// Handles a raw input event: Ctrl+Tab switches focus (consumed);

@@ -1,11 +1,525 @@
-//! Regression tests for taint-pass findings: adversarial syscall arguments
-//! (huge lengths, extreme offsets, forever sleeps) must be clamped or
-//! rejected, never overflow an addition or drive an unbounded allocation.
-//! Each test pins a site `protolint --pass taint` flagged before the fix,
-//! unless its comment says the pass missed it.
+//! Hostile syscall arguments must end in an error, never a kernel panic.
+//!
+//! The boundary sweep drives every [`UserCtx`] syscall stub with integer
+//! edges and odd paths on both mounts and asserts only that each call
+//! returns: it does not say which error is right. The single-case tests
+//! after it pin what one site does with one hostile argument (a clamp, a
+//! rejection, a saturation), each named for the behaviour it keeps.
 
-use kernel::OpenFlags;
+use std::collections::BTreeSet;
+use std::fmt::Display;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use kernel::wm::Rect;
+use kernel::{KResult, OpenFlags, TaskId};
 use proto_repro::prelude::*;
+
+/// The integer edges of a parameter type: 0, 1, -1, MIN, MAX, MAX - 1,
+/// `u32::MAX` and `u32::MAX + 1`, each truncated to the type the way a
+/// 64-bit register is (so -1 is MAX for an unsigned type and `u32::MAX + 1`
+/// is 0 for a 32-bit one), without repeats.
+macro_rules! edges {
+    ($t:ty) => {
+        [
+            0,
+            1,
+            -1,
+            <$t>::MIN as i128,
+            <$t>::MAX as i128,
+            <$t>::MAX as i128 - 1,
+            i128::from(u32::MAX),
+            i128::from(u32::MAX) + 1,
+        ]
+        .into_iter()
+        .map(|x| x as $t)
+        .fold(Vec::<$t>::new(), |mut v, x| {
+            if !v.contains(&x) {
+                v.push(x);
+            }
+            v
+        })
+    };
+}
+
+/// `UserCtx`'s methods that are not syscalls: they read the clock, the
+/// cost model or the core, charge compute, print or trace, and never trap.
+const NOT_SYSCALLS: [&str; 7] = [
+    "now_us",
+    "cost",
+    "charge_user",
+    "core",
+    "print",
+    "trace_marker",
+    "record_frame",
+];
+
+/// A stub's name and the calls its row makes.
+type Row = (&'static str, fn(&mut Sweep));
+
+/// The sweep's table: one row per `UserCtx` syscall stub, in the order the
+/// rows run. `kill` runs last, because its edges include the window
+/// manager's pid and its own caller.
+const STUBS: &[Row] = &[
+    ("getpid", |s| {
+        s.call("getpid()", |ctx| Ok(ctx.getpid()));
+    }),
+    ("yield_now", |s| {
+        s.call("yield_now()", |ctx| ctx.yield_now());
+    }),
+    ("sleep_us", |s| {
+        for us in edges!(u64) {
+            s.call(format_args!("sleep_us({us})"), |ctx| ctx.sleep_us(us));
+        }
+    }),
+    ("sleep_ms", |s| {
+        for ms in edges!(u64) {
+            s.call(format_args!("sleep_ms({ms})"), |ctx| ctx.sleep_ms(ms));
+        }
+    }),
+    ("sbrk", |s| {
+        for delta in edges!(i64) {
+            s.call(format_args!("sbrk({delta})"), |ctx| ctx.sbrk(delta));
+        }
+    }),
+    ("set_priority", |s| {
+        for p in edges!(u8) {
+            s.call(format_args!("set_priority({p})"), |ctx| ctx.set_priority(p));
+        }
+    }),
+    ("fork", |s| {
+        s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce)));
+    }),
+    ("wait_child", |s| {
+        s.call("wait_child() with no child", |ctx| ctx.wait_child());
+        s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce)));
+        s.call("wait_child()", |ctx| ctx.wait_child());
+        s.call("wait_child() again", |ctx| ctx.wait_child());
+    }),
+    ("spawn", |s| {
+        for path in s.paths() {
+            let args = [path.clone()];
+            s.call(format_args!("spawn({path:?})"), |ctx| {
+                ctx.spawn(&path, &args)
+            });
+        }
+    }),
+    ("clone_thread", |s| {
+        s.call("clone_thread()", |ctx| {
+            ctx.clone_thread(Box::new(ExitAtOnce))
+        });
+    }),
+    ("sem_create", |s| {
+        for value in edges!(i64) {
+            s.call(format_args!("sem_create({value})"), |ctx| {
+                ctx.sem_create(value)
+            });
+        }
+    }),
+    ("sem_post", |s| {
+        for (sem, what) in s.sems() {
+            for _ in 0..2 {
+                s.call(format_args!("sem_post({what})"), |ctx| ctx.sem_post(sem));
+            }
+        }
+    }),
+    ("sem_wait", |s| {
+        for (sem, what) in s.sems() {
+            s.call(format_args!("sem_wait({what})"), |ctx| ctx.sem_wait(sem));
+        }
+    }),
+    ("open", |s| {
+        let flags = [
+            OpenFlags::rdonly(),
+            OpenFlags::wronly_create(),
+            OpenFlags::rdwr(),
+            OpenFlags::rdonly_nonblock(),
+        ];
+        for path in s.paths() {
+            for f in flags {
+                if let Some(fd) = s.call(format_args!("open({path:?}, {f:?})"), |ctx| {
+                    ctx.open(&path, f)
+                }) {
+                    s.call(format_args!("close({fd})"), |ctx| ctx.close(fd));
+                }
+            }
+        }
+    }),
+    ("close", |s| {
+        let fds = s.fds();
+        // The second pass closes descriptors the first one already closed.
+        for fd in fds.iter().chain(&fds).copied() {
+            s.call(format_args!("close({fd})"), |ctx| ctx.close(fd));
+        }
+    }),
+    ("read", |s| {
+        for fd in s.fds() {
+            for max in edges!(usize) {
+                s.call(format_args!("read({fd}, {max})"), |ctx| ctx.read(fd, max));
+            }
+        }
+        let file = s.file_fd();
+        for offset in edges!(u64) {
+            for max in edges!(usize) {
+                s.call(format_args!("lseek({offset}) + read({max})"), |ctx| {
+                    ctx.lseek(file, offset)?;
+                    ctx.read(file, max)
+                });
+            }
+        }
+    }),
+    ("write", |s| {
+        for fd in s.fds() {
+            for len in [0, 1, 4097] {
+                s.call(format_args!("write({fd}, {len} bytes)"), |ctx| {
+                    ctx.write(fd, &vec![0x5A; len])
+                });
+            }
+        }
+        let file = s.file_fd();
+        for offset in edges!(u64) {
+            s.call(format_args!("lseek({offset}) + write"), |ctx| {
+                ctx.lseek(file, offset)?;
+                ctx.write(file, b"tail")
+            });
+        }
+    }),
+    ("lseek", |s| {
+        for fd in s.fds() {
+            for offset in edges!(u64) {
+                s.call(format_args!("lseek({fd}, {offset})"), |ctx| {
+                    ctx.lseek(fd, offset)
+                });
+            }
+        }
+    }),
+    ("fsync", |s| {
+        for fd in s.fds() {
+            s.call(format_args!("fsync({fd})"), |ctx| ctx.fsync(fd));
+        }
+    }),
+    ("dup", |s| {
+        for fd in s.fds() {
+            s.call(format_args!("dup({fd})"), |ctx| ctx.dup(fd));
+        }
+    }),
+    ("read_key_event", |s| {
+        for fd in s.fds() {
+            s.call(format_args!("read_key_event({fd})"), |ctx| {
+                ctx.read_key_event(fd)
+            });
+        }
+    }),
+    ("stat", |s| {
+        for path in s.paths() {
+            s.call(format_args!("stat({path:?})"), |ctx| ctx.stat(&path));
+        }
+    }),
+    ("mkdir", |s| {
+        for path in s.paths() {
+            s.call(format_args!("mkdir({path:?})"), |ctx| ctx.mkdir(&path));
+        }
+    }),
+    ("list_dir", |s| {
+        for path in s.paths() {
+            s.call(format_args!("list_dir({path:?})"), |ctx| {
+                ctx.list_dir(&path)
+            });
+        }
+    }),
+    ("unlink", |s| {
+        for path in s.paths() {
+            s.call(format_args!("unlink({path:?})"), |ctx| ctx.unlink(&path));
+        }
+    }),
+    ("pipe", |s| {
+        s.call("pipe()", |ctx| ctx.pipe());
+    }),
+    ("fb_info", |s| {
+        s.call("fb_info()", |ctx| ctx.fb_info());
+    }),
+    ("fb_flush", |s| {
+        s.call("fb_flush() unmapped", |ctx| ctx.fb_flush());
+        s.call("fb_map()", |ctx| ctx.fb_map());
+        s.call("fb_flush()", |ctx| ctx.fb_flush());
+    }),
+    ("fb_map", |s| {
+        for _ in 0..2 {
+            s.call("fb_map()", |ctx| ctx.fb_map());
+        }
+    }),
+    ("fb_write", |s| {
+        s.call("fb_write(0) unmapped", |ctx| ctx.fb_write(0, &[0]));
+        s.call("fb_map()", |ctx| ctx.fb_map());
+        for offset in edges!(usize) {
+            for len in [0, 1, 2] {
+                s.call(format_args!("fb_write({offset}, {len} px)"), |ctx| {
+                    ctx.fb_write(offset, &vec![0xFF00_FF00; len])
+                });
+            }
+        }
+    }),
+    ("surface_create", |s| {
+        for title in s.paths() {
+            s.call(format_args!("surface_create({title:?})"), |ctx| {
+                ctx.surface_create(&title)
+            });
+        }
+    }),
+    ("surface_configure", |s| {
+        for fd in s.fds() {
+            s.call(format_args!("surface_configure({fd})"), |ctx| {
+                ctx.surface_configure(fd, rect(0, 0, 8, 8), false)
+            });
+        }
+        let surface = s.surface_fd();
+        // The last edge, MAX - 1, leaves the surface far off screen for the
+        // compositor to run over afterwards.
+        let rects = edges!(u32).into_iter().flat_map(|e| {
+            [
+                rect(0, 0, e, e),
+                rect(0, 0, e, 1),
+                rect(0, 0, 1, e),
+                rect(e, e, 8, 8),
+            ]
+        });
+        for rect in rects {
+            for floating in [false, true] {
+                s.call(
+                    format_args!("surface_configure({rect:?}, {floating})"),
+                    |ctx| ctx.surface_configure(surface, rect, floating),
+                );
+            }
+        }
+    }),
+    ("surface_present", |s| {
+        let surface = s.surface_fd();
+        s.call("surface_present() unconfigured", |ctx| {
+            ctx.surface_present(surface, &[])
+        });
+        s.call("surface_configure(8x8)", |ctx| {
+            ctx.surface_configure(surface, rect(0, 0, 8, 8), false)
+        });
+        for fd in s.fds() {
+            for len in [0, 1, 63, 64, 65] {
+                s.call(format_args!("surface_present({fd}, {len} px)"), |ctx| {
+                    ctx.surface_present(fd, &vec![0xFF00_00FF; len])
+                });
+            }
+        }
+    }),
+    ("kill", |s| {
+        let mut pids = edges!(TaskId);
+        pids.extend(s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce))));
+        pids.extend(s.call("getpid()", |ctx| Ok(ctx.getpid())));
+        for pid in pids {
+            s.call(format_args!("kill({pid})"), |ctx| ctx.kill(pid));
+        }
+    }),
+];
+
+fn rect(x: u32, y: u32, w: u32, h: u32) -> Rect {
+    Rect { x, y, w, h }
+}
+
+/// A child or thread body that exits on its first step.
+struct ExitAtOnce;
+
+impl UserProgram for ExitAtOnce {
+    fn step(&mut self, _ctx: &mut UserCtx<'_>) -> StepResult {
+        StepResult::Exited(0)
+    }
+}
+
+/// One booted desktop system with one mount under test. Each row calls
+/// from a task of its own, so a row that sleeps, blocks or kills its caller
+/// leaves the next row's caller as it was.
+struct Sweep {
+    sys: ProtoSystem,
+    /// `""` for the root mount, `"/d"` for FAT32.
+    mount: &'static str,
+    caller: TaskId,
+    panics: Vec<String>,
+}
+
+impl Sweep {
+    fn new(mount: &'static str) -> Sweep {
+        let sys = ProtoSystem::desktop().unwrap();
+        let mut s = Sweep {
+            sys,
+            mount,
+            caller: 0,
+            panics: Vec::new(),
+        };
+        s.row("setup");
+        let file = format!("{mount}/sweep.bin");
+        s.call("create sweep.bin", |ctx| {
+            let fd = ctx.open(&file, OpenFlags::wronly_create())?;
+            ctx.write(fd, &[0xA5; 4096])?;
+            ctx.close(fd)
+        })
+        .expect("the sweep's file is created");
+        s
+    }
+
+    /// Starts a row: later calls come from a fresh task.
+    fn row(&mut self, name: &str) {
+        self.caller = self.sys.kernel.spawn_bench_task(name).unwrap();
+    }
+
+    /// Makes one call from the row's task and returns its value on `Ok`.
+    /// The result is `Ok` or a `KernelError` by type; a panic is recorded
+    /// with the call that raised it instead of ending the sweep.
+    fn call<R>(
+        &mut self,
+        case: impl Display,
+        f: impl FnOnce(&mut UserCtx<'_>) -> KResult<R>,
+    ) -> Option<R> {
+        let (kernel, caller) = (&mut self.sys.kernel, self.caller);
+        match catch_unwind(AssertUnwindSafe(|| kernel.with_task_ctx(caller, f))) {
+            Ok(result) => result.ok(),
+            Err(_) => {
+                self.panics.push(format!("{}: {case}", self.label()));
+                None
+            }
+        }
+    }
+
+    fn label(&self) -> &'static str {
+        if self.mount.is_empty() {
+            "/"
+        } else {
+            self.mount
+        }
+    }
+
+    /// Odd paths on the mount: empty, the mount itself, doubled and dot
+    /// segments, a 300-byte name, an embedded NUL, non-ASCII, a relative
+    /// path, a file used as a directory and a missing parent.
+    fn paths(&self) -> Vec<String> {
+        let m = self.mount;
+        vec![
+            String::new(),
+            format!("{m}/"),
+            format!("{m}//"),
+            format!("{m}/."),
+            format!("{m}/.."),
+            format!("{m}/{}", "n".repeat(300)),
+            format!("{m}/nul\0byte"),
+            format!("{m}/ünï©ødé"),
+            format!("{}relative", m.trim_start_matches('/')),
+            format!("{m}/sweep.bin/child"),
+            format!("{m}/missing/child"),
+        ]
+    }
+
+    /// Integer-edge semaphore ids, then one live semaphore created with each
+    /// integer edge as its count, each with how to name it in a report.
+    fn sems(&mut self) -> Vec<(u64, String)> {
+        let mut sems: Vec<(u64, String)> = edges!(u64)
+            .into_iter()
+            .map(|id| (id, id.to_string()))
+            .collect();
+        for value in edges!(i64) {
+            let what = format!("sem_create({value})");
+            if let Some(id) = self.call(&what, |ctx| ctx.sem_create(value)) {
+                sems.push((id, what));
+            }
+        }
+        sems
+    }
+
+    /// Opens the sweep's file read-write from the row's task, creating it
+    /// again if an earlier call erased it: the sweep checks that calls
+    /// return, and the single-case tests check what they leave behind.
+    fn file_fd(&mut self) -> i32 {
+        let file = format!("{}/sweep.bin", self.mount);
+        let flags = OpenFlags {
+            create: true,
+            ..OpenFlags::rdwr()
+        };
+        self.call("open sweep.bin", |ctx| ctx.open(&file, flags))
+            .expect("the sweep's file opens")
+    }
+
+    /// Creates a surface from the row's task.
+    fn surface_fd(&mut self) -> i32 {
+        self.call("surface_create", |ctx| ctx.surface_create("sweep"))
+            .expect("a surface is created")
+    }
+
+    /// Integer-edge descriptors, the descriptor table's own edge, and one
+    /// live descriptor of each kind opened from the row's task: the
+    /// sweep's file, the mount's root directory, both ends of a pipe, each
+    /// device file, a proc file and a surface.
+    fn fds(&mut self) -> Vec<i32> {
+        let mut fds = edges!(i32);
+        let table = kernel::vfs::MAX_FDS as i32;
+        fds.extend([table - 1, table]);
+        fds.push(self.file_fd());
+        let root = format!("{}/", self.mount);
+        let opens = [
+            (root.as_str(), OpenFlags::rdonly()),
+            ("/dev/fb", OpenFlags::rdwr()),
+            ("/dev/events", OpenFlags::rdonly_nonblock()),
+            ("/dev/event1", OpenFlags::rdonly()),
+            ("/dev/sb", OpenFlags::rdwr()),
+            ("/dev/null", OpenFlags::rdwr()),
+            ("/dev/console", OpenFlags::rdwr()),
+            ("/proc/cpuinfo", OpenFlags::rdonly()),
+        ];
+        for (path, flags) in opens {
+            fds.extend(self.call(format_args!("open({path})"), |ctx| ctx.open(path, flags)));
+        }
+        if let Some((r, w)) = self.call("pipe()", |ctx| ctx.pipe()) {
+            fds.extend([r, w]);
+        }
+        fds.push(self.surface_fd());
+        fds
+    }
+}
+
+#[test]
+fn every_user_ctx_syscall_stub_has_a_sweep_row() {
+    let src = include_str!("../crates/kernel/src/usercall.rs");
+    let methods = src
+        .split("impl<'a> UserCtx<'a> {")
+        .nth(1)
+        .expect("usercall.rs has UserCtx's impl block");
+    let stubs: BTreeSet<&str> = methods
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("pub fn "))
+        .filter_map(|l| l.split(['(', '<']).next())
+        .filter(|name| !NOT_SYSCALLS.contains(name))
+        .collect();
+    let rows: BTreeSet<&str> = STUBS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(rows.len(), STUBS.len(), "a stub has two rows");
+    assert_eq!(stubs, rows, "UserCtx's syscall stubs and the sweep's rows");
+}
+
+#[test]
+fn boundary_values_through_every_stub_never_panic() {
+    let mut panics = Vec::new();
+    for mount in ["", "/d"] {
+        let mut s = Sweep::new(mount);
+        for &(name, row) in STUBS {
+            s.row(name);
+            row(&mut s);
+        }
+        // Let kbio, the window manager and the children work over what the
+        // calls left behind.
+        let sys = &mut s.sys;
+        if catch_unwind(AssertUnwindSafe(|| sys.run_ms(200))).is_err() {
+            s.panics
+                .push(format!("{}: run_ms(200) after the sweep", s.label()));
+        }
+        panics.append(&mut s.panics);
+    }
+    assert!(
+        panics.is_empty(),
+        "calls that panicked:\n{}",
+        panics.join("\n")
+    );
+}
 
 fn desktop() -> (ProtoSystem, kernel::TaskId) {
     let mut sys = ProtoSystem::desktop().unwrap();
@@ -15,22 +529,27 @@ fn desktop() -> (ProtoSystem, kernel::TaskId) {
 
 #[test]
 fn sleeping_forever_saturates_instead_of_overflowing() {
-    // now_us() + u64::MAX used to overflow the wake deadline in debug
-    // builds; it must saturate and leave the task soundly asleep.
-    let (mut sys, tid) = desktop();
-    sys.kernel
-        .with_task_ctx(tid, |ctx| ctx.sleep_us(u64::MAX))
-        .unwrap();
-    assert!(matches!(
-        sys.kernel.task(tid).unwrap().state,
-        kernel::TaskState::Sleeping(_)
-    ));
-    // The sleeper never wakes on its own.
-    sys.run_ms(50);
-    assert!(matches!(
-        sys.kernel.task(tid).unwrap().state,
-        kernel::TaskState::Sleeping(_)
-    ));
+    // A forever sleep saturates instead of overflowing, both in the wake
+    // deadline (`now_us() + us`) and in `sleep_ms`'s conversion to
+    // microseconds, which runs in the stub before the trap (a wrapped
+    // conversion would turn `sleep_ms(u64::MAX)` into a 384 us nap). The
+    // task stays asleep for good.
+    let forever: [fn(&mut UserCtx<'_>) -> KResult<()>; 2] =
+        [|ctx| ctx.sleep_us(u64::MAX), |ctx| ctx.sleep_ms(u64::MAX)];
+    for sleep in forever {
+        let (mut sys, tid) = desktop();
+        sys.kernel.with_task_ctx(tid, sleep).unwrap();
+        assert_eq!(
+            sys.kernel.task(tid).unwrap().state,
+            kernel::TaskState::Sleeping(u64::MAX)
+        );
+        // The sleeper never wakes on its own.
+        sys.run_ms(50);
+        assert_eq!(
+            sys.kernel.task(tid).unwrap().state,
+            kernel::TaskState::Sleeping(u64::MAX)
+        );
+    }
 }
 
 #[test]
@@ -150,14 +669,41 @@ fn root_writes_past_4_gib_are_rejected() {
 }
 
 #[test]
+fn writes_to_a_root_directory_descriptor_are_refused() {
+    // Only the filesystem writes a directory's entries. A write through a
+    // descriptor for `/`, here one opened read-only, fails on xv6fs as it
+    // does on FAT32, and every name stays; the boundary sweep's write row
+    // found the root directory erased by it.
+    let (mut sys, tid) = desktop();
+    let (r, before, after) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            let before = ctx.list_dir("/")?;
+            let fd = ctx.open("/", OpenFlags::rdonly())?;
+            let r = ctx.write(fd, &[0x5A; 4097]);
+            ctx.close(fd)?;
+            Ok::<_, kernel::KernelError>((r, before, ctx.list_dir("/")?))
+        })
+        .unwrap();
+    assert!(
+        matches!(
+            r,
+            Err(kernel::KernelError::Fs(
+                proto_repro::protofs::FsError::IsADirectory(_)
+            ))
+        ),
+        "write to /: {r:?}"
+    );
+    assert_eq!(after, before);
+}
+
+#[test]
 fn framebuffer_writes_whose_end_overflows_are_rejected() {
-    // The bounds check itself overflowed: `offset_px + pixels.len()` at an
-    // offset of usize::MAX - 1 panicked the kernel, on the addition in debug
-    // builds and on the slice index in release builds. `protolint --pass
-    // taint` never flagged this site, because it counts an identifier used
-    // in a comparison as sanitized, and here the comparison was the
-    // overflowing addition. A write one pixel past the end must fail the
-    // same way, and a write that ends at the last pixel must still land.
+    // The bounds check adds `offset_px + pixels.len()` with `checked_add`:
+    // at an offset of usize::MAX - 1 the plain sum overflows, which panics
+    // a debug kernel on the addition and a release one on the slice index.
+    // A write whose end overflows and a write one pixel past the end both
+    // fail, and a write that ends at the last pixel still lands.
     let (mut sys, tid) = desktop();
     let (huge, past_end, last, end) = sys
         .kernel
@@ -200,9 +746,9 @@ fn heap_base_and_free_frames(sys: &ProtoSystem, tid: kernel::TaskId) -> (u64, us
 
 #[test]
 fn shrinking_the_heap_by_i64_min_stops_at_the_heap_base() {
-    // `sbrk` negated the delta, which overflows for i64::MIN: a debug build
-    // panicked with "attempt to negate with overflow". `protolint --pass
-    // taint` missed this site, because negation is not one of its sinks.
+    // A shrink takes the delta's `unsigned_abs`, since negating i64::MIN
+    // overflows ("attempt to negate with overflow" in a debug build), and
+    // stops at the heap base.
     let (mut sys, tid) = desktop();
     let (base, _) = heap_base_and_free_frames(&sys, tid);
     let (old, after) = sys
@@ -220,11 +766,10 @@ fn shrinking_the_heap_by_i64_min_stops_at_the_heap_base() {
 
 #[test]
 fn a_heap_growth_past_free_memory_maps_nothing() {
-    // A growth larger than the free frames used to map every free frame
-    // before it failed, and kept them: the machine stayed out of memory
-    // until the task exited, and the next small growth failed too. The
-    // taint pass missed this site as well: it takes the `delta > 0` test
-    // for a bounds check, and the delta then only bounds a mapping loop.
+    // A growth the free frames cannot back fails before it maps anything
+    // and leaves the break where it was. Mapping first and failing part-way
+    // would keep every free frame until the task exited, so the next small
+    // growth would fail too.
     let (mut sys, tid) = desktop();
     let (_, free_before) = heap_base_and_free_frames(&sys, tid);
     let (old, huge, after) = sys

@@ -197,6 +197,41 @@ fn sync_all_is_a_whole_system_durability_barrier() {
 }
 
 #[test]
+fn switching_dma_off_keeps_the_dma_path_when_its_barrier_fails() {
+    // Leaving DMA drains the write-back caches first, while the DMA context
+    // still exists. When that barrier fails, the switch returns its error
+    // and leaves the data path as it was, with the blocks still dirty.
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    sys.kernel
+        .with_task_ctx(writer, |ctx| {
+            let fd = ctx.open("/d/switch.bin", OpenFlags::wronly_create())?;
+            ctx.write(fd, &vec![0x6Du8; 64 * 1024])?;
+            ctx.close(fd)
+        })
+        .unwrap();
+    let dirty = sys.kernel.fat_dirty_blocks();
+    assert!(dirty > 0, "close left the write-back to kbio");
+    sys.kernel.sd_power_cut_after(0);
+    let r = sys.kernel.set_sd_dma(false);
+    assert!(
+        matches!(r, Err(kernel::KernelError::Fs(protofs::FsError::Io(_)))),
+        "{r:?}"
+    );
+    assert!(sys.kernel.config.sd_dma);
+    assert_eq!(
+        sys.kernel.board.sdhost.data_mode(),
+        hal::sdhost::SdDataMode::Dma
+    );
+    assert_eq!(sys.kernel.fat_dirty_blocks(), dirty);
+    // With power back, the same switch drains the cache and goes polled.
+    sys.kernel.sd_power_restore();
+    sys.kernel.set_sd_dma(false).unwrap();
+    assert!(!sys.kernel.config.sd_dma);
+    assert_eq!(sys.kernel.fat_dirty_blocks(), 0);
+}
+
+#[test]
 fn ordered_writeback_survives_a_power_cut_mid_kbio_drain() {
     // The end-to-end version of the ordering guarantee: a power cut while
     // the background flusher is half-way through draining a freshly written
@@ -262,6 +297,24 @@ fn ordered_writeback_survives_a_power_cut_mid_kbio_drain() {
         fat.read_file(&mut dev, &mut fresh, "/cut.bin").unwrap(),
         vec![0x3Cu8; 96 * 1024]
     );
+}
+
+#[test]
+fn a_failed_dma_transfer_is_reported_on_the_console() {
+    // A transfer whose source lies past the end of DRAM completes nothing;
+    // the scheduler loop reports the engine's error on the console rather
+    // than dropping it.
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let now = sys.kernel.board.clock.global_cycles();
+    let past_dram = hal::dma::DmaTransfer {
+        src: u64::MAX - 16,
+        dest: hal::dma::DmaDest::Memory(0),
+        len: 4,
+    };
+    sys.kernel.board.dma.start(3, past_dram, now, 0).unwrap();
+    sys.run_ms(1);
+    let log = sys.kernel.console_log();
+    assert!(log.contains("dma: transfer failed"), "{log}");
 }
 
 #[test]
