@@ -137,9 +137,9 @@ impl SimBoard {
         self.systimer.tick(now_us, &mut self.intc);
         self.generic_timers.tick(now_us, &mut self.intc);
         self.pwm.tick(now_us, &mut self.intc);
-        self.dma.tick(now_cycles, &mut self.mem, &mut self.intc)?;
+        let dma = self.dma.tick(now_cycles, &mut self.mem, &mut self.intc);
         self.usb.tick(&mut self.intc);
-        Ok(())
+        dma
     }
 
     /// Estimates instantaneous power for an activity snapshot.

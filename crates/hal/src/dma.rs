@@ -61,6 +61,10 @@ pub struct DmaCompletion {
     /// Data read from the source (only populated for peripheral-FIFO
     /// destinations, where the board must forward it to the device).
     pub fifo_data: Option<Vec<u8>>,
+    /// Why the transfer's memory access failed, if it did. A failed
+    /// transfer still ends: its channel goes idle and its completion is
+    /// reported like any other.
+    pub error: Option<HalError>,
 }
 
 #[derive(Debug)]
@@ -140,45 +144,46 @@ impl DmaEngine {
     /// Advances the engine to global time `now`, performing any transfers
     /// whose completion time has passed and raising [`Interrupt::Dma0`] for
     /// channel 0 completions (the only channel Proto enables interrupts for).
+    /// Every due transfer completes in this call, one whose memory access
+    /// fails included; the first such failure is returned afterwards.
     pub fn tick(
         &mut self,
         now: Cycles,
         mem: &mut PhysMem,
         intc: &mut IrqController,
     ) -> HalResult<()> {
+        let mut first_error = None;
         for (idx, ch) in self.channels.iter_mut().enumerate() {
-            let due = matches!(&ch.active, Some((_, done_at)) if *done_at <= now);
-            if !due {
+            let Some((transfer, _)) = ch.active.take_if(|(_, done_at)| *done_at <= now) else {
                 continue;
-            }
-            let (transfer, _) = ch.active.take().expect("checked above");
-            let fifo_data = match &transfer.dest {
-                DmaDest::Memory(dst) => {
-                    let mut data = vec![0u8; transfer.len];
-                    mem.read(transfer.src, &mut data)?;
-                    mem.write(*dst, &data)?;
-                    None
-                }
+            };
+            let (fifo_data, moved) = match &transfer.dest {
+                DmaDest::Memory(dst) => (None, mem.copy_within(transfer.src, *dst, transfer.len)),
                 DmaDest::PeripheralFifo => {
                     let mut data = vec![0u8; transfer.len];
-                    mem.read(transfer.src, &mut data)?;
-                    Some(data)
+                    let read = mem.read(transfer.src, &mut data);
+                    (read.is_ok().then_some(data), read)
                 }
                 // SD chains carry no simulated-DRAM payload; the SD host
                 // applies the data phase when the driver reaps `cmd_id`.
-                DmaDest::SdChain { .. } => None,
+                DmaDest::SdChain { .. } => (None, Ok(())),
             };
+            let error = moved.err();
+            if first_error.is_none() {
+                first_error.clone_from(&error);
+            }
             ch.completions += 1;
             self.finished.push(DmaCompletion {
                 channel: idx,
                 transfer,
                 fifo_data,
+                error,
             });
             if idx == 0 {
                 intc.raise(Interrupt::Dma0);
             }
         }
-        Ok(())
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Drains the completion queue (the driver reads this in its IRQ handler).
@@ -307,6 +312,55 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].fifo_data.as_deref(), Some(&[1u8, 2, 3, 4][..]));
         assert_eq!(dma.completions(0), 1);
+    }
+
+    #[test]
+    fn a_faulting_transfer_completes_with_its_error_in_the_same_tick_as_the_others() {
+        let mut dma = DmaEngine::new();
+        let mut mem = PhysMem::with_size(1 << 20);
+        let mut ic = intc0();
+        mem.write(0x1000, b"ok").unwrap();
+        let past_dram = (1 << 20) - 2;
+        // Channels 0 and 1 read past the end of DRAM; channel 2 is due in
+        // the same tick.
+        for (ch, src, dest, len) in [
+            (0, past_dram, DmaDest::Memory(0x100), 4),
+            (1, past_dram, DmaDest::PeripheralFifo, 4),
+            (2, 0x1000, DmaDest::Memory(0x2000), 2),
+        ] {
+            dma.start(ch, DmaTransfer { src, dest, len }, 0, 5).unwrap();
+        }
+        assert_eq!(
+            dma.tick(5, &mut mem, &mut ic),
+            Err(HalError::BadAddress(past_dram)),
+            "the first failure is returned"
+        );
+        for ch in 0..3 {
+            assert!(!dma.is_busy(ch), "channel {ch} is idle again");
+            assert_eq!(dma.completions(ch), 1, "channel {ch}");
+        }
+        assert_eq!(ic.take_pending(0), Some(Interrupt::Dma0));
+        let done = dma.take_completions();
+        let errors: Vec<_> = done.iter().map(|c| (c.channel, c.error.clone())).collect();
+        assert_eq!(
+            errors,
+            [
+                (0, Some(HalError::BadAddress(past_dram))),
+                (1, Some(HalError::BadAddress(past_dram))),
+                (2, None),
+            ]
+        );
+        assert_eq!(done[1].fifo_data, None);
+        assert_eq!(
+            mem.read_u32(0x100).unwrap(),
+            0,
+            "the failed copy wrote nothing"
+        );
+        let mut back = [0u8; 2];
+        mem.read(0x2000, &mut back).unwrap();
+        assert_eq!(&back, b"ok");
+        dma.tick(10, &mut mem, &mut ic).unwrap();
+        assert!(dma.take_completions().is_empty());
     }
 
     #[test]

@@ -366,6 +366,12 @@ impl AddressSpace {
     /// owned region is copied eagerly into fresh frames (Proto has no
     /// copy-on-write, which is why its fork is ~17x slower than Linux's in
     /// Figure 9). Returns the new space and the number of pages copied.
+    ///
+    /// The simulated cost and the frames are those of an eager copy: each
+    /// page takes a fresh frame and a mapping, and `sys_fork` charges
+    /// `fork_copy_per_page` for it. That [`PhysMem::copy_within`] shares a
+    /// whole frame's bytes on the host until either side writes changes no
+    /// frame, descriptor or charge.
     pub fn fork_copy(
         &mut self,
         frames: &mut FrameAllocator,

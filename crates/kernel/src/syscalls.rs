@@ -283,11 +283,21 @@ impl Kernel {
         }
     }
 
+    /// Kills user task `pid` with exit code -9. Kernel threads cannot be
+    /// killed, and a task that has already exited stays as it exited, so
+    /// its parent reaps it once, with its own code.
     pub(crate) fn sys_kill(&mut self, _entry: Entry, pid: TaskId) -> KResult<()> {
-        if self.task(pid).is_none() {
-            return Err(KernelError::NotFound(format!("task {pid}")));
+        let target = self
+            .task(pid)
+            .ok_or_else(|| KernelError::NotFound(format!("task {pid}")))?;
+        if target.kernel_thread {
+            return Err(KernelError::Permission(format!(
+                "task {pid} is a kernel thread"
+            )));
         }
-        self.handle_exit(pid, -9);
+        if !target.is_zombie() {
+            self.handle_exit(pid, -9);
+        }
         Ok(())
     }
 
@@ -737,6 +747,9 @@ impl Kernel {
                 .tasks_mut(task)
                 .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
             let f = t.fds.get(fd)?;
+            if !f.flags.read {
+                return Err(KernelError::BadFd(fd));
+            }
             (f.kind.clone(), f.offset, f.flags)
         };
         match kind {
@@ -944,6 +957,9 @@ impl Kernel {
                 .tasks_mut(task)
                 .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
             let f = t.fds.get(fd)?;
+            if !f.flags.write {
+                return Err(KernelError::BadFd(fd));
+            }
             (f.kind.clone(), f.offset, f.flags)
         };
         match kind {

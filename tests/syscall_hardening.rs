@@ -671,28 +671,37 @@ fn root_writes_past_4_gib_are_rejected() {
 #[test]
 fn writes_to_a_root_directory_descriptor_are_refused() {
     // Only the filesystem writes a directory's entries. A write through a
-    // descriptor for `/`, here one opened read-only, fails on xv6fs as it
-    // does on FAT32, and every name stays; the boundary sweep's write row
-    // found the root directory erased by it.
+    // descriptor for `/` fails on xv6fs as it does on FAT32, and every name
+    // stays; the boundary sweep's write row found the root directory erased
+    // by it. A read-only descriptor is refused for its access mode before
+    // the filesystem sees the write; a read-write one by the filesystem.
     let (mut sys, tid) = desktop();
-    let (r, before, after) = sys
+    let (read_only, read_write, before, after) = sys
         .kernel
         .with_task_ctx(tid, |ctx| {
             let before = ctx.list_dir("/")?;
             let fd = ctx.open("/", OpenFlags::rdonly())?;
-            let r = ctx.write(fd, &[0x5A; 4097]);
+            let read_only = (fd, ctx.write(fd, &[0x5A; 4097]));
             ctx.close(fd)?;
-            Ok::<_, kernel::KernelError>((r, before, ctx.list_dir("/")?))
+            let fd = ctx.open("/", OpenFlags::rdwr())?;
+            let read_write = ctx.write(fd, &[0x5A; 4097]);
+            ctx.close(fd)?;
+            Ok::<_, kernel::KernelError>((read_only, read_write, before, ctx.list_dir("/")?))
         })
         .unwrap();
+    assert_eq!(
+        read_only.1,
+        Err(kernel::KernelError::BadFd(read_only.0)),
+        "write to / through a read-only descriptor"
+    );
     assert!(
         matches!(
-            r,
+            read_write,
             Err(kernel::KernelError::Fs(
                 proto_repro::protofs::FsError::IsADirectory(_)
             ))
         ),
-        "write to /: {r:?}"
+        "write to /: {read_write:?}"
     );
     assert_eq!(after, before);
 }

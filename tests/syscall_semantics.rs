@@ -1,7 +1,7 @@
 //! Integration tests for the syscall surface: files, pipes, devices, fork,
 //! threads and the framebuffer cache-flush behaviour.
 
-use kernel::OpenFlags;
+use kernel::{KernelError, OpenFlags};
 use proto_repro::prelude::*;
 
 fn desktop() -> (ProtoSystem, kernel::TaskId) {
@@ -419,4 +419,165 @@ fn each_stub_records_one_entry_per_trap() {
     let reads = image_size.div_ceil(64 * 1024) as usize + 1;
     let spawned = entries(&mut sys, tid, |c| c.spawn("/bin/helloworld", &[]).unwrap());
     assert_eq!(spawned, 1 + 1 + reads + 1);
+}
+
+/// A child that exits with its code on its first step.
+struct ExitWith(i32);
+
+impl kernel::UserProgram for ExitWith {
+    fn step(&mut self, _ctx: &mut kernel::UserCtx<'_>) -> kernel::StepResult {
+        kernel::StepResult::Exited(self.0)
+    }
+}
+
+#[test]
+fn kill_refuses_kernel_threads() {
+    let (mut sys, tid) = desktop();
+    let threads: Vec<kernel::TaskId> = (0..16)
+        .filter(|&id| sys.kernel.task(id).is_some_and(|t| t.kernel_thread))
+        .collect();
+    let names: Vec<&str> = threads
+        .iter()
+        .map(|&id| sys.kernel.task(id).unwrap().name.as_str())
+        .collect();
+    assert_eq!(names, ["kwm", "kbio"]);
+    for pid in threads {
+        let killed = sys.kernel.with_task_ctx(tid, |ctx| ctx.kill(pid));
+        assert!(
+            matches!(killed, Err(KernelError::Permission(_))),
+            "{killed:?}"
+        );
+        assert!(!sys.kernel.task(pid).unwrap().is_zombie());
+    }
+    // kbio still drains a closed write in the background.
+    sys.kernel
+        .with_task_ctx(tid, |ctx| {
+            let fd = ctx.open("/d/kill.bin", OpenFlags::wronly_create())?;
+            ctx.write(fd, &vec![0x6B; 64 * 1024])?;
+            ctx.close(fd)
+        })
+        .unwrap();
+    assert!(sys.kernel.fat_dirty_blocks() > 0);
+    sys.run_ms(2000);
+    assert_eq!(sys.kernel.fat_dirty_blocks(), 0);
+}
+
+#[test]
+fn killing_a_zombie_leaves_its_exit_code_to_be_reaped_once() {
+    let (mut sys, tid) = desktop();
+    let child = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| ctx.fork(Box::new(ExitWith(7))))
+        .unwrap();
+    assert!(sys
+        .kernel
+        .run_until(|k| k.task(child).is_some_and(|t| t.is_zombie()), 1_000_000));
+    assert_eq!(sys.kernel.with_task_ctx(tid, |ctx| ctx.kill(child)), Ok(()));
+    assert_eq!(
+        sys.kernel.task(child).unwrap().state,
+        kernel::TaskState::Zombie(7)
+    );
+    let first = sys.kernel.with_task_ctx(tid, |ctx| ctx.wait_child());
+    assert_eq!(first, Ok(Some((child, 7))));
+    let second = sys.kernel.with_task_ctx(tid, |ctx| ctx.wait_child());
+    assert!(
+        matches!(second, Err(KernelError::NotFound(_))),
+        "{second:?}"
+    );
+}
+
+#[test]
+fn reads_and_writes_honour_the_descriptors_access_mode() {
+    let (mut sys, tid) = desktop();
+    for path in ["/mode.txt", "/d/mode.txt"] {
+        sys.kernel
+            .with_task_ctx(tid, |ctx| {
+                let fd = ctx.open(path, OpenFlags::wronly_create())?;
+                ctx.write(fd, b"original")?;
+                assert_eq!(ctx.read(fd, 64), Err(KernelError::BadFd(fd)), "{path}");
+                ctx.close(fd)?;
+                let fd = ctx.open(path, OpenFlags::rdonly())?;
+                assert_eq!(
+                    ctx.write(fd, b"CLOBBER!"),
+                    Err(KernelError::BadFd(fd)),
+                    "{path}"
+                );
+                assert_eq!(ctx.read(fd, 64)?, b"original", "{path}");
+                ctx.close(fd)
+            })
+            .unwrap();
+    }
+    sys.kernel.sync_all().unwrap();
+    let back = sys.kernel.with_task_ctx(tid, |ctx| {
+        let fd = ctx.open("/d/mode.txt", OpenFlags::rdonly())?;
+        let data = ctx.read(fd, 64)?;
+        ctx.close(fd)?;
+        Ok::<_, KernelError>(data)
+    });
+    assert_eq!(back.unwrap(), b"original");
+}
+
+#[test]
+fn fork_of_a_4mb_heap_is_an_eager_copy_with_private_pages() {
+    // The simulated fork allocates, maps and charges a fresh frame per
+    // page, whatever the host does with the bytes: these are the eager
+    // copy's figures.
+    let (mut sys, tid) = desktop();
+    let heap = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| ctx.sbrk(4 << 20))
+        .unwrap();
+    let phys = |sys: &ProtoSystem, task| {
+        let space = sys.kernel.address_space_of(task).unwrap();
+        space
+            .translate(&sys.kernel.board.mem, heap)
+            .unwrap()
+            .unwrap()
+            .phys
+    };
+    let parent_page = phys(&sys, tid);
+    sys.kernel
+        .board
+        .mem
+        .write_u64(parent_page, 0x0123_4567_89AB_CDEF)
+        .unwrap();
+    let core = sys.kernel.task(tid).unwrap().core;
+    let free_before = sys.kernel.mm.frames.free_frames();
+    let cycles_before = sys.kernel.board.clock.cycles(core);
+    let child = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| ctx.fork(Box::new(ExitWith(0))))
+        .unwrap();
+    let cycles = sys.kernel.board.clock.cycles(core) - cycles_before;
+    let pages_copied = sys
+        .kernel
+        .address_space_of(tid)
+        .unwrap()
+        .stats()
+        .pages_copied;
+    let frames_taken = free_before - sys.kernel.mm.frames.free_frames();
+    assert_eq!(
+        (pages_copied, frames_taken, cycles),
+        (1035, 1042, 1_513_150)
+    );
+    assert_eq!(
+        sys.kernel.mm.frame_stats(),
+        kernel::mm::FrameStats {
+            total: 131_072,
+            allocated: 2087,
+            peak: 2087,
+            alloc_ops: 2087,
+            free_ops: 0,
+        }
+    );
+    // The child's heap page is its own copy.
+    let child_page = phys(&sys, child);
+    assert_ne!(child_page, parent_page);
+    let mem = &mut sys.kernel.board.mem;
+    assert_eq!(mem.read_u64(child_page).unwrap(), 0x0123_4567_89AB_CDEF);
+    mem.write_u64(child_page, 1).unwrap();
+    assert_eq!(mem.read_u64(parent_page).unwrap(), 0x0123_4567_89AB_CDEF);
+    mem.write_u64(parent_page + 8, 2).unwrap();
+    assert_eq!(mem.read_u64(child_page + 8).unwrap(), 0);
+    assert_eq!(mem.read_u64(child_page).unwrap(), 1);
 }

@@ -318,6 +318,32 @@ fn a_failed_dma_transfer_is_reported_on_the_console() {
 }
 
 #[test]
+fn a_failed_dma_transfer_completes_and_its_slice_still_delivers_key_taps() {
+    // The failing transfer ends like any other, with a completion on its
+    // channel, and the slice that reports it still ticks the USB
+    // controller: a key tapped before the slice reaches the driver in it.
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let keyboard = sys.keyboard.clone().expect("desktop has a keyboard");
+    let received = sys.kernel.kbd_events_received();
+    let now = sys.kernel.board.clock.global_cycles();
+    let past_dram = hal::dma::DmaTransfer {
+        src: u64::MAX - 16,
+        dest: hal::dma::DmaDest::Memory(0),
+        len: 4,
+    };
+    sys.kernel.board.dma.start(3, past_dram, now, 0).unwrap();
+    keyboard.tap(KeyCode::Char('w'), Modifiers::default());
+    sys.kernel.run_slice();
+    assert!(!sys.kernel.board.dma.is_busy(3));
+    assert_eq!(sys.kernel.board.dma.completions(3), 1);
+    assert!(
+        sys.kernel.kbd_events_received() > received,
+        "the tap was delivered in the faulting slice"
+    );
+    assert!(sys.kernel.console_log().contains("dma: transfer failed"));
+}
+
+#[test]
 fn dma_completions_route_through_the_irq_handler_to_the_flusher() {
     // End to end: a deferred close leaves dirty extents; kbio *submits*
     // scatter-gather chains and returns; the chains complete on the device
