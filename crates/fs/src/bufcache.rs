@@ -211,7 +211,8 @@
 //!   time and writing header and payloads into the cache as one contiguous
 //!   run, which the next ready drain sends down as one range command (one
 //!   chain on a queued device). The state lives in the cache because the
-//!   filesystem objects themselves are cloned per kernel call.
+//!   cache is what pins the group's sectors against eviction and drains,
+//!   and a full flush is what clears the pending frees.
 //!
 //! * **Bounded write-retry budgets and read-only degradation.** A dirty
 //!   block whose write-back keeps faulting is retried with exponential
@@ -731,10 +732,9 @@ pub struct BufCache {
     /// are captured at *commit* time (so a record can never roll back an
     /// interleaved non-logged write to a shared sector); until then the
     /// sectors' extents stay pinned against eviction and the budgeted
-    /// drain's cycle backstop leaves them alone. Owned by the cache — the
-    /// shared mutable state every filesystem call threads — because the
-    /// FAT32 object itself is cloned per call; FAT32 drives it through the
-    /// `group_*` methods.
+    /// drain's cycle backstop leaves them alone. Owned by the cache, which
+    /// does the pinning and the draining; the transaction layer drives it
+    /// through the `group_*` methods.
     group: BTreeSet<u64>,
     /// Logged transactions sitting in the open group.
     group_ops: u64,

@@ -23,9 +23,11 @@
 //!   transfer/compute overlap rather than just a discounted setup cost.
 //!   Metadata (BPB, FAT, directories) shares the same cache, so there is
 //!   exactly one consistency domain.
-//! * **No inodes.** FAT has no inode concept; the kernel VFS layers
-//!   pseudo-inodes on top (see the kernel crate), exactly as Proto bridges
-//!   FatFS into its xv6-style file table.
+//! * **No inodes.** FAT has no inode concept, so every call here names its
+//!   file by path. The kernel's FAT volume numbers the paths it opens
+//!   (pseudo-inodes, in a table of the volume's own; see the kernel's `vfs`
+//!   module) and puts those numbers in its xv6-style file table, exactly as
+//!   Proto bridges FatFS into its file table.
 //!
 //! The cache is write-back: callers that need the card itself up to date
 //! (unmount, `fsync`) call [`crate::bufcache::BufCache::flush`].
@@ -143,8 +145,9 @@ pub struct Fat32 {
     /// ([`crate::txn::TxnLog`]): the intent-log geometry (the reserved
     /// region at [`INTENT_LOG_START`]) plus the enabled / group-commit
     /// knobs. The mutable transaction state itself (open recorder, commit
-    /// group, pins, pending frees) lives in the [`BufCache`] because
-    /// `Fat32` is cloned per kernel call. Logging is on by default when the
+    /// group, pins, pending frees) lives in the [`BufCache`]: the cache pins
+    /// the group's sectors against eviction and drains, and a full flush
+    /// clears the pending frees. Logging is on by default when the
     /// reserved region has room for the log area; with a group size above 1
     /// ([`Fat32::set_group_commit_ops`]) consecutive transactions share one
     /// checksummed commit record and durability moves to the group's single
@@ -1129,6 +1132,32 @@ impl Fat32 {
         self.with_meta_txn(dev, bc, |fs, dev, bc| {
             fs.rewrite_contents(dev, bc, p, entry.first_cluster, data)
         })
+    }
+
+    /// Writes `data` at byte `offset` of the file at `p`. A write at offset
+    /// 0 replaces the whole file, as [`Fat32::write_file`] does; anywhere
+    /// else the file is read, patched (zero-filling any gap before
+    /// `offset`) and written back whole. The caller keeps
+    /// `offset + data.len()` within FAT32's 4 GiB file limit.
+    pub fn write_at(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        p: &str,
+        offset: u32,
+        data: &[u8],
+    ) -> FsResult<()> {
+        if offset == 0 {
+            return self.write_file(dev, bc, p, data);
+        }
+        let off = offset as usize;
+        let end = off
+            .checked_add(data.len())
+            .ok_or_else(|| FsError::TooLarge(p.to_string()))?;
+        let mut whole = self.read_file(dev, bc, p)?;
+        whole.resize(whole.len().max(end), 0);
+        whole[off..end].copy_from_slice(data);
+        self.write_file(dev, bc, p, &whole)
     }
 
     /// The asynchronous new-file write: allocate, fill, link, then publish

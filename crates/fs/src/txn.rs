@@ -111,10 +111,10 @@ fn fnv1a(data: &[u8], mut h: u32) -> u32 {
 }
 
 /// A filesystem's handle on the shared transaction layer: log geometry plus
-/// the enabled / group-commit policy knobs. `Copy` on purpose — filesystem
-/// values are cloned per kernel call, and all mutable transaction state
+/// the enabled / group-commit policy knobs. All mutable transaction state
 /// (open-transaction recorder, commit group, pins, pending frees) lives in
-/// the [`BufCache`] they share.
+/// the [`BufCache`]: the cache pins the group's sectors against eviction
+/// and drains, and a full flush clears the pending frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnLog {
     /// First sector of the reserved on-volume log area.

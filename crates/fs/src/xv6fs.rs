@@ -1276,6 +1276,32 @@ mod tests {
     }
 
     #[test]
+    fn a_write_to_a_directory_inode_is_refused_and_changes_nothing() {
+        // Only the directory code writes a directory's entries. The kernel
+        // refuses a write-open of a directory before any write arrives, so
+        // this check is the filesystem's own line of defence.
+        let (mut dev, mut bc, fs) = fresh_fs();
+        fs.create(&mut dev, &mut bc, "/dir", InodeType::Dir)
+            .unwrap();
+        fs.create(&mut dev, &mut bc, "/dir/a", InodeType::File)
+            .unwrap();
+        let before = fs.list_dir(&mut dev, &mut bc, "/").unwrap();
+        for dir in ["/", "/dir"] {
+            let inum = fs.lookup(&mut dev, &mut bc, dir).unwrap();
+            let r = fs.write(&mut dev, &mut bc, inum, 0, &[0x5A; 4097]);
+            assert!(matches!(r, Err(FsError::IsADirectory(_))), "{dir}: {r:?}");
+        }
+        assert_eq!(fs.list_dir(&mut dev, &mut bc, "/").unwrap(), before);
+        let names: Vec<_> = fs
+            .list_dir(&mut dev, &mut bc, "/dir")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, ["a"]);
+    }
+
+    #[test]
     fn inode_lbas_saturate_on_corrupt_inode_numbers() {
         // A corrupt inum near u32::MAX must not overflow the inode-block
         // arithmetic; the sector computation saturates.

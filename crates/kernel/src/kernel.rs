@@ -17,7 +17,7 @@ use hal::usb_hw::{UsbHwDevice, UsbSetupPacket};
 use protofs::bufcache::BufCache;
 use protofs::fat32::Fat32;
 use protofs::xv6fs::Xv6Fs;
-use protofs::MemDisk;
+use protofs::{FsError, FsResult, MemDisk};
 use protousb::{KeyCode, KeyEvent, Modifiers, SimUsbKeyboard, UsbStack};
 
 use crate::config::{KernelConfig, KernelVariant};
@@ -35,7 +35,10 @@ use crate::sync::SemTable;
 use crate::task::{MmRef, Task, TaskId, TaskState, WaitChannel};
 use crate::trace::{TraceBuffer, TraceKind};
 use crate::usercall::{FramePhases, StepResult, UserCtx, UserProgram};
-use crate::vfs::{FdTable, MountTable, OpenFile};
+use crate::vfs::{
+    FdTable, FileKind, FileSystem, Medium, Mount, MountTarget, OpenFile, PseudoInodes, Volume,
+    VolumeIo,
+};
 use crate::wm::WindowManager;
 
 /// Size of the ramdisk baked into the kernel image (8 MB, plenty for the
@@ -85,36 +88,6 @@ pub(crate) struct SdSnapshot {
     pub(crate) dma_writes: hal::sdhost::DmaTraffic,
     pub(crate) flush_cmds: u64,
 }
-
-/// Builds the FAT volume's block-device adapter over the SD card, attaching
-/// the DMA context (engine + clock + cost model) whenever the kernel's SD
-/// data path runs in DMA mode — so every filesystem call site drives the
-/// same asynchronous queue. All borrows are disjoint `board` fields.
-macro_rules! fat_dev {
-    ($k:expr, $core:expr) => {{
-        // Stamp the operating core on the cache first: extent placement
-        // (shard affinity) and chain ownership (per-core completion
-        // reaping) key off the core driving this device instance.
-        $k.fat_bufcache.set_home_core($core);
-        let total = $k.board.sdhost.total_blocks();
-        protofs::block::SdBlockDevice::with_dma(
-            &mut $k.board.sdhost,
-            crate::kernel::FAT_PARTITION_START,
-            total - crate::kernel::FAT_PARTITION_START,
-            if $k.config.sd_dma {
-                Some(protofs::block::SdDmaCtx {
-                    engine: &mut $k.board.dma,
-                    clock: &mut $k.board.clock,
-                    cost: &$k.board.cost,
-                    core: $core,
-                })
-            } else {
-                None
-            },
-        )
-    }};
-}
-pub(crate) use fat_dev;
 
 /// Boot-time measurements (Figure 8's right-hand table).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -315,17 +288,9 @@ pub struct Kernel {
 
     pipes: PipeTable,
     sems: SemTable,
-    pub(crate) mounts: MountTable,
-
-    // Root filesystem (xv6fs on the ramdisk).
-    pub(crate) ramdisk: Option<MemDisk>,
-    pub(crate) root_bufcache: BufCache,
-    pub(crate) rootfs: Option<Xv6Fs>,
-    // FAT32 on the SD card.
-    pub(crate) fat_bufcache: BufCache,
-    pub(crate) fatfs: Option<Fat32>,
-    pub(crate) pseudo_inums: BTreeMap<String, u32>,
-    pub(crate) next_pseudo_inum: u32,
+    /// One value per mounted disk, indexed by [`Mount`]: FAT32 on the SD
+    /// card and the root xv6fs on the ramdisk.
+    pub(crate) volumes: [Option<Volume>; 2],
 
     // Drivers.
     pub(crate) kbd: KeyboardDriver,
@@ -348,14 +313,6 @@ pub struct Kernel {
     init_task: TaskId,
     /// The `kbio` background flusher thread (0 when not running).
     kbio_task: TaskId,
-    /// `(log_commits, board time µs)` when `kbio` first observed the FAT
-    /// intent log's current commit group pending (`None` = no group open).
-    /// Drives the [`FAT_GROUP_COMMIT_TIMEOUT_MS`] bound: a group that sits open
-    /// past it is force-committed by the flusher's next pass. Keyed on the
-    /// commit counter so a group that filled up and self-committed between
-    /// passes does not leave a stale timestamp that would prematurely
-    /// force-commit its successor.
-    fat_group_seen: Option<(u64, u64)>,
     /// The cache's `completions_applied` counter as of the last scheduler
     /// pass; any growth wakes the block-I/O wait channel, no matter which
     /// path reaped the completions.
@@ -400,14 +357,7 @@ impl Kernel {
             next_task_id: 1,
             pipes: PipeTable::new(),
             sems: SemTable::new(),
-            mounts: MountTable::default(),
-            ramdisk: None,
-            root_bufcache: BufCache::default(),
-            rootfs: None,
-            fat_bufcache: BufCache::default(),
-            fatfs: None,
-            pseudo_inums: BTreeMap::new(),
-            next_pseudo_inum: 1,
+            volumes: [None, None],
             kbd: KeyboardDriver::new(),
             sound: SoundDriver::new(),
             usb_stack: UsbStack::new(),
@@ -420,7 +370,6 @@ impl Kernel {
             console_lines: Vec::new(),
             init_task: 0,
             kbio_task: 0,
-            fat_group_seen: None,
             sd_comps_seen: 0,
             in_scheduled_step: false,
         }
@@ -583,9 +532,12 @@ impl Kernel {
                 512,
             )?;
             fs.set_journal(self.config.xv6fs_journal);
-            self.ramdisk = Some(ramdisk);
-            self.root_bufcache = self.with_cache_policies(bc);
-            self.rootfs = Some(fs);
+            self.volumes[Mount::Root as usize] = Some(Volume {
+                fs: FileSystem::Xv6(fs),
+                cache: self.with_cache_policies(bc),
+                medium: Medium::Ramdisk(ramdisk),
+                group_seen: None,
+            });
         }
 
         // USB: power the controller, enumerate whatever is plugged in.
@@ -607,13 +559,13 @@ impl Kernel {
         if self.config.sd_card && self.config.fat32 {
             self.board.sdhost.init()?;
             self.board.charge(0, cost.boot_sd_init);
-            let total = self.board.sdhost.total_blocks();
+            let blocks = self.board.sdhost.total_blocks() - FAT_PARTITION_START;
             let mut bc = BufCache::default();
             let fat = {
                 let mut dev = protofs::block::SdBlockDevice::new(
                     &mut self.board.sdhost,
                     FAT_PARTITION_START,
-                    total - FAT_PARTITION_START,
+                    blocks,
                 );
                 let mut fat = match Fat32::mount(&mut dev, &mut bc) {
                     Ok(f) => f,
@@ -634,9 +586,15 @@ impl Kernel {
                 bc.flush(&mut dev)?;
                 fat
             };
-            self.fat_bufcache = self.with_fat_cache_policies(bc);
-            self.fatfs = Some(fat);
-            self.mounts = MountTable::with_fat();
+            self.volumes[Mount::Fat as usize] = Some(Volume {
+                fs: FileSystem::Fat(fat, PseudoInodes::default()),
+                cache: self.with_fat_cache_policies(bc),
+                medium: Medium::Sd {
+                    start: FAT_PARTITION_START,
+                    blocks,
+                },
+                group_seen: None,
+            });
         }
 
         // The DMA data path: scatter-gather chains on channel 0 with the
@@ -694,74 +652,58 @@ impl Kernel {
 
     /// Writes a file into the root (xv6fs) filesystem.
     pub fn install_root_file(&mut self, path: &str, data: &[u8]) -> KResult<()> {
-        let fs = self
-            .rootfs
-            .as_ref()
-            .ok_or_else(|| KernelError::NotSupported("root filesystem not available".into()))?;
-        let dev = self
-            .ramdisk
-            .as_mut()
-            .ok_or_else(|| KernelError::NotSupported("root ramdisk not available".into()))?;
-        fs.write_file(dev, &mut self.root_bufcache, path, data)?;
-        Ok(())
+        self.install(Mount::Root, |io| io.write_file(path, data))
     }
 
     /// Creates a directory on the root filesystem.
     pub fn install_root_dir(&mut self, path: &str) -> KResult<()> {
-        let fs = self
-            .rootfs
-            .as_ref()
-            .ok_or_else(|| KernelError::NotSupported("root filesystem not available".into()))?;
-        let dev = self
-            .ramdisk
-            .as_mut()
-            .ok_or_else(|| KernelError::NotSupported("root ramdisk not available".into()))?;
-        match fs.create(
-            dev,
-            &mut self.root_bufcache,
-            path,
-            protofs::xv6fs::InodeType::Dir,
-        ) {
-            Ok(_) => Ok(()),
-            Err(protofs::FsError::AlreadyExists(_)) => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+        self.install_dir(Mount::Root, path)
     }
 
     /// Writes a file onto the FAT32 volume (path relative to the volume, e.g.
     /// `/doom.wad` which apps see as `/d/doom.wad`).
     pub fn install_fat_file(&mut self, volume_path: &str, data: &[u8]) -> KResult<()> {
-        let fat = self
-            .fatfs
-            .as_ref()
-            .ok_or_else(|| KernelError::NotSupported("FAT32 not mounted".into()))?
-            .clone();
-        let mut dev = fat_dev!(self, 0);
-        fat.write_file(&mut dev, &mut self.fat_bufcache, volume_path, data)?;
-        // Image-building writes happen outside any task context; commit any
-        // pending intent-log group and push everything to the card
-        // immediately so the installed image is always mountable.
-        fat.commit_pending(&mut dev, &mut self.fat_bufcache)?;
-        self.fat_bufcache.flush(&mut dev)?;
-        Ok(())
+        self.install(Mount::Fat, |io| io.write_file(volume_path, data))
     }
 
     /// Creates a directory on the FAT32 volume.
     pub fn install_fat_dir(&mut self, volume_path: &str) -> KResult<()> {
-        let fat = self
-            .fatfs
-            .as_ref()
-            .ok_or_else(|| KernelError::NotSupported("FAT32 not mounted".into()))?
-            .clone();
-        let mut dev = fat_dev!(self, 0);
-        let result = match fat.create(&mut dev, &mut self.fat_bufcache, volume_path, true) {
-            Ok(_) => Ok(()),
-            Err(protofs::FsError::AlreadyExists(_)) => Ok(()),
-            Err(e) => Err(e.into()),
-        };
-        fat.commit_pending(&mut dev, &mut self.fat_bufcache)?;
-        self.fat_bufcache.flush(&mut dev)?;
-        result
+        self.install_dir(Mount::Fat, volume_path)
+    }
+
+    /// Creates the directory `path` on `mount` for an image; one that
+    /// already exists will do.
+    fn install_dir(&mut self, mount: Mount, path: &str) -> KResult<()> {
+        self.install(mount, |io| match io.create(path, true) {
+            Ok(_) | Err(FsError::AlreadyExists(_)) => Ok(()),
+            Err(e) => Err(e),
+        })
+    }
+
+    /// Runs an image-building write on `mount`, on core 0, charging no
+    /// one: it happens outside any task. The SD card is the image another
+    /// machine mounts, so on it the write is committed and pushed to the
+    /// card at once, and the installed image is always mountable; the
+    /// ramdisk is part of the kernel image, and its dirty blocks wait for
+    /// write-back like any other.
+    fn install(
+        &mut self,
+        mount: Mount,
+        f: impl FnOnce(&mut VolumeIo<'_>) -> FsResult<()>,
+    ) -> KResult<()> {
+        let vol = self.volumes[mount as usize]
+            .as_mut()
+            .ok_or_else(|| mount.not_mounted())?;
+        let to_card = matches!(vol.medium, Medium::Sd { .. });
+        vol.io(&mut self.board, self.config.sd_dma, 0, |io| {
+            let written = f(io);
+            if to_card {
+                io.commit_pending()?;
+                io.cache.flush(io.dev)?;
+            }
+            written
+        })?;
+        Ok(())
     }
 
     /// Installs a program image on the root filesystem under `/bin/<name>`.
@@ -922,20 +864,15 @@ impl Kernel {
             None => return,
         };
         if !self.config.background_flush {
-            let flush_fat = open_files
-                .iter()
-                .any(|f| f.written && matches!(f.kind, crate::vfs::FileKind::Fat { .. }));
-            let flush_root = open_files
-                .iter()
-                .any(|f| f.written && matches!(f.kind, crate::vfs::FileKind::Xv6 { .. }));
-            if flush_fat {
-                if let Err(e) = self.flush_fat_cache(core, id) {
-                    self.printk(&format!("exit({id}): FAT write-back failed: {e}"));
-                }
-            }
-            if flush_root {
-                if let Err(e) = self.flush_root_cache(core, id) {
-                    self.printk(&format!("exit({id}): root write-back failed: {e}"));
+            for mount in Mount::ALL {
+                let wrote = open_files.iter().any(|f| {
+                    f.written && matches!(f.kind, FileKind::File { mount: m, .. } if m == mount)
+                });
+                if wrote {
+                    if let Err(e) = self.flush_volume(mount, core, id) {
+                        let name = mount.name();
+                        self.printk(&format!("exit({id}): {name} write-back failed: {e}"));
+                    }
                 }
             }
         }
@@ -985,7 +922,7 @@ impl Kernel {
 
     pub(crate) fn drop_open_file(&mut self, f: OpenFile) {
         match f.kind {
-            crate::vfs::FileKind::Pipe { id, write_end } => {
+            FileKind::Pipe { id, write_end } => {
                 #[expect(
                     clippy::let_underscore_must_use,
                     reason = "closing an end fails only for a pipe that is already gone, which leaves nothing to close"
@@ -995,7 +932,7 @@ impl Kernel {
                 self.wake_all(WaitChannel::PipeRead(id));
                 self.wake_all(WaitChannel::PipeWrite(id));
             }
-            crate::vfs::FileKind::SurfaceHandle { surface_id } => {
+            FileKind::SurfaceHandle { surface_id } => {
                 self.wm.destroy_surface(surface_id);
             }
             _ => {}
@@ -1132,9 +1069,12 @@ impl Kernel {
                 // core's chains inline and queues the rest for their owners
                 // (reaped later in the same scheduler pass; queues of
                 // since-deactivated cores are adopted by `kbio`).
-                if self.config.sd_dma {
-                    let mut dev = fat_dev!(self, core);
-                    self.fat_bufcache.route_completions(&mut dev);
+                if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
+                    if self.config.sd_dma {
+                        vol.io(&mut self.board, true, core, |io| {
+                            io.cache.route_completions(io.dev)
+                        });
+                    }
                 }
                 // Anything left (audio transfers) drains as before.
                 let _ = self.board.dma.take_completions();
@@ -1240,68 +1180,34 @@ impl Kernel {
             self.reap_routed(owner, core);
         }
         let kbio = self.kbio_task;
-        // The intent log's group-commit timeout: a pending group that has
-        // sat open past `FAT_GROUP_COMMIT_TIMEOUT_MS` is force-committed here,
-        // so a lone logged operation (no burst following it, no fsync) still
-        // becomes durable within a bounded window. The commit's SD cycles
-        // are charged to kbio like any other background write-back.
-        if self.fatfs.is_some() && self.fat_bufcache.group_txns() > 0 {
-            let now = self.now_us();
-            let commits = self.fat_bufcache.stats().log_commits;
-            let since = match self.fat_group_seen {
-                // Same commit generation: the group we stamped is still the
-                // open one.
-                Some((c, t)) if c == commits => t,
-                // First sighting of this group (or its predecessor filled
-                // and self-committed since the last pass): stamp it now.
-                _ => {
-                    self.fat_group_seen = Some((commits, now));
-                    now
-                }
-            };
-            if now.saturating_sub(since) >= FAT_GROUP_COMMIT_TIMEOUT_MS * 1000 {
-                if let Err(e) = self.commit_fat_group(core, kbio) {
+        let now = self.now_us();
+        for mount in Mount::ALL {
+            let vol = self.volumes[mount as usize].as_mut();
+            // The group-commit timeout: a pending group that has sat open
+            // past `FAT_GROUP_COMMIT_TIMEOUT_MS` is force-committed here, so
+            // a lone logged operation (no burst following it, no fsync)
+            // still becomes durable within a bounded window. The commit is
+            // charged to kbio like any other background write-back.
+            if vol.is_some_and(|v| v.group_overdue(now, FAT_GROUP_COMMIT_TIMEOUT_MS * 1000)) {
+                if let Err(e) = self.commit_group(mount, core, kbio) {
                     self.printk(&format!("kbio: group commit failed: {e}"));
                 }
             }
-        } else {
-            self.fat_group_seen = None;
-        }
-        // FAT32 on the SD card. In DMA mode `flush_some` first reaps any
-        // chains that completed since the last pass (surfacing their
-        // errors), then *submits* up to the budget and returns. The adapter
-        // charges each chain's command issue and bookkeeping to this core
-        // as it submits the chain, and `charge_sd_delta` attributes them to
-        // kbio; the data phase runs on the device timeline, so that CPU
-        // work is all kbio is billed.
-        if self.fatfs.is_some() && self.fat_bufcache.dirty_blocks() > 0 {
-            let before = self.sd_snapshot();
-            let result = {
-                let mut dev = fat_dev!(self, core);
-                self.fat_bufcache.flush_some(&mut dev, KBIO_BUDGET_BLOCKS)
-            };
-            self.charge_sd_delta(core, kbio, before);
-            if let Err(e) = result {
-                self.printk(&format!("kbio: FAT write-back failed: {e}"));
-            }
-        }
-        // xv6fs on the ramdisk.
-        if self.rootfs.is_some() && self.root_bufcache.dirty_blocks() > 0 {
-            let before = self.root_bufcache.stats().writebacks;
-            let result = match self.ramdisk.as_mut() {
-                Some(dev) => self.root_bufcache.flush_some(dev, KBIO_BUDGET_BLOCKS),
-                None => Ok(0),
-            };
-            let blocks = self.root_bufcache.stats().writebacks - before;
-            let cost = self.board.cost.clone();
-            let cycles = cost.bufcache_op * blocks
-                + cost.per_byte(cost.ramdisk_per_byte_milli, blocks * 512);
-            self.board.charge(core, cycles);
-            if let Some(t) = self.tasks.get_mut(&kbio) {
-                t.sd_cycles += cycles;
-            }
-            if let Err(e) = result {
-                self.printk(&format!("kbio: root write-back failed: {e}"));
+            // In DMA mode `flush_some` first reaps any chains that
+            // completed since the last pass (surfacing their errors), then
+            // *submits* up to the budget and returns. The adapter charges
+            // each chain's command issue and bookkeeping to this core as it
+            // submits the chain, and kbio is billed for them; the data
+            // phase runs on the device timeline, so that CPU work is all
+            // kbio pays on the card. On the ramdisk it pays the copies.
+            let dirty = self
+                .volume(mount)
+                .is_some_and(|v| v.cache.dirty_blocks() > 0);
+            if dirty {
+                if let Err(e) = self.write_back(mount, core, kbio, Some(KBIO_BUDGET_BLOCKS)) {
+                    let name = mount.name();
+                    self.printk(&format!("kbio: {name} write-back failed: {e}"));
+                }
             }
         }
     }
@@ -1309,7 +1215,8 @@ impl Kernel {
     /// Applies the SD completions the `Dma0` router queued for `owner`,
     /// charging their bookkeeping to `core`.
     fn reap_routed(&mut self, owner: usize, core: usize) {
-        let applied = self.fat_bufcache.reap_routed(owner) as u64;
+        let fat = self.volumes[Mount::Fat as usize].as_mut();
+        let applied = fat.map_or(0, |v| v.cache.reap_routed(owner)) as u64;
         if applied > 0 {
             let cost = self.board.cost.bufcache_op * applied;
             self.board.charge_kernel(core, cost);
@@ -1380,7 +1287,9 @@ impl Kernel {
         }
         // Any reaped completion — whichever core or path applied it — may
         // unblock a parked demand reader or back-pressured writer.
-        let applied = self.fat_bufcache.completions_applied();
+        let applied = self
+            .volume(Mount::Fat)
+            .map_or(0, |v| v.cache.completions_applied());
         if applied != self.sd_comps_seen {
             self.sd_comps_seen = applied;
             self.wake_all(WaitChannel::BlockIo);
@@ -1672,43 +1581,26 @@ impl Kernel {
         self.sems.post(id)
     }
 
-    pub(crate) fn rootfs_clone(&self) -> KResult<Xv6Fs> {
-        self.rootfs
-            .clone()
-            .ok_or_else(|| KernelError::NotSupported("root filesystem not mounted".into()))
-    }
-
-    pub(crate) fn fatfs_clone(&self) -> KResult<Fat32> {
-        self.fatfs
-            .clone()
-            .ok_or_else(|| KernelError::NotSupported("FAT32 not mounted".into()))
-    }
-
     pub(crate) fn sd_snapshot(&self) -> SdSnapshot {
         SdSnapshot {
             single_cmds: self.board.sdhost.single_block_cmds(),
             range_cmds: self.board.sdhost.range_cmds(),
             blocks: self.board.sdhost.blocks_transferred(),
-            prefetch_cmds: self.fat_bufcache.stats().prefetch_cmds,
+            prefetch_cmds: self.fat_cache_stats().prefetch_cmds,
             dma_reads: self.board.sdhost.dma_reads(),
             dma_writes: self.board.sdhost.dma_writes(),
             flush_cmds: self.board.sdhost.flush_cmds(),
         }
     }
 
-    pub(crate) fn pseudo_inum_for(&mut self, volume_path: &str) -> u32 {
-        if let Some(i) = self.pseudo_inums.get(volume_path) {
-            return *i;
-        }
-        let i = self.next_pseudo_inum;
-        self.next_pseudo_inum += 1;
-        self.pseudo_inums.insert(volume_path.to_string(), i);
-        i
+    /// The volume mounted at `mount`, if any.
+    pub(crate) fn volume(&self, mount: Mount) -> Option<&Volume> {
+        self.volumes[mount as usize].as_ref()
     }
 
-    /// Number of pseudo-inodes currently tracked for FAT files.
-    pub fn pseudo_inode_count(&self) -> usize {
-        self.pseudo_inums.len()
+    /// Where `path` leads on this kernel's mounts, and the path within.
+    pub(crate) fn resolve(&self, path: &str) -> (MountTarget, String) {
+        crate::vfs::resolve(path, self.volume(Mount::Fat).is_some())
     }
 }
 
@@ -1747,13 +1639,17 @@ impl Kernel {
     /// cache (the §5.2 optimisation, now a cache policy rather than a cache
     /// bypass); used by the ablation benchmark.
     pub fn set_fat_range_coalescing(&mut self, coalesce: bool) {
-        self.fat_bufcache.set_coalescing(coalesce);
+        if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
+            vol.cache.set_coalescing(coalesce);
+        }
     }
 
     /// Enables or disables streaming read-ahead on the FAT32 cache (the
     /// prefetch half of the I/O-pipeline ablation).
     pub fn set_fat_prefetch(&mut self, prefetch: bool) {
-        self.fat_bufcache.set_prefetch(prefetch);
+        if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
+            vol.cache.set_prefetch(prefetch);
+        }
         self.config.prefetch = prefetch;
     }
 
@@ -1782,15 +1678,11 @@ impl Kernel {
     /// Worst-case dirty ratio across the write-back caches (0.0 = both
     /// clean), the signal the adaptive flusher cadence runs on.
     pub fn cache_dirty_ratio(&self) -> f64 {
-        let ratio = |dirty: usize, cap: usize| dirty as f64 / cap.max(1) as f64;
-        ratio(
-            self.fat_bufcache.dirty_blocks(),
-            self.fat_bufcache.capacity_blocks(),
-        )
-        .max(ratio(
-            self.root_bufcache.dirty_blocks(),
-            self.root_bufcache.capacity_blocks(),
-        ))
+        self.volumes
+            .iter()
+            .flatten()
+            .map(|v| v.cache.dirty_blocks() as f64 / v.cache.capacity_blocks().max(1) as f64)
+            .fold(0.0, f64::max)
     }
 
     /// How long `kbio` should sleep before its next pass: a cache past the
@@ -1838,8 +1730,11 @@ impl Kernel {
         extents_per_shard: usize,
     ) -> KResult<()> {
         self.sync_all()?;
-        self.fat_bufcache =
+        let cache =
             self.with_fat_cache_policies(BufCache::with_geometry(shards, extents_per_shard));
+        if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
+            vol.cache = cache;
+        }
         Ok(())
     }
 
@@ -1867,77 +1762,69 @@ impl Kernel {
         bc
     }
 
-    /// Commits the FAT intent log's pending group (if any), charging the SD
-    /// work to `task`.
-    pub(crate) fn commit_fat_group(&mut self, core: usize, task: TaskId) -> KResult<()> {
-        let Some(fat) = self.fatfs.as_ref().cloned() else {
-            return Ok(());
-        };
-        if self.fat_bufcache.group_txns() == 0 {
-            return Ok(());
-        }
-        let before = self.sd_snapshot();
-        let result = {
-            let mut dev = fat_dev!(self, core);
-            fat.commit_pending(&mut dev, &mut self.fat_bufcache)
-        };
-        self.charge_sd_delta(core, task, before);
-        self.fat_group_seen = None;
-        result.map_err(KernelError::from)
-    }
-
     /// Logged transactions sitting in the FAT intent log's open commit
     /// group.
     pub fn fat_group_txns(&self) -> u64 {
-        self.fat_bufcache.group_txns()
+        self.fat_cache().map_or(0, BufCache::group_txns)
     }
 
     /// Occupancy histogram of the SD command queue as observed by the FAT
     /// cache's write path (index = in-flight commands after a submission).
     pub fn fat_queue_occupancy(&self) -> [u64; 9] {
-        self.fat_bufcache.queue_occupancy()
+        self.fat_cache().map_or([0; 9], BufCache::queue_occupancy)
     }
 
-    /// The FAT32 volume's buffer cache (its policies and state, read-only).
-    pub fn fat_cache(&self) -> &BufCache {
-        &self.fat_bufcache
+    /// The FAT32 volume's buffer cache (its policies and state, read-only),
+    /// if the stage mounts the volume.
+    pub fn fat_cache(&self) -> Option<&BufCache> {
+        self.volume(Mount::Fat).map(|v| &v.cache)
     }
 
     /// The mounted FAT32 volume, if the stage has one.
     pub fn fat_volume(&self) -> Option<&Fat32> {
-        self.fatfs.as_ref()
+        match &self.volume(Mount::Fat)?.fs {
+            FileSystem::Fat(fs, _) => Some(fs),
+            FileSystem::Xv6(_) => None,
+        }
     }
 
     /// The mounted root xv6fs volume, if the stage has one.
     pub fn root_volume(&self) -> Option<&Xv6Fs> {
-        self.rootfs.as_ref()
+        match &self.volume(Mount::Root)?.fs {
+            FileSystem::Xv6(fs) => Some(fs),
+            FileSystem::Fat(..) => None,
+        }
     }
 
     /// Statistics of the FAT32 volume's buffer cache.
     pub fn fat_cache_stats(&self) -> protofs::bufcache::BufCacheStats {
-        self.fat_bufcache.stats()
+        self.fat_cache().map(BufCache::stats).unwrap_or_default()
     }
 
     /// Per-shard statistics of the FAT32 cache — the scaling bench derives
     /// its load-imbalance figure (max over mean of per-shard lookups) from
     /// these.
     pub fn fat_shard_stats(&self) -> Vec<protofs::bufcache::ShardStats> {
-        self.fat_bufcache.shard_stats()
+        self.fat_cache()
+            .map(BufCache::shard_stats)
+            .unwrap_or_default()
     }
 
     /// Statistics of the root (xv6fs) buffer cache.
     pub fn root_cache_stats(&self) -> protofs::bufcache::BufCacheStats {
-        self.root_bufcache.stats()
+        let root = self.volume(Mount::Root);
+        root.map(|v| v.cache.stats()).unwrap_or_default()
     }
 
     /// Dirty blocks awaiting write-back in the FAT32 cache.
     pub fn fat_dirty_blocks(&self) -> usize {
-        self.fat_bufcache.dirty_blocks()
+        self.fat_cache().map_or(0, BufCache::dirty_blocks)
     }
 
     /// Dirty blocks awaiting write-back in the root cache.
     pub fn root_dirty_blocks(&self) -> usize {
-        self.root_bufcache.dirty_blocks()
+        self.volume(Mount::Root)
+            .map_or(0, |v| v.cache.dirty_blocks())
     }
 
     /// The `kbio` background flusher's task id (0 when it is not running).
@@ -1957,10 +1844,10 @@ impl Kernel {
     /// filesystem for one task; this is the whole-system "safe to power off"
     /// point (and what a shutdown path would call).
     pub fn sync_all(&mut self) -> KResult<()> {
-        let core = 0;
-        let kbio = self.kbio_task;
-        self.flush_fat_cache(core, kbio)?;
-        self.flush_root_cache(core, kbio)
+        for mount in Mount::ALL {
+            self.flush_volume(mount, 0, self.kbio_task)?;
+        }
+        Ok(())
     }
 
     /// Drains both write-back caches, then drops every clean cached block —
@@ -1969,8 +1856,9 @@ impl Kernel {
     /// cache's copy speed.
     pub fn drop_fs_caches(&mut self) -> KResult<()> {
         self.sync_all()?;
-        self.fat_bufcache.invalidate_all();
-        self.root_bufcache.invalidate_all();
+        for vol in self.volumes.iter_mut().flatten() {
+            vol.cache.invalidate_all();
+        }
         Ok(())
     }
 
@@ -1978,20 +1866,31 @@ impl Kernel {
     /// "card" after a power cut (dirty cache contents excluded). Crash-
     /// consistency tests remount this under a fresh cache.
     pub fn ramdisk_image(&self) -> Option<Vec<u8>> {
-        self.ramdisk.as_ref().map(|d| d.image().to_vec())
+        match &self.volume(Mount::Root)?.medium {
+            Medium::Ramdisk(disk) => Some(disk.image().to_vec()),
+            Medium::Sd { .. } => None,
+        }
+    }
+
+    /// The root volume's ramdisk, if one is mounted.
+    fn ramdisk(&mut self) -> Option<&mut MemDisk> {
+        match &mut self.volumes[Mount::Root as usize].as_mut()?.medium {
+            Medium::Ramdisk(disk) => Some(disk),
+            Medium::Sd { .. } => None,
+        }
     }
 
     /// Injects a fault at `lba` of the root ramdisk (write-backs touching it
     /// fail until [`Kernel::ramdisk_clear_faults`]).
     pub fn ramdisk_inject_fault(&mut self, lba: u64) {
-        if let Some(d) = self.ramdisk.as_mut() {
+        if let Some(d) = self.ramdisk() {
             d.inject_fault(lba);
         }
     }
 
     /// Clears all injected ramdisk faults.
     pub fn ramdisk_clear_faults(&mut self) {
-        if let Some(d) = self.ramdisk.as_mut() {
+        if let Some(d) = self.ramdisk() {
             d.clear_faults();
         }
     }

@@ -11,20 +11,35 @@
 //! the same accounting.
 
 use hal::framebuffer::BYTES_PER_PIXEL;
+use protofs::{FsError, FsResult};
 
 use crate::error::{KResult, KernelError};
 use crate::exec::ProgramImage;
-use crate::kernel::{fat_dev, Kernel};
+use crate::kernel::Kernel;
 use crate::mm::addrspace::RegionKind;
 use crate::mm::pagetable::MapFlags;
 use crate::sync::SemWaitResult;
 use crate::task::{MmRef, TaskId, TaskState, WaitChannel};
 use crate::trace::TraceKind;
 use crate::usercall::{FileStat, UserProgram};
-use crate::vfs::{DeviceFile, FileKind, MountTarget, OpenFile, OpenFlags};
+use crate::vfs::{DeviceFile, FileKind, Mount, MountTarget, OpenFile, OpenFlags, VolumeIo};
 use crate::wm::Rect;
 
 pub(crate) use entry::Entry;
+
+/// When a volume call may stop with `WouldBlock`, so that its caller parks
+/// on the block-I/O channel instead of spinning on the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Park {
+    /// Never: the call spins until it completes.
+    Never,
+    /// When a demand read meets an in-flight chain: open's lookup and read,
+    /// which a retry repeats harmlessly.
+    OnRead,
+    /// When the SD queue is full, before the call touches the cache: write,
+    /// which is not retry-idempotent once blocks dirty.
+    OnFullQueue,
+}
 
 /// The one way into a trapping syscall. `Entry`'s fields are private to this
 /// module, so nothing outside it, the dispatch functions below included, can
@@ -98,10 +113,7 @@ impl Kernel {
     /// DMA write chains are not charged here: the SD adapter charged each
     /// one's CPU work, at the same price, to the submitting core when it
     /// built the chain, so the cycles overlap the data phases of the chains
-    /// ahead of it in the queue. This only attributes them to `task`. The
-    /// FAT arms of `sys_mkdir`, `sys_unlink` and `sys_list_dir` take no
-    /// snapshot, so their write chains are charged to the clock at submit
-    /// but attributed to no task.
+    /// ahead of it in the queue. This only attributes them to `task`.
     pub(crate) fn charge_sd_delta(
         &mut self,
         core: usize,
@@ -371,7 +383,7 @@ impl Kernel {
         let (task, core) = (entry.task(), entry.core());
         self.config
             .require(self.config.syscalls_files, "file syscalls")?;
-        let (target, inner) = self.mounts.resolve(path);
+        let (target, inner) = self.resolve(path);
         let kind = match target {
             MountTarget::Dev => {
                 let dev = DeviceFile::from_path(&inner)
@@ -390,59 +402,25 @@ impl Kernel {
                 }
             }
             MountTarget::Proc => FileKind::Proc { name: inner },
-            MountTarget::Root => {
-                let fs = self.rootfs_clone()?;
-                let bc = &mut self.root_bufcache;
-                let dev = self.ramdisk.as_mut().ok_or_else(|| {
-                    KernelError::NotSupported("root ramdisk not available".into())
-                })?;
-                let inum = match fs.lookup(dev, bc, &inner) {
-                    Ok(i) => i,
-                    Err(protofs::FsError::NotFound(_)) if flags.create => {
-                        fs.create(dev, bc, &inner, protofs::xv6fs::InodeType::File)?
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                FileKind::Xv6 { inum }
-            }
-            MountTarget::Fat => {
-                let fat = self.fatfs_clone()?;
-                let before = self.sd_snapshot();
-                // The directory lookup is read-only, so a scheduled task may
-                // park on an in-flight chain and retry the whole open; the
-                // create path below mutates and stays synchronous.
-                let blocking =
-                    self.config.blocking_io && self.in_scheduled_step && self.config.sd_dma;
-                let looked_up = {
-                    let mut dev = fat_dev!(self, core);
-                    self.fat_bufcache.set_block_demand(blocking);
-                    let r = fat.lookup(&mut dev, &mut self.fat_bufcache, &inner);
-                    self.fat_bufcache.set_block_demand(false);
-                    r
-                };
-                self.charge_sd_delta(core, task, before);
-                match looked_up {
-                    Ok(_) => {}
-                    Err(protofs::FsError::WouldBlock) => {
-                        self.block_current(task, WaitChannel::BlockIo);
-                        return Err(KernelError::WouldBlock);
-                    }
-                    Err(protofs::FsError::NotFound(_)) if flags.create => {
-                        let before = self.sd_snapshot();
-                        let created = {
-                            let mut dev = fat_dev!(self, core);
-                            fat.create(&mut dev, &mut self.fat_bufcache, &inner, false)
-                        };
-                        self.charge_sd_delta(core, task, before);
-                        created?;
-                    }
-                    Err(e) => return Err(e.into()),
+            MountTarget::Volume(mount) => {
+                // The lookup is read-only, so a scheduled task may park on
+                // an in-flight chain and retry the whole open; the create
+                // mutates and stays synchronous.
+                let found = self.volume_op(mount, task, core, Park::OnRead, |io| {
+                    io.lookup(&inner, flags.write)
+                });
+                if found == Err(KernelError::WouldBlock) {
+                    self.block_current(task, WaitChannel::BlockIo);
                 }
-                let pseudo_inum = self.pseudo_inum_for(&inner);
-                FileKind::Fat {
-                    volume_path: inner,
-                    pseudo_inum,
-                }
+                let inum = match found {
+                    Err(KernelError::NotFound(_)) if flags.create => {
+                        self.volume_op(mount, task, core, Park::Never, |io| {
+                            io.create(&inner, false)
+                        })?
+                    }
+                    found => found?,
+                };
+                FileKind::File { mount, inum }
             }
         };
         let file = OpenFile::new(kind, flags);
@@ -465,61 +443,115 @@ impl Kernel {
         // failed write-back must not vanish into `close`); with the `kbio`
         // flusher running, the dirty extents stay cached and drain in the
         // background, charged to `kbio`.
-        if file.written && !self.config.background_flush {
-            match file.kind {
-                FileKind::Fat { .. } => self.flush_fat_cache(core, task)?,
-                FileKind::Xv6 { .. } => self.flush_root_cache(core, task)?,
-                _ => {}
+        if let FileKind::File { mount, .. } = file.kind {
+            if file.written && !self.config.background_flush {
+                self.flush_volume(mount, core, task)?;
             }
         }
         self.drop_open_file(file);
         Ok(())
     }
 
-    /// Flushes the FAT32 buffer cache to the SD card, charging the issuing
-    /// core — and attributing to `task` — the SD commands the write-back
-    /// generates. A durability barrier must close the intent log's pending
-    /// commit group first: flushing around an open group would force its
-    /// deliberately cyclic ordering edges instead of committing them
-    /// atomically.
-    pub(crate) fn flush_fat_cache(&mut self, core: usize, task: TaskId) -> KResult<()> {
-        if self.fatfs.is_none() {
-            return Ok(());
-        }
-        self.commit_fat_group(core, task)?;
+    /// Runs `f` on `mount`'s filesystem, device and cache for `task` on
+    /// `core`, and charges the SD commands it issued (none on the ramdisk)
+    /// to `core`, billing `task`; a call that fails is charged too. `park`
+    /// says whether the call may stop with [`KernelError::WouldBlock`]
+    /// instead of spinning; the caller then parks `task` on the block-I/O
+    /// channel, and the call is retried whole when a completion wakes it.
+    pub(crate) fn volume_op<R>(
+        &mut self,
+        mount: Mount,
+        task: TaskId,
+        core: usize,
+        park: Park,
+        f: impl FnOnce(&mut VolumeIo<'_>) -> FsResult<R>,
+    ) -> KResult<R> {
+        // Only a task inside `run_slice` can park. Benches driving syscalls
+        // through `with_task_ctx` have no scheduler to run the device
+        // forward, so there the cache keeps spinning.
+        let parks = self.config.blocking_io && self.in_scheduled_step;
+        let demand = parks && self.config.sd_dma && park == Park::OnRead;
         let before = self.sd_snapshot();
-        let result = {
-            let mut dev = fat_dev!(self, core);
-            self.fat_bufcache.flush(&mut dev)
-        };
+        let vol = self.volumes[mount as usize]
+            .as_mut()
+            .ok_or_else(|| mount.not_mounted())?;
+        let result = vol.io(&mut self.board, self.config.sd_dma, core, |io| {
+            if parks && park == Park::OnFullQueue && !io.dev.can_submit() {
+                io.cache.note_queue_full_yield();
+                return Err(FsError::WouldBlock);
+            }
+            io.cache.set_block_demand(demand);
+            let result = f(io);
+            io.cache.set_block_demand(false);
+            result
+        });
         self.charge_sd_delta(core, task, before);
         result.map_err(KernelError::from)
     }
 
-    /// Flushes the root (xv6fs) buffer cache to the ramdisk, charging the
-    /// memory-to-memory copy cost to `core` and attributing it to `task`.
-    /// Mirrors [`Self::flush_fat_cache`]: a pending journal commit group
-    /// must close before the barrier, or the flush would force the group's
-    /// deliberately cyclic ordering edges instead of committing atomically.
-    pub(crate) fn flush_root_cache(&mut self, core: usize, task: TaskId) -> KResult<()> {
-        let dev = match self.ramdisk.as_mut() {
-            Some(d) => d,
-            None => return Ok(()),
-        };
-        if let Some(fs) = self.rootfs.as_ref() {
-            fs.commit_pending(dev, &mut self.root_bufcache)?;
+    /// The durability barrier `close` and `fsync` run: commits `mount`'s
+    /// open commit group, then drains its whole cache to the medium,
+    /// charging `core` and billing `task`. The group must close first:
+    /// flushing around an open group would force its deliberately cyclic
+    /// ordering edges instead of committing them atomically.
+    pub(crate) fn flush_volume(&mut self, mount: Mount, core: usize, task: TaskId) -> KResult<()> {
+        if self.volume(mount).is_none() {
+            return Ok(());
         }
-        let before = self.root_bufcache.stats().writebacks;
-        let result = self.root_bufcache.flush(dev);
-        let blocks = self.root_bufcache.stats().writebacks - before;
-        let cost = self.board.cost.clone();
-        let cycles =
-            cost.bufcache_op * blocks + cost.per_byte(cost.ramdisk_per_byte_milli, blocks * 512);
+        self.commit_group(mount, core, task)?;
+        self.write_back(mount, core, task, None)
+    }
+
+    /// Commits `mount`'s open commit group, if one is open, charging `core`
+    /// and billing `task`.
+    pub(crate) fn commit_group(&mut self, mount: Mount, core: usize, task: TaskId) -> KResult<()> {
+        if self.volume(mount).is_none_or(|v| v.cache.group_txns() == 0) {
+            return Ok(());
+        }
+        let committed = self.volume_op(mount, task, core, Park::Never, |io| io.commit_pending());
+        if let Some(vol) = self.volumes[mount as usize].as_mut() {
+            vol.group_seen = None;
+        }
+        committed
+    }
+
+    /// Writes `mount`'s dirty blocks back to the medium, all of them or at
+    /// most `budget`, charging `core` and billing `task` for the SD
+    /// commands and for the medium's per-block copies.
+    pub(crate) fn write_back(
+        &mut self,
+        mount: Mount,
+        core: usize,
+        task: TaskId,
+        budget: Option<u64>,
+    ) -> KResult<()> {
+        let (written, blocks) = self.volume_op(mount, task, core, Park::Never, |io| {
+            let before = io.cache.stats().writebacks;
+            let written = match budget {
+                None => io.cache.flush(io.dev),
+                Some(max) => io.cache.flush_some(io.dev, max).map(drop),
+            };
+            Ok((written, io.cache.stats().writebacks - before))
+        })?;
+        let cost = &self.board.cost;
+        let cycles = self
+            .volume(mount)
+            .map_or(0, |v| v.medium.writeback_cycles(cost, blocks));
         self.board.charge(core, cycles);
         if let Some(t) = self.tasks_mut(task) {
             t.sd_cycles += cycles;
         }
-        result.map_err(KernelError::from)
+        written.map_err(KernelError::from)
+    }
+
+    /// Charges `core` the CPU copy of `n` file bytes between a call and
+    /// `mount`'s cache.
+    fn charge_copy(&mut self, mount: Mount, core: usize, n: usize, write: bool) {
+        let cost = &self.board.cost;
+        let cycles = self
+            .volume(mount)
+            .map_or(0, |v| v.medium.copy_cycles(cost, n as u64, write));
+        self.board.charge(core, cycles);
     }
 
     /// `fsync`: drains a file's dirty blocks from the write-back buffer
@@ -535,8 +567,7 @@ impl Kernel {
             t.fds.get(fd)?.kind.clone()
         };
         match kind {
-            FileKind::Fat { .. } => self.flush_fat_cache(core, task)?,
-            FileKind::Xv6 { .. } => self.flush_root_cache(core, task)?,
+            FileKind::File { mount, .. } => self.flush_volume(mount, core, task)?,
             FileKind::Device(_) | FileKind::Proc { .. } => {}
             FileKind::Pipe { .. } | FileKind::SurfaceHandle { .. } => {
                 return Err(KernelError::Invalid("fsync on an unsyncable file".into()));
@@ -597,7 +628,7 @@ impl Kernel {
             .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
         let f = t.fds.get_mut(fd)?;
         match f.kind {
-            FileKind::Xv6 { .. } | FileKind::Fat { .. } => {
+            FileKind::File { .. } => {
                 f.offset = offset;
                 Ok(offset)
             }
@@ -608,35 +639,10 @@ impl Kernel {
     pub(crate) fn sys_stat(&mut self, entry: Entry, path: &str) -> KResult<FileStat> {
         let (task, core) = (entry.task(), entry.core());
         self.config.require(self.config.syscalls_files, "stat")?;
-        let (target, inner) = self.mounts.resolve(path);
+        let (target, inner) = self.resolve(path);
         match target {
-            MountTarget::Root => {
-                let fs = self.rootfs_clone()?;
-                let bc = &mut self.root_bufcache;
-                let dev = self.ramdisk.as_mut().ok_or_else(|| {
-                    KernelError::NotSupported("root ramdisk not available".into())
-                })?;
-                let inum = fs.lookup(dev, bc, &inner)?;
-                let st = fs.stat(dev, bc, inum)?;
-                Ok(FileStat {
-                    size: st.size as u64,
-                    is_dir: st.itype == protofs::xv6fs::InodeType::Dir,
-                })
-            }
-            MountTarget::Fat => {
-                let fat = self.fatfs_clone()?;
-                let before = self.sd_snapshot();
-                let found = {
-                    let mut dev = fat_dev!(self, core);
-                    fat.lookup(&mut dev, &mut self.fat_bufcache, &inner)
-                };
-                // Charge the SD work even when the lookup fails.
-                self.charge_sd_delta(core, task, before);
-                let entry = found?;
-                Ok(FileStat {
-                    size: entry.size as u64,
-                    is_dir: entry.is_dir,
-                })
+            MountTarget::Volume(mount) => {
+                self.volume_op(mount, task, core, Park::Never, |io| io.stat(&inner))
             }
             MountTarget::Dev => Ok(FileStat {
                 size: 0,
@@ -650,82 +656,36 @@ impl Kernel {
     }
 
     pub(crate) fn sys_mkdir(&mut self, entry: Entry, path: &str) -> KResult<()> {
-        let core = entry.core();
+        let (task, core) = (entry.task(), entry.core());
         self.config.require(self.config.syscalls_files, "mkdir")?;
-        let (target, inner) = self.mounts.resolve(path);
-        match target {
-            MountTarget::Root => {
-                let fs = self.rootfs_clone()?;
-                let bc = &mut self.root_bufcache;
-                let dev = self.ramdisk.as_mut().ok_or_else(|| {
-                    KernelError::NotSupported("root ramdisk not available".into())
-                })?;
-                fs.create(dev, bc, &inner, protofs::xv6fs::InodeType::Dir)?;
-                Ok(())
-            }
-            MountTarget::Fat => {
-                let fat = self.fatfs_clone()?;
-                let mut dev = fat_dev!(self, core);
-                fat.create(&mut dev, &mut self.fat_bufcache, &inner, true)?;
-                Ok(())
-            }
-            _ => Err(KernelError::Permission(
+        let (MountTarget::Volume(mount), inner) = self.resolve(path) else {
+            return Err(KernelError::Permission(
                 "cannot mkdir in /dev or /proc".into(),
-            )),
-        }
+            ));
+        };
+        self.volume_op(mount, task, core, Park::Never, |io| {
+            io.create(&inner, true).map(drop)
+        })
     }
 
     pub(crate) fn sys_unlink(&mut self, entry: Entry, path: &str) -> KResult<()> {
-        let core = entry.core();
+        let (task, core) = (entry.task(), entry.core());
         self.config.require(self.config.syscalls_files, "unlink")?;
-        let (target, inner) = self.mounts.resolve(path);
-        match target {
-            MountTarget::Root => {
-                let fs = self.rootfs_clone()?;
-                let bc = &mut self.root_bufcache;
-                let dev = self.ramdisk.as_mut().ok_or_else(|| {
-                    KernelError::NotSupported("root ramdisk not available".into())
-                })?;
-                fs.unlink(dev, bc, &inner)?;
-                Ok(())
-            }
-            MountTarget::Fat => {
-                let fat = self.fatfs_clone()?;
-                let mut dev = fat_dev!(self, core);
-                fat.remove(&mut dev, &mut self.fat_bufcache, &inner)?;
-                Ok(())
-            }
-            _ => Err(KernelError::Permission(
+        let (MountTarget::Volume(mount), inner) = self.resolve(path) else {
+            return Err(KernelError::Permission(
                 "cannot unlink in /dev or /proc".into(),
-            )),
-        }
+            ));
+        };
+        self.volume_op(mount, task, core, Park::Never, |io| io.unlink(&inner))
     }
 
     pub(crate) fn sys_list_dir(&mut self, entry: Entry, path: &str) -> KResult<Vec<String>> {
-        let core = entry.core();
+        let (task, core) = (entry.task(), entry.core());
         self.config.require(self.config.syscalls_files, "readdir")?;
-        let (target, inner) = self.mounts.resolve(path);
+        let (target, inner) = self.resolve(path);
         match target {
-            MountTarget::Root => {
-                let fs = self.rootfs_clone()?;
-                let bc = &mut self.root_bufcache;
-                let dev = self.ramdisk.as_mut().ok_or_else(|| {
-                    KernelError::NotSupported("root ramdisk not available".into())
-                })?;
-                Ok(fs
-                    .list_dir(dev, bc, &inner)?
-                    .into_iter()
-                    .map(|e| e.name)
-                    .collect())
-            }
-            MountTarget::Fat => {
-                let fat = self.fatfs_clone()?;
-                let mut dev = fat_dev!(self, core);
-                Ok(fat
-                    .list_dir(&mut dev, &mut self.fat_bufcache, &inner)?
-                    .into_iter()
-                    .map(|e| e.name)
-                    .collect())
+            MountTarget::Volume(mount) => {
+                self.volume_op(mount, task, core, Park::Never, |io| io.list_dir(&inner))
             }
             MountTarget::Dev => Ok(DeviceFile::ALL
                 .iter()
@@ -753,71 +713,26 @@ impl Kernel {
             (f.kind.clone(), f.offset, f.flags)
         };
         match kind {
-            FileKind::Xv6 { inum } => {
+            FileKind::File { mount, inum } => {
                 // Both filesystems address files with 32-bit offsets; past
                 // them lies end of file.
                 let Ok(offset) = u32::try_from(offset) else {
                     return Ok(Vec::new());
                 };
-                let fs = self.rootfs_clone()?;
-                let bc = &mut self.root_bufcache;
-                let dev = self.ramdisk.as_mut().ok_or_else(|| {
-                    KernelError::NotSupported("root ramdisk not available".into())
-                })?;
-                // Clamp the scratch buffer: no xv6 file exceeds
-                // MAXFILE_BYTES, so a huge `max` must not drive a huge
-                // allocation.
-                let mut buf = vec![0u8; max.min(protofs::xv6fs::MAXFILE_BYTES)];
-                let n = fs.read(dev, bc, inum, offset, &mut buf)?;
-                buf.truncate(n);
-                let cost = self.board.cost.clone();
-                self.board.charge(
-                    core,
-                    cost.per_byte(cost.ramdisk_per_byte_milli, n as u64)
-                        + cost.bufcache_op * (n as u64 / 512 + 1),
-                );
-                self.advance_offset(task, fd, n as u64)?;
-                Ok(buf)
-            }
-            FileKind::Fat { volume_path, .. } => {
-                let Ok(offset) = u32::try_from(offset) else {
-                    return Ok(Vec::new());
-                };
-                let fat = self.fatfs_clone()?;
-                // Blocking demand mode: a scheduled task whose read window
-                // hits an in-flight chain parks on the block-I/O channel
-                // and retries the whole syscall when the completion router
-                // wakes it (the offset only advances on success, so the
-                // retry is idempotent). Outside `run_slice` — benches
-                // driving syscalls via `with_task_ctx` — there is no
-                // scheduler to run the device forward, so the cache keeps
-                // its spin-reap path.
-                let blocking =
-                    self.config.blocking_io && self.in_scheduled_step && self.config.sd_dma;
-                let before = self.sd_snapshot();
-                self.fat_bufcache.set_block_demand(blocking);
-                let result = {
-                    let mut dev = fat_dev!(self, core);
-                    fat.read_at(&mut dev, &mut self.fat_bufcache, &volume_path, offset, max)
-                };
-                self.fat_bufcache.set_block_demand(false);
-                self.charge_sd_delta(core, task, before);
-                match result {
-                    Ok(data) => {
-                        let cost = self.board.cost.clone();
-                        self.board.charge(
-                            core,
-                            cost.per_byte(cost.bufcache_copy_per_byte_milli, data.len() as u64),
-                        );
-                        self.advance_offset(task, fd, data.len() as u64)?;
-                        Ok(data)
-                    }
-                    Err(protofs::FsError::WouldBlock) => {
-                        self.block_current(task, WaitChannel::BlockIo);
-                        Err(KernelError::WouldBlock)
-                    }
-                    Err(e) => Err(e.into()),
+                // A scheduled task whose read window hits an in-flight
+                // chain parks and retries the whole syscall when the
+                // completion wakes it: the offset only advances on
+                // success, so the retry is idempotent.
+                let read = self.volume_op(mount, task, core, Park::OnRead, |io| {
+                    io.read(inum, offset, max)
+                });
+                if read == Err(KernelError::WouldBlock) {
+                    self.block_current(task, WaitChannel::BlockIo);
                 }
+                let data = read?;
+                self.charge_copy(mount, core, data.len(), false);
+                self.advance_offset(task, fd, data.len() as u64)?;
+                Ok(data)
             }
             FileKind::Device(dev) => self.read_device(task, core, dev, max, flags),
             FileKind::Proc { name } => {
@@ -1016,58 +931,34 @@ impl Kernel {
                 "{:?} is not writable via write()",
                 kind
             ))),
-            FileKind::Xv6 { inum } => {
+            FileKind::File { mount, inum } => {
                 // Kick a sleeping flusher *before* the write: if the caches
                 // are already past the high-water mark, kbio gets scheduled
                 // to absorb the backlog instead of this writer paying for
-                // the whole drain itself.
+                // the whole drain (or spin-reaping a full SD queue) itself.
                 self.maybe_kick_kbio();
-                let fs = self.rootfs_clone()?;
-                let bc = &mut self.root_bufcache;
-                let dev = self.ramdisk.as_mut().ok_or_else(|| {
-                    KernelError::NotSupported("root ramdisk not available".into())
+                // Both filesystems cap a file at 4 GiB.
+                let fits = offset
+                    .checked_add(data.len() as u64)
+                    .is_some_and(|end| end <= u64::from(u32::MAX));
+                let offset = u32::try_from(offset).ok().filter(|_| fits).ok_or_else(|| {
+                    KernelError::Invalid(format!(
+                        "write of {} bytes at {offset} passes the 4 GiB file limit",
+                        data.len()
+                    ))
                 })?;
-                let offset = u32::try_from(offset).map_err(|_| {
-                    KernelError::Invalid(format!("write offset {offset} past the 4 GiB file limit"))
-                })?;
-                let n = fs.write(dev, bc, inum, offset, data)?;
-                let cost = self.board.cost.clone();
-                self.board.charge(
-                    core,
-                    cost.per_byte(cost.ramdisk_per_byte_milli, n as u64)
-                        + cost.bufcache_op * (n as u64 / 512 + 1),
-                );
-                self.advance_offset(task, fd, n as u64)?;
-                self.mark_written(task, fd);
-                self.maybe_kick_kbio();
-                Ok(n)
-            }
-            FileKind::Fat { volume_path, .. } => {
-                // A writer about to hit a full DMA queue would spin-reap its
-                // own chains (`BufCacheStats::queue_full_stalls`); waking a
-                // sleeping kbio first lets the flusher absorb the backlog.
-                self.maybe_kick_kbio();
-                // Back-pressure fairness: a scheduled writer that finds the
-                // SD queue already full yields its slice — parked on the
-                // block-I/O channel until a completion frees a queue slot —
-                // instead of burning it spin-reaping other tasks' chains.
-                // This gate sits *before* any cache mutation because the
-                // write path is not retry-idempotent once blocks dirty.
-                if self.config.blocking_io
-                    && self.in_scheduled_step
-                    && self.config.sd_dma
-                    && !self.board.sdhost.can_submit()
-                {
-                    self.fat_bufcache.note_queue_full_yield();
+                // A scheduled writer that finds the SD queue full yields
+                // its slice instead of spin-reaping other tasks' chains: the
+                // write path is not retry-idempotent once blocks dirty, so
+                // it parks before touching the cache.
+                let written = self.volume_op(mount, task, core, Park::OnFullQueue, |io| {
+                    io.write(inum, offset, data)
+                });
+                if written == Err(KernelError::WouldBlock) {
                     self.block_current(task, WaitChannel::BlockIo);
-                    return Err(KernelError::WouldBlock);
                 }
-                let fat = self.fatfs_clone()?;
-                let before = self.sd_snapshot();
-                let written = self.fat_write_at(core, &fat, &volume_path, offset, data);
-                // Charge the SD work even when the write fails.
-                self.charge_sd_delta(core, task, before);
                 written?;
+                self.charge_copy(mount, core, data.len(), true);
                 self.advance_offset(task, fd, data.len() as u64)?;
                 self.mark_written(task, fd);
                 self.maybe_kick_kbio();
@@ -1319,45 +1210,6 @@ impl Kernel {
         }
     }
 
-    /// Writes `data` at `offset` of the FAT file `volume_path`: the whole
-    /// file at offset 0, a read-modify-write of it anywhere else.
-    fn fat_write_at(
-        &mut self,
-        core: usize,
-        fat: &protofs::fat32::Fat32,
-        volume_path: &str,
-        offset: u64,
-        data: &[u8],
-    ) -> KResult<()> {
-        let mut dev = fat_dev!(self, core);
-        if offset == 0 {
-            fat.write_file(&mut dev, &mut self.fat_bufcache, volume_path, data)?;
-            return Ok(());
-        }
-        // FAT32 caps a file at u32::MAX bytes; reject anything that would
-        // overflow or exceed it before sizing the buffer.
-        let off = usize::try_from(offset)
-            .ok()
-            .filter(|&o| o <= u32::MAX as usize)
-            .ok_or_else(|| KernelError::Invalid(format!("FAT write offset {offset} too large")))?;
-        let end = off
-            .checked_add(data.len())
-            .filter(|&e| e <= u32::MAX as usize)
-            .ok_or_else(|| {
-                KernelError::Invalid(format!(
-                    "FAT write of {} bytes at {offset} exceeds the FAT32 file size limit",
-                    data.len()
-                ))
-            })?;
-        let mut whole = fat.read_file(&mut dev, &mut self.fat_bufcache, volume_path)?;
-        if whole.len() < end {
-            whole.resize(end, 0);
-        }
-        whole[off..end].copy_from_slice(data);
-        fat.write_file(&mut dev, &mut self.fat_bufcache, volume_path, &whole)?;
-        Ok(())
-    }
-
     fn advance_offset(&mut self, task: TaskId, fd: i32, by: u64) -> KResult<()> {
         let t = self
             .tasks_mut(task)
@@ -1425,21 +1277,21 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protofs::BlockDevice as _;
 
-    /// Runs `op` on the FAT volume's SD adapter for core 0, charges the SD
+    use protofs::BlockDevice;
+
+    /// Runs `op` on the FAT volume's SD device for core 0, uncharged.
+    fn on_sd_device(k: &mut Kernel, op: impl FnOnce(&mut dyn BlockDevice)) {
+        let vol = k.volumes[Mount::Fat as usize].as_mut().unwrap();
+        vol.io(&mut k.board, k.config.sd_dma, 0, |io| op(io.dev));
+    }
+
+    /// Runs `op` on the FAT volume's SD device for core 0, charges the SD
     /// commands it issued to `task`, and returns the cycles charged.
-    fn charged(
-        k: &mut Kernel,
-        task: TaskId,
-        op: impl FnOnce(&mut protofs::block::SdBlockDevice<'_>),
-    ) -> u64 {
+    fn charged(k: &mut Kernel, task: TaskId, op: impl FnOnce(&mut dyn BlockDevice)) -> u64 {
         let before = k.sd_snapshot();
         let (clock0, task0) = (k.board.clock.cycles(0), k.task_sd_cycles(task));
-        {
-            let mut dev = fat_dev!(k, 0);
-            op(&mut dev);
-        }
+        on_sd_device(k, |dev| op(dev));
         k.charge_sd_delta(0, task, before);
         let clock = k.board.clock.cycles(0) - clock0;
         assert_eq!(clock, k.task_sd_cycles(task) - task0, "billed to the task");
@@ -1481,14 +1333,13 @@ mod tests {
         let price = k.board.cost.sd_dma_cpu(chain);
         let before = k.sd_snapshot();
         let (clock0, task0) = (k.board.clock.cycles(0), k.task_sd_cycles(task));
-        {
-            let mut dev = fat_dev!(k, 0);
+        on_sd_device(&mut k, |dev| {
             let top = dev.num_blocks();
             let runs = [(top - 64, 16), (top - 32, 8)];
             let data = vec![0x5Au8; 24 * protofs::block::BLOCK_SIZE];
             dev.submit_write_sg(&runs, &data).unwrap();
             assert_eq!(dev.inflight(), 1, "the chain has not completed");
-        }
+        });
         assert_eq!(k.board.clock.cycles(0) - clock0, price, "charged at submit");
         let data_phase = k.board.cost.sd_dma_run(16) + k.board.cost.sd_dma_run(8);
         assert_eq!(

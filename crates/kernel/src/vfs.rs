@@ -1,4 +1,4 @@
-//! The VFS layer: file descriptors, open-file objects and mounts.
+//! The VFS layer: file descriptors, open-file objects, mounts and volumes.
 //!
 //! Prototype 4 introduces the file abstraction and immediately stretches it
 //! across disk files (xv6fs on the ramdisk), device files (`/dev/fb`,
@@ -8,12 +8,34 @@
 //! window-manager surface device (`/dev/surface`, `/dev/event1`) and the
 //! non-blocking flag DOOM's polling loop needs (§4.5).
 //!
+//! Each mounted disk is one `Volume`: its filesystem, the buffer cache in
+//! front of its medium, and the medium (the ramdisk, or a partition of the
+//! SD card, whose device the volume builds from the board's fields for
+//! each call). A call opens its volume as a `VolumeIo`, whose methods are
+//! the one interface the file syscalls call: each answers for xv6fs and
+//! FAT32 alike, and no syscall names either. A disk file in the file table
+//! is [`FileKind::File`]: its volume and its number. On xv6fs the number is
+//! the inode; FAT has no inodes, so the FAT volume numbers the paths it
+//! opens in its own pseudo-inode table (`PseudoInodes`), and every FAT
+//! data call still addresses its file by path.
+//!
 //! The dispatching read/write logic lives on the kernel object (it touches
 //! filesystems, drivers and the scheduler); this module defines the data
-//! model: open flags, file kinds, the per-task descriptor table and the mount
-//! table.
+//! model: open flags, file kinds, the per-task descriptor table, where a
+//! path leads, and the volumes.
+
+use std::collections::BTreeMap;
+
+use hal::board::SimBoard;
+use hal::cost::CostModel;
+use protofs::block::{SdBlockDevice, SdDmaCtx};
+use protofs::bufcache::BufCache;
+use protofs::fat32::Fat32;
+use protofs::xv6fs::{InodeType, Xv6Fs, MAXFILE_BYTES};
+use protofs::{BlockDevice, FsError, FsResult, MemDisk};
 
 use crate::error::{KResult, KernelError};
+use crate::usercall::FileStat;
 
 /// Open flags, a small subset of POSIX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,18 +151,13 @@ impl DeviceFile {
 /// What an open file descriptor refers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FileKind {
-    /// A file on the root xv6fs (by inode number).
-    Xv6 {
-        /// Inode number.
+    /// A file (or directory) on a disk volume.
+    File {
+        /// The volume it lives on.
+        mount: Mount,
+        /// Its number on that volume: the inode on xv6fs, the pseudo-inode
+        /// on FAT32.
         inum: u32,
-    },
-    /// A file on the FAT32 volume, addressed by its in-volume path (FAT has
-    /// no inodes; this is the pseudo-inode the kernel maintains).
-    Fat {
-        /// Path within the FAT volume (after stripping the `/d` mount point).
-        volume_path: String,
-        /// Pseudo-inode number assigned at open time.
-        pseudo_inum: u32,
     },
     /// A device file.
     Device(DeviceFile),
@@ -277,52 +294,350 @@ impl FdTable {
     }
 }
 
-/// Which mounted filesystem a path belongs to.
+/// A mounted disk volume.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mount {
+    /// The FAT32 volume on the SD card, mounted at `/d`.
+    Fat,
+    /// The root xv6fs on the ramdisk, mounted at `/`.
+    Root,
+}
+
+impl Mount {
+    /// Every volume, in the order barriers and the flusher visit them.
+    pub const ALL: [Mount; 2] = [Mount::Fat, Mount::Root];
+
+    /// The volume's name in kernel log lines.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mount::Fat => "FAT",
+            Mount::Root => "root",
+        }
+    }
+
+    /// The error a call on this volume gets while nothing is mounted there.
+    pub(crate) fn not_mounted(self) -> KernelError {
+        KernelError::NotSupported(format!("{} volume not mounted", self.name()))
+    }
+}
+
+/// Where a path leads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MountTarget {
-    /// The root xv6fs on the ramdisk.
-    Root,
-    /// The FAT32 volume mounted at `/d`.
-    Fat,
+    /// A disk volume.
+    Volume(Mount),
     /// The `/dev` namespace.
     Dev,
     /// The `/proc` namespace.
     Proc,
 }
 
-/// The mount table: "the OS mounts its root filesystem (in xv6fs) under `/`
-/// and mounts the FAT32 partition under `/d`" (§4.5).
-#[derive(Debug, Clone, Default)]
-pub struct MountTable {
-    /// Where the FAT volume is mounted (default `/d`); `None` before
-    /// Prototype 5 brings up the SD card.
-    pub fat_mount: Option<String>,
+/// Classifies `path` into where it leads and the path within that place.
+/// "The OS mounts its root filesystem (in xv6fs) under `/` and mounts the
+/// FAT32 partition under `/d`" (§4.5) once Prototype 5 has brought up the
+/// SD card (`fat_mounted`).
+pub(crate) fn resolve(path: &str, fat_mounted: bool) -> (MountTarget, String) {
+    let norm = protofs::path::normalize(path);
+    if norm == "/dev" || protofs::path::is_under(&norm, "/dev") {
+        return (MountTarget::Dev, norm);
+    }
+    if norm == "/proc" || protofs::path::is_under(&norm, "/proc") {
+        return (MountTarget::Proc, norm);
+    }
+    if fat_mounted {
+        if let Some(stripped) = protofs::path::strip_prefix(&norm, "/d") {
+            return (MountTarget::Volume(Mount::Fat), stripped);
+        }
+    }
+    (MountTarget::Volume(Mount::Root), norm)
 }
 
-impl MountTable {
-    /// A mount table with FAT32 mounted at `/d`.
-    pub fn with_fat() -> Self {
-        MountTable {
-            fat_mount: Some("/d".to_string()),
+/// One mounted disk: its filesystem, the buffer cache in front of its
+/// medium, and the medium.
+#[derive(Debug)]
+pub(crate) struct Volume {
+    /// The filesystem, which calls reach through [`VolumeIo`].
+    pub(crate) fs: FileSystem,
+    /// The write-back buffer cache every call on the volume goes through.
+    pub(crate) cache: BufCache,
+    /// What the blocks live on.
+    pub(crate) medium: Medium,
+    /// `(log_commits, board time µs)` when `kbio` first saw the current
+    /// commit group open (`None` while no group is open). Drives
+    /// [`crate::kernel::FAT_GROUP_COMMIT_TIMEOUT_MS`]: a group that sits
+    /// open past it is force-committed by the flusher's next pass. Keyed
+    /// on the commit counter so a group that filled up and committed
+    /// itself between passes leaves no stale stamp to cut its successor
+    /// short. The root journal commits every transaction on its own, so
+    /// its stamp never ages.
+    pub(crate) group_seen: Option<(u64, u64)>,
+}
+
+impl Volume {
+    /// Whether the transaction log's open commit group has been open for
+    /// `timeout_us` at board time `now`; a group seen for the first time is
+    /// stamped with `now`.
+    pub(crate) fn group_overdue(&mut self, now: u64, timeout_us: u64) -> bool {
+        if self.cache.group_txns() == 0 {
+            self.group_seen = None;
+            return false;
+        }
+        let commits = self.cache.stats().log_commits;
+        let since = match self.group_seen {
+            // Same commit generation: the group we stamped is still open.
+            Some((c, t)) if c == commits => t,
+            _ => {
+                self.group_seen = Some((commits, now));
+                now
+            }
+        };
+        now.saturating_sub(since) >= timeout_us
+    }
+
+    /// Runs `f` on the volume opened for a call on `core`. The ramdisk is
+    /// its own device. The SD card's is built from the board's fields, with
+    /// the DMA context attached when `dma` is set so every call drives the
+    /// same asynchronous queue; the cache is stamped with `core` first,
+    /// since extent placement (shard affinity) and chain ownership (per-core
+    /// completion reaping) key off the core driving the device.
+    pub(crate) fn io<R>(
+        &mut self,
+        board: &mut SimBoard,
+        dma: bool,
+        core: usize,
+        f: impl FnOnce(&mut VolumeIo<'_>) -> R,
+    ) -> R {
+        let (fs, cache) = (&mut self.fs, &mut self.cache);
+        match &mut self.medium {
+            Medium::Ramdisk(dev) => f(&mut VolumeIo { fs, dev, cache }),
+            Medium::Sd { start, blocks } => {
+                cache.set_home_core(core);
+                let ctx = dma.then_some(SdDmaCtx {
+                    engine: &mut board.dma,
+                    clock: &mut board.clock,
+                    cost: &board.cost,
+                    core,
+                });
+                let dev = &mut SdBlockDevice::with_dma(&mut board.sdhost, *start, *blocks, ctx);
+                f(&mut VolumeIo { fs, dev, cache })
+            }
+        }
+    }
+}
+
+/// What a volume's blocks live on.
+#[derive(Debug)]
+pub(crate) enum Medium {
+    /// The ramdisk baked into the kernel image.
+    Ramdisk(MemDisk),
+    /// A partition of the SD card. The board owns the card, so the volume
+    /// keeps only where the partition lies.
+    Sd {
+        /// First card block of the partition.
+        start: u64,
+        /// Blocks in the partition.
+        blocks: u64,
+    },
+}
+
+impl Medium {
+    /// The CPU cost of moving `n` bytes between a file call and the cache,
+    /// beyond the SD commands the call issued: on the ramdisk a memory copy
+    /// plus a cache operation per block each way; on the card the copy out
+    /// of the cache on a read (a write's copy in is not charged).
+    pub(crate) fn copy_cycles(&self, cost: &CostModel, n: u64, write: bool) -> u64 {
+        match self {
+            Medium::Ramdisk(_) => {
+                cost.per_byte(cost.ramdisk_per_byte_milli, n) + cost.bufcache_op * (n / 512 + 1)
+            }
+            Medium::Sd { .. } if write => 0,
+            Medium::Sd { .. } => cost.per_byte(cost.bufcache_copy_per_byte_milli, n),
         }
     }
 
-    /// Classifies `path` (which must be normalised) into a mount target and
-    /// the path within that mount.
-    pub fn resolve(&self, path: &str) -> (MountTarget, String) {
-        let norm = protofs::path::normalize(path);
-        if norm == "/dev" || protofs::path::is_under(&norm, "/dev") {
-            return (MountTarget::Dev, norm);
+    /// The CPU cost of writing `blocks` cached blocks back, beyond the SD
+    /// commands that did it: a cache operation and a 512-byte memory copy
+    /// per block on the ramdisk, nothing more on the card.
+    pub(crate) fn writeback_cycles(&self, cost: &CostModel, blocks: u64) -> u64 {
+        match self {
+            Medium::Ramdisk(_) => {
+                cost.bufcache_op * blocks + cost.per_byte(cost.ramdisk_per_byte_milli, blocks * 512)
+            }
+            Medium::Sd { .. } => 0,
         }
-        if norm == "/proc" || protofs::path::is_under(&norm, "/proc") {
-            return (MountTarget::Proc, norm);
+    }
+}
+
+/// A volume's filesystem.
+#[derive(Debug)]
+pub(crate) enum FileSystem {
+    /// xv6fs: a file's number is its inode.
+    Xv6(Xv6Fs),
+    /// FAT32, with the volume's pseudo-inode table.
+    Fat(Fat32, PseudoInodes),
+}
+
+/// A volume opened for one call: its filesystem, its medium's device and
+/// its cache. The methods are the one interface the file syscalls call, and
+/// each answers for xv6fs and FAT32 alike; a file is named by the number
+/// [`VolumeIo::lookup`] or [`VolumeIo::create`] gave it.
+pub(crate) struct VolumeIo<'a> {
+    fs: &'a mut FileSystem,
+    /// The medium's block device.
+    pub(crate) dev: &'a mut dyn BlockDevice,
+    /// The volume's buffer cache.
+    pub(crate) cache: &'a mut BufCache,
+}
+
+impl VolumeIo<'_> {
+    /// Resolves `path` to its file's number. Opening a directory for
+    /// writing fails with [`FsError::IsADirectory`], since only the
+    /// filesystem writes a directory's entries: FAT's lookup returns the
+    /// entry anyway, and xv6fs reads the inode for it only when `write` is
+    /// set.
+    pub(crate) fn lookup(&mut self, path: &str, write: bool) -> FsResult<u32> {
+        let (inum, is_dir) = match &mut *self.fs {
+            FileSystem::Xv6(fs) => {
+                let inum = fs.lookup(self.dev, self.cache, path)?;
+                let is_dir = write && fs.stat(self.dev, self.cache, inum)?.itype == InodeType::Dir;
+                (inum, is_dir)
+            }
+            FileSystem::Fat(fs, files) => {
+                let is_dir = fs.lookup(self.dev, self.cache, path)?.is_dir;
+                (files.number(path), is_dir)
+            }
+        };
+        if write && is_dir {
+            return Err(FsError::IsADirectory(path.to_string()));
         }
-        if let Some(fat) = &self.fat_mount {
-            if let Some(stripped) = protofs::path::strip_prefix(&norm, fat) {
-                return (MountTarget::Fat, stripped);
+        Ok(inum)
+    }
+
+    /// Creates an empty file, or a directory, at `path` and returns its
+    /// number.
+    pub(crate) fn create(&mut self, path: &str, dir: bool) -> FsResult<u32> {
+        match &mut *self.fs {
+            FileSystem::Xv6(fs) => {
+                let itype = if dir { InodeType::Dir } else { InodeType::File };
+                fs.create(self.dev, self.cache, path, itype)
+            }
+            FileSystem::Fat(fs, files) => {
+                fs.create(self.dev, self.cache, path, dir)?;
+                Ok(files.number(path))
             }
         }
-        (MountTarget::Root, norm)
+    }
+
+    /// The size of what `path` names, and whether it is a directory.
+    pub(crate) fn stat(&mut self, path: &str) -> FsResult<FileStat> {
+        let (size, is_dir) = match &*self.fs {
+            FileSystem::Xv6(fs) => {
+                let inum = fs.lookup(self.dev, self.cache, path)?;
+                let st = fs.stat(self.dev, self.cache, inum)?;
+                (st.size, st.itype == InodeType::Dir)
+            }
+            FileSystem::Fat(fs, _) => {
+                let entry = fs.lookup(self.dev, self.cache, path)?;
+                (entry.size, entry.is_dir)
+            }
+        };
+        let size = size.into();
+        Ok(FileStat { size, is_dir })
+    }
+
+    /// Reads up to `max` bytes of file `inum` from `offset`.
+    pub(crate) fn read(&mut self, inum: u32, offset: u32, max: usize) -> FsResult<Vec<u8>> {
+        match &*self.fs {
+            FileSystem::Xv6(fs) => {
+                // No xv6 file exceeds MAXFILE_BYTES, so a huge `max` must
+                // not drive a huge allocation.
+                let mut buf = vec![0u8; max.min(MAXFILE_BYTES)];
+                let n = fs.read(self.dev, self.cache, inum, offset, &mut buf)?;
+                buf.truncate(n);
+                Ok(buf)
+            }
+            FileSystem::Fat(fs, files) => {
+                fs.read_at(self.dev, self.cache, files.path(inum)?, offset, max)
+            }
+        }
+    }
+
+    /// Writes all of `data` at `offset` of file `inum`.
+    pub(crate) fn write(&mut self, inum: u32, offset: u32, data: &[u8]) -> FsResult<()> {
+        match &*self.fs {
+            FileSystem::Xv6(fs) => fs.write(self.dev, self.cache, inum, offset, data).map(drop),
+            FileSystem::Fat(fs, files) => {
+                fs.write_at(self.dev, self.cache, files.path(inum)?, offset, data)
+            }
+        }
+    }
+
+    /// Makes `data` the whole contents of the file at `path`, creating it
+    /// if needed, as one operation (image building).
+    pub(crate) fn write_file(&mut self, path: &str, data: &[u8]) -> FsResult<()> {
+        match &*self.fs {
+            FileSystem::Xv6(fs) => fs.write_file(self.dev, self.cache, path, data).map(drop),
+            FileSystem::Fat(fs, _) => fs.write_file(self.dev, self.cache, path, data),
+        }
+    }
+
+    /// Removes the file, or empty directory, at `path`.
+    pub(crate) fn unlink(&mut self, path: &str) -> FsResult<()> {
+        match &*self.fs {
+            FileSystem::Xv6(fs) => fs.unlink(self.dev, self.cache, path),
+            FileSystem::Fat(fs, _) => fs.remove(self.dev, self.cache, path),
+        }
+    }
+
+    /// The names in the directory at `path`.
+    pub(crate) fn list_dir(&mut self, path: &str) -> FsResult<Vec<String>> {
+        Ok(match &*self.fs {
+            FileSystem::Xv6(fs) => {
+                let entries = fs.list_dir(self.dev, self.cache, path)?;
+                entries.into_iter().map(|e| e.name).collect()
+            }
+            FileSystem::Fat(fs, _) => {
+                let entries = fs.list_dir(self.dev, self.cache, path)?;
+                entries.into_iter().map(|e| e.name).collect()
+            }
+        })
+    }
+
+    /// Forces the transaction log's open commit group to the device (a
+    /// no-op when none is open).
+    pub(crate) fn commit_pending(&mut self) -> FsResult<()> {
+        match &*self.fs {
+            FileSystem::Xv6(fs) => fs.commit_pending(self.dev, self.cache),
+            FileSystem::Fat(fs, _) => fs.commit_pending(self.dev, self.cache),
+        }
+    }
+}
+
+/// The FAT volume's pseudo-inodes: the numbers it gives the paths it opens,
+/// so a FAT file sits in the file table like an xv6 inode (§4.5). A number
+/// stays bound to its path for the life of the mount.
+#[derive(Debug, Default)]
+pub(crate) struct PseudoInodes {
+    numbers: BTreeMap<String, u32>,
+    /// The path behind each number, at that index.
+    paths: Vec<String>,
+}
+
+impl PseudoInodes {
+    /// `path`'s number, given on first use.
+    fn number(&mut self, path: &str) -> u32 {
+        let next = self.paths.len() as u32;
+        let n = *self.numbers.entry(path.to_string()).or_insert(next);
+        if n == next {
+            self.paths.push(path.to_string());
+        }
+        n
+    }
+
+    /// The path behind number `n`.
+    fn path(&self, n: u32) -> FsResult<&str> {
+        let path = self.paths.get(n as usize).map(String::as_str);
+        path.ok_or_else(|| FsError::NotFound(format!("pseudo-inode {n}")))
     }
 }
 
@@ -358,28 +673,38 @@ mod tests {
         let mut t = FdTable::new();
         let fd = t
             .install(OpenFile::new(
-                FileKind::Xv6 { inum: 7 },
+                FileKind::File {
+                    mount: Mount::Root,
+                    inum: 7,
+                },
                 OpenFlags::rdonly(),
             ))
             .unwrap();
         let dup = t.dup(fd).unwrap();
         assert_ne!(fd, dup);
-        assert_eq!(t.get(dup).unwrap().kind, FileKind::Xv6 { inum: 7 });
+        assert_eq!(
+            t.get(dup).unwrap().kind,
+            FileKind::File {
+                mount: Mount::Root,
+                inum: 7
+            }
+        );
     }
 
     #[test]
     fn mount_table_routes_paths_like_the_paper() {
-        let m = MountTable::with_fat();
-        assert_eq!(m.resolve("/etc/rc").0, MountTarget::Root);
+        assert_eq!(resolve("/etc/rc", true).0, MountTarget::Volume(Mount::Root));
         assert_eq!(
-            m.resolve("/d/doom.wad"),
-            (MountTarget::Fat, "/doom.wad".into())
+            resolve("/d/doom.wad", true),
+            (MountTarget::Volume(Mount::Fat), "/doom.wad".into())
         );
-        assert_eq!(m.resolve("/dev/fb").0, MountTarget::Dev);
-        assert_eq!(m.resolve("/proc/meminfo").0, MountTarget::Proc);
+        assert_eq!(resolve("/dev/fb", true).0, MountTarget::Dev);
+        assert_eq!(resolve("/proc/meminfo", true).0, MountTarget::Proc);
         // Without the FAT mount, /d is just a root directory.
-        let no_fat = MountTable::default();
-        assert_eq!(no_fat.resolve("/d/doom.wad").0, MountTarget::Root);
+        assert_eq!(
+            resolve("/d/doom.wad", false).0,
+            MountTarget::Volume(Mount::Root)
+        );
     }
 
     #[test]

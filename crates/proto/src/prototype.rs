@@ -205,7 +205,7 @@ mod tests {
             .unwrap();
             let k = &sys.kernel;
             let proto = variant == KernelVariant::Proto;
-            let cache = k.fat_cache();
+            let cache = k.fat_cache().unwrap();
             assert_eq!(cache.coalescing(), proto, "{variant:?} range coalescing");
             assert_eq!(cache.prefetch_enabled(), proto, "{variant:?} read-ahead");
             assert_eq!(cache.ordered_writeback(), proto, "{variant:?} ordering");

@@ -1091,7 +1091,7 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
         let before = sys.kernel.fat_cache_stats().writebacks;
         assert!(close_group(&mut sys, writer, fd).is_err());
         let d = sys.kernel.fat_cache_stats().writebacks - before;
-        (d, sys.kernel.fat_cache().group_sectors() as u64)
+        (d, sys.kernel.fat_cache().unwrap().group_sectors() as u64)
     };
     assert!(d > 0, "the ready drain persists the pending data first");
     assert!(k >= 2, "the record must carry several payloads, got {k}");

@@ -670,11 +670,11 @@ fn root_writes_past_4_gib_are_rejected() {
 
 #[test]
 fn writes_to_a_root_directory_descriptor_are_refused() {
-    // Only the filesystem writes a directory's entries. A write through a
-    // descriptor for `/` fails on xv6fs as it does on FAT32, and every name
-    // stays; the boundary sweep's write row found the root directory erased
-    // by it. A read-only descriptor is refused for its access mode before
-    // the filesystem sees the write; a read-write one by the filesystem.
+    // Only the filesystem writes a directory's entries, and every name of
+    // `/` stays; the boundary sweep's write row found the root directory
+    // erased by a write through its descriptor. A read-only descriptor is
+    // refused the write for its access mode, and a read-write one is never
+    // handed out: `open` fails with the filesystem's `IsADirectory`.
     let (mut sys, tid) = desktop();
     let (read_only, read_write, before, after) = sys
         .kernel
@@ -683,9 +683,7 @@ fn writes_to_a_root_directory_descriptor_are_refused() {
             let fd = ctx.open("/", OpenFlags::rdonly())?;
             let read_only = (fd, ctx.write(fd, &[0x5A; 4097]));
             ctx.close(fd)?;
-            let fd = ctx.open("/", OpenFlags::rdwr())?;
-            let read_write = ctx.write(fd, &[0x5A; 4097]);
-            ctx.close(fd)?;
+            let read_write = ctx.open("/", OpenFlags::rdwr());
             Ok::<_, kernel::KernelError>((read_only, read_write, before, ctx.list_dir("/")?))
         })
         .unwrap();
@@ -701,7 +699,7 @@ fn writes_to_a_root_directory_descriptor_are_refused() {
                 proto_repro::protofs::FsError::IsADirectory(_)
             ))
         ),
-        "write to /: {read_write:?}"
+        "read-write open of /: {read_write:?}"
     );
     assert_eq!(after, before);
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the syscall surface: files, pipes, devices, fork,
 //! threads and the framebuffer cache-flush behaviour.
 
-use kernel::{KernelError, OpenFlags};
+use kernel::{KResult, KernelError, OpenFlags};
 use proto_repro::prelude::*;
 
 fn desktop() -> (ProtoSystem, kernel::TaskId) {
@@ -10,24 +10,321 @@ fn desktop() -> (ProtoSystem, kernel::TaskId) {
     (sys, tid)
 }
 
+/// A call's outcome as a behaviour-table cell: the value on success, the
+/// error's variant name (a filesystem error's own variant) on failure.
+fn cell(r: KResult<String>) -> String {
+    let name = match r {
+        Ok(s) => return s,
+        Err(KernelError::Fs(e)) => format!("{e:?}"),
+        Err(e) => format!("{e:?}"),
+    };
+    name.split('(').next().unwrap().to_string()
+}
+
+/// Reads everything left behind `fd`.
+fn read_text(ctx: &mut kernel::UserCtx<'_>, fd: i32) -> KResult<String> {
+    Ok(String::from_utf8_lossy(&ctx.read(fd, 1024)?).into_owned())
+}
+
+/// One step of the behaviour table: what it does, given the mount's base
+/// path (`""` for `/`, `"/d"`), and the cell it gives on `/` and on `/d`.
+type Row = (
+    &'static str,
+    fn(&mut kernel::UserCtx<'_>, &str) -> KResult<String>,
+    &'static str,
+    &'static str,
+);
+
 #[test]
 fn files_round_trip_on_both_filesystems() {
+    // The same calls on both mounts, in order, each reading the state the
+    // rows above it left. Where the cells differ, the row says why.
+    let rows: [Row; 13] = [
+        (
+            "write, close, reopen and read back",
+            |ctx, base| {
+                let path = format!("{base}/notes.txt");
+                let fd = ctx.open(&path, OpenFlags::wronly_create())?;
+                ctx.write(fd, b"hello")?;
+                ctx.close(fd)?;
+                let fd = ctx.open(&path, OpenFlags::rdonly())?;
+                let back = read_text(ctx, fd)?;
+                ctx.close(fd)?;
+                Ok(back)
+            },
+            "hello",
+            "hello",
+        ),
+        (
+            "open a missing file without create",
+            |ctx, base| {
+                Ok(ctx
+                    .open(&format!("{base}/missing.txt"), OpenFlags::rdonly())?
+                    .to_string())
+            },
+            "NotFound",
+            "NotFound",
+        ),
+        (
+            "stat a file",
+            |ctx, base| Ok(format!("{:?}", ctx.stat(&format!("{base}/notes.txt"))?)),
+            "FileStat { size: 5, is_dir: false }",
+            "FileStat { size: 5, is_dir: false }",
+        ),
+        (
+            "mkdir",
+            |ctx, base| Ok(format!("{:?}", ctx.mkdir(&format!("{base}/sub"))?)),
+            "()",
+            "()",
+        ),
+        (
+            "mkdir the same name again",
+            |ctx, base| Ok(format!("{:?}", ctx.mkdir(&format!("{base}/sub"))?)),
+            "AlreadyExists",
+            "AlreadyExists",
+        ),
+        (
+            "stat a directory",
+            |ctx, base| Ok(format!("{:?}", ctx.stat(&format!("{base}/sub"))?)),
+            "FileStat { size: 0, is_dir: true }",
+            "FileStat { size: 0, is_dir: true }",
+        ),
+        (
+            // FAT keeps 8.3 names, and lists them back upper-case.
+            "list a directory",
+            |ctx, base| {
+                let fd = ctx.open(&format!("{base}/sub/inner.txt"), OpenFlags::wronly_create())?;
+                ctx.close(fd)?;
+                Ok(ctx.list_dir(&format!("{base}/sub"))?.join(","))
+            },
+            "inner.txt",
+            "INNER.TXT",
+        ),
+        (
+            "open a directory for writing",
+            |ctx, base| {
+                Ok(ctx
+                    .open(&format!("{base}/sub"), OpenFlags::rdwr())?
+                    .to_string())
+            },
+            "IsADirectory",
+            "IsADirectory",
+        ),
+        (
+            // xv6fs hands out the directory's entries; FAT32 reads only
+            // files.
+            "read a directory descriptor",
+            |ctx, base| {
+                let fd = ctx.open(&format!("{base}/sub"), OpenFlags::rdonly())?;
+                let r = ctx.read(fd, 1024);
+                ctx.close(fd)?;
+                Ok(format!("{} bytes", r?.len()))
+            },
+            "32 bytes",
+            "IsADirectory",
+        ),
+        (
+            // `OpenFlags::truncate` is not honoured (ROADMAP open item 3):
+            // a write at offset 0 replaces a FAT file, and overwrites the
+            // start of an xv6fs one.
+            "reopen with wronly_create and write a shorter text",
+            |ctx, base| {
+                let path = format!("{base}/over.txt");
+                let fd = ctx.open(&path, OpenFlags::wronly_create())?;
+                ctx.write(fd, b"LONG-ORIGINAL")?;
+                ctx.close(fd)?;
+                let fd = ctx.open(&path, OpenFlags::wronly_create())?;
+                ctx.write(fd, b"new")?;
+                ctx.close(fd)?;
+                let fd = ctx.open(&path, OpenFlags::rdonly())?;
+                let back = read_text(ctx, fd)?;
+                ctx.close(fd)?;
+                Ok(back)
+            },
+            "newG-ORIGINAL",
+            "new",
+        ),
+        (
+            "unlink",
+            |ctx, base| Ok(format!("{:?}", ctx.unlink(&format!("{base}/notes.txt"))?)),
+            "()",
+            "()",
+        ),
+        (
+            "open what was unlinked",
+            |ctx, base| {
+                Ok(ctx
+                    .open(&format!("{base}/notes.txt"), OpenFlags::rdonly())?
+                    .to_string())
+            },
+            "NotFound",
+            "NotFound",
+        ),
+        (
+            "unlink a missing name",
+            |ctx, base| Ok(format!("{:?}", ctx.unlink(&format!("{base}/missing.txt"))?)),
+            "NotFound",
+            "NotFound",
+        ),
+    ];
     let (mut sys, tid) = desktop();
-    for path in ["/notes.txt", "/d/notes.txt"] {
-        let data = format!("hello via {path}").into_bytes();
+    for (mount, base) in [("/", ""), ("/d", "/d")] {
+        for (step, run, on_root, on_fat) in rows {
+            let want = if base.is_empty() { on_root } else { on_fat };
+            let got = cell(sys.kernel.with_task_ctx(tid, |ctx| run(ctx, base)));
+            assert_eq!(got, want, "{step} on {mount}");
+        }
+    }
+}
+
+/// Opening a directory for writing fails on both mounts, with or without
+/// `create`, as POSIX's `open` fails with `EISDIR`: only the filesystem
+/// writes a directory's entries. Opening one read-only still works.
+#[test]
+fn opening_a_directory_for_writing_is_refused_on_both_mounts() {
+    let (mut sys, tid) = desktop();
+    sys.kernel
+        .with_task_ctx(tid, |ctx| {
+            ctx.mkdir("/dir")?;
+            ctx.mkdir("/d/dir")
+        })
+        .unwrap();
+    for dir in ["/", "/dir", "/d", "/d/dir"] {
+        for flags in [OpenFlags::rdwr(), OpenFlags::wronly_create()] {
+            let r = sys.kernel.with_task_ctx(tid, |ctx| ctx.open(dir, flags));
+            assert!(
+                matches!(
+                    r,
+                    Err(KernelError::Fs(
+                        proto_repro::protofs::FsError::IsADirectory(_)
+                    ))
+                ),
+                "{dir} with {flags:?}: {r:?}"
+            );
+        }
+        let fd = sys
+            .kernel
+            .with_task_ctx(tid, |ctx| ctx.open(dir, OpenFlags::rdonly()))
+            .unwrap();
+        sys.kernel.with_task_ctx(tid, |ctx| ctx.close(fd)).unwrap();
+    }
+}
+
+/// The core-cycle and `task_sd_cycles` deltas one call on `tid`'s context
+/// moves.
+fn charged(
+    sys: &mut ProtoSystem,
+    tid: kernel::TaskId,
+    f: impl FnOnce(&mut kernel::UserCtx<'_>),
+) -> (u64, u64) {
+    let core = sys.kernel.task(tid).unwrap().core;
+    let clock0 = sys.kernel.board.clock.cycles(core);
+    let billed0 = sys.kernel.task_sd_cycles(tid);
+    sys.kernel.with_task_ctx(tid, f);
+    (
+        sys.kernel.board.clock.cycles(core) - clock0,
+        sys.kernel.task_sd_cycles(tid) - billed0,
+    )
+}
+
+/// FAT's `mkdir`, `unlink` and `list_dir` are charged for the SD commands
+/// they issue, like every other FAT call. On a cold 40-entry directory a
+/// listing and an unlink read what a `stat` reads, and pay what it pays;
+/// a `mkdir` is billed for its write chains.
+#[test]
+fn fat_mkdir_unlink_and_list_dir_are_charged_like_stat() {
+    let (mut sys, tid) = desktop();
+    sys.kernel.install_fat_dir("/pd").unwrap();
+    for i in 0..40 {
         sys.kernel
-            .with_task_ctx(tid, |ctx| {
-                let fd = ctx.open(path, OpenFlags::wronly_create())?;
-                ctx.write(fd, &data)?;
-                ctx.close(fd)?;
-                let fd = ctx.open(path, OpenFlags::rdonly())?;
-                let back = ctx.read(fd, 1024)?;
-                ctx.close(fd)?;
-                assert_eq!(back, data);
-                Ok::<(), kernel::KernelError>(())
-            })
+            .install_fat_file(&format!("/pd/f{i}.txt"), b"x")
             .unwrap();
     }
+    let mut cold = |f: &dyn Fn(&mut kernel::UserCtx<'_>)| {
+        sys.kernel.drop_fs_caches().unwrap();
+        charged(&mut sys, tid, f)
+    };
+    let stat = cold(&|ctx| assert!(!ctx.stat("/d/pd/f7.txt").unwrap().is_dir));
+    let list = cold(&|ctx| assert_eq!(ctx.list_dir("/d/pd").unwrap().len(), 40));
+    let unlink = cold(&|ctx| ctx.unlink("/d/pd/f7.txt").unwrap());
+    let mkdir = cold(&|ctx| ctx.mkdir("/d/pd/sub").unwrap());
+    assert!(stat.1 > 0, "a cold stat pays for its reads: {stat:?}");
+    assert_eq!(list, stat, "list_dir");
+    assert_eq!(unlink, stat, "unlink");
+    assert!(mkdir.1 > 0, "mkdir is billed for its chains: {mkdir:?}");
+}
+
+/// Each file call's charge, on both mounts: the caller's core-cycle delta
+/// and its `task_sd_cycles` delta, as the per-filesystem syscall arms
+/// charged them. The one exception is FAT's `mkdir`, which the arms did
+/// not charge for its SD commands: it moved the clock 61,227 cycles and
+/// billed nothing. It is now charged its SD delta like every other FAT
+/// call, and both figures grow by exactly that delta (791,896 cycles).
+#[test]
+fn each_file_call_is_charged_as_pinned_on_both_mounts() {
+    let (mut sys, tid) = desktop();
+    let data = vec![0xA5u8; 6 * 1024];
+    let mut seen = Vec::new();
+    for base in ["", "/d"] {
+        let file = format!("{base}/pin.bin");
+        let mut fd = 0;
+        let mut row = |sys: &mut ProtoSystem,
+                       call: &'static str,
+                       f: &mut dyn FnMut(&mut kernel::UserCtx<'_>)| {
+            seen.push((base, call, charged(sys, tid, f)));
+        };
+        row(&mut sys, "create", &mut |ctx| {
+            fd = ctx.open(&file, OpenFlags::wronly_create()).unwrap()
+        });
+        row(&mut sys, "write", &mut |ctx| {
+            assert_eq!(ctx.write(fd, &data).unwrap(), data.len())
+        });
+        row(&mut sys, "fsync", &mut |ctx| ctx.fsync(fd).unwrap());
+        row(&mut sys, "close", &mut |ctx| ctx.close(fd).unwrap());
+        sys.kernel.drop_fs_caches().unwrap();
+        row(&mut sys, "open", &mut |ctx| {
+            fd = ctx.open(&file, OpenFlags::rdonly()).unwrap()
+        });
+        row(&mut sys, "read", &mut |ctx| {
+            assert_eq!(ctx.read(fd, data.len()).unwrap(), data)
+        });
+        row(&mut sys, "stat", &mut |ctx| {
+            assert_eq!(ctx.stat(&file).unwrap().size, data.len() as u64)
+        });
+        row(&mut sys, "list_dir", &mut |ctx| {
+            assert!(!ctx
+                .list_dir(if base.is_empty() { "/" } else { base })
+                .unwrap()
+                .is_empty())
+        });
+        row(&mut sys, "mkdir", &mut |ctx| {
+            ctx.mkdir(&format!("{base}/pindir")).unwrap()
+        });
+        row(&mut sys, "unlink", &mut |ctx| ctx.unlink(&file).unwrap());
+    }
+    let want = [
+        ("", "create", (3400, 0)),
+        ("", "write", (16257, 0)),
+        ("", "fsync", (19476, 16076)),
+        ("", "close", (3400, 0)),
+        ("", "open", (3400, 0)),
+        ("", "read", (16257, 0)),
+        ("", "stat", (3400, 0)),
+        ("", "list_dir", (3400, 0)),
+        ("", "mkdir", (3400, 0)),
+        ("", "unlink", (3400, 0)),
+        ("/d", "create", (295104, 232752)),
+        ("/d", "write", (974512, 905024)),
+        ("/d", "fsync", (472409, 353304)),
+        ("/d", "close", (3400, 0)),
+        ("/d", "open", (295104, 232752)),
+        ("/d", "read", (354706, 240176)),
+        ("/d", "stat", (3400, 0)),
+        ("/d", "list_dir", (3400, 0)),
+        ("/d", "mkdir", (853123, 791896)),
+        ("/d", "unlink", (3400, 0)),
+    ];
+    assert_eq!(seen, want);
 }
 
 #[test]

@@ -614,7 +614,7 @@ fn a_faulted_commit_record_fails_the_write_and_a_later_sync_commits_it() {
     // one failed chain is a retry, not a reason to degrade.
     assert_eq!(sys.kernel.fat_group_txns(), n as u64);
     assert_eq!(sys.kernel.fat_cache_stats().log_commits, commits_before);
-    assert!(!sys.kernel.fat_cache().degraded());
+    assert!(!sys.kernel.fat_cache().unwrap().degraded());
     // The fault clears: the next barrier commits the group, and every file
     // reads back at its new version from a cold cache.
     sys.kernel.board.sdhost.clear_faults();
