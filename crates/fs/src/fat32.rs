@@ -345,6 +345,28 @@ impl Fat32 {
     pub fn mount(dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<Fat32> {
         let mut boot = vec![0u8; BLOCK_SIZE];
         bc.read(dev, 0, &mut boot)?;
+        Self::mount_boot_sector(dev, bc, &boot)
+    }
+
+    /// Mounts the volume on `dev`, or formats it if its boot sector is all
+    /// zeros, as a new card's is. Any other volume is only mounted, so a
+    /// card that fails to mount fails with [`Fat32::mount`]'s error and is
+    /// never reformatted.
+    pub fn mount_or_mkfs(dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<Fat32> {
+        let mut boot = vec![0u8; BLOCK_SIZE];
+        bc.read(dev, 0, &mut boot)?;
+        if boot.iter().all(|&b| b == 0) {
+            return Self::mkfs(dev, bc);
+        }
+        Self::mount_boot_sector(dev, bc, &boot)
+    }
+
+    /// [`Fat32::mount`] of the volume whose boot sector reads `boot`.
+    fn mount_boot_sector(
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        boot: &[u8],
+    ) -> FsResult<Fat32> {
         if boot[510] != 0x55 || boot[511] != 0xAA {
             return Err(FsError::Corrupt("missing FAT32 boot signature".into()));
         }
@@ -500,9 +522,10 @@ impl Fat32 {
     // ---- FAT access ---------------------------------------------------------------------------
 
     fn fat_sector_of(&self, cluster: u32) -> (u64, usize) {
-        // Saturating forms keep the panic-reachability pass honest: a u32
-        // cluster index cannot overflow this u64 arithmetic, and the FAT
-        // region bounds are enforced by `check_fat_index` before any access.
+        // A corrupt dirent or FAT entry controls `cluster`, so the sector
+        // is computed in u64, where no u32 cluster can overflow it, and
+        // every access runs `check_fat_index` first to reject a sector
+        // past the FAT region.
         let byte = u64::from(cluster).saturating_mul(4);
         (
             (self.bpb.fat_start as u64).saturating_add(byte / BLOCK_SIZE as u64),

@@ -27,10 +27,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Panic-freedom backstop (see clippy.toml for the method list and the
-// rationale): production code may not unwrap/expect; unit tests may.
-#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+// Panic freedom: a torn image, a hostile syscall argument or a full queue
+// must surface as an error, never a panic. Production code may not unwrap,
+// expect or panic; unit tests may. A deliberate panic carries an
+// `#[expect(..., reason = "...")]` that says why no input reaches it.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 // Discarded results: production code handles or returns a fallible
 // call's error, or drops it under an `#[expect]` whose reason says why.
 #![cfg_attr(

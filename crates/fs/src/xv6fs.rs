@@ -692,7 +692,7 @@ impl Xv6Fs {
                 let (bm_lba, bm_n) = self.bitmap_lbas(b);
                 bc.add_dependency(ino_lba, ino_n, bm_lba, bm_n);
             }
-            return Ok(ino.addrs[file_block]);
+            return self.data_block(ino.addrs[file_block]);
         }
         let idx = file_block - NDIRECT;
         if idx >= NINDIRECT {
@@ -709,7 +709,7 @@ impl Xv6Fs {
             let (bm_lba, bm_n) = self.bitmap_lbas(b);
             bc.add_dependency(ino_lba, ino_n, bm_lba, bm_n);
         }
-        let ind_block = ino.addrs[NDIRECT];
+        let ind_block = self.data_block(ino.addrs[NDIRECT])?;
         let (ind_lba, ind_n) = Self::block_lbas(ind_block);
         bc.add_dependency(ino_lba, ino_n, ind_lba, ind_n);
         let mut ind = Self::read_fs_block(dev, bc, ind_block)?;
@@ -727,7 +727,19 @@ impl Xv6Fs {
             let (ptr_lba, ptr_n) = Self::block_lbas(ptr);
             bc.add_dependency(ind_lba, ind_n, ptr_lba, ptr_n);
         }
-        Ok(ptr)
+        self.data_block(ptr)
+    }
+
+    /// `b`, a block address read from an inode or an indirect block, if it
+    /// is 0 (a hole) or lies in the data area. A corrupt address must not
+    /// steer a read or a write at the metadata or past the volume's end.
+    fn data_block(&self, b: u32) -> FsResult<u32> {
+        if b != 0 && !(self.sb.datastart..self.sb.size).contains(&b) {
+            return Err(FsError::Corrupt(format!(
+                "block address {b} lies outside the data area"
+            )));
+        }
+        Ok(b)
     }
 
     // ---- file read / write --------------------------------------------------------------
@@ -1273,6 +1285,26 @@ mod tests {
         let mut bc = BufCache::default();
         let fs = Xv6Fs::mkfs(&mut dev, &mut bc, 2048, 256).unwrap();
         (dev, bc, fs)
+    }
+
+    #[test]
+    fn block_addresses_outside_the_data_area_read_as_corrupt() {
+        // The corrupt-image sweep's inode case: a first block of
+        // `u32::MAX` overflowed the read's run merge.
+        let (mut dev, mut bc, fs) = fresh_fs();
+        fs.write_file(&mut dev, &mut bc, "/f", &[7u8; 3000])
+            .unwrap();
+        let inum = fs.lookup(&mut dev, &mut bc, "/f").unwrap();
+        for bad in [u32::MAX, fs.sb.size, fs.sb.inodestart] {
+            let mut ino = fs.read_inode(&mut dev, &mut bc, inum).unwrap();
+            ino.addrs[0] = bad;
+            fs.write_inode(&mut dev, &mut bc, inum, &ino).unwrap();
+            let mut buf = [0u8; 3000];
+            let r = fs.read(&mut dev, &mut bc, inum, 0, &mut buf);
+            assert!(matches!(r, Err(FsError::Corrupt(_))), "{bad}: {r:?}");
+            let w = fs.write(&mut dev, &mut bc, inum, 10, b"x");
+            assert!(matches!(w, Err(FsError::Corrupt(_))), "{bad}: {w:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! own structure — this module covers boot and the core loop, `syscalls.rs`
 //! the user/kernel interface.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use hal::board::SimBoard;
@@ -67,6 +67,9 @@ pub const FAT_GROUP_COMMIT_TIMEOUT_MS: u64 = 20;
 /// Nominal size of the kernel image + packed ramdisk, for memory accounting
 /// (the paper's Prototype 5 kernel is ~33 kSLoC plus an 8 MB ramdisk dump).
 pub const KERNEL_IMAGE_BYTES: u64 = 2 * 1024 * 1024 + RAMDISK_BYTES;
+/// Serial input bytes the kernel holds for `/dev/console` (xv6's console
+/// input buffer is 128 bytes too); further bytes are dropped.
+const CONSOLE_INPUT_BYTES: usize = 128;
 
 /// A point-in-time snapshot of SD traffic counters plus the FAT cache's
 /// prefetch-command counter; syscalls diff two snapshots to charge the right
@@ -295,6 +298,9 @@ pub struct Kernel {
     // Drivers.
     pub(crate) kbd: KeyboardDriver,
     pub(crate) sound: SoundDriver,
+    /// Serial input the `UartRx` handler drained, waiting for a
+    /// `/dev/console` reader; at most [`CONSOLE_INPUT_BYTES`].
+    pub(crate) console_input: VecDeque<u8>,
     usb_stack: UsbStack,
     shared_keyboard: Option<SharedKeyboard>,
 
@@ -360,6 +366,7 @@ impl Kernel {
             volumes: [None, None],
             kbd: KeyboardDriver::new(),
             sound: SoundDriver::new(),
+            console_input: VecDeque::new(),
             usb_stack: UsbStack::new(),
             shared_keyboard: None,
             fb_mappings: BTreeMap::new(),
@@ -567,10 +574,9 @@ impl Kernel {
                     FAT_PARTITION_START,
                     blocks,
                 );
-                let mut fat = match Fat32::mount(&mut dev, &mut bc) {
-                    Ok(f) => f,
-                    Err(_) => Fat32::mkfs(&mut dev, &mut bc)?,
-                };
+                // Only a blank card is formatted: a card that holds
+                // anything else and fails to mount fails the boot.
+                let mut fat = Fat32::mount_or_mkfs(&mut dev, &mut bc)?;
                 fat.set_intent_log(self.config.fat_intent_log);
                 // Group commit is safe at syscall level because close/fsync
                 // are the kernel's durability points, and both force the
@@ -882,7 +888,9 @@ impl Kernel {
         // Destroy WM surfaces and release the address space.
         self.wm.destroy_owned_by(id);
         self.fb_mappings.remove(&id);
-        self.sems.forget_task(id);
+        for waiter in self.sems.forget_task(id) {
+            self.wake_task(waiter);
+        }
         if let Some(task) = self.tasks.get(&id) {
             if let MmRef::Owns(asid) = task.mm {
                 // Only release when no thread still shares it.
@@ -1082,9 +1090,13 @@ impl Kernel {
                 self.wake_all(WaitChannel::SoundSpace);
             }
             Interrupt::UartRx => {
-                // Console input: drain into the raw key queue as synthetic
-                // key events so shells work over serial too.
+                // Console input: drain into the console's input buffer for
+                // `/dev/console` readers, and into the raw key queue as
+                // synthetic key events so shells work over serial too.
                 while let Some(b) = self.board.uart.read_byte() {
+                    if self.console_input.len() < CONSOLE_INPUT_BYTES {
+                        self.console_input.push_back(b);
+                    }
                     let code = match b {
                         b'\r' | b'\n' => KeyCode::Enter,
                         b' ' => KeyCode::Space,
@@ -1404,6 +1416,10 @@ impl Kernel {
 
     /// Runs the kernel until the board clock has advanced by `us`
     /// microseconds (across all cores).
+    #[expect(
+        clippy::panic,
+        reason = "every slice charges its pick or idles to the next deadline, so the guard fires only on a simulator bug, and a panic there beats a hang"
+    )]
     pub fn run_for_us(&mut self, us: u64) {
         let start = self.now_us();
         let mut guard = 0u64;

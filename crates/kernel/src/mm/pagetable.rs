@@ -122,15 +122,19 @@ fn decode_flags(d: u64) -> MapFlags {
     }
 }
 
-fn level_index(va: VirtAddr, level: usize) -> u64 {
+/// A translation-table level, as the shift of the VA bits that index it
+/// (4 KB granule: nine index bits per level).
+#[derive(Debug, Clone, Copy)]
+enum Level {
+    L1 = 30,
+    L2 = 21,
+    L3 = 12,
+}
+
+fn level_index(va: VirtAddr, level: Level) -> u64 {
     // Strip the kernel prefix so kernel and user VAs index identically.
     let va = va & 0x0000_007F_FFFF_FFFF;
-    match level {
-        1 => (va >> 30) & 0x1FF,
-        2 => (va >> 21) & 0x1FF,
-        3 => (va >> 12) & 0x1FF,
-        _ => unreachable!("levels are 1..=3"),
-    }
+    (va >> level as u32) & 0x1FF
 }
 
 /// The result of a successful translation.
@@ -177,7 +181,7 @@ impl PageTable {
         alloc: bool,
     ) -> KResult<Option<PhysAddr>> {
         let mut table = self.root;
-        for level in 1..=2 {
+        for level in [Level::L1, Level::L2] {
             let idx = level_index(va, level);
             let daddr = Self::descriptor_addr(table, idx);
             let d = mem.read_u64(daddr)?;
@@ -219,7 +223,7 @@ impl PageTable {
         let l3 = self.walk_to_l3(mem, frames, va, true)?.ok_or_else(|| {
             KernelError::Fault(format!("page-table walk lost a level at {va:#x}"))
         })?;
-        let daddr = Self::descriptor_addr(l3, level_index(va, 3));
+        let daddr = Self::descriptor_addr(l3, level_index(va, Level::L3));
         let existing = mem.read_u64(daddr)?;
         if existing & D_VALID != 0 {
             return Err(KernelError::AlreadyExists(format!(
@@ -246,7 +250,7 @@ impl PageTable {
             )));
         }
         // Walk only to L2.
-        let idx1 = level_index(va, 1);
+        let idx1 = level_index(va, Level::L1);
         let d1addr = Self::descriptor_addr(self.root, idx1);
         let d1 = mem.read_u64(d1addr)?;
         let l2 = if d1 & D_VALID == 0 {
@@ -257,7 +261,7 @@ impl PageTable {
         } else {
             d1 & ADDR_MASK
         };
-        let d2addr = Self::descriptor_addr(l2, level_index(va, 2));
+        let d2addr = Self::descriptor_addr(l2, level_index(va, Level::L2));
         let d2 = mem.read_u64(d2addr)?;
         if d2 & D_VALID != 0 {
             return Err(KernelError::AlreadyExists(format!(
@@ -272,14 +276,14 @@ impl PageTable {
     /// it pointed to.
     pub fn unmap_page(&self, mem: &mut PhysMem, va: VirtAddr) -> KResult<PhysAddr> {
         let mut table = self.root;
-        for level in 1..=2 {
+        for level in [Level::L1, Level::L2] {
             let d = mem.read_u64(Self::descriptor_addr(table, level_index(va, level)))?;
             if d & D_VALID == 0 || d & D_TABLE_OR_PAGE == 0 {
                 return Err(KernelError::NotFound(format!("va {va:#x} not mapped")));
             }
             table = d & ADDR_MASK;
         }
-        let daddr = Self::descriptor_addr(table, level_index(va, 3));
+        let daddr = Self::descriptor_addr(table, level_index(va, Level::L3));
         let d = mem.read_u64(daddr)?;
         if d & D_VALID == 0 {
             return Err(KernelError::NotFound(format!("va {va:#x} not mapped")));
@@ -292,7 +296,7 @@ impl PageTable {
     /// if unmapped (which at EL0 would raise a page fault).
     pub fn translate(&self, mem: &PhysMem, va: VirtAddr) -> KResult<Option<Translation>> {
         let mut table = self.root;
-        for level in 1..=2 {
+        for level in [Level::L1, Level::L2] {
             let d = mem.read_u64(Self::descriptor_addr(table, level_index(va, level)))?;
             if d & D_VALID == 0 {
                 return Ok(None);
@@ -309,7 +313,7 @@ impl PageTable {
             }
             table = d & ADDR_MASK;
         }
-        let d = mem.read_u64(Self::descriptor_addr(table, level_index(va, 3)))?;
+        let d = mem.read_u64(Self::descriptor_addr(table, level_index(va, Level::L3)))?;
         if d & D_VALID == 0 {
             return Ok(None);
         }

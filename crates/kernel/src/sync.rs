@@ -7,7 +7,7 @@
 //! real spinlocks return once multiple cores share the runqueues and the
 //! window-manager surface list.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::error::{KResult, KernelError};
 use crate::task::TaskId;
@@ -115,6 +115,10 @@ impl SpinLock {
 pub struct Semaphore {
     value: i64,
     waiters: Vec<TaskId>,
+    /// Woken waiters a post handed a unit to. A parked call is issued
+    /// again after its wakeup, and the waiter's retried wait takes its
+    /// unit here, whatever `value` reads by then.
+    granted: Vec<TaskId>,
     /// Total successful waits (down operations).
     pub downs: u64,
     /// Total posts (up operations).
@@ -124,7 +128,7 @@ pub struct Semaphore {
 /// The kernel's semaphore table (backing the Prototype 5 semaphore syscalls).
 #[derive(Debug, Default)]
 pub struct SemTable {
-    sems: HashMap<u64, Semaphore>,
+    sems: BTreeMap<u64, Semaphore>,
     next_id: u64,
 }
 
@@ -141,7 +145,7 @@ impl SemTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         SemTable {
-            sems: HashMap::new(),
+            sems: BTreeMap::new(),
             next_id: 1,
         }
     }
@@ -155,6 +159,7 @@ impl SemTable {
             Semaphore {
                 value,
                 waiters: Vec::new(),
+                granted: Vec::new(),
                 downs: 0,
                 ups: 0,
             },
@@ -176,11 +181,16 @@ impl SemTable {
             .ok_or_else(|| KernelError::NotFound(format!("semaphore {id}")))
     }
 
-    /// P / wait / down. If the value is positive it is decremented and the
-    /// caller proceeds; otherwise the caller is queued.
+    /// P / wait / down. A caller that a post granted a unit while it was
+    /// queued takes that unit; otherwise, if the value is positive it is
+    /// decremented and the caller proceeds, and if not the caller is queued.
     pub fn wait(&mut self, id: u64, task: TaskId) -> KResult<SemWaitResult> {
         let sem = self.get_mut(id)?;
-        if sem.value > 0 {
+        if let Some(i) = sem.granted.iter().position(|t| *t == task) {
+            sem.granted.remove(i);
+            sem.downs += 1;
+            Ok(SemWaitResult::Acquired)
+        } else if sem.value > 0 {
             sem.value -= 1;
             sem.downs += 1;
             Ok(SemWaitResult::Acquired)
@@ -193,10 +203,11 @@ impl SemTable {
     }
 
     /// V / post / up. Returns the task to wake, if any was queued. When a
-    /// waiter exists it is granted the count directly (so it will not lose a
-    /// race with a later caller). A post that would carry the count past
-    /// `i64::MAX` fails with [`KernelError::LimitExceeded`] and changes
-    /// nothing.
+    /// waiter exists it is granted the unit directly, so it will not lose a
+    /// race with a later caller, and the count does not rise: the waiter
+    /// takes the unit when it issues its wait again. A post that would carry
+    /// the count past `i64::MAX` fails with [`KernelError::LimitExceeded`]
+    /// and changes nothing.
     pub fn post(&mut self, id: u64) -> KResult<Option<TaskId>> {
         let sem = self.get_mut(id)?;
         let waiter = if sem.waiters.is_empty() {
@@ -205,18 +216,34 @@ impl SemTable {
             })?;
             None
         } else {
-            sem.downs += 1;
-            Some(sem.waiters.remove(0))
+            let waiter = sem.waiters.remove(0);
+            sem.granted.push(waiter);
+            Some(waiter)
         };
         sem.ups += 1;
         Ok(waiter)
     }
 
-    /// Removes `task` from every wait list (when it exits while blocked).
-    pub fn forget_task(&mut self, task: TaskId) {
+    /// Removes an exiting `task` from every wait list. A unit it was
+    /// granted but never took passes to the next waiter, or back to the
+    /// count; returns the waiters so granted, for the caller to wake.
+    pub fn forget_task(&mut self, task: TaskId) -> Vec<TaskId> {
+        let mut woken = Vec::new();
         for sem in self.sems.values_mut() {
             sem.waiters.retain(|t| *t != task);
+            let held = sem.granted.len();
+            sem.granted.retain(|t| *t != task);
+            for _ in sem.granted.len()..held {
+                if sem.waiters.is_empty() {
+                    sem.value = sem.value.saturating_add(1);
+                } else {
+                    let next = sem.waiters.remove(0);
+                    sem.granted.push(next);
+                    woken.push(next);
+                }
+            }
         }
+        woken
     }
 
     /// Destroys a semaphore, returning any tasks that were still waiting so
@@ -296,12 +323,45 @@ mod tests {
     }
 
     #[test]
+    fn a_woken_waiter_takes_its_unit_on_the_retry() {
+        let mut st = SemTable::new();
+        let s = st.create(0);
+        assert_eq!(st.wait(s, 7).unwrap(), SemWaitResult::MustBlock);
+        assert_eq!(st.post(s).unwrap(), Some(7));
+        // A third task cannot take the unit the post granted to 7.
+        assert_eq!(st.wait(s, 8).unwrap(), SemWaitResult::MustBlock);
+        assert_eq!(st.wait(s, 7).unwrap(), SemWaitResult::Acquired);
+        assert_eq!(st.value(s).unwrap(), 0);
+        assert_eq!((st.sems[&s].downs, st.sems[&s].ups), (1, 1));
+        // The grant is used up: 7's next wait queues again.
+        assert_eq!(st.wait(s, 7).unwrap(), SemWaitResult::MustBlock);
+    }
+
+    #[test]
+    fn a_grant_that_is_never_taken_goes_back() {
+        let mut st = SemTable::new();
+        let s = st.create(0);
+        st.wait(s, 1).unwrap();
+        st.wait(s, 2).unwrap();
+        assert_eq!(st.post(s).unwrap(), Some(1));
+        // 1 exits before its retry: the unit passes to the next waiter...
+        assert_eq!(st.forget_task(1), vec![2]);
+        assert_eq!(st.wait(s, 2).unwrap(), SemWaitResult::Acquired);
+        // ...or, with nobody queued, back to the count.
+        st.wait(s, 3).unwrap();
+        assert_eq!(st.post(s).unwrap(), Some(3));
+        assert!(st.forget_task(3).is_empty());
+        assert_eq!(st.value(s).unwrap(), 1);
+        assert_eq!(st.sems[&s].downs, 1, "no unit was counted twice");
+    }
+
+    #[test]
     fn exiting_tasks_are_forgotten_and_destroy_returns_waiters() {
         let mut st = SemTable::new();
         let s = st.create(0);
         st.wait(s, 1).unwrap();
         st.wait(s, 2).unwrap();
-        st.forget_task(1);
+        assert!(st.forget_task(1).is_empty());
         assert_eq!(st.post(s).unwrap(), Some(2));
         st.wait(s, 3).unwrap();
         let orphans = st.destroy(s).unwrap();

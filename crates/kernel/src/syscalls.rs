@@ -409,9 +409,6 @@ impl Kernel {
                 let found = self.volume_op(mount, task, core, Park::OnRead, |io| {
                     io.lookup(&inner, flags.write)
                 });
-                if found == Err(KernelError::WouldBlock) {
-                    self.block_current(task, WaitChannel::BlockIo);
-                }
                 let inum = match found {
                     Err(KernelError::NotFound(_)) if flags.create => {
                         self.volume_op(mount, task, core, Park::Never, |io| {
@@ -456,8 +453,8 @@ impl Kernel {
     /// `core`, and charges the SD commands it issued (none on the ramdisk)
     /// to `core`, billing `task`; a call that fails is charged too. `park`
     /// says whether the call may stop with [`KernelError::WouldBlock`]
-    /// instead of spinning; the caller then parks `task` on the block-I/O
-    /// channel, and the call is retried whole when a completion wakes it.
+    /// instead of spinning; `task` then parks on the block-I/O channel, and
+    /// the call is issued again whole when a completion wakes it.
     pub(crate) fn volume_op<R>(
         &mut self,
         mount: Mount,
@@ -486,7 +483,26 @@ impl Kernel {
             result
         });
         self.charge_sd_delta(core, task, before);
+        if matches!(result, Err(FsError::WouldBlock)) {
+            self.block_current(task, WaitChannel::BlockIo);
+        }
         result.map_err(KernelError::from)
+    }
+
+    /// Ends a call that cannot complete yet. A non-blocking descriptor
+    /// reports [`KernelError::WouldBlock`] at once; a blocking one also
+    /// parks `task` on `channel`, and the call is issued again when the
+    /// channel wakes it.
+    fn would_block<R>(
+        &mut self,
+        task: TaskId,
+        flags: OpenFlags,
+        channel: WaitChannel,
+    ) -> KResult<R> {
+        if !flags.nonblock {
+            self.block_current(task, channel);
+        }
+        Err(KernelError::WouldBlock)
     }
 
     /// The durability barrier `close` and `fsync` run: commits `mount`'s
@@ -723,13 +739,9 @@ impl Kernel {
                 // chain parks and retries the whole syscall when the
                 // completion wakes it: the offset only advances on
                 // success, so the retry is idempotent.
-                let read = self.volume_op(mount, task, core, Park::OnRead, |io| {
+                let data = self.volume_op(mount, task, core, Park::OnRead, |io| {
                     io.read(inum, offset, max)
-                });
-                if read == Err(KernelError::WouldBlock) {
-                    self.block_current(task, WaitChannel::BlockIo);
-                }
-                let data = read?;
+                })?;
                 self.charge_copy(mount, core, data.len(), false);
                 self.advance_offset(task, fd, data.len() as u64)?;
                 Ok(data)
@@ -781,12 +793,7 @@ impl Kernel {
                     }
                     crate::pipe::PipeReadResult::Eof => Ok(Vec::new()),
                     crate::pipe::PipeReadResult::WouldBlock => {
-                        if flags.nonblock {
-                            Err(KernelError::WouldBlock)
-                        } else {
-                            self.block_current(task, WaitChannel::PipeRead(id));
-                            Err(KernelError::WouldBlock)
-                        }
+                        self.would_block(task, flags, WaitChannel::PipeRead(id))
                     }
                 }
             }
@@ -833,31 +840,23 @@ impl Kernel {
                     }
                 }
                 if out.is_empty() {
-                    if flags.nonblock {
-                        return Err(KernelError::WouldBlock);
-                    }
-                    self.block_current(task, WaitChannel::KeyEvent);
-                    return Err(KernelError::WouldBlock);
+                    return self.would_block(task, flags, WaitChannel::KeyEvent);
                 }
                 Ok(out)
             }
             DeviceFile::Null => Ok(Vec::new()),
             DeviceFile::Console => {
-                if self.board.uart.rx_ready() {
-                    let mut out = Vec::new();
-                    while out.len() < max {
-                        match self.board.uart.read_byte() {
-                            Some(b) => out.push(b),
-                            None => break,
-                        }
-                    }
-                    Ok(out)
-                } else if flags.nonblock {
-                    Err(KernelError::WouldBlock)
-                } else {
-                    self.block_current(task, WaitChannel::KeyEvent);
-                    Err(KernelError::WouldBlock)
+                // With the receive interrupt on, the handler has drained the
+                // FIFO into `console_input`; with it off, the bytes are
+                // still in the FIFO.
+                while let Some(b) = self.board.uart.read_byte() {
+                    self.console_input.push_back(b);
                 }
+                if self.console_input.is_empty() {
+                    return self.would_block(task, flags, WaitChannel::KeyEvent);
+                }
+                let n = max.min(self.console_input.len());
+                Ok(self.console_input.drain(..n).collect())
             }
             DeviceFile::Framebuffer | DeviceFile::SoundBuffer | DeviceFile::Surface => Err(
                 KernelError::Invalid(format!("{} is not readable", dev.path())),
@@ -916,12 +915,7 @@ impl Kernel {
                         Ok(n)
                     }
                     crate::sound::SoundWriteOutcome::WouldBlock => {
-                        if flags.nonblock {
-                            Err(KernelError::WouldBlock)
-                        } else {
-                            self.block_current(task, WaitChannel::SoundSpace);
-                            Err(KernelError::WouldBlock)
-                        }
+                        self.would_block(task, flags, WaitChannel::SoundSpace)
                     }
                 }
             }
@@ -951,13 +945,9 @@ impl Kernel {
                 // its slice instead of spin-reaping other tasks' chains: the
                 // write path is not retry-idempotent once blocks dirty, so
                 // it parks before touching the cache.
-                let written = self.volume_op(mount, task, core, Park::OnFullQueue, |io| {
+                self.volume_op(mount, task, core, Park::OnFullQueue, |io| {
                     io.write(inum, offset, data)
-                });
-                if written == Err(KernelError::WouldBlock) {
-                    self.block_current(task, WaitChannel::BlockIo);
-                }
-                written?;
+                })?;
                 self.charge_copy(mount, core, data.len(), true);
                 self.advance_offset(task, fd, data.len() as u64)?;
                 self.mark_written(task, fd);
@@ -984,12 +974,7 @@ impl Kernel {
                     }
                     crate::pipe::PipeWriteResult::Broken => Err(KernelError::BrokenPipe),
                     crate::pipe::PipeWriteResult::WouldBlock => {
-                        if flags.nonblock {
-                            Err(KernelError::WouldBlock)
-                        } else {
-                            self.block_current(task, WaitChannel::PipeWrite(id));
-                            Err(KernelError::WouldBlock)
-                        }
+                        self.would_block(task, flags, WaitChannel::PipeWrite(id))
                     }
                 }
             }

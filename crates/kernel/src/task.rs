@@ -47,8 +47,6 @@ pub enum WaitChannel {
     /// readers and back-pressured writers park here; the `Interrupt::Dma0`
     /// completion router wakes the channel).
     BlockIo,
-    /// Waiting on an explicitly named channel (used by tests).
-    Named(u64),
 }
 
 /// How a task relates to an address space.

@@ -506,6 +506,13 @@ fn semaphores_block_and_wake_threads() {
         .with_task_ctx(other, |ctx| ctx.sem_post(sem))
         .unwrap();
     assert!(sys.kernel.task(tid).unwrap().is_ready());
+    // The woken task issues its wait again and takes the posted unit...
+    sys.kernel
+        .with_task_ctx(tid, |ctx| ctx.sem_wait(sem))
+        .unwrap();
+    // ...which was the only one: the poster's own wait now blocks.
+    let r = sys.kernel.with_task_ctx(other, |ctx| ctx.sem_wait(sem));
+    assert!(matches!(r, Err(kernel::KernelError::WouldBlock)));
 }
 
 #[test]
