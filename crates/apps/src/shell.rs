@@ -260,7 +260,8 @@ impl UserProgram for Shell {
                     self.state = ShellState::ReadingInput;
                     StepResult::Continue
                 }
-                Ok(None) => StepResult::Continue, // blocked until the child exits
+                // Parked until the child exits.
+                Ok(None) | Err(KernelError::WouldBlock) => StepResult::Continue,
                 Err(_) => {
                     self.state = ShellState::ReadingInput;
                     StepResult::Continue

@@ -3,14 +3,17 @@
 //! Everything above this layer (the unified buffer cache, xv6fs, FAT32)
 //! reads and writes 512-byte sectors through the [`BlockDevice`] trait. Two
 //! device classes exist in Proto: the ramdisk linked into the kernel image
-//! (Prototype 4) and the SD card (Prototype 5). The trait mirrors the two
-//! access shapes the SD driver offers — single blocks and contiguous ranges
-//! (CMD17/CMD24 vs CMD18/CMD25) — plus [`BlockDevice::flush`] as the barrier
-//! the write-back cache drains through, and a statistics hook so the kernel
-//! can charge the right virtual-cycle costs for each shape. The range
-//! methods have loop-over-single-blocks defaults so simple devices stay
-//! simple; [`SdBlockDevice`] overrides them with the SD host's real
-//! multi-block commands.
+//! (Prototype 4) and the SD card (Prototype 5). Both keep their blocks in
+//! hal's simulated disk ([`hal::disk::Disk`]): the ramdisk is one, mounted
+//! bare as [`MemDisk`], and the card is the SD host's `card`, so faults,
+//! power cuts and the posted write cache behave alike on both. The trait
+//! mirrors the two access shapes the SD driver offers — single blocks and
+//! contiguous ranges (CMD17/CMD24 vs CMD18/CMD25) — plus
+//! [`BlockDevice::flush`] as the barrier the write-back cache drains
+//! through, and a statistics hook so the kernel can charge the right
+//! virtual-cycle costs for each shape. The range methods have
+//! loop-over-single-blocks defaults so simple devices stay simple; both
+//! devices here override them with the disk's real multi-block commands.
 //!
 //! The buffer cache moves every transfer through the submit half of the
 //! trait: [`BlockDevice::submit_read_sg`]/[`BlockDevice::submit_write_sg`]
@@ -26,24 +29,11 @@
 
 use hal::clock::Clock;
 use hal::cost::CostModel;
+pub use hal::disk::{BlockIoStats, Disk as MemDisk, BLOCK_SIZE};
 use hal::dma::DmaEngine;
 use hal::sdhost::{DmaTraffic, SdDataMode, SdSgRun, SD_DMA_CHANNEL};
 
 use crate::{FsError, FsResult};
-
-/// Sector size in bytes, matching [`hal::sdhost::BLOCK_SIZE`].
-pub const BLOCK_SIZE: usize = 512;
-
-/// Access statistics a device keeps so the caller can account for I/O cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockIoStats {
-    /// Single-block commands issued.
-    pub single_cmds: u64,
-    /// Multi-block range commands issued.
-    pub range_cmds: u64,
-    /// Total blocks transferred (both shapes).
-    pub blocks: u64,
-}
 
 /// A contiguous run of an asynchronous scatter-gather command: `(lba,
 /// count)` in device blocks.
@@ -178,13 +168,13 @@ pub trait BlockDevice {
 
     /// Flushes device-side buffers: the FLUSH barrier. The default is a
     /// no-op for devices that complete transfers synchronously; devices
-    /// with a posted write cache ([`MemDisk::set_posted_writes`], the SD
-    /// host's cache mode) override it to make every completed-but-volatile
-    /// write durable. The write-back buffer cache calls this at the end of
-    /// its own drains, so the transaction layer's commit point is the FLUSH
-    /// closing the drain that sends its record down — with a posted cache
-    /// enabled, skipping the barrier is demonstrably unsafe (see the crash
-    /// suite's barrier-elision test).
+    /// with a posted write cache ([`hal::disk::Disk::set_posted_writes`])
+    /// override it to make every completed-but-volatile write durable. The
+    /// write-back buffer cache calls this at the end of its own drains, so
+    /// the transaction layer's commit point is the FLUSH closing the drain
+    /// that sends its record down — with a posted cache enabled, skipping
+    /// the barrier is demonstrably unsafe (see the crash suite's
+    /// barrier-elision test).
     fn flush(&mut self) -> FsResult<()> {
         Ok(())
     }
@@ -229,322 +219,35 @@ pub trait BlockDevice {
     }
 }
 
-/// A memory-backed block device: Proto's ramdisk, and the disk image tests
-/// format filesystems onto.
-#[derive(Debug, Clone)]
-pub struct MemDisk {
-    data: Vec<u8>,
-    stats: BlockIoStats,
-    /// Optional: block numbers that fail on access, for fault injection.
-    faulty: Vec<u64>,
-    /// Remaining blocks that may persist before the injected power cut
-    /// fires (`None` = no cut armed). See [`MemDisk::power_cut_after`].
-    power_budget: Option<u64>,
-    /// True once the injected power cut has fired: every subsequent access
-    /// fails until [`MemDisk::power_restored`].
-    power_lost: bool,
-    /// Range commands that persisted only a prefix of their blocks before
-    /// failing — the torn mid-CMD25 writes the crash tests model.
-    torn_writes: u64,
-    /// Posted-write-cache mode: completed writes land in [`MemDisk::cache`]
-    /// (volatile) and become durable only at [`BlockDevice::flush`]; a power
-    /// cut drops the whole cache. Off by default — the instant-persist model
-    /// the rest of the suite pins.
-    posted: bool,
-    /// The volatile write cache (block → contents). BTreeMap so flush
-    /// persists in deterministic LBA order.
-    cache: std::collections::BTreeMap<u64, Vec<u8>>,
-    /// FLUSH barriers served (posted mode only).
-    flushes: u64,
-}
-
-impl MemDisk {
-    /// Creates an all-zero disk with `num_blocks` sectors.
-    pub fn new(num_blocks: u64) -> Self {
-        MemDisk {
-            data: vec![0u8; num_blocks as usize * BLOCK_SIZE],
-            stats: BlockIoStats::default(),
-            faulty: Vec::new(),
-            power_budget: None,
-            power_lost: false,
-            torn_writes: 0,
-            posted: false,
-            cache: std::collections::BTreeMap::new(),
-            flushes: 0,
-        }
-    }
-
-    /// Creates a disk from an existing image, padding to a whole block.
-    pub fn from_image(mut image: Vec<u8>) -> Self {
-        let rem = image.len() % BLOCK_SIZE;
-        if rem != 0 {
-            image.resize(image.len() + BLOCK_SIZE - rem, 0);
-        }
-        MemDisk {
-            data: image,
-            stats: BlockIoStats::default(),
-            faulty: Vec::new(),
-            power_budget: None,
-            power_lost: false,
-            torn_writes: 0,
-            posted: false,
-            cache: std::collections::BTreeMap::new(),
-            flushes: 0,
-        }
-    }
-
-    /// The raw image bytes (what gets packed into the kernel image as the
-    /// opaque ramdisk dump). In posted-write-cache mode this is the
-    /// *durable* state only — exactly what a remount after a power cut
-    /// would see; volatile cached writes are not included.
-    pub fn image(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Marks `lba` as faulty so accesses to it fail.
-    pub fn inject_fault(&mut self, lba: u64) {
-        self.faulty.push(lba);
-    }
-
-    /// Clears every injected fault ("the card recovered") so retried
-    /// write-backs can succeed.
-    pub fn clear_faults(&mut self) {
-        self.faulty.clear();
-    }
-
-    /// Arms a power cut: after `blocks` more blocks have been persisted, the
-    /// device dies mid-command. A range write crossing the budget persists
-    /// only its first blocks before failing — the torn mid-CMD25 write of a
-    /// real power loss — and every later access fails until
-    /// [`MemDisk::power_restored`]. [`MemDisk::image`] always returns exactly
-    /// what persisted, so tests can remount the surviving state.
-    pub fn power_cut_after(&mut self, blocks: u64) {
-        self.power_budget = Some(blocks);
-        self.power_lost = false;
-    }
-
-    /// "Plugs the machine back in": clears the power-cut state (any armed
-    /// budget included) so the persisted image can be accessed again.
-    pub fn power_restored(&mut self) {
-        self.power_budget = None;
-        self.power_lost = false;
-    }
-
-    /// Whether the injected power cut has fired.
-    pub fn power_lost(&self) -> bool {
-        self.power_lost
-    }
-
-    /// Range commands that persisted only a prefix of their blocks before the
-    /// power cut fired.
-    pub fn torn_writes(&self) -> u64 {
-        self.torn_writes
-    }
-
-    /// Enables or disables the modeled posted write cache. When on,
-    /// completed writes land volatile and become durable only at a
-    /// [`BlockDevice::flush`]; a power cut drops every un-flushed block.
-    /// Off by default: the instant-persist semantics the rest of the suite
-    /// was written against.
-    pub fn set_posted_writes(&mut self, on: bool) {
-        if !on && !self.cache.is_empty() {
-            // Leaving posted mode persists what the cache holds — the knob
-            // is a model switch, not a data-loss event.
-            let cached: Vec<(u64, Vec<u8>)> = std::mem::take(&mut self.cache).into_iter().collect();
-            for (lba, buf) in cached {
-                let s = (lba as usize).saturating_mul(BLOCK_SIZE);
-                self.data[s..s + BLOCK_SIZE].copy_from_slice(&buf);
-            }
-        }
-        self.posted = on;
-    }
-
-    /// Whether the posted write cache is enabled.
-    pub fn posted_writes(&self) -> bool {
-        self.posted
-    }
-
-    /// Blocks sitting in the volatile write cache (un-flushed).
-    pub fn cached_blocks(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// FLUSH barriers the device has served in posted mode.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Cuts power *right now*: every un-flushed block in the posted write
-    /// cache is dropped and every later access fails until
-    /// [`MemDisk::power_restored`]. The immediate form of
-    /// [`MemDisk::power_cut_after`], for tests that cut at a chosen protocol
-    /// step rather than a counted write.
-    pub fn power_cut(&mut self) {
-        self.power_lost = true;
-        self.power_budget = Some(0);
-        self.cache.clear();
-    }
-
-    fn check(&self, lba: u64, count: u64) -> FsResult<()> {
-        if self.power_lost {
-            return Err(FsError::Io("device lost power".into()));
-        }
-        let end = lba
-            .checked_add(count)
-            .ok_or_else(|| FsError::Io(format!("block range {lba}+{count} overflows")))?;
-        if end > self.num_blocks() {
-            return Err(FsError::Io(format!(
-                "block {lba}+{count} beyond device of {} blocks",
-                self.num_blocks()
-            )));
-        }
-        for b in lba..end {
-            if self.faulty.contains(&b) {
-                return Err(FsError::Io(format!("injected fault at block {b}")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Accounts `count` blocks about to persist against an armed power-cut
-    /// budget. Returns how many of them actually persist; fewer than `count`
-    /// means the cut fires during this command.
-    fn power_allow(&mut self, count: u64) -> u64 {
-        match self.power_budget {
-            None => count,
-            Some(budget) => {
-                let allowed = budget.min(count);
-                self.power_budget = Some(budget - allowed);
-                if allowed < count {
-                    self.power_lost = true;
-                    // The posted write cache is volatile: it dies with the
-                    // power, un-flushed blocks and all.
-                    self.cache.clear();
-                }
-                allowed
-            }
-        }
-    }
-}
-
+/// The ramdisk: hal's simulated disk, mounted bare. Its own methods return
+/// [`hal::HalError`]; as a [`BlockDevice`] they report [`FsError::Io`].
 impl BlockDevice for MemDisk {
     fn num_blocks(&self) -> u64 {
-        (self.data.len() / BLOCK_SIZE) as u64
+        MemDisk::num_blocks(self)
     }
 
     fn read_block(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
-        if out.len() != BLOCK_SIZE {
-            return Err(FsError::Invalid(
-                "read_block buffer must be 512 bytes".into(),
-            ));
-        }
-        self.check(lba, 1)?;
-        if let Some(cached) = self.cache.get(&lba) {
-            out.copy_from_slice(cached);
-        } else {
-            let s = (lba as usize).saturating_mul(BLOCK_SIZE);
-            out.copy_from_slice(&self.data[s..s + BLOCK_SIZE]);
-        }
-        self.stats.single_cmds += 1;
-        self.stats.blocks += 1;
-        Ok(())
+        Ok(MemDisk::read_block(self, lba, out)?)
     }
 
     fn write_block(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        if data.len() != BLOCK_SIZE {
-            return Err(FsError::Invalid(
-                "write_block buffer must be 512 bytes".into(),
-            ));
-        }
-        self.check(lba, 1)?;
-        if self.power_allow(1) == 0 {
-            return Err(FsError::Io(format!(
-                "power cut before write of block {lba}"
-            )));
-        }
-        if self.posted {
-            self.cache.insert(lba, data.to_vec());
-        } else {
-            let s = (lba as usize).saturating_mul(BLOCK_SIZE);
-            self.data[s..s + BLOCK_SIZE].copy_from_slice(data);
-        }
-        self.stats.single_cmds += 1;
-        self.stats.blocks += 1;
-        Ok(())
+        Ok(MemDisk::write_block(self, lba, data)?)
     }
 
     fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
-        if out.len() != count as usize * BLOCK_SIZE {
-            return Err(FsError::Invalid("read_range buffer size mismatch".into()));
-        }
-        self.check(lba, count)?;
-        let s = (lba as usize).saturating_mul(BLOCK_SIZE);
-        out.copy_from_slice(&self.data[s..s + count as usize * BLOCK_SIZE]);
-        if !self.cache.is_empty() {
-            for (&b, cached) in self.cache.range(lba..lba.saturating_add(count)) {
-                let o = ((b - lba) as usize).saturating_mul(BLOCK_SIZE);
-                out[o..o + BLOCK_SIZE].copy_from_slice(cached);
-            }
-        }
-        self.stats.range_cmds += 1;
-        self.stats.blocks += count;
-        Ok(())
+        Ok(MemDisk::read_range(self, lba, count, out)?)
     }
 
     fn write_range(&mut self, lba: u64, count: u64, data: &[u8]) -> FsResult<()> {
-        if data.len() != count as usize * BLOCK_SIZE {
-            return Err(FsError::Invalid("write_range buffer size mismatch".into()));
-        }
-        self.check(lba, count)?;
-        let persist = self.power_allow(count);
-        if self.posted {
-            // The whole transfer lands in the volatile cache; if the cut
-            // fired mid-command the cache was just dropped, so nothing of
-            // this command (or any earlier un-flushed one) survives — no
-            // durable tearing, just loss.
-            if persist == count {
-                for i in 0..count as usize {
-                    self.cache.insert(
-                        lba.saturating_add(i as u64),
-                        data[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE].to_vec(),
-                    );
-                }
-            }
-        } else {
-            let s = (lba as usize).saturating_mul(BLOCK_SIZE);
-            self.data[s..s + persist as usize * BLOCK_SIZE]
-                .copy_from_slice(&data[..persist as usize * BLOCK_SIZE]);
-            if persist < count && persist > 0 {
-                self.torn_writes += 1;
-            }
-        }
-        self.stats.range_cmds += 1;
-        self.stats.blocks += persist;
-        if persist < count {
-            return Err(FsError::Io(format!(
-                "power cut mid-range-write at block {lba}: {persist} of {count} blocks persisted"
-            )));
-        }
-        Ok(())
+        Ok(MemDisk::write_range(self, lba, count, data)?)
     }
 
     fn flush(&mut self) -> FsResult<()> {
-        if self.power_lost {
-            return Err(FsError::Io("device lost power".into()));
-        }
-        if self.posted {
-            self.flushes += 1;
-            let cached: Vec<(u64, Vec<u8>)> = std::mem::take(&mut self.cache).into_iter().collect();
-            for (b, buf) in cached {
-                let s = (b as usize).saturating_mul(BLOCK_SIZE);
-                self.data[s..s + BLOCK_SIZE].copy_from_slice(&buf);
-            }
-        }
-        Ok(())
+        Ok(MemDisk::flush(self)?)
     }
 
     fn stats(&self) -> BlockIoStats {
-        self.stats
+        MemDisk::stats(self)
     }
 }
 
@@ -687,19 +390,14 @@ impl BlockDevice for SdBlockDevice<'_> {
     }
 
     fn read_block(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
-        let mut buf = [0u8; BLOCK_SIZE];
         self.sd
-            .read_block(self.partition_start.saturating_add(lba), &mut buf)
-            .map_err(FsError::from)?;
-        out.copy_from_slice(&buf);
-        Ok(())
+            .read_block(self.partition_start.saturating_add(lba), out)
+            .map_err(FsError::from)
     }
 
     fn write_block(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        buf.copy_from_slice(data);
         self.sd
-            .write_block(self.partition_start.saturating_add(lba), &buf)
+            .write_block(self.partition_start.saturating_add(lba), data)
             .map_err(FsError::from)
     }
 

@@ -4109,7 +4109,7 @@ mod tests {
             // DMA: each contiguous run rides its own chain, so a permanently
             // bad sector re-dirties only its run while the rest drains.
             let mut rig = Rig::new(4096);
-            rig.sd.inject_fault(4);
+            rig.sd.card.inject_fault(4);
             let mut bc = BufCache::default();
             let data = vec![0xABu8; BLOCK_SIZE * 8];
             bc.write_range(&mut rig.dev(), 0, 8, &data).unwrap(); // covers fault
@@ -4135,7 +4135,7 @@ mod tests {
             rig.sd.read_block(64, &mut raw).unwrap();
             assert_eq!(raw, [0xABu8; BLOCK_SIZE]);
             // The fault clears: the retained run drains too.
-            rig.sd.clear_faults();
+            rig.sd.card.clear_faults();
             while bc.dirty_blocks() > 0 {
                 let _ = bc.flush_some(&mut rig.dev(), 64);
                 let mut dev = rig.dev();
@@ -4194,7 +4194,7 @@ mod tests {
         #[test]
         fn failed_async_writeback_leaves_blocks_dirty_and_retryable() {
             let mut rig = Rig::new(4096);
-            rig.sd.inject_fault(5);
+            rig.sd.card.inject_fault(5);
             let mut bc = BufCache::default();
             let data = vec![0xEEu8; BLOCK_SIZE * 8];
             bc.write_range(&mut rig.dev(), 0, 8, &data).unwrap();
@@ -4204,7 +4204,7 @@ mod tests {
             );
             assert_eq!(bc.dirty_blocks(), 8, "failed chain loses nothing");
             assert!(bc.stats().async_write_errors > 0);
-            rig.sd.clear_faults();
+            rig.sd.card.clear_faults();
             bc.flush(&mut rig.dev()).unwrap();
             assert_eq!(bc.dirty_blocks(), 0);
             let mut back = [0u8; BLOCK_SIZE];
@@ -4224,13 +4224,13 @@ mod tests {
             let data = vec![0xDAu8; BLOCK_SIZE * 8];
             bc.write_range(&mut rig.dev(), 100, 8, &data).unwrap();
             bc.add_dependency(2, 1, 100, 8);
-            rig.sd.power_cut_after(5);
+            rig.sd.card.power_cut_after(5);
             assert!(
                 bc.flush(&mut rig.dev()).is_err(),
                 "torn chain fails the barrier"
             );
-            assert_eq!(rig.sd.torn_writes(), 1);
-            rig.sd.power_restored();
+            assert_eq!(rig.sd.card.torn_writes(), 1);
+            rig.sd.card.power_restored();
             let mut raw = [0u8; BLOCK_SIZE];
             rig.sd.read_block(2, &mut raw).unwrap();
             assert_eq!(raw, [0u8; BLOCK_SIZE], "metadata never hit the wire");
@@ -4308,7 +4308,7 @@ mod tests {
         #[test]
         fn failed_blocking_chain_surfaces_the_error_on_retry_not_a_deadlock() {
             let mut rig = Rig::new(4096);
-            rig.sd.inject_fault(10);
+            rig.sd.card.inject_fault(10);
             let mut bc = BufCache::default();
             bc.set_block_demand(true);
             let mut out = vec![0u8; BLOCK_SIZE * 16];
@@ -4327,7 +4327,7 @@ mod tests {
                 Ok(_) => panic!("the faulted chain cannot have filled the window"),
             }
             // The fault cleared, the next attempt re-issues and completes.
-            rig.sd.clear_faults();
+            rig.sd.card.clear_faults();
             let mut attempts = 0;
             loop {
                 match bc.read_range(&mut rig.dev(), 8, 16, &mut out) {

@@ -499,26 +499,26 @@ mod tests {
 
         fn read_block(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
             self.note(false, lba, 1);
-            self.disk.read_block(lba, out)
+            Ok(self.disk.read_block(lba, out)?)
         }
 
         fn write_block(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
             self.note(true, lba, 1);
-            self.disk.write_block(lba, data)
+            Ok(self.disk.write_block(lba, data)?)
         }
 
         fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
             self.note(false, lba, count);
-            self.disk.read_range(lba, count, out)
+            Ok(self.disk.read_range(lba, count, out)?)
         }
 
         fn write_range(&mut self, lba: u64, count: u64, data: &[u8]) -> FsResult<()> {
             self.note(true, lba, count);
-            self.disk.write_range(lba, count, data)
+            Ok(self.disk.write_range(lba, count, data)?)
         }
 
         fn flush(&mut self) -> FsResult<()> {
-            self.disk.flush()
+            Ok(self.disk.flush()?)
         }
 
         fn stats(&self) -> BlockIoStats {

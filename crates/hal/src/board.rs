@@ -15,7 +15,6 @@ use crate::gpio::Gpio;
 use crate::intc::IrqController;
 use crate::mailbox::Mailbox;
 use crate::mem::PhysMem;
-use crate::power::{ActivitySnapshot, PowerEstimate, PowerModel};
 use crate::pwm::PwmAudio;
 use crate::sdhost::SdHost;
 use crate::systimer::SystemTimer;
@@ -54,8 +53,6 @@ pub struct SimBoard {
     pub sdhost: SdHost,
     /// USB host controller.
     pub usb: UsbHostController,
-    /// Power model for Figure 12 style estimates.
-    pub power: PowerModel,
     /// How many cores the kernel is allowed to use (1 for Prototypes 1–4,
     /// up to 4 for Prototype 5; Figure 10 sweeps this).
     active_cores: usize,
@@ -80,7 +77,6 @@ impl SimBoard {
             dma: DmaEngine::new(),
             sdhost: SdHost::default(),
             usb: UsbHostController::new(),
-            power: PowerModel::default(),
             active_cores: NUM_CORES,
         }
     }
@@ -140,11 +136,6 @@ impl SimBoard {
         let dma = self.dma.tick(now_cycles, &mut self.mem, &mut self.intc);
         self.usb.tick(&mut self.intc);
         dma
-    }
-
-    /// Estimates instantaneous power for an activity snapshot.
-    pub fn estimate_power(&self, activity: &ActivitySnapshot) -> PowerEstimate {
-        self.power.estimate(activity)
     }
 
     /// The next point in virtual time (microseconds) at which a timer will

@@ -116,11 +116,6 @@ impl Clock {
         ms.saturating_mul(self.freq_hz) / 1_000
     }
 
-    /// Global time in nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        self.cycles_to_ns(self.global_cycles())
-    }
-
     /// Global time in microseconds (the unit the Pi 3 system timer counts in).
     pub fn now_us(&self) -> u64 {
         self.cycles_to_us(self.global_cycles())

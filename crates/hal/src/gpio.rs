@@ -41,8 +41,6 @@ struct Pin {
 #[derive(Debug)]
 pub struct Gpio {
     pins: Vec<Pin>,
-    /// Number of edge events detected since boot.
-    events: u64,
 }
 
 impl Default for Gpio {
@@ -56,7 +54,6 @@ impl Gpio {
     pub fn new() -> Self {
         Gpio {
             pins: vec![Pin::default(); NUM_PINS],
-            events: 0,
         }
     }
 
@@ -128,7 +125,6 @@ impl Gpio {
         self.pins[pin].level = level;
         if rising && self.pins[pin].rising_edge_detect {
             self.pins[pin].event_pending = true;
-            self.events += 1;
             if self.pins[pin].fiq_routed {
                 intc.raise(Interrupt::PanicButtonFiq);
             } else {
@@ -150,11 +146,6 @@ impl Gpio {
             }
         }
         pending
-    }
-
-    /// Total edge events detected since boot.
-    pub fn event_count(&self) -> u64 {
-        self.events
     }
 }
 

@@ -116,11 +116,6 @@ impl IrqController {
         self.irq_masked[core] = masked;
     }
 
-    /// Whether IRQs are masked on `core`.
-    pub fn core_masked(&self, core: CoreId) -> bool {
-        self.irq_masked[core]
-    }
-
     /// Routing policy: which core receives `source`.
     pub fn route(&mut self, source: Interrupt) -> CoreId {
         match source {
@@ -172,12 +167,6 @@ impl IrqController {
         self.pending
             .iter()
             .any(|p| p.core == core && (p.source.is_fiq() || !masked))
-    }
-
-    /// True if any core has any pending (even masked) interrupt; used by the
-    /// idle loop to decide whether WFI would wake immediately.
-    pub fn any_pending(&self) -> bool {
-        !self.pending.is_empty()
     }
 
     /// Total number of interrupts raised since boot.

@@ -18,6 +18,9 @@
 //! * [`uart`], [`mailbox`], [`framebuffer`], [`gpio`], [`pwm`], [`dma`],
 //!   [`sdhost`], [`usb_hw`] — device models with the same interface contracts
 //!   the paper's drivers program against.
+//! * [`disk`] — the simulated disk under both block devices: the SD host's
+//!   card and the kernel's ramdisk, with their faults, power cuts and posted
+//!   write cache.
 //! * [`cache`] — a write-back cache model that reproduces the
 //!   "stale framebuffer lines until flushed" behaviour discussed in §4.3 of
 //!   the paper.
@@ -57,6 +60,7 @@ pub mod board;
 pub mod cache;
 pub mod clock;
 pub mod cost;
+pub mod disk;
 pub mod dma;
 pub mod framebuffer;
 pub mod generic_timer;

@@ -39,7 +39,6 @@ pub const PI3B_PLUS_REVISION: u32 = 0x00A0_20D3;
 pub struct Mailbox {
     arm_mem_base: u32,
     arm_mem_size: u32,
-    core_clock_hz: u32,
     /// Peripherals powered on via SetPowerState (device id -> on).
     powered: Vec<(u32, bool)>,
     /// Number of property calls made (boot-time accounting).
@@ -59,7 +58,6 @@ impl Mailbox {
         Mailbox {
             arm_mem_base: 0,
             arm_mem_size: (1 << 30) - (64 << 20),
-            core_clock_hz: 1_000_000_000,
             powered: Vec::new(),
             calls: 0,
         }
@@ -80,12 +78,6 @@ impl Mailbox {
     pub fn get_arm_memory(&mut self) -> (u32, u32) {
         self.calls += 1;
         (self.arm_mem_base, self.arm_mem_size)
-    }
-
-    /// `GetClockRate` for the core clock, in Hz.
-    pub fn get_core_clock_rate(&mut self) -> u32 {
-        self.calls += 1;
-        self.core_clock_hz
     }
 
     /// `SetPowerState`: powers a peripheral (3 = USB HCD) on or off.

@@ -19,52 +19,31 @@
 //!   [`SdHost::kick_dma`] programs the engine with the next queued command;
 //!   commands start, transfer and complete strictly in submission order.
 //!
-//! Card-side semantics are identical in both modes: `inject_fault` fails the
-//! covering command, and an armed [`SdHost::power_cut_after`] tears a
-//! multi-block write at block granularity — a DMA CMD25 crossing the budget
-//! persists only its scatter-gather prefix, exactly like the polled path.
-//! The polled mode stays fully functional so the xv6-baseline ablation (and
-//! tiny metadata transfers) remain honest.
-//!
-//! # The card store
-//!
-//! The medium is kept in 64 KB chunks of 128 blocks, each allocated on its
-//! first write; a block no write ever reached reads as zero. A command moves
-//! its data one run at a time, with one copy per chunk the run touches. With
-//! the posted write cache on, completed writes sit in a per-block volatile
-//! overlay that every read consults over the medium, and that a power cut
-//! drops.
-//!
-//! A write run persists a *prefix*, computed once per run: the blocks before
-//! the run's first faulty block, cut short by an armed power budget. A DMA
-//! write chain persists its runs' prefixes in order and stops at the first
-//! run that falls short — with the fault's error, or with the power cut's,
-//! which also drops the posted overlay, the chain's own prefix included. A
-//! polled range write checks the whole range for faults before it moves
-//! anything. Either way the card ends in the state a block-by-block transfer
-//! would leave.
+//! The card is a [`Disk`], the host's public `card` field: its blocks, the
+//! faults and power cuts tests inject, its posted write cache and the
+//! counters of polled commands live there, and both modes move their data
+//! through its one read path and one write path. So card-side semantics are
+//! identical in both modes: a fault fails the covering command, and an armed
+//! power cut tears a write at block granularity — a DMA CMD25 crossing the
+//! budget persists only its scatter-gather prefix, exactly like the polled
+//! path. The host keeps only the controller: the init/removal gate, the rule
+//! that a command moves at least one block, the queue, the data mode and the
+//! DMA traffic counters. The polled mode stays fully functional so the
+//! xv6-baseline ablation (and tiny metadata transfers) remain honest.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Range;
+use std::collections::VecDeque;
 
 use crate::clock::Cycles;
 use crate::cost::CostModel;
+use crate::disk::Disk;
+pub use crate::disk::BLOCK_SIZE;
 use crate::dma::{DmaDest, DmaEngine, DmaTransfer};
 use crate::{HalError, HalResult};
-
-/// SD/FAT sector size in bytes.
-pub const BLOCK_SIZE: usize = 512;
 
 /// Default card capacity: a 32 GB class-10 card is what Table 3 lists, but
 /// simulating 32 GB sparsely is pointless — the default image is 256 MB,
 /// plenty for game assets and test media.
 pub const DEFAULT_CARD_BLOCKS: u64 = (256 << 20) / BLOCK_SIZE as u64;
-
-/// Blocks per chunk of the card store (64 KB).
-const CHUNK_BLOCKS: u64 = 128;
-
-/// Bytes per chunk of the card store.
-const CHUNK_BYTES: usize = CHUNK_BLOCKS as usize * BLOCK_SIZE;
 
 /// Depth of the asynchronous command queue in DMA mode. Eight in-flight
 /// commands is plenty to keep the card streaming while bounding the memory
@@ -120,10 +99,10 @@ impl DmaTraffic {
 #[derive(Debug, Clone)]
 struct SdQueuedCmd {
     id: u64,
-    write: bool,
     runs: Vec<SdSgRun>,
-    /// Staged payload for writes, run-major (the driver snapshots the buffers
-    /// when it builds the chain, so later cache writes cannot tear it).
+    /// A write's run-major payload (the driver snapshots the buffers when it
+    /// builds the chain, so later cache writes cannot tear it); `None` for a
+    /// read.
     data: Option<Vec<u8>>,
 }
 
@@ -143,45 +122,14 @@ pub struct SdCompletion {
     pub result: HalResult<()>,
 }
 
-/// The SD host controller + card model.
+/// The SD host controller and the card in its slot.
 #[derive(Debug)]
 pub struct SdHost {
-    /// The persisted medium.
-    medium: ChunkStore,
-    total_blocks: u64,
+    /// The card: its blocks, injected faults, power and posted write cache.
+    pub card: Disk,
     initialized: bool,
-    /// Statistics: single-block commands issued.
-    single_block_cmds: u64,
-    /// Statistics: range commands issued.
-    range_cmds: u64,
-    /// Statistics: total blocks transferred.
-    blocks_transferred: u64,
-    /// Blocks that will fail on access (error injection).
-    faulty_blocks: BTreeSet<u64>,
     /// If set, the card is "removed" and every command fails.
     removed: bool,
-    /// Remaining blocks that may persist before the armed power cut fires
-    /// (`None` = no cut armed). See [`SdHost::power_cut_after`].
-    power_budget: Option<u64>,
-    /// True once the armed power cut has fired; every command fails until
-    /// [`SdHost::power_restored`].
-    power_lost: bool,
-    /// CMD25 range writes that persisted only a prefix of their blocks
-    /// before failing (mid-transfer power loss).
-    torn_writes: u64,
-    /// Posted-write-cache mode: completed writes land in [`SdHost::cache`]
-    /// (the card's volatile RAM buffer) and persist only at
-    /// [`SdHost::flush_cache`] or a FUA write; a power cut drops the whole
-    /// cache. Off by default — the instant-persist model the existing torn
-    /// write tests pin.
-    posted: bool,
-    /// The volatile write cache (block → contents). BTreeMap so a flush
-    /// persists in deterministic LBA order.
-    cache: BTreeMap<u64, Box<[u8]>>,
-    /// Statistics: cache FLUSH commands served.
-    flush_cmds: u64,
-    /// Statistics: FUA (forced-program) single-block writes served.
-    fua_cmds: u64,
     /// How the data phase moves (polled FIFO vs scatter-gather DMA).
     data_mode: SdDataMode,
     /// Commands waiting for the DMA channel.
@@ -209,21 +157,9 @@ impl SdHost {
     /// Creates a host with an empty (all-zero) card of `total_blocks` blocks.
     pub fn new(total_blocks: u64) -> Self {
         SdHost {
-            medium: ChunkStore::default(),
-            total_blocks,
+            card: Disk::new(total_blocks),
             initialized: false,
-            single_block_cmds: 0,
-            range_cmds: 0,
-            blocks_transferred: 0,
-            faulty_blocks: BTreeSet::new(),
             removed: false,
-            power_budget: None,
-            power_lost: false,
-            torn_writes: 0,
-            posted: false,
-            cache: BTreeMap::new(),
-            flush_cmds: 0,
-            fua_cmds: 0,
             data_mode: SdDataMode::Pio,
             queue: VecDeque::new(),
             inflight: None,
@@ -236,7 +172,7 @@ impl SdHost {
 
     /// Card capacity in 512-byte blocks.
     pub fn total_blocks(&self) -> u64 {
-        self.total_blocks
+        self.card.num_blocks()
     }
 
     /// Performs controller + card initialisation (CMD0/CMD8/ACMD41... on real
@@ -249,11 +185,6 @@ impl SdHost {
         Ok(())
     }
 
-    /// Whether the controller has been initialised.
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     /// Simulates pulling the card out (or a fatal card error).
     pub fn set_removed(&mut self, removed: bool) {
         self.removed = removed;
@@ -262,291 +193,86 @@ impl SdHost {
         }
     }
 
-    /// Marks `block` as faulty: reads and writes touching it will fail.
-    pub fn inject_fault(&mut self, block: u64) {
-        self.faulty_blocks.insert(block);
-    }
-
-    /// Clears all injected faults.
-    pub fn clear_faults(&mut self) {
-        self.faulty_blocks.clear();
-    }
-
-    /// Arms a power cut: after `blocks` more blocks persist, the supply dies
-    /// mid-command. A CMD25 range write crossing the budget persists only its
-    /// first blocks before the command fails — the torn write the crash
-    /// consistency tests model — and every later command fails until
-    /// [`SdHost::power_restored`]. Card contents persisted before the cut are
-    /// retained, exactly as flash would retain them.
-    pub fn power_cut_after(&mut self, blocks: u64) {
-        self.power_budget = Some(blocks);
-        self.power_lost = false;
-    }
-
-    /// Restores power (the card keeps whatever persisted before the cut).
-    pub fn power_restored(&mut self) {
-        self.power_budget = None;
-        self.power_lost = false;
-    }
-
-    /// Whether the armed power cut has fired.
-    pub fn power_lost(&self) -> bool {
-        self.power_lost
-    }
-
-    /// CMD25 writes torn mid-transfer by the power cut.
-    pub fn torn_writes(&self) -> u64 {
-        self.torn_writes
-    }
-
-    /// Enables or disables the card's modeled posted write cache. When on,
-    /// completed writes sit in volatile card RAM until
-    /// [`SdHost::flush_cache`] (or a FUA write) programs them to flash; a
-    /// power cut drops every un-flushed block. Disabling the mode persists
-    /// whatever the cache holds (a model switch, not a data-loss event).
-    pub fn set_posted_writes(&mut self, on: bool) {
-        if !on {
-            self.persist_cache();
-        }
-        self.posted = on;
-    }
-
-    /// Whether the posted write cache is enabled.
-    pub fn posted_writes(&self) -> bool {
-        self.posted
-    }
-
-    /// Blocks sitting in the volatile write cache (un-flushed).
-    pub fn cached_blocks(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Cache FLUSH commands served.
     pub fn flush_cmds(&self) -> u64 {
-        self.flush_cmds
+        self.card.flushes()
     }
 
-    /// FUA (forced-program) writes served.
+    /// FUA (forced-program) writes served: always 0, since no driver path
+    /// issues one.
     pub fn fua_cmds(&self) -> u64 {
-        self.fua_cmds
+        0
     }
 
-    /// Cuts power *right now*: the volatile write cache is dropped and
-    /// every later command fails until [`SdHost::power_restored`]. The
-    /// immediate form of [`SdHost::power_cut_after`].
-    pub fn power_cut(&mut self) {
-        self.power_lost = true;
-        self.power_budget = Some(0);
-        self.cache.clear();
-    }
-
-    /// The cache FLUSH command: programs every block in the volatile write
-    /// cache to flash. The barrier `BlockDevice::flush` threads down to —
-    /// a no-op when the cache is off or empty.
+    /// The cache FLUSH command: programs every block in the card's posted
+    /// write cache to flash. The barrier `BlockDevice::flush` threads down
+    /// to — a no-op when the cache is off or empty.
     pub fn flush_cache(&mut self) -> HalResult<()> {
-        if self.power_lost {
-            return Err(HalError::InvalidState("card lost power".into()));
-        }
-        if self.removed || !self.initialized {
-            return Err(HalError::InvalidState("no card present".into()));
-        }
-        if self.posted {
-            self.flush_cmds += 1;
-            self.persist_cache();
-        }
-        Ok(())
+        self.ready()?;
+        self.card.flush()
     }
 
-    /// Programs every block of the volatile write cache to the medium.
-    fn persist_cache(&mut self) {
-        for (lba, buf) in std::mem::take(&mut self.cache) {
-            self.medium.write(lba, &buf);
-        }
-    }
-
-    /// Accounts `count` blocks about to persist against an armed power-cut
-    /// budget; returns how many actually persist.
-    fn power_allow(&mut self, count: u64) -> u64 {
-        match self.power_budget {
-            None => count,
-            Some(budget) => {
-                let allowed = budget.min(count);
-                self.power_budget = Some(budget - allowed);
-                if allowed < count {
-                    self.power_lost = true;
-                    // The posted write cache is card RAM: it dies with the
-                    // power, un-flushed blocks and all.
-                    self.cache.clear();
-                }
-                allowed
-            }
-        }
-    }
-
-    fn check_ready(&self, lba: u64, count: u64) -> HalResult<()> {
-        if self.power_lost {
-            return Err(HalError::InvalidState("card lost power".into()));
-        }
+    /// The controller's gate: a removed card or an uninitialised host takes
+    /// no command.
+    fn ready(&self) -> HalResult<()> {
         if self.removed {
             return Err(HalError::InvalidState("no card present".into()));
         }
         if !self.initialized {
             return Err(HalError::InvalidState("SD host not initialised".into()));
         }
+        Ok(())
+    }
+
+    /// The gate, plus the rule that a command moves at least one block.
+    fn ready_for(&self, count: u64) -> HalResult<()> {
+        self.ready()?;
         if count == 0 {
             return Err(HalError::OutOfRange("zero-block SD transfer".into()));
         }
-        if lba
-            .checked_add(count)
-            .is_none_or(|end| end > self.total_blocks)
-        {
-            return Err(HalError::OutOfRange(format!(
-                "SD access lba={lba} count={count} beyond {} blocks",
-                self.total_blocks
-            )));
-        }
-        match self.first_fault(lba, count) {
-            Some(b) => Err(HalError::InjectedFault(format!("SD block {b}"))),
-            None => Ok(()),
-        }
-    }
-
-    /// The lowest faulty block of `[lba, lba + count)`, if any.
-    fn first_fault(&self, lba: u64, count: u64) -> Option<u64> {
-        self.faulty_blocks
-            .range(lba..lba.saturating_add(count))
-            .next()
-            .copied()
-    }
-
-    /// Reads the blocks from `lba` into `out` (a whole number of blocks):
-    /// the medium, overlaid with any posted copies.
-    fn read_run(&self, lba: u64, out: &mut [u8]) {
-        self.medium.read(lba, out);
-        let blocks = (out.len() / BLOCK_SIZE) as u64;
-        for (&b, buf) in self.cache.range(lba..lba.saturating_add(blocks)) {
-            let at = (b - lba) as usize;
-            out[at * BLOCK_SIZE..][..BLOCK_SIZE].copy_from_slice(buf);
-        }
-    }
-
-    /// Writes the blocks of `data` from `lba`: into the posted write cache
-    /// when it is on, to the medium otherwise.
-    fn write_run(&mut self, lba: u64, data: &[u8]) {
-        if !self.posted {
-            self.medium.write(lba, data);
-            return;
-        }
-        for (b, block) in (lba..).zip(data.chunks_exact(BLOCK_SIZE)) {
-            self.cache.insert(b, block.into());
-        }
+        Ok(())
     }
 
     /// Reads a single 512-byte block (CMD17).
-    pub fn read_block(&mut self, lba: u64, out: &mut [u8; BLOCK_SIZE]) -> HalResult<()> {
-        self.check_ready(lba, 1)?;
-        self.single_block_cmds += 1;
-        self.blocks_transferred += 1;
-        self.read_run(lba, out);
-        Ok(())
+    pub fn read_block(&mut self, lba: u64, out: &mut [u8]) -> HalResult<()> {
+        self.ready()?;
+        self.card.read_block(lba, out)
     }
 
     /// Writes a single 512-byte block (CMD24).
-    pub fn write_block(&mut self, lba: u64, data: &[u8; BLOCK_SIZE]) -> HalResult<()> {
-        self.check_ready(lba, 1)?;
-        if self.power_allow(1) == 0 {
-            return Err(HalError::InvalidState(format!(
-                "power cut before CMD24 write of block {lba}"
-            )));
-        }
-        self.single_block_cmds += 1;
-        self.blocks_transferred += 1;
-        self.write_run(lba, data);
-        Ok(())
-    }
-
-    /// Writes a single block with Force Unit Access semantics: the block is
-    /// programmed to flash directly, bypassing the posted write cache, and
-    /// is durable when the command returns. (On a card without the cache
-    /// enabled this is just a CMD24.)
-    pub fn write_block_fua(&mut self, lba: u64, data: &[u8; BLOCK_SIZE]) -> HalResult<()> {
-        self.check_ready(lba, 1)?;
-        if self.power_allow(1) == 0 {
-            return Err(HalError::InvalidState(format!(
-                "power cut before FUA write of block {lba}"
-            )));
-        }
-        self.single_block_cmds += 1;
-        self.blocks_transferred += 1;
-        if self.posted {
-            self.fua_cmds += 1;
-            // A FUA write also supersedes any stale volatile copy of the
-            // same block — the cache must not later flush old contents over
-            // the forced program.
-            self.cache.remove(&lba);
-        }
-        self.medium.write(lba, data);
-        Ok(())
+    pub fn write_block(&mut self, lba: u64, data: &[u8]) -> HalResult<()> {
+        self.ready()?;
+        self.card.write_block(lba, data)
     }
 
     /// Reads a contiguous range of blocks (CMD18). `out` must be
     /// `count * BLOCK_SIZE` bytes.
     pub fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> HalResult<()> {
-        if out.len() != (count as usize) * BLOCK_SIZE {
-            return Err(HalError::OutOfRange(
-                "read_range buffer size mismatch".into(),
-            ));
-        }
-        self.check_ready(lba, count)?;
-        self.range_cmds += 1;
-        self.blocks_transferred += count;
-        self.read_run(lba, out);
-        Ok(())
+        self.ready_for(count)?;
+        self.card.read_range(lba, count, out)
     }
 
     /// Writes a contiguous range of blocks (CMD25). `data` must be
     /// `count * BLOCK_SIZE` bytes.
     pub fn write_range(&mut self, lba: u64, count: u64, data: &[u8]) -> HalResult<()> {
-        if data.len() != (count as usize) * BLOCK_SIZE {
-            return Err(HalError::OutOfRange(
-                "write_range buffer size mismatch".into(),
-            ));
-        }
-        self.check_ready(lba, count)?;
-        let persist = self.power_allow(count);
-        self.range_cmds += 1;
-        self.blocks_transferred += persist;
-        // With the posted cache on, a command the cut interrupts leaves
-        // nothing behind: the cut already dropped the volatile cache, so
-        // re-inserting the prefix would fake durability. No tearing either
-        // — loss, not a torn flash program.
-        if !self.posted || persist == count {
-            self.write_run(lba, &data[..persist as usize * BLOCK_SIZE]);
-        }
-        if persist < count {
-            if persist > 0 && !self.posted {
-                self.torn_writes += 1;
-            }
-            return Err(HalError::InvalidState(format!(
-                "power cut mid-CMD25 at block {lba}: {persist} of {count} blocks persisted"
-            )));
-        }
-        Ok(())
+        self.ready_for(count)?;
+        self.card.write_range(lba, count, data)
     }
 
     /// Number of single-block commands issued since boot.
     pub fn single_block_cmds(&self) -> u64 {
-        self.single_block_cmds
+        self.card.stats().single_cmds
     }
 
     /// Number of range commands issued since boot.
     pub fn range_cmds(&self) -> u64 {
-        self.range_cmds
+        self.card.stats().range_cmds
     }
 
-    /// Total blocks moved since boot.
+    /// Total blocks moved since boot: the polled commands' blocks, plus
+    /// every block committed to a DMA chain at submit.
     pub fn blocks_transferred(&self) -> u64 {
-        self.blocks_transferred
+        self.card.stats().blocks + self.dma_blocks()
     }
 
     // ---- the DMA data path + async command queue -----------------------------------
@@ -602,9 +328,9 @@ impl SdHost {
         self.queue_high_water
     }
 
-    /// Validates a scatter-gather list for submission. Faults are *not*
-    /// checked here — the card discovers them mid-transfer, so they surface
-    /// in the completion.
+    /// Validates a scatter-gather list for submission and returns its block
+    /// count. Faults are *not* checked here — the card discovers them
+    /// mid-transfer, so they surface in the completion.
     fn check_submit(&self, runs: &[SdSgRun]) -> HalResult<u64> {
         if self.data_mode != SdDataMode::Dma {
             return Err(HalError::InvalidState(
@@ -619,54 +345,30 @@ impl SdHost {
         if runs.is_empty() {
             return Err(HalError::OutOfRange("empty scatter-gather list".into()));
         }
-        if self.power_lost {
-            return Err(HalError::InvalidState("card lost power".into()));
-        }
-        if self.removed {
-            return Err(HalError::InvalidState("no card present".into()));
-        }
-        if !self.initialized {
-            return Err(HalError::InvalidState("SD host not initialised".into()));
-        }
-        let mut total = 0u64;
         for r in runs {
-            if r.count == 0 {
-                return Err(HalError::OutOfRange("zero-block SD transfer".into()));
-            }
-            if r.lba
-                .checked_add(r.count)
-                .is_none_or(|end| end > self.total_blocks)
-            {
-                return Err(HalError::OutOfRange(format!(
-                    "SD access lba={} count={} beyond {} blocks",
-                    r.lba, r.count, self.total_blocks
-                )));
-            }
-            total = total.saturating_add(r.count);
+            self.ready_for(r.count)?;
         }
-        Ok(total)
+        self.card.check(runs)?;
+        Ok(runs.iter().map(|r| r.count).sum())
     }
 
-    fn enqueue(&mut self, write: bool, runs: Vec<SdSgRun>, data: Option<Vec<u8>>) -> u64 {
+    fn enqueue(&mut self, runs: &[SdSgRun], blocks: u64, data: Option<Vec<u8>>) -> u64 {
         let id = self.next_cmd_id;
         self.next_cmd_id += 1;
-        let total: u64 = runs.iter().map(|r| r.count).sum();
-        let traffic = if write {
+        let traffic = if data.is_some() {
             &mut self.dma_writes
         } else {
             &mut self.dma_reads
         };
-        traffic.cmds += 1;
-        traffic.control_blocks += runs.len() as u64;
-        traffic.blocks += total;
         // Counted at submit: the command is committed to the wire. (A torn
         // write may persist fewer; the crash tests check the medium, not the
         // odometer.)
-        self.blocks_transferred += total;
+        traffic.cmds += 1;
+        traffic.control_blocks += runs.len() as u64;
+        traffic.blocks += blocks;
         self.queue.push_back(SdQueuedCmd {
             id,
-            write,
-            runs,
+            runs: runs.to_vec(),
             data,
         });
         self.queue_high_water = self.queue_high_water.max(self.queue_len());
@@ -677,20 +379,20 @@ impl SdHost {
     /// scatter-gather command). Returns the command id; the data arrives in
     /// the [`SdCompletion`].
     pub fn submit_dma_read(&mut self, runs: &[SdSgRun]) -> HalResult<u64> {
-        self.check_submit(runs)?;
-        Ok(self.enqueue(false, runs.to_vec(), None))
+        let blocks = self.check_submit(runs)?;
+        Ok(self.enqueue(runs, blocks, None))
     }
 
     /// Queues an asynchronous write (CMD25 per contiguous run). `data` is the
     /// run-major payload, snapshotted into the chain.
     pub fn submit_dma_write(&mut self, runs: &[SdSgRun], data: &[u8]) -> HalResult<u64> {
-        let total = self.check_submit(runs)?;
-        if data.len() != total as usize * BLOCK_SIZE {
+        let blocks = self.check_submit(runs)?;
+        if data.len() != blocks as usize * BLOCK_SIZE {
             return Err(HalError::OutOfRange(
                 "submit_dma_write payload size mismatch".into(),
             ));
         }
-        Ok(self.enqueue(true, runs.to_vec(), Some(data.to_vec())))
+        Ok(self.enqueue(runs, blocks, Some(data.to_vec())))
     }
 
     /// Programs the DMA engine with the next queued command's chain if the
@@ -723,20 +425,19 @@ impl SdHost {
     }
 
     /// Completes the in-flight command `cmd_id` (its chain finished on the
-    /// engine): applies the data phase to the card at block granularity and
-    /// returns the completion. Faults fail the covering command; a write
-    /// crossing an armed power cut persists only its prefix (torn, counted)
-    /// — identical semantics to the polled path, discovered at completion.
+    /// engine): runs its data phase on the card and returns the completion.
+    /// Faults fail the covering command; a write crossing an armed power cut
+    /// persists only its prefix — the card's one read and write paths, so
+    /// the same semantics as the polled commands, discovered at completion.
     pub fn finish_dma(&mut self, cmd_id: u64) -> Option<SdCompletion> {
         let cmd = self.inflight.take_if(|c| c.id == cmd_id)?;
-        let result = self.apply_data_phase(&cmd);
-        let (result, data) = match result {
+        let (result, data) = match self.data_phase(&cmd) {
             Ok(data) => (Ok(()), data),
             Err(e) => (Err(e), None),
         };
         Some(SdCompletion {
             id: cmd.id,
-            write: cmd.write,
+            write: cmd.data.is_some(),
             runs: cmd.runs,
             data,
             result,
@@ -744,123 +445,24 @@ impl SdHost {
     }
 
     /// Moves the data for a finished chain, returning read payloads.
-    fn apply_data_phase(&mut self, cmd: &SdQueuedCmd) -> HalResult<Option<Vec<u8>>> {
-        if self.power_lost {
-            return Err(HalError::InvalidState("card lost power".into()));
+    fn data_phase(&mut self, cmd: &SdQueuedCmd) -> HalResult<Option<Vec<u8>>> {
+        self.ready()?;
+        if let Some(data) = &cmd.data {
+            let (_, result) = self.card.write(&cmd.runs, data);
+            return result.map(|()| None);
         }
-        if self.removed || !self.initialized {
-            return Err(HalError::InvalidState("no card present".into()));
-        }
-        if cmd.write {
-            let Some(data) = cmd.data.as_ref() else {
-                return Err(HalError::InvalidState(
-                    "DMA write chain completed without a staged payload".into(),
-                ));
-            };
-            let mut off = 0usize;
-            let mut persisted_in_cmd = 0u64;
-            for r in &cmd.runs {
-                // The run's persisting prefix: up to its first faulty block,
-                // within the power budget.
-                let fault = self.first_fault(r.lba, r.count);
-                let clean = fault.map_or(r.count, |b| b - r.lba);
-                let persist = self.power_allow(clean);
-                // A cut in posted mode dropped the volatile cache, and with
-                // it any prefix this chain parked there.
-                if persist == clean || !self.posted {
-                    let len = persist as usize * BLOCK_SIZE;
-                    self.write_run(r.lba, &data[off..off + len]);
-                }
-                persisted_in_cmd += persist;
-                if persist < clean {
-                    if persisted_in_cmd > 0 && !self.posted {
-                        self.torn_writes += 1;
-                    }
-                    return Err(HalError::InvalidState(format!(
-                        "power cut mid-DMA CMD25: {persisted_in_cmd} blocks of \
-                         the chain persisted"
-                    )));
-                }
-                if let Some(b) = fault {
-                    return Err(HalError::InjectedFault(format!("SD block {b}")));
-                }
-                off += r.count as usize * BLOCK_SIZE;
-            }
-            Ok(None)
-        } else {
-            // A read fails at its first faulty block and delivers nothing.
-            for r in &cmd.runs {
-                if let Some(b) = self.first_fault(r.lba, r.count) {
-                    return Err(HalError::InjectedFault(format!("SD block {b}")));
-                }
-            }
-            let total: usize = cmd.runs.iter().map(|r| r.count as usize).sum();
-            let mut out = vec![0u8; total * BLOCK_SIZE];
-            let mut off = 0usize;
-            for r in &cmd.runs {
-                let len = r.count as usize * BLOCK_SIZE;
-                self.read_run(r.lba, &mut out[off..off + len]);
-                off += len;
-            }
-            Ok(Some(out))
-        }
-    }
-}
-
-/// The persisted medium: [`CHUNK_BLOCKS`]-block chunks, each allocated on
-/// its first write. A block no write reached reads as zero.
-#[derive(Debug, Default)]
-struct ChunkStore {
-    /// Chunk `i` holds blocks `[i * CHUNK_BLOCKS, (i + 1) * CHUNK_BLOCKS)`;
-    /// the vector grows to the highest chunk written.
-    chunks: Vec<Option<Box<[u8]>>>,
-}
-
-impl ChunkStore {
-    /// Splits the `len` bytes from block `lba` into per-chunk pieces: the
-    /// chunk's index, the piece's bytes within the chunk, and its bytes
-    /// within the caller's buffer.
-    fn pieces(lba: u64, len: usize) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
-        let first = (lba / CHUNK_BLOCKS) as usize;
-        let mut at = (lba % CHUNK_BLOCKS) as usize * BLOCK_SIZE;
-        let mut done = 0usize;
-        (first..).map_while(move |chunk| {
-            if done == len {
-                return None;
-            }
-            let n = (CHUNK_BYTES - at).min(len - done);
-            let piece = (chunk, at..at + n, done..done + n);
-            done += n;
-            at = 0;
-            Some(piece)
-        })
-    }
-
-    /// Copies the blocks from `lba` into `out`, one copy per chunk.
-    fn read(&self, lba: u64, out: &mut [u8]) {
-        for (chunk, within, buf) in Self::pieces(lba, out.len()) {
-            match self.chunks.get(chunk) {
-                Some(Some(c)) => out[buf].copy_from_slice(&c[within]),
-                _ => out[buf].fill(0),
-            }
-        }
-    }
-
-    /// Stores the blocks of `data` from `lba`, one copy per chunk.
-    fn write(&mut self, lba: u64, data: &[u8]) {
-        for (chunk, within, buf) in Self::pieces(lba, data.len()) {
-            if self.chunks.len() <= chunk {
-                self.chunks.resize_with(chunk + 1, || None);
-            }
-            let c = self.chunks[chunk].get_or_insert_with(|| vec![0u8; CHUNK_BYTES].into());
-            c[within].copy_from_slice(&data[buf]);
-        }
+        let blocks: u64 = cmd.runs.iter().map(|r| r.count).sum();
+        let mut out = vec![0u8; blocks as usize * BLOCK_SIZE];
+        self.card.read(&cmd.runs, &mut out)?;
+        Ok(Some(out))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::CHUNK_BLOCKS;
+    use std::collections::BTreeMap;
 
     fn ready_host() -> SdHost {
         let mut sd = SdHost::new(1024);
@@ -917,13 +519,13 @@ mod tests {
     #[test]
     fn injected_faults_fail_the_covering_transfer() {
         let mut sd = ready_host();
-        sd.inject_fault(50);
+        sd.card.inject_fault(50);
         let mut buf = vec![0u8; BLOCK_SIZE * 4];
         assert!(matches!(
             sd.read_range(48, 4, &mut buf),
             Err(HalError::InjectedFault(_))
         ));
-        sd.clear_faults();
+        sd.card.clear_faults();
         assert!(sd.read_range(48, 4, &mut buf).is_ok());
     }
 
@@ -942,14 +544,14 @@ mod tests {
     #[test]
     fn power_cut_tears_a_cmd25_mid_transfer() {
         let mut sd = ready_host();
-        sd.power_cut_after(2);
+        sd.card.power_cut_after(2);
         let data: Vec<u8> = (0..BLOCK_SIZE * 6).map(|i| (i % 247) as u8).collect();
         assert!(sd.write_range(10, 6, &data).is_err());
-        assert_eq!(sd.torn_writes(), 1);
-        assert!(sd.power_lost());
+        assert_eq!(sd.card.torn_writes(), 1);
+        assert!(sd.card.power_lost());
         let mut buf = [0u8; BLOCK_SIZE];
         assert!(sd.read_block(10, &mut buf).is_err(), "no power, no reads");
-        sd.power_restored();
+        sd.card.power_restored();
         sd.read_block(11, &mut buf).unwrap();
         assert_eq!(&buf[..], &data[BLOCK_SIZE..2 * BLOCK_SIZE]);
         sd.read_block(12, &mut buf).unwrap();
@@ -1056,15 +658,15 @@ mod tests {
     #[test]
     fn dma_write_crossing_the_power_budget_is_torn_at_block_granularity() {
         let (mut sd, mut engine, cost) = dma_host();
-        sd.power_cut_after(3);
+        sd.card.power_cut_after(3);
         let data: Vec<u8> = (0..6 * BLOCK_SIZE).map(|i| (i % 241) as u8).collect();
         sd.submit_dma_write(&[SdSgRun { lba: 20, count: 6 }], &data)
             .unwrap();
         let done = drain(&mut sd, &mut engine, &cost);
         assert!(done[0].result.is_err(), "torn chain fails the command");
-        assert_eq!(sd.torn_writes(), 1);
-        assert!(sd.power_lost());
-        sd.power_restored();
+        assert_eq!(sd.card.torn_writes(), 1);
+        assert!(sd.card.power_lost());
+        sd.card.power_restored();
         let mut buf = [0u8; BLOCK_SIZE];
         sd.read_block(22, &mut buf).unwrap();
         assert_eq!(&buf[..], &data[2 * BLOCK_SIZE..3 * BLOCK_SIZE]);
@@ -1109,20 +711,20 @@ mod tests {
 
         fn check_ready(&self, lba: u64, count: u64) -> HalResult<()> {
             if self.power_lost {
-                return Err(HalError::InvalidState("card lost power".into()));
+                return Err(HalError::InvalidState("power lost".into()));
             }
             if lba
                 .checked_add(count)
                 .is_none_or(|end| end > self.total_blocks)
             {
                 return Err(HalError::OutOfRange(format!(
-                    "SD access lba={lba} count={count} beyond {} blocks",
+                    "blocks {lba}+{count} beyond a disk of {} blocks",
                     self.total_blocks
                 )));
             }
             for b in lba..lba.saturating_add(count) {
                 if self.faulty_blocks.contains(&b) {
-                    return Err(HalError::InjectedFault(format!("SD block {b}")));
+                    return Err(HalError::InjectedFault(format!("block {b}")));
                 }
             }
             Ok(())
@@ -1169,7 +771,7 @@ mod tests {
                     self.torn_writes += 1;
                 }
                 return Err(HalError::InvalidState(format!(
-                    "power cut mid-CMD25 at block {lba}: {persist} of {count} blocks persisted"
+                    "power cut: {persist} of {count} blocks persisted"
                 )));
             }
             Ok(())
@@ -1178,31 +780,18 @@ mod tests {
         fn write_block(&mut self, lba: u64, data: &[u8]) -> HalResult<()> {
             self.check_ready(lba, 1)?;
             if self.power_allow(1) == 0 {
-                return Err(HalError::InvalidState(format!(
-                    "power cut before CMD24 write of block {lba}"
-                )));
+                return Err(HalError::InvalidState(
+                    "power cut: 0 of 1 blocks persisted".into(),
+                ));
             }
             self.blocks_transferred += 1;
             self.write_one(lba, data);
             Ok(())
         }
 
-        fn write_block_fua(&mut self, lba: u64, data: &[u8]) -> HalResult<()> {
-            self.check_ready(lba, 1)?;
-            if self.power_allow(1) == 0 {
-                return Err(HalError::InvalidState(format!(
-                    "power cut before FUA write of block {lba}"
-                )));
-            }
-            self.blocks_transferred += 1;
-            self.cache.remove(&lba);
-            self.blocks.insert(lba, data.into());
-            Ok(())
-        }
-
         fn flush_cache(&mut self) -> HalResult<()> {
             if self.power_lost {
-                return Err(HalError::InvalidState("card lost power".into()));
+                return Err(HalError::InvalidState("power lost".into()));
             }
             if self.posted {
                 for (lba, buf) in std::mem::take(&mut self.cache) {
@@ -1227,7 +816,7 @@ mod tests {
             let mut out = Vec::new();
             for (_, runs) in chains {
                 if self.power_lost {
-                    out.push(Err(HalError::InvalidState("card lost power".into())));
+                    out.push(Err(HalError::InvalidState("power lost".into())));
                     continue;
                 }
                 self.blocks_transferred += runs.iter().map(|r| r.count).sum::<u64>();
@@ -1243,8 +832,9 @@ mod tests {
 
         fn data_phase(&mut self, data: Option<&[u8]>, runs: &[SdSgRun]) -> ChainOutcome {
             if self.power_lost {
-                return Err(HalError::InvalidState("card lost power".into()));
+                return Err(HalError::InvalidState("power lost".into()));
             }
+            let total: u64 = runs.iter().map(|r| r.count).sum();
             let mut off = 0usize;
             if let Some(data) = data {
                 let mut persisted_in_cmd = 0u64;
@@ -1252,15 +842,14 @@ mod tests {
                     for i in 0..r.count {
                         let b = r.lba.saturating_add(i);
                         if self.faulty_blocks.contains(&b) {
-                            return Err(HalError::InjectedFault(format!("SD block {b}")));
+                            return Err(HalError::InjectedFault(format!("block {b}")));
                         }
                         if self.power_allow(1) == 0 {
                             if persisted_in_cmd > 0 && !self.posted {
                                 self.torn_writes += 1;
                             }
                             return Err(HalError::InvalidState(format!(
-                                "power cut mid-DMA CMD25: {persisted_in_cmd} blocks of \
-                                 the chain persisted"
+                                "power cut: {persisted_in_cmd} of {total} blocks persisted"
                             )));
                         }
                         self.write_one(b, &data[off..off + BLOCK_SIZE]);
@@ -1270,13 +859,12 @@ mod tests {
                 }
                 return Ok(None);
             }
-            let total: u64 = runs.iter().map(|r| r.count).sum();
             let mut out = vec![0u8; total as usize * BLOCK_SIZE];
             for r in runs {
                 for i in 0..r.count {
                     let b = r.lba.saturating_add(i);
                     if self.faulty_blocks.contains(&b) {
-                        return Err(HalError::InjectedFault(format!("SD block {b}")));
+                        return Err(HalError::InjectedFault(format!("block {b}")));
                     }
                     self.read_one(b, &mut out[off..off + BLOCK_SIZE]);
                     off += BLOCK_SIZE;
@@ -1335,10 +923,7 @@ mod tests {
                 rng % bound
             };
             let (mut sd, mut engine, cost) = dma_host();
-            sd = SdHost {
-                total_blocks: CARD_BLOCKS,
-                ..sd
-            };
+            sd.card = Disk::new(CARD_BLOCKS);
             let mut card = SectorCard {
                 total_blocks: CARD_BLOCKS,
                 ..SectorCard::default()
@@ -1376,13 +961,12 @@ mod tests {
                             assert_eq!(got, card.read_range(r.lba, r.count), "{ctx}");
                         };
                     }
-                    3..=5 => {
+                    3..=6 => {
                         let r = run(&mut next);
                         let data = payload(step, r.count);
                         let (got, want) = if next(3) == 0 {
                             let one = &data[..BLOCK_SIZE];
-                            let block = one.try_into().expect("one block");
-                            (sd.write_block(r.lba, block), card.write_block(r.lba, one))
+                            (sd.write_block(r.lba, one), card.write_block(r.lba, one))
                         } else {
                             (
                                 sd.write_range(r.lba, r.count, &data),
@@ -1390,16 +974,6 @@ mod tests {
                             )
                         };
                         assert_eq!(got, want, "{ctx}");
-                    }
-                    6 => {
-                        let lba = next(CARD_BLOCKS);
-                        let data = payload(step, 1);
-                        let block: &[u8; BLOCK_SIZE] = data[..].try_into().expect("one block");
-                        assert_eq!(
-                            sd.write_block_fua(lba, block),
-                            card.write_block_fua(lba, &data),
-                            "{ctx}"
-                        );
                     }
                     7..=13 => {
                         // A batch of one to three chains of one to four runs.
@@ -1433,40 +1007,40 @@ mod tests {
                     }
                     14 => {
                         let on = next(2) == 0;
-                        sd.set_posted_writes(on);
+                        sd.card.set_posted_writes(on);
                         card.set_posted_writes(on);
                     }
                     15 => assert_eq!(sd.flush_cache(), card.flush_cache(), "{ctx}"),
                     16 => {
                         let lba = next(CARD_BLOCKS);
-                        sd.inject_fault(lba);
+                        sd.card.inject_fault(lba);
                         card.faulty_blocks.insert(lba);
                     }
                     17 => {
-                        sd.clear_faults();
+                        sd.card.clear_faults();
                         card.faulty_blocks.clear();
                     }
                     18 => {
                         // Armed so that a chain in flight soon crosses it.
                         let budget = next(200);
-                        sd.power_cut_after(budget);
+                        sd.card.power_cut_after(budget);
                         (card.power_budget, card.power_lost) = (Some(budget), false);
                     }
                     _ => {
-                        sd.power_restored();
+                        sd.card.power_restored();
                         (card.power_budget, card.power_lost) = (None, false);
                     }
                 }
                 torn = card.torn_writes;
-                assert_eq!(sd.torn_writes(), card.torn_writes, "{ctx}");
+                assert_eq!(sd.card.torn_writes(), card.torn_writes, "{ctx}");
                 assert_eq!(sd.blocks_transferred(), card.blocks_transferred, "{ctx}");
-                assert_eq!(sd.power_lost(), card.power_lost, "{ctx}");
-                assert_eq!(sd.cached_blocks(), card.cache.len(), "{ctx}");
+                assert_eq!(sd.card.power_lost(), card.power_lost, "{ctx}");
+                assert_eq!(sd.card.cached_blocks(), card.cache.len(), "{ctx}");
             }
             // The whole card, medium and overlay, reads back the same.
-            sd.power_restored();
+            sd.card.power_restored();
             (card.power_budget, card.power_lost) = (None, false);
-            sd.clear_faults();
+            sd.card.clear_faults();
             card.faulty_blocks.clear();
             let mut all = vec![0u8; CARD_BLOCKS as usize * BLOCK_SIZE];
             sd.read_range(0, CARD_BLOCKS, &mut all).unwrap();
@@ -1486,14 +1060,14 @@ mod tests {
     #[test]
     fn dma_faults_surface_in_the_completion_not_at_submit() {
         let (mut sd, mut engine, cost) = dma_host();
-        sd.inject_fault(33);
+        sd.card.inject_fault(33);
         let data = vec![9u8; 4 * BLOCK_SIZE];
         sd.submit_dma_write(&[SdSgRun { lba: 32, count: 4 }], &data)
             .unwrap();
         let done = drain(&mut sd, &mut engine, &cost);
         assert!(matches!(done[0].result, Err(HalError::InjectedFault(_))));
         // Retry after the fault clears succeeds.
-        sd.clear_faults();
+        sd.card.clear_faults();
         sd.submit_dma_write(&[SdSgRun { lba: 32, count: 4 }], &data)
             .unwrap();
         let done = drain(&mut sd, &mut engine, &cost);

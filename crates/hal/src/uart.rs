@@ -126,11 +126,6 @@ impl Uart {
     pub fn tx_log_string(&self) -> String {
         String::from_utf8_lossy(&self.tx_log).into_owned()
     }
-
-    /// Clears the transmit log (tests use this between boot phases).
-    pub fn clear_tx_log(&mut self) {
-        self.tx_log.clear();
-    }
 }
 
 #[cfg(test)]

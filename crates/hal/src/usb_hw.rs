@@ -57,8 +57,6 @@ pub struct UsbHostController {
     addresses: Vec<u8>,
     /// Statistics: control transfers completed.
     control_transfers: u64,
-    /// Statistics: interrupt transfers that returned data.
-    interrupt_transfers: u64,
 }
 
 impl std::fmt::Debug for UsbHostController {
@@ -92,7 +90,6 @@ impl UsbHostController {
             ports: (0..NUM_PORTS).map(|_| None).collect(),
             addresses: vec![0; NUM_PORTS],
             control_transfers: 0,
-            interrupt_transfers: 0,
         }
     }
 
@@ -171,12 +168,7 @@ impl UsbHostController {
 
     /// Polls an interrupt IN endpoint on the device on `port`.
     pub fn interrupt_transfer(&mut self, port: usize, endpoint: u8) -> HalResult<Option<Vec<u8>>> {
-        let dev = self.device_mut(port)?;
-        let data = dev.interrupt_in(endpoint);
-        if data.is_some() {
-            self.interrupt_transfers += 1;
-        }
-        Ok(data)
+        Ok(self.device_mut(port)?.interrupt_in(endpoint))
     }
 
     /// Raises the controller interrupt if any attached device has pending
@@ -194,11 +186,6 @@ impl UsbHostController {
     /// Control transfers completed since boot.
     pub fn control_transfer_count(&self) -> u64 {
         self.control_transfers
-    }
-
-    /// Interrupt transfers that returned data since boot.
-    pub fn interrupt_transfer_count(&self) -> u64 {
-        self.interrupt_transfers
     }
 }
 

@@ -855,8 +855,13 @@ impl Kernel {
 
     pub(crate) fn handle_exit(&mut self, id: TaskId, code: i32) {
         let now = self.now_us();
-        self.trace
-            .record(now, 0, TraceKind::Marker, Some(id), format!("exit {code}"));
+        self.trace.record(
+            now,
+            0,
+            TraceKind::Marker,
+            Some(id),
+            format_args!("exit {code}"),
+        );
         // Close every fd (dropping pipe references). Without the background
         // flusher, descriptors that wrote to a disk filesystem get the same
         // write-back flush sys_close performs, so an exiting (or killed)
@@ -1032,7 +1037,7 @@ impl Kernel {
         let cost = self.board.cost.irq_entry + self.board.cost.irq_delivery;
         self.board.charge_kernel(core, cost);
         self.trace
-            .record(now, core, TraceKind::Irq, None, format!("{irq:?}"));
+            .record(now, core, TraceKind::Irq, None, format_args!("{irq:?}"));
         match irq {
             Interrupt::SystemTimer1 => {
                 self.sched.account_tick(core);
@@ -1056,7 +1061,7 @@ impl Kernel {
                             core,
                             TraceKind::KeyEventDriver,
                             None,
-                            format!("{}", e.timestamp_us),
+                            e.timestamp_us,
                         );
                     }
                     self.kbd.push_events(events);
@@ -1153,7 +1158,7 @@ impl Kernel {
                     core,
                     TraceKind::KeyEventDispatch,
                     self.wm.focused_owner(),
-                    format!("{}", passed.timestamp_us),
+                    passed.timestamp_us,
                 );
                 self.kbd.dispatched_queue.push(passed);
             }
@@ -1170,8 +1175,13 @@ impl Kernel {
             let compose_cycles = cost.per_byte(cost.compose_per_px_milli, written)
                 + cost.cache_flush_per_line * (written * 4 / 64);
             self.board.charge_kernel(core, compose_cycles);
-            self.trace
-                .record(now, core, TraceKind::Compose, None, format!("{written}px"));
+            self.trace.record(
+                now,
+                core,
+                TraceKind::Compose,
+                None,
+                format_args!("{written}px"),
+            );
         }
     }
 
@@ -1443,20 +1453,6 @@ impl Kernel {
             self.run_slice();
         }
         pred(self)
-    }
-
-    /// Runs until every user task has exited (kernel threads excluded), or
-    /// `max_us` elapses. Returns true if all user tasks finished.
-    pub fn run_until_idle(&mut self, max_us: u64) -> bool {
-        self.run_until(
-            |k| {
-                k.tasks
-                    .values()
-                    .filter(|t| !t.kernel_thread)
-                    .all(|t| t.is_zombie())
-            },
-            max_us,
-        )
     }
 
     /// Advances every core's clock to the most-advanced core — a barrier.
@@ -1883,45 +1879,19 @@ impl Kernel {
     /// consistency tests remount this under a fresh cache.
     pub fn ramdisk_image(&self) -> Option<Vec<u8>> {
         match &self.volume(Mount::Root)?.medium {
-            Medium::Ramdisk(disk) => Some(disk.image().to_vec()),
+            Medium::Ramdisk(disk) => Some(disk.image()),
             Medium::Sd { .. } => None,
         }
     }
 
-    /// The root volume's ramdisk, if one is mounted.
-    fn ramdisk(&mut self) -> Option<&mut MemDisk> {
+    /// The root volume's ramdisk, if one is mounted: tests inject its faults
+    /// and power cuts here, as they do the SD card's through
+    /// `board.sdhost.card`.
+    pub fn ramdisk(&mut self) -> Option<&mut MemDisk> {
         match &mut self.volumes[Mount::Root as usize].as_mut()?.medium {
             Medium::Ramdisk(disk) => Some(disk),
             Medium::Sd { .. } => None,
         }
-    }
-
-    /// Injects a fault at `lba` of the root ramdisk (write-backs touching it
-    /// fail until [`Kernel::ramdisk_clear_faults`]).
-    pub fn ramdisk_inject_fault(&mut self, lba: u64) {
-        if let Some(d) = self.ramdisk() {
-            d.inject_fault(lba);
-        }
-    }
-
-    /// Clears all injected ramdisk faults.
-    pub fn ramdisk_clear_faults(&mut self) {
-        if let Some(d) = self.ramdisk() {
-            d.clear_faults();
-        }
-    }
-
-    /// Arms a power cut on the SD card: after `blocks` more blocks persist,
-    /// the card dies mid-command (a CMD25 crossing the budget is torn) and
-    /// every later SD command fails until [`Kernel::sd_power_restore`].
-    pub fn sd_power_cut_after(&mut self, blocks: u64) {
-        self.board.sdhost.power_cut_after(blocks);
-    }
-
-    /// Restores SD power; the card keeps exactly what persisted before the
-    /// cut.
-    pub fn sd_power_restore(&mut self) {
-        self.board.sdhost.power_restored();
     }
 }
 

@@ -169,11 +169,6 @@ impl Scheduler {
         self.runqueues[core].len()
     }
 
-    /// Total runnable tasks across all queues (not counting running ones).
-    pub fn total_queued(&self) -> usize {
-        self.runqueues.iter().map(|q| q.len()).sum()
-    }
-
     /// The time slice (µs) a task of `priority` receives.
     pub fn slice_for_priority(priority: u8) -> u64 {
         BASE_SLICE_US * priority.max(1) as u64 / DEFAULT_PRIORITY as u64

@@ -99,11 +99,6 @@ impl SpinLock {
         }
     }
 
-    /// Whether the lock is held.
-    pub fn is_held(&self) -> bool {
-        self.holder.is_some()
-    }
-
     /// Number of contended acquisition attempts.
     pub fn contended(&self) -> u64 {
         self.contended

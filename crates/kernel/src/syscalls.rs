@@ -275,7 +275,7 @@ impl Kernel {
         self.spawn_user_program(&image, program, task)
     }
 
-    pub(crate) fn sys_wait(&mut self, entry: Entry) -> KResult<Option<(TaskId, i32)>> {
+    pub(crate) fn sys_wait(&mut self, entry: Entry) -> KResult<(TaskId, i32)> {
         let task = entry.task();
         // Reap a pending child if any.
         let pending = self
@@ -283,13 +283,12 @@ impl Kernel {
             .and_then(|t| (!t.pending_children.is_empty()).then(|| t.pending_children.remove(0)));
         if let Some((child, code)) = pending {
             self.remove_task(child);
-            return Ok(Some((child, code)));
+            return Ok((child, code));
         }
-        // Any children still running?
-        let has_children = self.any_child_of(task);
-        if has_children {
+        // Children still running: park until one exits.
+        if self.any_child_of(task) {
             self.block_current(task, WaitChannel::ChildExit);
-            Ok(None)
+            Err(KernelError::WouldBlock)
         } else {
             Err(KernelError::NotFound("no children".into()))
         }
@@ -832,7 +831,7 @@ impl Kernel {
                                 core,
                                 TraceKind::KeyEventApp,
                                 Some(task),
-                                format!("{}", e.timestamp_us),
+                                e.timestamp_us,
                             );
                             out.extend_from_slice(&crate::kbd::encode_event(&e));
                         }
@@ -1292,7 +1291,7 @@ mod tests {
         k.boot().unwrap();
         assert!(k.config.sd_dma, "the adapter carries a DMA context");
         let task = k.spawn_bench_task("barrier").unwrap();
-        k.board.sdhost.set_posted_writes(true);
+        k.board.sdhost.card.set_posted_writes(true);
         let flush = charged(&mut k, task, |dev| dev.flush().unwrap());
         assert_eq!(k.board.sdhost.flush_cmds(), 1);
         assert_eq!(flush, k.board.cost.sd_flush_latency);

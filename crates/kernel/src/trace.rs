@@ -6,6 +6,8 @@
 //! latency breakdowns of Figure 11: the input path records an event at every
 //! hop (IRQ, driver, dispatch, IPC, app) and the bench subtracts timestamps.
 
+use std::fmt::Display;
+
 use hal::clock::CoreId;
 
 /// Categories of trace events, matching the subsystems the paper instruments.
@@ -112,21 +114,25 @@ impl TraceBuffer {
         self.wrapped = true;
     }
 
-    /// Convenience logger.
+    /// Logs an event, formatting its detail only when logging is enabled:
+    /// a disabled ring builds nothing.
     pub fn record(
         &mut self,
         timestamp_us: u64,
         core: CoreId,
         kind: TraceKind,
         task: Option<u64>,
-        detail: impl Into<String>,
+        detail: impl Display,
     ) {
+        if !self.enabled {
+            return;
+        }
         self.log(TraceEvent {
             timestamp_us,
             core,
             kind,
             task,
-            detail: detail.into(),
+            detail: detail.to_string(),
         });
     }
 
@@ -204,6 +210,28 @@ mod tests {
         tb.log(ev(1, TraceKind::Irq));
         assert!(tb.dump().is_empty());
         assert_eq!(tb.total_logged(), 0);
+    }
+
+    #[test]
+    fn a_disabled_ring_never_formats_its_detail() {
+        /// A detail that counts how often it is formatted.
+        struct Counted<'a>(&'a std::cell::Cell<u32>);
+        impl Display for Counted<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("detail")
+            }
+        }
+        let formatted = std::cell::Cell::new(0);
+        let mut tb = TraceBuffer::new(4);
+        tb.set_enabled(false);
+        tb.record(1, 0, TraceKind::Marker, None, Counted(&formatted));
+        assert_eq!(formatted.get(), 0);
+        assert_eq!(tb.total_logged(), 0);
+        tb.set_enabled(true);
+        tb.record(2, 0, TraceKind::Marker, None, Counted(&formatted));
+        assert_eq!(formatted.get(), 1);
+        assert_eq!(tb.dump()[0].detail, "detail");
     }
 
     #[test]

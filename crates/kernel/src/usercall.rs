@@ -220,10 +220,13 @@ impl<'a> UserCtx<'a> {
         self.trap(|k, e| k.sys_spawn(e, path, args))
     }
 
-    /// Reaps an exited child. `Ok(None)` means children exist but none have
-    /// exited yet (the caller has been blocked); an error means no children.
+    /// Reaps an exited child. While children exist but none has exited,
+    /// the caller parks and gets [`crate::KernelError::WouldBlock`]; with
+    /// no children it gets [`crate::KernelError::NotFound`]. A reaped child
+    /// always comes back as `Some`: the `Option` stays until the
+    /// benchmark's callers stop matching on `None`.
     pub fn wait_child(&mut self) -> KResult<Option<(TaskId, i32)>> {
-        self.trap(|k, e| k.sys_wait(e))
+        self.trap(|k, e| k.sys_wait(e)).map(Some)
     }
 
     /// Kills another task.

@@ -263,7 +263,7 @@ impl BlockDevice for LoggedDisk {
     }
 
     fn read_block(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
-        self.disk.read_block(lba, out)
+        Ok(self.disk.read_block(lba, out)?)
     }
 
     fn write_block(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
@@ -273,7 +273,7 @@ impl BlockDevice for LoggedDisk {
     }
 
     fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
-        self.disk.read_range(lba, count, out)
+        Ok(self.disk.read_range(lba, count, out)?)
     }
 
     fn stats(&self) -> BlockIoStats {
@@ -1099,7 +1099,7 @@ fn fat32_dma_torn_sg_write_cut_sweep_keeps_remount_invariants() {
         bc.flush(&mut rig.dev()).unwrap();
         fs.write_file(&mut rig.dev(), &mut bc, "/a.bin", &data)
             .unwrap();
-        rig.sd.power_cut_after(k);
+        rig.sd.card.power_cut_after(k);
         let flush = bc.flush(&mut rig.dev());
         if k < total {
             assert!(flush.is_err(), "cut at {k}/{total} must fail the barrier");
@@ -1111,8 +1111,8 @@ fn fat32_dma_torn_sg_write_cut_sweep_keeps_remount_invariants() {
                 "cut at {k}/{total}: unconfirmed blocks stay dirty for retry"
             );
         }
-        torn_chains += rig.sd.torn_writes();
-        rig.sd.power_restored();
+        torn_chains += rig.sd.card.torn_writes();
+        rig.sd.card.power_restored();
         let mut disk2 = MemDisk::from_image(rig.image());
         let mut bc2 = BufCache::default();
         let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
@@ -1154,7 +1154,7 @@ fn batched_eviction_mid_batch_fault_redirties_only_the_torn_chain() {
     bc.write_range(&mut rig.dev(), 0, 128, &a).unwrap();
     bc.write_range(&mut rig.dev(), 512, 128, &b).unwrap();
     assert_eq!(bc.dirty_blocks(), 256, "cache exactly full and all dirty");
-    rig.sd.inject_fault(600); // inside the second region's chain
+    rig.sd.card.inject_fault(600); // inside the second region's chain
     bc.write_range(&mut rig.dev(), 1024, 1, &[7u8; BLOCK_SIZE])
         .unwrap();
     assert!(
@@ -1178,7 +1178,7 @@ fn batched_eviction_mid_batch_fault_redirties_only_the_torn_chain() {
     );
     // The card recovers (clearing the fault also lets the raw image read
     // cross block 600); the healthy chain's data is already on the medium.
-    rig.sd.clear_faults();
+    rig.sd.card.clear_faults();
     let image = rig.image();
     assert_eq!(
         &image[..128 * BLOCK_SIZE],
@@ -1211,7 +1211,7 @@ fn fat32_dma_failed_chain_leaves_blocks_dirty_and_retryable() {
     // Fault a block in the middle of the data area the file will land in.
     let bpb = fs.bpb();
     let faulty = bpb.data_start as u64 + 8;
-    rig.sd.inject_fault(faulty);
+    rig.sd.card.inject_fault(faulty);
     assert!(
         bc.flush(&mut rig.dev()).is_err(),
         "the failed chain surfaces at the barrier"
@@ -1224,7 +1224,7 @@ fn fat32_dma_failed_chain_leaves_blocks_dirty_and_retryable() {
     // Card recovers. Before retrying, the file must not be visible on the
     // persisted medium (its chain never completed and, ordered, its
     // metadata never preceded the data).
-    rig.sd.clear_faults();
+    rig.sd.card.clear_faults();
     {
         let mut disk2 = MemDisk::from_image(rig.image());
         let mut bc2 = BufCache::default();
@@ -1279,7 +1279,7 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
         let mut sys = ProtoSystem::desktop().unwrap();
         let sd = &sys.kernel.board.sdhost;
         assert_eq!(sd.data_mode(), SdDataMode::Dma);
-        assert!(!sd.posted_writes());
+        assert!(!sd.card.posted_writes());
         let writer = sys.kernel.spawn_bench_task("writer").unwrap();
         for (i, old) in olds.iter().enumerate() {
             put(&mut sys, writer, i, old).unwrap();
@@ -1309,6 +1309,7 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
         sys.kernel
             .board
             .sdhost
+            .card
             .inject_fault(FAT_PARTITION_START + INTENT_LOG_START);
         let before = sys.kernel.fat_cache_stats().writebacks;
         assert!(close_group(&mut sys, writer, fd).is_err());
@@ -1319,10 +1320,10 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
     assert!(k >= 2, "the record must carry several payloads, got {k}");
     for j in 0..=k + 2 {
         let (mut sys, writer, fd) = setup();
-        sys.kernel.sd_power_cut_after(d + j);
+        sys.kernel.board.sdhost.card.power_cut_after(d + j);
         let closing = close_group(&mut sys, writer, fd);
         assert!(closing.is_err(), "cut {j}: the closing write() fails");
-        sys.kernel.sd_power_restore();
+        sys.kernel.board.sdhost.card.power_restored();
         let total = sys.kernel.board.sdhost.total_blocks();
         let mut dev = SdBlockDevice::new(
             &mut sys.kernel.board.sdhost,

@@ -7,7 +7,7 @@ use proto_repro::kernel::mm::{AddressSpace, FrameAllocator, MapFlags, PageTable,
 use proto_repro::protofs::bufcache::BufCache;
 use proto_repro::protofs::fat32::Fat32;
 use proto_repro::protofs::xv6fs::{InodeType, Xv6Fs};
-use proto_repro::protofs::{BlockDevice, MemDisk};
+use proto_repro::protofs::MemDisk;
 use proto_repro::protousb::KeyEventQueue;
 
 use hal::mem::PhysMem;

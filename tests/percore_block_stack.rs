@@ -198,7 +198,7 @@ fn faulted_chains_surface_as_retries_not_deadlocks() {
     // chain is a completion too), see the error, and retry — not deadlock.
     let total = sys.kernel.board.sdhost.total_blocks();
     for lba in FAT_PARTITION_START..total {
-        sys.kernel.board.sdhost.inject_fault(lba);
+        sys.kernel.board.sdhost.card.inject_fault(lba);
     }
     let errs = Arc::new(AtomicU64::new(0));
     let tids = spawn_readers(&mut sys, true, &errs);
@@ -212,7 +212,7 @@ fn faulted_chains_surface_as_retries_not_deadlocks() {
         "readers keep retrying while the card faults"
     );
     // The card recovers: the same readers run to a verified clean exit.
-    sys.kernel.board.sdhost.clear_faults();
+    sys.kernel.board.sdhost.card.clear_faults();
     let finished = {
         let ids = tids.clone();
         sys.kernel.run_until(

@@ -540,7 +540,7 @@ fn sd_card_faults_surface_as_io_errors_not_panics() {
     let (mut sys, tid) = desktop();
     // Inject a fault into the middle of the FAT data area and read the WAD.
     for b in 9000..9300 {
-        sys.kernel.board.sdhost.inject_fault(b);
+        sys.kernel.board.sdhost.card.inject_fault(b);
     }
     let result = sys.kernel.with_task_ctx(tid, |ctx| {
         let fd = ctx.open("/d/doom.wad", OpenFlags::rdonly())?;
@@ -559,7 +559,7 @@ fn sd_card_faults_surface_as_io_errors_not_panics() {
         Ok(total)
     });
     assert!(result.is_err(), "injected SD fault is reported");
-    sys.kernel.board.sdhost.clear_faults();
+    sys.kernel.board.sdhost.card.clear_faults();
 }
 
 /// A FAT syscall that fails still pays for the SD work it did: `stat` of a

@@ -149,7 +149,10 @@ fn failed_background_writeback_is_contained_and_retried() {
     // must not panic, and the dirty blocks must be retained for retry.
     let blocks = kernel::kernel::RAMDISK_BYTES / protofs::BLOCK_SIZE as u64;
     for lba in 0..blocks {
-        sys.kernel.ramdisk_inject_fault(lba);
+        sys.kernel
+            .ramdisk()
+            .expect("root ramdisk")
+            .inject_fault(lba);
     }
     sys.run_ms(100);
     assert_eq!(
@@ -164,7 +167,7 @@ fn failed_background_writeback_is_contained_and_retried() {
     );
     // The card recovers; the retried write-back drains and the data is
     // durable on a remount of the raw image.
-    sys.kernel.ramdisk_clear_faults();
+    sys.kernel.ramdisk().expect("root ramdisk").clear_faults();
     let drained = sys
         .kernel
         .run_until(|k| k.root_dirty_blocks() == 0, 5_000_000);
@@ -212,7 +215,7 @@ fn switching_dma_off_keeps_the_dma_path_when_its_barrier_fails() {
         .unwrap();
     let dirty = sys.kernel.fat_dirty_blocks();
     assert!(dirty > 0, "close left the write-back to kbio");
-    sys.kernel.sd_power_cut_after(0);
+    sys.kernel.board.sdhost.card.power_cut_after(0);
     let r = sys.kernel.set_sd_dma(false);
     assert!(
         matches!(r, Err(kernel::KernelError::Fs(protofs::FsError::Io(_)))),
@@ -225,7 +228,7 @@ fn switching_dma_off_keeps_the_dma_path_when_its_barrier_fails() {
     );
     assert_eq!(sys.kernel.fat_dirty_blocks(), dirty);
     // With power back, the same switch drains the cache and goes polled.
-    sys.kernel.sd_power_restore();
+    sys.kernel.board.sdhost.card.power_restored();
     sys.kernel.set_sd_dma(false).unwrap();
     assert!(!sys.kernel.config.sd_dma);
     assert_eq!(sys.kernel.fat_dirty_blocks(), 0);
@@ -249,7 +252,7 @@ fn ordered_writeback_survives_a_power_cut_mid_kbio_drain() {
     let dirty = sys.kernel.fat_dirty_blocks();
     assert!(dirty > 0, "close deferred the write-back to kbio");
     // Die 40 blocks into the drain: mid-CMD25, inside the data clusters.
-    sys.kernel.sd_power_cut_after(40);
+    sys.kernel.board.sdhost.card.power_cut_after(40);
     sys.run_ms(100);
     let log = sys.kernel.console_log();
     assert!(
@@ -258,7 +261,7 @@ fn ordered_writeback_survives_a_power_cut_mid_kbio_drain() {
     );
     // Remount what actually persisted: the file must be absent (old tree),
     // and the mount itself must succeed.
-    sys.kernel.sd_power_restore();
+    sys.kernel.board.sdhost.card.power_restored();
     let total = sys.kernel.board.sdhost.total_blocks();
     {
         let mut fresh = BufCache::default();
@@ -601,7 +604,7 @@ fn a_faulted_commit_record_fails_the_write_and_a_later_sync_commits_it() {
     // The record's first payload slot faults, so its chain fails: the
     // write() that closes the group reports the I/O error.
     let slot = FAT_PARTITION_START + INTENT_LOG_START + 1;
-    sys.kernel.board.sdhost.inject_fault(slot);
+    sys.kernel.board.sdhost.card.inject_fault(slot);
     let closing = overwrite(&mut sys, writer, n - 1);
     assert!(
         matches!(
@@ -617,7 +620,7 @@ fn a_faulted_commit_record_fails_the_write_and_a_later_sync_commits_it() {
     assert!(!sys.kernel.fat_cache().unwrap().degraded());
     // The fault clears: the next barrier commits the group, and every file
     // reads back at its new version from a cold cache.
-    sys.kernel.board.sdhost.clear_faults();
+    sys.kernel.board.sdhost.card.clear_faults();
     sys.kernel.sync_all().unwrap();
     assert_eq!(sys.kernel.fat_group_txns(), 0);
     assert_eq!(sys.kernel.fat_cache_stats().log_commits, commits_before + 1);
