@@ -191,9 +191,9 @@
 //!   is on the device, and eviction flushes a metadata block's dependency
 //!   closure first. A power cut at *any* point of a drain therefore leaves
 //!   either the old tree or a complete new one — never a dirent or FAT
-//!   chain pointing at unwritten clusters ([`BufCache::set_ordered_writeback`]
-//!   reverts to the old pure-LBA drain for the xv6 baseline and the
-//!   regression tests). The metadata-transaction recorder
+//!   chain pointing at unwritten clusters. This is the cache's one drain
+//!   order, for every kernel variant; the crash suite shows what the pure
+//!   LBA order it replaced exposed. The metadata-transaction recorder
 //!   ([`BufCache::begin_meta_txn`]) additionally pins and collects the
 //!   sectors of a multi-sector update so FAT32's intent log can commit them
 //!   atomically. The cache also hosts the write-ahead log's **group-commit
@@ -710,14 +710,6 @@ pub struct BufCache {
     /// [`BufCache::prefetch_range`] for detected sequential streams. Off by
     /// default; the kernel switches it on per its config.
     prefetch: bool,
-    /// When true (the default), `flush`/`flush_some` drain dirty *data*
-    /// blocks before dirty *metadata* blocks, and a metadata block is only
-    /// written once every block it was [`BufCache::add_dependency`]'d on is
-    /// clean — so a power cut mid-drain never exposes a dirent or FAT chain
-    /// referencing unwritten clusters. When false, the drain reverts to the
-    /// pre-ordering pure-LBA order (the policy the crash regression test
-    /// demonstrates the bug against).
-    ordered: bool,
     /// Write-order dependencies: a dirty metadata block (key LBA) must not
     /// reach the device before every block of its recorded runs is clean.
     /// Entries are dropped when the metadata block is written back.
@@ -876,7 +868,6 @@ impl BufCache {
             extents_per_shard: extents_per_shard.max(1),
             coalesce: true,
             prefetch: false,
-            ordered: true,
             deps: BTreeMap::new(),
             meta_txn: None,
             group: BTreeSet::new(),
@@ -947,19 +938,6 @@ impl BufCache {
     /// Whether callers may prefetch ahead of sequential streams.
     pub fn prefetch_enabled(&self) -> bool {
         self.prefetch
-    }
-
-    /// Enables or disables dependency-ordered write-back draining (on by
-    /// default). With ordering off, dirty blocks drain in pure LBA order —
-    /// the pre-ordering behaviour that can expose a dirent pointing at
-    /// unwritten clusters if power is cut mid-drain.
-    pub fn set_ordered_writeback(&mut self, ordered: bool) {
-        self.ordered = ordered;
-    }
-
-    /// Whether the drain is dependency-ordered.
-    pub fn ordered_writeback(&self) -> bool {
-        self.ordered
     }
 
     /// Occupancy histogram of the device command queue, sampled right after
@@ -1232,7 +1210,7 @@ impl BufCache {
     /// where a previous one ended. This is the sequential-stream signal
     /// FAT32's `read_at` consults right after its own data read (which is,
     /// by construction, the most recent stream touch). Single-block reads
-    /// (FAT sectors) are ignored entirely, and up to [`STREAM_SLOTS`]
+    /// (FAT sectors) are ignored entirely, and up to `STREAM_SLOTS`
     /// interleaved streams are tracked independently, so metadata or a
     /// second file's reads do not reset a media stream's streak.
     pub fn sequential_streak(&self) -> u32 {
@@ -2247,17 +2225,15 @@ impl BufCache {
         };
         let victim_base = self.shards[si].extents[victim].base;
         if self.shards[si].extents[victim].dirty != 0 {
-            if self.ordered {
-                // Writing a dirty metadata block early is only safe once
-                // everything it references is on the device.
-                let e = &self.shards[si].extents[victim];
-                let roots: Vec<u64> = (0..EXTENT_BLOCKS as u64)
-                    .map(|i| e.base + i)
-                    .filter(|&b| e.dirty & Extent::bit(b) != 0 && e.meta & Extent::bit(b) != 0)
-                    .collect();
-                if !roots.is_empty() {
-                    self.flush_dependency_closure(dev, &roots)?;
-                }
+            // Writing a dirty metadata block early is only safe once
+            // everything it references is on the device.
+            let e = &self.shards[si].extents[victim];
+            let roots: Vec<u64> = (0..EXTENT_BLOCKS as u64)
+                .map(|i| e.base + i)
+                .filter(|&b| e.dirty & Extent::bit(b) != 0 && e.meta & Extent::bit(b) != 0)
+                .collect();
+            if !roots.is_empty() {
+                self.flush_dependency_closure(dev, &roots)?;
             }
             // The closure flush never adds or removes extents.
             let e = &self.shards[si].extents[victim];
@@ -3004,39 +2980,16 @@ impl BufCache {
         self.write_range(dev, lba, 1, data)
     }
 
-    /// Collects every dirty LBA — minus any parked past its retry budget —
-    /// globally sorted so cross-extent runs coalesce, grouped into
-    /// contiguous runs.
-    fn dirty_runs(&self) -> Vec<Run> {
-        let mut dirty: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.extents.iter())
-            .flat_map(|e| {
-                (0..EXTENT_BLOCKS as u64)
-                    .filter(move |i| e.dirty & Extent::bit(e.base + i) != 0)
-                    .map(move |i| e.base + i)
-            })
-            .filter(|b| !self.gave_up.contains(b))
-            .collect();
-        dirty.sort_unstable();
-        let mut runs: Vec<Run> = Vec::new();
-        for b in dirty {
-            push_block(&mut runs, b);
-        }
-        runs
-    }
-
     /// Writes every dirty block back to the device, coalescing adjacent
     /// dirty blocks — across extents and shards — into bounded chains
     /// ([`WB_CHAIN_BLOCKS`] / [`WB_CHAIN_RUNS`] each), then flushes the
     /// device itself.
     ///
-    /// With ordered write-back on (the default) the drain is staged: all
-    /// dirty *data* blocks first, then metadata blocks as their recorded
-    /// dependencies become clean — so a power cut at any point during the
-    /// flush leaves either the old tree or a complete new one, never a
-    /// dirent or FAT chain pointing at unwritten clusters.
+    /// The drain is staged: all dirty *data* blocks first, then metadata
+    /// blocks as their recorded dependencies become clean — so a power cut
+    /// at any point during the flush leaves either the old tree or a
+    /// complete new one, never a dirent or FAT chain pointing at unwritten
+    /// clusters.
     ///
     /// This is a **queue-drain barrier**: each stage submits its runs as
     /// scatter-gather chains and then drains the queue, so data is
@@ -3059,18 +3012,7 @@ impl BufCache {
         // do clear the stale flag so an old failure cannot fail a clean run.
         self.reap_ready(dev);
         self.async_error = None;
-        if self.ordered {
-            self.drain_ordered(dev)?;
-        } else {
-            loop {
-                let runs = self.dirty_runs();
-                let runs = self.without_group_sectors(runs);
-                self.drain_chains(dev, &runs)?;
-                if runs.is_empty() {
-                    break;
-                }
-            }
-        }
+        self.drain_ordered(dev)?;
         // Anything still dirty (group sectors aside) sits on a dependency
         // cycle (the filesystem layers are built not to create one). A full
         // flush must drain regardless; force the stragglers out and count
@@ -3191,42 +3133,35 @@ impl BufCache {
         // Blocks in failure backoff sit this pass out (gave-up blocks are
         // excluded by the run collectors themselves).
         let deferred = self.backoff_tick();
-        let data_runs = if self.ordered {
-            self.classed_dirty_runs().0
-        } else {
-            self.dirty_runs()
-        };
-        let data_runs = Self::without_blocks(data_runs, &deferred);
+        let data_runs = Self::without_blocks(self.classed_dirty_runs().0, &deferred);
         let mut submitted = self.submit_budgeted(dev, data_runs, max_blocks)?;
-        if self.ordered {
-            // Metadata drains only once every data block is durable, and
-            // stops at the pass's first failure.
-            while submitted < max_blocks && !self.any_dirty_data() && self.async_error.is_none() {
-                let ready = Self::without_blocks(self.drainable_meta_runs(), &deferred);
-                let n = self.submit_budgeted(dev, ready, max_blocks - submitted)?;
-                if n == 0 {
-                    break;
-                }
-                submitted += n;
+        // Metadata drains only once every data block is durable, and stops
+        // at the pass's first failure.
+        while submitted < max_blocks && !self.any_dirty_data() && self.async_error.is_none() {
+            let ready = Self::without_blocks(self.drainable_meta_runs(), &deferred);
+            let n = self.submit_budgeted(dev, ready, max_blocks - submitted)?;
+            if n == 0 {
+                break;
             }
-            // Liveness backstop: metadata stuck on a dependency cycle (the
-            // filesystem layers are built not to create one) must not pin
-            // the cache dirty forever — force it out, counted. Metadata
-            // waiting on a *parked* block is not a cycle; leave it to the
-            // failing barrier rather than writing it out of order.
-            if submitted < max_blocks
-                && !self.any_dirty_data()
-                && self.inflight_writes.is_empty()
-                && self.gave_up.is_empty()
-                && self.drainable_meta_runs().is_empty()
-            {
-                let (_, stuck) = self.classed_dirty_runs();
-                let stuck = self.without_group_sectors(stuck);
-                let stuck = Self::without_blocks(stuck, &deferred);
-                let budget = max_blocks - submitted;
-                self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>().min(budget);
-                submitted += self.submit_budgeted(dev, stuck, budget)?;
-            }
+            submitted += n;
+        }
+        // Liveness backstop: metadata stuck on a dependency cycle (the
+        // filesystem layers are built not to create one) must not pin the
+        // cache dirty forever — force it out, counted. Metadata waiting on
+        // a *parked* block is not a cycle; leave it to the failing barrier
+        // rather than writing it out of order.
+        if submitted < max_blocks
+            && !self.any_dirty_data()
+            && self.inflight_writes.is_empty()
+            && self.gave_up.is_empty()
+            && self.drainable_meta_runs().is_empty()
+        {
+            let (_, stuck) = self.classed_dirty_runs();
+            let stuck = self.without_group_sectors(stuck);
+            let stuck = Self::without_blocks(stuck, &deferred);
+            let budget = max_blocks - submitted;
+            self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>().min(budget);
+            submitted += self.submit_budgeted(dev, stuck, budget)?;
         }
         if submitted > 0 {
             self.partial_flushes += 1;
@@ -3885,26 +3820,6 @@ mod tests {
         bc.flush(&mut dev).unwrap();
         dev.read_block(2, &mut raw).unwrap();
         assert_eq!(raw, meta);
-    }
-
-    #[test]
-    fn unordered_flush_reproduces_the_lba_order_bug() {
-        let mut dev = MemDisk::new(256);
-        let mut bc = BufCache::default();
-        bc.set_ordered_writeback(false);
-        bc.write(&mut dev, 2, &[7u8; BLOCK_SIZE]).unwrap();
-        bc.note_metadata(2, 1);
-        let data = vec![9u8; BLOCK_SIZE * 8];
-        bc.write_range(&mut dev, 100, 8, &data).unwrap();
-        bc.add_dependency(2, 1, 100, 8);
-        dev.power_cut_after(1);
-        assert!(bc.flush(&mut dev).is_err());
-        dev.power_restored();
-        let mut raw = [0u8; BLOCK_SIZE];
-        dev.read_block(2, &mut raw).unwrap();
-        assert_eq!(raw, [7u8; BLOCK_SIZE], "LBA order exposed the metadata");
-        dev.read_block(100, &mut raw).unwrap();
-        assert_eq!(raw, [0u8; BLOCK_SIZE], "...while its data never landed");
     }
 
     #[test]

@@ -143,15 +143,15 @@ pub struct Fat32 {
     bpb: Bpb,
     /// This volume's handle on the shared transaction layer
     /// ([`crate::txn::TxnLog`]): the intent-log geometry (the reserved
-    /// region at [`INTENT_LOG_START`]) plus the enabled / group-commit
-    /// knobs. The mutable transaction state itself (open recorder, commit
-    /// group, pins, pending frees) lives in the [`BufCache`]: the cache pins
-    /// the group's sectors against eviction and drains, and a full flush
-    /// clears the pending frees. Logging is on by default when the
-    /// reserved region has room for the log area; with a group size above 1
-    /// ([`Fat32::set_group_commit_ops`]) consecutive transactions share one
-    /// checksummed commit record and durability moves to the group's single
-    /// commit flush, forced by any barrier.
+    /// region at [`INTENT_LOG_START`]) plus the group-commit knob. The
+    /// mutable transaction state itself (open recorder, commit group, pins,
+    /// pending frees) lives in the [`BufCache`]: the cache pins the group's
+    /// sectors against eviction and drains, and a full flush clears the
+    /// pending frees. Logging is on whenever the reserved region has room
+    /// for the log area (a foreign card may lack it); with a group size
+    /// above 1 ([`Fat32::set_group_commit_ops`]) consecutive transactions
+    /// share one checksummed commit record and durability moves to the
+    /// group's single commit flush, forced by any barrier.
     txn: TxnLog,
 }
 
@@ -423,32 +423,24 @@ impl Fat32 {
             bpb,
             txn: Self::make_txn(&bpb),
         };
-        if fs.txn.enabled() {
-            fs.txn.replay(dev, bc)?;
-        }
+        fs.txn.replay(dev, bc)?;
         Ok(fs)
     }
 
     /// Builds this volume's transaction-layer handle: the intent-log
-    /// geometry over the reserved region, enabled when it fits.
+    /// geometry over the reserved region, or a log of no sectors when the
+    /// region is too small for it.
     fn make_txn(bpb: &Bpb) -> TxnLog {
-        let mut txn = TxnLog::new(
-            INTENT_LOG_START,
-            INTENT_LOG_SECTORS,
-            bpb.total_sectors as u64,
-        );
-        txn.set_enabled(Self::log_fits(bpb));
-        txn
+        let sectors = if Self::log_fits(bpb) {
+            INTENT_LOG_SECTORS
+        } else {
+            0
+        };
+        TxnLog::new(INTENT_LOG_START, sectors, bpb.total_sectors as u64)
     }
 
-    /// Enables or disables the intent log for multi-sector metadata updates
-    /// (the crash-consistency ablation switch; replay at mount always runs
-    /// when a committed record exists).
-    pub fn set_intent_log(&mut self, on: bool) {
-        self.txn.set_enabled(on && Self::log_fits(&self.bpb));
-    }
-
-    /// Whether multi-sector metadata updates go through the intent log.
+    /// Whether multi-sector metadata updates go through the intent log: the
+    /// volume's reserved region holds one.
     pub fn intent_log_enabled(&self) -> bool {
         self.txn.enabled()
     }

@@ -12,8 +12,10 @@
 //!
 //! A [`TxnLog`] is a tiny `Copy` value describing the log geometry (where
 //! the reserved sector run lives, how many sectors it spans, how many
-//! sectors past the end of the volume are addressable at all) plus two
-//! policy knobs (enabled, group size). The protocol is:
+//! sectors past the end of the volume are addressable at all) plus one
+//! policy knob, the group size. A log is on exactly when its volume holds
+//! one: a log of zero sectors (a foreign FAT32 card without the reserved
+//! region) commits every transaction with a plain flush. The protocol is:
 //!
 //! * [`TxnLog::with_txn`] — run a closure as one logged transaction. It
 //!   opens the cache's metadata recorder ([`BufCache::begin_meta_txn`]),
@@ -83,7 +85,7 @@
 //! whose async writeback keeps failing is retried (with backoff) at most
 //! [`BufCache::write_retry_budget`] times and then the cache latches
 //! read-only degraded mode — writes (and therefore transactions) fail with
-//! [`FsError::Io`], reads keep working, and dirty data is kept cached
+//! [`crate::FsError::Io`], reads keep working, and dirty data is kept cached
 //! rather than dropped. A commit that fails *before* its commit point
 //! leaves the group pending, so a later barrier retries it; a record the
 //! failure left half-written fails its checksum and is never replayed. The
@@ -111,7 +113,7 @@ fn fnv1a(data: &[u8], mut h: u32) -> u32 {
 }
 
 /// A filesystem's handle on the shared transaction layer: log geometry plus
-/// the enabled / group-commit policy knobs. All mutable transaction state
+/// the group-commit policy knob. All mutable transaction state
 /// (open-transaction recorder, commit group, pins, pending frees) lives in
 /// the [`BufCache`]: the cache pins the group's sectors against eviction
 /// and drains, and a full flush clears the pending frees.
@@ -120,17 +122,12 @@ pub struct TxnLog {
     /// First sector of the reserved on-volume log area.
     log_start: u64,
     /// Sectors in the log area: one header plus up to `log_sectors - 1`
-    /// payload sectors.
+    /// payload sectors. Zero when the volume holds no log.
     log_sectors: u64,
     /// Total addressable sectors; replay rejects records naming targets at
     /// or past this bound (or inside `[0, log_start + log_sectors)` — the
     /// boot/superblock region and the log itself).
     total_sectors: u64,
-    /// Whether transactions commit through the log. When off,
-    /// [`TxnLog::commit`] degrades to a plain synchronous flush (the
-    /// crash-consistency ablation switch); replay still runs at mount so a
-    /// committed record from an earlier life is never ignored.
-    enabled: bool,
     /// How many logged transactions one commit record may cover (group
     /// commit, clamped to at least 1). Callers raising this above 1 own the
     /// durability consequences and must force [`TxnLog::commit_pending`] at
@@ -140,13 +137,12 @@ pub struct TxnLog {
 
 impl TxnLog {
     /// A log over `[log_start, log_start + log_sectors)` on a volume of
-    /// `total_sectors`, enabled, with group commit off (size 1).
+    /// `total_sectors`, with group commit off (size 1).
     pub fn new(log_start: u64, log_sectors: u64, total_sectors: u64) -> TxnLog {
         TxnLog {
             log_start,
             log_sectors,
             total_sectors,
-            enabled: true,
             group_ops: 1,
         }
     }
@@ -167,14 +163,10 @@ impl TxnLog {
         self.log_sectors.saturating_sub(1) as usize
     }
 
-    /// Enables or disables logged commits (see [`TxnLog::enabled`]).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether transactions commit through the log.
+    /// Whether transactions commit through the log: whether the volume
+    /// holds one.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.log_sectors > 0
     }
 
     /// Sets the group-commit size (clamped to at least 1).
@@ -260,7 +252,7 @@ impl TxnLog {
     /// Folds one just-finished logged transaction into the open commit
     /// group, committing when the group reaches [`TxnLog::group_ops`]
     /// transactions, would overflow the log area, or pins too much of one
-    /// cache shard ([`BufCache::group_crowds_a_shard`]). With the default
+    /// cache shard (`BufCache::group_crowds_a_shard`). With the default
     /// group size of 1 every logged operation is atomic *and durable* on
     /// return; with a larger group the transaction is atomic at every cut
     /// (its sectors stay cached, held back by their deliberately cyclic
@@ -269,17 +261,18 @@ impl TxnLog {
     /// time, so a later non-logged write to a shared sector is never rolled
     /// back by replay.
     ///
-    /// Falls back to a plain synchronous flush when the log is disabled or
-    /// the transaction outgrows the log area — committing any pending group
-    /// first so its record cannot be reordered behind the fallback. The
-    /// fallback loses torn-update atomicity.
+    /// Falls back to a plain synchronous flush when the transaction
+    /// outgrows the log area (every transaction does when the volume holds
+    /// no log) — committing any pending group first so its record cannot
+    /// be reordered behind the fallback. The fallback loses torn-update
+    /// atomicity.
     pub fn commit(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         touched: &[u64],
     ) -> FsResult<()> {
-        if !self.enabled || touched.is_empty() {
+        if touched.is_empty() {
             return bc.flush(dev);
         }
         if touched.len() > self.payload_capacity() {
@@ -387,8 +380,11 @@ impl TxnLog {
     /// [`TxnLog::commit_pending`]. A record that fails validation (torn
     /// commit, stale garbage, targets outside `[log_start + log_sectors,
     /// total_sectors)`) is ignored: the pre-transaction tree is the
-    /// consistent one.
+    /// consistent one. A volume without a log has nothing to replay.
     pub fn replay(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()> {
+        if !self.enabled() {
+            return Ok(());
+        }
         let mut hdr = vec![0u8; BLOCK_SIZE];
         dev.read_block(self.log_start, &mut hdr)?;
         if &hdr[0..8] != TXN_MAGIC {

@@ -10,25 +10,27 @@
 //! that later motivates FAT32 for multi-megabyte game assets and videos.
 //!
 //! The original Proto drops xv6's journalling/log layer entirely: the paper
-//! excludes crash consistency as a non-goal (§5.4). This reproduction's
-//! extension keeps that shape as a *fallback* — metadata blocks (inodes,
-//! bitmap, indirect blocks, directory contents) are tagged for the cache's
+//! excludes crash consistency as a non-goal (§5.4). This reproduction
+//! brings it back in two layers. Metadata blocks (inodes, bitmap, indirect
+//! blocks, directory contents) are tagged for the cache's
 //! dependency-ordered write-back drain, with edges ordering an inode after
-//! the data and bitmap blocks it references — and then closes the gap the
-//! ordered drain cannot: `mkfs` reserves a small on-volume log region
-//! ([`XV6_LOG_BLOCKS`]) and the mutating path-level operations (`create`,
-//! `unlink`, `truncate`, `write_file`) run as transactions through the
-//! shared [`crate::txn::TxnLog`] layer. With the journal on (the default),
-//! the two torn states the PR-5 ordered drain had to tolerate become
-//! impossible: a dirent can no longer name a still-free inode (the dirent
-//! and the child inode commit atomically, cycle-safe under the
-//! transaction's pins even though they often share an on-disk block), and
-//! an in-place overwrite is old-contents XOR new-contents (truncate and
-//! rewrite are a single transaction). Freed blocks are reserved
-//! ([`BufCache::note_pending_free`]) until their free is durable, so a cut
-//! before the commit point keeps the intact old file. With the journal off
-//! (`set_journal(false)`, the ablation baseline), behaviour reverts to the
-//! ordered drain and its two documented torn states.
+//! the data and bitmap blocks it references; that alone keeps the
+//! inode-level [`Xv6Fs::write`], which runs outside any transaction, from
+//! exposing unwritten or free blocks. Every volume also holds a small log
+//! region ([`XV6_LOG_BLOCKS`], written by `mkfs`; [`Xv6Fs::mount`] refuses a
+//! superblock without one), and the mutating path-level operations
+//! (`create`, `unlink`, `truncate`, `write_file`) run as transactions
+//! through the shared [`crate::txn::TxnLog`] layer, each committed on
+//! return. That closes the torn states an ordered drain alone cannot: a
+//! dirent never names a still-free inode (the dirent and the child inode
+//! commit atomically, cycle-safe under the transaction's pins even though
+//! they often share an on-disk block), and an overwrite is old contents
+//! XOR new contents (truncate and rewrite are one transaction). Freed
+//! blocks stay reserved ([`BufCache::note_pending_free`]) until their
+//! transaction commits, so the rewrite cannot reuse them and a cut before
+//! the commit point keeps the intact old file; an overwrite whose new
+//! contents do not fit beside the old ones therefore fails before it
+//! changes anything.
 
 use crate::block::{BlockDevice, BLOCK_SIZE as SECTOR_SIZE};
 use crate::bufcache::BufCache;
@@ -129,11 +131,9 @@ pub struct SuperBlock {
     pub size: u32,
     /// Number of inodes.
     pub ninodes: u32,
-    /// First block of the transaction log region (0 when the volume
-    /// carries no log).
+    /// First block of the transaction log region.
     pub logstart: u32,
-    /// Blocks in the transaction log region (0 when the volume carries no
-    /// log — journalling is then permanently unavailable on this volume).
+    /// Blocks in the transaction log region ([`Xv6Fs::mount`] refuses 0).
     pub nlog: u32,
     /// First block of the inode area.
     pub inodestart: u32,
@@ -256,7 +256,7 @@ impl HeldBlock {
 pub struct Xv6Fs {
     sb: SuperBlock,
     /// Handle on the shared transaction layer (geometry from the
-    /// superblock's log region; disabled when the volume carries none).
+    /// superblock's log region).
     txn: TxnLog,
 }
 
@@ -399,7 +399,8 @@ impl Xv6Fs {
     /// Mounts an existing filesystem by reading (and validating) its
     /// superblock. A corrupt superblock surfaces as [`FsError::Corrupt`] —
     /// remounting the surviving half of a power-cut image must never panic
-    /// or trigger absurd allocations.
+    /// or trigger absurd allocations. Every xv6fs volume holds a log, so a
+    /// superblock without one is corrupt too.
     pub fn mount(dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<Xv6Fs> {
         let block = Self::read_fs_block(dev, bc, 0)?;
         let sb = SuperBlock::decode(&block[..32])?;
@@ -414,18 +415,12 @@ impl Xv6Fs {
             return Err(FsError::Corrupt("superblock has no inodes".into()));
         }
         let ninodeblocks = sb.ninodes.div_ceil(IPB as u32);
-        let log_end = if sb.nlog == 0 {
-            // A log-less volume (nlog == 0): the inode area may start right
-            // after the superblock.
-            1
-        } else {
-            match sb.logstart.checked_add(sb.nlog) {
-                Some(end) if sb.logstart >= 1 => end,
-                _ => {
-                    return Err(FsError::Corrupt(
-                        "superblock log region overflows or starts at 0".into(),
-                    ))
-                }
+        let log_end = match sb.logstart.checked_add(sb.nlog) {
+            Some(end) if sb.logstart >= 1 && sb.nlog > 0 => end,
+            _ => {
+                return Err(FsError::Corrupt(
+                    "superblock log region is empty, overflows or starts at 0".into(),
+                ))
             }
         };
         let valid_layout = sb.inodestart >= log_end
@@ -446,11 +441,8 @@ impl Xv6Fs {
         };
         // Repair a power cut that fell after a commit point: redo the
         // committed record's home writes (idempotent), or ignore a torn /
-        // stale record. Runs even if the caller later disables the journal,
-        // so a committed record from an earlier life is never dropped.
-        if fs.txn.enabled() {
-            fs.txn.replay(dev, bc)?;
-        }
+        // stale record.
+        fs.txn.replay(dev, bc)?;
         Ok(fs)
     }
 
@@ -459,25 +451,11 @@ impl Xv6Fs {
     /// sectors — not 1 KB filesystem blocks).
     fn make_txn(sb: &SuperBlock) -> TxnLog {
         let spb = (BSIZE / SECTOR_SIZE) as u64;
-        let mut txn = TxnLog::new(
+        TxnLog::new(
             sb.logstart as u64 * spb,
             sb.nlog as u64 * spb,
             sb.size as u64 * spb,
-        );
-        txn.set_enabled(sb.nlog > 0);
-        txn
-    }
-
-    /// Enables or disables journalled metadata transactions (the
-    /// crash-consistency ablation switch; `Xv6Baseline` turns it off). On a
-    /// volume formatted without a log region this is permanently off.
-    pub fn set_journal(&mut self, on: bool) {
-        self.txn.set_enabled(on && self.sb.nlog > 0);
-    }
-
-    /// Whether metadata operations commit through the transaction log.
-    pub fn journal_enabled(&self) -> bool {
-        self.txn.enabled()
+        )
     }
 
     /// Forces the open commit group's record to the device (a no-op when no
@@ -525,71 +503,55 @@ impl Xv6Fs {
     }
 
     /// Allocates and zeroes the first free data block no pending free
-    /// reserves. Each scan reads every bitmap block once; every block below
-    /// the scan's position is in use or reserved, so the scan picks exactly
-    /// the block a bit-by-bit walk from `datastart` would.
+    /// reserves. The first-fit scan from `datastart` reads every bitmap
+    /// block once; every block below its position is in use or reserved,
+    /// so it picks exactly the block a bit-by-bit walk would.
     fn balloc(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
-        let b = match self.find_free_block(dev, bc)? {
-            (Some(b), _) => b,
-            (None, true) => {
-                // Out of space only because freed blocks are still fenced
-                // behind an undurable free. Commit the journal group (making
-                // the frees durable), drain any remaining ordered frees, and
-                // rescan.
-                self.txn.commit_pending(dev, bc)?;
-                if bc.has_pending_frees() {
-                    bc.flush(dev)?;
-                }
-                self.find_free_block(dev, bc)?.0.ok_or(FsError::NoSpace)?
+        let mut bits = HeldBlock::default();
+        let mut found = None;
+        for b in self.sb.datastart..self.sb.size {
+            if self.allocatable(dev, bc, &mut bits, b)? {
+                found = Some(b);
+                break;
             }
-            (None, false) => return Err(FsError::NoSpace),
-        };
+        }
+        let b = found.ok_or(FsError::NoSpace)?;
         self.bitmap_set(dev, bc, b, true)?;
         // Zero freshly allocated blocks, as xv6 does.
         Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])?;
         Ok(b)
     }
 
-    /// First-fit scan of the bitmap from `datastart`: the first free block
-    /// no pending free reserves, and whether the scan skipped a reserved
-    /// one.
-    fn find_free_block(
+    /// Whether `b` is free in the bitmap (read through `bits`) and no
+    /// pending free reserves it. Blocks freed by a transaction that has not
+    /// committed yet must not be recycled: a cut after the reuse but before
+    /// the commit would leave the old file pointing at clobbered data.
+    fn allocatable(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
-    ) -> FsResult<(Option<u32>, bool)> {
-        let mut bits = HeldBlock::default();
-        let mut skipped_reserved = false;
-        for b in self.sb.datastart..self.sb.size {
-            // Blocks freed by a not-yet-durable transaction must not be
-            // recycled: a crash after the reuse but before the free commits
-            // would leave the old file's metadata pointing at clobbered data.
-            if bc.is_pending_free(b) {
-                skipped_reserved = true;
-                continue;
-            }
-            if !self.bitmap_get(dev, bc, &mut bits, b)? {
-                return Ok((Some(b), skipped_reserved));
-            }
-        }
-        Ok((None, skipped_reserved))
+        bits: &mut HeldBlock,
+        b: u32,
+    ) -> FsResult<bool> {
+        Ok(!bc.is_pending_free(b) && !self.bitmap_get(dev, bc, bits, b)?)
     }
 
     fn bfree(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, blockno: u32) -> FsResult<()> {
         self.bitmap_set(dev, bc, blockno, false)?;
-        // Fence the block against reallocation until the free is durable
-        // (journal commit, or cache flush when the journal is off).
+        // Fence the block against reallocation until its transaction
+        // commits.
         bc.note_pending_free(blockno);
         Ok(())
     }
 
-    /// Number of free data blocks remaining (used by `/proc` style reporting
-    /// and the no-space tests).
+    /// Number of data blocks an allocation can take: free in the bitmap and
+    /// not reserved by a pending free. Between operations that is every
+    /// free block, since each transaction commits on return.
     pub fn free_blocks(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
         let mut bits = HeldBlock::default();
         let mut free = 0;
         for b in self.sb.datastart..self.sb.size {
-            if !self.bitmap_get(dev, bc, &mut bits, b)? {
+            if self.allocatable(dev, bc, &mut bits, b)? {
                 free += 1;
             }
         }
@@ -1010,34 +972,26 @@ impl Xv6Fs {
         ent[0..4].copy_from_slice(&child_inum.to_le_bytes());
         ent[4..4 + name.len()].copy_from_slice(name.as_bytes());
         self.write_inode_data(dev, bc, dir_inum, InodeType::Dir, slot_offset, &ent)?;
-        // Journal off: no dirent → child-inode ordering edge is recorded.
-        // The parent directory's inode shares its on-disk block with most
-        // child inodes (16 inodes per block), and the parent inode must
-        // follow the dirent content it sizes — a same-block cycle no drain
-        // order can satisfy. Unjournaled xv6fs therefore tolerates the one
-        // benign torn state a cut can leave: a dirent naming a still-free
-        // inode, which every reader reports as a clean `NotFound`.
-        //
-        // Journal on: the whole op replays atomically from the log, so the
-        // cycle is harmless — `clear_dependencies` severs it at commit, and
-        // until then the transaction pin keeps both blocks cached. Recording
-        // the edge keeps a pre-commit writeback from publishing the dirent
-        // ahead of the child inode it names.
-        if self.txn.enabled() && bc.meta_txn_active() {
-            let mut dino = self.read_inode(dev, bc, dir_inum)?;
-            let slot_block = self.bmap(
-                dev,
-                bc,
-                &mut dino,
-                dir_inum,
-                slot_offset as usize / BSIZE,
-                false,
-            )?;
-            if slot_block != 0 {
-                let (slot_lba, slot_n) = Self::block_lbas(slot_block);
-                let (ino_lba, ino_n) = self.inode_lbas(child_inum);
-                TxnLog::note_order(bc, slot_lba, slot_n, ino_lba, ino_n);
-            }
+        // The dirent must not land ahead of the child inode it names. The
+        // parent directory's inode often shares its on-disk block with the
+        // child's (16 inodes per block) and must follow the dirent content
+        // it sizes, so the edge closes a cycle no drain order satisfies;
+        // `create`'s transaction makes that harmless: its pins keep both
+        // blocks cached until the commit, which replays the whole op
+        // atomically and severs the cycle (`clear_dependencies`).
+        let mut dino = self.read_inode(dev, bc, dir_inum)?;
+        let slot_block = self.bmap(
+            dev,
+            bc,
+            &mut dino,
+            dir_inum,
+            slot_offset as usize / BSIZE,
+            false,
+        )?;
+        if slot_block != 0 {
+            let (slot_lba, slot_n) = Self::block_lbas(slot_block);
+            let (ino_lba, ino_n) = self.inode_lbas(child_inum);
+            TxnLog::note_order(bc, slot_lba, slot_n, ino_lba, ino_n);
         }
         Ok(())
     }
@@ -1152,12 +1106,11 @@ impl Xv6Fs {
                 return Err(FsError::NotEmpty(p.to_string()));
             }
             let (_, slot_block) = self.dir_remove(dev, bc, parent_inum, &name)?;
-            // The tombstone must land before the frees: a cut mid-unlink may
-            // leak blocks, but must not leave a live dirent pointing at a
-            // freed inode or at blocks the bitmap already re-offers. (With
-            // the journal on these edges are belt-and-braces — replay makes
-            // the whole unlink atomic — but they keep the unjournaled
-            // fallback safe.)
+            // The tombstone must land before the frees, so a live dirent
+            // never points at a freed inode or at blocks the bitmap already
+            // re-offers. Replay makes the whole unlink atomic; the edges
+            // keep that order on the fallback flush of a transaction too
+            // large for the log.
             let order_after_tombstone = |bc: &mut BufCache, lba: u64, n: u64| {
                 if slot_block != 0 {
                     let (d_lba, d_n) = Self::block_lbas(slot_block);
@@ -1232,6 +1185,11 @@ impl Xv6Fs {
     }
 
     /// Convenience: creates (or truncates) a file at `p` and writes `data`.
+    ///
+    /// Fails with [`FsError::TooLarge`] or [`FsError::NoSpace`] before it
+    /// changes anything when `data` exceeds the file size limit or the free
+    /// blocks: an overwritten file's blocks stay reserved until the
+    /// transaction commits, so the new contents cannot reuse them.
     pub fn write_file(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1239,6 +1197,17 @@ impl Xv6Fs {
         p: &str,
         data: &[u8],
     ) -> FsResult<u32> {
+        if data.len() > MAXFILE_BYTES {
+            return Err(FsError::TooLarge(format!(
+                "{} bytes exceed the xv6fs limit of {MAXFILE_BYTES}",
+                data.len()
+            )));
+        }
+        let blocks = data.len().div_ceil(BSIZE);
+        let with_indirect = blocks + usize::from(blocks > NDIRECT);
+        if with_indirect > self.free_blocks(dev, bc)? as usize {
+            return Err(FsError::NoSpace);
+        }
         // One transaction end to end: the nested `truncate`/`create` calls
         // join it (see [`TxnLog::with_txn`]), so a cut never exposes the
         // truncated-but-not-rewritten middle state — the overwrite is atomic.
@@ -1598,6 +1567,41 @@ mod tests {
             mounted.list_dir(&mut dev, &mut cold, "/"),
             Err(FsError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_superblock_without_a_log_is_corrupt() {
+        let (mut dev, mut bc, fs) = fresh_fs();
+        let mut sb = fs.superblock();
+        sb.nlog = 0;
+        let mut block = vec![0u8; BSIZE];
+        block[..32].copy_from_slice(&sb.encode());
+        Xv6Fs::write_fs_block(&mut dev, &mut bc, 0, &block).unwrap();
+        bc.flush(&mut dev).unwrap();
+        let mut cold = BufCache::default();
+        assert!(matches!(
+            Xv6Fs::mount(&mut dev, &mut cold),
+            Err(FsError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn an_oversized_overwrite_fails_and_keeps_the_old_file() {
+        let (mut dev, mut bc, fs) = fresh_fs();
+        let old = vec![b'o'; 10 * BSIZE];
+        fs.write_file(&mut dev, &mut bc, "/f", &old).unwrap();
+        let free = fs.free_blocks(&mut dev, &mut bc).unwrap();
+        let huge = vec![b'n'; MAXFILE_BYTES + 1];
+        assert!(matches!(
+            fs.write_file(&mut dev, &mut bc, "/f", &huge),
+            Err(FsError::TooLarge(_))
+        ));
+        assert_eq!(fs.read_file(&mut dev, &mut bc, "/f").unwrap(), old);
+        assert_eq!(fs.free_blocks(&mut dev, &mut bc).unwrap(), free);
+        bc.flush(&mut dev).unwrap();
+        let mut cold = BufCache::default();
+        let remounted = Xv6Fs::mount(&mut dev, &mut cold).unwrap();
+        assert_eq!(remounted.read_file(&mut dev, &mut cold, "/f").unwrap(), old);
     }
 
     #[test]

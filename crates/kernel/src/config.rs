@@ -63,10 +63,11 @@ impl PrototypeStage {
 pub enum KernelVariant {
     /// The Proto kernel as described in the paper.
     Proto,
-    /// An xv6-armv8-like configuration: same mechanisms, but with the
-    /// single-block filesystem path everywhere (the buffer cache issues one
-    /// SD command per block instead of coalescing ranges), the slower
-    /// memmove, and a musl-like user library penalty on compute.
+    /// An xv6-armv8-like configuration: same mechanisms, crash safety
+    /// included, but with the single-block filesystem path everywhere (the
+    /// buffer cache issues one SD command per block instead of coalescing
+    /// ranges), no read-ahead or background flusher, a polled SD driver,
+    /// and a musl-like user library penalty on compute.
     /// [`KernelConfig::with_variant`] sets its storage-pipeline values.
     Xv6Baseline,
 }
@@ -146,19 +147,6 @@ pub struct KernelConfig {
     /// cluster run so the SD command-setup latency overlaps the previous
     /// transfer.
     pub prefetch: bool,
-    /// Dependency-ordered write-back: the caches drain dirty data blocks
-    /// before the metadata (FAT sectors, dirents, inodes, bitmaps) that
-    /// references them, so a power cut mid-drain never exposes a file
-    /// pointing at unwritten clusters. Off only in the xv6 baseline, which
-    /// drains in pure LBA order.
-    pub ordered_writeback: bool,
-    /// FAT32 multi-sector metadata updates (mkdir, rename, remove, file
-    /// overwrite) commit through the on-volume intent log, replayed at
-    /// mount — making them atomic across power cuts. With the log on, one
-    /// commit record covers a group of up to `FAT_GROUP_COMMIT_OPS`
-    /// transactions; `fsync`, `sync_all` and the flusher's timeout pass
-    /// force a pending group out.
-    pub fat_intent_log: bool,
     /// SD data phases move by scatter-gather DMA through the asynchronous
     /// command queue instead of the CPU polling the FIFO — the driver
     /// evolution that lifts the polled-transfer floor. Off in the xv6
@@ -168,16 +156,13 @@ pub struct KernelConfig {
     /// an in-flight chain (or whose write finds the SD queue full) blocks
     /// on the block-I/O wait channel and is woken by the completion router,
     /// instead of spin-advancing its core's clock until the chain lands.
-    /// Off by default even on Desktop — callers must treat `WouldBlock` as
-    /// "retry later", which the stock demo apps' read loops do not; benches
-    /// and tests that opt in use `Kernel::set_blocking_io`.
+    /// Off by default even on Desktop: a caller must treat `WouldBlock`
+    /// as "retry later". DOOM and the media players load their assets
+    /// through a resumable whole-file loader that does; coreutils'
+    /// `read_file` still fails its command on the error, and the shell's,
+    /// slider's, sysmon's and the NES ROM loader's read loops stop at it.
+    /// Benches and tests that opt in use `Kernel::set_blocking_io`.
     pub blocking_io: bool,
-    /// xv6fs metadata journaling: create/unlink/truncate/overwrite commit
-    /// through the root volume's on-disk write-ahead log (replayed at
-    /// mount), making each operation atomic across power cuts. Off in the
-    /// xv6 baseline, which tolerates the classic torn states (a dirent
-    /// naming a still-free inode, a half-applied overwrite).
-    pub xv6fs_journal: bool,
 }
 
 impl KernelConfig {
@@ -213,11 +198,8 @@ impl KernelConfig {
             cores: if n >= 5 { 4 } else { 1 },
             background_flush: n >= 5,
             prefetch: n >= 5,
-            ordered_writeback: true,
-            fat_intent_log: true,
             sd_dma: n >= 5,
             blocking_io: false,
-            xv6fs_journal: true,
         }
     }
 
@@ -227,20 +209,18 @@ impl KernelConfig {
     }
 
     /// This configuration under `variant`. The xv6-armv8 baseline of
-    /// Figure 9 keeps the stage's mechanisms but none of Proto's storage
+    /// Figure 9 keeps the stage's mechanisms, the crash-safe storage stack
+    /// included (the ordered drain, the FAT intent log and the xv6fs
+    /// journal are always on), but none of Proto's storage-pipeline
     /// evolutions: no background flusher (close drains synchronously), no
-    /// read-ahead, pure-LBA drain order, no intent log or xv6fs journal,
-    /// and a polled SD driver. The kernel also turns off range coalescing
-    /// and shard affinity for the variant, and the SD path charges the
-    /// baseline driver's slowdown.
+    /// read-ahead and a polled SD driver. The kernel also turns off range
+    /// coalescing for the variant, and the SD path charges the baseline
+    /// driver's slowdown.
     pub fn with_variant(mut self, variant: KernelVariant) -> Self {
         self.variant = variant;
         if variant == KernelVariant::Xv6Baseline {
             self.background_flush = false;
             self.prefetch = false;
-            self.ordered_writeback = false;
-            self.fat_intent_log = false;
-            self.xv6fs_journal = false;
             self.sd_dma = false;
         }
         self

@@ -59,7 +59,7 @@ pub const KBIO_INTERVAL_MS: u64 = 20;
 /// background thread holds the SD bus per wakeup).
 pub const KBIO_BUDGET_BLOCKS: u64 = 256;
 /// How many FAT32 logged metadata transactions one intent-log commit record
-/// may cover (group commit) when the intent log is on.
+/// may cover (group commit).
 pub const FAT_GROUP_COMMIT_OPS: u32 = 8;
 /// Upper bound on how long a pending commit group may sit open before the
 /// `kbio` flusher force-commits it, in ms.
@@ -532,13 +532,12 @@ impl Kernel {
         if self.config.xv6fs {
             let mut ramdisk = MemDisk::new(RAMDISK_BYTES / protofs::BLOCK_SIZE as u64);
             let mut bc = BufCache::default();
-            let mut fs = Xv6Fs::mkfs(
+            let fs = Xv6Fs::mkfs(
                 &mut ramdisk,
                 &mut bc,
                 (RAMDISK_BYTES / protofs::xv6fs::BSIZE as u64) as u32,
                 512,
             )?;
-            fs.set_journal(self.config.xv6fs_journal);
             self.volumes[Mount::Root as usize] = Some(Volume {
                 fs: FileSystem::Xv6(fs),
                 cache: self.with_cache_policies(bc),
@@ -577,16 +576,10 @@ impl Kernel {
                 // Only a blank card is formatted: a card that holds
                 // anything else and fails to mount fails the boot.
                 let mut fat = Fat32::mount_or_mkfs(&mut dev, &mut bc)?;
-                fat.set_intent_log(self.config.fat_intent_log);
                 // Group commit is safe at syscall level because close/fsync
                 // are the kernel's durability points, and both force the
                 // pending group out (as does the flusher's timeout pass).
-                // Without the log every operation is its own commit.
-                fat.set_group_commit_ops(if self.config.fat_intent_log {
-                    FAT_GROUP_COMMIT_OPS
-                } else {
-                    1
-                });
+                fat.set_group_commit_ops(FAT_GROUP_COMMIT_OPS);
                 // A fresh format leaves the superblock and FAT dirty in the
                 // write-back cache; put the card in a mountable state now.
                 bc.flush(&mut dev)?;
@@ -1752,25 +1745,21 @@ impl Kernel {
 
     /// `bc` under the configured cache policies: range coalescing (off only
     /// in the xv6 baseline, whose cache issues one SD command per block —
-    /// the policy the §5.2 coalescing replaced), read-ahead and
-    /// dependency-ordered write-back.
+    /// the policy the §5.2 coalescing replaced) and read-ahead.
     fn with_cache_policies(&self, mut bc: BufCache) -> BufCache {
         bc.set_coalescing(self.config.variant == KernelVariant::Proto);
         bc.set_prefetch(self.config.prefetch);
-        bc.set_ordered_writeback(self.config.ordered_writeback);
         bc
     }
 
-    /// `bc` under the FAT cache's policies: the shared ones plus, in Proto,
-    /// soft shard-to-core affinity — the shards are partitioned across the
+    /// `bc` under the FAT cache's policies: the shared ones plus soft
+    /// shard-to-core affinity — the shards are partitioned across the
     /// active cores so each core's extents (and their write-back chains)
     /// live in its home shards. The root ramdisk cache has no device-queue
     /// contention to shelter from and keeps hashed placement.
     fn with_fat_cache_policies(&self, bc: BufCache) -> BufCache {
         let mut bc = self.with_cache_policies(bc);
-        if self.config.variant == KernelVariant::Proto {
-            bc.set_core_affinity(self.board.active_cores());
-        }
+        bc.set_core_affinity(self.board.active_cores());
         bc
     }
 

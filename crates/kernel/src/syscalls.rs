@@ -747,31 +747,17 @@ impl Kernel {
             }
             FileKind::Device(dev) => self.read_device(task, core, dev, max, flags),
             FileKind::Proc { name } => {
-                // Generate (and cache) the snapshot, then serve from offset.
-                let content = {
-                    let t = self
-                        .tasks_mut(task)
-                        .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-                    let f = t.fds.get_mut(fd)?;
-                    if f.proc_snapshot.is_none() {
-                        f.proc_snapshot = Some(Vec::new()); // placeholder, filled below
-                    }
-                    f.proc_snapshot.clone().unwrap_or_default()
-                };
-                let content = if content.is_empty() {
-                    let generated = self.procfs_content(&name)?;
-                    let t = self
-                        .tasks_mut(task)
-                        .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-                    let f = t.fds.get_mut(fd)?;
-                    f.proc_snapshot = Some(generated.clone());
-                    generated
-                } else {
-                    content
-                };
-                let start = (offset as usize).min(content.len());
-                let end = start.saturating_add(max).min(content.len());
-                let out = content[start..end].to_vec();
+                // The descriptor's first read takes the file's snapshot, and
+                // every read serves the next slice of it.
+                if self.open_file(task, fd)?.proc_snapshot.is_none() {
+                    let snapshot = self.procfs_content(&name)?;
+                    self.open_file(task, fd)?.proc_snapshot = Some(snapshot);
+                }
+                let f = self.open_file(task, fd)?;
+                let snapshot = f.proc_snapshot.as_deref().unwrap_or_default();
+                let start = (offset as usize).min(snapshot.len());
+                let end = start.saturating_add(max).min(snapshot.len());
+                let out = snapshot[start..end].to_vec();
                 self.advance_offset(task, fd, out.len() as u64)?;
                 Ok(out)
             }
@@ -1192,6 +1178,14 @@ impl Kernel {
             FileKind::SurfaceHandle { surface_id } => Ok(surface_id),
             _ => Err(KernelError::Invalid("fd is not a surface".into())),
         }
+    }
+
+    /// Task `task`'s open file behind `fd`.
+    fn open_file(&mut self, task: TaskId, fd: i32) -> KResult<&mut OpenFile> {
+        self.tasks_mut(task)
+            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
+            .fds
+            .get_mut(fd)
     }
 
     fn advance_offset(&mut self, task: TaskId, fd: i32, by: u64) -> KResult<()> {

@@ -197,48 +197,77 @@ mod tests {
     #[test]
     fn booted_io_pipeline_follows_the_variant() {
         use hal::sdhost::SdDataMode;
+        use kernel::kernel::{FAT_GROUP_COMMIT_OPS, FAT_PARTITION_START};
+        use kernel::OpenFlags;
         for variant in [KernelVariant::Proto, KernelVariant::Xv6Baseline] {
-            let sys = ProtoSystem::build(SystemOptions {
+            let mut sys = ProtoSystem::build(SystemOptions {
                 variant,
                 ..SystemOptions::default()
             })
             .unwrap();
             let k = &sys.kernel;
             let proto = variant == KernelVariant::Proto;
+            // Both variants are crash safe and place FAT extents by core.
             let cache = k.fat_cache().unwrap();
+            assert_eq!(cache.core_affinity(), 4, "{variant:?} shard affinity");
+            let fat = k.fat_volume().unwrap();
+            assert!(fat.intent_log_enabled(), "{variant:?} intent log");
+            assert_eq!(fat.group_commit_ops(), FAT_GROUP_COMMIT_OPS);
+            let root = k.root_volume().unwrap();
+            assert!(root.superblock().nlog > 0, "{variant:?} journal");
+            // The baseline keeps only the pipeline Fig. 9 measures.
             assert_eq!(cache.coalescing(), proto, "{variant:?} range coalescing");
             assert_eq!(cache.prefetch_enabled(), proto, "{variant:?} read-ahead");
-            assert_eq!(cache.ordered_writeback(), proto, "{variant:?} ordering");
-            assert_eq!(
-                cache.core_affinity(),
-                if proto { 4 } else { 0 },
-                "{variant:?} shard affinity"
-            );
             let mode = k.board.sdhost.data_mode();
             assert_eq!(mode == SdDataMode::Dma, proto, "{variant:?} SD mode");
             assert_eq!(k.kbio_task() != 0, proto, "{variant:?} kbio");
-            let fat = k.fat_volume().unwrap();
-            let root = k.root_volume().unwrap();
-            assert_eq!(fat.intent_log_enabled(), proto, "{variant:?} intent log");
-            assert_eq!(root.journal_enabled(), proto, "{variant:?} journal");
-            assert_eq!(
-                fat.group_commit_ops(),
-                if proto {
-                    kernel::kernel::FAT_GROUP_COMMIT_OPS
-                } else {
-                    1
-                },
-                "{variant:?} group commit"
-            );
             // The configuration describes the system that booted.
             let c = &k.config;
             assert_eq!(c.variant, variant);
             assert_eq!(c.prefetch, cache.prefetch_enabled());
-            assert_eq!(c.ordered_writeback, cache.ordered_writeback());
             assert_eq!(c.sd_dma, mode == SdDataMode::Dma);
             assert_eq!(c.background_flush, k.kbio_task() != 0);
-            assert_eq!(c.fat_intent_log, fat.intent_log_enabled());
-            assert_eq!(c.xv6fs_journal, root.journal_enabled());
+
+            // The ordered drain: cut the card's power once a new file's
+            // data blocks have landed, and its FAT sectors (below the data
+            // area, so an LBA-order drain writes them first) must not have.
+            let bpb = fat.bpb();
+            let fat_sectors = FAT_PARTITION_START + u64::from(bpb.fat_start)
+                ..FAT_PARTITION_START + u64::from(bpb.data_start);
+            let data = vec![0x5Au8; 16 * 1024];
+            let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+            sys.kernel
+                .with_task_ctx(writer, |ctx| {
+                    let fd = ctx.open("/d/ordered.bin", OpenFlags::wronly_create())?;
+                    ctx.write(fd, &data)
+                })
+                .unwrap();
+            let card = &mut sys.kernel.board.sdhost.card;
+            let read = |card: &mut hal::disk::Disk, lba| {
+                let mut out = vec![0u8; 512];
+                card.read_block(lba, &mut out).unwrap();
+                out
+            };
+            let before: Vec<Vec<u8>> = fat_sectors.clone().map(|l| read(card, l)).collect();
+            card.power_cut_after(data.len() as u64 / 512);
+            assert!(
+                sys.kernel.sync_all().is_err(),
+                "{variant:?}: the cut fails sync"
+            );
+            let card = &mut sys.kernel.board.sdhost.card;
+            card.power_restored();
+            for (lba, old) in fat_sectors.clone().zip(&before) {
+                assert_eq!(
+                    &read(card, lba),
+                    old,
+                    "{variant:?}: FAT sector {lba} preceded its data"
+                );
+            }
+            // A sync with power on does write the chain.
+            sys.kernel.sync_all().unwrap();
+            let card = &mut sys.kernel.board.sdhost.card;
+            let after: Vec<Vec<u8>> = fat_sectors.map(|l| read(card, l)).collect();
+            assert_ne!(after, before, "{variant:?}: the new file has a FAT chain");
         }
     }
 }

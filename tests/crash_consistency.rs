@@ -1,8 +1,9 @@
 //! Crash-consistency tests for the ordered write-back pipeline: randomized
 //! write/flush/power-cut schedules (a seeded-PRNG stand-in for a property
-//! testing crate — the build environment is offline) plus a deterministic
-//! exhaustive cut-point sweep that demonstrates the LBA-order bug the
-//! dependency-ordered drain fixes.
+//! testing crate — the build environment is offline) plus deterministic
+//! exhaustive cut-point sweeps, one of which shows the LBA-order bug the
+//! dependency-ordered drain fixes by replaying a drain's blocks in LBA
+//! order.
 //!
 //! The invariants, checked by remounting the *persisted* image under a fresh
 //! cache after every simulated cut:
@@ -567,67 +568,94 @@ fn fat32_random_torn_cut_schedules_preserve_the_invariants() {
 
 #[test]
 fn fat32_ordering_regression_exhaustive_cut_sweep() {
-    // The deterministic regression for the PR's headline bug. A new file's
-    // dirty blocks are: FAT sectors and the root-directory sector at low
-    // LBAs, data clusters at high LBAs — so the pre-ordering pure-LBA drain
-    // writes the metadata *first*, and a cut between them publishes a file
-    // whose clusters never reached the device. The sweep cuts the flush
-    // after every possible block count k and remounts:
-    //   ordered off -> the dangling file MUST appear for some k (the bug);
-    //   ordered on  -> for every k the file is absent or bit-exact.
-    let mut dangling_without_ordering = 0u32;
-    for ordered in [true, false] {
-        let data = pattern(7, 1, 16 * 1024);
-        // Dry run to learn the dirty-block count of the scenario.
-        let total = {
-            let (mut disk, mut bc, fs) = fresh_fat(ordered);
-            fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
-            bc.dirty_blocks() as u64
-        };
-        assert!(total > 8, "scenario should span FAT + dirent + data");
-        for k in 0..=total {
-            let (mut disk, mut bc, fs) = fresh_fat(ordered);
-            fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
-            disk.power_cut_after(k);
-            let flush = bc.flush(&mut disk);
-            if k < total {
-                assert!(flush.is_err(), "cut at {k}/{total} must fail the flush");
-            }
-            disk.power_restored();
-            let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-            let mut bc2 = BufCache::default();
-            let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-            match fs2.lookup(&mut disk2, &mut bc2, "/a.bin") {
-                Err(FsError::NotFound(_)) => {} // old tree: always legal
-                Ok(e) => {
-                    let content = fs2.read_file(&mut disk2, &mut bc2, "/a.bin");
-                    let intact = content.as_ref().map(|c| c == &data).unwrap_or(false);
-                    if ordered {
-                        assert!(
-                            intact,
-                            "ordered drain, cut at {k}/{total}: visible file must be \
-                             complete (size {}, read {:?} bytes)",
-                            e.size,
-                            content.map(|c| c.len())
-                        );
-                    } else if !intact {
-                        dangling_without_ordering += 1;
-                    }
-                }
-                Err(e) => panic!("cut at {k}/{total}: lookup failed oddly: {e}"),
+    // The deterministic regression for the dependency-ordered drain. A new
+    // file's dirty blocks are: FAT sectors and the root-directory sector at
+    // low LBAs, data clusters at high LBAs — so a pure-LBA drain writes the
+    // metadata *first*, and a cut between them publishes a file whose
+    // clusters never reached the device. The sweep cuts the flush after
+    // every possible block count k and remounts: for every k the file is
+    // absent or bit-exact.
+    let data = pattern(7, 1, 16 * 1024);
+    // Dry run to learn the dirty-block count of the scenario.
+    let total = {
+        let (mut disk, mut bc, fs) = fresh_fat();
+        fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
+        bc.dirty_blocks() as u64
+    };
+    assert!(total > 8, "scenario should span FAT + dirent + data");
+    for k in 0..=total {
+        let (mut disk, mut bc, fs) = fresh_fat();
+        fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
+        disk.power_cut_after(k);
+        let flush = bc.flush(&mut disk);
+        if k < total {
+            assert!(flush.is_err(), "cut at {k}/{total} must fail the flush");
+        }
+        disk.power_restored();
+        let torn = a_bin_is_torn(disk.image().to_vec(), &data);
+        assert!(!torn, "ordered drain, cut at {k}/{total}: /a.bin is torn");
+    }
+
+    // The sweep can see the bug: the same flush, logged, then replayed
+    // block by block. Every prefix in the drain's own order holds /a.bin
+    // absent or bit-exact; some prefix of the same blocks in LBA order
+    // publishes it torn.
+    let mut disk = LoggedDisk {
+        disk: MemDisk::new(8 * 1024),
+        log: Vec::new(),
+    };
+    let mut bc = BufCache::default();
+    let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
+    bc.flush(&mut disk).unwrap();
+    fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
+    let start = disk.disk.image().to_vec();
+    disk.log.clear();
+    bc.flush(&mut disk).unwrap();
+    let drained = std::mem::take(&mut disk.log);
+    assert_eq!(
+        drained.len() as u64,
+        total,
+        "the logged flush is the swept one"
+    );
+    let torn_prefixes = |log: &[(u64, Vec<u8>)]| {
+        let mut image = start.clone();
+        let mut torn = Vec::new();
+        for (k, (lba, block)) in log.iter().enumerate() {
+            let at = *lba as usize * BLOCK_SIZE;
+            image[at..at + BLOCK_SIZE].copy_from_slice(block);
+            if a_bin_is_torn(image.clone(), &data) {
+                torn.push(k + 1);
             }
         }
-    }
+        torn
+    };
+    let mut by_lba = drained.clone();
+    by_lba.sort_by_key(|(lba, _)| *lba);
+    assert_eq!(torn_prefixes(&drained), Vec::<usize>::new(), "drain order");
     assert!(
-        dangling_without_ordering > 0,
-        "the pre-ordering LBA drain must exhibit the dangling-file bug"
+        !torn_prefixes(&by_lba).is_empty(),
+        "an LBA-order replay of the same blocks must publish a torn /a.bin"
     );
 }
 
-fn fresh_fat(ordered: bool) -> (MemDisk, BufCache, Fat32) {
+/// Whether `image` remounts with `/a.bin` visible but not holding `data`:
+/// absent (the old tree) and bit-exact (the new one) are the legal states.
+fn a_bin_is_torn(image: Vec<u8>, data: &[u8]) -> bool {
+    let mut disk = MemDisk::from_image(image);
+    let mut bc = BufCache::default();
+    let fs = Fat32::mount(&mut disk, &mut bc).unwrap();
+    match fs.lookup(&mut disk, &mut bc, "/a.bin") {
+        Err(FsError::NotFound(_)) => false,
+        Ok(_) => fs
+            .read_file(&mut disk, &mut bc, "/a.bin")
+            .map_or(true, |c| c != data),
+        Err(e) => panic!("lookup of /a.bin failed oddly: {e}"),
+    }
+}
+
+fn fresh_fat() -> (MemDisk, BufCache, Fat32) {
     let mut disk = MemDisk::new(8 * 1024);
     let mut bc = BufCache::default();
-    bc.set_ordered_writeback(ordered);
     let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
     bc.flush(&mut disk).unwrap();
     (disk, bc, fs)
@@ -641,7 +669,7 @@ fn fat32_cut_during_logged_overwrite_yields_old_or_new_never_a_mix() {
     let new = pattern(1, 2, 30 * 1024);
     // Learn an upper bound on the blocks the overwrite persists.
     let total = {
-        let (mut disk, mut bc, fs) = fresh_fat(true);
+        let (mut disk, mut bc, fs) = fresh_fat();
         fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
         bc.flush(&mut disk).unwrap();
         let before = disk.stats().blocks;
@@ -651,7 +679,7 @@ fn fat32_cut_during_logged_overwrite_yields_old_or_new_never_a_mix() {
     let mut saw_old = false;
     let mut saw_new = false;
     for k in (0..=total).step_by(3) {
-        let (mut disk, mut bc, fs) = fresh_fat(true);
+        let (mut disk, mut bc, fs) = fresh_fat();
         fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
         bc.flush(&mut disk).unwrap();
         disk.power_cut_after(k);
@@ -738,7 +766,7 @@ fn fat32_large_overwrite_spanning_many_fat_sectors_stays_atomic() {
 fn fat32_cut_during_rename_leaves_exactly_one_intact_name() {
     let data = pattern(3, 1, 12 * 1024);
     let total = {
-        let (mut disk, mut bc, fs) = fresh_fat(true);
+        let (mut disk, mut bc, fs) = fresh_fat();
         fs.write_file(&mut disk, &mut bc, "/src.bin", &data)
             .unwrap();
         bc.flush(&mut disk).unwrap();
@@ -748,7 +776,7 @@ fn fat32_cut_during_rename_leaves_exactly_one_intact_name() {
         disk.stats().blocks - before
     };
     for k in 0..=total {
-        let (mut disk, mut bc, fs) = fresh_fat(true);
+        let (mut disk, mut bc, fs) = fresh_fat();
         fs.write_file(&mut disk, &mut bc, "/src.bin", &data)
             .unwrap();
         bc.flush(&mut disk).unwrap();
@@ -789,7 +817,7 @@ fn fat32_group_committed_burst_cut_sweep_is_old_xor_new_per_txn() {
         .map(|i| pattern(40 + i as u64, 2, 9 * 1024))
         .collect();
     let setup = || {
-        let (mut disk, mut bc, mut fs) = fresh_fat(true);
+        let (mut disk, mut bc, mut fs) = fresh_fat();
         for (i, old) in olds.iter().enumerate() {
             fs.write_file(&mut disk, &mut bc, &name(i), old).unwrap();
         }
@@ -867,7 +895,7 @@ fn group_commit_replay_respects_interleaved_unlogged_writes() {
     let new_a = pattern(60, 2, 10 * 1024);
     let b = pattern(61, 1, 8 * 1024);
     let setup = || {
-        let (mut disk, mut bc, mut fs) = fresh_fat(true);
+        let (mut disk, mut bc, mut fs) = fresh_fat();
         fs.write_file(&mut disk, &mut bc, "/A.BIN", &old_a).unwrap();
         bc.flush(&mut disk).unwrap();
         fs.set_group_commit_ops(8);
@@ -944,7 +972,7 @@ fn fat32_torn_commit_record_fails_its_checksum_and_is_ignored() {
     // the next device command is its commit record; and the group's
     // sectors.
     let setup = || {
-        let (mut disk, mut bc, mut fs) = fresh_fat(true);
+        let (mut disk, mut bc, mut fs) = fresh_fat();
         for (i, old) in olds.iter().enumerate() {
             fs.create(&mut disk, &mut bc, &dir(i), true).unwrap();
             fs.write_file(&mut disk, &mut bc, &name(i), old).unwrap();
@@ -1353,30 +1381,29 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
 
 #[test]
 fn xv6fs_new_file_cut_sweep_never_tears() {
-    // Without inode/block reuse in play, the ordering edges promise: a new
-    // file's inode drains only after its data and bitmap blocks, so at any
-    // cut point the file is absent, a dangling dirent (clean NotFound), or
+    // A new file's create and write commit as one transaction, and its
+    // inode drains only after its data and bitmap blocks, so at any cut
+    // point of the write and the flush behind it the file is absent or
     // bit-exact — never garbage.
-    // Journal off: this pins the *fallback* (ordered-drain) guarantees; the
-    // journaled guarantees get their own sweeps below.
     let data = pattern(9, 1, 20 * 1024);
-    let total = {
+    let build = || {
         let mut disk = MemDisk::new(8192);
         let mut bc = BufCache::default();
-        let mut fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-        fs.set_journal(false);
+        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
         bc.flush(&mut disk).unwrap();
+        (disk, bc, fs)
+    };
+    let total = {
+        let (mut disk, mut bc, fs) = build();
+        let before = disk.stats().blocks;
         fs.write_file(&mut disk, &mut bc, "/a", &data).unwrap();
-        bc.dirty_blocks() as u64
+        bc.flush(&mut disk).unwrap();
+        disk.stats().blocks - before
     };
     for k in 0..=total {
-        let mut disk = MemDisk::new(8192);
-        let mut bc = BufCache::default();
-        let mut fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-        fs.set_journal(false);
-        bc.flush(&mut disk).unwrap();
-        fs.write_file(&mut disk, &mut bc, "/a", &data).unwrap();
+        let (mut disk, mut bc, fs) = build();
         disk.power_cut_after(k);
+        let _ = fs.write_file(&mut disk, &mut bc, "/a", &data);
         let _ = bc.flush(&mut disk);
         disk.power_restored();
         let mut disk2 = MemDisk::from_image(disk.image().to_vec());
@@ -1393,7 +1420,7 @@ fn xv6fs_new_file_cut_sweep_never_tears() {
                     content.len()
                 );
             }
-            Err(FsError::NotFound(_)) => {} // absent or dangling: old tree
+            Err(FsError::NotFound(_)) => {} // absent: the old tree
             Err(e) => panic!("cut at {k}/{total}: unexpected error {e}"),
         }
     }
@@ -1550,10 +1577,7 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
         let mut rng = Rng::new(7000 + seed);
         let mut disk = MemDisk::new(8192); // 4 MB
         let mut bc = BufCache::with_geometry(4, 8);
-        let mut fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-        // Journal off: exercise the unjournaled fallback's (weaker, but
-        // panic-free) guarantees; the journaled schedules run separately.
-        fs.set_journal(false);
+        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
         fs.create(&mut disk, &mut bc, "/etc", InodeType::Dir)
             .unwrap();
         bc.flush(&mut disk).unwrap();
@@ -1597,10 +1621,9 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
                     let data = pattern(file_id, version, len);
                     match fs.write_file(&mut disk, &mut bc, &name, &data) {
                         Ok(_) => model.get_mut(&name).unwrap().push(Some(data)),
-                        // A write interrupted by the cut may have landed any
-                        // prefix of its mutations (xv6fs writes in place):
-                        // record both the attempted contents and the
-                        // created-but-empty state as possible outcomes.
+                        // A write interrupted by the cut may still land by
+                        // replay: record the attempted contents, and the
+                        // created-but-empty state, as possible outcomes.
                         Err(_) if disk.power_lost() => {
                             let m = model.get_mut(&name).unwrap();
                             m.push(Some(data));
@@ -1635,8 +1658,8 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
         let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2)
             .unwrap_or_else(|e| panic!("[{note}] remount failed: {e}"));
 
-        // Full traversal must never panic; dangling dirents (the one benign
-        // xv6fs torn state) surface as clean NotFound on read.
+        // Full traversal must never panic; a dirent naming a free inode
+        // would surface as a clean NotFound on read.
         let mut pending = vec![String::from("/")];
         let mut visible: Vec<(String, Vec<u8>)> = Vec::new();
         let mut inums = BTreeSet::from([1]);
@@ -1666,18 +1689,17 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
                 }
             }
         }
-        // Not the bitmap: without the journal, an overwrite's truncate can
-        // land its bitmap frees before the inode stops mapping the blocks.
-        // Its new allocations share the bitmap block, so no drain order
-        // fixes both (seed 30 shows it).
-        check_xv6_blocks(&mut disk2, &mut bc2, &fs2, &inums, false, &note);
+        // The bitmap too: an overwrite's truncate and rewrite commit as one
+        // transaction, so its frees never land before the inode stops
+        // mapping the blocks (an ordered drain alone cannot promise that:
+        // the rewrite's allocations share the bitmap block, and seed 30
+        // showed the frees first when the journal could be turned off).
+        check_xv6_blocks(&mut disk2, &mut bc2, &fs2, &inums, true, &note);
         check_xv6_dirs(&mut disk2, &mut bc2, &fs2, &dirs, &note);
-        // No per-version content check here: with the journal off, xv6fs
-        // tolerates dangling dirents and stale reused inode slots after a
-        // cut; those read as other files' old versions, never as a kernel
-        // panic. The no-reuse ordering guarantee is pinned down by
-        // `xv6fs_new_file_cut_sweep_never_tears` above; the journaled
-        // schedules below assert the strict per-op atomicity instead.
+        // No per-version content check here: the inode-level offset writes
+        // run outside any transaction, so a cut may leave any mix of their
+        // old and new blocks. The posted-cache schedule below tracks the
+        // paths they touched and checks every other file's version.
         // Durable-and-unmodified files are exact.
         for (path, m) in &model {
             if m.dirty_since_barrier {
@@ -1697,8 +1719,8 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
 // volatile posted cache until a FLUSH barrier — the model under which a
 // missing barrier is an observable bug, not a latent one. The journal's
 // commit protocol (drain data, log payloads, FLUSH, apply home, header
-// clear, FLUSH) makes every metadata operation old-XOR-new; both xv6fs torn
-// states the unjournaled fallback tolerates are asserted impossible here.
+// clear, FLUSH) makes every metadata operation old-XOR-new: a dangling
+// dirent and a half-applied overwrite are asserted impossible here.
 
 /// A journaled xv6fs on a posted-write-cache MemDisk with `/f` holding
 /// `old` durably.
@@ -1706,7 +1728,7 @@ fn xv6_posted_with_old(old: &[u8]) -> (MemDisk, BufCache, Xv6Fs) {
     let mut disk = MemDisk::new(8192);
     let mut bc = BufCache::default();
     let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-    assert!(fs.journal_enabled(), "mkfs must enable the journal");
+    assert!(fs.superblock().nlog > 0, "mkfs must write a log");
     fs.write_file(&mut disk, &mut bc, "/f", old).unwrap();
     bc.flush(&mut disk).unwrap();
     disk.set_posted_writes(true);
@@ -1828,7 +1850,8 @@ fn xv6fs_random_posted_cut_schedules_are_atomic_and_durable_per_op() {
             .map(|n| (n.clone(), PathModel::new()))
             .collect();
         let mut dirs = xv6_dir_model();
-        // Paths an unjournaled offset write touched since the last barrier:
+        // Paths an offset write, which runs outside any transaction, touched
+        // since the last barrier:
         // after a cut they may hold any mix of their old and new blocks.
         let mut unlogged: BTreeSet<String> = BTreeSet::new();
         let mut version = 0u64;
@@ -1945,7 +1968,7 @@ fn xv6fs_random_posted_cut_schedules_are_atomic_and_durable_per_op() {
         check_xv6_blocks(&mut disk2, &mut bc2, &fs2, &inums, true, &note);
         check_xv6_dirs(&mut disk2, &mut bc2, &fs2, &dirs, &note);
         // Every visible file holds exactly one historically written
-        // version, unless an unjournaled write was cut short in it.
+        // version, unless an offset write was cut short in it.
         for (path, content) in &visible {
             if unlogged.contains(path) {
                 continue;
@@ -1987,7 +2010,7 @@ fn fat32_logged_overwrite_cut_sweep_survives_a_posted_write_cache() {
     let old = pattern(4, 1, 24 * 1024);
     let new = pattern(4, 2, 30 * 1024);
     let total = {
-        let (mut disk, mut bc, fs) = fresh_fat(true);
+        let (mut disk, mut bc, fs) = fresh_fat();
         fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
         bc.flush(&mut disk).unwrap();
         disk.set_posted_writes(true);
@@ -1998,7 +2021,7 @@ fn fat32_logged_overwrite_cut_sweep_survives_a_posted_write_cache() {
     let mut saw_old = false;
     let mut saw_new = false;
     for k in (0..=total).step_by(3) {
-        let (mut disk, mut bc, fs) = fresh_fat(true);
+        let (mut disk, mut bc, fs) = fresh_fat();
         fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
         bc.flush(&mut disk).unwrap();
         disk.set_posted_writes(true);
@@ -2080,15 +2103,14 @@ fn posted_cache_without_a_flush_barrier_is_not_durable() {
 
 #[test]
 fn xv6fs_freed_blocks_are_fenced_until_durable_then_reused() {
-    // Reuse-before-commit regression: with the journal off, a freed block
-    // stays fenced (`note_pending_free`) until the free is durable. Filling
-    // the volume, unlinking, and immediately rewriting can only succeed
-    // through the allocator's rescue path — flush the pending frees, then
-    // rescan — never by handing out a block a durable inode still owns.
+    // Reuse-after-commit: a freed block stays fenced (`note_pending_free`)
+    // until the free is durable, and the unlink's commit makes it so.
+    // Filling the volume, unlinking, and immediately rewriting must succeed
+    // by reusing the unlinked file's blocks, never by handing out a block a
+    // durable inode still owns.
     let mut disk = MemDisk::new(512); // 256 KB => 256 fs blocks
     let mut bc = BufCache::default();
-    let mut fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
-    fs.set_journal(false);
+    let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
     bc.flush(&mut disk).unwrap();
     let free = fs.free_blocks(&mut disk, &mut bc).unwrap();
     assert!(free > 30, "layout sanity");
@@ -2096,8 +2118,8 @@ fn xv6fs_freed_blocks_are_fenced_until_durable_then_reused() {
     fs.write_file(&mut disk, &mut bc, "/big", &big).unwrap();
     bc.flush(&mut disk).unwrap();
     fs.unlink(&mut disk, &mut bc, "/big").unwrap();
-    // Nearly every free block is pending-free now: the rewrite must trip
-    // the rescue path and still succeed with correct contents.
+    // The rewrite needs nearly every block the unlink freed: it succeeds
+    // only if the commit released them, and its contents are correct.
     let big2 = pattern(5, 2, (free as usize - 8) * 1024);
     fs.write_file(&mut disk, &mut bc, "/big2", &big2).unwrap();
     assert_eq!(fs.read_file(&mut disk, &mut bc, "/big2").unwrap(), big2);
@@ -2108,13 +2130,69 @@ fn xv6fs_freed_blocks_are_fenced_until_durable_then_reused() {
 }
 
 #[test]
+fn xv6fs_overwrite_cut_sweep_is_old_xor_new_or_refused_untouched() {
+    // An overwrite's truncated blocks stay fenced until its transaction
+    // commits, so the new contents must fit beside the old ones. On the
+    // 256-block volume a same-size 78 KB overwrite fits and lands old XOR
+    // new at every cut; 127 and 214 KB do not, and the overwrite fails
+    // with NoSpace before it persists anything.
+    for (kb, fits) in [(78, true), (127, false), (214, false)] {
+        let old = pattern(8, 1, kb * 1024);
+        let new = pattern(8, 2, kb * 1024);
+        let mut k = 0u64;
+        loop {
+            let mut disk = MemDisk::new(512);
+            let mut bc = BufCache::default();
+            let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
+            fs.write_file(&mut disk, &mut bc, "/f", &old).unwrap();
+            bc.flush(&mut disk).unwrap();
+            let before = disk.image();
+            disk.power_cut_after(k);
+            let res = fs.write_file(&mut disk, &mut bc, "/f", &new);
+            let complete = !disk.power_lost();
+            disk.power_restored();
+            let note = format!("{kb} KB, cut at {k}");
+            let mut disk2 = MemDisk::from_image(disk.image());
+            let mut bc2 = BufCache::default();
+            let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2)
+                .unwrap_or_else(|e| panic!("[{note}] remount failed: {e}"));
+            let got = fs2
+                .read_file(&mut disk2, &mut bc2, "/f")
+                .unwrap_or_else(|e| panic!("[{note}] /f unreadable: {e}"));
+            assert!(
+                got == old || got == new,
+                "[{note}] /f torn ({} bytes, neither version)",
+                got.len()
+            );
+            if complete {
+                if fits {
+                    assert!(res.is_ok(), "[{note}] the overwrite fits: {res:?}");
+                    assert_eq!(got, new, "[{note}] a completed overwrite is durable");
+                } else {
+                    assert!(
+                        matches!(res, Err(FsError::NoSpace)),
+                        "[{note}] the overwrite does not fit: {res:?}"
+                    );
+                    bc.flush(&mut disk).unwrap();
+                    assert!(
+                        disk.image() == before,
+                        "[{note}] a refused overwrite persisted"
+                    );
+                }
+                break;
+            }
+            k += 1;
+        }
+    }
+}
+
+#[test]
 fn xv6fs_unlink_rewrite_cut_sweep_never_tears_the_durable_old_file() {
     // The crash half of the reuse fence: cut anywhere during an
     // unlink-then-rewrite that recycles the old file's blocks, and the
     // durable old file is either bit-exact or cleanly absent — its blocks
     // were never clobbered while a durable dirent still reached them.
-    let setup = |fs: &mut Xv6Fs, disk: &mut MemDisk, bc: &mut BufCache| -> (Vec<u8>, Vec<u8>) {
-        fs.set_journal(false);
+    let setup = |fs: &Xv6Fs, disk: &mut MemDisk, bc: &mut BufCache| -> (Vec<u8>, Vec<u8>) {
         bc.flush(disk).unwrap();
         let free = fs.free_blocks(disk, bc).unwrap();
         let big = pattern(6, 1, (free as usize - 8) * 1024);
@@ -2126,8 +2204,8 @@ fn xv6fs_unlink_rewrite_cut_sweep_never_tears_the_durable_old_file() {
     let total = {
         let mut disk = MemDisk::new(512);
         let mut bc = BufCache::default();
-        let mut fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
-        let (_, big2) = setup(&mut fs, &mut disk, &mut bc);
+        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
+        let (_, big2) = setup(&fs, &mut disk, &mut bc);
         let before = disk.stats().blocks;
         fs.unlink(&mut disk, &mut bc, "/big").unwrap();
         fs.write_file(&mut disk, &mut bc, "/big2", &big2).unwrap();
@@ -2136,8 +2214,8 @@ fn xv6fs_unlink_rewrite_cut_sweep_never_tears_the_durable_old_file() {
     for k in (0..=total).step_by(5) {
         let mut disk = MemDisk::new(512);
         let mut bc = BufCache::default();
-        let mut fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
-        let (big, big2) = setup(&mut fs, &mut disk, &mut bc);
+        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
+        let (big, big2) = setup(&fs, &mut disk, &mut bc);
         disk.power_cut_after(k);
         let _ = fs.unlink(&mut disk, &mut bc, "/big").and_then(|()| {
             fs.write_file(&mut disk, &mut bc, "/big2", &big2)

@@ -370,6 +370,45 @@ fn proc_files_report_cpu_memory_and_tasks() {
 }
 
 #[test]
+fn a_proc_descriptor_serves_one_snapshot_across_reads() {
+    let (mut sys, tid) = desktop();
+    let (fd, head) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            let fd = ctx.open("/proc/uptime", OpenFlags::rdonly())?;
+            Ok::<_, KernelError>((fd, ctx.read(fd, 2)?))
+        })
+        .unwrap();
+    sys.run_ms(250);
+    let (tail, fresh) = sys
+        .kernel
+        .with_task_ctx(tid, |ctx| {
+            let tail = ctx.read(fd, 64)?;
+            ctx.close(fd)?;
+            let fd = ctx.open("/proc/uptime", OpenFlags::rdonly())?;
+            let fresh = ctx.read(fd, 64)?;
+            ctx.close(fd)?;
+            Ok::<_, KernelError>((tail, fresh))
+        })
+        .unwrap();
+    assert_eq!(head.len(), 2, "the first read takes two bytes");
+    // The second read continues the first read's snapshot: together they
+    // hold the uptime from before `run_ms`, which a new descriptor no
+    // longer reads.
+    let seconds = |bytes: &[u8]| -> f64 {
+        let text = String::from_utf8_lossy(bytes);
+        text.trim_end()
+            .parse()
+            .unwrap_or_else(|e| panic!("{text:?}: {e}"))
+    };
+    let (then, now) = (seconds(&[head, tail].concat()), seconds(&fresh));
+    assert!(
+        now - then >= 0.25,
+        "one snapshot at {then} s, a new one at {now} s"
+    );
+}
+
+#[test]
 fn nonblocking_event_reads_return_eagain_instead_of_blocking() {
     let (mut sys, tid) = desktop();
     let err = sys.kernel.with_task_ctx(tid, |ctx| {
