@@ -113,8 +113,8 @@ struct BenchFs {
     /// Sequential write+fsync through the deep-queue batched write path.
     batched_wb_on: BatchedWbRun,
     /// The per-core block stack's N-cores × N-streams sweep: four concurrent
-    /// stream readers (blocking demand I/O, core-affine shards, per-core
-    /// reaping) at 1, 2 and 4 active cores.
+    /// stream readers (blocking demand I/O over LBA-hashed shards) at 1, 2
+    /// and 4 active cores.
     multicore_scaling: Vec<StorageScalePoint>,
     video: VideoRun,
     speedup: f64,
@@ -311,14 +311,14 @@ fn main() {
     );
 
     // 4. The per-core block stack: four concurrent stream readers at 1, 2
-    // and 4 active cores. The cold pass exercises blocking demand reads and
-    // per-core reaping; the timed warm passes are CPU-bound, which is where
-    // core count can show up as aggregate throughput (the card's line rate
-    // itself is a single shared resource).
+    // and 4 active cores. The cold pass exercises blocking demand reads
+    // woken by the completion interrupt; the timed warm passes are
+    // CPU-bound, which is where core count can show up as aggregate
+    // throughput (the card's line rate itself is a single shared resource).
     let multicore_scaling = storagescale::storage_scaling();
     for p in &multicore_scaling {
         println!(
-            "storage scaling     : {} core{} x {} streams: {:.1} MB/s warm ({:.1} ms), cold: {} demand waits, {} parks, {} spin-reaps, {} steals; shard imbalance {:.2}",
+            "storage scaling     : {} core{} x {} streams: {:.1} MB/s warm ({:.1} ms), cold: {} demand waits, {} parks, {} spin-reaps; shard imbalance {:.2}",
             p.cores,
             if p.cores == 1 { " " } else { "s" },
             p.streams,
@@ -327,7 +327,6 @@ fn main() {
             p.demand_waits,
             p.demand_blocks,
             p.demand_spin_reaps,
-            p.affinity_steals,
             p.shard_imbalance
         );
     }

@@ -1,19 +1,18 @@
 //! The N-cores × N-streams storage-scaling bench behind the
 //! `multicore_scaling` section of `BENCH_fs.json` (and the storage half of
-//! Figure 10): four concurrent stream readers over a sharded, core-affine
-//! FAT32 cache, swept across 1/2/4 active cores.
+//! Figure 10): four concurrent stream readers over a sharded FAT32 cache,
+//! swept across 1/2/4 active cores.
 //!
 //! Each stream is a real scheduled [`UserProgram`], so the readers go
 //! through the whole per-core block stack: demand reads that hit an
 //! in-flight chain park on the completion interrupt
-//! (`KernelError::WouldBlock` → retry on wake), completions are reaped on
-//! the submitting core, and extents land on home-core shards. The run has
-//! two phases:
+//! (`KernelError::WouldBlock` → retry on wake), the `Dma0` handler applies
+//! every finished chain, and extents land in their LBA-hash shards. The
+//! run has two phases:
 //!
 //! * a **cold** pass (untimed): every stream faults its file in from the
-//!   card, exercising blocking demand reads, per-core reaping and affinity
-//!   placement — the phase the `demand_waits` / `demand_blocks` /
-//!   `affinity_steals` counters describe;
+//!   card, exercising blocking demand reads and the completion interrupt —
+//!   the phase the `demand_waits` / `demand_blocks` counters describe;
 //! * **warm** passes (timed): fresh readers stream the now-resident files
 //!   out of the cache. The card's line rate is a single shared resource, so
 //!   this CPU-bound phase is where core count can actually show up as
@@ -57,8 +56,6 @@ pub struct StorageScalePoint {
     /// Cold-pass completions reaped on a reader's own clock — the blocking
     /// path exists to keep this at zero.
     pub demand_spin_reaps: u64,
-    /// Cold-pass extents placed off their home partition (work stealing).
-    pub affinity_steals: u64,
     /// Cold-pass writer yields on a full SD queue (zero here: read-only).
     pub queue_full_yields: u64,
     /// Warm-pass per-shard load imbalance: max over mean of per-shard
@@ -229,7 +226,6 @@ pub fn scale_point(cores: usize) -> StorageScalePoint {
         demand_waits: cold_stats.demand_waits - cache_before.demand_waits,
         demand_blocks: cold_stats.demand_blocks - cache_before.demand_blocks,
         demand_spin_reaps: cold_stats.demand_spin_reaps - cache_before.demand_spin_reaps,
-        affinity_steals: cold_stats.affinity_steals - cache_before.affinity_steals,
         queue_full_yields: cold_stats.queue_full_yields - cache_before.queue_full_yields,
         shard_imbalance,
     }

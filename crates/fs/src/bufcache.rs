@@ -14,8 +14,9 @@
 //! * **Sharded.** The cache is split into N independent shards keyed by LBA
 //!   (extent index modulo shard count), each with its own LRU state and
 //!   statistics. Consecutive extents land on consecutive shards, so large
-//!   sequential transfers spread across all of them; the sharding also maps
-//!   directly onto the planned per-core cache partitions (see ROADMAP).
+//!   sequential transfers spread across all of them. The hash is the one
+//!   placement rule: an extent lives in its LBA's shard whichever core
+//!   allocates it.
 //! * **Extent-based.** Storage is allocated in aligned multi-block *extents*
 //!   of [`EXTENT_BLOCKS`] sectors (4 KB — exactly one FAT32 cluster), with
 //!   per-block valid and dirty bitmaps. A FAT32 cluster read occupies one
@@ -73,7 +74,7 @@
 //!   [`BlockDevice::submit_write_sg`]. Over a device with a command queue
 //!   (the SD host in DMA mode) the chain completes later on the device
 //!   timeline, reaped either from the kernel's `Dma0` interrupt handler
-//!   ([`BufCache::route_completions`]) or by the waiting paths themselves. A
+//!   ([`BufCache::reap_completions`]) or by the waiting paths themselves. A
 //!   device without a queue (the ramdisk, the SD host in PIO mode) runs the
 //!   chain as polled commands inside the submit call and hands the finished
 //!   completion back; the cache applies it at once through the same code
@@ -142,46 +143,25 @@
 //!     in-flight write-backs as still-dirty, so "zero dirty" continues to
 //!     mean "everything persisted".
 //!
-//! * **Per-core submission and reaping.** The cache is one shared structure
-//!   driven from many cores, and its concurrency contract is *ownership*,
-//!   not locking. The kernel stamps the operating core before every cache
-//!   call ([`BufCache::set_home_core`]); the cache records it per submitted
-//!   chain, and its completion router ([`BufCache::route_completions`],
-//!   called from the kernel's `Dma0` handler) uses that tag to hand each
-//!   completion to the core that submitted the chain: it applies the
-//!   interrupted core's own chains inline and queues the rest, which each
-//!   owner applies on its next tick ([`BufCache::reap_routed`]; the `kbio`
-//!   flusher adopts orphans whose owner core went offline). The kernel
-//!   cannot name the queues or apply a completion itself. Two placement
-//!   policies hang off the same core tag:
-//!
-//!   - *Shard-to-core affinity* ([`BufCache::set_core_affinity`]): the
-//!     shard array is partitioned across cores and a newly allocated extent
-//!     goes to the least-loaded shard of its core's partition, so N cores
-//!     streaming N files stop colliding on the same shards. The affinity is
-//!     deliberately *soft*: when the home partition has no free slot the
-//!     extent spills to the least-loaded foreign shard (work stealing,
-//!     counted in [`BufCacheStats::affinity_steals`]) — a lone hot stream
-//!     still gets the whole cache. When every slot is taken the extent
-//!     falls back to its plain LBA-hash shard, so a cache at capacity
-//!     evicts exactly as the affinity-off cache would — each streamed
-//!     extent displaces its own shard's consumed tail, never a freshly
-//!     prefetched extent in a quieter shard. Placements
-//!     that diverge from the LBA hash are remembered per extent and
-//!     dropped on eviction; with affinity off the pure hash placement of
-//!     the sharding bullet above is unchanged.
-//!   - *Blocking demand readers* ([`BufCache::set_block_demand`]): in
-//!     spin mode a demand read that needs an in-flight chain reaps the
-//!     queue on its own core's clock. In blocking mode it returns
-//!     [`crate::FsError::WouldBlock`] instead (counted in
-//!     [`BufCacheStats::demand_blocks`]); the kernel parks the task on the
-//!     block-I/O wait channel, wakes it from the completion router, and
-//!     simply retries the read — by construction the retry finds the
-//!     installed blocks as hits. A failed blocking chain records its error
-//!     for the next retry, so a torn chain converts to a surfaced error,
-//!     never a lost wakeup or a deadlock.
-//!     [`BufCacheStats::demand_spin_reaps`] counts the spin-mode reaps that
-//!     remain; a fully blocking configuration holds it at zero.
+//! * **One completion path.** The cache is one shared structure driven
+//!   from many cores, and its concurrency contract is *ownership*, not
+//!   locking: the cache owns every in-flight chain, and a finished chain is
+//!   applied by whoever reaps it. The kernel's `Dma0` handler applies every
+//!   chain the device has finished at once ([`BufCache::reap_completions`]),
+//!   and a path that waits on the device reaps the chains it waits for. The
+//!   kernel cannot apply a completion itself. A demand read that needs an
+//!   in-flight chain waits in one of two ways
+//!   ([`BufCache::set_block_demand`]): in spin mode it reaps the queue on
+//!   its own core's clock. In blocking mode it returns
+//!   [`crate::FsError::WouldBlock`] instead (counted in
+//!   [`BufCacheStats::demand_blocks`]); the kernel parks the task on the
+//!   block-I/O wait channel, wakes it once a completion has been applied,
+//!   and simply retries the read — by construction the retry finds the
+//!   installed blocks as hits. A failed blocking chain records its error
+//!   for the next retry, so a torn chain converts to a surfaced error,
+//!   never a lost wakeup or a deadlock.
+//!   [`BufCacheStats::demand_spin_reaps`] counts the spin-mode reaps that
+//!   remain; a fully blocking configuration holds it at zero.
 //!
 //! * **Dependency-ordered draining.** Dirty blocks carry a class (data vs
 //!   filesystem metadata, tagged by the writers via
@@ -251,10 +231,9 @@
 //!    can be dirty (`dirty ⊆ valid`), riding a write-back snapshot
 //!    (`writing ⊆ valid`) or copied out by a read (`copied ⊆ valid`).
 //! 2. **Chain accounting**: every `pending` bit is covered by a run of some
-//!    entry in `inflight_reads`, every `writing` bit by a run of some entry
-//!    in `inflight_writes`, and `chain_owners` keys exactly the union of
-//!    the two in-flight maps — a completion can always be routed to the
-//!    core that submitted it, and no chain leaks its ownership record.
+//!    entry in `inflight_reads` (checked at operation boundaries), and
+//!    every `writing` bit by a run of some entry in `inflight_writes` — no
+//!    block waits on a chain the cache has lost track of.
 //! 3. **Dependency-graph acyclicity**: the write-order dependency graph
 //!    (`add_dependency`) is cycle-free, except among sectors pinned by the
 //!    open commit group or an open metadata transaction — the intent log's
@@ -469,10 +448,6 @@ pub struct BufCacheStats {
     /// commit, one record covers up to `group_commit_ops` transactions, so
     /// `log_commits` grows several times slower than `log_txns`.
     pub log_commits: u64,
-    /// Extents placed on a foreign core's shard partition because the home
-    /// partition had no free slot — the work-stealing spill of the soft
-    /// shard-to-core affinity policy (zero with affinity off).
-    pub affinity_steals: u64,
     /// Writers that found the SD queue full and yielded their slice back to
     /// the scheduler (parking on the block-I/O wait channel) instead of
     /// spin-reaping other tasks' chains — the back-pressure fairness path.
@@ -742,24 +717,6 @@ pub struct BufCache {
     inflight_reads: BTreeMap<u64, Vec<Run>>,
     /// In-flight asynchronous write-backs: command id → the runs it persists.
     inflight_writes: BTreeMap<u64, Vec<Run>>,
-    /// Soft shard-to-core affinity: the number of cores the shard array is
-    /// partitioned across (0 = affinity off, pure LBA-hash placement).
-    affinity_cores: usize,
-    /// The core on whose behalf the cache is currently operating; the kernel
-    /// stamps it before every cache call. Extent placement and chain
-    /// ownership key off it.
-    home_core: usize,
-    /// Where each resident extent lives when placement diverged from the LBA
-    /// hash (extent base → shard index). Entries drop with their extents.
-    placement: BTreeMap<u64, usize>,
-    /// In-flight chain ownership: command id → the core that submitted it.
-    /// [`BufCache::route_completions`] reads this to hand each completion to
-    /// its submitting core.
-    chain_owners: BTreeMap<u64, usize>,
-    /// Completions routed to a core other than the one that took the
-    /// interrupt, per owner core, oldest first; [`BufCache::reap_routed`]
-    /// applies them on the owner's tick.
-    routed: BTreeMap<usize, Vec<SgCompletion>>,
     /// When true, a demand read that must wait for the device returns
     /// [`crate::FsError::WouldBlock`] instead of spin-reaping completions,
     /// so the kernel can park the task on the completion interrupt.
@@ -782,7 +739,6 @@ pub struct BufCache {
     batched_evictions: u64,
     log_txns: u64,
     log_commits: u64,
-    affinity_steals: u64,
     queue_full_yields: u64,
     demand_blocks: u64,
     demand_spin_reaps: u64,
@@ -875,11 +831,6 @@ impl BufCache {
             pending_frees: BTreeSet::new(),
             inflight_reads: BTreeMap::new(),
             inflight_writes: BTreeMap::new(),
-            affinity_cores: 0,
-            home_core: 0,
-            placement: BTreeMap::new(),
-            chain_owners: BTreeMap::new(),
-            routed: BTreeMap::new(),
             block_demand: false,
             blocking_reads: BTreeSet::new(),
             demand_read_error: None,
@@ -891,7 +842,6 @@ impl BufCache {
             batched_evictions: 0,
             log_txns: 0,
             log_commits: 0,
-            affinity_steals: 0,
             queue_full_yields: 0,
             demand_blocks: 0,
             demand_spin_reaps: 0,
@@ -947,27 +897,6 @@ impl BufCache {
         self.wb_occupancy
     }
 
-    /// Enables soft shard-to-core affinity over `cores` cores (0 disables).
-    /// The shard array is partitioned evenly across the cores; newly
-    /// allocated extents prefer their home core's partition and spill to
-    /// foreign shards only when home is full (see the module header).
-    /// Resident extents keep their current placement.
-    pub fn set_core_affinity(&mut self, cores: usize) {
-        self.affinity_cores = cores;
-    }
-
-    /// The affinity core count (0 = affinity off).
-    pub fn core_affinity(&self) -> usize {
-        self.affinity_cores
-    }
-
-    /// Stamps the core on whose behalf subsequent cache calls run. The
-    /// kernel sets this at every syscall and flusher entry; extent placement
-    /// and chain ownership key off it.
-    pub fn set_home_core(&mut self, core: usize) {
-        self.home_core = core;
-    }
-
     /// Enables or disables blocking-demand mode: with it on, a demand read
     /// that must wait for an in-flight chain returns
     /// [`crate::FsError::WouldBlock`] instead of spin-reaping, so the kernel
@@ -976,21 +905,12 @@ impl BufCache {
         self.block_demand = on;
     }
 
-    /// The core that submitted in-flight chain `id`, if the cache still
-    /// tracks it — the routing key for per-core completion reaping.
-    pub(crate) fn chain_owner(&self, id: u64) -> Option<usize> {
-        self.chain_owners.get(&id).copied()
-    }
-
-    /// The completion interrupt's router. Takes every chain `dev` has
-    /// finished, applies those submitted from the stamped home core (the
-    /// core taking the interrupt) at once, and queues the rest for their
-    /// owners' [`BufCache::reap_routed`], so each chain's bookkeeping lands
-    /// on the clock of the core that submitted it.
+    /// Applies every chain `dev` has finished, oldest first, without
+    /// waiting. The kernel's completion interrupt calls this, and the
+    /// cache's reads, drains and evictions call it first.
     ///
     /// Outside this crate, completions reach the cache only through this
-    /// router and [`BufCache::reap_routed`]; a caller cannot apply one
-    /// itself:
+    /// call; a caller cannot apply one itself:
     ///
     /// ```compile_fail
     /// use protofs::block::{BlockDevice, MemDisk};
@@ -1002,27 +922,10 @@ impl BufCache {
     ///     bc.apply_completion(&c);
     /// }
     /// ```
-    pub fn route_completions(&mut self, dev: &mut dyn BlockDevice) {
+    pub fn reap_completions(&mut self, dev: &mut dyn BlockDevice) {
         for c in dev.poll_completions() {
-            let owner = self.chain_owner(c.id).unwrap_or(self.home_core);
-            if owner == self.home_core {
-                self.apply_completion(&c);
-            } else {
-                self.routed.entry(owner).or_default().push(c);
-            }
+            self.apply_completion(&c);
         }
-    }
-
-    /// Applies the completions [`BufCache::route_completions`] queued for
-    /// `owner`, oldest first, and returns how many it applied. The owner
-    /// calls this on its own tick; the flusher calls it for cores that have
-    /// since gone offline, so no completion is stranded.
-    pub fn reap_routed(&mut self, owner: usize) -> usize {
-        let comps = self.routed.remove(&owner).unwrap_or_default();
-        for c in &comps {
-            self.apply_completion(c);
-        }
-        comps.len()
     }
 
     /// Total completions applied through any path, monotone. The kernel's
@@ -1306,7 +1209,6 @@ impl BufCache {
             batched_evictions: self.batched_evictions,
             log_txns: self.log_txns,
             log_commits: self.log_commits,
-            affinity_steals: self.affinity_steals,
             queue_full_yields: self.queue_full_yields,
             demand_blocks: self.demand_blocks,
             demand_spin_reaps: self.demand_spin_reaps,
@@ -1369,8 +1271,6 @@ impl BufCache {
         // Completions for dropped extents are ignored when they arrive.
         self.inflight_reads.clear();
         self.inflight_writes.clear();
-        self.placement.clear();
-        self.chain_owners.clear();
         self.blocking_reads.clear();
         self.demand_read_error = None;
         // The retry ledger described cached dirty data that no longer
@@ -1593,8 +1493,8 @@ impl BufCache {
 
     /// The subset of the sanitizer that holds even in the middle of a cache
     /// operation (inline reaps, evictions): block state-machine legality,
-    /// write-chain coverage, chain-owner accounting, dependency-graph
-    /// acyclicity, pin residency, and statistics conservation. Sampled like
+    /// write-chain coverage, dependency-graph acyclicity, pin residency,
+    /// and statistics conservation. Sampled like
     /// [`BufCache::sanitize_check`].
     #[cfg(feature = "sanitize")]
     fn sanitize_check_completion(&self, ctx: &str) {
@@ -1676,9 +1576,7 @@ impl BufCache {
     }
 
     /// Chain accounting: every `writing` bit rides a run of some entry in
-    /// `inflight_writes`, and `chain_owners` keys exactly the union of the
-    /// two in-flight maps, so every completion can be routed to the core
-    /// that submitted its chain and no chain leaks its ownership record.
+    /// `inflight_writes`.
     #[cfg(feature = "sanitize")]
     fn sanitize_chains(&self, ctx: &str) {
         let cover = Self::sanitize_chain_cover(&self.inflight_writes);
@@ -1694,23 +1592,6 @@ impl BufCache {
                     }
                 }
             }
-        }
-        for id in self.chain_owners.keys() {
-            assert!(
-                self.inflight_reads.contains_key(id) || self.inflight_writes.contains_key(id),
-                "sanitize[{ctx}]: chain {id} has an owner record but is no longer in flight"
-            );
-        }
-        for id in self
-            .inflight_reads
-            .keys()
-            .chain(self.inflight_writes.keys())
-        {
-            assert!(
-                self.chain_owners.contains_key(id),
-                "sanitize[{ctx}]: in-flight chain {id} has no owner record — its completion \
-                 cannot be routed to the submitting core"
-            );
         }
     }
 
@@ -1855,13 +1736,10 @@ impl BufCache {
         lba - lba % EXTENT_BLOCKS as u64
     }
 
+    /// The shard extent `base` lives in: consecutive extents on consecutive
+    /// shards.
     fn shard_of(&self, base: u64) -> usize {
-        // Affinity placement overrides the hash for as long as the extent is
-        // resident; entries are dropped with their extents.
-        if let Some(&si) = self.placement.get(&base) {
-            return si;
-        }
-        Self::hash_shard(base, self.shards.len())
+        ((base / EXTENT_BLOCKS as u64) % self.shards.len() as u64) as usize
     }
 
     /// Whether block `lba` is not yet durable: cached dirty, or in flight on
@@ -2078,9 +1956,7 @@ impl BufCache {
     /// (and evicting, with write-back) as needed, and stamps it for the LRU
     /// on behalf of `blocks` blocks of one span: the clock advances once
     /// per block, the first tick taken before any eviction, and the extent
-    /// keeps the last. With affinity on, a new extent is placed by
-    /// [`BufCache::place_shard`] instead of the LBA hash and the divergence
-    /// is remembered until the extent is evicted.
+    /// keeps the last.
     fn extent_for(
         &mut self,
         dev: &mut dyn BlockDevice,
@@ -2088,28 +1964,12 @@ impl BufCache {
         blocks: u64,
     ) -> FsResult<&mut Extent> {
         let base = Self::extent_base(lba);
-        let mut si = self.shard_of(base);
+        let si = self.shard_of(base);
         self.next_tick();
-        let cap = self.extents_per_shard;
-
-        if self.shards[si].find(base).is_none() {
-            if self.affinity_cores > 0 {
-                si = self.place_shard(base);
-                if si == Self::hash_shard(base, self.shards.len()) {
-                    // Placement agrees with the hash: no divergence to
-                    // remember (and none to forget on eviction).
-                    self.placement.remove(&base);
-                } else {
-                    self.placement.insert(base, si);
-                }
-            }
-            if self.shards[si].extents.len() >= cap {
-                if let Err(e) = self.make_room(dev, si) {
-                    // Don't leak a placement for an extent never created.
-                    self.placement.remove(&base);
-                    return Err(e);
-                }
-            }
+        if self.shards[si].find(base).is_none()
+            && self.shards[si].extents.len() >= self.extents_per_shard
+        {
+            self.make_room(dev, si)?;
         }
 
         self.tick += blocks.saturating_sub(1);
@@ -2124,49 +1984,6 @@ impl BufCache {
         let ext = &mut shard.extents[idx];
         ext.tick = self.tick;
         Ok(ext)
-    }
-
-    /// Chooses the shard for a newly allocated extent under soft affinity.
-    /// Preference order:
-    ///
-    /// 1. the least-loaded shard of the home core's partition with a free
-    ///    slot — the affinity fast path;
-    /// 2. the least-loaded shard anywhere with a free slot — the
-    ///    work-stealing spill ([`BufCacheStats::affinity_steals`]) that
-    ///    keeps a lone hot stream from being squeezed into 1/N of the
-    ///    cache;
-    /// 3. every slot taken: the plain LBA-hash shard. At capacity the cache
-    ///    must evict for every allocation, and the hash spreads those
-    ///    evictions the way the affinity-off cache would — each streamed
-    ///    extent displaces its own shard's oldest (consumed) tail. Steering
-    ///    allocations at whichever shard currently looks quietest instead
-    ///    concentrates evictions there and throws away freshly prefetched
-    ///    extents before the stream reaches them.
-    fn place_shard(&mut self, base: u64) -> usize {
-        let n = self.shards.len();
-        let cores = self.affinity_cores.clamp(1, n);
-        let per_core = (n / cores).max(1);
-        let home_lo = ((self.home_core % cores) * per_core).min(n - 1);
-        let home_hi = (home_lo + per_core).min(n);
-        let cap = self.extents_per_shard;
-        let free_pick = |range: std::ops::Range<usize>, shards: &[Shard]| {
-            range
-                .filter(|&si| shards[si].extents.len() < cap)
-                .min_by_key(|&si| shards[si].extents.len())
-        };
-        if let Some(si) = free_pick(home_lo..home_hi, &self.shards) {
-            return si;
-        }
-        if let Some(si) = free_pick(0..n, &self.shards) {
-            self.affinity_steals += 1;
-            return si;
-        }
-        Self::hash_shard(base, n)
-    }
-
-    /// The pure LBA-hash shard for `base` (affinity-off placement).
-    fn hash_shard(base: u64, shards: usize) -> usize {
-        ((base / EXTENT_BLOCKS as u64) % shards as u64) as usize
     }
 
     /// Frees one slot in a full shard, taking the victim in
@@ -2186,7 +2003,7 @@ impl BufCache {
     fn make_room(&mut self, dev: &mut dyn BlockDevice, si: usize) -> FsResult<()> {
         // A completion that already fired may hand us a settled victim for
         // free.
-        self.reap_ready(dev);
+        self.reap_completions(dev);
         let victim = loop {
             let pick = self.shards[si]
                 .extents
@@ -2247,7 +2064,6 @@ impl BufCache {
         }
         self.shards[si].extents.swap_remove(victim);
         self.shards[si].stats.evictions += 1;
-        self.placement.remove(&victim_base);
         self.sanitize_check_completion("make_room");
         Ok(())
     }
@@ -2312,9 +2128,8 @@ impl BufCache {
         // their extents while the later ones are still on the wire.
         loop {
             if let Some(idx) = self.settled_victim(si) {
-                let gone = self.shards[si].extents.swap_remove(idx);
+                self.shards[si].extents.swap_remove(idx);
                 self.shards[si].stats.evictions += 1;
-                self.placement.remove(&gone.base);
                 self.sanitize_check_completion("evict_batched");
                 return Ok(());
             }
@@ -2362,11 +2177,10 @@ impl BufCache {
     // chain's completion is reaped.
 
     /// Applies one device completion to the cache's in-flight state. Called
-    /// by the completion router, the owner's reap and the waiting paths.
+    /// by [`BufCache::reap_completions`] and the waiting paths.
     /// Unknown command ids (cache invalidated since submission) are ignored.
     pub(crate) fn apply_completion(&mut self, comp: &SgCompletion) {
         self.completions_applied += 1;
-        self.chain_owners.remove(&comp.id);
         let was_blocking_read = self.blocking_reads.remove(&comp.id);
         if comp.write {
             if let Some(runs) = self.inflight_writes.remove(&comp.id) {
@@ -2543,7 +2357,6 @@ impl BufCache {
         match submitted {
             Submission::Queued(id) => {
                 self.inflight_reads.insert(id, runs.to_vec());
-                self.chain_owners.insert(id, self.home_core);
                 Ok(Some(id))
             }
             Submission::Done(c) => self.settle_fill(runs, &c).map(|()| None),
@@ -2576,13 +2389,6 @@ impl BufCache {
         }
     }
 
-    /// Reaps every already-finished completion without waiting.
-    fn reap_ready(&mut self, dev: &mut dyn BlockDevice) {
-        for c in dev.poll_completions() {
-            self.apply_completion(&c);
-        }
-    }
-
     /// Waits for at least one in-flight command and applies it. Returns the
     /// completions that arrived (empty = nothing was in flight).
     fn reap_blocking(&mut self, dev: &mut dyn BlockDevice) -> FsResult<Vec<SgCompletion>> {
@@ -2597,7 +2403,7 @@ impl BufCache {
     /// completed and been applied (fills may remain; durability does not
     /// depend on them).
     fn drain_writes(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
-        self.reap_ready(dev);
+        self.reap_completions(dev);
         while !self.inflight_writes.is_empty() {
             if self.reap_blocking(dev)?.is_empty() {
                 // The device lost track of chains we think are in flight
@@ -2605,9 +2411,6 @@ impl BufCache {
                 // to dirty rather than spinning.
                 let stale: Vec<u64> = self.inflight_writes.keys().copied().collect();
                 for id in stale {
-                    // The chain is gone: its ownership record must go with
-                    // it or the completion router holds a route to nowhere.
-                    self.chain_owners.remove(&id);
                     if let Some(runs) = self.inflight_writes.remove(&id) {
                         for sp in run_spans(runs) {
                             if let Some(e) = self.resident_mut(sp.base) {
@@ -2663,7 +2466,6 @@ impl BufCache {
         match submitted {
             Submission::Queued(id) => {
                 self.inflight_writes.insert(id, runs.to_vec());
-                self.chain_owners.insert(id, self.home_core);
                 let bucket = dev.inflight().min(self.wb_occupancy.len() - 1);
                 self.wb_occupancy[bucket] += 1;
                 Ok(total)
@@ -2712,7 +2514,7 @@ impl BufCache {
         if count >= EXTENT_BLOCKS as u64 {
             self.note_stream_read(lba, count);
         }
-        self.reap_ready(dev);
+        self.reap_completions(dev);
         // Classify once for the statistics: a valid block is a hit; a block
         // riding an in-flight fill is a hit that waits (`demand_waits`); the
         // rest are misses.
@@ -2829,14 +2631,13 @@ impl BufCache {
                 // Pending marks with nothing in flight: stale state (the
                 // queue was torn down under us). The read chains we think
                 // are on the wire are lost too — drop them whole (their
-                // pending marks, their ownership records, their blocking
-                // registration), not just this window's bits, and re-issue.
+                // pending marks and their blocking registration), not just
+                // this window's bits, and re-issue.
                 let stale: Vec<u64> = self.inflight_reads.keys().copied().collect();
                 for id in stale {
                     if let Some(runs) = self.inflight_reads.remove(&id) {
                         self.clear_pending_runs(&runs);
                     }
-                    self.chain_owners.remove(&id);
                     self.blocking_reads.remove(&id);
                 }
                 self.clear_pending_runs(&[Run {
@@ -2905,7 +2706,7 @@ impl BufCache {
         lba: u64,
         count: u64,
     ) -> FsResult<u64> {
-        self.reap_ready(dev);
+        self.reap_completions(dev);
         let mut missing: Vec<Run> = Vec::new();
         for sp in spans(lba, count) {
             // Blocks already riding an earlier chain need no re-issue.
@@ -3010,7 +2811,7 @@ impl BufCache {
         // Surface errors from chains that completed since the last barrier
         // only after this flush has retried their (re-dirtied) blocks — but
         // do clear the stale flag so an old failure cannot fail a clean run.
-        self.reap_ready(dev);
+        self.reap_completions(dev);
         self.async_error = None;
         self.drain_ordered(dev)?;
         // Anything still dirty (group sectors aside) sits on a dependency
@@ -3092,7 +2893,7 @@ impl BufCache {
     /// untouched instead of force-breaking them the way a full flush would;
     /// and last to send the header clear.
     pub fn flush_ready(&mut self, dev: &mut dyn BlockDevice) -> FsResult<()> {
-        self.reap_ready(dev);
+        self.reap_completions(dev);
         self.async_error = None;
         self.drain_ordered(dev)?;
         self.sanitize_check("flush_ready");
@@ -3126,7 +2927,7 @@ impl BufCache {
     /// metadata keeps draining down chains of dependencies that the pass's
     /// own completions settled.
     pub fn flush_some(&mut self, dev: &mut dyn BlockDevice, max_blocks: u64) -> FsResult<u64> {
-        self.reap_ready(dev);
+        self.reap_completions(dev);
         if let Some(e) = self.async_error.take() {
             return Err(e);
         }
@@ -4183,7 +3984,7 @@ mod tests {
             assert!(bc.stats().demand_blocks > 0);
             assert_eq!(bc.stats().demand_spin_reaps, 0);
             // The completion interrupt reaps the chain (here: the test reaps
-            // on the cache's behalf, as the kernel's router does)...
+            // on the cache's behalf, as the kernel's `Dma0` handler does)...
             let comps = rig.dev().wait_some().unwrap();
             assert!(!comps.is_empty());
             for c in &comps {
@@ -4416,58 +4217,6 @@ mod tests {
                 assert_eq!((got_clock, got_ticks), (clock, ticks), "seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn affinity_places_extents_in_the_home_partition_and_spills_when_full() {
-        let mut dev = MemDisk::new(4096);
-        // 2 shards x 2 extents, partitioned across 2 cores: shard 0 is
-        // core 0's home, shard 1 core 1's.
-        let mut bc = BufCache::with_geometry(2, 2);
-        bc.set_core_affinity(2);
-        assert_eq!(bc.core_affinity(), 2);
-        let mut buf = vec![0u8; BLOCK_SIZE * 8];
-        bc.set_home_core(0);
-        bc.read_range(&mut dev, 0, 8, &mut buf).unwrap();
-        bc.read_range(&mut dev, 8, 8, &mut buf).unwrap();
-        // Re-reads hit — and the hits land on the home shard, wherever the
-        // LBA hash would have put the extents.
-        bc.read_range(&mut dev, 0, 8, &mut buf).unwrap();
-        bc.read_range(&mut dev, 8, 8, &mut buf).unwrap();
-        let s = bc.shard_stats();
-        assert_eq!(s[0].hits, 16, "core 0's extents live in its home shard");
-        assert_eq!(s[1].hits, 0);
-        assert_eq!(bc.stats().affinity_steals, 0);
-        // Home is now full: the third extent spills to the foreign shard
-        // (instead of evicting a home extent) and the steal is counted.
-        bc.read_range(&mut dev, 16, 8, &mut buf).unwrap();
-        bc.read_range(&mut dev, 16, 8, &mut buf).unwrap();
-        let s = bc.shard_stats();
-        assert_eq!(s[1].hits, 8, "spilled extent serves from the foreign shard");
-        assert_eq!(bc.stats().affinity_steals, 1);
-    }
-
-    #[test]
-    fn invalidate_all_clears_affinity_placement_memory() {
-        let mut dev = MemDisk::new(4096);
-        let mut bc = BufCache::with_geometry(2, 2);
-        bc.set_core_affinity(2);
-        let mut buf = vec![0u8; BLOCK_SIZE * 8];
-        bc.set_home_core(1); // home partition = shard 1
-        bc.read_range(&mut dev, 0, 8, &mut buf).unwrap();
-        let shard1_hits_before = bc.shard_stats()[1].hits;
-        bc.invalidate_all();
-        // Placement memory dropped with the extents: the same range read by
-        // core 0 allocates in core 0's home shard, not the stale slot.
-        bc.set_home_core(0);
-        bc.read_range(&mut dev, 0, 8, &mut buf).unwrap();
-        bc.read_range(&mut dev, 0, 8, &mut buf).unwrap();
-        let s = bc.shard_stats();
-        assert_eq!(
-            s[1].hits, shard1_hits_before,
-            "shard 1 never saw the re-read"
-        );
-        assert_eq!(s[0].hits, 8);
     }
 
     #[test]

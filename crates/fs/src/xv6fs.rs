@@ -548,9 +548,23 @@ impl Xv6Fs {
     /// not reserved by a pending free. Between operations that is every
     /// free block, since each transaction commits on return.
     pub fn free_blocks(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
+        self.allocatable_blocks(dev, bc, u32::MAX)
+    }
+
+    /// [`Xv6Fs::free_blocks`], but the scan stops once it has found
+    /// `enough`.
+    fn allocatable_blocks(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        enough: u32,
+    ) -> FsResult<u32> {
         let mut bits = HeldBlock::default();
         let mut free = 0;
         for b in self.sb.datastart..self.sb.size {
+            if free >= enough {
+                break;
+            }
             if self.allocatable(dev, bc, &mut bits, b)? {
                 free += 1;
             }
@@ -842,6 +856,13 @@ impl Xv6Fs {
                 "write to {end} bytes exceeds xv6fs limit of {MAXFILE_BYTES}"
             )));
         }
+        // Fail before allocating anything: a write that ran out of blocks
+        // part-way would leave the blocks it took marked used, mapped by
+        // nothing or mapped past the file's size.
+        let need = self.blocks_to_allocate(dev, bc, &ino, offset as usize, end)?;
+        if need > 0 && self.allocatable_blocks(dev, bc, need)? < need {
+            return Err(FsError::NoSpace);
+        }
         let is_dir = itype == InodeType::Dir;
         let (ino_lba, ino_n) = self.inode_lbas(inum);
         let mut touched_blocks: Vec<u32> = Vec::new();
@@ -891,6 +912,38 @@ impl Xv6Fs {
         }
         self.write_inode(dev, bc, inum, &ino)?;
         Ok(done)
+    }
+
+    /// Blocks a write over the file bytes `[start, end)` of `ino` must
+    /// allocate: its unmapped file blocks, plus the indirect block when the
+    /// write is the first to reach past the direct blocks.
+    fn blocks_to_allocate(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        ino: &DiskInode,
+        start: usize,
+        end: usize,
+    ) -> FsResult<u32> {
+        if start >= end {
+            return Ok(0);
+        }
+        let (first, last) = (start / BSIZE, end.div_ceil(BSIZE));
+        let unmapped_direct = (first.min(NDIRECT)..last.min(NDIRECT))
+            .filter(|&fb| ino.addrs[fb] == 0)
+            .count();
+        let indirect = first.max(NDIRECT) - NDIRECT..last.max(NDIRECT) - NDIRECT;
+        let unmapped_indirect = if indirect.is_empty() {
+            0
+        } else if ino.addrs[NDIRECT] == 0 {
+            indirect.len() + 1
+        } else {
+            let ind = Self::read_fs_block(dev, bc, self.data_block(ino.addrs[NDIRECT])?)?;
+            indirect
+                .filter(|idx| ind[idx * 4..idx * 4 + 4] == [0u8; 4])
+                .count()
+        };
+        Ok((unmapped_direct + unmapped_indirect) as u32)
     }
 
     /// Returns metadata for inode `inum`.
@@ -1204,8 +1257,8 @@ impl Xv6Fs {
             )));
         }
         let blocks = data.len().div_ceil(BSIZE);
-        let with_indirect = blocks + usize::from(blocks > NDIRECT);
-        if with_indirect > self.free_blocks(dev, bc)? as usize {
+        let with_indirect = (blocks + usize::from(blocks > NDIRECT)) as u32;
+        if self.allocatable_blocks(dev, bc, with_indirect)? < with_indirect {
             return Err(FsError::NoSpace);
         }
         // One transaction end to end: the nested `truncate`/`create` calls
@@ -1482,6 +1535,48 @@ mod tests {
                 "/f{j}"
             );
         }
+    }
+
+    /// A 256-block volume holding two empty files, `/fill` and `/f`, as
+    /// `(dev, cache, fs, fill, f)`.
+    fn small_volume() -> (MemDisk, BufCache, Xv6Fs, u32, u32) {
+        let mut dev = MemDisk::new(512);
+        let mut bc = BufCache::default();
+        let fs = Xv6Fs::mkfs(&mut dev, &mut bc, 256, 32).unwrap();
+        let fill = fs
+            .create(&mut dev, &mut bc, "/fill", InodeType::File)
+            .unwrap();
+        let f = fs.create(&mut dev, &mut bc, "/f", InodeType::File).unwrap();
+        (dev, bc, fs, fill, f)
+    }
+
+    #[test]
+    fn a_direct_block_write_that_cannot_fit_allocates_nothing() {
+        let (mut dev, mut bc, fs, fill, f) = small_volume();
+        // Leave 4 free blocks: /fill's blocks past the direct ones also
+        // take its indirect block.
+        let free = fs.free_blocks(&mut dev, &mut bc).unwrap() as usize;
+        fs.write(&mut dev, &mut bc, fill, 0, &vec![1u8; (free - 5) * BSIZE])
+            .unwrap();
+        assert_eq!(fs.free_blocks(&mut dev, &mut bc).unwrap(), 4);
+        let r = fs.write(&mut dev, &mut bc, f, 0, &vec![2u8; 8 * BSIZE]);
+        assert!(matches!(r, Err(FsError::NoSpace)), "{r:?}");
+        assert_eq!(fs.stat(&mut dev, &mut bc, f).unwrap().size, 0);
+        assert_eq!(fs.free_blocks(&mut dev, &mut bc).unwrap(), 4);
+    }
+
+    #[test]
+    fn an_append_through_the_indirect_block_that_cannot_fit_allocates_nothing() {
+        let (mut dev, mut bc, fs, _, f) = small_volume();
+        let size = 200 * BSIZE as u32;
+        fs.write(&mut dev, &mut bc, f, 0, &vec![3u8; size as usize])
+            .unwrap();
+        let free = fs.free_blocks(&mut dev, &mut bc).unwrap();
+        assert!(free < 40, "{free} free blocks would fit the append");
+        let r = fs.write(&mut dev, &mut bc, f, size, &vec![4u8; 40 * BSIZE]);
+        assert!(matches!(r, Err(FsError::NoSpace)), "{r:?}");
+        assert_eq!(fs.stat(&mut dev, &mut bc, f).unwrap().size, size);
+        assert_eq!(fs.free_blocks(&mut dev, &mut bc).unwrap(), free);
     }
 
     #[test]

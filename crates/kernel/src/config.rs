@@ -154,8 +154,9 @@ pub struct KernelConfig {
     pub sd_dma: bool,
     /// Interrupt-blocked demand I/O: a scheduled task whose FAT read hits
     /// an in-flight chain (or whose write finds the SD queue full) blocks
-    /// on the block-I/O wait channel and is woken by the completion router,
-    /// instead of spin-advancing its core's clock until the chain lands.
+    /// on the block-I/O wait channel and is woken once a completion has
+    /// been applied, instead of spin-advancing its core's clock until the
+    /// chain lands.
     /// Off by default even on Desktop: a caller must treat `WouldBlock`
     /// as "retry later". DOOM and the media players load their assets
     /// through a resumable whole-file loader that does; coreutils'

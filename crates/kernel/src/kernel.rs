@@ -587,7 +587,7 @@ impl Kernel {
             };
             self.volumes[Mount::Fat as usize] = Some(Volume {
                 fs: FileSystem::Fat(fat, PseudoInodes::default()),
-                cache: self.with_fat_cache_policies(bc),
+                cache: self.with_cache_policies(bc),
                 medium: Medium::Sd {
                     start: FAT_PARTITION_START,
                     blocks,
@@ -1069,16 +1069,14 @@ impl Kernel {
                 // in-flight state — this handler used to silently drop
                 // them, which is why no storage byte ever moved by DMA.
                 //
-                // The interrupt controller routes Dma0 to core 0 only, but
-                // each chain's completion bookkeeping is applied by the core
-                // that *submitted* it: the cache's router applies this
-                // core's chains inline and queues the rest for their owners
-                // (reaped later in the same scheduler pass; queues of
-                // since-deactivated cores are adopted by `kbio`).
+                // The interrupt controller routes Dma0 to core 0, and the
+                // handler applies every finished chain there at once,
+                // whichever core submitted it; the per-block bookkeeping is
+                // already in the driver's charge for the chain.
                 if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
                     if self.config.sd_dma {
                         vol.io(&mut self.board, true, core, |io| {
-                            io.cache.route_completions(io.dev)
+                            io.cache.reap_completions(io.dev)
                         });
                     }
                 }
@@ -1186,14 +1184,6 @@ impl Kernel {
     /// affected blocks stay dirty for the next pass (a faulted card must not
     /// panic or lose data).
     pub(crate) fn kbio_service(&mut self, core: usize) {
-        // Adopt orphaned completions: the Dma0 router can queue a chain for
-        // a core that has since left the active set (the Figure 10 sweep
-        // shrinks it between phases). Nobody reaps those queues in
-        // `run_slice`, so the flusher applies them here — a completion must
-        // never strand dirty/pending state.
-        for owner in self.board.active_cores()..hal::NUM_CORES {
-            self.reap_routed(owner, core);
-        }
         let kbio = self.kbio_task;
         let now = self.now_us();
         for mount in Mount::ALL {
@@ -1224,17 +1214,6 @@ impl Kernel {
                     self.printk(&format!("kbio: {name} write-back failed: {e}"));
                 }
             }
-        }
-    }
-
-    /// Applies the SD completions the `Dma0` router queued for `owner`,
-    /// charging their bookkeeping to `core`.
-    fn reap_routed(&mut self, owner: usize, core: usize) {
-        let fat = self.volumes[Mount::Fat as usize].as_mut();
-        let applied = fat.map_or(0, |v| v.cache.reap_routed(owner)) as u64;
-        if applied > 0 {
-            let cost = self.board.cost.bufcache_op * applied;
-            self.board.charge_kernel(core, cost);
         }
     }
 
@@ -1289,16 +1268,13 @@ impl Kernel {
         if let Err(e) = self.board.tick_devices() {
             self.printk(&format!("dma: transfer failed: {e}"));
         }
-        // Deliver pending interrupts on every active core, then let each
-        // core apply the SD completions the Dma0 router queued for it —
-        // core 0 runs first, so chains another core submitted are reaped
-        // by that core within the same pass (no completion ever waits for
-        // a later slice).
+        // Deliver pending interrupts on every active core. The Dma0
+        // handler applies every finished SD chain, so no completion waits
+        // for a later slice.
         for core in 0..self.board.active_cores() {
             while let Some(irq) = self.board.intc.take_pending(core) {
                 self.handle_irq(core, irq);
             }
-            self.reap_routed(core, core);
         }
         // Any reaped completion — whichever core or path applied it — may
         // unblock a parked demand reader or back-pressured writer.
@@ -1716,28 +1692,30 @@ impl Kernel {
 
     /// Enables or disables blocking demand I/O: a scheduled task whose read
     /// hits an in-flight chain (or whose write finds the SD queue full)
-    /// parks on [`WaitChannel::BlockIo`] and is woken by the completion
-    /// router instead of spin-advancing its core's clock. Off by default —
-    /// programs must treat `WouldBlock` as "retry later", which the stock
-    /// demo apps' read loops do not.
+    /// parks on [`WaitChannel::BlockIo`] and is woken once a completion has
+    /// been applied, instead of spin-advancing its core's clock. Off by
+    /// default — programs must treat `WouldBlock` as "retry later", which
+    /// the stock demo apps' read loops do not.
     pub fn set_blocking_io(&mut self, on: bool) {
         self.config.blocking_io = on;
     }
 
     /// Replaces the FAT cache with a fresh one of `shards` ×
-    /// `extents_per_shard` geometry under the configured FAT cache policies.
-    /// The multicore scaling bench uses this to give N concurrent streams a
-    /// resident working set. Synchronously drains both caches first so no
-    /// dirty block or in-flight chain is stranded with the old instance.
+    /// `extents_per_shard` geometry that keeps the replaced cache's range
+    /// coalescing and read-ahead policies. The multicore scaling bench uses
+    /// this to give N concurrent streams a resident working set.
+    /// Synchronously drains both caches first so no dirty block or
+    /// in-flight chain is stranded with the old instance.
     pub fn set_fat_cache_geometry(
         &mut self,
         shards: usize,
         extents_per_shard: usize,
     ) -> KResult<()> {
         self.sync_all()?;
-        let cache =
-            self.with_fat_cache_policies(BufCache::with_geometry(shards, extents_per_shard));
         if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
+            let mut cache = BufCache::with_geometry(shards, extents_per_shard);
+            cache.set_coalescing(vol.cache.coalescing());
+            cache.set_prefetch(vol.cache.prefetch_enabled());
             vol.cache = cache;
         }
         Ok(())
@@ -1749,17 +1727,6 @@ impl Kernel {
     fn with_cache_policies(&self, mut bc: BufCache) -> BufCache {
         bc.set_coalescing(self.config.variant == KernelVariant::Proto);
         bc.set_prefetch(self.config.prefetch);
-        bc
-    }
-
-    /// `bc` under the FAT cache's policies: the shared ones plus soft
-    /// shard-to-core affinity — the shards are partitioned across the
-    /// active cores so each core's extents (and their write-back chains)
-    /// live in its home shards. The root ramdisk cache has no device-queue
-    /// contention to shelter from and keeps hashed placement.
-    fn with_fat_cache_policies(&self, bc: BufCache) -> BufCache {
-        let mut bc = self.with_cache_policies(bc);
-        bc.set_core_affinity(self.board.active_cores());
         bc
     }
 

@@ -44,8 +44,8 @@ pub enum WaitChannel {
     /// Waiting for a child to exit.
     ChildExit,
     /// Waiting for an in-flight SD DMA chain to complete (blocking demand
-    /// readers and back-pressured writers park here; the `Interrupt::Dma0`
-    /// completion router wakes the channel).
+    /// readers and back-pressured writers park here; the scheduler wakes
+    /// the channel once any completion has been applied).
     BlockIo,
 }
 

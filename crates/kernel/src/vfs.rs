@@ -397,9 +397,8 @@ impl Volume {
     /// Runs `f` on the volume opened for a call on `core`. The ramdisk is
     /// its own device. The SD card's is built from the board's fields, with
     /// the DMA context attached when `dma` is set so every call drives the
-    /// same asynchronous queue; the cache is stamped with `core` first,
-    /// since extent placement (shard affinity) and chain ownership (per-core
-    /// completion reaping) key off the core driving the device.
+    /// same asynchronous queue and the driver charges its chains to
+    /// `core`.
     pub(crate) fn io<R>(
         &mut self,
         board: &mut SimBoard,
@@ -411,7 +410,6 @@ impl Volume {
         match &mut self.medium {
             Medium::Ramdisk(dev) => f(&mut VolumeIo { fs, dev, cache }),
             Medium::Sd { start, blocks } => {
-                cache.set_home_core(core);
                 let ctx = dma.then_some(SdDmaCtx {
                     engine: &mut board.dma,
                     clock: &mut board.clock,

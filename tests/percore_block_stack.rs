@@ -1,7 +1,7 @@
 //! Tier-1 tests for the per-core block stack: demand readers that park on
 //! the completion interrupt instead of spin-reaping the device, wakeups
-//! routed per completed chain, and failed/torn chains that surface as
-//! retryable errors rather than deadlocks.
+//! once the interrupt has applied a finished chain, and failed/torn chains
+//! that surface as retryable errors rather than deadlocks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -180,7 +180,7 @@ fn blocked_demand_readers_are_woken_by_chain_completions() {
         stats.demand_spin_reaps, before.demand_spin_reaps,
         "a parked reader never reaps completions on its own clock"
     );
-    // Every park was followed by a completion-routed wakeup — the readers
+    // Every park was followed by a completion wakeup — the readers
     // could not have exited otherwise — and those wakeups are visible in
     // the trace.
     let wakeups = sys.kernel.trace.of_kind(TraceKind::Wakeup);

@@ -843,6 +843,17 @@ fn fat_syscalls_issue_no_polled_command_while_the_card_is_in_dma_mode() {
     }
 }
 
+#[test]
+fn a_new_fat_cache_geometry_keeps_the_cache_policies() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    sys.kernel.set_fat_range_coalescing(false);
+    sys.kernel.set_fat_cache_geometry(2, 3).unwrap();
+    let cache = sys.kernel.fat_cache().unwrap();
+    assert_eq!(cache.shard_count(), 2);
+    assert!(!cache.coalescing(), "range coalescing stays off");
+    assert!(cache.prefetch_enabled(), "read-ahead stays on");
+}
+
 /// A FAT cache too small for an open commit group. On a 2 x 2 cache (four
 /// extents) the group's pinned sectors can fill a shard, and evicting one
 /// would send a logged sector home ahead of its commit record (the
