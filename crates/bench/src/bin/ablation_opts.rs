@@ -2,18 +2,18 @@
 //! unified block cache: SIMD pixel conversion, the FAT32 range-coalescing
 //! buffer-cache policy (the successor of the old cache-bypass hack), the
 //! streaming-prefetch policy and the polled vs. DMA SD data path, plus the
-//! default pipeline's sequential write+fsync and the per-core multicore
-//! sweep.
+//! default pipeline's sequential write+fsync.
 //!
 //! Besides the console table, the filesystem half writes a machine-readable
 //! `BENCH_fs.json` at the repository root (hits, misses, coalesced ranges,
 //! prefetch commands, modeled MB/s per policy) so the CI bench-smoke job can
-//! track the storage-stack perf trajectory.
+//! track the storage-stack perf trajectory. Each arm in it is a run the
+//! binary makes; the polled read with prefetch off is `coalesced`, and the
+//! polled read with prefetch on is `prefetch_on`.
 
 use std::path::Path;
 
 use bench::report;
-use bench::storagescale::{self, StorageScalePoint};
 use hal::cost::Platform;
 use kernel::vfs::OpenFlags;
 use proto::prototype::{ProtoSystem, SystemOptions};
@@ -58,10 +58,6 @@ struct FsRun {
 /// kept up to queue depth in flight.
 #[derive(Debug, Clone, Serialize)]
 struct BatchedWbRun {
-    /// Batched eviction write-back (always: it is the only eviction path).
-    batched: bool,
-    /// Posted write cache on the card (off in every shipped configuration).
-    posted: bool,
     /// Bytes written (then fsync'd) to the FAT volume.
     bytes: u64,
     /// Modeled wall-clock of write + fsync + close, in ms.
@@ -87,10 +83,6 @@ struct VideoRun {
     simd_fps: f64,
     scalar_fps: f64,
     speedup: f64,
-    /// The gap measured before the cost-model rebalance of the decode /
-    /// conversion split (decode used to dominate the modeled frame and
-    /// flattened the ablation; the paper reports ~3x).
-    speedup_before_rebalance: f64,
 }
 
 /// The `BENCH_fs.json` payload.
@@ -100,22 +92,14 @@ struct BenchFs {
     coalesced: FsRun,
     single_block: FsRun,
     prefetch_on: FsRun,
-    prefetch_off: FsRun,
     /// The full storage pipeline: DMA scatter-gather data path + async
     /// command queue + coalescing + prefetch.
     dma_on: FsRun,
-    /// Same pipeline with the polled data phase (the pre-DMA default; the
-    /// 1.09 MB/s floor PR 2 measured).
-    dma_off: FsRun,
     /// DMA with prefetch disabled: what the async queue buys without
     /// read-ahead overlapping the transfers.
     dma_prefetch_off: FsRun,
     /// Sequential write+fsync through the deep-queue batched write path.
     batched_wb_on: BatchedWbRun,
-    /// The per-core block stack's N-cores × N-streams sweep: four concurrent
-    /// stream readers (blocking demand I/O over LBA-hashed shards) at 1, 2
-    /// and 4 active cores.
-    multicore_scaling: Vec<StorageScalePoint>,
     video: VideoRun,
     speedup: f64,
     /// Read-ahead gain *under DMA* (dma_prefetch_off.ms / dma_on.ms): with
@@ -124,7 +108,8 @@ struct BenchFs {
     /// Read-ahead gain on the polled path (the PR 2 honest finding: ~1.0x,
     /// because the polled per-block transfer was the floor).
     pio_prefetch_gain: f64,
-    /// dma_on over dma_off: what the DMA data path + queue buy end to end.
+    /// prefetch_on.ms / dma_on.ms: what the DMA data path + queue buy end
+    /// to end over the same pipeline with the polled data phase.
     dma_speedup: f64,
 }
 
@@ -211,8 +196,6 @@ fn batched_run() -> BatchedWbRun {
         .collect();
     let queue_high_water = queue_occupancy.iter().rposition(|&c| c > 0).unwrap_or(0);
     BatchedWbRun {
-        batched: true,
-        posted: false,
         bytes: data.len() as u64,
         ms,
         mb_s: if ms > 0.0 {
@@ -255,13 +238,10 @@ fn main() {
         simd_fps: simd,
         scalar_fps: scalar,
         speedup: simd / scalar.max(0.01),
-        // Measured with the pre-rebalance cost split (decode-dominated):
-        // 21.3 vs 18.8 FPS.
-        speedup_before_rebalance: 1.13,
     };
     println!(
-        "video 480p playback : SIMD convert {simd:.1} FPS vs scalar {scalar:.1} FPS ({:.1}x)  (paper: ~3x; was {:.1}x before the cost rebalance)",
-        video.speedup, video.speedup_before_rebalance
+        "video 480p playback : SIMD convert {simd:.1} FPS vs scalar {scalar:.1} FPS ({:.1}x)  (paper: ~3x)",
+        video.speedup
     );
 
     // 2. FAT32 large-file read latency across the storage-stack policies:
@@ -272,11 +252,10 @@ fn main() {
     let prefetch = fs_run(true, true, false);
     let dma_on = fs_run(true, true, true);
     let dma_prefetch_off = fs_run(true, false, true);
-    let dma_off = prefetch.clone();
     let speedup = single.ms / ranged.ms.max(0.01);
     let pio_prefetch_gain = ranged.ms / prefetch.ms.max(0.01);
     let prefetch_gain = dma_prefetch_off.ms / dma_on.ms.max(0.01);
-    let dma_speedup = dma_off.ms / dma_on.ms.max(0.01);
+    let dma_speedup = prefetch.ms / dma_on.ms.max(0.01);
     println!(
         "DOOM asset load     : range-coalesced {:.0} ms ({:.2} MB/s) vs single-block {:.0} ms ({:.2} MB/s) ({speedup:.1}x)  (paper: 2-3x)",
         ranged.ms, ranged.mb_s, single.ms, single.mb_s
@@ -310,38 +289,14 @@ fn main() {
         bw_on.queue_occupancy
     );
 
-    // 4. The per-core block stack: four concurrent stream readers at 1, 2
-    // and 4 active cores. The cold pass exercises blocking demand reads
-    // woken by the completion interrupt; the timed warm passes are
-    // CPU-bound, which is where core count can show up as aggregate
-    // throughput (the card's line rate itself is a single shared resource).
-    let multicore_scaling = storagescale::storage_scaling();
-    for p in &multicore_scaling {
-        println!(
-            "storage scaling     : {} core{} x {} streams: {:.1} MB/s warm ({:.1} ms), cold: {} demand waits, {} parks, {} spin-reaps; shard imbalance {:.2}",
-            p.cores,
-            if p.cores == 1 { " " } else { "s" },
-            p.streams,
-            p.aggregate_mb_s,
-            p.ms,
-            p.demand_waits,
-            p.demand_blocks,
-            p.demand_spin_reaps,
-            p.shard_imbalance
-        );
-    }
-
     let bench_fs = BenchFs {
         workload: format!("sequential read of /d/doom.wad ({} bytes)", ranged.bytes),
         coalesced: ranged.clone(),
         single_block: single.clone(),
         prefetch_on: prefetch.clone(),
-        prefetch_off: ranged.clone(),
         dma_on: dma_on.clone(),
-        dma_off,
         dma_prefetch_off: dma_prefetch_off.clone(),
         batched_wb_on: bw_on.clone(),
-        multicore_scaling,
         video,
         speedup,
         prefetch_gain,

@@ -2,12 +2,12 @@
 use bench::baselines::{micro_factor, BaselineOs};
 use bench::report;
 use hal::cost::{CostModel, Platform};
+
+/// Iterations of each microbenchmark.
+const ITERS: u32 = 300;
+
 fn main() {
-    let iters: u32 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(300);
-    let (ours, xv6) = bench::micro::ours_and_xv6(Platform::Pi3, iters);
+    let (ours, xv6) = bench::micro::ours_and_xv6(Platform::Pi3, ITERS);
     // Normalised latency (ours = 1.0). For throughput rows lower KB/s means
     // higher latency, so the ratio is inverted.
     let lat_rows: Vec<(&str, f64, f64)> = vec![

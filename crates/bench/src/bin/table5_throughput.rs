@@ -3,9 +3,13 @@ use bench::appbench::{measure_fps, AppRun};
 use bench::baselines::{table5_paper_ours, table5_reported_fps, BaselineOs};
 use bench::report;
 use hal::cost::Platform;
+
+/// Simulated warm-up before each cell's measured window, in milliseconds.
+const WARM_MS: u64 = 1000;
+/// Each cell's measured window, in simulated milliseconds.
+const MEASURE_MS: u64 = 4000;
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (warm, measure) = if quick { (200, 1000) } else { (1000, 4000) };
     println!("Table 5 — throughput (FPS) of benchmark apps");
     println!("(measured on the simulated platforms; Linux/FreeBSD columns are the paper's reported values)\n");
     let mut rows = Vec::new();
@@ -13,7 +17,7 @@ fn main() {
     for app in AppRun::ALL {
         let mut cells = vec![app.name().to_string()];
         for platform in [Platform::Pi3, Platform::QemuWsl, Platform::QemuVm] {
-            let r = measure_fps(app, platform, warm, measure);
+            let r = measure_fps(app, platform, WARM_MS, MEASURE_MS);
             let paper = table5_paper_ours(platform.name(), app.name());
             cells.push(format!(
                 "{:.1} (paper {:.1})",

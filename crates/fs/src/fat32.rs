@@ -95,17 +95,6 @@ pub const INTENT_LOG_PAYLOAD: usize = (INTENT_LOG_SECTORS - 1) as usize;
 /// records).
 #[cfg(test)]
 const INTENT_MAGIC: &[u8; 8] = crate::txn::TXN_MAGIC;
-/// Initial read-ahead window for a newly detected sequential stream (32 KB).
-/// The window doubles per sequential continuation — the classic readahead
-/// ramp — up to [`MAX_PREFETCH_CLUSTERS`], and since the deep-queue PR the
-/// ramp state lives *per stream slot* in the cache
-/// ([`BufCache::stream_window`]): each of the four tracked streams carries
-/// its own depth, so an interleaved second stream no longer resets the
-/// first's. A steady stream's demand reads end up fully covered by earlier
-/// prefetch and pay no command setup of their own.
-pub const PREFETCH_CLUSTERS: usize = 8;
-/// Read-ahead window ceiling (128 KB, one maximal cluster run).
-pub const MAX_PREFETCH_CLUSTERS: usize = MAX_RUN_CLUSTERS;
 
 /// Metadata for a file or directory inside the FAT volume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1343,9 +1332,9 @@ impl Fat32 {
     /// Contiguous cluster runs in the FAT chain are merged into single
     /// multi-cluster range reads before they reach the cache, and — when the
     /// cache's prefetch policy is on and the read continues a detected
-    /// sequential stream — the next [`PREFETCH_CLUSTERS`] of the chain are
-    /// range-filled ahead of demand so a streaming consumer finds them
-    /// already cached.
+    /// sequential stream — the next clusters of the chain, as many as the
+    /// stream's window ([`BufCache::stream_window`]) holds, are range-filled
+    /// ahead of demand so a streaming consumer finds them already cached.
     ///
     /// A cluster run the request covers whole is read straight into the
     /// returned buffer; only a run the request starts or ends inside goes
@@ -1404,14 +1393,14 @@ impl Fat32 {
             if let Some(ahead) = chain.get(last_ci + 1..) {
                 // Per-stream readahead ramp: the stream slot this read just
                 // extended carries its own window (8 clusters on detection,
-                // doubling per continuation up to a full 128 KB run), so an
-                // interleaved second stream ramps independently instead of
-                // resetting this one's depth — but never more than a quarter
-                // of the cache, so read-ahead cannot thrash out the demand
-                // run (or itself).
+                // doubling per continuation up to `MAX_READAHEAD_BLOCKS`, a
+                // full 128 KB run), so an interleaved second stream ramps
+                // independently instead of resetting this one's depth — but
+                // never more than a quarter of the cache, so read-ahead
+                // cannot thrash out the demand run (or itself).
                 let cap_clusters = (bc.capacity_blocks() / 4 / SECTORS_PER_CLUSTER as usize).max(1);
                 let window_clusters = (bc.stream_window() as usize / SECTORS_PER_CLUSTER as usize)
-                    .clamp(1, MAX_PREFETCH_CLUSTERS)
+                    .max(1)
                     .min(cap_clusters);
                 let take = ahead.len().min(window_clusters);
                 let window = &ahead[..take];

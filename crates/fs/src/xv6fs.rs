@@ -58,10 +58,6 @@ pub const IPB: usize = BSIZE / INODE_SIZE;
 pub const DIRENT_SIZE: usize = 32;
 /// Magic number in the superblock.
 pub const FSMAGIC: u32 = 0x10203040;
-/// Read-ahead window for a detected sequential xv6fs stream, in 1 KB file
-/// blocks (32 KB — modest, since ramdisk-backed xv6fs gains less from
-/// overlap than the SD-backed FAT volume).
-pub const XV6_READAHEAD_BLOCKS: usize = 32;
 
 /// Root directory inode number.
 pub const ROOT_INUM: u32 = 1;
@@ -725,12 +721,9 @@ impl Xv6Fs {
     ///
     /// Contiguous disk-block runs in the inode's block map are merged into
     /// single range reads before they reach the cache — the same coalescing
-    /// FAT32's cluster runs get — which both amortises per-command cost and
-    /// makes sequential xv6fs streams visible to the cache's stream table
-    /// ([`BufCache::sequential_streak`]). When the cache's prefetch policy
-    /// is on and this read continues a detected stream, the next
-    /// [`XV6_READAHEAD_BLOCKS`] file blocks are range-filled ahead of
-    /// demand, so the second filesystem benefits from read-ahead too.
+    /// FAT32's cluster runs get — which amortises per-command cost. There
+    /// is no read-ahead: the ramdisk completes a fill inside its submit
+    /// call, so a fill issued ahead of demand would overlap nothing.
     pub fn read(
         &self,
         dev: &mut dyn BlockDevice,
@@ -784,36 +777,6 @@ impl Xv6Fs {
             bc.read_range(dev, lba, len as u64 * spb, &mut run)?;
             copy_into(buf, &run, fb * BSIZE);
             idx += len;
-        }
-        // Streaming read-ahead, reusing the cache's stream table: fill the
-        // next window of the file while the caller consumes this one.
-        // Errors are swallowed deliberately — speculative I/O; a real fault
-        // surfaces on the demand read that covers the same blocks.
-        if bc.prefetch_enabled() && bc.sequential_streak() >= 1 {
-            let mut ahead: Vec<u32> = Vec::new();
-            for fb in last_fb + 1..last_fb + 1 + XV6_READAHEAD_BLOCKS {
-                if (fb * BSIZE) as u64 >= ino.size as u64 {
-                    break;
-                }
-                match self.bmap(dev, bc, &mut ino, inum, fb, false) {
-                    Ok(b) if b != 0 => ahead.push(b),
-                    _ => break,
-                }
-            }
-            let mut i = 0usize;
-            while i < ahead.len() {
-                let mut len = 1usize;
-                while i + len < ahead.len() && ahead[i + len] == ahead[i] + len as u32 {
-                    len += 1;
-                }
-                let (lba, spb) = Self::block_lbas(ahead[i]);
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "read-ahead is opportunistic: a failed prefetch must not fail the demand read, which reads through the cache and reports a real device error itself"
-                )]
-                let _ = bc.prefetch_range(dev, lba, len as u64 * spb);
-                i += len;
-            }
         }
         Ok(to_read)
     }
@@ -1366,14 +1329,14 @@ mod tests {
     }
 
     #[test]
-    fn sequential_reads_coalesce_runs_and_prefetch_ahead() {
+    fn sequential_reads_coalesce_runs_without_read_ahead() {
         let (mut dev, mut bc, fs) = fresh_fs();
         let data: Vec<u8> = (0..96 * 1024).map(|i| (i % 239) as u8).collect();
         fs.write_file(&mut dev, &mut bc, "/media.bin", &data)
             .unwrap();
         bc.flush(&mut dev).unwrap();
         let inum = fs.lookup(&mut dev, &mut bc, "/media.bin").unwrap();
-        // Cold cache + prefetch on: stream 16 KB chunks sequentially.
+        // Cold cache with prefetch on: stream 16 KB chunks sequentially.
         let mut cold = BufCache::default();
         cold.set_prefetch(true);
         let mut out = vec![0u8; 16 * 1024];
@@ -1390,19 +1353,13 @@ mod tests {
         }
         let s = cold.stats();
         assert!(
-            s.prefetch_cmds > 0,
-            "sequential xv6fs stream issued read-ahead ({s:?})"
+            s.coalesced_ranges > 0,
+            "contiguous blocks read as ranges ({s:?})"
         );
-        assert!(s.prefetched_blocks > 0);
-        assert!(
-            s.hits >= s.prefetched_blocks,
-            "prefetched blocks were consumed as hits"
-        );
-        // With prefetch off nothing speculative is issued.
-        let mut plain = BufCache::default();
-        let first = fs.read(&mut dev, &mut plain, inum, 0, &mut out).unwrap();
-        assert_eq!(first, 16 * 1024);
-        assert_eq!(plain.stats().prefetch_cmds, 0);
+        // The ramdisk completes a fill inside its submit call, so xv6fs
+        // issues nothing ahead of demand even with the policy on.
+        assert_eq!(s.prefetch_cmds, 0, "xv6fs issued read-ahead ({s:?})");
+        assert_eq!(s.prefetched_blocks, 0);
     }
 
     #[test]

@@ -1702,10 +1702,9 @@ impl Kernel {
 
     /// Replaces the FAT cache with a fresh one of `shards` ×
     /// `extents_per_shard` geometry that keeps the replaced cache's range
-    /// coalescing and read-ahead policies. The multicore scaling bench uses
-    /// this to give N concurrent streams a resident working set.
-    /// Synchronously drains both caches first so no dirty block or
-    /// in-flight chain is stranded with the old instance.
+    /// coalescing and read-ahead policies. Tests use this to set the FAT
+    /// cache's size. Synchronously drains both caches first so no dirty
+    /// block or in-flight chain is stranded with the old instance.
     pub fn set_fat_cache_geometry(
         &mut self,
         shards: usize,
@@ -1769,9 +1768,9 @@ impl Kernel {
         self.fat_cache().map(BufCache::stats).unwrap_or_default()
     }
 
-    /// Per-shard statistics of the FAT32 cache — the scaling bench derives
-    /// its load-imbalance figure (max over mean of per-shard lookups) from
-    /// these.
+    /// Per-shard statistics of the FAT32 cache. perfbench's
+    /// `fs.bufcache.shard_imbalance` (max over mean of per-shard lookups)
+    /// reads it.
     pub fn fat_shard_stats(&self) -> Vec<protofs::bufcache::ShardStats> {
         self.fat_cache()
             .map(BufCache::shard_stats)

@@ -2,8 +2,9 @@
 //! OS Construction* (SOSP '25).
 //!
 //! This crate is a thin facade re-exporting the workspace's building blocks;
-//! see the README for the architecture and DESIGN.md for the substitution
-//! decisions and the per-experiment index.
+//! `CHANGES.md` at the repository root records how the design got here,
+//! `ROADMAP.md` what is still open, and the `bench` crate reproduces the
+//! paper's tables and figures.
 //!
 //! ```
 //! use proto_repro::prelude::*;

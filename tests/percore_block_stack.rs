@@ -1,7 +1,8 @@
 //! Tier-1 tests for the per-core block stack: demand readers that park on
-//! the completion interrupt instead of spin-reaping the device, wakeups
-//! once the interrupt has applied a finished chain, and failed/torn chains
-//! that surface as retryable errors rather than deadlocks.
+//! the completion interrupt instead of spin-reaping the device, on 1, 2 and
+//! 4 cores, wakeups once the interrupt has applied a finished chain, and
+//! failed/torn chains that surface as retryable errors rather than
+//! deadlocks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,15 +106,16 @@ impl UserProgram for VerifyingReader {
     }
 }
 
-/// A 4-core benchmark system with the blocking block stack on, `STREAMS`
-/// patterned files installed, caches dropped and every core's clock synced
-/// to the device timeline (asset installation runs on one core; without the
-/// barrier the other cores would submit chains into the device's past).
-fn blocking_system() -> ProtoSystem {
+/// A benchmark system on `cores` cores with the blocking block stack on,
+/// `STREAMS` patterned files installed, caches dropped and every core's
+/// clock synced to the device timeline (asset installation runs on one
+/// core; without the barrier the other cores would submit chains into the
+/// device's past).
+fn blocking_system(cores: usize) -> ProtoSystem {
     let mut options = SystemOptions::benchmark(Platform::Pi3);
     options.window_manager = false;
     options.small_assets = true;
-    options.cores = 4;
+    options.cores = cores;
     let mut sys = ProtoSystem::build(options).unwrap();
     sys.kernel.set_fat_cache_geometry(16, 128).unwrap();
     sys.kernel.set_blocking_io(true);
@@ -154,7 +156,7 @@ fn assert_clean_exits(sys: &ProtoSystem, tids: &[TaskId]) {
 
 #[test]
 fn blocked_demand_readers_are_woken_by_chain_completions() {
-    let mut sys = blocking_system();
+    let mut sys = blocking_system(4);
     sys.kernel.trace.clear();
     let errs = Arc::new(AtomicU64::new(0));
     let before = sys.kernel.fat_cache_stats();
@@ -192,7 +194,7 @@ fn blocked_demand_readers_are_woken_by_chain_completions() {
 
 #[test]
 fn faulted_chains_surface_as_retries_not_deadlocks() {
-    let mut sys = blocking_system();
+    let mut sys = blocking_system(4);
     // Fault the whole FAT partition: every demand chain the readers submit
     // fails at service time. Parked readers must still be woken (a failed
     // chain is a completion too), see the error, and retry — not deadlock.
@@ -227,33 +229,43 @@ fn faulted_chains_surface_as_retries_not_deadlocks() {
     assert_clean_exits(&sys, &tids);
 }
 
+/// Four cold streams share the card on 1, 2 and 4 cores: on every core
+/// count a reader parks on the completion interrupt, some read waits on a
+/// chain already in flight instead of re-issuing it, and no completion is
+/// reaped by spinning on a reader's clock.
 #[test]
-fn four_cores_four_streams_wait_on_chains_without_spinning() {
-    let mut sys = blocking_system();
-    let errs = Arc::new(AtomicU64::new(0));
-    let before = sys.kernel.fat_cache_stats();
-    let tids = spawn_readers(&mut sys, false, &errs);
-    let finished = {
-        let ids = tids.clone();
-        sys.kernel.run_until(
-            move |k| {
-                ids.iter()
-                    .all(|t| k.task(*t).map(|t| t.is_zombie()).unwrap_or(true))
-            },
-            60_000_000,
-        )
-    };
-    assert!(finished, "cold readers did not finish");
-    assert_clean_exits(&sys, &tids);
-    let stats = sys.kernel.fat_cache_stats();
-    assert!(
-        stats.demand_waits > before.demand_waits,
-        "demand reads found their blocks pinned under in-flight chains"
-    );
-    assert_eq!(
-        stats.demand_spin_reaps, before.demand_spin_reaps,
-        "the four-stream cold run never spin-reaped a completion"
-    );
+fn cold_streams_park_and_wait_on_chains_without_spinning_on_1_2_and_4_cores() {
+    for cores in [1, 2, 4] {
+        let mut sys = blocking_system(cores);
+        let errs = Arc::new(AtomicU64::new(0));
+        let before = sys.kernel.fat_cache_stats();
+        let tids = spawn_readers(&mut sys, false, &errs);
+        let finished = {
+            let ids = tids.clone();
+            sys.kernel.run_until(
+                move |k| {
+                    ids.iter()
+                        .all(|t| k.task(*t).map(|t| t.is_zombie()).unwrap_or(true))
+                },
+                60_000_000,
+            )
+        };
+        assert!(finished, "{cores} cores: cold readers did not finish");
+        assert_clean_exits(&sys, &tids);
+        let stats = sys.kernel.fat_cache_stats();
+        assert!(
+            stats.demand_blocks > before.demand_blocks,
+            "{cores} cores: no reader parked on a completion"
+        );
+        assert!(
+            stats.demand_waits > before.demand_waits,
+            "{cores} cores: no demand read found its blocks under an in-flight chain"
+        );
+        assert_eq!(
+            stats.demand_spin_reaps, before.demand_spin_reaps,
+            "{cores} cores: the cold run spin-reaped a completion"
+        );
+    }
 }
 
 /// Use-once eviction through real syscalls, as the `stream_read` benchmark
