@@ -48,15 +48,15 @@
 //!   background instead of spiking whichever task closes last. Both drains
 //!   coalesce adjacent dirty blocks (across extents) into single range
 //!   commands (CMD25).
-//! * **Streaming prefetch.** The cache tracks whether successive range reads
-//!   are sequential ([`BufCache::sequential_streak`]); when the prefetch
-//!   policy is on ([`BufCache::set_prefetch`]) the FAT32 layer uses that
-//!   signal to issue [`BufCache::prefetch_range`] for the next cluster run
-//!   ahead of demand. Prefetch fills are ordinary range commands, but they
-//!   are counted separately ([`BufCacheStats::prefetch_cmds`]) so the
-//!   kernel's cost accounting can model their command-setup latency as
-//!   overlapped with the previous transfer instead of serialised on the
-//!   reading task.
+//! * **Streaming prefetch.** While the prefetch policy is on
+//!   ([`BufCache::set_prefetch`]) the cache tracks whether successive range
+//!   reads are sequential ([`BufCache::sequential_streak`]), and the FAT32
+//!   layer uses that signal to issue [`BufCache::prefetch_range`] for the
+//!   next cluster run ahead of demand. Prefetch fills are ordinary range
+//!   commands, but they are counted separately
+//!   ([`BufCacheStats::prefetch_cmds`]) so the kernel's cost accounting can
+//!   model their command-setup latency as overlapped with the previous
+//!   transfer instead of serialised on the reading task.
 //! * **Use-once eviction.** A fill or write of at least
 //!   `SCAN_RESIST_BLOCKS` blocks installs *cold* extents; a hit does not
 //!   make them hot again. Once reads have copied out every valid block of a
@@ -681,9 +681,10 @@ pub struct BufCache {
     /// multi-block range commands; when false every transfer is a
     /// single-block command (the §5.2 ablation / xv6-baseline policy).
     coalesce: bool,
-    /// When true, callers above the cache (FAT32's `read_at`) may issue
-    /// [`BufCache::prefetch_range`] for detected sequential streams. Off by
-    /// default; the kernel switches it on per its config.
+    /// When true, the cache tracks sequential streams and callers above it
+    /// (FAT32's `read_at`) may issue [`BufCache::prefetch_range`] for them.
+    /// Off by default; the kernel switches it on for the FAT cache per its
+    /// config.
     prefetch: bool,
     /// Write-order dependencies: a dirty metadata block (key LBA) must not
     /// reach the device before every block of its recorded runs is clean.
@@ -879,8 +880,9 @@ impl BufCache {
         self.coalesce
     }
 
-    /// Enables or disables the streaming-prefetch policy. Off by default; the
-    /// kernel turns it on for configurations with async prefetch.
+    /// Enables or disables the streaming-prefetch policy and the stream
+    /// tracking it reads. Off by default; the kernel turns it on for the FAT
+    /// cache of configurations with async prefetch.
     pub fn set_prefetch(&mut self, prefetch: bool) {
         self.prefetch = prefetch;
     }
@@ -2507,11 +2509,12 @@ impl BufCache {
                 "read_range buffer size mismatch".into(),
             ));
         }
-        // Sequential-stream detection: cluster-sized (or larger) reads that
+        // Sequential-stream detection, while read-ahead is on (nothing else
+        // reads the stream table): cluster-sized (or larger) reads that
         // start exactly where a tracked stream ended extend that stream's
         // streak. Single-block metadata reads are ignored so an interleaved
         // FAT lookup does not break a data stream.
-        if count >= EXTENT_BLOCKS as u64 {
+        if self.prefetch && count >= EXTENT_BLOCKS as u64 {
             self.note_stream_read(lba, count);
         }
         self.reap_completions(dev);
@@ -2739,6 +2742,25 @@ impl BufCache {
                 "write_range buffer size mismatch".into(),
             ));
         }
+        self.write_range_padded(dev, lba, count, data)
+    }
+
+    /// [`BufCache::write_range`] for `data` that may end before the range
+    /// does: the range's bytes past its end are written as zeros. FAT32
+    /// writes a file's cluster runs this way, so a partial last cluster
+    /// needs no padded copy of the run.
+    pub(crate) fn write_range_padded(
+        &mut self,
+        dev: &mut dyn BlockDevice,
+        lba: u64,
+        count: u64,
+        data: &[u8],
+    ) -> FsResult<()> {
+        if data.len() > count as usize * BLOCK_SIZE {
+            return Err(crate::FsError::Invalid(
+                "write_range data longer than the range".into(),
+            ));
+        }
         // Read-only degraded mode: a block exhausted its write retry budget,
         // so accepting more dirty data the device demonstrably cannot absorb
         // would only grow the unflushable set. Reads keep working.
@@ -2754,7 +2776,11 @@ impl BufCache {
         let cold = count >= SCAN_RESIST_BLOCKS;
         for sp in spans(lba, count) {
             let ext = self.extent_for(dev, sp.lba, sp.len)?;
-            ext.data[sp.slots()].copy_from_slice(&data[sp.bytes()]);
+            let bytes = sp.bytes();
+            let given = &data[bytes.start.min(data.len())..bytes.end.min(data.len())];
+            let (head, tail) = ext.data[sp.slots()].split_at_mut(given.len());
+            head.copy_from_slice(given);
+            tail.fill(0);
             let m = sp.mask();
             ext.valid |= m;
             ext.dirty |= m;
@@ -3115,6 +3141,7 @@ mod tests {
     fn per_stream_readahead_windows_ramp_independently() {
         let mut dev = MemDisk::new(8192);
         let mut bc = BufCache::default();
+        bc.set_prefetch(true);
         let mut buf = vec![0u8; BLOCK_SIZE * 8];
         // Stream A: three sequential cluster reads ramp its window
         // 64 -> 128 -> 256 blocks.
@@ -3480,9 +3507,27 @@ mod tests {
     }
 
     #[test]
+    fn streams_are_tracked_only_while_read_ahead_is_on() {
+        let mut dev = MemDisk::new(256);
+        let mut bc = BufCache::default();
+        let mut buf = vec![0u8; BLOCK_SIZE * 8];
+        for lba in [8, 16, 24] {
+            bc.read_range(&mut dev, lba, 8, &mut buf).unwrap();
+        }
+        assert_eq!((bc.sequential_streak(), bc.stream_window()), (0, 0));
+        bc.set_prefetch(true);
+        for lba in [32, 40] {
+            bc.read_range(&mut dev, lba, 8, &mut buf).unwrap();
+        }
+        assert_eq!(bc.sequential_streak(), 1);
+        assert_eq!(bc.stream_window(), 2 * INITIAL_READAHEAD_BLOCKS);
+    }
+
+    #[test]
     fn sequential_streaks_are_detected_and_metadata_reads_do_not_break_them() {
         let mut dev = MemDisk::new(256);
         let mut bc = BufCache::default();
+        bc.set_prefetch(true);
         let mut buf = vec![0u8; BLOCK_SIZE * 8];
         bc.read_range(&mut dev, 8, 8, &mut buf).unwrap();
         assert_eq!(bc.sequential_streak(), 0, "first read starts a stream");
@@ -4003,6 +4048,7 @@ mod tests {
             let mut rig = Rig::new(4096);
             let mut bc = BufCache::default();
             bc.set_block_demand(true);
+            bc.set_prefetch(true);
             let mut out = vec![0u8; BLOCK_SIZE * 8];
             // Two parked-and-retried sequential reads: the retries must not
             // steal stream slots or reset the ramp, so the streak counts
@@ -4187,19 +4233,20 @@ mod tests {
             // The figures, LRU clock and extent ticks the per-block walks
             // produced. The ticks pick every eviction victim, so a walk that
             // advanced them by a different amount, or counted a lookup
-            // twice, moves these.
+            // twice, moves these. Read-ahead is off, so no read takes a
+            // stream-table tick.
             for (seed, want, clock, ticks) in [
                 (
                     1u64,
                     [2309, 22204, 132, 6752, 10885, 398, 11385, 485],
-                    70112,
-                    1119612,
+                    69279,
+                    1106317,
                 ),
                 (
                     29,
                     [2301, 21864, 193, 6800, 10389, 432, 12369, 457],
-                    69844,
-                    1115888,
+                    68990,
+                    1102240,
                 ),
             ] {
                 let (s, got_clock, got_ticks) = seeded_mix(seed);

@@ -1305,7 +1305,8 @@ impl Fat32 {
 
     /// Writes `data` across the chain's clusters, merging contiguous cluster
     /// runs (the common case for a freshly allocated chain) into single
-    /// multi-cluster commands.
+    /// multi-cluster commands. Each run goes to the cache straight from
+    /// `data`; the cache zero-pads a partial last cluster.
     fn write_chain_data(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1315,13 +1316,11 @@ impl Fat32 {
     ) -> FsResult<()> {
         let mut ci = 0usize;
         for (first, count) in cluster_runs(clusters) {
-            let byte_start = ci * CLUSTER_SIZE;
-            let run_bytes = count as usize * CLUSTER_SIZE;
-            let mut buf = vec![0u8; run_bytes];
-            let end = (byte_start + run_bytes).min(data.len());
-            buf[..end - byte_start].copy_from_slice(&data[byte_start..end]);
+            let byte_start = (ci * CLUSTER_SIZE).min(data.len());
+            let end = ((ci + count as usize) * CLUSTER_SIZE).min(data.len());
             let sector = self.cluster_to_sector(first)?;
-            bc.write_range(dev, sector, count as u64 * SECTORS_PER_CLUSTER as u64, &buf)?;
+            let blocks = count as u64 * SECTORS_PER_CLUSTER as u64;
+            bc.write_range_padded(dev, sector, blocks, &data[byte_start..end])?;
             ci += count as usize;
         }
         Ok(())

@@ -499,19 +499,11 @@ impl Xv6Fs {
     }
 
     /// Allocates and zeroes the first free data block no pending free
-    /// reserves. The first-fit scan from `datastart` reads every bitmap
-    /// block once; every block below its position is in use or reserved,
-    /// so it picks exactly the block a bit-by-bit walk would.
+    /// reserves, found by a first-fit scan from `datastart`.
     fn balloc(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
-        let mut bits = HeldBlock::default();
-        let mut found = None;
-        for b in self.sb.datastart..self.sb.size {
-            if self.allocatable(dev, bc, &mut bits, b)? {
-                found = Some(b);
-                break;
-            }
-        }
-        let b = found.ok_or(FsError::NoSpace)?;
+        let b = self
+            .next_allocatable(dev, bc, &mut HeldBlock::default(), self.sb.datastart)?
+            .ok_or(FsError::NoSpace)?;
         self.bitmap_set(dev, bc, b, true)?;
         // Zero freshly allocated blocks, as xv6 does.
         Self::write_fs_block(dev, bc, b, &vec![0u8; BSIZE])?;
@@ -530,6 +522,30 @@ impl Xv6Fs {
         b: u32,
     ) -> FsResult<bool> {
         Ok(!bc.is_pending_free(b) && !self.bitmap_get(dev, bc, bits, b)?)
+    }
+
+    /// The first block from `from` on that an allocation can take, read
+    /// through `bits`. The scan skips whole bitmap bytes of blocks in use,
+    /// which hold nothing allocatable: a pending free has its bit clear.
+    fn next_allocatable(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        bits: &mut HeldBlock,
+        from: u32,
+    ) -> FsResult<Option<u32>> {
+        let mut b = from;
+        while b < self.sb.size {
+            let (bmap_block, byte, _) = self.bitmap_bit(b);
+            if b.is_multiple_of(8) && bits.get(dev, bc, bmap_block)?[byte] == 0xFF {
+                b += 8;
+            } else if self.allocatable(dev, bc, bits, b)? {
+                return Ok(Some(b));
+            } else {
+                b += 1;
+            }
+        }
+        Ok(None)
     }
 
     fn bfree(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, blockno: u32) -> FsResult<()> {
@@ -556,14 +572,13 @@ impl Xv6Fs {
         enough: u32,
     ) -> FsResult<u32> {
         let mut bits = HeldBlock::default();
-        let mut free = 0;
-        for b in self.sb.datastart..self.sb.size {
-            if free >= enough {
+        let (mut free, mut from) = (0, self.sb.datastart);
+        while free < enough {
+            let Some(b) = self.next_allocatable(dev, bc, &mut bits, from)? else {
                 break;
-            }
-            if self.allocatable(dev, bc, &mut bits, b)? {
-                free += 1;
-            }
+            };
+            free += 1;
+            from = b + 1;
         }
         Ok(free)
     }
@@ -1439,6 +1454,68 @@ mod tests {
             fs.read_file(&mut dev, &mut bc, "/tmp.bin"),
             Err(FsError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn freed_blocks_are_reallocated_first_once_their_free_commits() {
+        let (mut dev, mut bc, fs) = fresh_fs();
+        let blocks_of = |dev: &mut MemDisk, bc: &mut BufCache, p: &str| {
+            let inum = fs.lookup(dev, bc, p).unwrap();
+            let ino = fs.read_inode(dev, bc, inum).unwrap();
+            ino.addrs[..4].to_vec()
+        };
+        fs.write_file(&mut dev, &mut bc, "/low", &[1u8; 4 * BSIZE])
+            .unwrap();
+        fs.write_file(&mut dev, &mut bc, "/high", &[2u8; 4 * BSIZE])
+            .unwrap();
+        let low = blocks_of(&mut dev, &mut bc, "/low");
+        assert!(low.iter().all(|&b| b >= fs.sb.datastart));
+        assert!(low.iter().max() < blocks_of(&mut dev, &mut bc, "/high").iter().min());
+        // The unlink commits on return: the next file takes the low blocks.
+        fs.unlink(&mut dev, &mut bc, "/low").unwrap();
+        fs.write_file(&mut dev, &mut bc, "/next", &[3u8; 4 * BSIZE])
+            .unwrap();
+        assert_eq!(blocks_of(&mut dev, &mut bc, "/next"), low);
+        // A block freed inside a transaction that has not committed yet is
+        // skipped, and reused once the transaction has committed.
+        let spare = fs.balloc(&mut dev, &mut bc).unwrap();
+        let taken = fs
+            .txn
+            .with_txn(&mut dev, &mut bc, |dev, bc| {
+                fs.bfree(dev, bc, spare)?;
+                fs.balloc(dev, bc)
+            })
+            .unwrap();
+        assert_eq!(taken, spare + 1);
+        assert_eq!(fs.balloc(&mut dev, &mut bc).unwrap(), spare);
+    }
+
+    #[test]
+    fn a_corrupt_address_freed_by_an_unlink_is_never_allocated() {
+        // The unlink clears the bit of the inode block the corrupt inode
+        // names; allocation must still not hand that block out and zero it.
+        let (mut dev, mut bc, fs) = fresh_fs();
+        fs.write_file(&mut dev, &mut bc, "/keep", b"kept").unwrap();
+        let bad = fs
+            .create(&mut dev, &mut bc, "/bad", InodeType::File)
+            .unwrap();
+        let mut ino = fs.read_inode(&mut dev, &mut bc, bad).unwrap();
+        ino.addrs[0] = fs.sb.inodestart;
+        fs.write_inode(&mut dev, &mut bc, bad, &ino).unwrap();
+        fs.unlink(&mut dev, &mut bc, "/bad").unwrap();
+        fs.write_file(&mut dev, &mut bc, "/next", &[7u8; 4 * BSIZE])
+            .unwrap();
+        let next = fs.lookup(&mut dev, &mut bc, "/next").unwrap();
+        let ino = fs.read_inode(&mut dev, &mut bc, next).unwrap();
+        assert!(ino.addrs[..4].iter().all(|&b| b >= fs.sb.datastart));
+        assert_eq!(fs.read_file(&mut dev, &mut bc, "/keep").unwrap(), b"kept");
+        let names: Vec<_> = fs
+            .list_dir(&mut dev, &mut bc, "/")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, ["keep", "next"]);
     }
 
     #[test]

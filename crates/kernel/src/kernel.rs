@@ -540,7 +540,7 @@ impl Kernel {
             )?;
             self.volumes[Mount::Root as usize] = Some(Volume {
                 fs: FileSystem::Xv6(fs),
-                cache: self.with_cache_policies(bc),
+                cache: self.with_cache_policies(bc, Mount::Root),
                 medium: Medium::Ramdisk(ramdisk),
                 group_seen: None,
             });
@@ -587,7 +587,7 @@ impl Kernel {
             };
             self.volumes[Mount::Fat as usize] = Some(Volume {
                 fs: FileSystem::Fat(fat, PseudoInodes::default()),
-                cache: self.with_cache_policies(bc),
+                cache: self.with_cache_policies(bc, Mount::Fat),
                 medium: Medium::Sd {
                     start: FAT_PARTITION_START,
                     blocks,
@@ -1720,12 +1720,15 @@ impl Kernel {
         Ok(())
     }
 
-    /// `bc` under the configured cache policies: range coalescing (off only
-    /// in the xv6 baseline, whose cache issues one SD command per block —
-    /// the policy the §5.2 coalescing replaced) and read-ahead.
-    fn with_cache_policies(&self, mut bc: BufCache) -> BufCache {
+    /// `bc` under the configured cache policies for `mount`: range
+    /// coalescing (off only in the xv6 baseline, whose cache issues one SD
+    /// command per block — the policy the §5.2 coalescing replaced) and,
+    /// on the FAT volume alone, read-ahead. Only FAT32's `read_at` reads
+    /// ahead; the ramdisk completes a fill inside its submit call, so
+    /// read-ahead there would overlap nothing.
+    fn with_cache_policies(&self, mut bc: BufCache, mount: Mount) -> BufCache {
         bc.set_coalescing(self.config.variant == KernelVariant::Proto);
-        bc.set_prefetch(self.config.prefetch);
+        bc.set_prefetch(mount == Mount::Fat && self.config.prefetch);
         bc
     }
 

@@ -256,4 +256,35 @@ mod tests {
             assert_ne!(after, before, "{variant:?}: the new file has a FAT chain");
         }
     }
+
+    #[test]
+    fn two_desktop_builds_in_one_process_leave_identical_systems() {
+        // Other tests in this binary may have generated the assets already,
+        // so this checks that two builds in one process agree, not a
+        // generating build against a cached one: the assets' own test
+        // compares the cache with the generators.
+        let [mut a, mut b] = [(); 2].map(|()| ProtoSystem::desktop().unwrap());
+        let (ka, kb) = (&mut a.kernel, &mut b.kernel);
+        assert_eq!(ka.ramdisk_image(), kb.ramdisk_image(), "ramdisk images");
+        // The card a megabyte at a time: its image is 256 MB.
+        let (ca, cb) = (&mut ka.board.sdhost.card, &mut kb.board.sdhost.card);
+        let blocks = ca.num_blocks();
+        assert_eq!(blocks, cb.num_blocks());
+        let (mut wa, mut wb) = (vec![0u8; 1 << 20], vec![0u8; 1 << 20]);
+        for lba in (0..blocks).step_by(2048) {
+            let n = 2048.min(blocks - lba);
+            let len = n as usize * 512;
+            ca.read_range(lba, n, &mut wa[..len]).unwrap();
+            cb.read_range(lba, n, &mut wb[..len]).unwrap();
+            assert!(wa[..len] == wb[..len], "SD card blocks from {lba}");
+        }
+        let clocks = |k: &Kernel| {
+            (0..k.board.clock.num_cores())
+                .map(|c| k.board.clock.cycles(c))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(clocks(ka), clocks(kb), "per-core clocks");
+        assert_eq!(ka.fat_cache_stats(), kb.fat_cache_stats(), "FAT cache");
+        assert_eq!(ka.root_cache_stats(), kb.root_cache_stats(), "root cache");
+    }
 }
