@@ -11,8 +11,6 @@
 //! binary makes; the polled read with prefetch off is `coalesced`, and the
 //! polled read with prefetch on is `prefetch_on`.
 
-use std::path::Path;
-
 use bench::report;
 use hal::cost::Platform;
 use kernel::vfs::OpenFlags;
@@ -303,8 +301,7 @@ fn main() {
         pio_prefetch_gain,
         dma_speedup,
     };
-    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    report::write_json_to(&repo_root.join("BENCH_fs.json"), &bench_fs);
+    report::write_json_to(&report::repo_root().join("BENCH_fs.json"), &bench_fs);
 
     report::write_json(
         "ablation_opts",

@@ -36,9 +36,26 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// The checkout whose build is running: the parent of the `target`
+/// directory holding this binary (`<root>/target/<profile>/<bin>`), else the
+/// working directory. Found at run time, so a copy of the checkout that
+/// reuses its built `target/` writes its results into the copy, not into
+/// the checkout the binary was first compiled in.
+pub fn repo_root() -> PathBuf {
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| {
+            exe.ancestors()
+                .find(|dir| dir.file_name().is_some_and(|name| name == "target"))
+                .and_then(|target| target.parent())
+                .map(PathBuf::from)
+        })
+        .unwrap_or_else(|| PathBuf::from("."))
+}
+
 /// Directory where experiment JSON dumps are written.
 pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    let dir = repo_root().join("target/experiments");
     let _ = std::fs::create_dir_all(&dir);
     dir
 }

@@ -555,29 +555,11 @@ impl Fat32 {
     /// claims only fill free clusters, and only the commit-and-retry path
     /// below releases reservations — which is why it rescans from
     /// [`FIRST_CLUSTER`].
-    ///
-    /// With `zero_fill` the cluster's contents are zeroed in cache and a
-    /// FAT→contents write-order edge is recorded, so the FAT entry claiming
-    /// the cluster can never land before its (zeroed) contents — a chain
-    /// must never gain a cluster of stale bytes. Callers that *fully
-    /// overwrite* every allocated cluster before publishing it (whole-file
-    /// writes; the tail cluster is zero-padded by the data write itself)
-    /// pass `zero_fill = false` and skip both — their own data ≺ FAT ≺
-    /// dirent edges, added right after the real data lands, take over, and
-    /// until then the worst a power cut can expose is an
-    /// allocated-but-unpublished chain: a cluster leak, never a visible file
-    /// with stale bytes. Skipping the zero fill halves the device traffic of
-    /// a large sequential write — previously every data cluster travelled
-    /// twice (once as evicted zeros, once as data). `for_metadata`
-    /// classifies the fresh cluster's contents as metadata (directory
-    /// clusters) so the ordered drain treats its dirents as such.
     fn alloc_cluster(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         scan: &mut FreeScan,
-        for_metadata: bool,
-        zero_fill: bool,
     ) -> FsResult<u32> {
         let c = match self.find_free(dev, bc, scan)? {
             Some(c) => c,
@@ -602,7 +584,8 @@ impl Fat32 {
             }
             None => return Err(FsError::NoSpace),
         };
-        self.claim_cluster(dev, bc, c, for_metadata, zero_fill)
+        self.fat_set(dev, bc, c, FAT_EOC)?;
+        Ok(c)
     }
 
     /// Advances `scan` past the first free cluster no pending free
@@ -632,62 +615,48 @@ impl Fat32 {
         Ok(None)
     }
 
-    /// Marks the free cluster `c` end-of-chain and applies the `zero_fill`
-    /// policy described on [`Fat32::alloc_cluster`].
-    fn claim_cluster(
-        &self,
-        dev: &mut dyn BlockDevice,
-        bc: &mut BufCache,
-        c: u32,
-        for_metadata: bool,
-        zero_fill: bool,
-    ) -> FsResult<u32> {
-        // Metadata clusters (directories) must always be zero-filled with
-        // the FAT→contents edge recorded: skipping it would let the FAT
-        // claim persist before the dirents, exposing a directory of stale
-        // bytes across a cut. Only fully-overwritten *data* chains may skip.
-        debug_assert!(
-            zero_fill || !for_metadata,
-            "metadata clusters cannot skip the zero fill"
-        );
-        self.fat_set(dev, bc, c, FAT_EOC)?;
-        if zero_fill {
-            self.zero_cluster(dev, bc, c)?;
-            if for_metadata {
-                bc.note_metadata(self.cluster_to_sector(c)?, SECTORS_PER_CLUSTER as u64);
-            }
-            let (fat_sector, _) = self.fat_sector_of(c);
-            bc.add_dependency(
-                fat_sector,
-                1,
-                self.cluster_to_sector(c)?,
-                SECTORS_PER_CLUSTER as u64,
-            );
-        }
+    /// Allocates one directory cluster: zeroed in cache, classified as
+    /// metadata so the ordered drain treats its dirents as such, and
+    /// ordered after its FAT entry by a FAT→contents write-order edge, so
+    /// the FAT claim can never land before the (zeroed) contents — a
+    /// directory must never gain a cluster of stale bytes.
+    fn alloc_dir_cluster(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
+        let c = self.alloc_cluster(dev, bc, &mut FreeScan::start())?;
+        self.zero_cluster(dev, bc, c)?;
+        let sector = self.cluster_to_sector(c)?;
+        bc.note_metadata(sector, SECTORS_PER_CLUSTER as u64);
+        let (fat_sector, _) = self.fat_sector_of(c);
+        bc.add_dependency(fat_sector, 1, sector, SECTORS_PER_CLUSTER as u64);
         Ok(c)
     }
 
-    /// Allocates and links an `n`-cluster chain, unwinding the allocation on
-    /// failure so a mid-flight `NoSpace` (or I/O error) never leaks
-    /// half-built chains into the FAT. One first-fit scan serves the whole
-    /// chain: each cluster's search resumes just past the cluster claimed
-    /// before it, under the invariant stated on [`Fat32::alloc_cluster`].
-    /// `zero_fill` as there: whole-file writers that overwrite every
-    /// cluster skip the redundant zero pass.
+    /// Allocates and links an `n`-cluster data chain, unwinding the
+    /// allocation on failure so a mid-flight `NoSpace` (or I/O error) never
+    /// leaks half-built chains into the FAT. One first-fit scan serves the
+    /// whole chain: each cluster's search resumes just past the cluster
+    /// claimed before it, under the invariant stated on
+    /// [`Fat32::alloc_cluster`].
+    ///
+    /// Unlike a directory cluster, a data cluster is neither zeroed nor
+    /// ordered after its FAT entry here: the one caller,
+    /// [`Fat32::write_contents`], overwrites every cluster of the chain
+    /// (the cache zero-pads the tail) and then adds its own `data ≺ FAT ≺
+    /// dirent` edges. Until the dirent lands, the worst a power cut can
+    /// expose is an allocated-but-unpublished chain: a cluster leak, never
+    /// a visible file with stale bytes. A zero fill would send every data
+    /// cluster down twice, once as evicted zeros and once as data.
     fn alloc_chain(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         n: usize,
-        for_metadata: bool,
-        zero_fill: bool,
     ) -> FsResult<Vec<u32>> {
         // Pre-reserve at most a bounded chunk: `n` scales with the caller's
         // write size and the vec grows as clusters land anyway.
         let mut clusters = Vec::with_capacity(n.min(1024));
         let mut scan = FreeScan::start();
         for _ in 0..n {
-            match self.alloc_cluster(dev, bc, &mut scan, for_metadata, zero_fill) {
+            match self.alloc_cluster(dev, bc, &mut scan) {
                 Ok(c) => clusters.push(c),
                 Err(e) => {
                     self.unwind_chain(dev, bc, &clusters);
@@ -918,20 +887,17 @@ impl Fat32 {
         }
         // No free slot: extend the directory with a new cluster — a
         // multi-sector metadata update (FAT link + EOC + cluster contents +
-        // dirent) that runs as its own intent-log transaction unless the
-        // caller already opened one. Leaving it async would let a later
-        // file's dirent-ordering edges form a cycle with the extension's
-        // FAT-before-contents edge whenever they share a FAT sector.
+        // dirent) that runs as an intent-log transaction, its own or the
+        // caller's (a nested one joins the caller's). Leaving it async
+        // would let a later file's dirent-ordering edges form a cycle with
+        // the extension's FAT-before-contents edge whenever they share a
+        // FAT sector.
         let last = *chain
             .last()
             .ok_or_else(|| FsError::Corrupt("empty dir chain".into()))?;
-        if bc.meta_txn_active() {
-            self.extend_dir_with_entry(dev, bc, last, &raw)
-        } else {
-            self.with_meta_txn(dev, bc, |fs, dev, bc| {
-                fs.extend_dir_with_entry(dev, bc, last, &raw)
-            })
-        }
+        self.with_meta_txn(dev, bc, |fs, dev, bc| {
+            fs.extend_dir_with_entry(dev, bc, last, &raw)
+        })
     }
 
     /// Splices a fresh cluster onto the directory chain and writes `raw` as
@@ -944,7 +910,7 @@ impl Fat32 {
         last: u32,
         raw: &[u8; DIRENT_SIZE],
     ) -> FsResult<u64> {
-        let newc = self.alloc_cluster(dev, bc, &mut FreeScan::start(), true, true)?;
+        let newc = self.alloc_dir_cluster(dev, bc)?;
         if let Err(e) = self.fat_set(dev, bc, last, newc) {
             self.unwind_chain(dev, bc, &[newc]);
             return Err(e);
@@ -1052,7 +1018,7 @@ impl Fat32 {
             return Ok(entry);
         }
         self.with_meta_txn(dev, bc, |fs, dev, bc| {
-            let first_cluster = fs.alloc_cluster(dev, bc, &mut FreeScan::start(), true, true)?;
+            let first_cluster = fs.alloc_dir_cluster(dev, bc)?;
             let entry = FatEntry {
                 name: name.to_ascii_uppercase(),
                 is_dir: true,
@@ -1131,10 +1097,21 @@ impl Fat32 {
             Err(e) => return Err(e),
         };
         if entry.first_cluster == 0 {
-            return self.write_new_contents(dev, bc, p, data);
+            return self.write_contents(dev, bc, p, data).map(drop);
         }
+        // Walk the old chain before touching anything: a corrupt chain
+        // fails the overwrite and leaves the file as it was. The frees go
+        // last, ordered after the dirent that stops referencing the chain,
+        // so even a transaction too large for the intent log keeps its safe
+        // order through the fallback flush (only torn-update atomicity is
+        // lost there, plus the shared-FAT-sector cycle case the
+        // [`crate::txn::TxnLog::commit`] docs describe).
         self.with_meta_txn(dev, bc, |fs, dev, bc| {
-            fs.rewrite_contents(dev, bc, p, entry.first_cluster, data)
+            let old_chain = fs.chain(dev, bc, entry.first_cluster)?;
+            let dirent_sector = fs.write_contents(dev, bc, p, data)?;
+            fs.free_chain(dev, bc, &old_chain)?;
+            fs.order_frees_after_dirent(bc, &old_chain, dirent_sector);
+            Ok(())
         })
     }
 
@@ -1164,45 +1141,44 @@ impl Fat32 {
         self.write_file(dev, bc, p, &whole)
     }
 
-    /// The asynchronous new-file write: allocate, fill, link, then publish
-    /// via the dirent, with write-order dependencies registered so the drain
-    /// commits the file bottom-up.
-    fn write_new_contents(
+    /// Puts `data` in a new chain and swings `p`'s dirent to it; returns
+    /// the dirent's sector. The data clusters, the FAT entries and finally
+    /// the dirent are dirtied in the cache with write-order dependencies
+    /// (`data ≺ FAT ≺ dirent`, `data ≺ dirent`), so the ordered drain commits
+    /// the file bottom-up. A failure before the dirent swings unwinds the
+    /// new allocation and leaves the file as it was. The old chain, if any,
+    /// is the caller's to free.
+    fn write_contents(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         p: &str,
         data: &[u8],
-    ) -> FsResult<()> {
+    ) -> FsResult<u64> {
         if data.is_empty() {
-            self.update_dirent_for(dev, bc, p, 0, 0)?;
-            return Ok(());
+            return self.update_dirent_for(dev, bc, p, 0, 0);
         }
-        // Every cluster of the chain is fully overwritten below (the
-        // tail is zero-padded by `write_chain_data`), so the allocation
-        // skips the redundant zero fill.
-        let clusters =
-            self.alloc_chain(dev, bc, data.len().div_ceil(CLUSTER_SIZE), false, false)?;
+        let clusters = self.alloc_chain(dev, bc, data.len().div_ceil(CLUSTER_SIZE))?;
         if let Err(e) = self.write_chain_data(dev, bc, &clusters, data) {
             self.unwind_chain(dev, bc, &clusters);
             return Err(e);
         }
+        let mut data_runs = Vec::new();
+        for (first, count) in cluster_runs(&clusters) {
+            let blocks = count as u64 * SECTORS_PER_CLUSTER as u64;
+            data_runs.push((self.cluster_to_sector(first)?, blocks));
+        }
         // data ≺ FAT: no FAT sector of the chain may land before the
         // clusters it maps.
-        let data_runs = cluster_runs(&clusters);
         let fat_sectors: std::collections::BTreeSet<u64> =
             clusters.iter().map(|&c| self.fat_sector_of(c).0).collect();
         for &f in &fat_sectors {
-            for &(first, count) in &data_runs {
-                bc.add_dependency(
-                    f,
-                    1,
-                    self.cluster_to_sector(first)?,
-                    count as u64 * SECTORS_PER_CLUSTER as u64,
-                );
+            for &(sector, blocks) in &data_runs {
+                bc.add_dependency(f, 1, sector, blocks);
             }
         }
-        // FAT ≺ dirent: the entry publishing the file goes last.
+        // FAT ≺ dirent and data ≺ dirent: the entry publishing the file
+        // goes last.
         let Some(&head) = clusters.first() else {
             return Err(FsError::Invalid(
                 "empty allocation for non-empty write".into(),
@@ -1218,15 +1194,10 @@ impl Fat32 {
         for &f in &fat_sectors {
             bc.add_dependency(dirent_sector, 1, f, 1);
         }
-        for &(first, count) in &data_runs {
-            bc.add_dependency(
-                dirent_sector,
-                1,
-                self.cluster_to_sector(first)?,
-                count as u64 * SECTORS_PER_CLUSTER as u64,
-            );
+        for &(sector, blocks) in &data_runs {
+            bc.add_dependency(dirent_sector, 1, sector, blocks);
         }
-        Ok(())
+        Ok(dirent_sector)
     }
 
     /// Records that the FAT sectors holding a freed chain's entries must
@@ -1238,69 +1209,6 @@ impl Fat32 {
         for f in sectors {
             bc.add_dependency(f, 1, dirent_sector, 1);
         }
-    }
-
-    /// The logged overwrite: allocate + fill the new chain, swing the
-    /// dirent, then free the old chain — all inside the caller's open
-    /// metadata transaction. Failures before the dirent swings unwind the
-    /// new allocation and leave the old file untouched. Write-order edges
-    /// (`data ≺ new FAT ≺ dirent ≺ old-chain frees`) are registered as well,
-    /// so even a transaction too large for the intent log keeps its safe
-    /// order through the fallback flush (only torn-update atomicity is lost
-    /// there, plus the shared-FAT-sector cycle case the
-    /// [`crate::txn::TxnLog::commit`] docs describe).
-    fn rewrite_contents(
-        &self,
-        dev: &mut dyn BlockDevice,
-        bc: &mut BufCache,
-        p: &str,
-        old_first: u32,
-        data: &[u8],
-    ) -> FsResult<()> {
-        let old_chain = self.chain(dev, bc, old_first)?;
-        if data.is_empty() {
-            let dirent_sector = self.update_dirent_for(dev, bc, p, 0, 0)?;
-            self.free_chain(dev, bc, &old_chain)?;
-            self.order_frees_after_dirent(bc, &old_chain, dirent_sector);
-            return Ok(());
-        }
-        // Every cluster of the chain is fully overwritten below (the
-        // tail is zero-padded by `write_chain_data`), so the allocation
-        // skips the redundant zero fill.
-        let clusters =
-            self.alloc_chain(dev, bc, data.len().div_ceil(CLUSTER_SIZE), false, false)?;
-        if let Err(e) = self.write_chain_data(dev, bc, &clusters, data) {
-            self.unwind_chain(dev, bc, &clusters);
-            return Err(e);
-        }
-        let Some(&head) = clusters.first() else {
-            return Err(FsError::Invalid(
-                "empty allocation for non-empty write".into(),
-            ));
-        };
-        let dirent_sector = match self.update_dirent_for(dev, bc, p, head, data.len() as u32) {
-            Ok(s) => s,
-            Err(e) => {
-                self.unwind_chain(dev, bc, &clusters);
-                return Err(e);
-            }
-        };
-        for &(first, count) in &cluster_runs(&clusters) {
-            bc.add_dependency(
-                dirent_sector,
-                1,
-                self.cluster_to_sector(first)?,
-                count as u64 * SECTORS_PER_CLUSTER as u64,
-            );
-        }
-        let new_fat: std::collections::BTreeSet<u64> =
-            clusters.iter().map(|&c| self.fat_sector_of(c).0).collect();
-        for f in new_fat {
-            bc.add_dependency(dirent_sector, 1, f, 1);
-        }
-        self.free_chain(dev, bc, &old_chain)?;
-        self.order_frees_after_dirent(bc, &old_chain, dirent_sector);
-        Ok(())
     }
 
     /// Writes `data` across the chain's clusters, merging contiguous cluster

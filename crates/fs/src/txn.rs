@@ -23,16 +23,18 @@
 //!   failure too, returning the closure's error — and always closes the
 //!   recorder. Every logged operation goes through here so no path can
 //!   forget half of the begin / commit / end protocol.
-//! * [`TxnLog::log_sector`] — classify sectors as logged metadata from
-//!   inside a transaction (a thin alias for [`BufCache::note_metadata`],
-//!   which both records the sectors in the open transaction and pins them
-//!   against eviction).
-//! * [`TxnLog::note_order`] — record a write-order edge (metadata after the
-//!   data or metadata it references) for the *fallback* drain paths. Inside
-//!   a transaction edges may be deliberately cyclic — the cache invariant is
-//!   that a dependency cycle exists only among sectors pinned by the open
-//!   transaction or commit group, and [`TxnLog::commit_pending`] clears the
-//!   edges at the commit point, before releasing the pins.
+//!
+//! Inside the closure a filesystem talks to the cache directly:
+//! [`BufCache::note_metadata`] classifies sectors as logged metadata (it
+//! records them in the open transaction and pins them against eviction),
+//! and [`BufCache::add_dependency`] records a write-order edge (metadata
+//! after the data or metadata it references) for the *fallback* drain
+//! paths. Inside a transaction edges may be deliberately cyclic — the cache
+//! invariant is that a dependency cycle exists only among sectors pinned by
+//! the open transaction or commit group, and [`TxnLog::commit_pending`]
+//! clears the edges at the commit point, before releasing the pins. The
+//! remaining calls are:
+//!
 //! * [`TxnLog::commit_pending`] — force the open commit group's single
 //!   checksummed record to the device. Barriers (fsync, sync, unmount, the
 //!   flusher's group-timeout pass) call this before their cache flush.
@@ -224,29 +226,6 @@ impl TxnLog {
             (Ok(v), Ok(())) => Ok(v),
             (Err(e), _) | (Ok(_), Err(e)) => Err(e),
         }
-    }
-
-    /// Classifies `count` sectors starting at `lba` as logged metadata:
-    /// records them in the open transaction (so they land in its commit
-    /// record) and pins them against eviction. An alias for
-    /// [`BufCache::note_metadata`] under the transaction layer's name.
-    pub fn log_sector(bc: &mut BufCache, lba: u64, count: u64) {
-        bc.note_metadata(lba, count);
-    }
-
-    /// Records a write-order dependency for the fallback (non-logged) drain
-    /// paths: the metadata run `[meta_lba, meta_lba + meta_count)` must not
-    /// reach the device while any sector of `[dep_lba, dep_lba + dep_count)`
-    /// is still dirty. Edges among sectors of an open transaction may be
-    /// cyclic; [`TxnLog::commit_pending`] clears them at the commit point.
-    pub fn note_order(
-        bc: &mut BufCache,
-        meta_lba: u64,
-        meta_count: u64,
-        dep_lba: u64,
-        dep_count: u64,
-    ) {
-        bc.add_dependency(meta_lba, meta_count, dep_lba, dep_count);
     }
 
     /// Folds one just-finished logged transaction into the open commit
@@ -546,7 +525,7 @@ mod tests {
         for lba in HOMES {
             log.with_txn(&mut dev, &mut bc, |dev, bc| {
                 bc.write(dev, lba, &contents(lba))?;
-                TxnLog::log_sector(bc, lba, 1);
+                bc.note_metadata(lba, 1);
                 Ok(())
             })
             .unwrap();
@@ -605,7 +584,7 @@ mod tests {
         for (lba, pending) in [(40, 1), (90, 0)] {
             log.with_txn(&mut dev, &mut bc, |dev, bc| {
                 bc.write(dev, lba, &contents(lba))?;
-                TxnLog::log_sector(bc, lba, 1);
+                bc.note_metadata(lba, 1);
                 Ok(())
             })
             .unwrap();

@@ -1022,7 +1022,7 @@ impl Xv6Fs {
         if slot_block != 0 {
             let (slot_lba, slot_n) = Self::block_lbas(slot_block);
             let (ino_lba, ino_n) = self.inode_lbas(child_inum);
-            TxnLog::note_order(bc, slot_lba, slot_n, ino_lba, ino_n);
+            bc.add_dependency(slot_lba, slot_n, ino_lba, ino_n);
         }
         Ok(())
     }
@@ -1132,7 +1132,7 @@ impl Xv6Fs {
                 .ok_or_else(|| FsError::Invalid("cannot unlink root".into()))?;
             let parent_inum = self.lookup(dev, bc, &parent)?;
             let inum = self.dir_lookup(dev, bc, parent_inum, &name)?;
-            let mut ino = self.read_inode(dev, bc, inum)?;
+            let ino = self.read_inode(dev, bc, inum)?;
             if ino.itype == InodeType::Dir && !self.dir_entries(dev, bc, inum)?.is_empty() {
                 return Err(FsError::NotEmpty(p.to_string()));
             }
@@ -1148,30 +1148,11 @@ impl Xv6Fs {
                     bc.add_dependency(lba, n, d_lba, d_n);
                 }
             };
-            // Free data blocks.
-            for i in 0..NDIRECT {
-                if ino.addrs[i] != 0 {
-                    self.bfree(dev, bc, ino.addrs[i])?;
-                    let (bm_lba, bm_n) = self.bitmap_lbas(ino.addrs[i]);
-                    order_after_tombstone(bc, bm_lba, bm_n);
-                }
-            }
-            if ino.addrs[NDIRECT] != 0 {
-                let ind = Self::read_fs_block(dev, bc, ino.addrs[NDIRECT])?;
-                for chunk in ind.chunks_exact(4) {
-                    let ptr = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                    if ptr != 0 {
-                        self.bfree(dev, bc, ptr)?;
-                        let (bm_lba, bm_n) = self.bitmap_lbas(ptr);
-                        order_after_tombstone(bc, bm_lba, bm_n);
-                    }
-                }
-                self.bfree(dev, bc, ino.addrs[NDIRECT])?;
-                let (bm_lba, bm_n) = self.bitmap_lbas(ino.addrs[NDIRECT]);
+            self.free_file_blocks(dev, bc, &ino, |bc, b| {
+                let (bm_lba, bm_n) = self.bitmap_lbas(b);
                 order_after_tombstone(bc, bm_lba, bm_n);
-            }
-            ino = DiskInode::empty();
-            self.write_inode(dev, bc, inum, &ino)?;
+            })?;
+            self.write_inode(dev, bc, inum, &DiskInode::empty())?;
             let (ino_lba, ino_n) = self.inode_lbas(inum);
             order_after_tombstone(bc, ino_lba, ino_n);
             Ok(())
@@ -1193,26 +1174,50 @@ impl Xv6Fs {
             if ino.itype == InodeType::Free {
                 return Err(FsError::NotFound(format!("inode {inum} is free")));
             }
-            for i in 0..NDIRECT {
-                if ino.addrs[i] != 0 {
-                    self.bfree(dev, bc, ino.addrs[i])?;
-                    ino.addrs[i] = 0;
-                }
-            }
-            if ino.addrs[NDIRECT] != 0 {
-                let ind = Self::read_fs_block(dev, bc, ino.addrs[NDIRECT])?;
-                for chunk in ind.chunks_exact(4) {
-                    let ptr = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                    if ptr != 0 {
-                        self.bfree(dev, bc, ptr)?;
-                    }
-                }
-                self.bfree(dev, bc, ino.addrs[NDIRECT])?;
-                ino.addrs[NDIRECT] = 0;
-            }
+            self.free_file_blocks(dev, bc, &ino, |_, _| {})?;
+            ino.addrs = [0; NDIRECT + 1];
             ino.size = 0;
             self.write_inode(dev, bc, inum, &ino)
         })
+    }
+
+    /// Frees the blocks inode `ino` maps: its direct blocks, the blocks its
+    /// indirect block lists, then the indirect block itself, calling
+    /// `after_free` with each block right after its bitmap bit clears.
+    /// Only addresses [`Xv6Fs::data_block`] accepts are freed, and the
+    /// indirect block is read only if it lies in the data area: a corrupt
+    /// address must not free a metadata block (the next allocation would
+    /// zero it) or stop the free part-way.
+    fn free_file_blocks(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        ino: &DiskInode,
+        mut after_free: impl FnMut(&mut BufCache, u32),
+    ) -> FsResult<()> {
+        let owned = |b: u32| b != 0 && self.data_block(b).is_ok();
+        let mut free = |dev: &mut dyn BlockDevice, bc: &mut BufCache, b: u32| {
+            self.bfree(dev, bc, b)?;
+            after_free(bc, b);
+            FsResult::Ok(())
+        };
+        for &b in &ino.addrs[..NDIRECT] {
+            if owned(b) {
+                free(dev, bc, b)?;
+            }
+        }
+        let ind = ino.addrs[NDIRECT];
+        if owned(ind) {
+            let list = Self::read_fs_block(dev, bc, ind)?;
+            for chunk in list.chunks_exact(4) {
+                let b = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+                if owned(b) {
+                    free(dev, bc, b)?;
+                }
+            }
+            free(dev, bc, ind)?;
+        }
+        Ok(())
     }
 
     /// Convenience: creates (or truncates) a file at `p` and writes `data`.
@@ -1492,8 +1497,8 @@ mod tests {
 
     #[test]
     fn a_corrupt_address_freed_by_an_unlink_is_never_allocated() {
-        // The unlink clears the bit of the inode block the corrupt inode
-        // names; allocation must still not hand that block out and zero it.
+        // The unlink must not free the inode block the corrupt inode names,
+        // so allocation cannot hand that block out and zero it.
         let (mut dev, mut bc, fs) = fresh_fs();
         fs.write_file(&mut dev, &mut bc, "/keep", b"kept").unwrap();
         let bad = fs
@@ -1516,6 +1521,54 @@ mod tests {
             .map(|e| e.name)
             .collect();
         assert_eq!(names, ["keep", "next"]);
+    }
+
+    #[test]
+    fn unlink_and_overwrite_free_only_the_data_blocks_a_file_names() {
+        // Each file holds two direct blocks, then gets a corrupt address:
+        // an indirect block in the inode area, or a first block of
+        // u32::MAX. Freeing the inode block's words as an indirect list
+        // used to free the root directory's block (the root inode's first
+        // address) and let the next write zero it.
+        let (mut dev, mut bc, fs) = fresh_fs();
+        fs.write_file(&mut dev, &mut bc, "/a", b"kept").unwrap();
+        // Per file: the corrupted address, whether the call is an
+        // overwrite (else an unlink), and the blocks it may free net of
+        // what the overwrite takes.
+        let steps = [
+            ("/i1", NDIRECT, fs.sb.inodestart, false, 2),
+            ("/i2", NDIRECT, fs.sb.inodestart, true, 1),
+            ("/d1", 0, u32::MAX, false, 1),
+            ("/d2", 0, u32::MAX, true, 0),
+        ];
+        for (p, slot, bad, overwrite, freed) in steps {
+            fs.write_file(&mut dev, &mut bc, p, &[9u8; 2 * BSIZE])
+                .unwrap();
+            let inum = fs.lookup(&mut dev, &mut bc, p).unwrap();
+            let mut ino = fs.read_inode(&mut dev, &mut bc, inum).unwrap();
+            ino.addrs[slot] = bad;
+            fs.write_inode(&mut dev, &mut bc, inum, &ino).unwrap();
+            let before = fs.free_blocks(&mut dev, &mut bc).unwrap();
+            if overwrite {
+                fs.write_file(&mut dev, &mut bc, p, b"new").unwrap();
+                assert_eq!(fs.read_file(&mut dev, &mut bc, p).unwrap(), b"new");
+            } else {
+                fs.unlink(&mut dev, &mut bc, p).unwrap();
+            }
+            let after = fs.free_blocks(&mut dev, &mut bc).unwrap();
+            assert_eq!(after, before + freed, "{p}");
+        }
+        fs.write_file(&mut dev, &mut bc, "/next", &[7u8; 4 * BSIZE])
+            .unwrap();
+        let mut names: Vec<_> = fs
+            .list_dir(&mut dev, &mut bc, "/")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        names.sort();
+        assert_eq!(names, ["a", "d2", "i2", "next"]);
+        assert_eq!(fs.read_file(&mut dev, &mut bc, "/a").unwrap(), b"kept");
     }
 
     #[test]

@@ -68,7 +68,9 @@ pub enum KernelVariant {
     /// buffer cache issues one SD command per block instead of coalescing
     /// ranges), no read-ahead or background flusher, a polled SD driver,
     /// and a musl-like user library penalty on compute.
-    /// [`KernelConfig::with_variant`] sets its storage-pipeline values.
+    /// [`KernelConfig::with_variant`] sets only the variant: the kernel
+    /// reads it at boot ([`KernelConfig::storage_pipeline`]) and leaves the
+    /// storage pipeline off.
     Xv6Baseline,
 }
 
@@ -136,22 +138,6 @@ pub struct KernelConfig {
     pub cores: usize,
 
     // ---- I/O pipeline (the layer above the unified block cache) ----
-    /// Run the `kbio` kernel flusher thread: dirty extents drain in the
-    /// background on an adaptive timer instead of synchronously on `close`,
-    /// so write-back SD cycles are charged to `kbio` rather than to whichever
-    /// task closes last. `fsync` and unmount still force a full synchronous
-    /// flush. The cadence, per-pass budget and group-commit timeout are the
-    /// `KBIO_*` and `FAT_GROUP_COMMIT_*` constants in `kernel.rs`.
-    pub background_flush: bool,
-    /// Streaming read-ahead: FAT32 sequential reads prefetch the next
-    /// cluster run so the SD command-setup latency overlaps the previous
-    /// transfer.
-    pub prefetch: bool,
-    /// SD data phases move by scatter-gather DMA through the asynchronous
-    /// command queue instead of the CPU polling the FIFO — the driver
-    /// evolution that lifts the polled-transfer floor. Off in the xv6
-    /// baseline, whose driver stays polled.
-    pub sd_dma: bool,
     /// Interrupt-blocked demand I/O: a scheduled task whose FAT read hits
     /// an in-flight chain (or whose write finds the SD queue full) blocks
     /// on the block-I/O wait channel and is woken once a completion has
@@ -197,9 +183,6 @@ impl KernelConfig {
             sound: n >= 4,
             sd_card: n >= 5,
             cores: if n >= 5 { 4 } else { 1 },
-            background_flush: n >= 5,
-            prefetch: n >= 5,
-            sd_dma: n >= 5,
             blocking_io: false,
         }
     }
@@ -213,18 +196,26 @@ impl KernelConfig {
     /// Figure 9 keeps the stage's mechanisms, the crash-safe storage stack
     /// included (the ordered drain, the FAT intent log and the xv6fs
     /// journal are always on), but none of Proto's storage-pipeline
-    /// evolutions: no background flusher (close drains synchronously), no
-    /// read-ahead and a polled SD driver. The kernel also turns off range
-    /// coalescing for the variant, and the SD path charges the baseline
-    /// driver's slowdown.
+    /// evolutions ([`KernelConfig::storage_pipeline`]). The kernel also
+    /// turns off range coalescing for the variant, and the SD path charges
+    /// the baseline driver's slowdown.
     pub fn with_variant(mut self, variant: KernelVariant) -> Self {
         self.variant = variant;
-        if variant == KernelVariant::Xv6Baseline {
-            self.background_flush = false;
-            self.prefetch = false;
-            self.sd_dma = false;
-        }
         self
+    }
+
+    /// Whether the kernel boots Proto's storage pipeline over the SD card:
+    /// the SD host's scatter-gather DMA data path with its asynchronous
+    /// command queue, streaming read-ahead on the FAT cache, and the `kbio`
+    /// flusher thread, which drains dirty extents in the background so
+    /// `close` does not (its cadence and budget are the `KBIO_*` constants
+    /// in `kernel.rs`). The xv6 baseline boots none of them: a polled
+    /// driver, no read-ahead, and a `close` that drains synchronously.
+    /// After boot each lives where it acts — the host's data mode, the
+    /// cache's read-ahead flag and `Kernel::kbio_task` — and the ablation
+    /// switches flip it there.
+    pub fn storage_pipeline(&self) -> bool {
+        self.sd_card && self.variant == KernelVariant::Proto
     }
 
     /// Checks that a capability needed by a syscall or driver is present,

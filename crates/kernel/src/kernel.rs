@@ -13,6 +13,7 @@ use hal::board::SimBoard;
 use hal::cost::{CostModel, Platform};
 use hal::intc::Interrupt;
 use hal::mem::FRAME_SIZE;
+use hal::sdhost::SdDataMode;
 use hal::usb_hw::{UsbHwDevice, UsbSetupPacket};
 use protofs::bufcache::BufCache;
 use protofs::fat32::Fat32;
@@ -599,10 +600,8 @@ impl Kernel {
         // The DMA data path: scatter-gather chains on channel 0 with the
         // async command queue. The polled mode stays the fallback (and the
         // xv6-baseline behaviour).
-        if self.config.sd_card && self.config.fat32 && self.config.sd_dma {
-            self.board
-                .sdhost
-                .set_data_mode(hal::sdhost::SdDataMode::Dma);
+        if self.config.storage_pipeline() && self.config.fat32 {
+            self.board.sdhost.set_data_mode(SdDataMode::Dma);
             self.board.intc.enable(Interrupt::Dma0);
         }
 
@@ -616,7 +615,7 @@ impl Kernel {
         }
 
         // The background write-back flusher kernel thread.
-        if self.config.background_flush && (self.config.xv6fs || self.config.fat32) {
+        if self.config.storage_pipeline() && (self.config.xv6fs || self.config.fat32) {
             let kbio_tid = self.spawn_kernel_thread("kbio", Box::new(KbioThread))?;
             // Write-back is deferrable work; run it below interactive tasks.
             if let Some(t) = self.tasks.get_mut(&kbio_tid) {
@@ -694,7 +693,7 @@ impl Kernel {
             .as_mut()
             .ok_or_else(|| mount.not_mounted())?;
         let to_card = matches!(vol.medium, Medium::Sd { .. });
-        vol.io(&mut self.board, self.config.sd_dma, 0, |io| {
+        vol.io(&mut self.board, 0, |io| {
             let written = f(io);
             if to_card {
                 io.commit_pending()?;
@@ -867,7 +866,7 @@ impl Kernel {
             Some(t) => (t.fds.drain_all(), t.core),
             None => return,
         };
-        if !self.config.background_flush {
+        if self.kbio_task == 0 {
             for mount in Mount::ALL {
                 let wrote = open_files.iter().any(|f| {
                     f.written && matches!(f.kind, FileKind::File { mount: m, .. } if m == mount)
@@ -1074,8 +1073,8 @@ impl Kernel {
                 // whichever core submitted it; the per-block bookkeeping is
                 // already in the driver's charge for the chain.
                 if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
-                    if self.config.sd_dma {
-                        vol.io(&mut self.board, true, core, |io| {
+                    if self.board.sdhost.data_mode() == SdDataMode::Dma {
+                        vol.io(&mut self.board, core, |io| {
                             io.cache.reap_completions(io.dev)
                         });
                     }
@@ -1631,7 +1630,6 @@ impl Kernel {
         if let Some(vol) = self.volumes[Mount::Fat as usize].as_mut() {
             vol.cache.set_prefetch(prefetch);
         }
-        self.config.prefetch = prefetch;
     }
 
     /// Enables or disables the SD DMA data path at runtime (the DMA half of
@@ -1640,17 +1638,17 @@ impl Kernel {
     /// drops the host back to polled transfers. If that barrier fails, its
     /// error is returned and the data path stays as it was.
     pub fn set_sd_dma(&mut self, enabled: bool) -> KResult<()> {
-        if !enabled && self.config.sd_dma {
+        if !enabled && self.board.sdhost.data_mode() == SdDataMode::Dma {
             // Barrier while the DMA context still exists.
             self.sync_all()?;
         }
-        self.config.sd_dma = enabled && self.config.sd_card;
-        self.board.sdhost.set_data_mode(if self.config.sd_dma {
-            hal::sdhost::SdDataMode::Dma
+        let dma = enabled && self.config.sd_card;
+        self.board.sdhost.set_data_mode(if dma {
+            SdDataMode::Dma
         } else {
-            hal::sdhost::SdDataMode::Pio
+            SdDataMode::Pio
         });
-        if self.config.sd_dma {
+        if dma {
             self.board.intc.enable(Interrupt::Dma0);
         }
         Ok(())
@@ -1728,7 +1726,7 @@ impl Kernel {
     /// read-ahead there would overlap nothing.
     fn with_cache_policies(&self, mut bc: BufCache, mount: Mount) -> BufCache {
         bc.set_coalescing(self.config.variant == KernelVariant::Proto);
-        bc.set_prefetch(mount == Mount::Fat && self.config.prefetch);
+        bc.set_prefetch(mount == Mount::Fat && self.config.storage_pipeline());
         bc
     }
 

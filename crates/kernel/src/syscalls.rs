@@ -11,6 +11,7 @@
 //! the same accounting.
 
 use hal::framebuffer::BYTES_PER_PIXEL;
+use hal::sdhost::SdDataMode;
 use protofs::{FsError, FsResult};
 
 use crate::error::{KResult, KernelError};
@@ -440,7 +441,7 @@ impl Kernel {
         // flusher running, the dirty extents stay cached and drain in the
         // background, charged to `kbio`.
         if let FileKind::File { mount, .. } = file.kind {
-            if file.written && !self.config.background_flush {
+            if file.written && self.kbio_task() == 0 {
                 self.flush_volume(mount, core, task)?;
             }
         }
@@ -466,12 +467,13 @@ impl Kernel {
         // through `with_task_ctx` have no scheduler to run the device
         // forward, so there the cache keeps spinning.
         let parks = self.config.blocking_io && self.in_scheduled_step;
-        let demand = parks && self.config.sd_dma && park == Park::OnRead;
+        let dma = self.board.sdhost.data_mode() == SdDataMode::Dma;
+        let demand = parks && dma && park == Park::OnRead;
         let before = self.sd_snapshot();
         let vol = self.volumes[mount as usize]
             .as_mut()
             .ok_or_else(|| mount.not_mounted())?;
-        let result = vol.io(&mut self.board, self.config.sd_dma, core, |io| {
+        let result = vol.io(&mut self.board, core, |io| {
             if parks && park == Park::OnFullQueue && !io.dev.can_submit() {
                 io.cache.note_queue_full_yield();
                 return Err(FsError::WouldBlock);
@@ -1261,7 +1263,7 @@ mod tests {
     /// Runs `op` on the FAT volume's SD device for core 0, uncharged.
     fn on_sd_device(k: &mut Kernel, op: impl FnOnce(&mut dyn BlockDevice)) {
         let vol = k.volumes[Mount::Fat as usize].as_mut().unwrap();
-        vol.io(&mut k.board, k.config.sd_dma, 0, |io| op(io.dev));
+        vol.io(&mut k.board, 0, |io| op(io.dev));
     }
 
     /// Runs `op` on the FAT volume's SD device for core 0, charges the SD
@@ -1283,7 +1285,11 @@ mod tests {
     fn posted_cache_flush_is_charged_once() {
         let mut k = Kernel::desktop_pi3();
         k.boot().unwrap();
-        assert!(k.config.sd_dma, "the adapter carries a DMA context");
+        assert_eq!(
+            k.board.sdhost.data_mode(),
+            SdDataMode::Dma,
+            "the adapter carries a DMA context"
+        );
         let task = k.spawn_bench_task("barrier").unwrap();
         k.board.sdhost.card.set_posted_writes(true);
         let flush = charged(&mut k, task, |dev| dev.flush().unwrap());
@@ -1300,7 +1306,11 @@ mod tests {
         use hal::sdhost::{DmaTraffic, SD_DMA_CHANNEL};
         let mut k = Kernel::desktop_pi3();
         k.boot().unwrap();
-        assert!(k.config.sd_dma, "the adapter carries a DMA context");
+        assert_eq!(
+            k.board.sdhost.data_mode(),
+            SdDataMode::Dma,
+            "the adapter carries a DMA context"
+        );
         assert_eq!(k.board.sdhost.queue_len(), 0, "boot left the queue empty");
         let task = k.spawn_bench_task("writer").unwrap();
         let chain = DmaTraffic {

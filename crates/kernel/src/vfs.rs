@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 
 use hal::board::SimBoard;
 use hal::cost::CostModel;
+use hal::sdhost::SdDataMode;
 use protofs::block::{SdBlockDevice, SdDmaCtx};
 use protofs::bufcache::BufCache;
 use protofs::fat32::Fat32;
@@ -396,13 +397,12 @@ impl Volume {
 
     /// Runs `f` on the volume opened for a call on `core`. The ramdisk is
     /// its own device. The SD card's is built from the board's fields, with
-    /// the DMA context attached when `dma` is set so every call drives the
-    /// same asynchronous queue and the driver charges its chains to
-    /// `core`.
+    /// the DMA context attached exactly when the host is in DMA mode, so
+    /// every call drives the same asynchronous queue and the driver charges
+    /// its chains to `core`.
     pub(crate) fn io<R>(
         &mut self,
         board: &mut SimBoard,
-        dma: bool,
         core: usize,
         f: impl FnOnce(&mut VolumeIo<'_>) -> R,
     ) -> R {
@@ -410,6 +410,7 @@ impl Volume {
         match &mut self.medium {
             Medium::Ramdisk(dev) => f(&mut VolumeIo { fs, dev, cache }),
             Medium::Sd { start, blocks } => {
+                let dma = board.sdhost.data_mode() == SdDataMode::Dma;
                 let ctx = dma.then_some(SdDmaCtx {
                     engine: &mut board.dma,
                     clock: &mut board.clock,

@@ -207,12 +207,7 @@ mod tests {
             let mode = k.board.sdhost.data_mode();
             assert_eq!(mode == SdDataMode::Dma, proto, "{variant:?} SD mode");
             assert_eq!(k.kbio_task() != 0, proto, "{variant:?} kbio");
-            // The configuration describes the system that booted.
-            let c = &k.config;
-            assert_eq!(c.variant, variant);
-            assert_eq!(c.prefetch, cache.prefetch_enabled());
-            assert_eq!(c.sd_dma, mode == SdDataMode::Dma);
-            assert_eq!(c.background_flush, k.kbio_task() != 0);
+            assert_eq!(k.config.variant, variant);
 
             // The ordered drain: cut the card's power once a new file's
             // data blocks have landed, and its FAT sectors (below the data

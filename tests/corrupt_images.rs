@@ -8,7 +8,9 @@
 //! damaged image under a fresh cache and walks the tree: it lists every
 //! directory to a bounded depth, stats and reads every file, writes a new
 //! file, overwrites one at an offset and removes one. Every call must
-//! return `Ok` or an `Err`, and the walk stops at a fixed step budget.
+//! return `Ok` or an `Err`, and the walk stops at a fixed step budget. On
+//! damaged xv6fs inodes, the walk's writes must also keep every other
+//! entry of the root directory.
 //!
 //! A few cases per FAT32 region also boot a kernel on the damaged card and
 //! drive `/d` through the `UserCtx` stubs. The kernel formats its ramdisk at
@@ -92,6 +94,9 @@ type Edges = (Field, u64, Vec<u64>);
 struct Region {
     name: &'static str,
     cases: Vec<Vec<Damage>>,
+    /// Whether a case fails when the walk's writes lose a root entry
+    /// ([`Walked::lost`]).
+    keeps_root: bool,
 }
 
 impl Region {
@@ -116,7 +121,11 @@ impl Region {
                 seed,
             }]);
         }
-        Region { name, cases }
+        Region {
+            name,
+            cases,
+            keeps_root: false,
+        }
     }
 }
 
@@ -155,12 +164,15 @@ fn describe(case: &[Damage]) -> String {
         .join(", then ")
 }
 
-/// What a walk got done: whether the image mounted, and the files it read
-/// back.
+/// What a walk got done: whether the image mounted, the files it read
+/// back, and the root entries listed before its writes that are gone after
+/// them, other than a file it removed (an unlink that fails must leave its
+/// file listed).
 #[derive(Default)]
 struct Walked {
     mounted: bool,
     files_read: usize,
+    lost: Vec<String>,
 }
 
 fn read_sector(dev: &mut dyn BlockDevice, lba: u64) -> Vec<u8> {
@@ -276,8 +288,9 @@ impl Budget {
 }
 
 /// Runs every case of `regions` on a copy of `image`, walking it with
-/// `walk`. Returns a line for each case that panicked, and per region the
-/// cases that mounted and the files they read back.
+/// `walk`. Returns a line for each case that panicked or, in a region that
+/// keeps the root, lost a root entry, and per region the cases that
+/// mounted and the files they read back.
 fn sweep(
     image: &MemDisk,
     regions: &[Region],
@@ -299,6 +312,11 @@ fn sweep(
                 Ok(walked) => {
                     mounted += usize::from(walked.mounted);
                     files_read += walked.files_read;
+                    if region.keeps_root && !walked.lost.is_empty() {
+                        let case = describe(case);
+                        let lost = walked.lost.join(", ");
+                        failures.push(format!("{} case {i} ({case}): lost {lost}", region.name));
+                    }
                 }
                 Err(panic) => {
                     let why = panic
@@ -316,12 +334,12 @@ fn sweep(
     (failures, tally)
 }
 
-/// Fails on any panicked case, and on a region whose cases never mounted
-/// and read a file: such a sweep would show nothing.
+/// Fails on any failed case, and on a region whose cases never mounted and
+/// read a file: such a sweep would show nothing.
 fn check(fs: &str, (failures, tally): (Vec<String>, Vec<(&'static str, usize, usize)>)) {
     assert!(
         failures.is_empty(),
-        "{} {fs} cases panicked:\n{}",
+        "{} {fs} cases failed:\n{}",
         failures.len(),
         failures.join("\n")
     );
@@ -800,15 +818,24 @@ fn xv6_regions(dev: &mut dyn BlockDevice) -> Vec<Region> {
             end,
             vec![u64::from(sb.inodestart)],
         ));
-        inode_fields.push((field("indirect block", 8 + 4 * NDIRECT, 4), end, vec![]));
+        inode_fields.push((
+            field("indirect block", 8 + 4 * NDIRECT, 4),
+            end,
+            vec![u64::from(sb.inodestart)],
+        ));
     }
     let inode_sectors = u64::from(sb.bmapstart - sb.inodestart) * spb;
-    regions.push(Region::new(
+    let mut inodes = Region::new(
         "inode blocks",
         inode_fields,
         sector(sb.inodestart),
         inode_sectors,
-    ));
+    );
+    // A corrupt address must not steer a free or a write at another
+    // file's metadata. Damage to the bitmap or a forged log record still
+    // can (xv6fs trusts both), so only this region is held to it.
+    inodes.keeps_root = true;
+    regions.push(inodes);
 
     let bitmap = Field {
         name: "bitmap byte of the first data blocks",
@@ -873,6 +900,7 @@ fn walk_xv6(dev: &mut dyn BlockDevice) -> Walked {
     walked.mounted = true;
     let mut budget = Budget(0);
     let mut files = Vec::new();
+    let mut root = Vec::new();
     let mut pending = vec![(String::from("/"), 0)];
     while let Some((dir, depth)) = pending.pop() {
         if !budget.take() {
@@ -881,6 +909,9 @@ fn walk_xv6(dev: &mut dyn BlockDevice) -> Walked {
         let Ok(entries) = fs.list_dir(dev, &mut bc, &dir) else {
             continue;
         };
+        if dir == "/" {
+            root = entries.iter().map(|e| e.name.clone()).collect();
+        }
         for e in entries {
             let path = join(&dir, &e.name);
             match fs.stat(dev, &mut bc, e.inum) {
@@ -899,11 +930,23 @@ fn walk_xv6(dev: &mut dyn BlockDevice) -> Walked {
         walked.files_read += usize::from(fs.read_file(dev, &mut bc, f).is_ok());
     }
     let _ = fs.write_file(dev, &mut bc, "/new", b"written after the damage");
+    let mut unlinked = String::new();
     if let Some((f, inum)) = files.first() {
         let _ = fs.write(dev, &mut bc, *inum, 100, b"patched");
-        let _ = fs.unlink(dev, &mut bc, f);
+        if fs.unlink(dev, &mut bc, f).is_ok() {
+            unlinked = f.clone();
+        }
     }
     let _ = fs.create(dev, &mut bc, "/newdir", InodeType::Dir);
+    let _ = fs.write_file(dev, &mut bc, "/four", &[0x4B; 4 * BSIZE]);
+    let after: Vec<String> = match fs.list_dir(dev, &mut bc, "/") {
+        Ok(entries) => entries.into_iter().map(|e| e.name).collect(),
+        Err(_) => Vec::new(),
+    };
+    walked.lost = root
+        .into_iter()
+        .filter(|n| join("/", n) != unlinked && !after.contains(n))
+        .collect();
     let _ = bc.flush(dev);
     walked
 }

@@ -221,7 +221,6 @@ fn switching_dma_off_keeps_the_dma_path_when_its_barrier_fails() {
         matches!(r, Err(kernel::KernelError::Fs(protofs::FsError::Io(_)))),
         "{r:?}"
     );
-    assert!(sys.kernel.config.sd_dma);
     assert_eq!(
         sys.kernel.board.sdhost.data_mode(),
         hal::sdhost::SdDataMode::Dma
@@ -230,7 +229,10 @@ fn switching_dma_off_keeps_the_dma_path_when_its_barrier_fails() {
     // With power back, the same switch drains the cache and goes polled.
     sys.kernel.board.sdhost.card.power_restored();
     sys.kernel.set_sd_dma(false).unwrap();
-    assert!(!sys.kernel.config.sd_dma);
+    assert_eq!(
+        sys.kernel.board.sdhost.data_mode(),
+        hal::sdhost::SdDataMode::Pio
+    );
     assert_eq!(sys.kernel.fat_dirty_blocks(), 0);
 }
 
@@ -354,7 +356,11 @@ fn dma_completions_route_through_the_irq_handler_to_the_flusher() {
     // the cache (for years this handler silently discarded them) — only
     // then does dirty reach zero and the data the card.
     let mut sys = ProtoSystem::desktop().unwrap();
-    assert!(sys.kernel.config.sd_dma, "desktop runs the DMA data path");
+    assert_eq!(
+        sys.kernel.board.sdhost.data_mode(),
+        hal::sdhost::SdDataMode::Dma,
+        "desktop runs the DMA data path"
+    );
     let writer = sys.kernel.spawn_bench_task("writer").unwrap();
     sys.kernel
         .with_task_ctx(writer, |ctx| {
