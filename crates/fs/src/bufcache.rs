@@ -471,7 +471,7 @@ pub struct BufCacheStats {
     pub write_gave_up: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Shard {
     extents: Vec<Extent>,
     stats: ShardStats,
@@ -673,7 +673,7 @@ fn pack_chains(runs: &[Run], max_blocks: u64, max_runs: usize) -> Vec<Vec<Run>> 
 }
 
 /// The sharded, extent-based, write-back buffer cache.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BufCache {
     shards: Vec<Shard>,
     extents_per_shard: usize,

@@ -1136,6 +1136,7 @@ impl Xv6Fs {
             if ino.itype == InodeType::Dir && !self.dir_entries(dev, bc, inum)?.is_empty() {
                 return Err(FsError::NotEmpty(p.to_string()));
             }
+            let blocks = self.owned_blocks(dev, bc, &ino)?;
             let (_, slot_block) = self.dir_remove(dev, bc, parent_inum, &name)?;
             // The tombstone must land before the frees, so a live dirent
             // never points at a freed inode or at blocks the bitmap already
@@ -1148,10 +1149,11 @@ impl Xv6Fs {
                     bc.add_dependency(lba, n, d_lba, d_n);
                 }
             };
-            self.free_file_blocks(dev, bc, &ino, |bc, b| {
+            for b in blocks {
+                self.bfree(dev, bc, b)?;
                 let (bm_lba, bm_n) = self.bitmap_lbas(b);
                 order_after_tombstone(bc, bm_lba, bm_n);
-            })?;
+            }
             self.write_inode(dev, bc, inum, &DiskInode::empty())?;
             let (ino_lba, ino_n) = self.inode_lbas(inum);
             order_after_tombstone(bc, ino_lba, ino_n);
@@ -1174,50 +1176,41 @@ impl Xv6Fs {
             if ino.itype == InodeType::Free {
                 return Err(FsError::NotFound(format!("inode {inum} is free")));
             }
-            self.free_file_blocks(dev, bc, &ino, |_, _| {})?;
+            for b in self.owned_blocks(dev, bc, &ino)? {
+                self.bfree(dev, bc, b)?;
+            }
             ino.addrs = [0; NDIRECT + 1];
             ino.size = 0;
             self.write_inode(dev, bc, inum, &ino)
         })
     }
 
-    /// Frees the blocks inode `ino` maps: its direct blocks, the blocks its
-    /// indirect block lists, then the indirect block itself, calling
-    /// `after_free` with each block right after its bitmap bit clears.
-    /// Only addresses [`Xv6Fs::data_block`] accepts are freed, and the
-    /// indirect block is read only if it lies in the data area: a corrupt
-    /// address must not free a metadata block (the next allocation would
-    /// zero it) or stop the free part-way.
-    fn free_file_blocks(
+    /// The blocks inode `ino` owns, in the order `unlink` and `truncate`
+    /// free them: its direct blocks, the blocks its indirect block lists,
+    /// then the indirect block itself. Only addresses [`Xv6Fs::data_block`]
+    /// accepts are listed, and the indirect block is read only if it lies in
+    /// the data area: a corrupt address must not free a metadata block (the
+    /// next allocation would zero it). Both callers read the list before
+    /// they write anything, so a read that fails (a faulty indirect block)
+    /// fails them with nothing changed.
+    fn owned_blocks(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         ino: &DiskInode,
-        mut after_free: impl FnMut(&mut BufCache, u32),
-    ) -> FsResult<()> {
-        let owned = |b: u32| b != 0 && self.data_block(b).is_ok();
-        let mut free = |dev: &mut dyn BlockDevice, bc: &mut BufCache, b: u32| {
-            self.bfree(dev, bc, b)?;
-            after_free(bc, b);
-            FsResult::Ok(())
-        };
-        for &b in &ino.addrs[..NDIRECT] {
-            if owned(b) {
-                free(dev, bc, b)?;
-            }
-        }
+    ) -> FsResult<Vec<u32>> {
+        let owned = |b: &u32| *b != 0 && self.data_block(*b).is_ok();
+        let mut blocks: Vec<u32> = ino.addrs[..NDIRECT].iter().copied().filter(owned).collect();
         let ind = ino.addrs[NDIRECT];
-        if owned(ind) {
+        if owned(&ind) {
             let list = Self::read_fs_block(dev, bc, ind)?;
-            for chunk in list.chunks_exact(4) {
-                let b = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                if owned(b) {
-                    free(dev, bc, b)?;
-                }
-            }
-            free(dev, bc, ind)?;
+            let words = list
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+            blocks.extend(words.filter(owned));
+            blocks.push(ind);
         }
-        Ok(())
+        Ok(blocks)
     }
 
     /// Convenience: creates (or truncates) a file at `p` and writes `data`.
@@ -1569,6 +1562,58 @@ mod tests {
         names.sort();
         assert_eq!(names, ["a", "d2", "i2", "next"]);
         assert_eq!(fs.read_file(&mut dev, &mut bc, "/a").unwrap(), b"kept");
+    }
+
+    #[test]
+    fn a_failed_unlink_or_overwrite_changes_nothing() {
+        // A flushed 20-block file under a cold cache, with a fault on its
+        // indirect block: each call must fail before it writes anything.
+        // Unlink used to leave the root without `big` and free its direct
+        // blocks; the overwrite freed them too while `/big` still mapped
+        // them, so the next file's data showed through it.
+        let (mut dev, mut bc, fs) = fresh_fs();
+        fs.write_file(&mut dev, &mut bc, "/a", b"kept").unwrap();
+        let big: Vec<u8> = (0..20 * BSIZE).map(|i| (i % 251) as u8).collect();
+        fs.write_file(&mut dev, &mut bc, "/big", &big).unwrap();
+        let inum = fs.lookup(&mut dev, &mut bc, "/big").unwrap();
+        let ind = fs.read_inode(&mut dev, &mut bc, inum).unwrap().addrs[NDIRECT];
+        bc.flush(&mut dev).unwrap();
+        let free = fs.free_blocks(&mut dev, &mut bc).unwrap();
+        let names = |dev: &mut MemDisk, bc: &mut BufCache| -> Vec<String> {
+            let mut names: Vec<_> = fs
+                .list_dir(dev, bc, "/")
+                .unwrap()
+                .into_iter()
+                .map(|e| e.name)
+                .collect();
+            names.sort();
+            names
+        };
+        for overwrite in [false, true] {
+            bc.invalidate_all();
+            dev.inject_fault(Xv6Fs::block_lbas(ind).0);
+            let failed = if overwrite {
+                fs.write_file(&mut dev, &mut bc, "/big", &[0xCC; 4 * BSIZE])
+                    .map(|_| ())
+            } else {
+                fs.unlink(&mut dev, &mut bc, "/big")
+            };
+            assert!(matches!(failed, Err(FsError::Io(_))), "{failed:?}");
+            dev.clear_faults();
+            let what = if overwrite { "overwrite" } else { "unlink" };
+            assert_eq!(names(&mut dev, &mut bc), ["a", "big"], "{what}");
+            assert_eq!(fs.free_blocks(&mut dev, &mut bc).unwrap(), free, "{what}");
+            let ino = fs.read_inode(&mut dev, &mut bc, inum).unwrap();
+            assert_eq!(ino.itype, InodeType::File, "{what}");
+            assert_eq!(
+                fs.read_file(&mut dev, &mut bc, "/big").unwrap(),
+                big,
+                "{what}"
+            );
+        }
+        fs.write_file(&mut dev, &mut bc, "/next", &[0xCC; 4 * BSIZE])
+            .unwrap();
+        assert_eq!(fs.read_file(&mut dev, &mut bc, "/big").unwrap(), big);
     }
 
     #[test]

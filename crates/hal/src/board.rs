@@ -86,6 +86,30 @@ impl SimBoard {
         Self::new(Platform::Pi3)
     }
 
+    /// A copy of the board in its current state, with `usb` as its USB
+    /// controller (see [`UsbHostController::fork`]). The copy shares its
+    /// DRAM frames, SD card chunks and framebuffer planes with this board
+    /// until either side writes them.
+    pub fn fork(&self, usb: UsbHostController) -> Self {
+        SimBoard {
+            clock: self.clock.clone(),
+            cost: self.cost.clone(),
+            mem: self.mem.clone(),
+            intc: self.intc.clone(),
+            systimer: self.systimer.clone(),
+            generic_timers: self.generic_timers.clone(),
+            uart: self.uart.clone(),
+            mailbox: self.mailbox.clone(),
+            framebuffer: self.framebuffer.clone(),
+            gpio: self.gpio.clone(),
+            pwm: self.pwm.clone(),
+            dma: self.dma.clone(),
+            sdhost: self.sdhost.clone(),
+            usb,
+            active_cores: self.active_cores,
+        }
+    }
+
     /// Restricts the board to `cores` usable cores (Figure 10's sweep).
     pub fn set_active_cores(&mut self, cores: usize) {
         self.active_cores = cores.clamp(1, NUM_CORES);

@@ -12,7 +12,10 @@
 //!
 //! The blocks are kept in 64 KB chunks of 128 blocks, each allocated on its
 //! first write; a block no write ever reached reads as zero. A command moves
-//! its data one run at a time, with one copy per chunk the run touches. With
+//! its data one run at a time, with one copy per chunk the run touches. A
+//! chunk is an `Arc` of its bytes, written through [`Arc::make_mut`], so a
+//! cloned disk shares every chunk with its source until one of them writes
+//! it: cloning copies the chunk table, not the medium. With
 //! the posted write cache on, completed writes sit in a per-block volatile
 //! overlay that every read consults over the store, that a FLUSH persists
 //! and that a power cut drops.
@@ -34,6 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::sdhost::SdSgRun;
 use crate::{HalError, HalResult};
@@ -423,8 +427,9 @@ fn whole_blocks(count: u64, len: usize) -> HalResult<()> {
 #[derive(Debug, Clone, Default)]
 struct ChunkStore {
     /// Chunk `i` holds blocks `[i * CHUNK_BLOCKS, (i + 1) * CHUNK_BLOCKS)`;
-    /// the vector grows to the highest chunk written.
-    chunks: Vec<Option<Box<[u8]>>>,
+    /// the vector grows to the highest chunk written. A clone of the store
+    /// shares each chunk until either side writes it.
+    chunks: Vec<Option<Arc<Vec<u8>>>>,
 }
 
 impl ChunkStore {
@@ -463,8 +468,8 @@ impl ChunkStore {
             if self.chunks.len() <= chunk {
                 self.chunks.resize_with(chunk + 1, || None);
             }
-            let c = self.chunks[chunk].get_or_insert_with(|| vec![0u8; CHUNK_BYTES].into());
-            c[within].copy_from_slice(&data[buf]);
+            let c = self.chunks[chunk].get_or_insert_with(|| Arc::new(vec![0u8; CHUNK_BYTES]));
+            Arc::make_mut(c)[within].copy_from_slice(&data[buf]);
         }
     }
 }
@@ -493,5 +498,32 @@ mod tests {
         assert_eq!(disk.image(), back);
         disk.flush().unwrap();
         assert_eq!(&disk.image()[CHUNK_BYTES..][..BLOCK_SIZE], &block[..]);
+    }
+
+    #[test]
+    fn a_clone_shares_its_chunks_until_either_side_writes_one() {
+        let mut a = Disk::new(4 * CHUNK_BLOCKS);
+        let block = |v| [v; BLOCK_SIZE];
+        a.write_block(0, &block(1)).unwrap();
+        a.write_block(2 * CHUNK_BLOCKS, &block(2)).unwrap();
+        let mut b = a.clone();
+        let shared = |a: &Disk, b: &Disk, i: usize| match (&a.store.chunks[i], &b.store.chunks[i]) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        assert!(shared(&a, &b, 0) && shared(&a, &b, 2));
+        // A write copies only the chunk it lands in, and only on its side.
+        b.write_block(1, &block(3)).unwrap();
+        assert!(!shared(&a, &b, 0) && shared(&a, &b, 2));
+        let mut read = [0u8; BLOCK_SIZE];
+        a.read_block(1, &mut read).unwrap();
+        assert_eq!(read, block(0), "the source never sees the clone's write");
+        b.read_block(0, &mut read).unwrap();
+        assert_eq!(read, block(1), "the copied chunk keeps the shared bytes");
+        // Faults and power cuts are the disk's own too.
+        b.inject_fault(2 * CHUNK_BLOCKS);
+        b.power_cut();
+        a.read_block(2 * CHUNK_BLOCKS, &mut read).unwrap();
+        assert_eq!(read, block(2));
     }
 }

@@ -67,14 +67,14 @@ pub struct DmaCompletion {
     pub error: Option<HalError>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Channel {
     active: Option<(DmaTransfer, u64)>, // (transfer, completion time in cycles)
     completions: u64,
 }
 
 /// The DMA engine model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DmaEngine {
     channels: Vec<Channel>,
     finished: Vec<DmaCompletion>,

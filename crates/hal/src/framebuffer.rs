@@ -12,9 +12,12 @@
 //! writes land in, and the *scanout* plane the display engine reads. Cache
 //! cleans (or capacity evictions) move lines from staged to scanout — exactly
 //! the behaviour that produces the stale-pixel artifacts of §4.3 when the
-//! per-frame flush is forgotten.
+//! per-frame flush is forgotten. Each plane is an `Arc` of its pixels,
+//! written through [`Arc::make_mut`], so a cloned device shares both planes
+//! with its source until one of them draws.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::cache::{DirtyLineTracker, CACHE_LINE_SIZE};
 use crate::{HalError, HalResult};
@@ -59,13 +62,13 @@ impl FramebufferInfo {
 }
 
 /// The framebuffer device (GPU memory + scanout).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Framebuffer {
     info: Option<FramebufferInfo>,
     /// What cacheable CPU writes have produced (may be ahead of scanout).
-    staged: Vec<u32>,
+    staged: Arc<Vec<u32>>,
     /// What the display engine scans out.
-    scanout: Vec<u32>,
+    scanout: Arc<Vec<u32>>,
     dirty: DirtyLineTracker,
     /// Count of pixels written by the CPU since allocation.
     pixels_written: u64,
@@ -84,8 +87,8 @@ impl Framebuffer {
     pub fn new() -> Self {
         Framebuffer {
             info: None,
-            staged: Vec::new(),
-            scanout: Vec::new(),
+            staged: Arc::default(),
+            scanout: Arc::default(),
             dirty: DirtyLineTracker::new(0, FB_CACHE_LINES),
             pixels_written: 0,
             flushes: 0,
@@ -106,8 +109,8 @@ impl Framebuffer {
             size,
         };
         self.info = Some(info);
-        self.staged = vec![0u32; (width * height) as usize];
-        self.scanout = vec![0u32; (width * height) as usize];
+        self.staged = Arc::new(vec![0u32; (width * height) as usize]);
+        self.scanout = Arc::new(vec![0u32; (width * height) as usize]);
         self.dirty = DirtyLineTracker::new(size as usize, FB_CACHE_LINES);
         self.pixels_written = 0;
         self.flushes = 0;
@@ -158,7 +161,7 @@ impl Framebuffer {
                     info.pixel_count()
                 ))
             })?;
-        self.staged[offset_px..end].copy_from_slice(pixels);
+        Arc::make_mut(&mut self.staged)[offset_px..end].copy_from_slice(pixels);
         self.pixels_written += pixels.len() as u64;
         if cached {
             let byte_off = offset_px * BYTES_PER_PIXEL as usize;
@@ -166,7 +169,7 @@ impl Framebuffer {
             let evicted = self.dirty.mark_dirty(byte_off, byte_len);
             self.write_back(evicted);
         } else {
-            self.scanout[offset_px..end].copy_from_slice(pixels);
+            Arc::make_mut(&mut self.scanout)[offset_px..end].copy_from_slice(pixels);
         }
         Ok(())
     }
@@ -185,6 +188,11 @@ impl Framebuffer {
     /// Copies each run of lines from the staged plane to scanout, one copy
     /// per run, and returns the number of lines written back.
     fn write_back(&mut self, runs: Vec<Range<usize>>) -> usize {
+        // A clean with nothing to write back must not copy a shared plane.
+        if runs.is_empty() {
+            return 0;
+        }
+        let scanout = Arc::make_mut(&mut self.scanout);
         let mut lines = 0;
         for run in runs {
             lines += run.len();
@@ -192,7 +200,7 @@ impl Framebuffer {
             // only the last line of an allocation that is not a whole number
             // of lines extends past the planes.
             let px = run.start * LINE_PX..(run.end * LINE_PX).min(self.staged.len());
-            self.scanout[px.clone()].copy_from_slice(&self.staged[px]);
+            scanout[px.clone()].copy_from_slice(&self.staged[px]);
         }
         lines
     }

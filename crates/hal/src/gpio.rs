@@ -38,7 +38,7 @@ struct Pin {
 }
 
 /// The GPIO controller model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Gpio {
     pins: Vec<Pin>,
 }

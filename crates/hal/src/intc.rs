@@ -59,7 +59,7 @@ pub struct PendingIrq {
 }
 
 /// The simulated interrupt controller.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IrqController {
     enabled: Vec<Interrupt>,
     pending: VecDeque<PendingIrq>,

@@ -35,7 +35,7 @@ pub const FIRMWARE_FB_ADDR: u64 = 0x3C10_0000;
 pub const PI3B_PLUS_REVISION: u32 = 0x00A0_20D3;
 
 /// The mailbox/firmware model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Mailbox {
     arm_mem_base: u32,
     arm_mem_size: u32,

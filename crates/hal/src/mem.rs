@@ -56,7 +56,9 @@ fn split(addr: PhysAddr) -> (usize, usize) {
     ((addr / frame) as usize, (addr % frame) as usize)
 }
 
-/// Sparse simulated DRAM.
+/// Sparse simulated DRAM. A clone shares every frame with its source until
+/// one of them writes it.
+#[derive(Clone)]
 pub struct PhysMem {
     /// Entry `i` holds frame `i`'s bytes; `None` has never been written.
     frames: Vec<Option<Frame>>,

@@ -25,7 +25,7 @@ pub const MAX_QUEUED_BUFFERS: usize = 2;
 pub const DEFAULT_SAMPLE_RATE: u32 = 44_100;
 
 /// The PWM audio device.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PwmAudio {
     enabled: bool,
     sample_rate: u32,

@@ -123,7 +123,7 @@ pub struct SdCompletion {
 }
 
 /// The SD host controller and the card in its slot.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SdHost {
     /// The card: its blocks, injected faults, power and posted write cache.
     pub card: Disk,

@@ -28,7 +28,7 @@ pub enum UartMode {
 pub const RX_FIFO_DEPTH: usize = 16;
 
 /// The UART device model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Uart {
     mode: UartMode,
     /// Everything the kernel has ever written (the "serial console log").

@@ -187,6 +187,31 @@ impl UsbHostController {
     pub fn control_transfer_count(&self) -> u64 {
         self.control_transfers
     }
+
+    /// A copy of this controller, its power, addresses and counters, with
+    /// `device(port)` plugged into each port that holds a device here: the
+    /// controller cannot copy a device model, so the caller supplies each
+    /// copy. Fails if `device` has none for a connected port.
+    pub fn fork(
+        &self,
+        mut device: impl FnMut(usize) -> Option<Box<dyn UsbHwDevice>>,
+    ) -> HalResult<Self> {
+        let mut ports = Vec::with_capacity(self.ports.len());
+        for (port, plugged) in self.ports.iter().enumerate() {
+            ports.push(match plugged {
+                None => None,
+                Some(d) => Some(device(port).ok_or_else(|| {
+                    HalError::InvalidState(format!("no copy of {} on usb port {port}", d.name()))
+                })?),
+            });
+        }
+        Ok(UsbHostController {
+            powered: self.powered,
+            ports,
+            addresses: self.addresses.clone(),
+            control_transfers: self.control_transfers,
+        })
+    }
 }
 
 #[cfg(test)]

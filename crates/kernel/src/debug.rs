@@ -60,7 +60,7 @@ pub struct PanicDump {
 ///
 /// The ARMv8 debug registers (DBGBCR/DBGWCR) allow a handful of breakpoints
 /// and watchpoints; the A53 has six and four respectively.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DebugMonitor {
     breakpoints: Vec<Breakpoint>,
     watchpoints: Vec<Watchpoint>,

@@ -17,6 +17,7 @@
 //! heap setup, argument passing) matches the paper's loader.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{KResult, KernelError};
 use crate::usercall::UserProgram;
@@ -148,13 +149,14 @@ impl ProgramImage {
     }
 }
 
-/// Factory signature for instantiating a registered program.
-pub type ProgramFactory = Box<dyn Fn(&[String]) -> Box<dyn UserProgram> + Send + Sync>;
+/// Factory signature for instantiating a registered program. A factory is
+/// shared, so a forked kernel's registry is a copy of the name table only.
+pub type ProgramFactory = Arc<dyn Fn(&[String]) -> Box<dyn UserProgram> + Send + Sync>;
 
 /// The program registry: maps image names to factories. The apps crate
 /// registers every target application here; `exec()` consults it after
 /// parsing the image.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct ProgramRegistry {
     factories: HashMap<String, ProgramFactory>,
 }
@@ -180,7 +182,7 @@ impl ProgramRegistry {
     where
         F: Fn(&[String]) -> Box<dyn UserProgram> + Send + Sync + 'static,
     {
-        self.factories.insert(name.to_string(), Box::new(factory));
+        self.factories.insert(name.to_string(), Arc::new(factory));
     }
 
     /// Instantiates the program registered under `name`.

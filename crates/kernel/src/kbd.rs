@@ -70,7 +70,7 @@ pub fn decode_event(raw: &[u8]) -> Option<KeyEvent> {
 }
 
 /// The keyboard driver state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct KeyboardDriver {
     /// Raw events straight from the USB stack (backs `/dev/events`).
     pub raw_queue: KeyEventQueue,

@@ -47,6 +47,8 @@ use crate::wm::WindowManager;
 pub const RAMDISK_BYTES: u64 = 8 * 1024 * 1024;
 /// Where the FAT32 partition (partition 2) starts on the SD card, in blocks.
 pub const FAT_PARTITION_START: u64 = 8192;
+/// The USB port [`Kernel::attach_keyboard`] plugs the keyboard into.
+const KEYBOARD_PORT: usize = 0;
 /// Scheduler tick period in microseconds.
 pub const TICK_US: u64 = 10_000;
 /// Dirty-ratio high-water mark: past this, the adaptive flusher wakes early
@@ -104,7 +106,7 @@ pub struct BootStats {
 
 /// Per-task runtime metrics (frames, phase breakdown) used by Table 5 and
 /// Figure 11.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskMetrics {
     /// Frames presented.
     pub frames: u64,
@@ -188,6 +190,14 @@ impl SharedKeyboard {
     pub fn type_str(&self, s: &str) {
         self.0.lock().unwrap_or_else(|e| e.into_inner()).type_str(s);
     }
+
+    /// A new keyboard in this one's state (keys held, reports queued) that
+    /// shares nothing with it: a key pressed on either reaches only its own
+    /// port.
+    fn fork(&self) -> SharedKeyboard {
+        let state = self.0.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        SharedKeyboard(Arc::new(Mutex::new(state)))
+    }
 }
 
 impl Default for SharedKeyboard {
@@ -238,6 +248,9 @@ impl UserProgram for WmThread {
     fn program_name(&self) -> &str {
         "kwm"
     }
+    fn clone_stateless(&self) -> Option<Box<dyn UserProgram>> {
+        Some(Box::new(WmThread))
+    }
 }
 
 /// The background write-back flusher kernel thread (modeled on `kwm`): wakes
@@ -262,6 +275,9 @@ impl UserProgram for KbioThread {
     }
     fn program_name(&self) -> &str {
         "kbio"
+    }
+    fn clone_stateless(&self) -> Option<Box<dyn UserProgram>> {
+        Some(Box::new(KbioThread))
     }
 }
 
@@ -388,6 +404,71 @@ impl Kernel {
         Self::new(KernelConfig::desktop(), Platform::Pi3)
     }
 
+    /// Forks the whole system: a kernel, board and filesystems in this one's
+    /// exact state that share nothing mutable with it. The copy shares DRAM
+    /// frames, SD card and ramdisk chunks and framebuffer planes with this
+    /// kernel until either side writes them, so a fork copies tables and
+    /// the two buffer caches, not media. It gets its own keyboard, in this
+    /// one's state, on the same USB port.
+    ///
+    /// Only a kernel whose tasks all run stateless programs (the `kwm` and
+    /// `kbio` threads and [`Kernel::spawn_bench_task`]'s tasks, which is the
+    /// state a freshly built system is in) can be forked, and its own
+    /// keyboard is the only USB device it can copy: anything else fails the
+    /// fork with [`KernelError::NotSupported`].
+    pub fn fork(&self) -> KResult<Kernel> {
+        let mut programs = BTreeMap::new();
+        for (&tid, program) in &self.programs {
+            let copy = program.clone_stateless().ok_or_else(|| {
+                let name = program.program_name();
+                KernelError::NotSupported(format!("a fork of task {tid}'s program '{name}'"))
+            })?;
+            programs.insert(tid, copy);
+        }
+        let keyboard = self.shared_keyboard.as_ref().map(SharedKeyboard::fork);
+        let usb = self
+            .board
+            .usb
+            .fork(|port| match &keyboard {
+                Some(kb) if port == KEYBOARD_PORT => Some(Box::new(kb.clone()) as Box<_>),
+                _ => None,
+            })
+            .map_err(|e| KernelError::NotSupported(format!("a fork of the USB bus: {e}")))?;
+        Ok(Kernel {
+            board: self.board.fork(usb),
+            config: self.config,
+            mm: self.mm.clone(),
+            sched: self.sched.clone(),
+            trace: self.trace.clone(),
+            debugmon: self.debugmon.clone(),
+            wm: self.wm.clone(),
+            registry: self.registry.clone(),
+            tasks: self.tasks.clone(),
+            programs,
+            address_spaces: self.address_spaces.clone(),
+            next_asid: self.next_asid,
+            next_task_id: self.next_task_id,
+            pipes: self.pipes.clone(),
+            sems: self.sems.clone(),
+            volumes: self.volumes.clone(),
+            kbd: self.kbd.clone(),
+            sound: self.sound.clone(),
+            console_input: self.console_input.clone(),
+            usb_stack: self.usb_stack.clone(),
+            shared_keyboard: keyboard,
+            fb_mappings: self.fb_mappings.clone(),
+            metrics: self.metrics.clone(),
+            boot_stats: self.boot_stats,
+            booted: self.booted,
+            last_on_core: self.last_on_core.clone(),
+            console_lines: self.console_lines.clone(),
+            init_task: self.init_task,
+            kbio_task: self.kbio_task,
+            sd_comps_seen: self.sd_comps_seen,
+            in_scheduled_step: self.in_scheduled_step,
+        })
+    }
+
     // ---- accessors ----------------------------------------------------------------------
 
     /// Current board time in microseconds.
@@ -461,7 +542,7 @@ impl Kernel {
     /// happens at boot or on the next re-enumeration).
     pub fn attach_keyboard(&mut self) -> KResult<SharedKeyboard> {
         let kb = SharedKeyboard::new();
-        self.board.usb.attach(0, Box::new(kb.clone()))?;
+        self.board.usb.attach(KEYBOARD_PORT, Box::new(kb.clone()))?;
         self.shared_keyboard = Some(kb.clone());
         if self.booted && self.config.usb_keyboard {
             self.usb_stack.enumerate(&mut self.board.usb)?;
@@ -1607,6 +1688,9 @@ impl Kernel {
                 )]
                 let _ = ctx.sleep_ms(1000);
                 StepResult::Continue
+            }
+            fn clone_stateless(&self) -> Option<Box<dyn UserProgram>> {
+                Some(Box::new(Inert))
             }
         }
         let image = ProgramImage::small(name);

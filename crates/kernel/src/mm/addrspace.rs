@@ -86,7 +86,7 @@ pub struct AddrSpaceStats {
 }
 
 /// A user (or kernel-thread) address space.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AddressSpace {
     table: PageTable,
     regions: Vec<Region>,

@@ -27,7 +27,7 @@ pub struct FrameStats {
 }
 
 /// A free-list frame allocator over `[base, base + count * FRAME_SIZE)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FrameAllocator {
     base: PhysAddr,
     count: usize,

@@ -43,7 +43,7 @@ pub struct KmallocStats {
 /// kernel's Rust data structures are the real storage); it models the size
 /// accounting and failure behaviour so `/proc/meminfo` and the memory figures
 /// have something honest to report.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Kmalloc {
     limit_bytes: u64,
     stats: KmallocStats,
@@ -124,7 +124,7 @@ impl MemSnapshot {
 }
 
 /// The kernel's memory manager.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemoryManager {
     /// Frame allocator over the usable DRAM pool.
     pub frames: FrameAllocator,

@@ -16,7 +16,7 @@ use crate::error::{KResult, KernelError};
 pub const PIPE_CAPACITY: usize = 512;
 
 /// One pipe: a bounded byte FIFO plus reader/writer reference counts.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Pipe {
     buffer: VecDeque<u8>,
     readers: usize,
@@ -85,7 +85,7 @@ pub enum PipeWriteResult {
 }
 
 /// The kernel's pipe table.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PipeTable {
     pipes: HashMap<u64, Pipe>,
     next_id: u64,

@@ -47,7 +47,7 @@ impl CoreStats {
 }
 
 /// The multicore round-robin scheduler with per-core runqueues.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Scheduler {
     runqueues: Vec<VecDeque<TaskId>>,
     current: Vec<Option<TaskId>>,

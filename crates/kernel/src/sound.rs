@@ -28,7 +28,7 @@ pub enum SoundWriteOutcome {
 }
 
 /// The sound driver state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SoundDriver {
     ring: VecDeque<i16>,
     /// Total samples accepted from userspace.

@@ -106,7 +106,7 @@ impl SpinLock {
 }
 
 /// One counting semaphore plus its wait queue.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Semaphore {
     value: i64,
     waiters: Vec<TaskId>,
@@ -121,7 +121,7 @@ pub struct Semaphore {
 }
 
 /// The kernel's semaphore table (backing the Prototype 5 semaphore syscalls).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SemTable {
     sems: BTreeMap<u64, Semaphore>,
     next_id: u64,

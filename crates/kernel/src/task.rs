@@ -70,7 +70,7 @@ pub const DEFAULT_PRIORITY: u8 = 4;
 pub const MAX_PRIORITY: u8 = 8;
 
 /// A task control block.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Task {
     /// Task id.
     pub id: TaskId,

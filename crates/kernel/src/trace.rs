@@ -59,7 +59,7 @@ pub struct TraceEvent {
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// The trace ring buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceBuffer {
     events: Vec<TraceEvent>,
     capacity: usize,

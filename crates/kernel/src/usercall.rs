@@ -92,6 +92,13 @@ pub trait UserProgram: Send {
     fn program_name(&self) -> &str {
         "user"
     }
+
+    /// A copy of this program for a forked kernel ([`Kernel::fork`]). Only
+    /// a program that keeps no state between its steps has one; the default
+    /// is `None`, and a kernel running such a program cannot be forked.
+    fn clone_stateless(&self) -> Option<Box<dyn UserProgram>> {
+        None
+    }
 }
 
 /// File metadata returned by [`UserCtx::stat`].

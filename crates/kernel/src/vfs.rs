@@ -219,7 +219,7 @@ impl OpenFile {
 pub const MAX_FDS: usize = 16;
 
 /// A per-task file-descriptor table.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FdTable {
     files: Vec<Option<OpenFile>>,
 }
@@ -355,7 +355,7 @@ pub(crate) fn resolve(path: &str, fat_mounted: bool) -> (MountTarget, String) {
 
 /// One mounted disk: its filesystem, the buffer cache in front of its
 /// medium, and the medium.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Volume {
     /// The filesystem, which calls reach through [`VolumeIo`].
     pub(crate) fs: FileSystem,
@@ -425,7 +425,7 @@ impl Volume {
 }
 
 /// What a volume's blocks live on.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Medium {
     /// The ramdisk baked into the kernel image.
     Ramdisk(MemDisk),
@@ -468,7 +468,7 @@ impl Medium {
 }
 
 /// A volume's filesystem.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum FileSystem {
     /// xv6fs: a file's number is its inode.
     Xv6(Xv6Fs),
@@ -615,7 +615,7 @@ impl VolumeIo<'_> {
 /// The FAT volume's pseudo-inodes: the numbers it gives the paths it opens,
 /// so a FAT file sits in the file table like an xv6 inode (§4.5). A number
 /// stays bound to its path for the life of the mount.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PseudoInodes {
     numbers: BTreeMap<String, u32>,
     /// The path behind each number, at that index.

@@ -50,7 +50,7 @@ impl Rect {
 }
 
 /// One application surface.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Surface {
     /// Surface id (also the value stored in the task's fd).
     pub id: u64,
@@ -104,7 +104,7 @@ pub struct ComposeStats {
 }
 
 /// The window manager state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct WindowManager {
     surfaces: Vec<Surface>,
     /// Z-order: surface ids, bottom first. Floating surfaces are composited

@@ -6,6 +6,21 @@
 //! stage's feature set, the registered applications, the filesystem assets
 //! the stage's target apps need, and a USB keyboard on the port. Tests,
 //! examples and every benchmark start from here.
+//!
+//! # Build once, fork many
+//!
+//! Each snapshot boots from one prebuilt image, and so does a build here.
+//! Every thread holds a fork ([`ProtoSystem::fork`]) of the last system it
+//! built, with the options it was built from. A build with the same options
+//! returns a fork of that image instead of booting and installing again; a
+//! build with other options drops the held image, builds from scratch and
+//! holds a fork of the new system. So a thread holds at most one image
+//! beside the systems it runs, and a thread's first build (a fresh thread
+//! has no image) is always a scratch build. A fork is the system in the
+//! exact state its scratch build left: same disk images, clocks, cache
+//! statistics and trace ring, and the same run from then on.
+
+use std::cell::RefCell;
 
 use hal::cost::Platform;
 use kernel::kernel::{Kernel, SharedKeyboard};
@@ -14,7 +29,7 @@ use kernel::{KResult, KernelConfig, KernelVariant, PrototypeStage, TaskId};
 use crate::assets;
 
 /// Options controlling how a system is assembled.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemOptions {
     /// Which prototype to build.
     pub stage: PrototypeStage,
@@ -91,9 +106,42 @@ impl std::fmt::Debug for ProtoSystem {
     }
 }
 
+thread_local! {
+    /// A fork of the last system this thread built, with its options.
+    static HELD_IMAGE: RefCell<Option<(SystemOptions, ProtoSystem)>> = const { RefCell::new(None) };
+}
+
 impl ProtoSystem {
-    /// Builds and boots a system according to `options`.
+    /// Builds and boots a system according to `options`: a fork of this
+    /// thread's held image when it was built from the same options, a
+    /// scratch build otherwise (see the module doc).
     pub fn build(options: SystemOptions) -> KResult<ProtoSystem> {
+        HELD_IMAGE.with(|held| {
+            let mut held = held.borrow_mut();
+            if let Some((_, image)) = held.as_ref().filter(|(o, _)| *o == options) {
+                return image.fork();
+            }
+            *held = None;
+            let sys = Self::build_from_scratch(options)?;
+            *held = Some((options, sys.fork()?));
+            Ok(sys)
+        })
+    }
+
+    /// Forks the system ([`Kernel::fork`]): the copy has its own keyboard
+    /// if this one has one. Fails with [`kernel::KernelError::NotSupported`]
+    /// once a task runs a program that keeps state, as every app does.
+    pub fn fork(&self) -> KResult<ProtoSystem> {
+        let kernel = self.kernel.fork()?;
+        Ok(ProtoSystem {
+            keyboard: self.keyboard.as_ref().and(kernel.keyboard()),
+            options: self.options,
+            kernel,
+        })
+    }
+
+    /// Boots a kernel for `options` and installs its assets.
+    fn build_from_scratch(options: SystemOptions) -> KResult<ProtoSystem> {
         let mut config = KernelConfig::for_stage(options.stage).with_variant(options.variant);
         if !options.window_manager {
             config.window_manager = false;
@@ -159,6 +207,7 @@ impl ProtoSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernel::kernel::FAT_PARTITION_START;
 
     #[test]
     fn every_prototype_builds_and_boots() {
@@ -184,7 +233,7 @@ mod tests {
     #[test]
     fn booted_io_pipeline_follows_the_variant() {
         use hal::sdhost::SdDataMode;
-        use kernel::kernel::{FAT_GROUP_COMMIT_OPS, FAT_PARTITION_START};
+        use kernel::kernel::FAT_GROUP_COMMIT_OPS;
         use kernel::OpenFlags;
         for variant in [KernelVariant::Proto, KernelVariant::Xv6Baseline] {
             let mut sys = ProtoSystem::build(SystemOptions {
@@ -252,34 +301,192 @@ mod tests {
         }
     }
 
-    #[test]
-    fn two_desktop_builds_in_one_process_leave_identical_systems() {
-        // Other tests in this binary may have generated the assets already,
-        // so this checks that two builds in one process agree, not a
-        // generating build against a cached one: the assets' own test
-        // compares the cache with the generators.
-        let [mut a, mut b] = [(); 2].map(|()| ProtoSystem::desktop().unwrap());
-        let (ka, kb) = (&mut a.kernel, &mut b.kernel);
-        assert_eq!(ka.ramdisk_image(), kb.ramdisk_image(), "ramdisk images");
-        // The card a megabyte at a time: its image is 256 MB.
-        let (ca, cb) = (&mut ka.board.sdhost.card, &mut kb.board.sdhost.card);
-        let blocks = ca.num_blocks();
-        assert_eq!(blocks, cb.num_blocks());
+    /// Builds `options` on a fresh thread, which holds no image: a scratch
+    /// build.
+    fn scratch_build(options: SystemOptions) -> ProtoSystem {
+        std::thread::spawn(move || ProtoSystem::build(options).unwrap())
+            .join()
+            .unwrap()
+    }
+
+    /// The options of this thread's held image, if it holds one.
+    fn held_options() -> Option<SystemOptions> {
+        HELD_IMAGE.with(|held| held.borrow().as_ref().map(|(o, _)| *o))
+    }
+
+    /// Asserts that two SD cards hold the same blocks, a megabyte at a time:
+    /// the card's image is 256 MB.
+    fn assert_same_card(a: &mut hal::disk::Disk, b: &mut hal::disk::Disk, what: &str) {
+        let blocks = a.num_blocks();
+        assert_eq!(blocks, b.num_blocks(), "{what}: card sizes");
         let (mut wa, mut wb) = (vec![0u8; 1 << 20], vec![0u8; 1 << 20]);
         for lba in (0..blocks).step_by(2048) {
             let n = 2048.min(blocks - lba);
             let len = n as usize * 512;
-            ca.read_range(lba, n, &mut wa[..len]).unwrap();
-            cb.read_range(lba, n, &mut wb[..len]).unwrap();
-            assert!(wa[..len] == wb[..len], "SD card blocks from {lba}");
+            a.read_range(lba, n, &mut wa[..len]).unwrap();
+            b.read_range(lba, n, &mut wb[..len]).unwrap();
+            assert!(wa[..len] == wb[..len], "{what}: SD card blocks from {lba}");
         }
+    }
+
+    /// Asserts that two systems are in the same state: disk images, per-core
+    /// clocks, both caches' statistics, the trace ring and every task's
+    /// metrics.
+    fn assert_same_system(a: &mut ProtoSystem, b: &mut ProtoSystem, what: &str) {
+        let (ka, kb) = (&mut a.kernel, &mut b.kernel);
+        assert_eq!(
+            ka.ramdisk_image(),
+            kb.ramdisk_image(),
+            "{what}: ramdisk images"
+        );
+        assert_same_card(&mut ka.board.sdhost.card, &mut kb.board.sdhost.card, what);
         let clocks = |k: &Kernel| {
             (0..k.board.clock.num_cores())
                 .map(|c| k.board.clock.cycles(c))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(clocks(ka), clocks(kb), "per-core clocks");
-        assert_eq!(ka.fat_cache_stats(), kb.fat_cache_stats(), "FAT cache");
-        assert_eq!(ka.root_cache_stats(), kb.root_cache_stats(), "root cache");
+        assert_eq!(clocks(ka), clocks(kb), "{what}: per-core clocks");
+        assert_eq!(
+            ka.fat_cache_stats(),
+            kb.fat_cache_stats(),
+            "{what}: FAT cache"
+        );
+        assert_eq!(
+            ka.root_cache_stats(),
+            kb.root_cache_stats(),
+            "{what}: root cache"
+        );
+        assert_eq!(ka.trace.dump(), kb.trace.dump(), "{what}: trace rings");
+        assert_eq!(ka.task_ids(), kb.task_ids(), "{what}: tasks");
+        for tid in ka.task_ids() {
+            assert_eq!(
+                ka.task_metrics(tid),
+                kb.task_metrics(tid),
+                "{what}: task {tid}"
+            );
+        }
+    }
+
+    #[test]
+    fn two_desktop_builds_in_one_process_leave_identical_systems() {
+        // Other tests in this binary may have generated the assets already,
+        // so this checks that two builds in one process agree, not a
+        // generating build against a cached one: the assets' own test
+        // compares the cache with the generators. Each build runs on its own
+        // fresh thread, so both are scratch builds.
+        let options = SystemOptions::default();
+        let [mut a, mut b] = [(); 2].map(|()| scratch_build(options));
+        assert_same_system(&mut a, &mut b, "two scratch builds");
+    }
+
+    #[test]
+    fn a_fork_runs_exactly_as_the_scratch_build_it_was_forked_from() {
+        let options = SystemOptions::default();
+        let mut scratch = scratch_build(options);
+        // This thread's second build of the same options is a fork of the
+        // image its first one left.
+        drop(ProtoSystem::build(options).unwrap());
+        assert_eq!(held_options(), Some(options));
+        let mut fork = ProtoSystem::build(options).unwrap();
+        assert_same_system(&mut scratch, &mut fork, "right after build");
+
+        // DOOM with the same key taps on each: the same run.
+        for sys in [&mut scratch, &mut fork] {
+            let doom = sys.spawn("doom", &["/d/doom.wad".into()]).unwrap();
+            let keyboard = sys.keyboard.clone().unwrap();
+            for (i, key) in ["w", "w", "d", "a", "s"].into_iter().enumerate() {
+                sys.run_ms(40 + 10 * i as u64);
+                keyboard.type_str(key);
+            }
+            sys.run_ms(60);
+            assert!(
+                sys.kernel.task_metrics(doom).unwrap().frames > 0,
+                "DOOM ran"
+            );
+            assert!(sys.kernel.kbd_events_received() > 0, "the taps arrived");
+        }
+        assert_same_system(&mut scratch, &mut fork, "after DOOM ran");
+        assert_eq!(
+            scratch.kernel.board.framebuffer.scanout_pixels(),
+            fork.kernel.board.framebuffer.scanout_pixels(),
+            "the screens"
+        );
+    }
+
+    #[test]
+    fn forks_share_nothing_with_their_source_the_held_image_or_each_other() {
+        let options = SystemOptions::default();
+        let mut source = ProtoSystem::build(options).unwrap();
+        let [mut a, mut b] = [(); 2].map(|()| ProtoSystem::build(options).unwrap());
+        // A key tap on one fork reaches only that fork's keyboard driver.
+        a.keyboard.as_ref().unwrap().type_str("x");
+        for sys in [&mut source, &mut a, &mut b] {
+            sys.run_ms(20);
+        }
+        assert!(a.kernel.kbd_events_received() > 0, "the tapped fork");
+        assert_eq!(source.kernel.kbd_events_received(), 0, "the source");
+        assert_eq!(b.kernel.kbd_events_received(), 0, "the sibling");
+        // A fault and a power cut on one fork's card, and a write to its
+        // ramdisk.
+        let lba = FAT_PARTITION_START;
+        let card = &mut a.kernel.board.sdhost.card;
+        card.inject_fault(lba);
+        card.power_cut();
+        let ramdisk = a.kernel.ramdisk().unwrap();
+        let mut block = vec![0u8; 512];
+        ramdisk.read_block(0, &mut block).unwrap();
+        let pristine = block.clone();
+        block.fill(0xA5);
+        ramdisk.write_block(0, &block).unwrap();
+        // A fresh fork of the held image comes out as the others did.
+        let mut c = ProtoSystem::build(options).unwrap();
+        c.run_ms(20);
+        assert_eq!(
+            c.kernel.kbd_events_received(),
+            0,
+            "the held image's keyboard"
+        );
+        for (sys, what) in [
+            (&mut source, "source"),
+            (&mut b, "sibling"),
+            (&mut c, "held image"),
+        ] {
+            let card = &mut sys.kernel.board.sdhost.card;
+            assert!(!card.power_lost(), "{what}: card power");
+            card.read_block(lba, &mut block).unwrap();
+            sys.kernel
+                .ramdisk()
+                .unwrap()
+                .read_block(0, &mut block)
+                .unwrap();
+            assert_eq!(block, pristine, "{what}: ramdisk block 0");
+        }
+    }
+
+    #[test]
+    fn a_system_running_an_app_cannot_be_forked() {
+        let mut sys = ProtoSystem::desktop().unwrap();
+        assert!(sys.fork().is_ok(), "the stateless kernel threads fork");
+        sys.kernel.spawn_bench_task("bench").unwrap();
+        assert!(sys.fork().is_ok(), "so does a bench task");
+        sys.spawn("donut", &[]).unwrap();
+        assert!(matches!(
+            sys.fork(),
+            Err(kernel::KernelError::NotSupported(_))
+        ));
+    }
+
+    #[test]
+    fn building_other_options_drops_the_held_image() {
+        let a = SystemOptions::stage(PrototypeStage::Files);
+        let b = SystemOptions {
+            window_manager: false,
+            ..SystemOptions::default()
+        };
+        assert_eq!(held_options(), None, "a fresh thread holds no image");
+        drop(ProtoSystem::build(a).unwrap());
+        assert_eq!(held_options(), Some(a));
+        drop(ProtoSystem::build(b).unwrap());
+        assert_eq!(held_options(), Some(b), "only the last options' image");
     }
 }

@@ -107,7 +107,7 @@ impl KeyEvent {
 pub const DEFAULT_QUEUE_CAPACITY: usize = 128;
 
 /// A bounded FIFO of key events.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KeyEventQueue {
     events: VecDeque<KeyEvent>,
     capacity: usize,

@@ -51,7 +51,7 @@ pub fn keycode_to_usage(code: KeyCode) -> u8 {
 }
 
 /// Stateful report parser: diffs successive boot reports into key events.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct BootReportParser {
     previous_keys: Vec<u8>,
     previous_modifiers: Modifiers,

@@ -23,7 +23,7 @@ use crate::hid::{build_report, keycode_to_usage};
 pub const KEYBOARD_ENDPOINT: u8 = 0x81;
 
 /// A simulated HID boot keyboard.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SimUsbKeyboard {
     address: u8,
     configured: bool,

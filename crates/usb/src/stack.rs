@@ -38,7 +38,7 @@ pub struct UsbDeviceInfo {
 }
 
 /// The host-side stack state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct UsbStack {
     devices: Vec<UsbDeviceInfo>,
     parsers: Vec<BootReportParser>,

@@ -1302,8 +1302,9 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
     };
     // A system whose n files are synced at their old version, with n - 1
     // overwrites pending in the group and the last file open: the next
-    // write() closes the group.
-    let setup = || -> (ProtoSystem, TaskId, i32) {
+    // write() closes the group. It is built once, and each cut runs on a
+    // fork of it.
+    let (pre, writer, fd) = {
         let mut sys = ProtoSystem::desktop().unwrap();
         let sd = &sys.kernel.board.sdhost;
         assert_eq!(sd.data_mode(), SdDataMode::Dma);
@@ -1325,7 +1326,7 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
             .unwrap();
         (sys, writer, fd)
     };
-    let close_group = |sys: &mut ProtoSystem, writer: TaskId, fd: i32| {
+    let close_group = |sys: &mut ProtoSystem| {
         sys.kernel
             .with_task_ctx(writer, |ctx| ctx.write(fd, &news[n - 1]))
     };
@@ -1333,23 +1334,23 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
     // at its record, so every block it persisted is the ready drain's, and
     // the group it failed to commit is still pending.
     let (d, k) = {
-        let (mut sys, writer, fd) = setup();
+        let mut sys = pre.fork().unwrap();
         sys.kernel
             .board
             .sdhost
             .card
             .inject_fault(FAT_PARTITION_START + INTENT_LOG_START);
         let before = sys.kernel.fat_cache_stats().writebacks;
-        assert!(close_group(&mut sys, writer, fd).is_err());
+        assert!(close_group(&mut sys).is_err());
         let d = sys.kernel.fat_cache_stats().writebacks - before;
         (d, sys.kernel.fat_cache().unwrap().group_sectors() as u64)
     };
     assert!(d > 0, "the ready drain persists the pending data first");
     assert!(k >= 2, "the record must carry several payloads, got {k}");
     for j in 0..=k + 2 {
-        let (mut sys, writer, fd) = setup();
+        let mut sys = pre.fork().unwrap();
         sys.kernel.board.sdhost.card.power_cut_after(d + j);
-        let closing = close_group(&mut sys, writer, fd);
+        let closing = close_group(&mut sys);
         assert!(closing.is_err(), "cut {j}: the closing write() fails");
         sys.kernel.board.sdhost.card.power_restored();
         let total = sys.kernel.board.sdhost.total_blocks();
