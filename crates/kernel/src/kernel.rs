@@ -1072,25 +1072,22 @@ impl Kernel {
     }
 
     pub(crate) fn wake_all(&mut self, channel: WaitChannel) -> usize {
-        let mut woken = 0;
-        let ids: Vec<TaskId> = self.tasks.keys().copied().collect();
-        for id in ids {
-            let mut wake_core = None;
-            if let Some(t) = self.tasks.get_mut(&id) {
-                if t.wake_if_waiting_on(channel) {
-                    wake_core = Some(t.core);
-                }
-            }
-            if let Some(core) = wake_core {
-                let cost = self.board.cost.wait_wakeup;
-                self.board.charge_kernel(core, cost);
-                self.enqueue_task(id, core);
-                self.trace
-                    .record(self.board.now_us(), core, TraceKind::Wakeup, Some(id), "");
-                woken += 1;
-            }
+        // Charging, queueing and tracing a wakeup read no other task's
+        // state, so marking every waiter ready first keeps them in task-id
+        // order.
+        let woken: Vec<(TaskId, usize)> = self
+            .tasks
+            .iter_mut()
+            .filter_map(|(&id, t)| t.wake_if_waiting_on(channel).then_some((id, t.core)))
+            .collect();
+        for &(id, core) in &woken {
+            let cost = self.board.cost.wait_wakeup;
+            self.board.charge_kernel(core, cost);
+            self.enqueue_task(id, core);
+            self.trace
+                .record(self.board.now_us(), core, TraceKind::Wakeup, Some(id), "");
         }
-        woken
+        woken.len()
     }
 
     pub(crate) fn wake_task(&mut self, id: TaskId) {

@@ -137,25 +137,33 @@ impl AddressSpace {
         self.owned_frames.len() as u64 * FRAME_SIZE as u64
     }
 
-    fn map_one(
+    /// Maps the `pages` pages from `start` to fresh zeroed frames, a 2 MB
+    /// table at a time. Pages mapped before an error stay mapped and owned;
+    /// the frame taken for the page that failed goes back to the allocator.
+    fn map_zeroed(
         &mut self,
         frames: &mut FrameAllocator,
         mem: &mut PhysMem,
-        va: VirtAddr,
+        start: VirtAddr,
+        pages: u64,
         flags: MapFlags,
-    ) -> KResult<PhysAddr> {
-        let frame = frames.alloc()?;
-        if let Err(e) = mem
-            .fill(frame, FRAME_SIZE, 0)
-            .map_err(KernelError::from)
-            .and_then(|()| self.table.map_page(mem, frames, va, frame, flags))
-        {
+    ) -> KResult<()> {
+        let owned = &mut self.owned_frames;
+        let before = owned.len();
+        let (mapped, result) =
+            self.table
+                .map_run(mem, frames, start, pages, flags, |frames, mem, _| {
+                    let frame = frames.alloc()?;
+                    owned.push(frame);
+                    mem.fill(frame, FRAME_SIZE, 0)?;
+                    Ok(Some(frame))
+                });
+        self.stats.mapped_pages += mapped as usize;
+        // The frame of the page that failed, if one did, was never mapped.
+        for frame in owned.split_off(before + mapped as usize) {
             frames.free(frame)?;
-            return Err(e);
         }
-        self.owned_frames.push(frame);
-        self.stats.mapped_pages += 1;
-        Ok(frame)
+        result
     }
 
     /// Adds a region. Non-lazy regions are mapped eagerly (one fresh zeroed
@@ -187,11 +195,7 @@ impl AddressSpace {
             )));
         }
         if !lazy {
-            let mut va = start;
-            while va < start + len {
-                self.map_one(frames, mem, va, flags)?;
-                va += FRAME_SIZE as u64;
-            }
+            self.map_zeroed(frames, mem, start, len / FRAME_SIZE as u64, flags)?;
         }
         if kind == RegionKind::Heap {
             self.heap_base = start;
@@ -221,13 +225,16 @@ impl AddressSpace {
         flags: MapFlags,
     ) -> KResult<()> {
         let len = len.div_ceil(FRAME_SIZE as u64) * FRAME_SIZE as u64;
-        let mut off = 0;
-        while off < len {
-            self.table
-                .map_page(mem, frames, va + off, pa + off, flags)?;
-            self.stats.mapped_pages += 1;
-            off += FRAME_SIZE as u64;
-        }
+        let (mapped, result) = self.table.map_run(
+            mem,
+            frames,
+            va,
+            len / FRAME_SIZE as u64,
+            flags,
+            |_, _, i| Ok(Some(pa + i * FRAME_SIZE as u64)),
+        );
+        self.stats.mapped_pages += mapped as usize;
+        result?;
         self.regions.push(Region {
             kind,
             start: va,
@@ -253,13 +260,13 @@ impl AddressSpace {
             true,
         )?;
         // Map the first (topmost) stack page eagerly.
-        self.map_one(
+        self.map_zeroed(
             frames,
             mem,
             USER_STACK_TOP - FRAME_SIZE as u64,
+            1,
             MapFlags::user_data(),
-        )?;
-        Ok(())
+        )
     }
 
     /// Grows (or shrinks, with a negative delta) the heap; returns the old
@@ -286,19 +293,15 @@ impl AddressSpace {
                 return Err(KernelError::NoMemory);
             }
             let owned_before = self.owned_frames.len();
-            let mut va = first;
-            while va < new_top {
-                if let Err(e) = self.map_one(frames, mem, va, MapFlags::user_data()) {
-                    let mut undo = first;
-                    for frame in self.owned_frames.split_off(owned_before) {
-                        self.table.unmap_page(mem, undo)?;
-                        frames.free(frame)?;
-                        self.stats.mapped_pages -= 1;
-                        undo += FRAME_SIZE as u64;
-                    }
-                    return Err(e);
+            if let Err(e) = self.map_zeroed(frames, mem, first, pages, MapFlags::user_data()) {
+                let mut undo = first;
+                for frame in self.owned_frames.split_off(owned_before) {
+                    self.table.unmap_page(mem, undo)?;
+                    frames.free(frame)?;
+                    self.stats.mapped_pages -= 1;
+                    undo += FRAME_SIZE as u64;
                 }
-                va += FRAME_SIZE as u64;
+                return Err(e);
             }
             self.heap_top = new_top;
             // Keep the heap region record in sync.
@@ -351,7 +354,7 @@ impl AddressSpace {
                     self.stats.faults_fatal += 1;
                     return Ok(FaultOutcome::Fatal);
                 }
-                self.map_one(frames, mem, page_va, r.flags)?;
+                self.map_zeroed(frames, mem, page_va, 1, r.flags)?;
                 self.stats.faults_handled += 1;
                 Ok(FaultOutcome::Mapped)
             }
@@ -369,39 +372,72 @@ impl AddressSpace {
     ///
     /// The simulated cost and the frames are those of an eager copy: each
     /// page takes a fresh frame and a mapping, and `sys_fork` charges
-    /// `fork_copy_per_page` for it. That [`PhysMem::copy_within`] shares a
-    /// whole frame's bytes on the host until either side writes changes no
-    /// frame, descriptor or charge.
+    /// `fork_copy_per_page` for it. On the host, each region's parent pages
+    /// are read a 2 MB table at a time ([`PageTable::read_run`]) and the
+    /// child's mapped the same way ([`PageTable::map_run`]), taking frames
+    /// in the order a page-by-page copy would; [`PhysMem::copy_frame`]
+    /// shares a frame's bytes until either side writes. None of this changes
+    /// a frame, descriptor or charge. A fork that fails (out of frames)
+    /// gives back every frame and table it took before it returns the error.
     pub fn fork_copy(
         &mut self,
         frames: &mut FrameAllocator,
         mem: &mut PhysMem,
     ) -> KResult<(AddressSpace, u64)> {
         let mut child = AddressSpace::new(frames, mem)?;
-        let mut copied = 0u64;
-        for region in &self.regions {
-            if region.kind == RegionKind::Framebuffer {
-                // Shared device mapping: re-map, do not copy.
-                continue;
-            }
-            let mut va = region.start;
-            while va < region.start + region.len {
-                if let Some(t) = self.table.translate(mem, va)? {
-                    let frame = frames.alloc()?;
-                    mem.copy_within(t.phys & !(FRAME_SIZE as u64 - 1), frame, FRAME_SIZE)?;
-                    child.table.map_page(mem, frames, va, frame, region.flags)?;
-                    child.owned_frames.push(frame);
-                    child.stats.mapped_pages += 1;
-                    copied += 1;
-                }
-                va += FRAME_SIZE as u64;
-            }
-            child.regions.push(region.clone());
+        if let Err(e) = child.copy_regions(&self.regions, &self.table, frames, mem) {
+            child.release(frames, mem)?;
+            return Err(e);
         }
+        let copied = child.stats.mapped_pages as u64;
         child.heap_base = self.heap_base;
         child.heap_top = self.heap_top;
         self.stats.pages_copied += copied;
         Ok((child, copied))
+    }
+
+    /// Copies every page `parent` maps in `regions`, bar the framebuffer's,
+    /// into this (empty) space, and takes on the regions.
+    fn copy_regions(
+        &mut self,
+        regions: &[Region],
+        parent: &PageTable,
+        frames: &mut FrameAllocator,
+        mem: &mut PhysMem,
+    ) -> KResult<()> {
+        let mut from = Vec::new();
+        for region in regions {
+            if region.kind == RegionKind::Framebuffer {
+                // Shared device mapping: re-map, do not copy.
+                continue;
+            }
+            // `sbrk` can leave the heap region's length short of a page.
+            let pages = region.len.div_ceil(FRAME_SIZE as u64);
+            from.clear();
+            from.resize(pages as usize, None);
+            parent.read_run(mem, region.start, &mut from)?;
+            let owned = &mut self.owned_frames;
+            let (mapped, result) = self.table.map_run(
+                mem,
+                frames,
+                region.start,
+                pages,
+                region.flags,
+                |frames, mem, i| {
+                    let Some(src) = from[i as usize] else {
+                        return Ok(None);
+                    };
+                    let frame = frames.alloc()?;
+                    owned.push(frame);
+                    mem.copy_frame(src, frame)?;
+                    Ok(Some(frame))
+                },
+            );
+            self.stats.mapped_pages += mapped as usize;
+            result?;
+            self.regions.push(region.clone());
+        }
+        Ok(())
     }
 
     /// Releases every owned frame and the page-table frames themselves back
@@ -592,6 +628,37 @@ mod tests {
         // Writing in the child does not affect the parent.
         mem.write_u32(ct.phys, 0x11111111).unwrap();
         assert_eq!(mem.read_u32(t.phys).unwrap(), 0xAABBCCDD);
+    }
+
+    #[test]
+    fn a_failed_fork_gives_back_every_frame_it_took() {
+        // 64 frames: the root table and a 40-page heap with its L2 and L3
+        // tables leave 21 free, and the child needs 43.
+        let mut mem = PhysMem::new();
+        let mut frames = FrameAllocator::new(0x0100_0000, 64);
+        let mut parent = AddressSpace::new(&mut frames, &mut mem).unwrap();
+        parent
+            .add_region(
+                &mut frames,
+                &mut mem,
+                RegionKind::Heap,
+                0x10_0000,
+                40 * 4096,
+                MapFlags::user_data(),
+                false,
+            )
+            .unwrap();
+        assert_eq!(frames.free_frames(), 21);
+        let allocated = frames.stats().allocated;
+        assert!(matches!(
+            parent.fork_copy(&mut frames, &mut mem),
+            Err(KernelError::NoMemory)
+        ));
+        assert_eq!(frames.free_frames(), 21);
+        assert_eq!(frames.stats().allocated, allocated);
+        assert_eq!(parent.stats().pages_copied, 0);
+        assert_eq!(parent.release(&mut frames, &mem).unwrap(), 40);
+        assert_eq!(frames.free_frames(), 64);
     }
 
     #[test]

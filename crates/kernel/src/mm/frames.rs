@@ -27,7 +27,9 @@ pub struct FrameStats {
 }
 
 /// A free-list frame allocator over `[base, base + count * FRAME_SIZE)`.
-#[derive(Debug, Clone)]
+/// Two allocators are equal when they hand out the same frames in the same
+/// order from here on and report the same statistics.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameAllocator {
     base: PhysAddr,
     count: usize,

@@ -137,6 +137,38 @@ fn level_index(va: VirtAddr, level: Level) -> u64 {
     (va >> level as u32) & 0x1FF
 }
 
+/// Descriptors in one table: a frame of 64-bit words.
+const TABLE_ENTRIES: usize = FRAME_SIZE / 8;
+const PAGE: u64 = FRAME_SIZE as u64;
+
+/// Reads the `descs.len()` descriptors stored from `addr` with one read.
+fn read_descriptors(mem: &PhysMem, addr: PhysAddr, descs: &mut [u64]) -> KResult<()> {
+    let mut bytes = [0; FRAME_SIZE];
+    let bytes = &mut bytes[..descs.len() * 8];
+    mem.read(addr, bytes)?;
+    for (d, word) in descs.iter_mut().zip(bytes.as_chunks::<8>().0) {
+        *d = u64::from_le_bytes(*word);
+    }
+    Ok(())
+}
+
+/// Writes `descs` from `addr` with one write.
+fn write_descriptors(mem: &mut PhysMem, addr: PhysAddr, descs: &[u64]) -> KResult<()> {
+    let mut bytes = [0; FRAME_SIZE];
+    for (word, d) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(descs) {
+        *word = d.to_le_bytes();
+    }
+    mem.write(addr, &bytes[..descs.len() * 8])?;
+    Ok(())
+}
+
+/// A whole table's descriptors, read with one read.
+fn read_table(mem: &PhysMem, table: PhysAddr) -> KResult<[u64; TABLE_ENTRIES]> {
+    let mut descs = [0; TABLE_ENTRIES];
+    read_descriptors(mem, table, &mut descs)?;
+    Ok(descs)
+}
+
 /// The result of a successful translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Translation {
@@ -171,42 +203,47 @@ impl PageTable {
         table + idx * 8
     }
 
-    /// Walks to the L3 table covering `va`, allocating intermediate tables if
-    /// `alloc` is set. Returns the physical address of the L3 table.
-    fn walk_to_l3(
-        &self,
+    /// The table the `level` descriptor of `table` covering `va` points at,
+    /// allocated (zeroed) and linked in if there is none yet.
+    fn next_table(
         mem: &mut PhysMem,
         frames: &mut FrameAllocator,
+        table: PhysAddr,
         va: VirtAddr,
-        alloc: bool,
-    ) -> KResult<Option<PhysAddr>> {
-        let mut table = self.root;
-        for level in [Level::L1, Level::L2] {
-            let idx = level_index(va, level);
-            let daddr = Self::descriptor_addr(table, idx);
-            let d = mem.read_u64(daddr)?;
-            if d & D_VALID == 0 {
-                if !alloc {
-                    return Ok(None);
-                }
-                let new_table = frames.alloc()?;
-                mem.fill(new_table, FRAME_SIZE, 0)?;
-                mem.write_u64(daddr, encode(new_table, MapFlags::kernel_data(), true))?;
-                table = new_table;
-            } else {
-                if d & D_TABLE_OR_PAGE == 0 {
-                    // A block mapping already covers this range.
-                    return Err(KernelError::Invalid(format!(
-                        "va {va:#x} already covered by a block mapping"
-                    )));
-                }
-                table = d & ADDR_MASK;
-            }
+        level: Level,
+    ) -> KResult<PhysAddr> {
+        let daddr = Self::descriptor_addr(table, level_index(va, level));
+        let d = mem.read_u64(daddr)?;
+        if d & D_VALID == 0 {
+            let new_table = frames.alloc()?;
+            mem.fill(new_table, FRAME_SIZE, 0)?;
+            mem.write_u64(daddr, encode(new_table, MapFlags::kernel_data(), true))?;
+            return Ok(new_table);
         }
-        Ok(Some(table))
+        if d & D_TABLE_OR_PAGE == 0 {
+            // A block mapping already covers this range.
+            return Err(KernelError::Invalid(format!(
+                "va {va:#x} already covered by a block mapping"
+            )));
+        }
+        Ok(d & ADDR_MASK)
     }
 
-    /// Maps the 4 KB page containing `va` to the frame at `pa`.
+    /// The L2 descriptor covering `va`: an L3 table, a 2 MB block, or 0
+    /// where nothing is mapped.
+    fn l2_descriptor(&self, mem: &PhysMem, va: VirtAddr) -> KResult<u64> {
+        let d1 = mem.read_u64(Self::descriptor_addr(self.root, level_index(va, Level::L1)))?;
+        if d1 & D_VALID == 0 {
+            return Ok(0);
+        }
+        Ok(mem.read_u64(Self::descriptor_addr(
+            d1 & ADDR_MASK,
+            level_index(va, Level::L2),
+        ))?)
+    }
+
+    /// Maps the 4 KB page containing `va` to the frame at `pa`: the
+    /// one-page case of [`PageTable::map_run`].
     pub fn map_page(
         &self,
         mem: &mut PhysMem,
@@ -215,22 +252,117 @@ impl PageTable {
         pa: PhysAddr,
         flags: MapFlags,
     ) -> KResult<()> {
-        if !va.is_multiple_of(FRAME_SIZE as u64) || !pa.is_multiple_of(FRAME_SIZE as u64) {
-            return Err(KernelError::Invalid(format!(
-                "unaligned mapping {va:#x} -> {pa:#x}"
-            )));
+        self.map_run(mem, frames, va, 1, flags, |_, _, _| Ok(Some(pa)))
+            .1
+    }
+
+    /// Maps the `pages` pages from `va` a 2 MB table at a time: one L1/L2
+    /// walk per L3 table, which allocates the tables the first mapped page
+    /// under it needs, and one write of that table's new descriptors. Page
+    /// `i` maps to the frame `frame_of(frames, mem, i)` returns, and stays
+    /// unmapped if that is `None`. `frame_of` runs before its page's tables
+    /// are allocated, so a caller that allocates the frame there takes
+    /// frames in the order that mapping page by page would.
+    ///
+    /// Returns how many pages it mapped, and the error that stopped it, if
+    /// any. Pages mapped before an error stay mapped, as page by page; a
+    /// frame `frame_of` gave for the page that failed is not mapped, and it
+    /// is still the caller's.
+    pub fn map_run(
+        &self,
+        mem: &mut PhysMem,
+        frames: &mut FrameAllocator,
+        va: VirtAddr,
+        pages: u64,
+        flags: MapFlags,
+        mut frame_of: impl FnMut(&mut FrameAllocator, &mut PhysMem, u64) -> KResult<Option<PhysAddr>>,
+    ) -> (u64, KResult<()>) {
+        let mut mapped = 0;
+        let mut first = 0;
+        while first < pages {
+            let start = va + first * PAGE;
+            let at = level_index(start, Level::L3) as usize;
+            let n = (TABLE_ENTRIES - at).min((pages - first) as usize);
+            // The L3 table once walked, and its `n` descriptors from `at`.
+            let mut l3 = None;
+            let mut descs = [0; TABLE_ENTRIES];
+            let result = (|| {
+                for i in 0..n {
+                    let Some(pa) = frame_of(frames, mem, first + i as u64)? else {
+                        continue;
+                    };
+                    let page_va = start + i as u64 * PAGE;
+                    if !page_va.is_multiple_of(PAGE) || !pa.is_multiple_of(PAGE) {
+                        return Err(KernelError::Invalid(format!(
+                            "unaligned mapping {page_va:#x} -> {pa:#x}"
+                        )));
+                    }
+                    if l3.is_none() {
+                        let l2 = Self::next_table(mem, frames, self.root, page_va, Level::L1)?;
+                        let table = Self::next_table(mem, frames, l2, page_va, Level::L2)?;
+                        let addr = Self::descriptor_addr(table, at as u64);
+                        read_descriptors(mem, addr, &mut descs[..n])?;
+                        l3 = Some(table);
+                    }
+                    if descs[i] & D_VALID != 0 {
+                        return Err(KernelError::AlreadyExists(format!(
+                            "va {page_va:#x} already mapped"
+                        )));
+                    }
+                    descs[i] = encode(pa, flags, true);
+                    mapped += 1;
+                }
+                Ok(())
+            })();
+            // The descriptors past a failed page are written back as read.
+            let flushed = match l3 {
+                Some(table) => {
+                    write_descriptors(mem, Self::descriptor_addr(table, at as u64), &descs[..n])
+                }
+                None => Ok(()),
+            };
+            if let Err(e) = result.and(flushed) {
+                return (mapped, Err(e));
+            }
+            first += n as u64;
         }
-        let l3 = self.walk_to_l3(mem, frames, va, true)?.ok_or_else(|| {
-            KernelError::Fault(format!("page-table walk lost a level at {va:#x}"))
-        })?;
-        let daddr = Self::descriptor_addr(l3, level_index(va, Level::L3));
-        let existing = mem.read_u64(daddr)?;
-        if existing & D_VALID != 0 {
-            return Err(KernelError::AlreadyExists(format!(
-                "va {va:#x} already mapped"
-            )));
+        (mapped, Ok(()))
+    }
+
+    /// Reads the frames of the `out.len()` pages from `va` a 2 MB table at
+    /// a time: one L1/L2 walk and one read of the L3 table per 2 MB. Page
+    /// `i`'s frame goes to `out[i]`, `None` where it is unmapped; a page
+    /// under a 2 MB block reads as the frame of the block that holds it.
+    pub fn read_run(
+        &self,
+        mem: &PhysMem,
+        va: VirtAddr,
+        out: &mut [Option<PhysAddr>],
+    ) -> KResult<()> {
+        let mut descs = [0; TABLE_ENTRIES];
+        let mut first = 0;
+        while first < out.len() {
+            let start = va + first as u64 * PAGE;
+            let at = level_index(start, Level::L3);
+            let n = (TABLE_ENTRIES - at as usize).min(out.len() - first);
+            let out = &mut out[first..first + n];
+            let d2 = self.l2_descriptor(mem, start)?;
+            if d2 & D_VALID == 0 {
+                out.fill(None);
+            } else if d2 & D_TABLE_OR_PAGE == 0 {
+                let base = (d2 & ADDR_MASK) + at * PAGE;
+                for (i, frame) in out.iter_mut().enumerate() {
+                    *frame = Some(base + i as u64 * PAGE);
+                }
+            } else {
+                let addr = Self::descriptor_addr(d2 & ADDR_MASK, at);
+                read_descriptors(mem, addr, &mut descs[..n])?;
+                for (frame, d) in out.iter_mut().zip(&descs) {
+                    *frame = (d & D_VALID != 0).then_some(d & ADDR_MASK);
+                }
+            }
+            first += n;
         }
-        mem.write_u64(daddr, encode(pa, flags, true))?;
         Ok(())
     }
 
@@ -250,17 +382,7 @@ impl PageTable {
             )));
         }
         // Walk only to L2.
-        let idx1 = level_index(va, Level::L1);
-        let d1addr = Self::descriptor_addr(self.root, idx1);
-        let d1 = mem.read_u64(d1addr)?;
-        let l2 = if d1 & D_VALID == 0 {
-            let t = frames.alloc()?;
-            mem.fill(t, FRAME_SIZE, 0)?;
-            mem.write_u64(d1addr, encode(t, MapFlags::kernel_data(), true))?;
-            t
-        } else {
-            d1 & ADDR_MASK
-        };
+        let l2 = Self::next_table(mem, frames, self.root, va, Level::L1)?;
         let d2addr = Self::descriptor_addr(l2, level_index(va, Level::L2));
         let d2 = mem.read_u64(d2addr)?;
         if d2 & D_VALID != 0 {
@@ -275,15 +397,11 @@ impl PageTable {
     /// Removes the 4 KB mapping covering `va`, returning the physical frame
     /// it pointed to.
     pub fn unmap_page(&self, mem: &mut PhysMem, va: VirtAddr) -> KResult<PhysAddr> {
-        let mut table = self.root;
-        for level in [Level::L1, Level::L2] {
-            let d = mem.read_u64(Self::descriptor_addr(table, level_index(va, level)))?;
-            if d & D_VALID == 0 || d & D_TABLE_OR_PAGE == 0 {
-                return Err(KernelError::NotFound(format!("va {va:#x} not mapped")));
-            }
-            table = d & ADDR_MASK;
+        let d2 = self.l2_descriptor(mem, va)?;
+        if d2 & D_VALID == 0 || d2 & D_TABLE_OR_PAGE == 0 {
+            return Err(KernelError::NotFound(format!("va {va:#x} not mapped")));
         }
-        let daddr = Self::descriptor_addr(table, level_index(va, Level::L3));
+        let daddr = Self::descriptor_addr(d2 & ADDR_MASK, level_index(va, Level::L3));
         let d = mem.read_u64(daddr)?;
         if d & D_VALID == 0 {
             return Err(KernelError::NotFound(format!("va {va:#x} not mapped")));
@@ -295,48 +413,44 @@ impl PageTable {
     /// Translates `va`, returning the physical address and flags, or `None`
     /// if unmapped (which at EL0 would raise a page fault).
     pub fn translate(&self, mem: &PhysMem, va: VirtAddr) -> KResult<Option<Translation>> {
-        let mut table = self.root;
-        for level in [Level::L1, Level::L2] {
-            let d = mem.read_u64(Self::descriptor_addr(table, level_index(va, level)))?;
-            if d & D_VALID == 0 {
-                return Ok(None);
-            }
-            if d & D_TABLE_OR_PAGE == 0 {
-                // Block mapping at L2.
-                let base = d & ADDR_MASK;
-                let off = va & (BLOCK_SIZE_L2 - 1);
-                return Ok(Some(Translation {
-                    phys: base + off,
-                    flags: decode_flags(d),
-                    from_block: true,
-                }));
-            }
-            table = d & ADDR_MASK;
+        let d2 = self.l2_descriptor(mem, va)?;
+        if d2 & D_VALID == 0 {
+            return Ok(None);
         }
-        let d = mem.read_u64(Self::descriptor_addr(table, level_index(va, Level::L3)))?;
+        if d2 & D_TABLE_OR_PAGE == 0 {
+            // Block mapping at L2.
+            return Ok(Some(Translation {
+                phys: (d2 & ADDR_MASK) + (va & (BLOCK_SIZE_L2 - 1)),
+                flags: decode_flags(d2),
+                from_block: true,
+            }));
+        }
+        let d = mem.read_u64(Self::descriptor_addr(
+            d2 & ADDR_MASK,
+            level_index(va, Level::L3),
+        ))?;
         if d & D_VALID == 0 {
             return Ok(None);
         }
         Ok(Some(Translation {
-            phys: (d & ADDR_MASK) + (va & (FRAME_SIZE as u64 - 1)),
+            phys: (d & ADDR_MASK) + (va & (PAGE - 1)),
             flags: decode_flags(d),
             from_block: false,
         }))
     }
 
     /// Frees the root table and every L2 and L3 table under it, returning
-    /// how many table frames went back to the allocator. The frames the
+    /// how many table frames went back to the allocator. It reads each
+    /// table frame once, the root and each L2 table whole. The frames the
     /// tables map are left alone: they belong to whoever mapped them.
     pub fn free_tables(self, mem: &PhysMem, frames: &mut FrameAllocator) -> KResult<usize> {
         let mut freed = 0;
-        for i1 in 0..512u64 {
-            let d1 = mem.read_u64(Self::descriptor_addr(self.root, i1))?;
+        for d1 in read_table(mem, self.root)? {
             if d1 & D_VALID == 0 || d1 & D_TABLE_OR_PAGE == 0 {
                 continue;
             }
             let l2 = d1 & ADDR_MASK;
-            for i2 in 0..512u64 {
-                let d2 = mem.read_u64(Self::descriptor_addr(l2, i2))?;
+            for d2 in read_table(mem, l2)? {
                 if d2 & D_VALID != 0 && d2 & D_TABLE_OR_PAGE != 0 {
                     frames.free(d2 & ADDR_MASK)?;
                     freed += 1;
@@ -352,33 +466,28 @@ impl PageTable {
     /// Counts mapped 4 KB pages under this table (blocks count as 512 pages).
     pub fn mapped_pages(&self, mem: &PhysMem) -> KResult<usize> {
         let mut count = 0usize;
-        for i1 in 0..512u64 {
-            let d1 = mem.read_u64(Self::descriptor_addr(self.root, i1))?;
+        for d1 in read_table(mem, self.root)? {
             if d1 & D_VALID == 0 {
                 continue;
             }
-            let l2 = d1 & ADDR_MASK;
-            for i2 in 0..512u64 {
-                let d2 = mem.read_u64(Self::descriptor_addr(l2, i2))?;
+            for d2 in read_table(mem, d1 & ADDR_MASK)? {
                 if d2 & D_VALID == 0 {
                     continue;
                 }
                 if d2 & D_TABLE_OR_PAGE == 0 {
-                    count += 512;
+                    count += TABLE_ENTRIES;
                     continue;
                 }
-                let l3 = d2 & ADDR_MASK;
-                for i3 in 0..512u64 {
-                    let d3 = mem.read_u64(Self::descriptor_addr(l3, i3))?;
-                    if d3 & D_VALID != 0 {
-                        count += 1;
-                    }
-                }
+                let l3 = read_table(mem, d2 & ADDR_MASK)?;
+                count += l3.iter().filter(|&&d3| d3 & D_VALID != 0).count();
             }
         }
         Ok(count)
     }
 }
+
+#[cfg(test)]
+mod walk_equivalence;
 
 #[cfg(test)]
 mod tests {
