@@ -173,16 +173,13 @@
 //!   either the old tree or a complete new one — never a dirent or FAT
 //!   chain pointing at unwritten clusters. This is the cache's one drain
 //!   order, for every kernel variant; the crash suite shows what the pure
-//!   LBA order it replaced exposed. The metadata-transaction recorder
-//!   ([`BufCache::begin_meta_txn`]) additionally pins and collects the
-//!   sectors of a multi-sector update so FAT32's intent log can commit them
-//!   atomically. The cache also hosts the write-ahead log's **group-commit
-//!   accumulator** (`group_*` methods): finished-but-uncommitted logged
-//!   transactions park their sectors here — pinned against eviction (the
-//!   group commits early rather than pin a shard full), excluded from every
-//!   incremental drain (even when their dependencies are clean: draining
-//!   half a pending rename early would expose it), and with their freed
-//!   allocation units reserved
+//!   LBA order it replaced exposed. The cache also hosts the write-ahead
+//!   log's **group-commit accumulator** (`group_*` methods):
+//!   finished-but-uncommitted logged transactions park their sectors here
+//!   — pinned against eviction (the group commits early rather than pin a
+//!   shard full), excluded from every incremental drain (even when their
+//!   dependencies are clean: draining half a pending rename early would
+//!   expose it), and with their freed allocation units reserved
 //!   ([`BufCache::note_pending_free`]) so no later transaction can reuse a
 //!   cluster or block the old tree still references — until the
 //!   filesystem-agnostic transaction layer ([`crate::txn::TxnLog`], whose
@@ -193,6 +190,22 @@
 //!   chain on a queued device). The state lives in the cache because the
 //!   cache is what pins the group's sectors against eviction and drains,
 //!   and a full flush is what clears the pending frees.
+//!
+//! * **One undo scope.** Every mutating filesystem call runs in the cache's
+//!   undo scope ([`BufCache::begin_scope`], entered through
+//!   [`crate::txn::TxnLog::with_txn`] or [`crate::txn::TxnLog::with_scope`]).
+//!   At the call's first write to each block the cache keeps a host copy of
+//!   the block if it held data, or marks it fresh if it did not, and it notes
+//!   the dependency edges and pending frees the call adds. The one abort
+//!   rule: a call that fails ([`BufCache::abort_scope`]) drops its fresh
+//!   blocks, puts the copies back as dirty and removes its edges and pending
+//!   frees, so it changes nothing; a call that succeeds forgets the copies
+//!   ([`BufCache::keep_scope`]), at no pin, device command or cycle charge.
+//!   No filesystem path undoes its own writes. In logged mode the scope is
+//!   also the metadata-transaction recorder: it collects the metadata
+//!   sectors the call notes and pins them against eviction until the
+//!   transaction layer has committed them ([`BufCache::end_scope`]), so no
+//!   half of a multi-sector update leaks to the device before its record.
 //!
 //! * **Bounded write-retry budgets and read-only degradation.** A dirty
 //!   block whose write-back keeps faulting is retried with exponential
@@ -336,6 +349,10 @@ struct Extent {
     /// Bitmap of valid blocks a read has copied out since the block's data
     /// was installed; a fill or write installing new data clears the bit.
     copied: u8,
+    /// Bitmap of blocks written since the undo scope last opened: inside
+    /// the scope their pre-scope state is recorded ([`UndoScope`]), so a
+    /// later write records nothing. Meaningless outside a scope.
+    undo: u8,
 }
 
 impl Extent {
@@ -351,6 +368,7 @@ impl Extent {
             tick: 0,
             cold: false,
             copied: 0,
+            undo: 0,
         }
     }
 
@@ -488,6 +506,23 @@ impl Shard {
 struct Run {
     start: u64,
     len: u64,
+}
+
+/// The open undo scope: what one filesystem call changed, recorded at the
+/// call's first write to each block, so that a call that fails can change
+/// nothing ([`BufCache::begin_scope`]).
+#[derive(Debug, Clone, Default)]
+struct UndoScope {
+    /// Per extent base, the blocks that held data at the scope's first
+    /// write to them: their bytes as the scope found them (`data`, an
+    /// extent's worth), which blocks those are, and which were metadata.
+    saved: BTreeMap<u64, (Vec<u8>, u8, u8)>,
+    /// Blocks that held no data at the scope's first write to them.
+    fresh: Vec<Run>,
+    /// The write-order edges the scope added, as (metadata block, run).
+    edges: Vec<(u64, Run)>,
+    /// The allocation units the scope reserved behind a pending free.
+    frees: Vec<u32>,
 }
 
 /// How many concurrent sequential streams the cache tracks for read-ahead.
@@ -690,10 +725,13 @@ pub struct BufCache {
     /// reach the device before every block of its recorded runs is clean.
     /// Entries are dropped when the metadata block is written back.
     deps: BTreeMap<u64, Vec<Run>>,
-    /// Metadata LBAs touched since [`BufCache::begin_meta_txn`] — the
-    /// intent-log transaction recorder. While a transaction is open, its
-    /// extents are also pinned against eviction so no half of a multi-sector
-    /// metadata update can leak to the device before the log commits.
+    /// What the open undo scope recorded ([`BufCache::begin_scope`]);
+    /// `None` outside a scope and once the scope's writes are kept.
+    scope: Option<UndoScope>,
+    /// The scope's logged mode: the metadata sectors its transaction
+    /// touched, each pinned against eviction until the scope ends, so no
+    /// half of a multi-sector update can leak to the device before the log
+    /// commits it.
     meta_txn: Option<Vec<u64>>,
     /// The intent log's group-commit accumulator: the sectors of logged
     /// transactions whose commit record has not been written yet. Payloads
@@ -826,6 +864,7 @@ impl BufCache {
             coalesce: true,
             prefetch: false,
             deps: BTreeMap::new(),
+            scope: None,
             meta_txn: None,
             group: BTreeSet::new(),
             group_ops: 0,
@@ -1012,21 +1051,20 @@ impl BufCache {
     /// Reserves an allocation unit (a FAT cluster number) freed by a
     /// not-yet-committed transaction: [`BufCache::is_pending_free`] stays
     /// true — and the allocator must skip the unit — until the free is
-    /// durable (group commit or full flush).
+    /// durable (group commit or full flush). A failed call's reservations
+    /// go with the rest of its undo scope ([`BufCache::abort_scope`]).
     pub fn note_pending_free(&mut self, cluster: u32) {
-        self.pending_frees.insert(cluster);
+        if self.pending_frees.insert(cluster) {
+            if let Some(scope) = self.scope.as_mut() {
+                scope.frees.push(cluster);
+            }
+        }
     }
 
     /// Whether an allocation unit awaits a durable free and must not be
     /// reused yet.
     pub fn is_pending_free(&self, cluster: u32) -> bool {
         self.pending_frees.contains(&cluster)
-    }
-
-    /// Whether any allocation unit is still reserved behind a not-yet-
-    /// durable free.
-    pub fn has_pending_frees(&self) -> bool {
-        !self.pending_frees.is_empty()
     }
 
     /// Classifies `count` blocks starting at `lba` as filesystem metadata.
@@ -1056,7 +1094,8 @@ impl BufCache {
     /// any block of `[dep_lba, dep_lba + dep_count)` is still dirty. This is
     /// how a dirent is ordered after the FAT sectors and data clusters it
     /// references. Dependencies are dropped once the metadata block is
-    /// written back.
+    /// written back, and a failed call's edges with the rest of its undo
+    /// scope ([`BufCache::abort_scope`]).
     pub fn add_dependency(&mut self, meta_lba: u64, meta_count: u64, dep_lba: u64, dep_count: u64) {
         let run = Run {
             start: dep_lba,
@@ -1066,36 +1105,129 @@ impl BufCache {
             let runs = self.deps.entry(m).or_default();
             if !runs.contains(&run) {
                 runs.push(run);
+                if let Some(scope) = self.scope.as_mut() {
+                    scope.edges.push((m, run));
+                }
             }
         }
     }
 
-    /// Opens a metadata-transaction recorder: every
-    /// [`BufCache::note_metadata`] LBA until [`BufCache::end_meta_txn`] is
-    /// collected (readable via [`BufCache::meta_txn_touched`]) and its extent
-    /// is pinned against eviction, so no half of a multi-sector metadata
-    /// update can leak to the device before the caller's intent log commits.
-    pub fn begin_meta_txn(&mut self) {
-        self.meta_txn = Some(Vec::new());
+    // ---- the undo scope ---------------------------------------------------------------
+
+    /// Opens the undo scope, or joins the open one, and returns whether this
+    /// call opened it: only the opener ends it. `logged` switches the scope
+    /// to logged mode, the metadata-transaction recorder: from then on every
+    /// [`BufCache::note_metadata`] sector is collected and its extent pinned
+    /// against eviction until [`BufCache::end_scope`].
+    ///
+    /// While the scope records, the first write to each block keeps a host
+    /// copy of the block if it held data and marks it fresh if it did not,
+    /// and the scope notes the dependency edges and pending frees it adds.
+    /// The one abort rule: a call that fails ends its scope with
+    /// [`BufCache::abort_scope`] and changes nothing. One that succeeds
+    /// forgets the copies ([`BufCache::keep_scope`]) — no pin, no device
+    /// command — and ends the scope once its log, if any, has committed.
+    pub fn begin_scope(&mut self, logged: bool) -> bool {
+        let opened = self.scope.is_none() && self.meta_txn.is_none();
+        if opened {
+            self.scope = Some(UndoScope::default());
+            for e in self.shards.iter_mut().flat_map(|s| s.extents.iter_mut()) {
+                e.undo = 0;
+            }
+        }
+        if logged {
+            self.meta_txn.get_or_insert_with(Vec::new);
+        }
+        opened
     }
 
-    /// The metadata LBAs touched since [`BufCache::begin_meta_txn`], sorted.
-    pub fn meta_txn_touched(&self) -> Vec<u64> {
-        let mut v = self.meta_txn.clone().unwrap_or_default();
-        v.sort_unstable();
-        v
+    /// Keeps every write of the open scope: forgets its copies and records
+    /// nothing more. Returns the sectors logged mode collected (none in an
+    /// unlogged scope); their pins stay until [`BufCache::end_scope`], so the
+    /// transaction layer commits under them.
+    pub fn keep_scope(&mut self) -> Option<Vec<u64>> {
+        self.scope = None;
+        self.meta_txn.clone()
     }
 
-    /// Closes the metadata-transaction recorder and releases its eviction
+    /// Ends the open scope, keeping its writes and releasing its logged
     /// pins.
-    pub fn end_meta_txn(&mut self) {
+    pub fn end_scope(&mut self) {
+        self.scope = None;
         self.meta_txn = None;
-        self.sanitize_check_always("end_meta_txn");
+        self.sanitize_check_always("end_scope");
     }
 
-    /// Whether a metadata transaction is currently open.
-    pub fn meta_txn_active(&self) -> bool {
-        self.meta_txn.is_some()
+    /// Ends the open scope by undoing it: drops the blocks it marked fresh,
+    /// puts the copies back as dirty (with their metadata class) and removes
+    /// the dependency edges and pending frees it added. A block that rides
+    /// an in-flight write-back keeps its data, since its chain carries it
+    /// anyway; a copy whose extent was evicted meanwhile is put back in a
+    /// newly allocated one, if the cache can make room for it.
+    pub fn abort_scope(&mut self, dev: &mut dyn BlockDevice) {
+        let scope = self.scope.take().unwrap_or_default();
+        for (m, run) in scope.edges {
+            if let Some(runs) = self.deps.get_mut(&m) {
+                runs.retain(|r| *r != run);
+            }
+        }
+        self.deps.retain(|_, runs| !runs.is_empty());
+        for c in scope.frees {
+            self.pending_frees.remove(&c);
+        }
+        for sp in run_spans(scope.fresh) {
+            if let Some(e) = self.resident_mut(sp.base) {
+                let dropped = sp.mask() & !e.writing;
+                e.dirty &= !sp.mask();
+                e.valid &= !dropped;
+                e.meta &= !dropped;
+                e.copied &= !dropped;
+            }
+        }
+        for (base, (data, blocks, meta)) in scope.saved {
+            let Ok(e) = self.extent_for(dev, base, 1) else {
+                continue;
+            };
+            for (i, n) in bit_runs(blocks) {
+                let r = i * BLOCK_SIZE..(i + n) * BLOCK_SIZE;
+                e.data[r.clone()].copy_from_slice(&data[r]);
+            }
+            e.valid |= blocks;
+            e.dirty |= blocks;
+            e.pending &= !blocks;
+            e.copied &= !blocks;
+            e.meta = e.meta & !blocks | meta;
+        }
+        self.end_scope();
+    }
+
+    /// Records the blocks of `sp` the open scope, if one records, writes
+    /// for the first time: a copy of those that hold data (the first copy
+    /// wins), the rest as fresh. A block recorded before its extent was
+    /// evicted can be recorded again; [`BufCache::abort_scope`] drops fresh
+    /// blocks before it puts copies back, so the pre-scope copy still wins.
+    fn record_first_write(&mut self, sp: &Span) {
+        let Some(mut scope) = self.scope.take() else {
+            return;
+        };
+        let ext = self.resident(sp.base);
+        let (valid, undo) = ext.map_or((0, 0), |e| (e.valid, e.undo));
+        let first = sp.mask() & !undo;
+        if let Some(e) = ext.filter(|_| first & valid != 0) {
+            let (data, blocks, meta) = scope
+                .saved
+                .entry(sp.base)
+                .or_insert_with(|| (vec![0; EXTENT_BYTES], 0, 0));
+            let held = first & valid & !*blocks;
+            for (i, n) in bit_runs(held) {
+                let r = i * BLOCK_SIZE..(i + n) * BLOCK_SIZE;
+                data[r.clone()].copy_from_slice(&e.data[r]);
+            }
+            *blocks |= held;
+            *meta |= e.meta & held;
+        }
+        push_bits(&mut scope.fresh, sp.base, first & !valid);
+        self.scope = Some(scope);
     }
 
     /// Drops the write-order dependencies keyed on the given blocks. The
@@ -1265,6 +1397,7 @@ impl BufCache {
             s.extents.clear();
         }
         self.deps.clear();
+        self.scope = None;
         self.meta_txn = None;
         // An uncommitted group dies with the cache contents it described.
         self.group.clear();
@@ -1792,9 +1925,10 @@ impl BufCache {
     /// logged sector awaiting its group's commit record.
     fn extent_txn_pinned(&self, base: u64) -> bool {
         self.meta_txn
-            .as_ref()
-            .is_some_and(|txn| txn.iter().any(|&l| Self::extent_base(l) == base))
-            || self.group.iter().any(|&l| Self::extent_base(l) == base)
+            .iter()
+            .flatten()
+            .chain(&self.group)
+            .any(|&l| Self::extent_base(l) == base)
     }
 
     /// All dirty blocks — minus any parked past their retry budget — split
@@ -2775,6 +2909,7 @@ impl BufCache {
         // streams. Small writes (FAT sectors, dirents) stay hot.
         let cold = count >= SCAN_RESIST_BLOCKS;
         for sp in spans(lba, count) {
+            self.record_first_write(&sp);
             let ext = self.extent_for(dev, sp.lba, sp.len)?;
             let bytes = sp.bytes();
             let given = &data[bytes.start.min(data.len())..bytes.end.min(data.len())];
@@ -2792,6 +2927,7 @@ impl BufCache {
             // completion must not clobber this newer data.
             ext.pending &= !m;
             ext.cold = cold;
+            ext.undo |= m;
         }
         self.sanitize_check("write_range");
         Ok(())
@@ -3183,9 +3319,9 @@ mod tests {
         assert_eq!((s.log_txns, s.log_commits), (2, 1));
         // Pending-free reservations clear with the commit too.
         bc.note_pending_free(7);
-        assert!(bc.is_pending_free(7) && bc.has_pending_frees());
+        assert!(bc.is_pending_free(7));
         bc.group_clear_committed();
-        assert!(!bc.has_pending_frees());
+        assert!(!bc.is_pending_free(7));
     }
 
     #[test]
@@ -3765,15 +3901,73 @@ mod tests {
     fn meta_txn_records_touched_metadata_and_pins_it() {
         let mut dev = MemDisk::new(256);
         let mut bc = BufCache::default();
-        bc.begin_meta_txn();
+        assert!(bc.begin_scope(true));
         bc.write(&mut dev, 33, &[1u8; BLOCK_SIZE]).unwrap();
         bc.note_metadata(33, 1);
         bc.write(&mut dev, 7, &[2u8; BLOCK_SIZE]).unwrap();
         bc.note_metadata(7, 1);
         bc.note_metadata(7, 1); // duplicates collapse
-        assert_eq!(bc.meta_txn_touched(), vec![7, 33]);
-        bc.end_meta_txn();
-        assert!(bc.meta_txn_touched().is_empty());
+        assert!(!bc.begin_scope(false), "a nested call joins the scope");
+        let mut touched = bc.keep_scope().unwrap();
+        touched.sort_unstable();
+        assert_eq!(touched, vec![7, 33]);
+        // The pins outlast the kept undo record, for the commit.
+        assert!(bc.extent_txn_pinned(0) && bc.extent_txn_pinned(32));
+        bc.end_scope();
+        assert!(!bc.extent_txn_pinned(0) && !bc.extent_txn_pinned(32));
+        assert!(bc.begin_scope(false));
+        assert_eq!(bc.keep_scope(), None, "an unlogged scope collects nothing");
+        bc.end_scope();
+    }
+
+    #[test]
+    fn an_aborted_scope_puts_back_every_write_edge_and_free() {
+        let mut dev = MemDisk::new(256);
+        let mut bc = BufCache::default();
+        let block = |b: u8| [b; BLOCK_SIZE];
+        // Block 40 is cached dirty metadata, block 41 cached clean data;
+        // block 50 sits on the device only.
+        dev.write_block(41, &block(4)).unwrap();
+        dev.write_block(50, &block(5)).unwrap();
+        bc.write(&mut dev, 40, &block(1)).unwrap();
+        bc.note_metadata(40, 1);
+        let mut out = [0u8; BLOCK_SIZE];
+        bc.read(&mut dev, 41, &mut out).unwrap();
+        bc.add_dependency(40, 1, 100, 1);
+        bc.note_pending_free(9);
+        let deps = bc.deps.clone();
+        assert!(bc.begin_scope(true));
+        bc.write(&mut dev, 40, &block(2)).unwrap();
+        bc.write(&mut dev, 40, &block(3)).unwrap();
+        bc.write_range(&mut dev, 41, 1, &block(6)).unwrap();
+        bc.write(&mut dev, 50, &block(7)).unwrap();
+        bc.note_metadata(50, 1);
+        bc.add_dependency(40, 1, 50, 1);
+        bc.add_dependency(40, 1, 100, 1); // already there: not the scope's
+        bc.note_pending_free(9);
+        bc.note_pending_free(10);
+        bc.abort_scope(&mut dev);
+        // The first copy wins, dirty, with its metadata class.
+        bc.read(&mut dev, 40, &mut out).unwrap();
+        assert_eq!(out, block(1));
+        assert!(bc.block_is_meta(40) && bc.is_block_dirty(40));
+        bc.read(&mut dev, 41, &mut out).unwrap();
+        assert_eq!(out, block(4));
+        assert!(!bc.block_is_meta(41) && bc.is_block_dirty(41));
+        // The fresh block is dropped: a read fetches the device's bytes.
+        assert!(!bc.block_has(50, |e| e.valid));
+        bc.read(&mut dev, 50, &mut out).unwrap();
+        assert_eq!(out, block(5));
+        assert_eq!(bc.deps, deps);
+        assert!(bc.is_pending_free(9) && !bc.is_pending_free(10));
+        assert!(!bc.extent_txn_pinned(40), "the logged pins went with it");
+        // A scope that succeeds keeps its writes.
+        assert!(bc.begin_scope(false));
+        bc.write(&mut dev, 50, &block(8)).unwrap();
+        assert_eq!(bc.keep_scope(), None);
+        bc.end_scope();
+        bc.read(&mut dev, 50, &mut out).unwrap();
+        assert_eq!(out, block(8));
     }
 
     mod dma {

@@ -51,7 +51,9 @@
 //! operations are atomic *and durable* on return; with group commit enabled
 //! ([`Fat32::set_group_commit_ops`]) they stay atomic at every cut but a
 //! burst of them shares one checksummed commit record — durability moves to
-//! the group's single commit flush, forced by any barrier.
+//! the group's single commit flush, forced by any barrier. Logged or not,
+//! every mutating call runs in the cache's undo scope, so one that fails
+//! changes nothing ([`crate::txn`], "Failed calls").
 
 use crate::block::{BlockDevice, BLOCK_SIZE};
 use crate::bufcache::BufCache;
@@ -133,7 +135,7 @@ pub struct Fat32 {
     /// This volume's handle on the shared transaction layer
     /// ([`crate::txn::TxnLog`]): the intent-log geometry (the reserved
     /// region at [`INTENT_LOG_START`]) plus the group-commit knob. The
-    /// mutable transaction state itself (open recorder, commit group, pins,
+    /// mutable transaction state itself (undo scope, commit group, pins,
     /// pending frees) lives in the [`BufCache`]: the cache pins the group's
     /// sectors against eviction and drains, and a full flush clears the
     /// pending frees. Logging is on whenever the reserved region has room
@@ -486,20 +488,6 @@ impl Fat32 {
         self.txn.commit_pending(dev, bc)
     }
 
-    /// Runs `f` as an intent-log transaction through the shared layer
-    /// ([`crate::txn::TxnLog::with_txn`]). Every logged operation goes
-    /// through here so no path can forget half of the begin / commit / end
-    /// protocol.
-    fn with_meta_txn<R>(
-        &self,
-        dev: &mut dyn BlockDevice,
-        bc: &mut BufCache,
-        f: impl FnOnce(&Self, &mut dyn BlockDevice, &mut BufCache) -> FsResult<R>,
-    ) -> FsResult<R> {
-        let txn = self.txn;
-        txn.with_txn(dev, bc, |dev, bc| f(self, dev, bc))
-    }
-
     // ---- FAT access ---------------------------------------------------------------------------
 
     fn fat_sector_of(&self, cluster: u32) -> (u64, usize) {
@@ -572,13 +560,6 @@ impl Fat32 {
                 // so far are plain chain links whose early drain can at
                 // worst leak an unpublished cluster across a cut.
                 self.commit_pending(dev, bc)?;
-                if bc.has_pending_frees() {
-                    // Reservations with no group to commit them — left
-                    // behind by a transaction that failed before logging its
-                    // frees. A full flush makes those frees durable too and
-                    // clears the reservations.
-                    bc.flush(dev)?;
-                }
                 *scan = FreeScan::start();
                 self.find_free(dev, bc, scan)?.ok_or(FsError::NoSpace)?
             }
@@ -630,12 +611,13 @@ impl Fat32 {
         Ok(c)
     }
 
-    /// Allocates and links an `n`-cluster data chain, unwinding the
-    /// allocation on failure so a mid-flight `NoSpace` (or I/O error) never
-    /// leaks half-built chains into the FAT. One first-fit scan serves the
-    /// whole chain: each cluster's search resumes just past the cluster
-    /// claimed before it, under the invariant stated on
-    /// [`Fat32::alloc_cluster`].
+    /// Allocates and links an `n`-cluster data chain. One first-fit scan
+    /// serves the whole chain: each cluster's search resumes just past the
+    /// cluster claimed before it, under the invariant stated on
+    /// [`Fat32::alloc_cluster`]. A mid-flight `NoSpace` (or I/O error)
+    /// leaves the clusters claimed so far to the caller's undo scope
+    /// ([`crate::txn::TxnLog::with_scope`]), which frees them by putting
+    /// their FAT sectors back.
     ///
     /// Unlike a directory cluster, a data cluster is neither zeroed nor
     /// ordered after its FAT entry here: the one caller,
@@ -656,33 +638,12 @@ impl Fat32 {
         let mut clusters = Vec::with_capacity(n.min(1024));
         let mut scan = FreeScan::start();
         for _ in 0..n {
-            match self.alloc_cluster(dev, bc, &mut scan) {
-                Ok(c) => clusters.push(c),
-                Err(e) => {
-                    self.unwind_chain(dev, bc, &clusters);
-                    return Err(e);
-                }
-            }
+            clusters.push(self.alloc_cluster(dev, bc, &mut scan)?);
         }
         for w in clusters.windows(2) {
-            if let Err(e) = self.fat_set(dev, bc, w[0], w[1]) {
-                self.unwind_chain(dev, bc, &clusters);
-                return Err(e);
-            }
+            self.fat_set(dev, bc, w[0], w[1])?;
         }
         Ok(clusters)
-    }
-
-    /// Frees an allocated (but not yet referenced) chain — the unwind path
-    /// for operations that fail after [`Fat32::alloc_chain`] succeeded.
-    fn unwind_chain(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache, clusters: &[u32]) {
-        for &c in clusters {
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "best effort: the chain was never published, and the error that started the unwind is the one to surface"
-            )]
-            let _ = self.fat_set(dev, bc, c, FAT_FREE);
-        }
     }
 
     /// Frees the clusters of a published chain, as [`Fat32::chain`] walked
@@ -895,8 +856,8 @@ impl Fat32 {
         let last = *chain
             .last()
             .ok_or_else(|| FsError::Corrupt("empty dir chain".into()))?;
-        self.with_meta_txn(dev, bc, |fs, dev, bc| {
-            fs.extend_dir_with_entry(dev, bc, last, &raw)
+        self.txn.with_txn(dev, bc, |dev, bc| {
+            self.extend_dir_with_entry(dev, bc, last, &raw)
         })
     }
 
@@ -911,10 +872,7 @@ impl Fat32 {
         raw: &[u8; DIRENT_SIZE],
     ) -> FsResult<u64> {
         let newc = self.alloc_dir_cluster(dev, bc)?;
-        if let Err(e) = self.fat_set(dev, bc, last, newc) {
-            self.unwind_chain(dev, bc, &[newc]);
-            return Err(e);
-        }
+        self.fat_set(dev, bc, last, newc)?;
         let (link_sector, _) = self.fat_sector_of(last);
         bc.add_dependency(
             link_sector,
@@ -983,11 +941,13 @@ impl Fat32 {
 
     /// Creates an empty file or directory at `p`.
     ///
-    /// File creation is a single-sector dirent write (atomic by itself) and
-    /// stays asynchronous under the ordered write-back drain. Directory
-    /// creation spans the parent dirent plus the child's FAT entry and
-    /// cluster — a multi-sector metadata update — so it runs as an
-    /// intent-log transaction (mkdir is atomic and durable on return).
+    /// File creation is a dirent write (a directory extension where no slot
+    /// is free, which runs as a transaction) inside the cache's undo scope
+    /// without the log, and stays asynchronous under the ordered write-back
+    /// drain. Directory creation spans the parent dirent plus the child's FAT
+    /// entry and cluster — a multi-sector metadata update — so it runs as an
+    /// intent-log transaction (mkdir is atomic and durable on return). A
+    /// create that fails changes nothing.
     pub fn create(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1014,33 +974,28 @@ impl Fat32 {
                 size: 0,
                 first_cluster: 0,
             };
-            self.dir_add_entry(dev, bc, parent_entry.first_cluster, &entry)?;
+            self.txn.with_scope(dev, bc, |dev, bc| {
+                self.dir_add_entry(dev, bc, parent_entry.first_cluster, &entry)
+            })?;
             return Ok(entry);
         }
-        self.with_meta_txn(dev, bc, |fs, dev, bc| {
-            let first_cluster = fs.alloc_dir_cluster(dev, bc)?;
+        self.txn.with_txn(dev, bc, |dev, bc| {
+            let first_cluster = self.alloc_dir_cluster(dev, bc)?;
             let entry = FatEntry {
                 name: name.to_ascii_uppercase(),
                 is_dir: true,
                 size: 0,
                 first_cluster,
             };
-            let dirent_sector = match fs.dir_add_entry(dev, bc, parent_entry.first_cluster, &entry)
-            {
-                Ok(s) => s,
-                Err(e) => {
-                    fs.unwind_chain(dev, bc, &[first_cluster]);
-                    return Err(e);
-                }
-            };
+            let dirent_sector = self.dir_add_entry(dev, bc, parent_entry.first_cluster, &entry)?;
             // Belt and braces for the no-log fallback: the parent dirent
             // must follow the child's FAT entry and cluster contents.
-            let (fat_sector, _) = fs.fat_sector_of(first_cluster);
+            let (fat_sector, _) = self.fat_sector_of(first_cluster);
             bc.add_dependency(dirent_sector, 1, fat_sector, 1);
             bc.add_dependency(
                 dirent_sector,
                 1,
-                fs.cluster_to_sector(first_cluster)?,
+                self.cluster_to_sector(first_cluster)?,
                 SECTORS_PER_CLUSTER as u64,
             );
             Ok(entry)
@@ -1082,7 +1037,9 @@ impl Fat32 {
     /// chain additionally frees old FAT entries — a multi-sector metadata
     /// update with an ordering cycle no drain order can solve — so it runs
     /// as an intent-log transaction: atomic (old or new contents, never a
-    /// mix) and durable on return.
+    /// mix) and durable on return. Either way the call runs in the cache's
+    /// undo scope, so a write that fails changes nothing: not even the
+    /// entry it created.
     pub fn write_file(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1090,28 +1047,29 @@ impl Fat32 {
         p: &str,
         data: &[u8],
     ) -> FsResult<()> {
-        let entry = match self.lookup(dev, bc, p) {
-            Ok(e) if e.is_dir => return Err(FsError::IsADirectory(p.to_string())),
-            Ok(e) => e,
-            Err(FsError::NotFound(_)) => self.create(dev, bc, p, false)?,
-            Err(e) => return Err(e),
-        };
-        if entry.first_cluster == 0 {
-            return self.write_contents(dev, bc, p, data).map(drop);
-        }
-        // Walk the old chain before touching anything: a corrupt chain
-        // fails the overwrite and leaves the file as it was. The frees go
-        // last, ordered after the dirent that stops referencing the chain,
-        // so even a transaction too large for the intent log keeps its safe
-        // order through the fallback flush (only torn-update atomicity is
-        // lost there, plus the shared-FAT-sector cycle case the
-        // [`crate::txn::TxnLog::commit`] docs describe).
-        self.with_meta_txn(dev, bc, |fs, dev, bc| {
-            let old_chain = fs.chain(dev, bc, entry.first_cluster)?;
-            let dirent_sector = fs.write_contents(dev, bc, p, data)?;
-            fs.free_chain(dev, bc, &old_chain)?;
-            fs.order_frees_after_dirent(bc, &old_chain, dirent_sector);
-            Ok(())
+        self.txn.with_scope(dev, bc, |dev, bc| {
+            let entry = match self.lookup(dev, bc, p) {
+                Ok(e) if e.is_dir => return Err(FsError::IsADirectory(p.to_string())),
+                Ok(e) => e,
+                Err(FsError::NotFound(_)) => self.create(dev, bc, p, false)?,
+                Err(e) => return Err(e),
+            };
+            if entry.first_cluster == 0 {
+                return self.write_contents(dev, bc, p, data).map(drop);
+            }
+            // The frees go last, ordered after the dirent that stops
+            // referencing the chain, so even a transaction too large for the
+            // intent log keeps its safe order through the fallback flush
+            // (only torn-update atomicity is lost there, plus the
+            // shared-FAT-sector cycle case the [`crate::txn::TxnLog::commit`]
+            // docs describe).
+            self.txn.with_txn(dev, bc, |dev, bc| {
+                let old_chain = self.chain(dev, bc, entry.first_cluster)?;
+                let dirent_sector = self.write_contents(dev, bc, p, data)?;
+                self.free_chain(dev, bc, &old_chain)?;
+                self.order_frees_after_dirent(bc, &old_chain, dirent_sector);
+                Ok(())
+            })
         })
     }
 
@@ -1145,9 +1103,9 @@ impl Fat32 {
     /// the dirent's sector. The data clusters, the FAT entries and finally
     /// the dirent are dirtied in the cache with write-order dependencies
     /// (`data ≺ FAT ≺ dirent`, `data ≺ dirent`), so the ordered drain commits
-    /// the file bottom-up. A failure before the dirent swings unwinds the
-    /// new allocation and leaves the file as it was. The old chain, if any,
-    /// is the caller's to free.
+    /// the file bottom-up. Every caller runs it in the cache's undo scope,
+    /// so a failure at any step leaves the file as it was. The old chain, if
+    /// any, is the caller's to free.
     fn write_contents(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1159,10 +1117,7 @@ impl Fat32 {
             return self.update_dirent_for(dev, bc, p, 0, 0);
         }
         let clusters = self.alloc_chain(dev, bc, data.len().div_ceil(CLUSTER_SIZE))?;
-        if let Err(e) = self.write_chain_data(dev, bc, &clusters, data) {
-            self.unwind_chain(dev, bc, &clusters);
-            return Err(e);
-        }
+        self.write_chain_data(dev, bc, &clusters, data)?;
         let mut data_runs = Vec::new();
         for (first, count) in cluster_runs(&clusters) {
             let blocks = count as u64 * SECTORS_PER_CLUSTER as u64;
@@ -1184,13 +1139,7 @@ impl Fat32 {
                 "empty allocation for non-empty write".into(),
             ));
         };
-        let dirent_sector = match self.update_dirent_for(dev, bc, p, head, data.len() as u32) {
-            Ok(s) => s,
-            Err(e) => {
-                self.unwind_chain(dev, bc, &clusters);
-                return Err(e);
-            }
-        };
+        let dirent_sector = self.update_dirent_for(dev, bc, p, head, data.len() as u32)?;
         for &f in &fat_sectors {
             bc.add_dependency(dirent_sector, 1, f, 1);
         }
@@ -1354,17 +1303,15 @@ impl Fat32 {
                 return Err(FsError::NotEmpty(p.to_string()));
             }
         }
-        // Walk the chain before touching anything: a corrupt chain fails the
-        // remove and leaves the file as it was.
-        let old_chain = self.chain(dev, bc, entry.first_cluster)?;
-        self.with_meta_txn(dev, bc, |fs, dev, bc| {
+        self.txn.with_txn(dev, bc, |dev, bc| {
+            let old_chain = self.chain(dev, bc, entry.first_cluster)?;
             let mut raw = [0u8; DIRENT_SIZE];
             raw[0] = 0xE5;
-            let tombstone = fs.write_dirent(dev, bc, cluster, offset, &raw)?;
-            fs.free_chain(dev, bc, &old_chain)?;
+            let tombstone = self.write_dirent(dev, bc, cluster, offset, &raw)?;
+            self.free_chain(dev, bc, &old_chain)?;
             // Tombstone-before-frees edges keep the no-log fallback ordered
             // for chains too large to log.
-            fs.order_frees_after_dirent(bc, &old_chain, tombstone);
+            self.order_frees_after_dirent(bc, &old_chain, tombstone);
             Ok(())
         })
     }
@@ -1407,26 +1354,24 @@ impl Fat32 {
         {
             return Err(FsError::AlreadyExists(to.to_string()));
         }
-        // Validate the destination name before mutating anything.
-        encode_83(&tname)?;
-        self.with_meta_txn(dev, bc, |fs, dev, bc| {
+        self.txn.with_txn(dev, bc, |dev, bc| {
             let new_entry = FatEntry {
                 name: tname.to_ascii_uppercase(),
                 ..src_entry.clone()
             };
-            let new_sector = fs.dir_add_entry(dev, bc, dst_parent.first_cluster, &new_entry)?;
+            let new_sector = self.dir_add_entry(dev, bc, dst_parent.first_cluster, &new_entry)?;
             let mut raw = [0u8; DIRENT_SIZE];
             raw[0] = 0xE5;
             // The source coordinates looked up before the txn stay valid:
             // the target entry only ever fills a free/tombstoned slot.
-            let tombstone = fs.write_dirent(dev, bc, src_cluster, src_offset, &raw)?;
+            let tombstone = self.write_dirent(dev, bc, src_cluster, src_offset, &raw)?;
             // Fallback-defense edges: the new name lands before the old one
             // disappears, and only after the chain it points at.
             if tombstone != new_sector {
                 bc.add_dependency(tombstone, 1, new_sector, 1);
             }
             if src_entry.first_cluster != 0 {
-                let (f, _) = fs.fat_sector_of(src_entry.first_cluster);
+                let (f, _) = self.fat_sector_of(src_entry.first_cluster);
                 bc.add_dependency(new_sector, 1, f, 1);
             }
             Ok(())
@@ -1959,18 +1904,17 @@ mod tests {
             free1,
             "failed overwrite leaked no clusters"
         );
-        // Same for a brand-new file: nothing visible, nothing leaked.
+        // Same for a brand-new file: nothing visible, nothing leaked — not
+        // even the entry the write created before it ran out of space.
         assert!(matches!(
             fs.write_file(&mut dev, &mut bc, "/n.bin", &huge),
             Err(FsError::NoSpace)
         ));
         assert_eq!(fs.free_clusters(&mut dev, &mut bc).unwrap(), free1);
-        let entry = fs.lookup(&mut dev, &mut bc, "/n.bin").unwrap();
-        assert_eq!(
-            (entry.first_cluster, entry.size),
-            (0, 0),
-            "the created dirent still points nowhere"
-        );
+        assert!(matches!(
+            fs.lookup(&mut dev, &mut bc, "/n.bin"),
+            Err(FsError::NotFound(_))
+        ));
         let _ = free0;
     }
 

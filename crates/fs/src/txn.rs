@@ -18,11 +18,13 @@
 //! region) commits every transaction with a plain flush. The protocol is:
 //!
 //! * [`TxnLog::with_txn`] — run a closure as one logged transaction. It
-//!   opens the cache's metadata recorder ([`BufCache::begin_meta_txn`]),
-//!   runs the closure, commits the touched sectors through the log — on
-//!   failure too, returning the closure's error — and always closes the
-//!   recorder. Every logged operation goes through here so no path can
-//!   forget half of the begin / commit / end protocol.
+//!   opens the cache's undo scope in logged mode ([`BufCache::begin_scope`]),
+//!   runs the closure and, only if it succeeds, commits the touched sectors
+//!   through the log; a closure that fails is undone instead
+//!   ([`BufCache::abort_scope`]), so a failed call changes nothing. Every
+//!   logged operation goes through here so no path can forget half of the
+//!   begin / commit / end protocol. [`TxnLog::with_scope`] runs the unlogged
+//!   writers inside the same scope, with the same abort rule and no log.
 //!
 //! Inside the closure a filesystem talks to the cache directly:
 //! [`BufCache::note_metadata`] classifies sectors as logged metadata (it
@@ -40,6 +42,17 @@
 //!   flusher's group-timeout pass) call this before their cache flush.
 //! * [`TxnLog::replay`] — at mount, redo a committed record left by a power
 //!   cut, or ignore a torn / stale one.
+//!
+//! # Failed calls
+//!
+//! The one abort rule: a call whose closure fails changes nothing. The
+//! closure runs in the cache's undo scope, which puts back every block the
+//! call wrote and drops the dependency edges and pending frees it added
+//! ([`BufCache::abort_scope`]), so no filesystem undoes its own writes or
+//! reads before it writes to keep a failure harmless. Once the closure has
+//! succeeded its writes stay: a commit that fails before its commit point
+//! leaves the group pending for the next barrier, and one that fails after
+//! it leaves the record to repair the home sectors at replay.
 //!
 //! # Crash-ordering guarantees
 //!
@@ -115,8 +128,8 @@ fn fnv1a(data: &[u8], mut h: u32) -> u32 {
 }
 
 /// A filesystem's handle on the shared transaction layer: log geometry plus
-/// the group-commit policy knob. All mutable transaction state
-/// (open-transaction recorder, commit group, pins, pending frees) lives in
+/// the group-commit policy knob. All mutable transaction state (the undo
+/// scope and its logged mode, commit group, pins, pending frees) lives in
 /// the [`BufCache`]: the cache pins the group's sectors against eviction
 /// and drains, and a full flush clears the pending frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,49 +196,63 @@ impl TxnLog {
 
     // ---- the transaction protocol -------------------------------------------------------------
 
-    /// Runs `f` as one logged transaction: opens the cache's metadata
-    /// recorder, commits the touched sectors through the log, and always
-    /// closes the recorder (releasing its eviction pins).
+    /// Runs `f` as one logged transaction: inside the cache's undo scope in
+    /// logged mode ([`BufCache::begin_scope`]), committing the touched
+    /// sectors through the log only if `f` succeeds.
     ///
-    /// Nested calls join the enclosing transaction: if a recorder is
-    /// already open, `f` simply runs inside it and the outermost `with_txn`
-    /// commits everything — so a compound operation (xv6fs's
-    /// truncate-then-write overwrite) is one atomic unit, not a sequence of
-    /// individually atomic steps with a torn window between them.
+    /// Nested calls join the enclosing scope: `f` simply runs inside it and
+    /// the outermost call commits everything — so a compound operation
+    /// (xv6fs's truncate-then-write overwrite) is one atomic unit, not a
+    /// sequence of individually atomic steps with a torn window between
+    /// them. A transaction nested in an unlogged scope
+    /// ([`TxnLog::with_scope`]) switches that scope to logged mode, and its
+    /// opener commits.
     ///
-    /// The abort rule: a transaction whose `f` fails still commits every
-    /// sector it touched, as xv6's `end_op` commits regardless, and returns
-    /// `f`'s error. Its sectors may carry deliberately cyclic write-order
-    /// edges that only a commit clears; closing the recorder without one
-    /// would leave that cycle dirty and unpinned, where no drain can order
-    /// it. Callers restore what they must not publish before failing —
-    /// FAT32's failure paths free the clusters they claimed — so the commit
-    /// makes the restored state durable. If that commit fails as well, `f`'s
-    /// error still wins; the group stays pending for the next barrier, as
-    /// after any failed commit. A failed `f` that touched nothing commits
-    /// nothing.
+    /// The abort rule: a transaction whose `f` fails changes nothing. The
+    /// scope puts back every block it wrote and drops the dependency edges
+    /// and pending frees it added ([`BufCache::abort_scope`]), so nothing is
+    /// committed and no deliberately cyclic edge outlives its pins. Once `f`
+    /// has succeeded the writes are kept: a commit that fails leaves the
+    /// group pending for the next barrier, as after any failed commit.
     pub fn with_txn<R>(
         &self,
         dev: &mut dyn BlockDevice,
         bc: &mut BufCache,
         f: impl FnOnce(&mut dyn BlockDevice, &mut BufCache) -> FsResult<R>,
     ) -> FsResult<R> {
-        if bc.meta_txn_active() {
+        self.with_scope(dev, bc, |dev, bc| {
+            bc.begin_scope(true);
+            f(dev, bc)
+        })
+    }
+
+    /// Runs `f` inside the cache's undo scope without the log, or inside
+    /// the open scope: if `f` fails, everything it wrote is put back, as for
+    /// [`TxnLog::with_txn`]; if it succeeds, its writes stay in the cache
+    /// for the ordered drain. The unlogged writers (FAT32's new-file writes
+    /// and file creates, xv6fs's inode-level write) run through here. The
+    /// call that opened the scope ends it, committing the touched sectors if
+    /// a transaction inside switched the scope to logged mode.
+    pub fn with_scope<R>(
+        &self,
+        dev: &mut dyn BlockDevice,
+        bc: &mut BufCache,
+        f: impl FnOnce(&mut dyn BlockDevice, &mut BufCache) -> FsResult<R>,
+    ) -> FsResult<R> {
+        if !bc.begin_scope(false) {
             return f(dev, bc);
         }
-        bc.begin_meta_txn();
         let result = f(dev, bc);
-        let touched = bc.meta_txn_touched();
-        let committed = if result.is_ok() || !touched.is_empty() {
-            self.commit(dev, bc, &touched)
-        } else {
-            Ok(())
-        };
-        bc.end_meta_txn();
-        match (result, committed) {
-            (Ok(v), Ok(())) => Ok(v),
-            (Err(e), _) | (Ok(_), Err(e)) => Err(e),
+        if result.is_err() {
+            bc.abort_scope(dev);
+            return result;
         }
+        let committed = match bc.keep_scope() {
+            Some(touched) => self.commit(dev, bc, &touched),
+            None => Ok(()),
+        };
+        bc.end_scope();
+        result.and_then(|v| committed.map(|()| v))
     }
 
     /// Folds one just-finished logged transaction into the open commit

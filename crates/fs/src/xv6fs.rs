@@ -15,22 +15,23 @@
 //! blocks, directory contents) are tagged for the cache's
 //! dependency-ordered write-back drain, with edges ordering an inode after
 //! the data and bitmap blocks it references; that alone keeps the
-//! inode-level [`Xv6Fs::write`], which runs outside any transaction, from
-//! exposing unwritten or free blocks. Every volume also holds a small log
-//! region ([`XV6_LOG_BLOCKS`], written by `mkfs`; [`Xv6Fs::mount`] refuses a
-//! superblock without one), and the mutating path-level operations
-//! (`create`, `unlink`, `truncate`, `write_file`) run as transactions
-//! through the shared [`crate::txn::TxnLog`] layer, each committed on
-//! return. That closes the torn states an ordered drain alone cannot: a
-//! dirent never names a still-free inode (the dirent and the child inode
-//! commit atomically, cycle-safe under the transaction's pins even though
-//! they often share an on-disk block), and an overwrite is old contents
-//! XOR new contents (truncate and rewrite are one transaction). Freed
+//! inode-level [`Xv6Fs::write`], which runs in the cache's undo scope
+//! without the log, from exposing unwritten or free blocks. Every volume
+//! also holds a small log region ([`XV6_LOG_BLOCKS`], written by `mkfs`;
+//! [`Xv6Fs::mount`] refuses a superblock without one), and the mutating
+//! path-level operations (`create`, `unlink`, `truncate`, `write_file`) run
+//! as transactions through the shared [`crate::txn::TxnLog`] layer, each
+//! committed on return. That closes the torn states an ordered drain alone
+//! cannot: a dirent never names a still-free inode (the dirent and the
+//! child inode commit atomically, cycle-safe under the transaction's pins
+//! even though they often share an on-disk block), and an overwrite is old
+//! contents XOR new contents (truncate and rewrite are one transaction). Freed
 //! blocks stay reserved ([`BufCache::note_pending_free`]) until their
 //! transaction commits, so the rewrite cannot reuse them and a cut before
 //! the commit point keeps the intact old file; an overwrite whose new
-//! contents do not fit beside the old ones therefore fails before it
-//! changes anything.
+//! contents do not fit beside the old ones therefore fails. Like every
+//! call that fails, it changes nothing: the undo scope puts back what it
+//! wrote ([`crate::txn`], "Failed calls").
 
 use crate::block::{BlockDevice, BLOCK_SIZE as SECTOR_SIZE};
 use crate::bufcache::BufCache;
@@ -560,23 +561,9 @@ impl Xv6Fs {
     /// not reserved by a pending free. Between operations that is every
     /// free block, since each transaction commits on return.
     pub fn free_blocks(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<u32> {
-        self.allocatable_blocks(dev, bc, u32::MAX)
-    }
-
-    /// [`Xv6Fs::free_blocks`], but the scan stops once it has found
-    /// `enough`.
-    fn allocatable_blocks(
-        &self,
-        dev: &mut dyn BlockDevice,
-        bc: &mut BufCache,
-        enough: u32,
-    ) -> FsResult<u32> {
         let mut bits = HeldBlock::default();
         let (mut free, mut from) = (0, self.sb.datastart);
-        while free < enough {
-            let Some(b) = self.next_allocatable(dev, bc, &mut bits, from)? else {
-                break;
-            };
+        while let Some(b) = self.next_allocatable(dev, bc, &mut bits, from)? {
             free += 1;
             from = b + 1;
         }
@@ -799,7 +786,9 @@ impl Xv6Fs {
     /// Writes `data` to file `inum` starting at `offset`, growing the file
     /// as needed (up to [`MAXFILE_BYTES`]). Returns bytes written. Only the
     /// directory code writes a directory's entries, so a directory `inum`
-    /// fails with [`FsError::IsADirectory`].
+    /// fails with [`FsError::IsADirectory`]. The write runs in the cache's
+    /// undo scope without the log ([`TxnLog::with_scope`]): one that fails
+    /// part-way, say out of blocks, changes nothing.
     pub fn write(
         &self,
         dev: &mut dyn BlockDevice,
@@ -808,7 +797,9 @@ impl Xv6Fs {
         offset: u32,
         data: &[u8],
     ) -> FsResult<usize> {
-        self.write_inode_data(dev, bc, inum, InodeType::File, offset, data)
+        self.txn.with_scope(dev, bc, |dev, bc| {
+            self.write_inode_data(dev, bc, inum, InodeType::File, offset, data)
+        })
     }
 
     /// Writes `data` into inode `inum`, which must be of type `itype`.
@@ -833,13 +824,6 @@ impl Xv6Fs {
             return Err(FsError::TooLarge(format!(
                 "write to {end} bytes exceeds xv6fs limit of {MAXFILE_BYTES}"
             )));
-        }
-        // Fail before allocating anything: a write that ran out of blocks
-        // part-way would leave the blocks it took marked used, mapped by
-        // nothing or mapped past the file's size.
-        let need = self.blocks_to_allocate(dev, bc, &ino, offset as usize, end)?;
-        if need > 0 && self.allocatable_blocks(dev, bc, need)? < need {
-            return Err(FsError::NoSpace);
         }
         let is_dir = itype == InodeType::Dir;
         let (ino_lba, ino_n) = self.inode_lbas(inum);
@@ -890,38 +874,6 @@ impl Xv6Fs {
         }
         self.write_inode(dev, bc, inum, &ino)?;
         Ok(done)
-    }
-
-    /// Blocks a write over the file bytes `[start, end)` of `ino` must
-    /// allocate: its unmapped file blocks, plus the indirect block when the
-    /// write is the first to reach past the direct blocks.
-    fn blocks_to_allocate(
-        &self,
-        dev: &mut dyn BlockDevice,
-        bc: &mut BufCache,
-        ino: &DiskInode,
-        start: usize,
-        end: usize,
-    ) -> FsResult<u32> {
-        if start >= end {
-            return Ok(0);
-        }
-        let (first, last) = (start / BSIZE, end.div_ceil(BSIZE));
-        let unmapped_direct = (first.min(NDIRECT)..last.min(NDIRECT))
-            .filter(|&fb| ino.addrs[fb] == 0)
-            .count();
-        let indirect = first.max(NDIRECT) - NDIRECT..last.max(NDIRECT) - NDIRECT;
-        let unmapped_indirect = if indirect.is_empty() {
-            0
-        } else if ino.addrs[NDIRECT] == 0 {
-            indirect.len() + 1
-        } else {
-            let ind = Self::read_fs_block(dev, bc, self.data_block(ino.addrs[NDIRECT])?)?;
-            indirect
-                .filter(|idx| ind[idx * 4..idx * 4 + 4] == [0u8; 4])
-                .count()
-        };
-        Ok((unmapped_direct + unmapped_indirect) as u32)
     }
 
     /// Returns metadata for inode `inum`.
@@ -1190,9 +1142,7 @@ impl Xv6Fs {
     /// then the indirect block itself. Only addresses [`Xv6Fs::data_block`]
     /// accepts are listed, and the indirect block is read only if it lies in
     /// the data area: a corrupt address must not free a metadata block (the
-    /// next allocation would zero it). Both callers read the list before
-    /// they write anything, so a read that fails (a faulty indirect block)
-    /// fails them with nothing changed.
+    /// next allocation would zero it).
     fn owned_blocks(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1215,10 +1165,11 @@ impl Xv6Fs {
 
     /// Convenience: creates (or truncates) a file at `p` and writes `data`.
     ///
-    /// Fails with [`FsError::TooLarge`] or [`FsError::NoSpace`] before it
-    /// changes anything when `data` exceeds the file size limit or the free
-    /// blocks: an overwritten file's blocks stay reserved until the
-    /// transaction commits, so the new contents cannot reuse them.
+    /// Fails with [`FsError::TooLarge`] or [`FsError::NoSpace`] when `data`
+    /// exceeds the file size limit or the free blocks, and then changes
+    /// nothing: the transaction is undone. An overwritten file's blocks stay
+    /// reserved until the transaction commits, so the new contents cannot
+    /// reuse them.
     pub fn write_file(
         &self,
         dev: &mut dyn BlockDevice,
@@ -1226,17 +1177,6 @@ impl Xv6Fs {
         p: &str,
         data: &[u8],
     ) -> FsResult<u32> {
-        if data.len() > MAXFILE_BYTES {
-            return Err(FsError::TooLarge(format!(
-                "{} bytes exceed the xv6fs limit of {MAXFILE_BYTES}",
-                data.len()
-            )));
-        }
-        let blocks = data.len().div_ceil(BSIZE);
-        let with_indirect = (blocks + usize::from(blocks > NDIRECT)) as u32;
-        if self.allocatable_blocks(dev, bc, with_indirect)? < with_indirect {
-            return Err(FsError::NoSpace);
-        }
         // One transaction end to end: the nested `truncate`/`create` calls
         // join it (see [`TxnLog::with_txn`]), so a cut never exposes the
         // truncated-but-not-rewritten middle state — the overwrite is atomic.
@@ -1567,16 +1507,22 @@ mod tests {
     #[test]
     fn a_failed_unlink_or_overwrite_changes_nothing() {
         // A flushed 20-block file under a cold cache, with a fault on its
-        // indirect block: each call must fail before it writes anything.
-        // Unlink used to leave the root without `big` and free its direct
-        // blocks; the overwrite freed them too while `/big` still mapped
-        // them, so the next file's data showed through it.
+        // indirect block or on the bitmap block that holds its first data
+        // block: each call fails, and must change nothing. Unlink used to
+        // leave the root without `big` and free its direct blocks, or, with
+        // the bitmap faulted, leak its inode and all 21 blocks; the
+        // overwrite freed them too while `/big` still mapped them, so the
+        // next file's data showed through it.
         let (mut dev, mut bc, fs) = fresh_fs();
         fs.write_file(&mut dev, &mut bc, "/a", b"kept").unwrap();
         let big: Vec<u8> = (0..20 * BSIZE).map(|i| (i % 251) as u8).collect();
         fs.write_file(&mut dev, &mut bc, "/big", &big).unwrap();
         let inum = fs.lookup(&mut dev, &mut bc, "/big").unwrap();
-        let ind = fs.read_inode(&mut dev, &mut bc, inum).unwrap().addrs[NDIRECT];
+        let addrs = fs.read_inode(&mut dev, &mut bc, inum).unwrap().addrs;
+        let targets = [
+            Xv6Fs::block_lbas(addrs[NDIRECT]).0,
+            fs.bitmap_lbas(addrs[0]).0,
+        ];
         bc.flush(&mut dev).unwrap();
         let free = fs.free_blocks(&mut dev, &mut bc).unwrap();
         let names = |dev: &mut MemDisk, bc: &mut BufCache| -> Vec<String> {
@@ -1589,9 +1535,9 @@ mod tests {
             names.sort();
             names
         };
-        for overwrite in [false, true] {
+        for (target, overwrite) in targets.into_iter().flat_map(|t| [(t, false), (t, true)]) {
             bc.invalidate_all();
-            dev.inject_fault(Xv6Fs::block_lbas(ind).0);
+            dev.inject_fault(target);
             let failed = if overwrite {
                 fs.write_file(&mut dev, &mut bc, "/big", &[0xCC; 4 * BSIZE])
                     .map(|_| ())
@@ -1600,7 +1546,8 @@ mod tests {
             };
             assert!(matches!(failed, Err(FsError::Io(_))), "{failed:?}");
             dev.clear_faults();
-            let what = if overwrite { "overwrite" } else { "unlink" };
+            let call = if overwrite { "overwrite" } else { "unlink" };
+            let what = format!("{call} with block {target} faulted");
             assert_eq!(names(&mut dev, &mut bc), ["a", "big"], "{what}");
             assert_eq!(fs.free_blocks(&mut dev, &mut bc).unwrap(), free, "{what}");
             let ino = fs.read_inode(&mut dev, &mut bc, inum).unwrap();

@@ -272,7 +272,9 @@ impl AddressSpace {
     /// Grows (or shrinks, with a negative delta) the heap; returns the old
     /// break, like `sbrk`. A growth maps all its pages or none: one the free
     /// frames cannot back fails before it maps anything, and one whose page
-    /// tables run out part-way unmaps and frees the pages it mapped.
+    /// tables run out part-way unmaps and frees the pages it mapped. A
+    /// shrink unmaps and frees the whole pages above the new break, so the
+    /// heap maps exactly the pages below it and can grow back over them.
     pub fn sbrk(
         &mut self,
         frames: &mut FrameAllocator,
@@ -304,12 +306,21 @@ impl AddressSpace {
                 return Err(e);
             }
             self.heap_top = new_top;
-            // Keep the heap region record in sync.
-            if let Some(r) = self.regions.iter_mut().find(|r| r.kind == RegionKind::Heap) {
-                r.len = self.heap_top.saturating_sub(r.start).max(r.len);
-            }
         } else {
-            self.heap_top = old.saturating_sub(delta.unsigned_abs()).max(self.heap_base);
+            let new_top = old.saturating_sub(delta.unsigned_abs()).max(self.heap_base);
+            let page = FRAME_SIZE as u64;
+            let (kept, end) = (new_top.div_ceil(page) * page, old.div_ceil(page) * page);
+            for va in (kept..end).step_by(FRAME_SIZE) {
+                let frame = self.table.unmap_page(mem, va)?;
+                self.owned_frames.retain(|&f| f != frame);
+                frames.free(frame)?;
+                self.stats.mapped_pages -= 1;
+            }
+            self.heap_top = new_top;
+        }
+        // Keep the heap region record in sync.
+        if let Some(r) = self.regions.iter_mut().find(|r| r.kind == RegionKind::Heap) {
+            r.len = self.heap_top.saturating_sub(r.start);
         }
         Ok(old)
     }

@@ -207,28 +207,39 @@ impl Reference {
         let old = self.heap_top;
         if delta < 0 {
             self.heap_top = old.saturating_sub(delta.unsigned_abs()).max(self.heap_base);
-            return Ok(old);
-        }
-        let new_top = old + delta as u64;
-        let first = old.div_ceil(PAGE) * PAGE;
-        if new_top.saturating_sub(first).div_ceil(PAGE) > frames.free_frames() as u64 {
-            return Err(KernelError::NoMemory);
-        }
-        let before = self.owned.len();
-        for va in (first..new_top).step_by(FRAME_SIZE) {
-            if let Err(e) = self.map_zeroed(frames, mem, va, MapFlags::user_data()) {
-                for (i, frame) in self.owned.split_off(before).into_iter().enumerate() {
-                    self.table.unmap(mem, first + i as u64 * PAGE)?;
-                    frames.free(frame)?;
-                    self.stats.mapped_pages -= 1;
-                }
-                return Err(e);
+            // The whole pages above the new break go, one at a time.
+            for va in
+                (self.heap_top.div_ceil(PAGE) * PAGE..old.div_ceil(PAGE) * PAGE).step_by(FRAME_SIZE)
+            {
+                let frame = self.table.translate(mem, va)?;
+                self.table.unmap(mem, va)?;
+                let frame = frame.expect("the page unmap found is mapped");
+                self.owned.retain(|&f| f != frame);
+                frames.free(frame)?;
+                self.stats.mapped_pages -= 1;
             }
+        } else {
+            let new_top = old + delta as u64;
+            let first = old.div_ceil(PAGE) * PAGE;
+            if new_top.saturating_sub(first).div_ceil(PAGE) > frames.free_frames() as u64 {
+                return Err(KernelError::NoMemory);
+            }
+            let before = self.owned.len();
+            for va in (first..new_top).step_by(FRAME_SIZE) {
+                if let Err(e) = self.map_zeroed(frames, mem, va, MapFlags::user_data()) {
+                    for (i, frame) in self.owned.split_off(before).into_iter().enumerate() {
+                        self.table.unmap(mem, first + i as u64 * PAGE)?;
+                        frames.free(frame)?;
+                        self.stats.mapped_pages -= 1;
+                    }
+                    return Err(e);
+                }
+            }
+            self.heap_top = new_top;
         }
-        self.heap_top = new_top;
         for region in self.regions.iter_mut() {
             if region.0 == RegionKind::Heap {
-                region.2 = new_top.saturating_sub(region.1).max(region.2);
+                region.2 = self.heap_top.saturating_sub(region.1);
             }
         }
         Ok(old)
@@ -515,19 +526,21 @@ fn table_at_a_time_walks_match_a_page_by_page_reference() {
         assert_eq!(got, rspace.sbrk(&mut r.frames, &mut r.mem, delta));
         same_machines(&m, &r, &format!("seed {seed}: a growth that ran out"));
         give_back(&mut m, &mut r, held);
-        // A shrink leaves its pages mapped, so growing back over them
-        // fails on the first one.
+        // A shrink unmaps and frees the whole pages above the new break, so
+        // the heap grows back over them.
         for delta in [
             3 * PAGE as i64,
             -((1 + rng.below(3 * PAGE)) as i64),
             PAGE as i64,
         ] {
             let got = space.sbrk(&mut m.frames, &mut m.mem, delta);
+            assert!(got.is_ok(), "seed {seed}: sbrk by {delta}: {got:?}");
             assert_eq!(
                 got,
                 rspace.sbrk(&mut r.frames, &mut r.mem, delta),
                 "seed {seed}: sbrk by {delta}"
             );
+            same_machines(&m, &r, &format!("seed {seed}: sbrk by {delta}"));
         }
         scribble(&mut rng, (&space, &mut m), (&rspace, &mut r));
         assert_eq!(

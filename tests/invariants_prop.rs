@@ -86,29 +86,55 @@ fn page_table_translations_match_what_was_mapped() {
 }
 
 #[test]
-fn sbrk_grows_monotonically_and_stays_mapped() {
+fn sbrk_moves_the_break_and_maps_exactly_the_pages_below_it() {
+    const PAGE: u64 = 4096;
     for seed in 0..6 {
         let mut rng = Rng::new(200 + seed);
         let mut mem = PhysMem::new();
         let mut frames = FrameAllocator::new(0x100_0000, 4096);
         let mut asp = AddressSpace::new(&mut frames, &mut mem).unwrap();
+        let base = 0x10_0000;
         asp.add_region(
             &mut frames,
             &mut mem,
             RegionKind::Heap,
-            0x10_0000,
-            4096,
+            base,
+            PAGE,
             MapFlags::user_data(),
             false,
         )
         .unwrap();
+        // Each page the heap maps is a frame taken from the allocator.
+        let frames_and_pages = frames.free_frames() + asp.stats().mapped_pages;
         let mut prev_top = asp.heap_top();
-        for _ in 0..12 {
-            let d = 1 + rng.below(20_000) as i64;
+        for step in 0..24 {
+            // Growths and shrinks, some of them past the heap's base.
+            let d = if rng.below(3) == 0 {
+                -(rng.below(prev_top - base + 2 * PAGE) as i64)
+            } else {
+                1 + rng.below(20_000) as i64
+            };
             let old = asp.sbrk(&mut frames, &mut mem, d).unwrap();
             assert_eq!(old, prev_top);
-            prev_top = asp.heap_top();
-            assert!(asp.translate(&mem, prev_top - 1).unwrap().is_some());
+            let top = asp.heap_top();
+            assert_eq!(top, prev_top.saturating_add_signed(d).max(base));
+            let mapped = top.div_ceil(PAGE) * PAGE;
+            let what = format!("seed {seed} step {step}: sbrk by {d}");
+            assert_eq!(
+                asp.stats().mapped_pages as u64,
+                (mapped - base) / PAGE,
+                "{what}"
+            );
+            if top > base {
+                assert!(asp.translate(&mem, top - 1).unwrap().is_some(), "{what}");
+            }
+            assert!(asp.translate(&mem, mapped).unwrap().is_none(), "{what}");
+            assert_eq!(
+                frames.free_frames() + asp.stats().mapped_pages,
+                frames_and_pages,
+                "{what}"
+            );
+            prev_top = top;
         }
     }
 }
