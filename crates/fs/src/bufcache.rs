@@ -210,8 +210,7 @@
 //! * **Bounded write-retry budgets and read-only degradation.** A dirty
 //!   block whose write-back keeps faulting is retried with exponential
 //!   backoff (skipped flusher passes, not timers) up to a per-block budget
-//!   ([`BufCache::set_write_retry_budget`], default
-//!   [`DEFAULT_WRITE_RETRY_BUDGET`]). A block that exhausts the budget is
+//!   ([`WRITE_RETRY_BUDGET`]). A block that exhausts the budget is
 //!   parked: it stays cached and readable, pinned against eviction, and is
 //!   excluded from every later drain — and the cache degrades to
 //!   *read-only* ([`BufCache::degraded`]): further writes fail fast
@@ -300,13 +299,13 @@ pub const INITIAL_READAHEAD_BLOCKS: u64 = 64;
 /// an interleaved second stream cannot reset the first's depth.
 pub const MAX_READAHEAD_BLOCKS: u64 = 256;
 
-/// Default consecutive write-back failures tolerated per block before the
+/// Consecutive write-back failures tolerated per block before the
 /// cache parks the block ([`BufCacheStats::write_gave_up`]) and degrades to
 /// read-only. Deliberately generous: a transient fault (power dip, bus
 /// glitch) clears well within the budget, while a genuinely dead device
 /// stops burning bus time on hopeless retries after eight rounds instead of
 /// looping forever.
-pub const DEFAULT_WRITE_RETRY_BUDGET: u32 = 8;
+pub const WRITE_RETRY_BUDGET: u32 = 8;
 
 /// One aligned multi-block cache extent.
 #[derive(Debug, Clone)]
@@ -480,7 +479,7 @@ pub struct BufCacheStats {
     pub demand_spin_reaps: u64,
     /// Failed write-backs re-queued for a bounded retry: each block of a
     /// failed chain counts once per failure while it is still within its
-    /// [`BufCache::set_write_retry_budget`] budget.
+    /// [`WRITE_RETRY_BUDGET`].
     pub write_retries: u64,
     /// Blocks that exhausted their write retry budget and were parked: their
     /// data stays cached dirty but is never resubmitted, and the cache
@@ -782,7 +781,7 @@ pub struct BufCache {
     demand_blocks: u64,
     demand_spin_reaps: u64,
     /// Consecutive write-back failures per block, reset on a confirmed
-    /// write. When a block's count exceeds `write_retry_budget` it moves to
+    /// write. When a block's count exceeds [`WRITE_RETRY_BUDGET`] it moves to
     /// `gave_up` and the cache latches `degraded`.
     write_fail_counts: BTreeMap<u64, u32>,
     /// Blocks past their retry budget. They stay cached dirty (the data is
@@ -796,10 +795,6 @@ pub struct BufCache {
     /// ([`BufCache::flush`] and friends) ignore the backoff — an fsync
     /// retries immediately because its caller is waiting on the answer.
     write_backoff: BTreeMap<u64, u32>,
-    /// Consecutive per-block write failures tolerated before the block is
-    /// parked in `gave_up` (transient-fault budget; default
-    /// [`DEFAULT_WRITE_RETRY_BUDGET`]).
-    write_retry_budget: u32,
     /// Latched once any block exhausts its retry budget: the cache refuses
     /// new writes (`FsError::Io`) while still serving reads — the
     /// read-only degraded mode a filesystem surfaces to its callers.
@@ -888,7 +883,6 @@ impl BufCache {
             write_fail_counts: BTreeMap::new(),
             gave_up: BTreeSet::new(),
             write_backoff: BTreeMap::new(),
-            write_retry_budget: DEFAULT_WRITE_RETRY_BUDGET,
             degraded: false,
             write_retries: 0,
             write_gave_up: 0,
@@ -1418,7 +1412,7 @@ impl BufCache {
     // ---- transient-fault retry budgets and degraded mode --------------------------------
     //
     // A failed write-back re-dirties its blocks for retry, but retries are
-    // *budgeted*: `write_retry_budget` consecutive failures per block, with
+    // *budgeted*: `WRITE_RETRY_BUDGET` consecutive failures per block, with
     // exponential pass-count backoff on the background drain in between.
     // A block past its budget is parked in `gave_up` — its data stays
     // cached (nothing is lost), every run collector skips it, durability
@@ -1426,18 +1420,6 @@ impl BufCache {
     // reads keep working, new writes are refused. This is the read-only
     // degraded mode the filesystems surface; `reset_degraded` re-arms the
     // cache once the device is repaired or replaced.
-
-    /// Sets the per-block consecutive-failure budget (see
-    /// [`DEFAULT_WRITE_RETRY_BUDGET`]). A budget of `n` means the `n+1`-th
-    /// consecutive failure parks the block.
-    pub fn set_write_retry_budget(&mut self, budget: u32) {
-        self.write_retry_budget = budget;
-    }
-
-    /// The per-block consecutive-failure budget currently in force.
-    pub fn write_retry_budget(&self) -> u32 {
-        self.write_retry_budget
-    }
 
     /// Whether the cache has latched read-only degraded mode: some block
     /// exhausted its write retry budget, so new writes return
@@ -1470,7 +1452,7 @@ impl BufCache {
     fn note_write_failure(&mut self, b: u64) {
         let fails = self.write_fail_counts.entry(b).or_insert(0);
         *fails += 1;
-        if *fails > self.write_retry_budget {
+        if *fails > WRITE_RETRY_BUDGET {
             if self.gave_up.insert(b) {
                 self.write_gave_up += 1;
             }
@@ -3557,17 +3539,19 @@ mod tests {
         let mut dev = MemDisk::new(64);
         dev.inject_fault(4);
         let mut bc = BufCache::default();
-        bc.set_write_retry_budget(2);
         let data = vec![9u8; BLOCK_SIZE * 8];
         bc.write_range(&mut dev, 0, 8, &data).unwrap();
         // Keep flushing: retries (spaced by backoff passes) burn the budget
         // until the faulty run's blocks are parked and the cache degrades.
+        // The backoff doubles per failure, so the ninth consecutive failure
+        // lands on pass 256.
         let mut passes = 0;
         while !bc.degraded() {
+            assert!(passes < 256, "budget must exhaust within bounded passes");
             let _ = bc.flush_some(&mut dev, 64);
             passes += 1;
-            assert!(passes < 32, "budget must exhaust within bounded passes");
         }
+        assert_eq!(passes, 256, "the ninth failure parks the run");
         let s = bc.stats();
         assert!(s.write_retries >= 2, "retries were counted");
         assert!(s.write_gave_up >= 1, "give-ups were counted");

@@ -98,14 +98,14 @@
 //!
 //! The layer sits on the buffer cache's bounded write-retry budget: a block
 //! whose async writeback keeps failing is retried (with backoff) at most
-//! [`BufCache::write_retry_budget`] times and then the cache latches
-//! read-only degraded mode — writes (and therefore transactions) fail with
-//! [`crate::FsError::Io`], reads keep working, and dirty data is kept cached
-//! rather than dropped. A commit that fails *before* its commit point
-//! leaves the group pending, so a later barrier retries it; a record the
-//! failure left half-written fails its checksum and is never replayed. The
-//! failed record's blocks stay dirty in the cache like any failed
-//! write-back, for a later drain to retry.
+//! [`WRITE_RETRY_BUDGET`](crate::bufcache::WRITE_RETRY_BUDGET) times and
+//! then the cache latches read-only degraded mode — writes (and therefore
+//! transactions) fail with [`crate::FsError::Io`], reads keep working, and
+//! dirty data is kept cached rather than dropped. A commit that fails
+//! *before* its commit point leaves the group pending, so a later barrier
+//! retries it; a record the failure left half-written fails its checksum
+//! and is never replayed. The failed record's blocks stay dirty in the
+//! cache like any failed write-back, for a later drain to retry.
 
 use crate::block::{BlockDevice, BLOCK_SIZE};
 use crate::bufcache::BufCache;

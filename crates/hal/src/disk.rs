@@ -34,6 +34,18 @@
 //! So a chain ends in the state a block-by-block transfer would leave. A
 //! polled command checks its whole range for faults before it moves
 //! anything, so only a power cut can tear it.
+//!
+//! # The persist log
+//!
+//! A test can start a log of every block as it reaches the store
+//! ([`Disk::start_log`]): a polled command's, a DMA chain's data phase,
+//! and the posted write cache's at a FLUSH. Without the posted cache a
+//! power cut after `k` persisted blocks leaves the disk from before the
+//! log with the log's first `k` blocks applied, so one run of an op gives
+//! the image of a cut at every prefix. With it, the cut counts the blocks
+//! the cache accepted and a FLUSH persists whole, so a cut leaves a prefix
+//! that ends at a FLUSH ([`PersistLog::flushes`]). No production path
+//! starts the log.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -63,6 +75,16 @@ pub struct BlockIoStats {
     pub blocks: u64,
 }
 
+/// The blocks a disk persisted while its log ran, in the order they reached
+/// the store (see the module doc).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PersistLog {
+    /// Each persisted block: its number and its contents.
+    pub blocks: Vec<(u64, Box<[u8]>)>,
+    /// The length of `blocks` after each FLUSH of the posted write cache.
+    pub flushes: Vec<usize>,
+}
+
 /// A simulated disk of 512-byte blocks.
 #[derive(Debug, Clone)]
 pub struct Disk {
@@ -88,6 +110,8 @@ pub struct Disk {
     /// FLUSH commands served in posted mode.
     flushes: u64,
     stats: BlockIoStats,
+    /// The persist log, while a test runs one.
+    log: Option<PersistLog>,
 }
 
 impl Disk {
@@ -104,6 +128,7 @@ impl Disk {
             overlay: BTreeMap::new(),
             flushes: 0,
             stats: BlockIoStats::default(),
+            log: None,
         }
     }
 
@@ -120,6 +145,31 @@ impl Disk {
         let mut out = vec![0u8; self.blocks as usize * BLOCK_SIZE];
         self.store.read(0, &mut out);
         out
+    }
+
+    /// A disk holding only what persisted, sharing this one's chunks: what
+    /// a remount after a power cut would find, with no posted cache,
+    /// faults, power cut or log.
+    pub fn persisted(&self) -> Disk {
+        Disk {
+            store: self.store.clone(),
+            ..Disk::new(self.blocks)
+        }
+    }
+
+    /// Starts a new, empty persist log (see the module doc).
+    pub fn start_log(&mut self) {
+        self.log = Some(PersistLog::default());
+    }
+
+    /// The persist log so far (empty when none runs).
+    pub fn log(&self) -> &[(u64, Box<[u8]>)] {
+        self.log.as_ref().map_or(&[], |log| &log.blocks)
+    }
+
+    /// Stops the persist log and returns it.
+    pub fn take_log(&mut self) -> PersistLog {
+        self.log.take().unwrap_or_default()
     }
 
     /// Capacity in blocks.
@@ -384,7 +434,7 @@ impl Disk {
     /// when it is on, into the store otherwise.
     fn put(&mut self, lba: u64, data: &[u8]) {
         if !self.posted {
-            self.store.write(lba, data);
+            self.persist(lba, data);
             return;
         }
         for (b, block) in (lba..).zip(data.chunks_exact(BLOCK_SIZE)) {
@@ -395,7 +445,20 @@ impl Disk {
     /// Persists every block of the posted write cache to the store.
     fn persist_overlay(&mut self) {
         for (lba, block) in std::mem::take(&mut self.overlay) {
-            self.store.write(lba, &block);
+            self.persist(lba, &block);
+        }
+        if let Some(log) = &mut self.log {
+            log.flushes.push(log.blocks.len());
+        }
+    }
+
+    /// Writes the blocks of `data` from `lba` to the store, and to the log
+    /// while one runs.
+    fn persist(&mut self, lba: u64, data: &[u8]) {
+        self.store.write(lba, data);
+        if let Some(log) = &mut self.log {
+            let blocks = data.chunks_exact(BLOCK_SIZE).map(Box::from);
+            log.blocks.extend((lba..).zip(blocks));
         }
     }
 }

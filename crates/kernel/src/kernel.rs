@@ -1311,16 +1311,6 @@ impl Kernel {
             .record(now, 0, TraceKind::FramePresent, Some(task), "");
     }
 
-    pub(crate) fn trace_marker(&mut self, task: TaskId, core: usize, detail: &str) {
-        self.trace.record(
-            self.board.now_us(),
-            core,
-            TraceKind::Marker,
-            Some(task),
-            detail,
-        );
-    }
-
     pub(crate) fn console_print(&mut self, core: usize, text: &str) {
         let cost = self.board.cost.uart_tx_per_byte * (text.len() as u64 + 1);
         self.board.charge(core, cost);

@@ -179,11 +179,6 @@ impl<'a> UserCtx<'a> {
         self.kernel.console_print(self.core, text);
     }
 
-    /// Records a trace marker (shows up in `TraceBuffer::dump`).
-    pub fn trace_marker(&mut self, detail: &str) {
-        self.kernel.trace_marker(self.task, self.core, detail);
-    }
-
     /// Reports a finished frame with its phase breakdown (drives FPS and
     /// latency metrics).
     pub fn record_frame(&mut self, phases: FramePhases) {

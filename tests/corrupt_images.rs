@@ -16,9 +16,12 @@
 //! drive `/d` through the `UserCtx` stubs. The kernel formats its ramdisk at
 //! every boot, so a damaged root image reaches only the filesystem API.
 
+pub mod harness;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hal::sdhost::SdHost;
+use harness::Rng;
 use kernel::kernel::{Kernel, FAT_PARTITION_START};
 use kernel::{KernelError, OpenFlags};
 use protofs::block::SdBlockDevice;
@@ -37,27 +40,6 @@ const STEP_BUDGET: usize = 200;
 const FLIP_SEEDS: u64 = 12;
 /// Device sectors of each image (4 MB).
 const IMAGE_SECTORS: u64 = 8192;
-
-/// A tiny SplitMix64-style generator: deterministic, seedable.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.0 = z;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// One field of an on-disk structure: where it sits and how wide it is.
 #[derive(Clone, Copy)]

@@ -1,245 +1,50 @@
-//! Crash-consistency tests for the ordered write-back pipeline: randomized
-//! write/flush/power-cut schedules (a seeded-PRNG stand-in for a property
-//! testing crate — the build environment is offline) plus deterministic
-//! exhaustive cut-point sweeps, one of which shows the LBA-order bug the
-//! dependency-ordered drain fixes by replaying a drain's blocks in LBA
-//! order.
+//! Crash consistency of the storage stack: FAT32's intent log, the xv6fs
+//! journal, the dependency-ordered write-back drain, the SD card's DMA
+//! queue and the posted write cache, each proven by power cuts at every
+//! point of an op.
 //!
-//! The invariants, checked by remounting the *persisted* image under a fresh
-//! cache after every simulated cut:
+//! Every test is a row of the cut harness (`harness/mod.rs`): a pre-state,
+//! an op run once with the disk's persist log on, its cut points and a
+//! check. A cut's image is the disk from before the op with a prefix of the
+//! log applied. It is remounted under a cold cache (intent-log and journal
+//! replay included) and held to its filesystem's fsck invariants: FAT
+//! chains that stay in the data area, reach no free cluster and share none;
+//! xv6fs entries that name allocated inodes, and block maps the bitmap
+//! marks used, one owner per block. Then the rows check:
 //!
-//! * the remount itself always succeeds (intent-log replay included);
-//! * no dirent references an unwritten or free cluster — every visible
-//!   file's contents equal some version that was actually written;
-//! * no two files share a cluster, and every chain terminates inside the
-//!   data area;
-//! * data made durable (fsync, or a logged metadata operation, both full
-//!   barriers) and not modified afterwards is intact bit-for-bit.
+//! * a logged op (overwrite, rename, remove, mkdir, a group commit, a torn
+//!   commit record) shows the tree from before it or the one after it at
+//!   every cut, never a mix;
+//! * an unlogged one leaves each path in a state it passed through: a new
+//!   file is absent or whole, an offset write leaves each byte old or new;
+//! * seeded schedules of writes, flushes and a power cut keep every durable
+//!   path exact and every visible file at a version written to it;
+//! * an LBA-order replay of a drain publishes a torn file, so the sweeps
+//!   see the ordering bug the dependency-ordered drain fixes.
+//!
+//! `real_cuts_persist_what_the_log_says` checks the harness itself. It cuts
+//! for real at every k on a polled disk, a posted one and the SD card in DMA
+//! mode, compares what persisted with the log, and holds the assertions
+//! about the cut itself: the barrier fails, a torn chain stays dirty, a
+//! torn record is one range command.
 
-use std::collections::{BTreeMap, BTreeSet};
+pub mod harness;
 
-use proto_repro::hal::clock::Clock;
-use proto_repro::hal::cost::CostModel;
-use proto_repro::hal::dma::DmaEngine;
-use proto_repro::hal::sdhost::{SdDataMode, SdHost};
-use proto_repro::kernel::kernel::{FAT_GROUP_COMMIT_OPS, FAT_PARTITION_START};
-use proto_repro::kernel::{OpenFlags, TaskId};
-use proto_repro::proto::prototype::ProtoSystem;
-use proto_repro::protofs::block::{BlockIoStats, SdBlockDevice, SdDmaCtx};
-use proto_repro::protofs::bufcache::BufCache;
-use proto_repro::protofs::fat32::{Bpb, Fat32, FIRST_CLUSTER, INTENT_LOG_START};
-use proto_repro::protofs::txn::TXN_MAGIC;
-use proto_repro::protofs::xv6fs::{InodeType, Xv6Fs, BSIZE, INODE_SIZE, IPB, NDIRECT};
-use proto_repro::protofs::{BlockDevice, FsError, FsResult, MemDisk, BLOCK_SIZE};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
-/// A tiny SplitMix64-style generator: deterministic, seedable.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.0 = z;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// Distinguishable file contents: every (file, version) pair yields a unique
-/// byte stream, so a remounted file identifies exactly which version (if
-/// any) it holds.
-fn pattern(file_id: u64, version: u64, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((file_id * 131 + version * 29 + i as u64) % 251) as u8)
-        .collect()
-}
-
-/// Per-path model state across a schedule.
-#[derive(Default)]
-struct PathModel {
-    /// Every state this path has been in (None = absent). Index 0 is the
-    /// initial "never existed" state.
-    states: Vec<Option<Vec<u8>>>,
-    /// Index of the state captured at the last completed durability barrier.
-    committed: usize,
-    /// Whether the path changed since that barrier.
-    dirty_since_barrier: bool,
-}
-
-impl PathModel {
-    fn new() -> Self {
-        PathModel {
-            states: vec![None],
-            committed: 0,
-            dirty_since_barrier: false,
-        }
-    }
-
-    fn current(&self) -> &Option<Vec<u8>> {
-        self.states.last().unwrap()
-    }
-
-    fn push(&mut self, state: Option<Vec<u8>>) {
-        self.states.push(state);
-        self.dirty_since_barrier = true;
-    }
-}
-
-type Model = BTreeMap<String, PathModel>;
-
-fn barrier(model: &mut Model) {
-    for m in model.values_mut() {
-        m.committed = m.states.len() - 1;
-        m.dirty_since_barrier = false;
-    }
-}
-
-/// Reads one FAT entry straight from the persisted image.
-fn raw_fat_entry(disk: &mut dyn BlockDevice, bpb: &Bpb, cluster: u32) -> u32 {
-    let byte = cluster as u64 * 4;
-    let sector = bpb.fat_start as u64 + byte / BLOCK_SIZE as u64;
-    let off = (byte % BLOCK_SIZE as u64) as usize;
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    disk.read_block(sector, &mut buf).unwrap();
-    u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]) & 0x0FFF_FFFF
-}
-
-/// Walks every file reachable from the FAT root and checks the structural
-/// invariants; returns the visible (path, contents) pairs.
-fn check_fat_structure(
-    disk: &mut dyn BlockDevice,
-    bc: &mut BufCache,
-    fs: &Fat32,
-    seed_note: &str,
-) -> Vec<(String, Vec<u8>)> {
-    let bpb = fs.bpb();
-    let mut seen_clusters: BTreeSet<u32> = BTreeSet::new();
-    let mut visible = Vec::new();
-    let mut dirs = vec![String::from("/")];
-    while let Some(dir) = dirs.pop() {
-        let entries = fs
-            .list_dir(disk, bc, &dir)
-            .unwrap_or_else(|e| panic!("[{seed_note}] listing {dir} failed: {e}"));
-        for e in entries {
-            let path = if dir == "/" {
-                format!("/{}", e.name)
-            } else {
-                format!("{}/{}", dir, e.name)
-            };
-            if e.first_cluster != 0 {
-                // Chain invariants: in-range, allocated, acyclic, unshared,
-                // and long enough for the dirent's size.
-                let mut c = e.first_cluster;
-                let mut len = 0u64;
-                let limit = bpb.cluster_count as u64 + 2;
-                while (FIRST_CLUSTER..0x0FFF_FFF8).contains(&c) {
-                    assert!(
-                        c < FIRST_CLUSTER + bpb.cluster_count,
-                        "[{seed_note}] {path}: chain leaves the data area at {c}"
-                    );
-                    assert!(
-                        seen_clusters.insert(c),
-                        "[{seed_note}] {path}: cluster {c} cross-linked between files"
-                    );
-                    let next = raw_fat_entry(disk, &bpb, c);
-                    assert_ne!(
-                        next, 0,
-                        "[{seed_note}] {path}: chain references FREE cluster after {c}"
-                    );
-                    len += 1;
-                    assert!(len <= limit, "[{seed_note}] {path}: FAT chain cycle");
-                    c = next;
-                }
-                if !e.is_dir {
-                    let clusters_needed = (e.size as u64).div_ceil(CLUSTER_BYTES);
-                    assert!(
-                        len >= clusters_needed,
-                        "[{seed_note}] {path}: size {} needs {clusters_needed} clusters, chain has {len}",
-                        e.size
-                    );
-                }
-            }
-            if e.is_dir {
-                dirs.push(path);
-            } else {
-                let content = fs
-                    .read_file(disk, bc, &path)
-                    .unwrap_or_else(|err| panic!("[{seed_note}] reading {path} failed: {err}"));
-                visible.push((path, content));
-            }
-        }
-    }
-    visible
-}
-
-const CLUSTER_BYTES: u64 = proto_repro::protofs::fat32::CLUSTER_SIZE as u64;
-
-/// Reads xv6fs block `b` through `bc`, as the mounted volume sees it.
-fn xv6_block(disk: &mut dyn BlockDevice, bc: &mut BufCache, b: u32) -> Vec<u8> {
-    let mut out = vec![0u8; BSIZE];
-    let first = u64::from(b) * (BSIZE / BLOCK_SIZE) as u64;
-    for (lba, sector) in (first..).zip(out.chunks_exact_mut(BLOCK_SIZE)) {
-        bc.read(disk, lba, sector).unwrap();
-    }
-    out
-}
-
-/// Checks the block maps of the xv6fs inodes `inums`: every block one maps
-/// lies in the data area, belongs to that inode alone and, if `bitmap` is
-/// set, is marked used in the bitmap.
-fn check_xv6_blocks(
-    disk: &mut dyn BlockDevice,
-    bc: &mut BufCache,
-    fs: &Xv6Fs,
-    inums: &BTreeSet<u32>,
-    bitmap: bool,
-    note: &str,
-) {
-    let sb = fs.superblock();
-    let bits_per_block = BSIZE as u32 * 8;
-    let mut owner: BTreeMap<u32, u32> = BTreeMap::new();
-    for &inum in inums {
-        let iblock = xv6_block(disk, bc, sb.inodestart + inum / IPB as u32);
-        let raw = &iblock[inum as usize % IPB * INODE_SIZE..][..INODE_SIZE];
-        let word = |w: &[u8], i: usize| u32::from_le_bytes(w[4 * i..4 * i + 4].try_into().unwrap());
-        let addrs: Vec<u32> = (0..=NDIRECT).map(|i| word(&raw[8..], i)).collect();
-        let mut blocks: Vec<u32> = addrs.iter().copied().filter(|&b| b != 0).collect();
-        let indirect = addrs[NDIRECT];
-        if indirect != 0 {
-            assert!(
-                (sb.datastart..sb.size).contains(&indirect),
-                "[{note}] inode {inum}'s indirect block {indirect} lies outside the data area"
-            );
-            let ind = xv6_block(disk, bc, indirect);
-            blocks.extend((0..BSIZE / 4).map(|i| word(&ind, i)).filter(|&b| b != 0));
-        }
-        for b in blocks {
-            assert!(
-                (sb.datastart..sb.size).contains(&b),
-                "[{note}] inode {inum} maps block {b} outside the data area"
-            );
-            if bitmap {
-                let bits = xv6_block(disk, bc, sb.bmapstart + b / bits_per_block);
-                let bit = (b % bits_per_block) as usize;
-                assert!(
-                    bits[bit / 8] & (1 << (bit % 8)) != 0,
-                    "[{note}] inode {inum} maps block {b}, which the bitmap marks free"
-                );
-            }
-            if let Some(other) = owner.insert(b, inum) {
-                panic!("[{note}] block {b} is mapped by inodes {other} and {inum}");
-            }
-        }
-    }
-}
+use hal::disk::PersistLog;
+use hal::sdhost::SdDataMode;
+use harness::{barrier, card, dma_partition, file, model, pattern, Cuts, Model, Mounted};
+use harness::{Node, PathModel, Rng, Tree, Vol};
+use kernel::kernel::{FAT_GROUP_COMMIT_OPS, FAT_PARTITION_START};
+use kernel::{OpenFlags, TaskId};
+use proto::prototype::ProtoSystem;
+use protofs::bufcache::BufCache;
+use protofs::fat32::{Fat32, CLUSTER_SIZE, FIRST_CLUSTER, INTENT_LOG_START};
+use protofs::txn::TXN_MAGIC;
+use protofs::xv6fs::{InodeType, Xv6Fs, BSIZE};
+use protofs::{FsError, MemDisk, BLOCK_SIZE};
 
 /// `old` with `data` written at `offset`, any gap zero-filled.
 fn patched(old: &[u8], offset: usize, data: &[u8]) -> Vec<u8> {
@@ -249,149 +54,52 @@ fn patched(old: &[u8], offset: usize, data: &[u8]) -> Vec<u8> {
     new
 }
 
-/// A [`MemDisk`] that logs every block it persists, in order. A power cut
-/// after `k` persisted blocks leaves the starting image with the first `k`
-/// logged blocks applied, so one run yields the image of a cut at every
-/// prefix of its log.
-struct LoggedDisk {
-    disk: MemDisk,
-    log: Vec<(u64, Vec<u8>)>,
+/// Whether `tree` holds `bytes` at `path`.
+fn holds(tree: &Tree, path: &str, bytes: &[u8]) -> bool {
+    tree.get(path) == file(bytes).as_ref()
 }
 
-impl BlockDevice for LoggedDisk {
-    fn num_blocks(&self) -> u64 {
-        self.disk.num_blocks()
-    }
-
-    fn read_block(&mut self, lba: u64, out: &mut [u8]) -> FsResult<()> {
-        Ok(self.disk.read_block(lba, out)?)
-    }
-
-    fn write_block(&mut self, lba: u64, data: &[u8]) -> FsResult<()> {
-        self.disk.write_block(lba, data)?;
-        self.log.push((lba, data.to_vec()));
-        Ok(())
-    }
-
-    fn read_range(&mut self, lba: u64, count: u64, out: &mut [u8]) -> FsResult<()> {
-        Ok(self.disk.read_range(lba, count, out)?)
-    }
-
-    fn stats(&self) -> BlockIoStats {
-        self.disk.stats()
-    }
+/// Block `lba` of `disk`.
+fn sector(disk: &mut MemDisk, lba: u64) -> Vec<u8> {
+    let mut out = vec![0u8; BLOCK_SIZE];
+    disk.read_block(lba, &mut out).unwrap();
+    out
 }
 
 /// One op of a FAT32 schedule that succeeded or that the cut interrupted:
-/// the span of the write log it persisted, the states it gave paths, and
-/// whether its success is a durability barrier.
+/// the span of the log it persisted, the states it gave paths, and whether
+/// its success is a durability barrier.
 struct Step {
-    writes: std::ops::Range<usize>,
-    changes: Vec<(String, Option<Vec<u8>>)>,
+    writes: Range<usize>,
+    changes: Vec<(String, Option<Node>)>,
     barrier: bool,
     /// The power cut fired during the op.
     cut: bool,
 }
 
-/// The file and directory models a cut after `k` logged blocks leaves:
-/// every op that finished before the cut, then the op the cut interrupted,
-/// whose states are possible outcomes (it may still land by replay).
-fn fat_models_at(steps: &[Step], files: &[String], dirs: &[&str], k: usize) -> (Model, Model) {
-    let mut model: Model = files
+/// The model a cut after `k` logged blocks leaves: every op that finished
+/// before the cut, then the op the cut interrupted, whose states are
+/// possible outcomes (it may still land by replay).
+fn fat_model_at(steps: &[Step], paths: &[String], k: usize) -> Model {
+    let mut model: Model = paths
         .iter()
-        .map(|n| (n.clone(), PathModel::new()))
-        .collect();
-    let mut dir_model: Model = dirs
-        .iter()
-        .map(|n| (n.to_string(), PathModel::new()))
+        .map(|p| (p.clone(), PathModel::new(None)))
         .collect();
     for step in steps {
         if step.writes.start > k {
             break;
         }
         for (path, state) in &step.changes {
-            let m = if dir_model.contains_key(path) {
-                &mut dir_model
-            } else {
-                &mut model
-            };
-            m.get_mut(path).unwrap().push(state.clone());
+            model.get_mut(path).unwrap().push(state.clone());
         }
         if step.cut || step.writes.end > k {
             break;
         }
         if step.barrier {
             barrier(&mut model);
-            barrier(&mut dir_model);
         }
     }
-    (model, dir_model)
-}
-
-/// Remounts `image` under a fresh cache and checks it against the models:
-/// the structure holds, every visible file holds a version that was
-/// written, durable files and directories are exact. Returns the first
-/// clusters of the directories it found.
-fn check_fat_cut(image: Vec<u8>, model: &Model, dirs: &Model, note: &str) -> Vec<u32> {
-    let mut disk2 = MemDisk::from_image(image);
-    let mut bc2 = BufCache::default();
-    let fs2 = Fat32::mount(&mut disk2, &mut bc2)
-        .unwrap_or_else(|e| panic!("[{note}] remount failed: {e}"));
-    let visible = check_fat_structure(&mut disk2, &mut bc2, &fs2, note);
-
-    // Every visible file holds exactly one historically written version
-    // — never zeros, garbage, or a torn mix.
-    for (path, content) in &visible {
-        let m = model
-            .get(path)
-            .unwrap_or_else(|| panic!("[{note}] unexpected file {path}"));
-        assert!(
-            m.states
-                .iter()
-                .any(|s| s.as_ref().is_some_and(|v| v == content)),
-            "[{note}] {path} holds {} bytes matching no written version",
-            content.len()
-        );
-    }
-    // Durable-and-unmodified paths are exact.
-    for (path, m) in model {
-        if m.dirty_since_barrier {
-            continue;
-        }
-        let committed = &m.states[m.committed];
-        let found = visible.iter().find(|(p, _)| p == path).map(|(_, c)| c);
-        match committed {
-            Some(v) => assert_eq!(
-                found,
-                Some(v),
-                "[{note}] durable file {path} lost or changed after the cut"
-            ),
-            None => assert!(
-                found.is_none(),
-                "[{note}] durably removed file {path} resurrected"
-            ),
-        }
-    }
-    // A directory that is there was made; one made durably is there.
-    let mut clusters = vec![fs2.bpb().root_cluster];
-    for (dir, m) in dirs {
-        let found = match fs2.lookup(&mut disk2, &mut bc2, dir) {
-            Ok(e) => {
-                assert!(e.is_dir, "[{note}] {dir} is not a directory");
-                clusters.push(e.first_cluster);
-                true
-            }
-            Err(FsError::NotFound(_)) => false,
-            Err(e) => panic!("[{note}] looking up {dir} failed: {e}"),
-        };
-        if found {
-            assert!(m.states.len() > 1, "[{note}] {dir} was never made");
-        }
-        if !m.dirty_since_barrier && m.states[m.committed].is_some() {
-            assert!(found, "[{note}] durable directory {dir} lost after the cut");
-        }
-    }
-    clusters
+    model
 }
 
 /// Earlier cut points each FAT32 schedule also checks, besides its real
@@ -404,29 +112,29 @@ fn fat32_random_torn_cut_schedules_preserve_the_invariants() {
         let mut rng = Rng::new(1000 + seed);
         // 8 MB volume, deliberately small cache (4 shards x 8 extents =
         // 128 KB) so schedules exercise eviction paths too.
-        let mut disk = LoggedDisk {
-            disk: MemDisk::new(16 * 1024),
-            log: Vec::new(),
+        let vol = {
+            let mut disk = MemDisk::new(16 * 1024);
+            let mut bc = BufCache::with_geometry(4, 8);
+            let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
+            fs.create(&mut disk, &mut bc, "/SUB", true).unwrap();
+            bc.flush(&mut disk).unwrap();
+            Vol { disk, bc, fs }
         };
-        let mut bc = BufCache::with_geometry(4, 8);
-        let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
-        fs.create(&mut disk, &mut bc, "/SUB", true).unwrap();
-        bc.flush(&mut disk).unwrap();
-        let start_image = disk.disk.image().to_vec();
-        disk.log.clear();
-
         // FAT stores 8.3 names upper-cased; keep the model keyed the same
         // way so remounted listings match directly.
         let names: Vec<String> = (0..4)
             .map(|i| format!("/F{i}.BIN"))
             .chain((0..2).map(|i| format!("/SUB/G{i}.BIN")))
             .collect();
-        // Directories the schedule may create; their state is `Some` once
-        // made.
+        // Directories the schedule may create.
         let dir_names = ["/D0", "/SUB/D1"];
-        // What each path holds as the schedule runs, for the next op's
-        // draw.
-        let mut current: BTreeMap<String, Option<Vec<u8>>> =
+        let paths: Vec<String> = names
+            .iter()
+            .cloned()
+            .chain(dir_names.map(String::from))
+            .collect();
+        // What each file holds as the schedule runs, for the next op's draw.
+        let mut current: BTreeMap<String, Option<Node>> =
             names.iter().map(|n| (n.clone(), None)).collect();
         let mut steps: Vec<Step> = Vec::new();
         let mut version = 0u64;
@@ -435,134 +143,131 @@ fn fat32_random_torn_cut_schedules_preserve_the_invariants() {
         // blocks (some seeds never reach it — those validate the quiescent
         // path).
         let cut_after = rng.below(2500);
-        disk.disk.power_cut_after(cut_after);
-
-        for _op in 0..40 {
-            if disk.disk.power_lost() {
-                break;
-            }
-            let which = rng.below(13);
-            let name = names[rng.below(names.len() as u64) as usize].clone();
-            let file_id = names.iter().position(|n| *n == name).unwrap() as u64;
-            // Writing a file that has a chain swaps chains in a logged
-            // transaction, a full durability barrier on success; a new or
-            // empty file's write is asynchronous, ordered data ≺ FAT ≺
-            // dirent.
-            let has_chain = current[&name].as_ref().is_some_and(|v| !v.is_empty());
-            let start = disk.log.len();
-            let (ok, changes, is_barrier) = match which {
-                // Write (create or overwrite).
-                0..=4 => {
-                    version += 1;
-                    let len = 1 + rng.below(40 * 1024) as usize;
-                    let data = pattern(file_id, version, len);
-                    let r = fs.write_file(&mut disk, &mut bc, &name, &data);
-                    (r.is_ok(), vec![(name, Some(data))], has_chain)
+        let cuts = vol.cuts(|Vol { disk, bc, fs }| {
+            disk.power_cut_after(cut_after);
+            for _op in 0..40 {
+                if disk.power_lost() {
+                    break;
                 }
-                // Write at a nonzero offset: the file is read, patched and
-                // written back whole.
-                10 => {
-                    let Some(old) = current[&name].clone() else {
-                        assert!(fs.write_at(&mut disk, &mut bc, &name, 1, b"x").is_err());
-                        continue;
-                    };
-                    version += 1;
-                    let offset = 1 + rng.below(48 * 1024) as usize;
-                    let data = pattern(file_id, version, 1 + rng.below(16 * 1024) as usize);
-                    let r = fs.write_at(&mut disk, &mut bc, &name, offset as u32, &data);
-                    let new = patched(&old, offset, &data);
-                    (r.is_ok(), vec![(name, Some(new))], has_chain)
-                }
-                // Create an empty file: one asynchronous dirent write.
-                8 => {
-                    let r = fs.create(&mut disk, &mut bc, &name, false);
-                    (r.is_ok(), vec![(name, Some(Vec::new()))], false)
-                }
-                // Create a directory (logged; barrier on success).
-                9 => {
-                    let dir = dir_names[rng.below(dir_names.len() as u64) as usize];
-                    let r = fs.create(&mut disk, &mut bc, dir, true);
-                    (r.is_ok(), vec![(dir.to_string(), Some(Vec::new()))], true)
-                }
-                // Remove (logged; barrier on success).
-                5 => {
-                    let r = fs.remove(&mut disk, &mut bc, &name);
-                    (r.is_ok(), vec![(name, None)], true)
-                }
-                // Rename (logged; barrier on success).
-                6 => {
-                    let to = names[rng.below(names.len() as u64) as usize].clone();
-                    if to == name {
-                        continue;
+                let which = rng.below(13);
+                let name = names[rng.below(names.len() as u64) as usize].clone();
+                let file_id = names.iter().position(|n| *n == name).unwrap() as u64;
+                // Writing a file that has a chain swaps chains in a logged
+                // transaction, a full durability barrier on success; a new
+                // or empty file's write is asynchronous, ordered data ≺ FAT
+                // ≺ dirent.
+                let has_chain = matches!(&current[&name], Some(Node::File(v)) if !v.is_empty());
+                let start = disk.log().len();
+                let (ok, changes, is_barrier) = match which {
+                    // Write (create or overwrite).
+                    0..=4 => {
+                        version += 1;
+                        let len = 1 + rng.below(40 * 1024) as usize;
+                        let data = pattern(file_id, version, len);
+                        let r = fs.write_file(disk, bc, &name, &data);
+                        (r.is_ok(), vec![(name, file(&data))], has_chain)
                     }
-                    let moved = current[&name].clone();
-                    let r = fs.rename(&mut disk, &mut bc, &name, &to);
-                    (r.is_ok(), vec![(name, None), (to, moved)], true)
-                }
-                // fsync / sync_all.
-                7 => (bc.flush(&mut disk).is_ok(), vec![], true),
-                // Background flusher ticks with a random budget.
-                _ => {
-                    let _ = bc.flush_some(&mut disk, 8 + rng.below(120));
-                    (true, vec![], false)
-                }
-            };
-            let cut = disk.disk.power_lost();
-            if ok || cut {
-                for (path, state) in &changes {
-                    if let Some(c) = current.get_mut(path) {
-                        c.clone_from(state);
+                    // Write at a nonzero offset: the file is read, patched
+                    // and written back whole.
+                    10 => {
+                        let Some(Node::File(old)) = current[&name].clone() else {
+                            assert!(fs.write_at(disk, bc, &name, 1, b"x").is_err());
+                            continue;
+                        };
+                        version += 1;
+                        let offset = 1 + rng.below(48 * 1024) as usize;
+                        let data = pattern(file_id, version, 1 + rng.below(16 * 1024) as usize);
+                        let r = fs.write_at(disk, bc, &name, offset as u32, &data);
+                        let new = patched(&old, offset, &data);
+                        (r.is_ok(), vec![(name, file(&new))], has_chain)
                     }
+                    // Create an empty file: one asynchronous dirent write.
+                    8 => {
+                        let r = fs.create(disk, bc, &name, false);
+                        (r.is_ok(), vec![(name, file(&[]))], false)
+                    }
+                    // Create a directory (logged; barrier on success).
+                    9 => {
+                        let dir = dir_names[rng.below(dir_names.len() as u64) as usize];
+                        let r = fs.create(disk, bc, dir, true);
+                        (r.is_ok(), vec![(dir.to_string(), Some(Node::Dir))], true)
+                    }
+                    // Remove (logged; barrier on success).
+                    5 => {
+                        let r = fs.remove(disk, bc, &name);
+                        (r.is_ok(), vec![(name, None)], true)
+                    }
+                    // Rename (logged; barrier on success).
+                    6 => {
+                        let to = names[rng.below(names.len() as u64) as usize].clone();
+                        if to == name {
+                            continue;
+                        }
+                        let moved = current[&name].clone();
+                        let r = fs.rename(disk, bc, &name, &to);
+                        (r.is_ok(), vec![(name, None), (to, moved)], true)
+                    }
+                    // fsync / sync_all.
+                    7 => (bc.flush(disk).is_ok(), vec![], true),
+                    // Background flusher ticks with a random budget.
+                    _ => {
+                        let _ = bc.flush_some(disk, 8 + rng.below(120));
+                        (true, vec![], false)
+                    }
+                };
+                let cut = disk.power_lost();
+                if ok || cut {
+                    for (path, state) in &changes {
+                        if let Some(c) = current.get_mut(path) {
+                            c.clone_from(state);
+                        }
+                    }
+                    steps.push(Step {
+                        writes: start..disk.log().len(),
+                        changes,
+                        barrier: is_barrier,
+                        cut,
+                    });
                 }
-                steps.push(Step {
-                    writes: start..disk.log.len(),
-                    changes,
-                    barrier: is_barrier,
-                    cut,
-                });
             }
-        }
-        // The schedules never rely on the ordering escape hatch.
-        assert_eq!(
-            bc.stats().forced_meta_writes,
-            0,
-            "[seed {seed}] drain hit a dependency cycle"
-        );
+            // The schedules never rely on the ordering escape hatch.
+            let forced = bc.stats().forced_meta_writes;
+            assert_eq!(forced, 0, "[seed {seed}] drain hit a dependency cycle");
+        });
 
-        // "Power cut": remount exactly what persisted, under a fresh cache.
-        // Then the cuts at sampled earlier points where a FAT or directory
-        // sector had just landed, when a write-order mistake shows.
-        let log = std::mem::take(&mut disk.log);
-        let (model, dirs) = fat_models_at(&steps, &names, &dir_names, log.len());
-        let note = format!("seed {seed}, cut {cut_after}");
-        let dir_clusters = check_fat_cut(disk.disk.image().to_vec(), &model, &dirs, &note);
-        let bpb = fs.bpb();
+        // The real cut: what persisted. Then the cuts at sampled earlier
+        // points where a FAT or directory sector had just landed, when a
+        // write-order mistake shows.
+        let (what, n) = (format!("seed {seed}"), cuts.end());
+        let mut dir_clusters = Vec::new();
+        cuts.sweep::<Fat32>(&what, [n], |_, m| {
+            m.check(&fat_model_at(&steps, &paths, n));
+            dir_clusters.push(m.fs.bpb().root_cluster);
+            for dir in dir_names {
+                if let Ok(e) = m.fs.lookup(&mut m.dev, &mut m.bc, dir) {
+                    dir_clusters.push(e.first_cluster);
+                }
+            }
+        });
+        let bpb = vol.fs.bpb();
         let metadata = |lba: u64| {
             lba < u64::from(bpb.data_start)
                 || dir_clusters.iter().any(|&c| {
-                    let first = u64::from(bpb.data_start)
-                        + u64::from(c - FIRST_CLUSTER) * CLUSTER_BYTES / BLOCK_SIZE as u64;
-                    (first..first + CLUSTER_BYTES / BLOCK_SIZE as u64).contains(&lba)
+                    let sectors = (CLUSTER_SIZE / BLOCK_SIZE) as u64;
+                    let first = u64::from(bpb.data_start) + u64::from(c - FIRST_CLUSTER) * sectors;
+                    (first..first + sectors).contains(&lba)
                 })
         };
-        let mut points: Vec<usize> = (1..log.len()).filter(|&k| metadata(log[k - 1].0)).collect();
+        let log = &cuts.log.blocks;
+        let mut points: Vec<usize> = (1..n).filter(|&k| metadata(log[k - 1].0)).collect();
         let mut picked = Vec::new();
         while picked.len() < PREFIX_CUTS && !points.is_empty() {
             picked.push(points.swap_remove(rng.below(points.len() as u64) as usize));
         }
         picked.sort_unstable();
-        let mut image = start_image;
-        let mut applied = 0;
-        for k in picked {
-            for (lba, data) in &log[applied..k] {
-                let at = *lba as usize * BLOCK_SIZE;
-                image[at..at + BLOCK_SIZE].copy_from_slice(data);
-            }
-            applied = k;
-            let (model, dirs) = fat_models_at(&steps, &names, &dir_names, k);
-            let note = format!("seed {seed}, cut {k} of the log's {}", log.len());
-            check_fat_cut(image.clone(), &model, &dirs, &note);
-        }
+        cuts.sweep::<Fat32>(&what, picked, |k, m| {
+            m.check(&fat_model_at(&steps, &paths, k));
+        });
     }
 }
 
@@ -573,135 +278,65 @@ fn fat32_ordering_regression_exhaustive_cut_sweep() {
     // low LBAs, data clusters at high LBAs — so a pure-LBA drain writes the
     // metadata *first*, and a cut between them publishes a file whose
     // clusters never reached the device. The sweep cuts the flush after
-    // every possible block count k and remounts: for every k the file is
-    // absent or bit-exact.
+    // every block: at each cut the file is absent or bit-exact.
     let data = pattern(7, 1, 16 * 1024);
-    // Dry run to learn the dirty-block count of the scenario.
-    let total = {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
-        bc.dirty_blocks() as u64
-    };
-    assert!(total > 8, "scenario should span FAT + dirent + data");
-    for k in 0..=total {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
-        disk.power_cut_after(k);
-        let flush = bc.flush(&mut disk);
-        if k < total {
-            assert!(flush.is_err(), "cut at {k}/{total} must fail the flush");
-        }
-        disk.power_restored();
-        let torn = a_bin_is_torn(disk.image().to_vec(), &data);
-        assert!(!torn, "ordered drain, cut at {k}/{total}: /a.bin is torn");
-    }
+    let mut pre = Vol::fat(8 * 1024);
+    pre.fs
+        .write_file(&mut pre.disk, &mut pre.bc, "/a.bin", &data)
+        .unwrap();
+    let cuts = pre.cuts(|v| v.bc.flush(&mut v.disk).unwrap());
+    assert!(cuts.end() > 8, "scenario should span FAT + dirent + data");
+    let n = cuts.end();
+    cuts.sweep::<Fat32>("ordered drain", 0..=n, |k, m| {
+        m.check(&model([("/A.BIN", vec![None, file(&data)])], k == n));
+    });
 
-    // The sweep can see the bug: the same flush, logged, then replayed
-    // block by block. Every prefix in the drain's own order holds /a.bin
-    // absent or bit-exact; some prefix of the same blocks in LBA order
-    // publishes it torn.
-    let mut disk = LoggedDisk {
-        disk: MemDisk::new(8 * 1024),
-        log: Vec::new(),
-    };
-    let mut bc = BufCache::default();
-    let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
-    bc.flush(&mut disk).unwrap();
-    fs.write_file(&mut disk, &mut bc, "/a.bin", &data).unwrap();
-    let start = disk.disk.image().to_vec();
-    disk.log.clear();
-    bc.flush(&mut disk).unwrap();
-    let drained = std::mem::take(&mut disk.log);
-    assert_eq!(
-        drained.len() as u64,
-        total,
-        "the logged flush is the swept one"
-    );
-    let torn_prefixes = |log: &[(u64, Vec<u8>)]| {
-        let mut image = start.clone();
-        let mut torn = Vec::new();
-        for (k, (lba, block)) in log.iter().enumerate() {
-            let at = *lba as usize * BLOCK_SIZE;
-            image[at..at + BLOCK_SIZE].copy_from_slice(block);
-            if a_bin_is_torn(image.clone(), &data) {
-                torn.push(k + 1);
-            }
-        }
-        torn
-    };
-    let mut by_lba = drained.clone();
-    by_lba.sort_by_key(|(lba, _)| *lba);
-    assert_eq!(torn_prefixes(&drained), Vec::<usize>::new(), "drain order");
+    // The sweep can see the bug: the same blocks in LBA order publish
+    // /a.bin torn at some prefix.
+    let mut by_lba = cuts.clone();
+    by_lba.log.blocks.sort_by_key(|(lba, _)| *lba);
+    let mut torn = 0;
+    by_lba.sweep::<Fat32>("LBA order", 0..=n, |_, m| {
+        torn += usize::from(m.read("/a.bin").is_some_and(|c| c != data));
+    });
     assert!(
-        !torn_prefixes(&by_lba).is_empty(),
+        torn > 0,
         "an LBA-order replay of the same blocks must publish a torn /a.bin"
     );
 }
 
-/// Whether `image` remounts with `/a.bin` visible but not holding `data`:
-/// absent (the old tree) and bit-exact (the new one) are the legal states.
-fn a_bin_is_torn(image: Vec<u8>, data: &[u8]) -> bool {
-    let mut disk = MemDisk::from_image(image);
-    let mut bc = BufCache::default();
-    let fs = Fat32::mount(&mut disk, &mut bc).unwrap();
-    match fs.lookup(&mut disk, &mut bc, "/a.bin") {
-        Err(FsError::NotFound(_)) => false,
-        Ok(_) => fs
-            .read_file(&mut disk, &mut bc, "/a.bin")
-            .map_or(true, |c| c != data),
-        Err(e) => panic!("lookup of /a.bin failed oddly: {e}"),
-    }
+/// A 4096-block xv6fs volume on an 8192-block disk whose `/f` holds `old`
+/// durably.
+fn xv6_with_f(old: &[u8]) -> Vol<Xv6Fs> {
+    let mut v = Vol::xv6(8192, 4096, 128);
+    v.fs.write_file(&mut v.disk, &mut v.bc, "/f", old).unwrap();
+    v.bc.flush(&mut v.disk).unwrap();
+    v
 }
 
-fn fresh_fat() -> (MemDisk, BufCache, Fat32) {
-    let mut disk = MemDisk::new(8 * 1024);
-    let mut bc = BufCache::default();
-    let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
-    bc.flush(&mut disk).unwrap();
-    (disk, bc, fs)
+/// A FAT32 volume on an 8192-block disk holding `files` durably.
+fn fat_with(files: &[(&str, &[u8])]) -> Vol<Fat32> {
+    let mut v = Vol::fat(8 * 1024);
+    for (path, data) in files {
+        v.fs.write_file(&mut v.disk, &mut v.bc, path, data).unwrap();
+    }
+    v.sync().unwrap();
+    v
 }
 
 #[test]
 fn fat32_cut_during_logged_overwrite_yields_old_or_new_never_a_mix() {
-    // Overwrites run through the intent log: sweep a cut across the entire
-    // overwrite + commit and require strict old-xor-new contents.
+    // Overwrites run through the intent log: a cut anywhere in the
+    // overwrite, its commit and the drain behind it shows old XOR new.
     let old = pattern(1, 1, 24 * 1024);
     let new = pattern(1, 2, 30 * 1024);
-    // Learn an upper bound on the blocks the overwrite persists.
-    let total = {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
-        bc.flush(&mut disk).unwrap();
-        let before = disk.stats().blocks;
-        fs.write_file(&mut disk, &mut bc, "/v.bin", &new).unwrap();
-        disk.stats().blocks - before
-    };
-    let mut saw_old = false;
-    let mut saw_new = false;
-    for k in (0..=total).step_by(3) {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.power_cut_after(k);
-        let _ = fs.write_file(&mut disk, &mut bc, "/v.bin", &new);
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        let content = fs2.read_file(&mut disk2, &mut bc2, "/v.bin").unwrap();
-        if content == old {
-            saw_old = true;
-        } else if content == new {
-            saw_new = true;
-        } else {
-            panic!(
-                "cut at {k}/{total}: overwrite left {} bytes matching neither version",
-                content.len()
-            );
-        }
-    }
-    assert!(saw_old, "early cuts must preserve the old contents");
-    assert!(saw_new, "the uncut run must land the new contents");
+    let cuts = fat_with(&[("/v.bin", &old)]).cuts(|v| {
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/v.bin", &new)
+            .unwrap();
+        v.sync().unwrap();
+    });
+    let (before, after) = cuts.atomic::<Fat32>("overwrite", 0..=cuts.end());
+    assert!(holds(&before, "/V.BIN", &old) && holds(&after, "/V.BIN", &new));
 }
 
 #[test]
@@ -711,173 +346,102 @@ fn fat32_large_overwrite_spanning_many_fat_sectors_stays_atomic() {
     // still fit one intent-log record — a cut anywhere yields old XOR new.
     let old = pattern(11, 1, 4 * 1024 * 1024);
     let new = pattern(11, 2, 3 * 1024 * 1024 + 4096);
-    let total = {
-        let mut disk = MemDisk::new(32 * 1024);
-        let mut bc = BufCache::default();
-        let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
-        bc.flush(&mut disk).unwrap();
-        fs.write_file(&mut disk, &mut bc, "/DOOM.WAD", &old)
+    let mut pre = Vol::fat(32 * 1024);
+    pre.fs
+        .write_file(&mut pre.disk, &mut pre.bc, "/DOOM.WAD", &old)
+        .unwrap();
+    pre.sync().unwrap();
+    let cuts = pre.cuts(|v| {
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/DOOM.WAD", &new)
             .unwrap();
-        bc.flush(&mut disk).unwrap();
-        let before = disk.stats().blocks;
-        fs.write_file(&mut disk, &mut bc, "/DOOM.WAD", &new)
-            .unwrap();
-        disk.stats().blocks - before
-    };
-    let mut saw_old = false;
-    let mut saw_new = false;
-    // Sample the cut across the whole transaction, denser near the end
-    // where the log commit and metadata drain happen.
-    let step = (total / 8).max(1);
-    let cuts: Vec<u64> = (0..=total)
-        .step_by(step as usize)
-        .chain((total.saturating_sub(30)..=total).step_by(5))
+    });
+    // A cut per block is too slow: sample the transaction, denser near the
+    // end where the log commit happens.
+    let n = cuts.end();
+    let mut ks: Vec<usize> = (0..=n)
+        .step_by((n / 8).max(1))
+        .chain((n.saturating_sub(30)..=n).step_by(5))
         .collect();
-    for k in cuts {
-        let mut disk = MemDisk::new(32 * 1024);
-        let mut bc = BufCache::default();
-        let fs = Fat32::mkfs(&mut disk, &mut bc).unwrap();
-        bc.flush(&mut disk).unwrap();
-        fs.write_file(&mut disk, &mut bc, "/DOOM.WAD", &old)
-            .unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.power_cut_after(k);
-        let _ = fs.write_file(&mut disk, &mut bc, "/DOOM.WAD", &new);
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        let content = fs2.read_file(&mut disk2, &mut bc2, "/DOOM.WAD").unwrap();
-        if content == old {
-            saw_old = true;
-        } else if content == new {
-            saw_new = true;
-        } else {
-            panic!(
-                "cut at {k}/{total}: large overwrite left {} bytes matching neither version",
-                content.len()
-            );
-        }
-    }
-    assert!(saw_old && saw_new, "sweep must cover both outcomes");
+    ks.sort_unstable();
+    let (before, after) = cuts.atomic::<Fat32>("large overwrite", ks);
+    assert!(holds(&before, "/DOOM.WAD", &old) && holds(&after, "/DOOM.WAD", &new));
 }
 
 #[test]
 fn fat32_cut_during_rename_leaves_exactly_one_intact_name() {
     let data = pattern(3, 1, 12 * 1024);
-    let total = {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/src.bin", &data)
+    let cuts = fat_with(&[("/src.bin", &data)]).cuts(|v| {
+        v.fs.rename(&mut v.disk, &mut v.bc, "/src.bin", "/dst.bin")
             .unwrap();
-        bc.flush(&mut disk).unwrap();
-        let before = disk.stats().blocks;
-        fs.rename(&mut disk, &mut bc, "/src.bin", "/dst.bin")
+        v.sync().unwrap();
+    });
+    let (before, after) = cuts.atomic::<Fat32>("rename", 0..=cuts.end());
+    assert!(holds(&before, "/SRC.BIN", &data) && before.get("/DST.BIN").is_none());
+    assert!(holds(&after, "/DST.BIN", &data) && after.get("/SRC.BIN").is_none());
+}
+
+#[test]
+fn fat32_remove_and_mkdir_cut_sweeps_are_old_xor_new() {
+    // Both are logged transactions: a remove frees the chain and clears
+    // the entry; a mkdir claims a cluster, zeroes it and adds the entry.
+    let data = pattern(5, 1, 20 * 1024);
+    let pre = fat_with(&[("/gone.bin", &data)]);
+    let cuts = pre.cuts(|v| {
+        v.fs.remove(&mut v.disk, &mut v.bc, "/gone.bin").unwrap();
+        v.sync().unwrap();
+    });
+    let (before, after) = cuts.atomic::<Fat32>("remove", 0..=cuts.end());
+    assert!(holds(&before, "/GONE.BIN", &data) && after.get("/GONE.BIN").is_none());
+    assert!(after.free > before.free, "the remove frees the chain");
+    let cuts = pre.cuts(|v| {
+        v.fs.create(&mut v.disk, &mut v.bc, "/NEWDIR", true)
             .unwrap();
-        disk.stats().blocks - before
-    };
-    for k in 0..=total {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/src.bin", &data)
-            .unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.power_cut_after(k);
-        let _ = fs.rename(&mut disk, &mut bc, "/src.bin", "/dst.bin");
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        let src = fs2.read_file(&mut disk2, &mut bc2, "/src.bin");
-        let dst = fs2.read_file(&mut disk2, &mut bc2, "/dst.bin");
-        match (src, dst) {
-            (Ok(c), Err(FsError::NotFound(_))) => assert_eq!(c, data, "cut {k}: src torn"),
-            (Err(FsError::NotFound(_)), Ok(c)) => assert_eq!(c, data, "cut {k}: dst torn"),
-            (s, d) => panic!(
-                "cut at {k}/{total}: rename left src={:?} dst={:?}",
-                s.map(|c| c.len()),
-                d.map(|c| c.len())
-            ),
-        }
-    }
+        v.sync().unwrap();
+    });
+    let (before, after) = cuts.atomic::<Fat32>("mkdir", 0..=cuts.end());
+    assert_eq!(
+        (before.get("/NEWDIR"), after.get("/NEWDIR")),
+        (None, Some(&Node::Dir))
+    );
 }
 
 #[test]
 fn fat32_group_committed_burst_cut_sweep_is_old_xor_new_per_txn() {
     // Four logged overwrites fold into ONE commit record (group of 4). The
-    // burst performs no device I/O until the group's commit point, so a cut
-    // at every persisted-block prefix of the batched commit must leave each
-    // file strictly old XOR new — never a blend — and, since the whole
-    // group commits through one checksummed record, the only transition the
-    // sweep may observe is all-old -> all-new.
+    // burst performs no device I/O until the group's commit point, so at a
+    // cut after every persisted block the whole group is old or new: one
+    // checksummed record commits it all or nothing.
     let n_files = 4usize;
-    let name = |i: usize| format!("/G{i}.BIN");
+    let names: Vec<String> = (0..n_files).map(|i| format!("/G{i}.BIN")).collect();
     let olds: Vec<Vec<u8>> = (0..n_files)
         .map(|i| pattern(40 + i as u64, 1, 12 * 1024))
         .collect();
     let news: Vec<Vec<u8>> = (0..n_files)
         .map(|i| pattern(40 + i as u64, 2, 9 * 1024))
         .collect();
-    let setup = || {
-        let (mut disk, mut bc, mut fs) = fresh_fat();
-        for (i, old) in olds.iter().enumerate() {
-            fs.write_file(&mut disk, &mut bc, &name(i), old).unwrap();
-        }
-        bc.flush(&mut disk).unwrap();
-        fs.set_group_commit_ops(n_files as u32);
-        (disk, bc, fs)
-    };
-    // Dry run: learn the burst's persisted-block budget and check the
-    // group really condensed to one commit record.
-    let total = {
-        let (mut disk, mut bc, fs) = setup();
-        let before = disk.stats().blocks;
-        for (i, new) in news.iter().enumerate() {
-            fs.write_file(&mut disk, &mut bc, &name(i), new).unwrap();
-        }
-        assert_eq!(bc.group_txns(), 0, "fourth txn closed the group");
-        assert_eq!(bc.stats().log_commits, 1, "one record for four txns");
-        disk.stats().blocks - before
-    };
-    assert!(total > 20, "the batched commit should move real blocks");
-    let (mut saw_all_old, mut saw_all_new) = (false, false);
-    for k in 0..=total {
-        let (mut disk, mut bc, fs) = setup();
-        disk.power_cut_after(k);
-        for (i, new) in news.iter().enumerate() {
-            // Ops after the cut fires fail; that's the scenario.
-            let _ = fs.write_file(&mut disk, &mut bc, &name(i), new);
-        }
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        check_fat_structure(&mut disk2, &mut bc2, &fs2, &format!("group cut {k}"));
-        let mut new_count = 0;
-        for i in 0..n_files {
-            let content = fs2.read_file(&mut disk2, &mut bc2, &name(i)).unwrap();
-            if content == olds[i] {
-                // old: fine
-            } else if content == news[i] {
-                new_count += 1;
-            } else {
-                panic!(
-                    "cut at {k}/{total}: {} holds {} bytes matching neither version",
-                    name(i),
-                    content.len()
-                );
-            }
-        }
-        assert!(
-            new_count == 0 || new_count == n_files,
-            "cut at {k}/{total}: group commit must be all-or-nothing, got {new_count}/{n_files} new"
-        );
-        if new_count == 0 {
-            saw_all_old = true;
-        } else {
-            saw_all_new = true;
-        }
+    let mut pre = Vol::fat(8 * 1024);
+    for (name, old) in names.iter().zip(&olds) {
+        pre.fs
+            .write_file(&mut pre.disk, &mut pre.bc, name, old)
+            .unwrap();
     }
-    assert!(saw_all_old, "early cuts must preserve every old version");
-    assert!(saw_all_new, "the uncut run must land every new version");
+    pre.sync().unwrap();
+    pre.fs.set_group_commit_ops(n_files as u32);
+    let cuts = pre.cuts(|v| {
+        for (name, new) in names.iter().zip(&news) {
+            v.fs.write_file(&mut v.disk, &mut v.bc, name, new).unwrap();
+        }
+        assert_eq!(v.bc.group_txns(), 0, "fourth txn closed the group");
+        assert_eq!(v.bc.stats().log_commits, 1, "one record for four txns");
+    });
+    assert!(
+        cuts.end() > 20,
+        "the batched commit should move real blocks"
+    );
+    let (before, after) = cuts.atomic::<Fat32>("group", 0..=cuts.end());
+    for i in 0..n_files {
+        assert!(holds(&before, &names[i], &olds[i]) && holds(&after, &names[i], &news[i]));
+    }
 }
 
 #[test]
@@ -894,276 +458,137 @@ fn group_commit_replay_respects_interleaved_unlogged_writes() {
     let old_a = pattern(60, 1, 12 * 1024);
     let new_a = pattern(60, 2, 10 * 1024);
     let b = pattern(61, 1, 8 * 1024);
-    let setup = || {
-        let (mut disk, mut bc, mut fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/A.BIN", &old_a).unwrap();
-        bc.flush(&mut disk).unwrap();
-        fs.set_group_commit_ops(8);
-        fs.write_file(&mut disk, &mut bc, "/A.BIN", &new_a).unwrap(); // logged, pends
-        fs.write_file(&mut disk, &mut bc, "/B.BIN", &b).unwrap(); // unlogged, shares sectors
-        assert!(bc.group_txns() > 0, "the overwrite pends in the group");
-        (disk, bc, fs)
-    };
-    let total = {
-        let (mut disk, mut bc, fs) = setup();
-        let before = disk.stats().blocks;
-        fs.commit_pending(&mut disk, &mut bc).unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.stats().blocks - before
-    };
-    assert!(total > 8, "commit + flush should move real blocks");
-    let mut saw_b = false;
-    for k in 0..=total {
-        let (mut disk, mut bc, fs) = setup();
-        disk.power_cut_after(k);
-        let _ = fs.commit_pending(&mut disk, &mut bc);
-        let _ = bc.flush(&mut disk);
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        check_fat_structure(&mut disk2, &mut bc2, &fs2, &format!("interleave cut {k}"));
-        let a = fs2.read_file(&mut disk2, &mut bc2, "/A.BIN").unwrap();
-        assert!(
-            a == old_a || a == new_a,
-            "cut {k}/{total}: /A holds {} bytes matching neither version",
-            a.len()
-        );
-        match fs2.read_file(&mut disk2, &mut bc2, "/B.BIN") {
-            Ok(content) => {
-                assert_eq!(content, b, "cut {k}/{total}: /B torn");
-                saw_b = true;
-            }
-            Err(FsError::NotFound(_)) => {} // never published: old tree
-            Err(e) => panic!("cut {k}/{total}: reading /B failed oddly: {e}"),
-        }
+    let mut pre = fat_with(&[("/A.BIN", &old_a)]);
+    pre.fs.set_group_commit_ops(8);
+    let Vol { disk, bc, fs } = &mut pre;
+    fs.write_file(disk, bc, "/A.BIN", &new_a).unwrap(); // logged, pends
+    fs.write_file(disk, bc, "/B.BIN", &b).unwrap(); // unlogged, shares sectors
+    assert!(bc.group_txns() > 0, "the overwrite pends in the group");
+    let cuts = pre.cuts(|v| v.sync().unwrap());
+    assert!(cuts.end() > 8, "commit + flush should move real blocks");
+    let n = cuts.end();
+    cuts.sweep::<Fat32>("interleave", 0..=n, |k, m| {
+        let a = ("/A.BIN", vec![file(&old_a), file(&new_a)]);
+        m.check(&model([a, ("/B.BIN", vec![None, file(&b)])], k == n));
+    });
+}
+
+/// A file's path and its contents before and after an op.
+type Versions = (String, Vec<u8>, Vec<u8>);
+
+/// A FAT32 volume whose second commit group is pending with its data
+/// already drained, so the next device command is its commit record, whose
+/// payload slots still hold the first record's copies. One file per
+/// directory, so the record carries a dirent sector per file plus the FAT
+/// sectors. Returns the volume, the group's sectors, and each file's path
+/// with its contents before and after the group.
+fn torn_record_setup() -> (Vol<Fat32>, Vec<u64>, Vec<Versions>) {
+    let n_files = 4usize;
+    let name = |i: usize| format!("/D{i}/T.BIN");
+    let version = |i: usize, v: u64, kb: usize| pattern(70 + i as u64, v, kb * 1024);
+    let mut v = Vol::fat(8 * 1024);
+    let Vol { disk, bc, fs } = &mut v;
+    for i in 0..n_files {
+        fs.create(disk, bc, &format!("/D{i}"), true).unwrap();
+        fs.write_file(disk, bc, &name(i), &version(i, 1, 12))
+            .unwrap();
     }
-    assert!(saw_b, "the uncut run must land /B");
+    bc.flush(disk).unwrap();
+    fs.set_group_commit_ops(n_files as u32 + 1);
+    for i in 0..n_files {
+        fs.write_file(disk, bc, &name(i), &version(i, 2, 10))
+            .unwrap();
+    }
+    fs.commit_pending(disk, bc).unwrap();
+    bc.flush(disk).unwrap();
+    for i in 0..n_files {
+        fs.write_file(disk, bc, &name(i), &version(i, 3, 9))
+            .unwrap();
+    }
+    bc.flush_ready(disk).unwrap();
+    let targets = bc.group_entries();
+    let files = (0..n_files)
+        .map(|i| (name(i), version(i, 2, 10), version(i, 3, 9)))
+        .collect();
+    (v, targets, files)
 }
 
 #[test]
 fn fat32_torn_commit_record_fails_its_checksum_and_is_ignored() {
     // A commit record is its header sector followed by its k payload
-    // sectors, sent as one range command. A first group commits so its
-    // record's payload slots keep the sectors the second group replaces;
-    // the second group's record command is then cut after j = 1..=k blocks.
-    // The header leads the command, so every such cut persists the new
-    // header over a blend of new and stale payloads: replay must reject it
-    // on the checksum and the remount must show the tree from before the
-    // group. Complete, the record is the commit point even if the home
-    // drain never starts. One file per directory, so the record carries a
-    // dirent sector per file plus the FAT sectors.
-    let n_files = 4usize;
-    let dir = |i: usize| format!("/D{i}");
-    let name = |i: usize| format!("/D{i}/T.BIN");
-    let version = |v: u64, len: usize| -> Vec<Vec<u8>> {
-        (0..n_files)
-            .map(|i| pattern(70 + i as u64, v, len))
-            .collect()
-    };
-    let (olds, mids, news) = (
-        version(1, 12 * 1024),
-        version(2, 10 * 1024),
-        version(3, 9 * 1024),
-    );
-    let sector =
-        |disk: &MemDisk, lba: u64| disk.image()[lba as usize * BLOCK_SIZE..][..BLOCK_SIZE].to_vec();
-    // Returns the second group pending with its data already drained, so
-    // the next device command is its commit record; and the group's
-    // sectors.
-    let setup = || {
-        let (mut disk, mut bc, mut fs) = fresh_fat();
-        for (i, old) in olds.iter().enumerate() {
-            fs.create(&mut disk, &mut bc, &dir(i), true).unwrap();
-            fs.write_file(&mut disk, &mut bc, &name(i), old).unwrap();
-        }
-        bc.flush(&mut disk).unwrap();
-        fs.set_group_commit_ops(n_files as u32 + 1);
-        for (i, mid) in mids.iter().enumerate() {
-            fs.write_file(&mut disk, &mut bc, &name(i), mid).unwrap();
-        }
-        fs.commit_pending(&mut disk, &mut bc).unwrap();
-        bc.flush(&mut disk).unwrap();
-        for (i, new) in news.iter().enumerate() {
-            fs.write_file(&mut disk, &mut bc, &name(i), new).unwrap();
-        }
-        bc.flush_ready(&mut disk).unwrap();
-        let targets = bc.group_entries();
-        (disk, bc, fs, targets)
-    };
-    let remount = |disk: &MemDisk, note: &str| -> Vec<Vec<u8>> {
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        check_fat_structure(&mut disk2, &mut bc2, &fs2, note);
-        (0..n_files)
-            .map(|i| fs2.read_file(&mut disk2, &mut bc2, &name(i)).unwrap())
-            .collect()
-    };
-    let (disk, _, _, targets) = setup();
-    let k = targets.len() as u64;
-    assert!(k >= 2, "the record must carry several payloads, got {k}");
-    // Every slot the second record will fill still holds the first
-    // record's copy of the same sector — its contents before the group.
+    // sectors, sent as one range command, header first. Cut short, it
+    // persists the new header over a blend of new and stale payloads:
+    // replay must reject it on the checksum and the remount must show the
+    // tree from before the group. Complete, the record is the commit point
+    // even if the home drain never starts. With a posted write cache the
+    // same holds at every prefix, inside the FLUSH included.
+    let (mut pre, targets, files) = torn_record_setup();
+    assert!(targets.len() >= 2, "the record must carry several payloads");
     for (i, &t) in targets.iter().enumerate() {
         let slot = INTENT_LOG_START + 1 + i as u64;
-        assert_eq!(sector(&disk, slot), sector(&disk, t));
+        assert_eq!(sector(&mut pre.disk, slot), sector(&mut pre.disk, t));
     }
-    for j in 1..=k + 1 {
-        let (mut disk, mut bc, fs, _) = setup();
-        let before = disk.stats();
-        disk.power_cut_after(j);
-        assert!(fs.commit_pending(&mut disk, &mut bc).is_err());
-        disk.power_restored();
-        assert_eq!(
-            &sector(&disk, INTENT_LOG_START)[..8],
-            TXN_MAGIC,
-            "cut {j}: the record's header persisted"
+    for posted in [false, true] {
+        pre.disk.set_posted_writes(posted);
+        let cuts = pre.cuts(|v| v.fs.commit_pending(&mut v.disk, &mut v.bc).unwrap());
+        let mut record = (INTENT_LOG_START..).zip(&cuts.log.blocks[..=targets.len()]);
+        assert!(
+            record.all(|(slot, (lba, _))| *lba == slot),
+            "the record comes first"
         );
-        let files = remount(&disk, &format!("record cut {j}/{}", k + 1));
-        if j <= k {
-            let after = disk.stats();
-            let cmds = (
-                after.range_cmds - before.range_cmds,
-                after.single_cmds - before.single_cmds,
+        let what = format!("record, posted {posted}");
+        let (before, after) = cuts.atomic::<Fat32>(&what, 0..=cuts.end());
+        for (path, mid, new) in &files {
+            assert!(
+                holds(&before, path, mid),
+                "[{what}] a torn record must not replay"
             );
-            assert_eq!(cmds, (1, 0), "cut {j}: the record is the only command");
-            assert_eq!(disk.torn_writes(), 1, "cut {j} tore the record");
-            assert_eq!(files, mids, "cut {j}: a torn record must not replay");
-        } else {
-            assert_eq!(files, news, "a complete record replays");
+            assert!(
+                holds(&after, path, new),
+                "[{what}] a complete record replays"
+            );
         }
-    }
-    // With a posted write cache the cut drops the command whole: no record,
-    // no header, the old tree.
-    for j in 1..=k {
-        let (mut disk, mut bc, fs, _) = setup();
-        disk.set_posted_writes(true);
-        disk.power_cut_after(j);
-        assert!(fs.commit_pending(&mut disk, &mut bc).is_err());
-        disk.power_restored();
-        assert_eq!(
-            sector(&disk, INTENT_LOG_START),
-            vec![0u8; BLOCK_SIZE],
-            "posted cut {j} left a record"
-        );
-        let files = remount(&disk, &format!("posted record cut {j}/{}", k + 1));
-        assert_eq!(files, mids, "posted cut {j}");
     }
 }
 
-/// An SD card in DMA mode with its own engine + clock — the scatter-gather
-/// async path the kernel runs, reproduced standalone so the crash sweeps can
-/// cut power mid-chain deterministically.
-struct DmaRig {
-    sd: SdHost,
-    engine: DmaEngine,
-    clock: Clock,
-    cost: CostModel,
-}
-
-impl DmaRig {
-    fn new(blocks: u64) -> Self {
-        let mut sd = SdHost::new(blocks);
-        sd.init().unwrap();
-        sd.set_data_mode(SdDataMode::Dma);
-        DmaRig {
-            sd,
-            engine: DmaEngine::new(),
-            clock: Clock::new(1, 1_000_000_000),
-            cost: CostModel::pi3(),
-        }
-    }
-
-    fn dev(&mut self) -> SdBlockDevice<'_> {
-        let total = self.sd.total_blocks();
-        SdBlockDevice::with_dma(
-            &mut self.sd,
-            0,
-            total,
-            Some(SdDmaCtx {
-                engine: &mut self.engine,
-                clock: &mut self.clock,
-                cost: &self.cost,
-                core: 0,
-            }),
-        )
-    }
-
-    /// What actually persisted on the card (the post-power-cut medium),
-    /// as a remountable image.
-    fn image(&mut self) -> Vec<u8> {
-        let blocks = self.sd.total_blocks();
-        let mut out = vec![0u8; blocks as usize * BLOCK_SIZE];
-        self.sd.read_range(0, blocks, &mut out).unwrap();
-        out
-    }
+/// A desktop whose bench task wrote `/d/a.bin`, `data`, into the FAT
+/// cache: the card has none of it yet.
+fn desktop_with_unsynced_file(data: &[u8]) -> ProtoSystem {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    assert_eq!(sys.kernel.board.sdhost.data_mode(), SdDataMode::Dma);
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    sys.kernel.sync_all().unwrap();
+    sys.kernel
+        .with_task_ctx(writer, |ctx| {
+            let fd = ctx.open("/d/a.bin", OpenFlags::wronly_create())?;
+            ctx.write(fd, data)?;
+            ctx.close(fd)
+        })
+        .unwrap();
+    sys
 }
 
 #[test]
 fn fat32_dma_torn_sg_write_cut_sweep_keeps_remount_invariants() {
-    // The DMA twin of the ordering regression sweep: a fresh file drains as
-    // scatter-gather CMD25 chains, and an armed power cut tears the chain at
-    // block granularity — only a prefix persists, the completion reports the
-    // failure, and the re-dirtied blocks survive in the cache. At every cut
-    // point the remounted card must show the old tree or the complete file.
+    // The DMA twin of the ordering regression sweep, through the kernel: a
+    // fresh file drains as scatter-gather CMD25 chains, and a power cut
+    // tears a chain at block granularity — only a prefix persists. At every
+    // cut the remounted card must show the old tree or the complete file.
     let data = pattern(21, 1, 16 * 1024);
-    let total = {
-        let mut rig = DmaRig::new(8 * 1024);
-        let mut bc = BufCache::default();
-        let fs = Fat32::mkfs(&mut rig.dev(), &mut bc).unwrap();
-        bc.flush(&mut rig.dev()).unwrap();
-        fs.write_file(&mut rig.dev(), &mut bc, "/a.bin", &data)
-            .unwrap();
-        bc.dirty_blocks() as u64
-    };
-    assert!(total > 8, "scenario should span FAT + dirent + data");
-    let mut torn_chains = 0u64;
-    let mut saw_complete = false;
-    for k in 0..=total {
-        let mut rig = DmaRig::new(8 * 1024);
-        let mut bc = BufCache::default();
-        let fs = Fat32::mkfs(&mut rig.dev(), &mut bc).unwrap();
-        bc.flush(&mut rig.dev()).unwrap();
-        fs.write_file(&mut rig.dev(), &mut bc, "/a.bin", &data)
-            .unwrap();
-        rig.sd.card.power_cut_after(k);
-        let flush = bc.flush(&mut rig.dev());
-        if k < total {
-            assert!(flush.is_err(), "cut at {k}/{total} must fail the barrier");
-            // A torn chain re-dirties everything it carried (the completion
-            // cannot know which prefix persisted), so at least the uncut
-            // remainder is retained for retry.
-            assert!(
-                bc.dirty_blocks() as u64 >= total - k,
-                "cut at {k}/{total}: unconfirmed blocks stay dirty for retry"
-            );
-        }
-        torn_chains += rig.sd.card.torn_writes();
-        rig.sd.card.power_restored();
-        let mut disk2 = MemDisk::from_image(rig.image());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        match fs2.lookup(&mut disk2, &mut bc2, "/a.bin") {
-            Err(FsError::NotFound(_)) => {} // old tree: always legal
-            Ok(_) => {
-                let content = fs2.read_file(&mut disk2, &mut bc2, "/a.bin").unwrap();
-                assert_eq!(
-                    content, data,
-                    "cut at {k}/{total}: a visible file must be complete"
-                );
-                saw_complete = true;
-            }
-            Err(e) => panic!("cut at {k}/{total}: lookup failed oddly: {e}"),
-        }
-        // The structural invariants hold on every persisted image.
-        check_fat_structure(&mut disk2, &mut bc2, &fs2, &format!("dma cut {k}"));
-    }
-    assert!(
-        torn_chains > 0,
-        "the sweep must tear at least one scatter-gather chain mid-transfer"
-    );
-    assert!(saw_complete, "the uncut run must land the complete file");
+    let pre = desktop_with_unsynced_file(&data);
+    let cuts = Cuts::record(&mut pre.fork().unwrap(), card, FAT_PARTITION_START, |sys| {
+        sys.kernel.sync_all().unwrap();
+    });
+    assert!(cuts.end() > 8, "scenario should span FAT + dirent + data");
+    let n = cuts.end();
+    cuts.sweep::<Fat32>("dma", 0..=n, |k, m| {
+        let whole = m.read("/a.bin").map_or(k < n, |got| got == data);
+        assert!(
+            whole,
+            "[{}] /a.bin is torn or, after the flush, missing",
+            m.note
+        );
+    });
 }
 
 #[test]
@@ -1174,51 +599,56 @@ fn batched_eviction_mid_batch_fault_redirties_only_the_torn_chain() {
     // only it: the first chain's blocks persist and settle (the allocator
     // takes one of their extents without draining anything else), while the
     // torn chain's blocks — and only those — convert back to dirty for
-    // retry.
+    // retry. Raw cache calls on a desktop's DMA path.
     let a: Vec<u8> = (0..128 * BLOCK_SIZE).map(|i| (i % 239) as u8).collect();
     let b: Vec<u8> = (0..128 * BLOCK_SIZE).map(|i| (i % 233) as u8).collect();
-    let mut rig = DmaRig::new(16 * 1024);
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let board = &mut sys.kernel.board;
     let mut bc = BufCache::with_geometry(4, 8); // 256 blocks, 8 extents/shard
-    bc.write_range(&mut rig.dev(), 0, 128, &a).unwrap();
-    bc.write_range(&mut rig.dev(), 512, 128, &b).unwrap();
+    bc.write_range(&mut dma_partition(board), 0, 128, &a)
+        .unwrap();
+    bc.write_range(&mut dma_partition(board), 512, 128, &b)
+        .unwrap();
     assert_eq!(bc.dirty_blocks(), 256, "cache exactly full and all dirty");
-    rig.sd.card.inject_fault(600); // inside the second region's chain
-    bc.write_range(&mut rig.dev(), 1024, 1, &[7u8; BLOCK_SIZE])
+    // Inside the second region's chain.
+    board.sdhost.card.inject_fault(FAT_PARTITION_START + 600);
+    bc.write_range(&mut dma_partition(board), 1024, 1, &[7u8; BLOCK_SIZE])
         .unwrap();
     assert!(
         bc.stats().batched_evictions >= 1,
         "the allocation went through the batched eviction path"
     );
     assert!(
-        rig.sd.queue_high_water() >= 2,
-        "both chains were on the queue together (depth {})",
-        rig.sd.queue_high_water()
+        bc.queue_occupancy()[2..].iter().sum::<u64>() > 0,
+        "both chains were on the queue together"
     );
     // The barrier reaps the torn chain: its error surfaces, and exactly its
     // 128 blocks are dirty again (the healthy chain's blocks are durable,
     // the fresh block drained cleanly).
-    assert!(bc.flush(&mut rig.dev()).is_err());
+    assert!(bc.flush(&mut dma_partition(board)).is_err());
     assert!(bc.stats().async_write_errors >= 128);
     assert_eq!(
         bc.dirty_blocks(),
         128,
         "only the torn chain's blocks converted back to dirty"
     );
-    // The card recovers (clearing the fault also lets the raw image read
-    // cross block 600); the healthy chain's data is already on the medium.
-    rig.sd.card.clear_faults();
-    let image = rig.image();
+    let mut region = vec![0u8; 128 * BLOCK_SIZE];
+    let card = &mut board.sdhost.card;
+    card.read_range(FAT_PARTITION_START, 128, &mut region)
+        .unwrap();
     assert_eq!(
-        &image[..128 * BLOCK_SIZE],
-        &a[..],
+        region, a,
         "the healthy chain of the batch persisted untouched"
     );
-    // The retried barrier finishes the job bit-exactly.
-    bc.flush(&mut rig.dev()).unwrap();
+    // The card recovers; the retried barrier finishes the job bit-exactly.
+    card.clear_faults();
+    bc.flush(&mut dma_partition(board)).unwrap();
     assert_eq!(bc.dirty_blocks(), 0);
-    let image = rig.image();
-    assert_eq!(&image[512 * BLOCK_SIZE..640 * BLOCK_SIZE], &b[..]);
-    assert_eq!(image[1024 * BLOCK_SIZE], 7);
+    let card = &mut board.sdhost.card;
+    card.read_range(FAT_PARTITION_START + 512, 128, &mut region)
+        .unwrap();
+    assert_eq!(region, b);
+    assert_eq!(sector(card, FAT_PARTITION_START + 1024)[0], 7);
 }
 
 #[test]
@@ -1226,22 +656,25 @@ fn fat32_dma_failed_chain_leaves_blocks_dirty_and_retryable() {
     // A chain that hits an injected fault completes with an error: the
     // cache converts the in-flight blocks back to dirty, nothing reaches a
     // remount, and clearing the fault lets the retried barrier finish the
-    // job bit-exactly.
+    // job bit-exactly. Raw cache calls on a desktop's DMA path.
     let data = pattern(22, 1, 24 * 1024);
-    let mut rig = DmaRig::new(8 * 1024);
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let board = &mut sys.kernel.board;
     let mut bc = BufCache::default();
-    let fs = Fat32::mkfs(&mut rig.dev(), &mut bc).unwrap();
-    bc.flush(&mut rig.dev()).unwrap();
-    fs.write_file(&mut rig.dev(), &mut bc, "/r.bin", &data)
+    let fs = Fat32::mount(&mut dma_partition(board), &mut bc).unwrap();
+    fs.write_file(&mut dma_partition(board), &mut bc, "/r.bin", &data)
         .unwrap();
-    let dirty = bc.dirty_blocks();
-    assert!(dirty > 0);
-    // Fault a block in the middle of the data area the file will land in.
-    let bpb = fs.bpb();
-    let faulty = bpb.data_start as u64 + 8;
-    rig.sd.card.inject_fault(faulty);
+    assert!(bc.dirty_blocks() > 0);
+    // Fault the first block of the file's data.
+    let first = fs
+        .lookup(&mut dma_partition(board), &mut bc, "/r.bin")
+        .unwrap()
+        .first_cluster;
+    let sectors = (CLUSTER_SIZE / BLOCK_SIZE) as u64;
+    let faulty = u64::from(fs.bpb().data_start) + u64::from(first - FIRST_CLUSTER) * sectors;
+    board.sdhost.card.inject_fault(FAT_PARTITION_START + faulty);
     assert!(
-        bc.flush(&mut rig.dev()).is_err(),
+        bc.flush(&mut dma_partition(board)).is_err(),
         "the failed chain surfaces at the barrier"
     );
     assert!(
@@ -1252,41 +685,33 @@ fn fat32_dma_failed_chain_leaves_blocks_dirty_and_retryable() {
     // Card recovers. Before retrying, the file must not be visible on the
     // persisted medium (its chain never completed and, ordered, its
     // metadata never preceded the data).
-    rig.sd.card.clear_faults();
-    {
-        let mut disk2 = MemDisk::from_image(rig.image());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        assert!(matches!(
-            fs2.lookup(&mut disk2, &mut bc2, "/r.bin"),
-            Err(FsError::NotFound(_))
-        ));
-    }
+    board.sdhost.card.clear_faults();
+    let remount = |disk: &MemDisk, note: &str| -> Mounted<Fat32> {
+        Mounted::new(disk.persisted(), FAT_PARTITION_START, note.into())
+    };
+    assert_eq!(remount(&board.sdhost.card, "failed").read("/r.bin"), None);
     // The retry drains everything.
-    bc.flush(&mut rig.dev()).unwrap();
+    bc.flush(&mut dma_partition(board)).unwrap();
     assert_eq!(bc.dirty_blocks(), 0);
-    let mut disk2 = MemDisk::from_image(rig.image());
-    let mut bc2 = BufCache::default();
-    let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-    assert_eq!(fs2.read_file(&mut disk2, &mut bc2, "/r.bin").unwrap(), data);
+    assert_eq!(
+        remount(&board.sdhost.card, "retried").read("/r.bin"),
+        Some(data)
+    );
 }
 
 #[test]
 fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
     // The kernel-level twin of the torn-record sweep: a whole desktop
     // system with the card in DMA mode, where the commit record rides the
-    // queue as one chain inside the write() that closes a group. The cut
-    // lands D + j blocks into that write, D being what its ready drain
-    // persists before the record. For j = 0..=k the record chain (header
-    // plus k payloads) is cut short: the fresh mount must show every file
-    // at its pre-group version. For j = k + 1 the record is whole and the
-    // home drain is cut, and for j = k + 2 the home drain is cut after one
-    // block: replay brings every file to its new version, which it could
-    // not if the header clear had overtaken the home sectors.
+    // queue as one chain inside the write() that closes a group, after the
+    // ready drain of the group's data and before its home drain. Cut
+    // before the record's last payload, the fresh mount shows every file at
+    // its pre-group version; from it on, replay brings every file to its
+    // new version, which it could not if the header clear had overtaken
+    // the home sectors.
     let n = FAT_GROUP_COMMIT_OPS as usize;
     // The FAT volume is mounted at /d.
     let name = |i: usize| format!("/rec{i}.bin");
-    let path = |i: usize| format!("/d{}", name(i));
     let olds: Vec<Vec<u8>> = (0..n)
         .map(|i| pattern(90 + i as u64, 1, 6 * 1024))
         .collect();
@@ -1295,89 +720,65 @@ fn fat32_dma_torn_commit_record_through_write_is_ignored_or_replayed() {
         .collect();
     let put = |sys: &mut ProtoSystem, writer: TaskId, i: usize, data: &[u8]| {
         sys.kernel.with_task_ctx(writer, |ctx| {
-            let fd = ctx.open(&path(i), OpenFlags::wronly_create())?;
+            let fd = ctx.open(&format!("/d{}", name(i)), OpenFlags::wronly_create())?;
             ctx.write(fd, data)?;
             ctx.close(fd)
         })
     };
     // A system whose n files are synced at their old version, with n - 1
     // overwrites pending in the group and the last file open: the next
-    // write() closes the group. It is built once, and each cut runs on a
-    // fork of it.
-    let (pre, writer, fd) = {
-        let mut sys = ProtoSystem::desktop().unwrap();
-        let sd = &sys.kernel.board.sdhost;
-        assert_eq!(sd.data_mode(), SdDataMode::Dma);
-        assert!(!sd.card.posted_writes());
-        let writer = sys.kernel.spawn_bench_task("writer").unwrap();
-        for (i, old) in olds.iter().enumerate() {
-            put(&mut sys, writer, i, old).unwrap();
-        }
-        sys.kernel.sync_all().unwrap();
-        for (i, new) in news.iter().enumerate().take(n - 1) {
-            put(&mut sys, writer, i, new).unwrap();
-        }
-        assert_eq!(sys.kernel.fat_group_txns(), n as u64 - 1);
-        let fd = sys
+    // write() closes the group.
+    let mut sys = ProtoSystem::desktop().unwrap();
+    assert!(!sys.kernel.board.sdhost.card.posted_writes());
+    let writer = sys.kernel.spawn_bench_task("writer").unwrap();
+    for (i, old) in olds.iter().enumerate() {
+        put(&mut sys, writer, i, old).unwrap();
+    }
+    sys.kernel.sync_all().unwrap();
+    for (i, new) in news.iter().enumerate().take(n - 1) {
+        put(&mut sys, writer, i, new).unwrap();
+    }
+    assert_eq!(sys.kernel.fat_group_txns(), n as u64 - 1);
+    let last = format!("/d{}", name(n - 1));
+    let fd = sys
+        .kernel
+        .with_task_ctx(writer, |ctx| ctx.open(&last, OpenFlags::wronly_create()))
+        .unwrap();
+    let cuts = Cuts::record(&mut sys, card, FAT_PARTITION_START, |sys| {
+        let closing = sys
             .kernel
-            .with_task_ctx(writer, |ctx| {
-                ctx.open(&path(n - 1), OpenFlags::wronly_create())
-            })
-            .unwrap();
-        (sys, writer, fd)
+            .with_task_ctx(writer, |ctx| ctx.write(fd, &news[n - 1]));
+        closing.unwrap();
+    });
+    // The record is the chain from the header's slot over the payload
+    // slots; the commit point is its last block.
+    let log = &cuts.log.blocks;
+    let header = FAT_PARTITION_START + INTENT_LOG_START;
+    let at = log.iter().position(|(lba, _)| *lba == header).unwrap();
+    assert_eq!(&log[at].1[..8], TXN_MAGIC, "the header leads the record");
+    let in_record = |i: &usize| {
+        log.get(at + i)
+            .is_some_and(|(lba, _)| *lba == header + *i as u64)
     };
-    let close_group = |sys: &mut ProtoSystem| {
-        sys.kernel
-            .with_task_ctx(writer, |ctx| ctx.write(fd, &news[n - 1]))
-    };
-    // The dry run: a fault on the header sector stops the closing write()
-    // at its record, so every block it persisted is the ready drain's, and
-    // the group it failed to commit is still pending.
-    let (d, k) = {
-        let mut sys = pre.fork().unwrap();
-        sys.kernel
-            .board
-            .sdhost
-            .card
-            .inject_fault(FAT_PARTITION_START + INTENT_LOG_START);
-        let before = sys.kernel.fat_cache_stats().writebacks;
-        assert!(close_group(&mut sys).is_err());
-        let d = sys.kernel.fat_cache_stats().writebacks - before;
-        (d, sys.kernel.fat_cache().unwrap().group_sectors() as u64)
-    };
-    assert!(d > 0, "the ready drain persists the pending data first");
+    let k = (1..).take_while(in_record).count();
+    assert!(at > 0, "the ready drain persists the pending data first");
     assert!(k >= 2, "the record must carry several payloads, got {k}");
-    for j in 0..=k + 2 {
-        let mut sys = pre.fork().unwrap();
-        sys.kernel.board.sdhost.card.power_cut_after(d + j);
-        let closing = close_group(&mut sys);
-        assert!(closing.is_err(), "cut {j}: the closing write() fails");
-        sys.kernel.board.sdhost.card.power_restored();
-        let total = sys.kernel.board.sdhost.total_blocks();
-        let mut dev = SdBlockDevice::new(
-            &mut sys.kernel.board.sdhost,
-            FAT_PARTITION_START,
-            total - FAT_PARTITION_START,
-        );
-        let mut bc = BufCache::default();
-        let fs = Fat32::mount(&mut dev, &mut bc).unwrap();
-        let note = format!("dma record cut {j}/{}", k + 2);
-        check_fat_structure(&mut dev, &mut bc, &fs, &note);
-        // A cut record must not replay; a complete one must.
-        let (want, which) = if j <= k {
+    cuts.sweep::<Fat32>("dma record", 0..=cuts.end(), |j, m| {
+        let (want, which) = if j <= at + k {
             (&olds, "pre-group")
         } else {
             (&news, "new")
         };
         for (i, w) in want.iter().enumerate() {
-            let got = fs.read_file(&mut dev, &mut bc, &name(i)).unwrap();
+            let got = m.read(&name(i));
             assert!(
-                got == *w,
-                "{note}: {} is not at its {which} version",
+                got.as_ref() == Some(w),
+                "[{}] {} is not at its {which} version",
+                m.note,
                 name(i)
             );
         }
-    }
+    });
 }
 
 #[test]
@@ -1387,44 +788,13 @@ fn xv6fs_new_file_cut_sweep_never_tears() {
     // point of the write and the flush behind it the file is absent or
     // bit-exact — never garbage.
     let data = pattern(9, 1, 20 * 1024);
-    let build = || {
-        let mut disk = MemDisk::new(8192);
-        let mut bc = BufCache::default();
-        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-        bc.flush(&mut disk).unwrap();
-        (disk, bc, fs)
-    };
-    let total = {
-        let (mut disk, mut bc, fs) = build();
-        let before = disk.stats().blocks;
-        fs.write_file(&mut disk, &mut bc, "/a", &data).unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.stats().blocks - before
-    };
-    for k in 0..=total {
-        let (mut disk, mut bc, fs) = build();
-        disk.power_cut_after(k);
-        let _ = fs.write_file(&mut disk, &mut bc, "/a", &data);
-        let _ = bc.flush(&mut disk);
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2).unwrap();
-        match fs2.read_file(&mut disk2, &mut bc2, "/a") {
-            Ok(content) => {
-                // Visible with an allocated inode: the ordering contract
-                // says the contents must be complete (an empty size-0 file
-                // is the benign created-not-yet-written state).
-                assert!(
-                    content == data || content.is_empty(),
-                    "cut at {k}/{total}: /a is torn ({} bytes)",
-                    content.len()
-                );
-            }
-            Err(FsError::NotFound(_)) => {} // absent: the old tree
-            Err(e) => panic!("cut at {k}/{total}: unexpected error {e}"),
-        }
-    }
+    let cuts = Vol::xv6(8192, 4096, 128).cuts(|v| {
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/a", &data)
+            .unwrap();
+        v.bc.flush(&mut v.disk).unwrap();
+    });
+    let (before, after) = cuts.atomic::<Xv6Fs>("new file", 0..=cuts.end());
+    assert!(before.get("/a").is_none() && holds(&after, "/a", &data));
 }
 
 #[test]
@@ -1432,38 +802,23 @@ fn xv6fs_offset_write_cut_sweep_keeps_block_maps_consistent() {
     // `sys_write` on the root filesystem is the inode-level `Xv6Fs::write`,
     // which runs outside any transaction. Growing a file from the middle
     // of its direct blocks, within them and on into its indirect block, it
-    // must hold its ordering edges at every cut: each block the inode maps
-    // is marked in the bitmap and mapped once, and every byte of the file
-    // is its old byte or the written one.
+    // must hold its ordering edges at every cut of the drain behind it:
+    // each block the inode maps is marked in the bitmap and mapped once,
+    // and every byte of the file is its old byte or the written one.
     let old = pattern(3, 1, 5 * BSIZE);
     let offset = 3 * BSIZE + 100;
     for blocks in [6, 16] {
         let data = pattern(3, 2, blocks * BSIZE);
         let new = patched(&old, offset, &data);
-        let build = || {
-            let mut disk = MemDisk::new(8192);
-            let mut bc = BufCache::default();
-            let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-            fs.write_file(&mut disk, &mut bc, "/f", &old).unwrap();
-            bc.flush(&mut disk).unwrap();
-            let inum = fs.lookup(&mut disk, &mut bc, "/f").unwrap();
-            fs.write(&mut disk, &mut bc, inum, offset as u32, &data)
-                .unwrap();
-            (disk, bc, inum)
-        };
-        let total = build().1.dirty_blocks() as u64;
-        for k in 0..=total {
-            let (mut disk, mut bc, inum) = build();
-            disk.power_cut_after(k);
-            let _ = bc.flush(&mut disk);
-            disk.power_restored();
-            let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-            let mut bc2 = BufCache::default();
-            let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2).unwrap();
-            let note = format!("{blocks} blocks written, cut {k} of {total}");
-            let inums = BTreeSet::from([1, inum]);
-            check_xv6_blocks(&mut disk2, &mut bc2, &fs2, &inums, true, &note);
-            let got = fs2.read_file(&mut disk2, &mut bc2, "/f").unwrap();
+        let mut pre = xv6_with_f(&old);
+        let Vol { disk, bc, fs } = &mut pre;
+        let inum = fs.lookup(disk, bc, "/f").unwrap();
+        fs.write(disk, bc, inum, offset as u32, &data).unwrap();
+        let cuts = pre.cuts(|v| v.bc.flush(&mut v.disk).unwrap());
+        let what = format!("{blocks} blocks written");
+        cuts.sweep::<Xv6Fs>(&what, 0..=cuts.end(), |_, m| {
+            let got = m.read("/f").unwrap();
+            let note = &m.note;
             assert!(
                 got.len() == old.len() || got.len() == new.len(),
                 "[{note}] /f is {} bytes",
@@ -1476,242 +831,153 @@ fn xv6fs_offset_write_cut_sweep_keeps_block_maps_consistent() {
                     "[{note}] byte {i} of /f is neither old nor new"
                 );
             }
-        }
+        });
     }
 }
 
-/// The directories the xv6fs schedules may create; a state is `Some` once
-/// made.
-fn xv6_dir_model() -> Model {
-    ["/d0", "/etc/d1"]
-        .iter()
-        .map(|n| (n.to_string(), PathModel::new()))
-        .collect()
-}
-
-/// What one xv6fs draw changed: the path, its new state, and whether the
-/// call ran as a journaled transaction.
-struct Drawn {
-    path: String,
-    state: Option<Vec<u8>>,
-    logged: bool,
-}
-
 /// One xv6fs draw of a file create, a directory create or an inode-level
-/// [`Xv6Fs::write`] of `data` at a nonzero offset — `sys_write`'s path. The
-/// creates are journaled transactions, the offset write is not. Returns
-/// the change to record, if the call succeeded or the cut interrupted it
-/// (it may still land).
-fn xv6_draw(
-    fs: &Xv6Fs,
-    disk: &mut MemDisk,
-    bc: &mut BufCache,
-    rng: &mut Rng,
-    files: &Model,
-    name: &str,
-    data: &[u8],
-) -> Option<Drawn> {
+/// [`Xv6Fs::write`] of `data` at a nonzero offset — `sys_write`'s path —
+/// recorded in `model` if the call succeeded or the cut interrupted it (it
+/// may still land). The creates are journaled transactions, durable on
+/// return; the offset write is not, so a cut may leave any mix of its
+/// blocks.
+fn xv6_draw(v: &mut Vol<Xv6Fs>, rng: &mut Rng, model: &mut Model, name: &str, data: &[u8]) {
+    let Vol { disk, bc, fs } = v;
     let (path, state, logged, outcome) = match rng.below(3) {
         0 => {
             let r = fs.create(disk, bc, name, InodeType::File);
-            (name.to_string(), Some(Vec::new()), true, r.map(drop))
+            (name.to_string(), file(&[]), true, r.map(drop))
         }
         1 => {
             let dir = ["/d0", "/etc/d1"][rng.below(2) as usize];
             let r = fs.create(disk, bc, dir, InodeType::Dir);
-            (dir.to_string(), Some(Vec::new()), true, r.map(drop))
+            (dir.to_string(), Some(Node::Dir), true, r.map(drop))
         }
         _ => {
-            let Some(old) = files[name].current() else {
+            let Some(Node::File(old)) = model[name].current().clone() else {
                 assert!(fs.lookup(disk, bc, name).is_err(), "{name} is absent");
-                return None;
+                return;
             };
             let offset = 1 + rng.below(30 * 1024) as usize;
             let r = fs
                 .lookup(disk, bc, name)
                 .and_then(|inum| fs.write(disk, bc, inum, offset as u32, data));
-            let state = Some(patched(old, offset, data));
-            (name.to_string(), state, false, r.map(drop))
+            (
+                name.to_string(),
+                file(&patched(&old, offset, data)),
+                false,
+                r.map(drop),
+            )
         }
     };
-    (outcome.is_ok() || disk.power_lost()).then_some(Drawn {
-        path,
-        state,
-        logged,
-    })
+    let lost = disk.power_lost();
+    if outcome.is_err() && !lost {
+        return;
+    }
+    let m = model.get_mut(&path).unwrap();
+    m.push(state);
+    if !logged {
+        m.torn = true;
+    } else if !lost {
+        barrier(model);
+    }
 }
 
-/// A directory that is there was made, and one made durably is there.
-fn check_xv6_dirs(
-    disk: &mut dyn BlockDevice,
-    bc: &mut BufCache,
-    fs: &Xv6Fs,
-    dirs: &Model,
-    note: &str,
-) {
-    for (dir, m) in dirs {
-        let found = match fs.lookup(disk, bc, dir) {
-            Ok(inum) => {
-                let st = fs.stat(disk, bc, inum).unwrap();
-                assert_eq!(
-                    st.itype,
-                    InodeType::Dir,
-                    "[{note}] {dir} is not a directory"
-                );
-                true
+/// An xv6fs volume with `/etc`, durably, under a deliberately small cache;
+/// the files of a schedule, `root` in `/` and two in `/etc`; and the model
+/// of those files and of the two directories a draw may make.
+fn xv6_schedule_pre(root: usize) -> (Vol<Xv6Fs>, Vec<String>, Model) {
+    let mut disk = MemDisk::new(8192); // 4 MB
+    let mut bc = BufCache::with_geometry(4, 8);
+    let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
+    fs.create(&mut disk, &mut bc, "/etc", InodeType::Dir)
+        .unwrap();
+    bc.flush(&mut disk).unwrap();
+    let names: Vec<String> = (0..root)
+        .map(|i| format!("/n{i}"))
+        .chain((0..2).map(|i| format!("/etc/c{i}")))
+        .collect();
+    let model = names
+        .iter()
+        .map(String::as_str)
+        .chain(["/d0", "/etc/d1"])
+        .map(|p| (p.to_string(), PathModel::new(None)))
+        .collect();
+    (Vol { disk, bc, fs }, names, model)
+}
+
+/// Seeded xv6fs schedules of journaled writes and unlinks, inode-level
+/// offset writes, creates, flushes and budgeted drains, each ended by a
+/// power cut somewhere in its first blocks: every completed journaled op
+/// is durable on return (group size 1 commits through the device
+/// barrier), an interrupted one lands old XOR new, and no visible file
+/// holds bytes matching no written version. The fsck invariants cover the
+/// bitmap too: an overwrite's truncate and rewrite commit as one
+/// transaction, so its frees never land before the inode stops mapping
+/// the blocks.
+fn xv6_random_schedules(posted: bool) {
+    let (first, seeds, root, cut_range, ops, max_kb) = match posted {
+        false => (7000, 40, 4, 1500, 30, 30),
+        true => (9100, 25, 3, 1200, 25, 20),
+    };
+    for seed in first..first + seeds {
+        let mut rng = Rng::new(seed);
+        let (mut vol, names, mut model) = xv6_schedule_pre(root);
+        vol.disk.set_posted_writes(posted);
+        let mut version = 0u64;
+        let cut_after = rng.below(cut_range);
+        let cuts = vol.cuts(|v| {
+            v.disk.power_cut_after(cut_after);
+            for _op in 0..ops {
+                if v.disk.power_lost() {
+                    break;
+                }
+                let name = names[rng.below(names.len() as u64) as usize].clone();
+                let file_id = names.iter().position(|n| *n == name).unwrap() as u64;
+                let op = rng.below(12);
+                if let 6..=8 = op {
+                    version += 1;
+                    let data = pattern(file_id, version, 1 + rng.below(8 * 1024) as usize);
+                    xv6_draw(v, &mut rng, &mut model, &name, &data);
+                    continue;
+                }
+                let Vol { disk, bc, fs } = &mut *v;
+                let (r, state) = match op {
+                    9 => {
+                        if bc.flush(disk).is_ok() && !disk.power_lost() {
+                            barrier(&mut model);
+                        }
+                        continue;
+                    }
+                    0..=4 => {
+                        version += 1;
+                        let len = 1 + rng.below(max_kb * 1024) as usize;
+                        let data = pattern(file_id, version, len);
+                        (fs.write_file(disk, bc, &name, &data).map(drop), file(&data))
+                    }
+                    5 => (fs.unlink(disk, bc, &name), None),
+                    _ => {
+                        let _ = bc.flush_some(disk, 8 + rng.below(80));
+                        continue;
+                    }
+                };
+                if r.is_ok() || disk.power_lost() {
+                    model.get_mut(&name).unwrap().push(state);
+                }
+                if r.is_ok() {
+                    barrier(&mut model);
+                }
             }
-            Err(FsError::NotFound(_)) => false,
-            Err(e) => panic!("[{note}] looking up {dir} failed: {e}"),
-        };
-        if found {
-            assert!(m.states.len() > 1, "[{note}] {dir} was never made");
-        }
-        if !m.dirty_since_barrier && m.states[m.committed].is_some() {
-            assert!(found, "[{note}] durable directory {dir} lost after the cut");
-        }
+        });
+        cuts.sweep::<Xv6Fs>(&format!("seed {seed}"), [cuts.end()], |_, m| {
+            m.check(&model);
+        });
     }
 }
 
 #[test]
 fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
-    for seed in 0..40u64 {
-        let mut rng = Rng::new(7000 + seed);
-        let mut disk = MemDisk::new(8192); // 4 MB
-        let mut bc = BufCache::with_geometry(4, 8);
-        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-        fs.create(&mut disk, &mut bc, "/etc", InodeType::Dir)
-            .unwrap();
-        bc.flush(&mut disk).unwrap();
-
-        let names: Vec<String> = (0..4)
-            .map(|i| format!("/n{i}"))
-            .chain((0..2).map(|i| format!("/etc/c{i}")))
-            .collect();
-        let mut model: Model = names
-            .iter()
-            .map(|n| (n.clone(), PathModel::new()))
-            .collect();
-        let mut dirs = xv6_dir_model();
-        let mut version = 0u64;
-        let cut_after = rng.below(1500);
-        disk.power_cut_after(cut_after);
-
-        for _op in 0..30 {
-            if disk.power_lost() {
-                break;
-            }
-            let name = names[rng.below(names.len() as u64) as usize].clone();
-            let file_id = names.iter().position(|n| *n == name).unwrap() as u64;
-            match rng.below(11) {
-                6..=8 => {
-                    version += 1;
-                    let data = pattern(file_id, version, 1 + rng.below(8 * 1024) as usize);
-                    let drawn = xv6_draw(&fs, &mut disk, &mut bc, &mut rng, &model, &name, &data);
-                    if let Some(d) = drawn {
-                        let m = if dirs.contains_key(&d.path) {
-                            &mut dirs
-                        } else {
-                            &mut model
-                        };
-                        m.get_mut(&d.path).unwrap().push(d.state);
-                    }
-                }
-                0..=3 => {
-                    version += 1;
-                    let len = 1 + rng.below(30 * 1024) as usize;
-                    let data = pattern(file_id, version, len);
-                    match fs.write_file(&mut disk, &mut bc, &name, &data) {
-                        Ok(_) => model.get_mut(&name).unwrap().push(Some(data)),
-                        // A write interrupted by the cut may still land by
-                        // replay: record the attempted contents, and the
-                        // created-but-empty state, as possible outcomes.
-                        Err(_) if disk.power_lost() => {
-                            let m = model.get_mut(&name).unwrap();
-                            m.push(Some(data));
-                            m.push(Some(Vec::new()));
-                        }
-                        Err(_) => {}
-                    }
-                }
-                4 => match fs.unlink(&mut disk, &mut bc, &name) {
-                    Ok(()) => model.get_mut(&name).unwrap().push(None),
-                    Err(_) if disk.power_lost() => {
-                        model.get_mut(&name).unwrap().push(None);
-                    }
-                    Err(_) => {}
-                },
-                5 => {
-                    if bc.flush(&mut disk).is_ok() && !disk.power_lost() {
-                        barrier(&mut model);
-                        barrier(&mut dirs);
-                    }
-                }
-                _ => {
-                    let _ = bc.flush_some(&mut disk, 8 + rng.below(100));
-                }
-            }
-        }
-
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let note = format!("seed {seed}, cut {cut_after}");
-        let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2)
-            .unwrap_or_else(|e| panic!("[{note}] remount failed: {e}"));
-
-        // Full traversal must never panic; a dirent naming a free inode
-        // would surface as a clean NotFound on read.
-        let mut pending = vec![String::from("/")];
-        let mut visible: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut inums = BTreeSet::from([1]);
-        while let Some(dir) = pending.pop() {
-            for e in fs2
-                .list_dir(&mut disk2, &mut bc2, &dir)
-                .unwrap_or_else(|err| panic!("[{note}] list {dir}: {err}"))
-            {
-                let path = if dir == "/" {
-                    format!("/{}", e.name)
-                } else {
-                    format!("{}/{}", dir, e.name)
-                };
-                match fs2.stat(&mut disk2, &mut bc2, e.inum) {
-                    Ok(st) if st.itype == InodeType::Dir => {
-                        inums.insert(e.inum);
-                        pending.push(path);
-                    }
-                    Ok(_) => {
-                        inums.insert(e.inum);
-                        if let Ok(content) = fs2.read_file(&mut disk2, &mut bc2, &path) {
-                            visible.push((path, content));
-                        }
-                    }
-                    Err(FsError::NotFound(_)) => {} // dangling dirent: benign
-                    Err(err) => panic!("[{note}] stat {path}: {err}"),
-                }
-            }
-        }
-        // The bitmap too: an overwrite's truncate and rewrite commit as one
-        // transaction, so its frees never land before the inode stops
-        // mapping the blocks (an ordered drain alone cannot promise that:
-        // the rewrite's allocations share the bitmap block, and seed 30
-        // showed the frees first when the journal could be turned off).
-        check_xv6_blocks(&mut disk2, &mut bc2, &fs2, &inums, true, &note);
-        check_xv6_dirs(&mut disk2, &mut bc2, &fs2, &dirs, &note);
-        // No per-version content check here: the inode-level offset writes
-        // run outside any transaction, so a cut may leave any mix of their
-        // old and new blocks. The posted-cache schedule below tracks the
-        // paths they touched and checks every other file's version.
-        // Durable-and-unmodified files are exact.
-        for (path, m) in &model {
-            if m.dirty_since_barrier {
-                continue;
-            }
-            if let Some(v) = &m.states[m.committed] {
-                let found = visible.iter().find(|(p, _)| p == path).map(|(_, c)| c);
-                assert_eq!(found, Some(v), "[{note}] durable {path} lost after cut");
-            }
-        }
-    }
+    xv6_random_schedules(false);
 }
 
 // ---- journaled xv6fs + posted device write cache ---------------------------
@@ -1721,286 +987,50 @@ fn xv6fs_random_cut_schedules_remount_cleanly_and_keep_durable_data() {
 // missing barrier is an observable bug, not a latent one. The journal's
 // commit protocol (drain data, log payloads, FLUSH, apply home, header
 // clear, FLUSH) makes every metadata operation old-XOR-new: a dangling
-// dirent and a half-applied overwrite are asserted impossible here.
-
-/// A journaled xv6fs on a posted-write-cache MemDisk with `/f` holding
-/// `old` durably.
-fn xv6_posted_with_old(old: &[u8]) -> (MemDisk, BufCache, Xv6Fs) {
-    let mut disk = MemDisk::new(8192);
-    let mut bc = BufCache::default();
-    let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-    assert!(fs.superblock().nlog > 0, "mkfs must write a log");
-    fs.write_file(&mut disk, &mut bc, "/f", old).unwrap();
-    bc.flush(&mut disk).unwrap();
-    disk.set_posted_writes(true);
-    (disk, bc, fs)
-}
+// dirent and a half-applied overwrite are asserted impossible here, at
+// every prefix of the log, inside a FLUSH too, as a card that programs its
+// cache in any order allows.
 
 #[test]
 fn xv6fs_journaled_overwrite_cut_sweep_is_old_xor_new_on_a_posted_device() {
-    // The in-place-overwrite torn state, killed: sweep a cut across every
-    // persisted write of a journaled overwrite and require strict old XOR
-    // new — never empty (the truncated middle state), never a mix.
+    // The in-place-overwrite torn state, killed: a cut anywhere in a
+    // journaled overwrite shows strict old XOR new — never empty (the
+    // truncated middle state), never a mix — and a completed op is durable
+    // (group size 1).
     let old = pattern(1, 1, 6 * 1024);
     let new = pattern(1, 2, 3 * 1024);
-    let mut saw_old = false;
-    let mut saw_new = false;
-    let mut k = 0u64;
-    loop {
-        let (mut disk, mut bc, fs) = xv6_posted_with_old(&old);
-        disk.power_cut_after(k);
-        let res = fs.write_file(&mut disk, &mut bc, "/f", &new);
-        let complete = !disk.power_lost();
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2)
-            .unwrap_or_else(|e| panic!("cut at {k}: remount failed: {e}"));
-        let got = fs2
-            .read_file(&mut disk2, &mut bc2, "/f")
-            .unwrap_or_else(|e| panic!("cut at {k}: /f unreadable: {e}"));
-        if got == old {
-            saw_old = true;
-        } else if got == new {
-            saw_new = true;
-        } else {
-            panic!("cut at {k}: /f torn ({} bytes, neither version)", got.len());
-        }
-        if complete {
-            assert!(res.is_ok());
-            assert_eq!(got, new, "a completed op is durable (group size 1)");
-            break;
-        }
-        k += 1;
-    }
-    assert!(saw_old && saw_new, "sweep must cover both outcomes");
+    let mut pre = xv6_with_f(&old);
+    assert!(pre.fs.superblock().nlog > 0, "mkfs must write a log");
+    pre.disk.set_posted_writes(true);
+    let cuts = pre.cuts(|v| {
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/f", &new).unwrap();
+    });
+    let (before, after) = cuts.atomic::<Xv6Fs>("posted overwrite", 0..=cuts.end());
+    assert!(holds(&before, "/f", &old) && holds(&after, "/f", &new));
 }
 
 #[test]
 fn xv6fs_journaled_create_cut_sweep_has_no_dangling_dirents() {
     // The dangling-dirent torn state, killed: at every cut point during a
-    // journaled create, every dirent listed anywhere resolves to an
-    // allocated inode — `NotFound`-on-stat no longer exists.
+    // journaled create, every dirent resolves to an allocated inode (the
+    // fsck invariants), and the create lands whole or not at all.
     let data = pattern(2, 1, 2 * 1024);
-    let mut k = 0u64;
-    loop {
-        let mut disk = MemDisk::new(8192);
-        let mut bc = BufCache::default();
-        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-        fs.create(&mut disk, &mut bc, "/etc", InodeType::Dir)
+    let mut pre = Vol::xv6(8192, 4096, 128);
+    let Vol { disk, bc, fs } = &mut pre;
+    fs.create(disk, bc, "/etc", InodeType::Dir).unwrap();
+    bc.flush(disk).unwrap();
+    disk.set_posted_writes(true);
+    let cuts = pre.cuts(|v| {
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/etc/conf", &data)
             .unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.set_posted_writes(true);
-        disk.power_cut_after(k);
-        let _ = fs.write_file(&mut disk, &mut bc, "/etc/conf", &data);
-        let complete = !disk.power_lost();
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2)
-            .unwrap_or_else(|e| panic!("cut at {k}: remount failed: {e}"));
-        for dir in ["/", "/etc"] {
-            for e in fs2.list_dir(&mut disk2, &mut bc2, dir).unwrap() {
-                let st = fs2
-                    .stat(&mut disk2, &mut bc2, e.inum)
-                    .unwrap_or_else(|err| {
-                        panic!("cut at {k}: dangling dirent {dir}/{}: {err}", e.name)
-                    });
-                assert_ne!(
-                    st.itype,
-                    InodeType::Free,
-                    "cut at {k}: dirent {dir}/{} names a free inode",
-                    e.name
-                );
-            }
-        }
-        if complete {
-            assert_eq!(
-                fs2.read_file(&mut disk2, &mut bc2, "/etc/conf").unwrap(),
-                data,
-                "a completed create+write is durable"
-            );
-            break;
-        }
-        k += 1;
-    }
+    });
+    let (before, after) = cuts.atomic::<Xv6Fs>("posted create", 0..=cuts.end());
+    assert!(before.get("/etc/conf").is_none() && holds(&after, "/etc/conf", &data));
 }
 
 #[test]
 fn xv6fs_random_posted_cut_schedules_are_atomic_and_durable_per_op() {
-    // Journal on, posted cache on, random op/cut schedules: every completed
-    // metadata operation is durable on return (group size 1 commits through
-    // the device barrier), every interrupted one lands old XOR new, and no
-    // visible file ever holds bytes matching no written version.
-    for seed in 0..25u64 {
-        let mut rng = Rng::new(9100 + seed);
-        let mut disk = MemDisk::new(8192);
-        let mut bc = BufCache::with_geometry(4, 8);
-        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 4096, 128).unwrap();
-        fs.create(&mut disk, &mut bc, "/etc", InodeType::Dir)
-            .unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.set_posted_writes(true);
-
-        let names: Vec<String> = (0..3)
-            .map(|i| format!("/n{i}"))
-            .chain((0..2).map(|i| format!("/etc/c{i}")))
-            .collect();
-        let mut model: Model = names
-            .iter()
-            .map(|n| (n.clone(), PathModel::new()))
-            .collect();
-        let mut dirs = xv6_dir_model();
-        // Paths an offset write, which runs outside any transaction, touched
-        // since the last barrier:
-        // after a cut they may hold any mix of their old and new blocks.
-        let mut unlogged: BTreeSet<String> = BTreeSet::new();
-        let mut version = 0u64;
-        let cut_after = rng.below(1200);
-        disk.power_cut_after(cut_after);
-
-        for _op in 0..25 {
-            if disk.power_lost() {
-                break;
-            }
-            let name = names[rng.below(names.len() as u64) as usize].clone();
-            let file_id = names.iter().position(|n| *n == name).unwrap() as u64;
-            match rng.below(12) {
-                6..=8 => {
-                    version += 1;
-                    let data = pattern(file_id, version, 1 + rng.below(8 * 1024) as usize);
-                    let drawn = xv6_draw(&fs, &mut disk, &mut bc, &mut rng, &model, &name, &data);
-                    if let Some(d) = drawn {
-                        let m = if dirs.contains_key(&d.path) {
-                            &mut dirs
-                        } else {
-                            &mut model
-                        };
-                        m.get_mut(&d.path).unwrap().push(d.state);
-                        if !d.logged {
-                            unlogged.insert(d.path);
-                        } else if !disk.power_lost() {
-                            // Each journaled op commits durably on return.
-                            barrier(&mut model);
-                            barrier(&mut dirs);
-                            unlogged.clear();
-                        }
-                    }
-                }
-                9 => {
-                    if bc.flush(&mut disk).is_ok() && !disk.power_lost() {
-                        barrier(&mut model);
-                        barrier(&mut dirs);
-                        unlogged.clear();
-                    }
-                }
-                0..=4 => {
-                    version += 1;
-                    let len = 1 + rng.below(20 * 1024) as usize;
-                    let data = pattern(file_id, version, len);
-                    match fs.write_file(&mut disk, &mut bc, &name, &data) {
-                        Ok(_) => {
-                            model.get_mut(&name).unwrap().push(Some(data));
-                            // Each journaled op commits durably on return.
-                            barrier(&mut model);
-                            barrier(&mut dirs);
-                            unlogged.clear();
-                        }
-                        // Interrupted: replay may still land it — old XOR
-                        // new, so record the new state as non-durable.
-                        Err(_) if disk.power_lost() => {
-                            model.get_mut(&name).unwrap().push(Some(data));
-                        }
-                        Err(_) => {}
-                    }
-                }
-                5 => match fs.unlink(&mut disk, &mut bc, &name) {
-                    Ok(()) => {
-                        model.get_mut(&name).unwrap().push(None);
-                        barrier(&mut model);
-                        barrier(&mut dirs);
-                        unlogged.clear();
-                    }
-                    Err(_) if disk.power_lost() => {
-                        model.get_mut(&name).unwrap().push(None);
-                    }
-                    Err(_) => {}
-                },
-                _ => {
-                    let _ = bc.flush_some(&mut disk, 8 + rng.below(80));
-                }
-            }
-        }
-
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let note = format!("seed {seed}, cut {cut_after}");
-        let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2)
-            .unwrap_or_else(|e| panic!("[{note}] remount failed: {e}"));
-
-        let mut pending = vec![String::from("/")];
-        let mut visible: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut inums = BTreeSet::from([1]);
-        while let Some(dir) = pending.pop() {
-            for e in fs2
-                .list_dir(&mut disk2, &mut bc2, &dir)
-                .unwrap_or_else(|err| panic!("[{note}] list {dir}: {err}"))
-            {
-                let path = if dir == "/" {
-                    format!("/{}", e.name)
-                } else {
-                    format!("{}/{}", dir, e.name)
-                };
-                let st = fs2
-                    .stat(&mut disk2, &mut bc2, e.inum)
-                    .unwrap_or_else(|err| panic!("[{note}] dangling dirent {path}: {err}"));
-                inums.insert(e.inum);
-                if st.itype == InodeType::Dir {
-                    pending.push(path);
-                } else {
-                    let content = fs2
-                        .read_file(&mut disk2, &mut bc2, &path)
-                        .unwrap_or_else(|err| panic!("[{note}] read {path}: {err}"));
-                    visible.push((path, content));
-                }
-            }
-        }
-        check_xv6_blocks(&mut disk2, &mut bc2, &fs2, &inums, true, &note);
-        check_xv6_dirs(&mut disk2, &mut bc2, &fs2, &dirs, &note);
-        // Every visible file holds exactly one historically written
-        // version, unless an offset write was cut short in it.
-        for (path, content) in &visible {
-            if unlogged.contains(path) {
-                continue;
-            }
-            let m = model
-                .get(path)
-                .unwrap_or_else(|| panic!("[{note}] unexpected file {path}"));
-            assert!(
-                m.states
-                    .iter()
-                    .any(|s| s.as_ref().is_some_and(|v| v == content)),
-                "[{note}] {path} holds {} bytes matching no written version",
-                content.len()
-            );
-        }
-        // Durable-and-unmodified paths are exact — removed ones stay gone.
-        for (path, m) in &model {
-            if m.dirty_since_barrier {
-                continue;
-            }
-            let found = visible.iter().find(|(p, _)| p == path).map(|(_, c)| c);
-            match &m.states[m.committed] {
-                Some(v) => assert_eq!(
-                    found,
-                    Some(v),
-                    "[{note}] durable {path} lost or changed after the cut"
-                ),
-                None => assert!(found.is_none(), "[{note}] removed {path} resurrected"),
-            }
-        }
-    }
+    xv6_random_schedules(true);
 }
 
 #[test]
@@ -2010,41 +1040,14 @@ fn fat32_logged_overwrite_cut_sweep_survives_a_posted_write_cache() {
     // un-flushed writes can vanish wholesale.
     let old = pattern(4, 1, 24 * 1024);
     let new = pattern(4, 2, 30 * 1024);
-    let total = {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.set_posted_writes(true);
-        let before = disk.stats().blocks;
-        fs.write_file(&mut disk, &mut bc, "/v.bin", &new).unwrap();
-        disk.stats().blocks - before
-    };
-    let mut saw_old = false;
-    let mut saw_new = false;
-    for k in (0..=total).step_by(3) {
-        let (mut disk, mut bc, fs) = fresh_fat();
-        fs.write_file(&mut disk, &mut bc, "/v.bin", &old).unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.set_posted_writes(true);
-        disk.power_cut_after(k);
-        let _ = fs.write_file(&mut disk, &mut bc, "/v.bin", &new);
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Fat32::mount(&mut disk2, &mut bc2).unwrap();
-        let content = fs2.read_file(&mut disk2, &mut bc2, "/v.bin").unwrap();
-        if content == old {
-            saw_old = true;
-        } else if content == new {
-            saw_new = true;
-        } else {
-            panic!(
-                "cut at {k}/{total}: posted-cache overwrite left {} bytes matching neither version",
-                content.len()
-            );
-        }
-    }
-    assert!(saw_old && saw_new, "sweep must cover both outcomes");
+    let mut pre = fat_with(&[("/v.bin", &old)]);
+    pre.disk.set_posted_writes(true);
+    let cuts = pre.cuts(|v| {
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/v.bin", &new)
+            .unwrap();
+    });
+    let (before, after) = cuts.atomic::<Fat32>("posted overwrite", 0..=cuts.end());
+    assert!(holds(&before, "/V.BIN", &old) && holds(&after, "/V.BIN", &new));
 }
 
 #[test]
@@ -2054,52 +1057,33 @@ fn posted_cache_without_a_flush_barrier_is_not_durable() {
     // block in the device's volatile cache — a cut loses all of it. The
     // same drain through `flush` (which ends with the barrier) survives.
     let data = pattern(7, 1, 8 * 1024);
-    let build = |use_barrier: bool| -> Vec<u8> {
-        let mut disk = MemDisk::new(4096);
-        let mut bc = BufCache::default();
-        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 2048, 64).unwrap();
-        // Create durably, then append content through the *raw* inode-level
-        // write — the one path with no transaction (and so no barrier) of
-        // its own. The drain strategy below is the only durability point.
-        let inum = fs
-            .create(&mut disk, &mut bc, "/x", InodeType::File)
-            .unwrap();
-        bc.flush(&mut disk).unwrap();
-        disk.set_posted_writes(true);
-        fs.write(&mut disk, &mut bc, inum, 0, &data).unwrap();
-        if use_barrier {
-            bc.flush(&mut disk).unwrap();
-        } else {
-            while bc.dirty_blocks() > 0 {
-                bc.flush_some(&mut disk, 64).unwrap();
+    let mut pre = Vol::xv6(4096, 2048, 64);
+    // Create durably, then append content through the *raw* inode-level
+    // write — the one path with no transaction (and so no barrier) of its
+    // own. The drain strategy below is the only durability point.
+    let Vol { disk, bc, fs } = &mut pre;
+    let inum = fs.create(disk, bc, "/x", InodeType::File).unwrap();
+    bc.flush(disk).unwrap();
+    disk.set_posted_writes(true);
+    for (use_barrier, want) in [(false, Vec::new()), (true, data.clone())] {
+        let cuts = pre.cuts(|Vol { disk, bc, fs }| {
+            fs.write(disk, bc, inum, 0, &data).unwrap();
+            if use_barrier {
+                bc.flush(disk).unwrap();
+            } else {
+                while bc.dirty_blocks() > 0 {
+                    bc.flush_some(disk, 64).unwrap();
+                }
+                assert!(
+                    disk.cached_blocks() > 0,
+                    "the drain parked writes in the device cache"
+                );
             }
-            assert!(
-                disk.cached_blocks() > 0,
-                "the drain must have parked writes in the device cache"
-            );
-        }
-        disk.power_cut();
-        disk.power_restored();
-        disk.image().to_vec()
-    };
-
-    let mut d = MemDisk::from_image(build(false));
-    let mut b = BufCache::default();
-    let f = Xv6Fs::mount(&mut d, &mut b).unwrap();
-    assert_eq!(
-        f.read_file(&mut d, &mut b, "/x").unwrap(),
-        Vec::<u8>::new(),
-        "without the barrier the cut must erase the un-flushed contents"
-    );
-
-    let mut d = MemDisk::from_image(build(true));
-    let mut b = BufCache::default();
-    let f = Xv6Fs::mount(&mut d, &mut b).unwrap();
-    assert_eq!(
-        f.read_file(&mut d, &mut b, "/x").unwrap(),
-        data,
-        "the barrier makes the same sequence durable"
-    );
+        });
+        cuts.sweep::<Xv6Fs>("a cut after the drain", [cuts.end()], |_, m| {
+            assert_eq!(m.read("/x"), Some(want.clone()), "barrier {use_barrier}");
+        });
+    }
 }
 
 #[test]
@@ -2109,10 +1093,11 @@ fn xv6fs_freed_blocks_are_fenced_until_durable_then_reused() {
     // Filling the volume, unlinking, and immediately rewriting must succeed
     // by reusing the unlinked file's blocks, never by handing out a block a
     // durable inode still owns.
-    let mut disk = MemDisk::new(512); // 256 KB => 256 fs blocks
-    let mut bc = BufCache::default();
-    let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
-    bc.flush(&mut disk).unwrap();
+    let Vol {
+        mut disk,
+        mut bc,
+        fs,
+    } = Vol::xv6(512, 256, 64); // 256 KB => 256 fs blocks
     let free = fs.free_blocks(&mut disk, &mut bc).unwrap();
     assert!(free > 30, "layout sanity");
     let big = pattern(5, 1, (free as usize - 8) * 1024);
@@ -2136,53 +1121,40 @@ fn xv6fs_overwrite_cut_sweep_is_old_xor_new_or_refused_untouched() {
     // commits, so the new contents must fit beside the old ones. On the
     // 256-block volume a same-size 78 KB overwrite fits and lands old XOR
     // new at every cut; 127 and 214 KB do not, and the overwrite fails
-    // with NoSpace before it persists anything.
+    // with NoSpace before it persists anything, even through a flush.
     for (kb, fits) in [(78, true), (127, false), (214, false)] {
         let old = pattern(8, 1, kb * 1024);
         let new = pattern(8, 2, kb * 1024);
-        let mut k = 0u64;
-        loop {
-            let mut disk = MemDisk::new(512);
-            let mut bc = BufCache::default();
-            let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
-            fs.write_file(&mut disk, &mut bc, "/f", &old).unwrap();
-            bc.flush(&mut disk).unwrap();
-            let before = disk.image();
-            disk.power_cut_after(k);
-            let res = fs.write_file(&mut disk, &mut bc, "/f", &new);
-            let complete = !disk.power_lost();
-            disk.power_restored();
-            let note = format!("{kb} KB, cut at {k}");
-            let mut disk2 = MemDisk::from_image(disk.image());
-            let mut bc2 = BufCache::default();
-            let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2)
-                .unwrap_or_else(|e| panic!("[{note}] remount failed: {e}"));
-            let got = fs2
-                .read_file(&mut disk2, &mut bc2, "/f")
-                .unwrap_or_else(|e| panic!("[{note}] /f unreadable: {e}"));
-            assert!(
-                got == old || got == new,
-                "[{note}] /f torn ({} bytes, neither version)",
-                got.len()
-            );
-            if complete {
-                if fits {
-                    assert!(res.is_ok(), "[{note}] the overwrite fits: {res:?}");
-                    assert_eq!(got, new, "[{note}] a completed overwrite is durable");
-                } else {
-                    assert!(
-                        matches!(res, Err(FsError::NoSpace)),
-                        "[{note}] the overwrite does not fit: {res:?}"
-                    );
-                    bc.flush(&mut disk).unwrap();
-                    assert!(
-                        disk.image() == before,
-                        "[{note}] a refused overwrite persisted"
-                    );
-                }
-                break;
+        let mut pre = Vol::xv6(512, 256, 64);
+        pre.fs
+            .write_file(&mut pre.disk, &mut pre.bc, "/f", &old)
+            .unwrap();
+        pre.bc.flush(&mut pre.disk).unwrap();
+        let what = format!("{kb} KB");
+        let cuts = pre.cuts(|v| {
+            let res = v.fs.write_file(&mut v.disk, &mut v.bc, "/f", &new);
+            if fits {
+                assert!(res.is_ok(), "[{what}] the overwrite fits: {res:?}");
+            } else {
+                assert!(
+                    matches!(res, Err(FsError::NoSpace)),
+                    "[{what}] does not fit: {res:?}"
+                );
+                v.bc.flush(&mut v.disk).unwrap();
             }
-            k += 1;
+        });
+        if fits {
+            let (before, after) = cuts.atomic::<Xv6Fs>(&what, 0..=cuts.end());
+            assert!(holds(&before, "/f", &old) && holds(&after, "/f", &new));
+        } else {
+            let image = cuts.image(cuts.end()).image();
+            assert!(
+                image == cuts.pre.image(),
+                "[{what}] a refused overwrite changed the medium"
+            );
+            cuts.sweep::<Xv6Fs>(&what, [cuts.end()], |_, m| {
+                assert_eq!(m.read("/f"), Some(old.clone()))
+            });
         }
     }
 }
@@ -2193,53 +1165,158 @@ fn xv6fs_unlink_rewrite_cut_sweep_never_tears_the_durable_old_file() {
     // unlink-then-rewrite that recycles the old file's blocks, and the
     // durable old file is either bit-exact or cleanly absent — its blocks
     // were never clobbered while a durable dirent still reached them.
-    let setup = |fs: &Xv6Fs, disk: &mut MemDisk, bc: &mut BufCache| -> (Vec<u8>, Vec<u8>) {
-        bc.flush(disk).unwrap();
-        let free = fs.free_blocks(disk, bc).unwrap();
-        let big = pattern(6, 1, (free as usize - 8) * 1024);
-        let big2 = pattern(6, 2, (free as usize - 8) * 1024);
-        fs.write_file(disk, bc, "/big", &big).unwrap();
-        bc.flush(disk).unwrap();
-        (big, big2)
+    let mut pre = Vol::xv6(512, 256, 64);
+    let free = pre.fs.free_blocks(&mut pre.disk, &mut pre.bc).unwrap();
+    let big = pattern(6, 1, (free as usize - 8) * 1024);
+    let big2 = pattern(6, 2, (free as usize - 8) * 1024);
+    pre.fs
+        .write_file(&mut pre.disk, &mut pre.bc, "/big", &big)
+        .unwrap();
+    pre.bc.flush(&mut pre.disk).unwrap();
+    let cuts = pre.cuts(|Vol { disk, bc, fs }| {
+        fs.unlink(disk, bc, "/big").unwrap();
+        fs.write_file(disk, bc, "/big2", &big2).unwrap();
+    });
+    let n = cuts.end();
+    cuts.sweep::<Xv6Fs>("unlink, rewrite", 0..=n, |k, m| {
+        let olds = ("/big", vec![file(&big), None]);
+        m.check(&model([olds, ("/big2", vec![None, file(&big2)])], k == n));
+    });
+}
+
+/// `op` on `state` with a real power cut armed after `k` blocks and the
+/// persist log on: the op's result, what persisted, and whether the cut
+/// fired.
+fn cut_at<S, R>(
+    state: &mut S,
+    disk: fn(&mut S) -> &mut MemDisk,
+    k: usize,
+    op: impl FnOnce(&mut S) -> R,
+) -> (R, PersistLog, bool) {
+    disk(state).power_cut_after(k as u64);
+    disk(state).start_log();
+    let result = op(state);
+    let fired = disk(state).power_lost();
+    disk(state).power_restored();
+    (result, disk(state).take_log(), fired)
+}
+
+#[test]
+fn real_cuts_persist_what_the_log_says() {
+    // A polled disk: a FAT32 overwrite and its flush. A cut after k blocks
+    // persists the log's first k, the barrier of a cut op fails, and the
+    // disk is the pre-state's with those blocks applied.
+    let pre = fat_with(&[("/v.bin", &pattern(1, 1, 24 * 1024))]);
+    let op = |v: &mut Vol<Fat32>| {
+        let new = pattern(1, 2, 30 * 1024);
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/v.bin", &new)?;
+        v.sync()
     };
-    let total = {
-        let mut disk = MemDisk::new(512);
-        let mut bc = BufCache::default();
-        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
-        let (_, big2) = setup(&fs, &mut disk, &mut bc);
-        let before = disk.stats().blocks;
-        fs.unlink(&mut disk, &mut bc, "/big").unwrap();
-        fs.write_file(&mut disk, &mut bc, "/big2", &big2).unwrap();
-        disk.stats().blocks - before
+    let cuts = pre.cuts(|v| op(v).unwrap());
+    for k in 0..=cuts.end() {
+        let mut v = pre.clone();
+        let (result, log, fired) = cut_at(&mut v, |v| &mut v.disk, k, op);
+        assert_eq!(log.blocks, cuts.log.blocks[..k], "polled cut {k}");
+        let cut = k < cuts.end();
+        assert_eq!((result.is_err(), fired), (cut, cut), "polled cut {k}");
+        assert!(v.disk.image() == cuts.image(k).image(), "polled cut {k}");
+    }
+
+    // A torn commit record: the record is one range command, header first,
+    // and a cut inside it tears that command.
+    let (pre, targets, _) = torn_record_setup();
+    for j in 1..=targets.len() {
+        let mut v = pre.clone();
+        let before = v.disk.stats();
+        let (result, log, _) = cut_at(
+            &mut v,
+            |v| &mut v.disk,
+            j,
+            |v| v.fs.commit_pending(&mut v.disk, &mut v.bc),
+        );
+        assert_eq!(log.blocks.len(), j, "record cut {j}");
+        assert_eq!(
+            &log.blocks[0].1[..8],
+            TXN_MAGIC,
+            "record cut {j}: the header leads"
+        );
+        let after = v.disk.stats();
+        let cmds = (
+            after.range_cmds - before.range_cmds,
+            after.single_cmds - before.single_cmds,
+        );
+        assert_eq!(cmds, (1, 0), "record cut {j}: the record is one command");
+        assert!(
+            result.is_err() && v.disk.torn_writes() == 1,
+            "record cut {j} tears it"
+        );
+    }
+
+    // A posted disk: a journaled xv6fs overwrite. The cut counts the blocks
+    // the cache accepted and a FLUSH persists whole, so a cut leaves a
+    // prefix of the log that ends at a FLUSH.
+    let mut pre = xv6_with_f(&pattern(1, 1, 6 * 1024));
+    pre.disk.set_posted_writes(true);
+    let op = |v: &mut Vol<Xv6Fs>| {
+        let new = pattern(1, 2, 3 * 1024);
+        v.fs.write_file(&mut v.disk, &mut v.bc, "/f", &new)
     };
-    for k in (0..=total).step_by(5) {
-        let mut disk = MemDisk::new(512);
-        let mut bc = BufCache::default();
-        let fs = Xv6Fs::mkfs(&mut disk, &mut bc, 256, 64).unwrap();
-        let (big, big2) = setup(&fs, &mut disk, &mut bc);
-        disk.power_cut_after(k);
-        let _ = fs.unlink(&mut disk, &mut bc, "/big").and_then(|()| {
-            fs.write_file(&mut disk, &mut bc, "/big2", &big2)
-                .map(|_| ())
-        });
-        disk.power_restored();
-        let mut disk2 = MemDisk::from_image(disk.image().to_vec());
-        let mut bc2 = BufCache::default();
-        let fs2 = Xv6Fs::mount(&mut disk2, &mut bc2).unwrap();
-        match fs2.read_file(&mut disk2, &mut bc2, "/big") {
-            Ok(content) => assert_eq!(
-                content, big,
-                "cut at {k}/{total}: durable /big torn by premature block reuse"
-            ),
-            Err(FsError::NotFound(_)) => {}
-            Err(e) => panic!("cut at {k}/{total}: unexpected error {e}"),
-        }
-        if let Ok(content) = fs2.read_file(&mut disk2, &mut bc2, "/big2") {
-            assert!(
-                content == big2 || content.is_empty(),
-                "cut at {k}/{total}: /big2 is torn ({} bytes)",
-                content.len()
-            );
+    let cuts = pre.cuts(|v| {
+        op(v).unwrap();
+    });
+    let mut prefixes = Vec::new();
+    for k in 0.. {
+        let mut v = pre.clone();
+        let (result, log, fired) = cut_at(&mut v, |v| &mut v.disk, k, op);
+        let n = log.blocks.len();
+        assert!(
+            n == 0 || cuts.log.flushes.contains(&n),
+            "posted cut {k} ends inside a FLUSH"
+        );
+        assert_eq!(log.blocks, cuts.log.blocks[..n], "posted cut {k}");
+        assert!(v.disk.image() == cuts.image(n).image(), "posted cut {k}");
+        prefixes.push(n);
+        if !fired {
+            assert!(result.is_ok() && n == cuts.end(), "the uncut op completes");
+            break;
         }
     }
+    prefixes.dedup();
+    assert!(prefixes.len() > 2, "the cuts leave several FLUSH prefixes");
+
+    // The SD card in DMA mode, through the kernel: a torn chain fails the
+    // barrier, and its blocks stay dirty for a retry.
+    let pre = desktop_with_unsynced_file(&pattern(21, 1, 16 * 1024));
+    let dirty = pre.kernel.fat_cache().unwrap().dirty_blocks();
+    let op = |sys: &mut ProtoSystem| sys.kernel.sync_all();
+    let cuts = Cuts::record(&mut pre.fork().unwrap(), card, FAT_PARTITION_START, |sys| {
+        op(sys).unwrap();
+    });
+    let mut torn = 0;
+    for k in 0..=cuts.end() {
+        let mut sys = pre.fork().unwrap();
+        let (result, log, _) = cut_at(&mut sys, card, k, op);
+        assert_eq!(log.blocks, cuts.log.blocks[..k], "dma cut {k}");
+        let mut image = cuts.image(k);
+        for &(lba, _) in &cuts.log.blocks {
+            assert_eq!(
+                sector(card(&mut sys), lba),
+                sector(&mut image, lba),
+                "dma cut {k}"
+            );
+        }
+        if k < cuts.end() {
+            assert!(result.is_err(), "dma cut {k} must fail the barrier");
+            let left = sys.kernel.fat_cache().unwrap().dirty_blocks();
+            assert!(
+                left >= dirty - k,
+                "dma cut {k}: unconfirmed blocks stay dirty for retry"
+            );
+        }
+        torn += card(&mut sys).torn_writes();
+    }
+    assert!(
+        torn > 0,
+        "the sweep tears a scatter-gather chain mid-transfer"
+    );
 }

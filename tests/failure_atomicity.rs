@@ -20,10 +20,14 @@
 //!   show the same.
 //!
 //! A second test issues real syscalls on forked desktops, with faults on
-//! the root ramdisk and the SD card.
+//! the root ramdisk and the SD card. Both filesystems are driven through
+//! the cut harness's `Volume` view, shared with the crash suite.
+
+pub mod harness;
 
 use std::collections::BTreeSet;
 
+use harness::{Tree, Volume};
 use kernel::kernel::FAT_PARTITION_START;
 use kernel::{KResult, OpenFlags, UserCtx};
 use proto_repro::prelude::*;
@@ -82,83 +86,6 @@ impl BlockDevice for Tap {
 
     fn stats(&self) -> BlockIoStats {
         self.disk.stats()
-    }
-}
-
-/// What a volume shows through its API: each path with its kind, size and
-/// bytes, in walk order, and the free count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Tree {
-    entries: Vec<(String, Vec<u8>)>,
-    free: u32,
-}
-
-/// The two filesystems, as the sweep drives them.
-trait Volume: Sized {
-    fn mount(dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<Self>;
-    fn tree(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> Tree;
-    fn commit_pending(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()>;
-}
-
-impl Volume for Xv6Fs {
-    fn mount(dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<Self> {
-        Xv6Fs::mount(dev, bc)
-    }
-
-    fn tree(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> Tree {
-        let mut entries = Vec::new();
-        let mut dirs = vec![String::new()];
-        while let Some(dir) = dirs.pop() {
-            let path = if dir.is_empty() { "/" } else { dir.as_str() };
-            for e in self.list_dir(dev, bc, path).unwrap() {
-                let p = format!("{dir}/{}", e.name);
-                let st = self.stat(dev, bc, e.inum).unwrap();
-                let bytes = match st.itype {
-                    InodeType::Dir => {
-                        dirs.push(p.clone());
-                        Vec::new()
-                    }
-                    _ => self.read_file(dev, bc, &p).unwrap(),
-                };
-                entries.push((format!("{p} {st:?}"), bytes));
-            }
-        }
-        let free = self.free_blocks(dev, bc).unwrap();
-        Tree { entries, free }
-    }
-
-    fn commit_pending(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()> {
-        Xv6Fs::commit_pending(self, dev, bc)
-    }
-}
-
-impl Volume for Fat32 {
-    fn mount(dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<Self> {
-        Fat32::mount(dev, bc)
-    }
-
-    fn tree(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> Tree {
-        let mut entries = Vec::new();
-        let mut dirs = vec![String::new()];
-        while let Some(dir) = dirs.pop() {
-            let path = if dir.is_empty() { "/" } else { dir.as_str() };
-            for e in self.list_dir(dev, bc, path).unwrap() {
-                let p = format!("{dir}/{}", e.name);
-                let bytes = if e.is_dir {
-                    dirs.push(p.clone());
-                    Vec::new()
-                } else {
-                    self.read_file(dev, bc, &p).unwrap()
-                };
-                entries.push((format!("{p} dir={} size={}", e.is_dir, e.size), bytes));
-            }
-        }
-        let free = self.free_clusters(dev, bc).unwrap();
-        Tree { entries, free }
-    }
-
-    fn commit_pending(&self, dev: &mut dyn BlockDevice, bc: &mut BufCache) -> FsResult<()> {
-        Fat32::commit_pending(self, dev, bc)
     }
 }
 

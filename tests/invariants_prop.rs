@@ -3,6 +3,9 @@
 //! the build environment is offline, so each "property" below is exercised
 //! over a spread of generated cases with fixed seeds.
 
+pub mod harness;
+
+use harness::Rng;
 use proto_repro::kernel::mm::{AddressSpace, FrameAllocator, MapFlags, PageTable, RegionKind};
 use proto_repro::protofs::bufcache::BufCache;
 use proto_repro::protofs::fat32::Fat32;
@@ -11,32 +14,6 @@ use proto_repro::protofs::MemDisk;
 use proto_repro::protousb::KeyEventQueue;
 
 use hal::mem::PhysMem;
-
-/// A tiny SplitMix64-style generator: deterministic, seedable, good enough
-/// to shake out structural bugs.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        self.0 = z;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next() as u8).collect()
-    }
-}
 
 #[test]
 fn frame_allocator_never_hands_out_the_same_frame_twice() {
@@ -280,7 +257,7 @@ fn bmp_round_trips_arbitrary_small_images() {
     for _ in 0..6 {
         let w = 1 + rng.below(40) as u32;
         let h = 1 + rng.below(40) as u32;
-        let seed = rng.next() as u32;
+        let seed = rng.next_u64() as u32;
         let mut img = proto_repro::ulib::image::Image::solid(w, h, 0xFF000000);
         for (i, px) in img.pixels.iter_mut().enumerate() {
             *px = 0xFF00_0000 | (seed.wrapping_mul(i as u32 + 1) & 0x00FF_FFFF);

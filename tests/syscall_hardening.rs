@@ -42,14 +42,14 @@ macro_rules! edges {
 }
 
 /// `UserCtx`'s methods that are not syscalls: they read the clock, the
-/// cost model or the core, charge compute, print or trace, and never trap.
-const NOT_SYSCALLS: [&str; 7] = [
+/// cost model or the core, charge compute, print or record a frame, and
+/// never trap.
+const NOT_SYSCALLS: [&str; 6] = [
     "now_us",
     "cost",
     "charge_user",
     "core",
     "print",
-    "trace_marker",
     "record_frame",
 ];
 
