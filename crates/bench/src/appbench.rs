@@ -240,9 +240,8 @@ pub fn input_latency(app: AppRun, keypresses: u32) -> (f64, f64, f64) {
     let mut to_app = Vec::new();
     let mut total = Vec::new();
     for d in &driver {
-        let key = &d.detail;
-        let disp = dispatch.iter().find(|e| &e.detail == key);
-        let app_read = app_reads.iter().find(|e| &e.detail == key);
+        let disp = dispatch.iter().find(|e| e.detail == d.detail);
+        let app_read = app_reads.iter().find(|e| e.detail == d.detail);
         if let Some(a) = app_read {
             total.push((a.timestamp_us - d.timestamp_us) as f64 / 1000.0);
             if let Some(disp) = disp {

@@ -1,7 +1,25 @@
 //! Figure 11: rendering- and input-latency breakdowns.
-use bench::appbench::{input_latency, measure_fps, AppRun};
+use bench::appbench::{input_latency, measure_fps, AppRun, FpsResult};
 use bench::report;
 use hal::cost::Platform;
+use serde::Serialize;
+
+/// One row of Figure 11b: an app's mean input latency per hop, in ms.
+#[derive(Serialize)]
+struct InputLatency {
+    app: String,
+    driver_to_dispatch_ms: f64,
+    dispatch_to_app_ms: f64,
+    total_ms: f64,
+}
+
+/// The JSON dump: Figure 11a's rows, then Figure 11b's.
+#[derive(Serialize)]
+struct Fig11 {
+    rendering: Vec<FpsResult>,
+    input: Vec<InputLatency>,
+}
+
 fn main() {
     println!("Figure 11a — rendering latency breakdown (ms per frame)\n");
     let mut rows = Vec::new();
@@ -32,6 +50,7 @@ fn main() {
     );
     println!("\nFigure 11b — input latency breakdown (ms from USB driver to app)\n");
     let mut rows = Vec::new();
+    let mut input = Vec::new();
     for app in [AppRun::Doom, AppRun::MarioProc, AppRun::MarioSdl] {
         let (to_dispatch, to_app, total) = input_latency(app, 6);
         rows.push(vec![
@@ -40,6 +59,12 @@ fn main() {
             report::f2(to_app),
             report::f2(total),
         ]);
+        input.push(InputLatency {
+            app: app.name().to_string(),
+            driver_to_dispatch_ms: to_dispatch,
+            dispatch_to_app_ms: to_app,
+            total_ms: total,
+        });
     }
     println!(
         "{}",
@@ -48,5 +73,9 @@ fn main() {
             &rows
         )
     );
-    report::write_json("fig11_latency", &dump);
+    let fig11 = Fig11 {
+        rendering: dump,
+        input,
+    };
+    report::write_json("fig11_latency", &fig11);
 }

@@ -514,8 +514,12 @@ struct Run {
 struct UndoScope {
     /// Per extent base, the blocks that held data at the scope's first
     /// write to them: their bytes as the scope found them (`data`, an
-    /// extent's worth), which blocks those are, and which were metadata.
-    saved: BTreeMap<u64, (Vec<u8>, u8, u8)>,
+    /// extent's worth), which blocks those are, which were metadata, and
+    /// which were dirty or riding a write-back.
+    saved: BTreeMap<u64, (Vec<u8>, u8, u8, u8)>,
+    /// Per extent base, the blocks that went to write-back while the scope
+    /// was open.
+    written: BTreeMap<u64, u8>,
     /// Blocks that held no data at the scope's first write to them.
     fresh: Vec<Run>,
     /// The write-order edges the scope added, as (metadata block, run).
@@ -1153,11 +1157,15 @@ impl BufCache {
     }
 
     /// Ends the open scope by undoing it: drops the blocks it marked fresh,
-    /// puts the copies back as dirty (with their metadata class) and removes
-    /// the dependency edges and pending frees it added. A block that rides
-    /// an in-flight write-back keeps its data, since its chain carries it
-    /// anyway; a copy whose extent was evicted meanwhile is put back in a
-    /// newly allocated one, if the cache can make room for it.
+    /// puts the copies back (with their metadata class) and removes the
+    /// dependency edges and pending frees it added. A copy goes back clean
+    /// only if its block was clean at the scope's first write, its extent
+    /// stayed resident and none of it went to write-back during the scope,
+    /// since the device then still holds those bytes; any other goes back
+    /// dirty. A block that rides an in-flight write-back keeps its data,
+    /// since its chain carries it anyway; a copy whose extent was evicted
+    /// meanwhile is put back in a newly allocated one, if the cache can make
+    /// room for it.
     pub fn abort_scope(&mut self, dev: &mut dyn BlockDevice) {
         let scope = self.scope.take().unwrap_or_default();
         for (m, run) in scope.edges {
@@ -1178,7 +1186,11 @@ impl BufCache {
                 e.copied &= !dropped;
             }
         }
-        for (base, (data, blocks, meta)) in scope.saved {
+        for (base, (data, blocks, meta, dirty)) in scope.saved {
+            // A block's `undo` bit survives only while its extent does.
+            let stayed = self.resident(base).map_or(0, |e| e.undo);
+            let written = scope.written.get(&base).copied().unwrap_or(0);
+            let clean = blocks & !dirty & stayed & !written;
             let Ok(e) = self.extent_for(dev, base, 1) else {
                 continue;
             };
@@ -1187,7 +1199,7 @@ impl BufCache {
                 e.data[r.clone()].copy_from_slice(&data[r]);
             }
             e.valid |= blocks;
-            e.dirty |= blocks;
+            e.dirty = (e.dirty | blocks) & !clean;
             e.pending &= !blocks;
             e.copied &= !blocks;
             e.meta = e.meta & !blocks | meta;
@@ -1208,10 +1220,10 @@ impl BufCache {
         let (valid, undo) = ext.map_or((0, 0), |e| (e.valid, e.undo));
         let first = sp.mask() & !undo;
         if let Some(e) = ext.filter(|_| first & valid != 0) {
-            let (data, blocks, meta) = scope
+            let (data, blocks, meta, dirty) = scope
                 .saved
                 .entry(sp.base)
-                .or_insert_with(|| (vec![0; EXTENT_BYTES], 0, 0));
+                .or_insert_with(|| (vec![0; EXTENT_BYTES], 0, 0, 0));
             let held = first & valid & !*blocks;
             for (i, n) in bit_runs(held) {
                 let r = i * BLOCK_SIZE..(i + n) * BLOCK_SIZE;
@@ -1219,6 +1231,7 @@ impl BufCache {
             }
             *blocks |= held;
             *meta |= e.meta & held;
+            *dirty |= (e.dirty | e.writing) & held;
         }
         push_bits(&mut scope.fresh, sp.base, first & !valid);
         self.scope = Some(scope);
@@ -2552,6 +2565,11 @@ impl BufCache {
     fn submit_write_runs(&mut self, dev: &mut dyn BlockDevice, runs: &[Run]) -> FsResult<u64> {
         if runs.is_empty() {
             return Ok(0);
+        }
+        if let Some(scope) = self.scope.as_mut() {
+            for sp in run_spans(runs.iter().copied()) {
+                *scope.written.entry(sp.base).or_default() |= sp.mask();
+            }
         }
         let missing_extent =
             || crate::FsError::Corrupt("dirty block has no backing cache extent".into());
@@ -3937,7 +3955,10 @@ mod tests {
         assert!(bc.block_is_meta(40) && bc.is_block_dirty(40));
         bc.read(&mut dev, 41, &mut out).unwrap();
         assert_eq!(out, block(4));
-        assert!(!bc.block_is_meta(41) && bc.is_block_dirty(41));
+        assert!(
+            !bc.block_is_meta(41) && !bc.is_block_dirty(41),
+            "clean as found"
+        );
         // The fresh block is dropped: a read fetches the device's bytes.
         assert!(!bc.block_has(50, |e| e.valid));
         bc.read(&mut dev, 50, &mut out).unwrap();
@@ -3945,6 +3966,16 @@ mod tests {
         assert_eq!(bc.deps, deps);
         assert!(bc.is_pending_free(9) && !bc.is_pending_free(10));
         assert!(!bc.extent_txn_pinned(40), "the logged pins went with it");
+        // A clean block the scope wrote back goes back dirty: the device
+        // holds the scope's bytes.
+        bc.flush(&mut dev).unwrap();
+        assert!(bc.begin_scope(false));
+        bc.write(&mut dev, 41, &block(9)).unwrap();
+        bc.flush(&mut dev).unwrap();
+        bc.abort_scope(&mut dev);
+        bc.read(&mut dev, 41, &mut out).unwrap();
+        assert_eq!(out, block(4));
+        assert!(bc.is_block_dirty(41), "rewritten by the next drain");
         // A scope that succeeds keeps its writes.
         assert!(bc.begin_scope(false));
         bc.write(&mut dev, 50, &block(8)).unwrap();

@@ -3,10 +3,11 @@
 //! Proto is developed as one complete OS and then decomposed into five
 //! incremental, self-contained prototypes (§1.2, §5.5). Each prototype is a
 //! configuration of the same code base: a set of kernel capabilities, user
-//! libraries and target applications. [`KernelConfig`] encodes exactly the
-//! feature matrix of Table 1; the kernel consults it at boot and at syscall
-//! entry, so asking Prototype 2 for virtual memory or Prototype 4 for
-//! threads fails the same way it would in the course.
+//! libraries and target applications. [`KernelConfig`] holds the
+//! capabilities of Table 1 that the kernel consults, at boot and at syscall
+//! entry ([`crate::syscalls::Sysno`]'s gates), so asking Prototype 2 for
+//! virtual memory or Prototype 4 for threads fails the same way it would in
+//! the course.
 
 use serde::{Deserialize, Serialize};
 
@@ -74,8 +75,10 @@ pub enum KernelVariant {
     Xv6Baseline,
 }
 
-/// The per-prototype kernel feature matrix (the "Kernel core", "Files" and
-/// "IO" sections of Table 1).
+/// The per-prototype capabilities the kernel consults (from the "Kernel
+/// core", "Files" and "IO" sections of Table 1). Table 1's other rows, such
+/// as the UART or procfs, are in every prototype from their first on, and
+/// nothing checks them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelConfig {
     /// Which prototype this configuration corresponds to.
@@ -84,27 +87,16 @@ pub struct KernelConfig {
     pub variant: KernelVariant,
 
     // ---- kernel core ----
-    /// Debug messages over the UART.
-    pub debug_msg: bool,
-    /// Timers and timekeeping.
-    pub timers: bool,
-    /// IRQ handling.
-    pub irq: bool,
     /// Multitasking (scheduler).
     pub multitasking: bool,
-    /// Memory allocator (page-based in Prototypes 2–3, kmalloc from 4 on).
-    pub memory_allocator: bool,
-    /// Kernel heap allocator (kmalloc) rather than page-only allocation.
-    pub kmalloc: bool,
-    /// EL0/EL1 privilege separation.
-    pub privileges: bool,
     /// Virtual memory with per-task address spaces.
     pub virtual_memory: bool,
-    /// Task and time syscalls (fork, exit, sleep, sbrk, write).
+    /// Task syscalls (the [`crate::syscalls::Sysno`] rows that need it).
     pub syscalls_tasks: bool,
-    /// File syscalls (open, close, read, write, lseek).
+    /// File syscalls (the `Sysno` rows that need it).
     pub syscalls_files: bool,
-    /// Threading and synchronisation syscalls (clone, semaphores).
+    /// Threading and synchronisation syscalls (the `Sysno` rows that need
+    /// it).
     pub syscalls_threading: bool,
     /// Multicore scheduling.
     pub multicore: bool,
@@ -114,18 +106,12 @@ pub struct KernelConfig {
     // ---- files ----
     /// The file abstraction / VFS.
     pub file_abstraction: bool,
-    /// procfs and devfs.
-    pub procfs_devfs: bool,
-    /// Ramdisk block device.
-    pub ramdisk: bool,
     /// The xv6 filesystem.
     pub xv6fs: bool,
     /// FAT32 on the SD card.
     pub fat32: bool,
 
     // ---- IO ----
-    /// UART (always present; mode differs per stage).
-    pub uart: bool,
     /// Framebuffer output.
     pub framebuffer: bool,
     /// USB keyboard input.
@@ -159,13 +145,7 @@ impl KernelConfig {
         KernelConfig {
             stage,
             variant: KernelVariant::Proto,
-            debug_msg: true,
-            timers: true,
-            irq: true,
             multitasking: n >= 2,
-            memory_allocator: n >= 2,
-            kmalloc: n >= 4,
-            privileges: n >= 3,
             virtual_memory: n >= 3,
             syscalls_tasks: n >= 3,
             syscalls_files: n >= 4,
@@ -173,11 +153,8 @@ impl KernelConfig {
             multicore: n >= 5,
             window_manager: n >= 5,
             file_abstraction: n >= 4,
-            procfs_devfs: n >= 4,
-            ramdisk: n >= 4,
             xv6fs: n >= 4,
             fat32: n >= 5,
-            uart: true,
             framebuffer: true,
             usb_keyboard: n >= 4,
             sound: n >= 4,
@@ -246,11 +223,11 @@ mod tests {
     #[test]
     fn feature_matrix_matches_table1_milestones() {
         let p1 = KernelConfig::for_stage(PrototypeStage::Baremetal);
-        assert!(p1.framebuffer && p1.irq && p1.timers);
+        assert!(p1.framebuffer);
         assert!(!p1.multitasking && !p1.virtual_memory && !p1.file_abstraction);
 
         let p2 = KernelConfig::for_stage(PrototypeStage::Multitasking);
-        assert!(p2.multitasking && !p2.privileges);
+        assert!(p2.multitasking && !p2.virtual_memory);
 
         let p3 = KernelConfig::for_stage(PrototypeStage::UserKernel);
         assert!(p3.virtual_memory && p3.syscalls_tasks && !p3.syscalls_files);

@@ -34,7 +34,7 @@ use crate::sched::Scheduler;
 use crate::sound::SoundDriver;
 use crate::sync::SemTable;
 use crate::task::{MmRef, Task, TaskId, TaskState, WaitChannel};
-use crate::trace::{TraceBuffer, TraceKind};
+use crate::trace::{irq_word, TraceBuffer, TraceKind};
 use crate::usercall::{FramePhases, StepResult, UserCtx, UserProgram};
 use crate::vfs::{
     FdTable, FileKind, FileSystem, Medium, Mount, MountTarget, OpenFile, PseudoInodes, Volume,
@@ -928,13 +928,8 @@ impl Kernel {
 
     pub(crate) fn handle_exit(&mut self, id: TaskId, code: i32) {
         let now = self.now_us();
-        self.trace.record(
-            now,
-            0,
-            TraceKind::Marker,
-            Some(id),
-            format_args!("exit {code}"),
-        );
+        self.trace
+            .record(now, 0, TraceKind::Exit, Some(id), code as u64);
         // Close every fd (dropping pipe references). Without the background
         // flusher, descriptors that wrote to a disk filesystem get the same
         // write-back flush sys_close performs, so an exiting (or killed)
@@ -1085,7 +1080,7 @@ impl Kernel {
             self.board.charge_kernel(core, cost);
             self.enqueue_task(id, core);
             self.trace
-                .record(self.board.now_us(), core, TraceKind::Wakeup, Some(id), "");
+                .record(self.board.now_us(), core, TraceKind::Wakeup, Some(id), 0);
         }
         woken.len()
     }
@@ -1107,7 +1102,7 @@ impl Kernel {
         let cost = self.board.cost.irq_entry + self.board.cost.irq_delivery;
         self.board.charge_kernel(core, cost);
         self.trace
-            .record(now, core, TraceKind::Irq, None, format_args!("{irq:?}"));
+            .record(now, core, TraceKind::Irq, None, irq_word(irq));
         match irq {
             Interrupt::SystemTimer1 => {
                 self.sched.account_tick(core);
@@ -1243,13 +1238,8 @@ impl Kernel {
             let compose_cycles = cost.per_byte(cost.compose_per_px_milli, written)
                 + cost.cache_flush_per_line * (written * 4 / 64);
             self.board.charge_kernel(core, compose_cycles);
-            self.trace.record(
-                now,
-                core,
-                TraceKind::Compose,
-                None,
-                format_args!("{written}px"),
-            );
+            self.trace
+                .record(now, core, TraceKind::Compose, None, written);
         }
     }
 
@@ -1308,7 +1298,7 @@ impl Kernel {
         m.draw_cycles += phases.draw_cycles;
         m.present_cycles += phases.present_cycles;
         self.trace
-            .record(now, 0, TraceKind::FramePresent, Some(task), "");
+            .record(now, 0, TraceKind::FramePresent, Some(task), 0);
     }
 
     pub(crate) fn console_print(&mut self, core: usize, text: &str) {
@@ -1400,7 +1390,7 @@ impl Kernel {
                 core,
                 TraceKind::ContextSwitch,
                 Some(tid),
-                "",
+                0,
             );
         }
         self.last_on_core[core] = Some(tid);

@@ -10,8 +10,8 @@
 //! * [`config`] — prototype stages and the Table 1 feature matrix.
 //! * [`mm`] — frames, page tables, address spaces, demand paging (§4.3).
 //! * [`sched`] / [`task`] — multitasking (§4.2) and multicore (§4.5).
-//! * [`vfs`], [`pipe`], [`syscalls`] — the file abstraction and the 29
-//!   UNIX-like syscalls (§3, §4.4).
+//! * [`vfs`], [`pipe`], [`syscalls`] — the file abstraction and the
+//!   UNIX-like syscalls, declared once in [`syscalls::Sysno`] (§3, §4.4).
 //! * [`kbd`], [`sound`], [`wm`] — the device files behind `/dev/events`,
 //!   `/dev/sb` and `/dev/surface`.
 //! * [`exec`] — program images and the (file-less and file-backed) exec.
@@ -67,6 +67,7 @@ pub use config::{KernelConfig, KernelVariant, PrototypeStage};
 pub use error::{KResult, KernelError};
 pub use exec::{ProgramImage, ProgramRegistry};
 pub use kernel::{BootStats, Kernel, SharedKeyboard, TaskMetrics};
+pub use syscalls::Sysno;
 pub use task::{Task, TaskId, TaskState};
 pub use usercall::{FileStat, FramePhases, StepResult, UserCtx, UserProgram};
 pub use vfs::{DeviceFile, OpenFlags};

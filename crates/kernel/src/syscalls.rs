@@ -1,12 +1,12 @@
-//! The kernel side of the syscall surface (29 syscalls across task, file and
-//! threading groups; `usercall.rs` lists them with their numbers).
+//! The kernel side of the syscall surface: the syscall table ([`Sysno`])
+//! and the `sys_*` functions behind [`crate::usercall::UserCtx`]'s stubs.
 //!
 //! Every trapping entry point takes an `Entry`, which only `Kernel::syscall`
-//! mints, after charging the platform's syscall entry cost. Each then checks
-//! the prototype stage it belongs to (Table 1), performs the operation, and
-//! — when the operation cannot complete — parks the calling task on the
-//! right wait queue and returns [`KernelError::WouldBlock`]. Device I/O
-//! charges additional cycles derived from the device statistics so that the
+//! mints, after charging the platform's syscall entry cost and checking the
+//! call's stage gate (Table 1). Each then performs the operation and — when
+//! the operation cannot complete — parks the calling task on the right wait
+//! queue and returns [`KernelError::WouldBlock`]. Device I/O charges
+//! additional cycles derived from the device statistics so that the
 //! microbenchmarks (Figure 8/9) and the app benchmarks (Table 5) come out of
 //! the same accounting.
 
@@ -14,19 +14,123 @@ use hal::framebuffer::BYTES_PER_PIXEL;
 use hal::sdhost::SdDataMode;
 use protofs::{FsError, FsResult};
 
+use crate::config::KernelConfig;
 use crate::error::{KResult, KernelError};
 use crate::exec::ProgramImage;
 use crate::kernel::Kernel;
 use crate::mm::addrspace::RegionKind;
 use crate::mm::pagetable::MapFlags;
 use crate::sync::SemWaitResult;
-use crate::task::{MmRef, TaskId, TaskState, WaitChannel};
+use crate::task::{MmRef, Task, TaskId, TaskState, WaitChannel};
 use crate::trace::TraceKind;
 use crate::usercall::{FileStat, UserProgram};
 use crate::vfs::{DeviceFile, FileKind, Mount, MountTarget, OpenFile, OpenFlags, VolumeIo};
 use crate::wm::Rect;
 
 pub(crate) use entry::Entry;
+
+/// Declares [`Sysno`] from its rows: each call's number and, for a call a
+/// prototype stage gates, the [`KernelConfig`] capability it needs and the
+/// name its error reports.
+macro_rules! syscalls {
+    ($($(#[$doc:meta])* $call:ident = $no:literal $(needs $cap:ident $what:literal)?,)*) => {
+        /// A syscall's number. Numbers follow Table 1's groups, and a retired
+        /// number is never reused.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Sysno {
+            $($(#[$doc])* $call = $no,)*
+        }
+
+        impl Sysno {
+            /// Every syscall, in number order.
+            pub const ALL: &'static [Sysno] = &[$(Sysno::$call),*];
+
+            /// The call's stage gate: fails with
+            /// [`KernelError::NotSupported`] when `config`'s prototype does
+            /// not have the call yet.
+            pub(crate) fn gate(self, config: &KernelConfig) -> KResult<()> {
+                match self {
+                    $(Sysno::$call => syscalls!(@gate config $($cap $what)?),)*
+                }
+            }
+        }
+    };
+    (@gate $config:ident) => {
+        Ok(())
+    };
+    (@gate $config:ident $cap:ident $what:literal) => {
+        $config.require($config.$cap, $what)
+    };
+}
+
+syscalls! {
+    /// `UserCtx::getpid`.
+    Getpid = 0,
+    /// `UserCtx::fork`.
+    Fork = 1 needs syscalls_tasks "fork",
+    /// `UserCtx::spawn`; the image's open, reads and close trap too.
+    Exec = 2 needs syscalls_files "exec from a file",
+    /// No stub traps with it: a step returns `StepResult::Exited`.
+    Exit = 3,
+    /// `UserCtx::wait_child`.
+    Wait = 4,
+    /// `UserCtx::kill`.
+    Kill = 5,
+    /// `UserCtx::sleep_us` and `UserCtx::sleep_ms`.
+    Sleep = 6,
+    /// `UserCtx::yield_now`.
+    Yield = 7,
+    /// `UserCtx::sbrk`.
+    Sbrk = 8 needs virtual_memory "sbrk",
+    /// `UserCtx::set_priority`.
+    Priority = 9,
+    /// No stub traps with it: `UserCtx::now_us` reads the clock.
+    Uptime = 10,
+    /// `UserCtx::open`.
+    Open = 11 needs syscalls_files "file syscalls",
+    /// `UserCtx::close`.
+    Close = 12,
+    /// `UserCtx::read`, and `UserCtx::read_key_event` on top of it.
+    Read = 13,
+    /// `UserCtx::write`.
+    Write = 14,
+    /// `UserCtx::lseek`.
+    Lseek = 15,
+    /// `UserCtx::fsync`.
+    Fsync = 16,
+    /// `UserCtx::stat`.
+    Stat = 17 needs syscalls_files "stat",
+    /// `UserCtx::mkdir`.
+    Mkdir = 18 needs syscalls_files "mkdir",
+    /// `UserCtx::unlink`.
+    Unlink = 19 needs syscalls_files "unlink",
+    /// `UserCtx::list_dir`.
+    Readdir = 20 needs syscalls_files "readdir",
+    /// `UserCtx::pipe`.
+    Pipe = 21 needs syscalls_files "pipes",
+    /// `UserCtx::dup`.
+    Dup = 22,
+    /// `UserCtx::fb_map`. `UserCtx::fb_write` stores through the mapping
+    /// without a trap.
+    MmapFb = 23 needs framebuffer "framebuffer",
+    /// `UserCtx::fb_flush`.
+    FbFlush = 24 needs framebuffer "framebuffer",
+    /// `UserCtx::clone_thread`.
+    Clone = 25 needs syscalls_threading "clone(CLONE_VM)",
+    /// `UserCtx::sem_create`.
+    SemCreate = 26 needs syscalls_threading "semaphores",
+    /// `UserCtx::sem_wait`.
+    SemWait = 27 needs syscalls_threading "semaphores",
+    /// `UserCtx::sem_post`.
+    SemPost = 28 needs syscalls_threading "semaphores",
+    /// `UserCtx::fb_info`, the framebuffer mailbox query.
+    FbInfo = 29 needs framebuffer "framebuffer",
+    /// `UserCtx::surface_create`.
+    SurfaceCreate = 30 needs window_manager "window manager",
+    /// `UserCtx::surface_configure`. `UserCtx::surface_present` copies
+    /// into the surface without a trap.
+    SurfaceConfigure = 31,
+}
 
 /// When a volume call may stop with `WouldBlock`, so that its caller parks
 /// on the block-I/O channel instead of spinning on the device.
@@ -46,13 +150,15 @@ pub(crate) enum Park {
 /// module, so nothing outside it, the dispatch functions below included, can
 /// mint one.
 mod entry {
+    use super::Sysno;
+    use crate::error::KResult;
     use crate::kernel::Kernel;
     use crate::task::TaskId;
     use crate::trace::TraceKind;
 
-    /// Proof that a syscall trapped and paid its entry: the calling task and
-    /// the core it trapped on. Every trapping `sys_*` function takes one, so
-    /// none can run without its entry charge.
+    /// Proof that a syscall trapped, paid its entry and passed its stage
+    /// gate: the calling task and the core it trapped on. Every trapping
+    /// `sys_*` function takes one, so none can run without its entry charge.
     pub(crate) struct Entry {
         task: TaskId,
         core: usize,
@@ -71,24 +177,22 @@ mod entry {
     }
 
     impl Kernel {
-        /// Enters a trapping syscall: charges `core` the platform's syscall
-        /// entry cost, records `SyscallEnter` for `task`, and runs `f` with
-        /// the [`Entry`] it mints.
+        /// Enters syscall `no`: charges `core` the platform's syscall entry
+        /// cost, records `SyscallEnter` with the number for `task`, checks
+        /// the call's stage gate, and runs `f` with the [`Entry`] it mints.
         pub(crate) fn syscall<R>(
             &mut self,
+            no: Sysno,
             task: TaskId,
             core: usize,
-            f: impl FnOnce(&mut Kernel, Entry) -> R,
-        ) -> R {
+            f: impl FnOnce(&mut Kernel, Entry) -> KResult<R>,
+        ) -> KResult<R> {
             let c = self.board.cost.trivial_syscall();
             self.board.charge(core, c);
-            self.trace.record(
-                self.board.now_us(),
-                core,
-                TraceKind::SyscallEnter,
-                Some(task),
-                "",
-            );
+            let now = self.board.now_us();
+            self.trace
+                .record(now, core, TraceKind::SyscallEnter, Some(task), no as u64);
+            no.gate(&self.config)?;
             f(self, Entry { task, core })
         }
     }
@@ -153,10 +257,6 @@ impl Kernel {
     // Task management & time
     // =====================================================================================
 
-    pub(crate) fn sys_getpid(&mut self, entry: Entry) -> TaskId {
-        entry.task()
-    }
-
     pub(crate) fn sys_sleep_us(&mut self, entry: Entry, us: u64) -> KResult<()> {
         let task = entry.task();
         // Saturate: `sleep(u64::MAX)` must park the task forever, not
@@ -175,7 +275,6 @@ impl Kernel {
 
     pub(crate) fn sys_sbrk(&mut self, entry: Entry, delta: i64) -> KResult<u64> {
         let (task, core) = (entry.task(), entry.core());
-        self.config.require(self.config.virtual_memory, "sbrk")?;
         let asid = self.task_asid(task)?;
         let cost = self.board.cost.clone();
         let space = self
@@ -202,7 +301,6 @@ impl Kernel {
         child_program: Box<dyn UserProgram>,
     ) -> KResult<TaskId> {
         let (task, core) = (entry.task(), entry.core());
-        self.config.require(self.config.syscalls_tasks, "fork")?;
         let cost = self.board.cost.clone();
         self.board.charge_kernel(core, cost.fork_base);
         // Copy the address space if the parent owns one.
@@ -248,14 +346,14 @@ impl Kernel {
         args: &[String],
     ) -> KResult<TaskId> {
         let (task, core) = (entry.task(), entry.core());
-        self.config
-            .require(self.config.syscalls_files, "exec from a file")?;
         // Read the image through the normal file path so exec pays real I/O,
         // entries included: each open, read and close traps on its own.
-        let fd = self.syscall(task, core, |k, e| k.sys_open(e, path, OpenFlags::rdonly()))?;
+        let fd = self.syscall(Sysno::Open, task, core, |k, e| {
+            k.sys_open(e, path, OpenFlags::rdonly())
+        })?;
         let mut image_bytes = Vec::new();
         loop {
-            match self.syscall(task, core, |k, e| k.sys_read(e, fd, 64 * 1024)) {
+            match self.syscall(Sysno::Read, task, core, |k, e| k.sys_read(e, fd, 64 * 1024)) {
                 Ok(chunk) if chunk.is_empty() => break,
                 Ok(chunk) => image_bytes.extend_from_slice(&chunk),
                 Err(err) => {
@@ -263,12 +361,12 @@ impl Kernel {
                         clippy::let_underscore_must_use,
                         reason = "the read's error is the one to return, and a failed close must not mask it"
                     )]
-                    let _ = self.syscall(task, core, |k, e| k.sys_close(e, fd));
+                    let _ = self.syscall(Sysno::Close, task, core, |k, e| k.sys_close(e, fd));
                     return Err(err);
                 }
             }
         }
-        self.syscall(task, core, |k, e| k.sys_close(e, fd))?;
+        self.syscall(Sysno::Close, task, core, |k, e| k.sys_close(e, fd))?;
         let image = ProgramImage::parse(&image_bytes)?;
         let mut full_args = image.args.clone();
         full_args.extend_from_slice(args);
@@ -315,9 +413,7 @@ impl Kernel {
 
     pub(crate) fn sys_set_priority(&mut self, entry: Entry, priority: u8) -> KResult<()> {
         let task = entry.task();
-        self.tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
-            .set_priority(priority)
+        self.caller(task)?.set_priority(priority)
     }
 
     // =====================================================================================
@@ -330,8 +426,6 @@ impl Kernel {
         thread_program: Box<dyn UserProgram>,
     ) -> KResult<TaskId> {
         let task = entry.task();
-        self.config
-            .require(self.config.syscalls_threading, "clone(CLONE_VM)")?;
         let mm = match self.task(task).map(|t| t.mm) {
             Some(MmRef::Owns(asid)) | Some(MmRef::Shares(asid)) => MmRef::Shares(asid),
             _ => MmRef::KernelOnly,
@@ -348,15 +442,11 @@ impl Kernel {
     }
 
     pub(crate) fn sys_sem_create(&mut self, _entry: Entry, value: i64) -> KResult<u64> {
-        self.config
-            .require(self.config.syscalls_threading, "semaphores")?;
         Ok(self.sems_create(value))
     }
 
     pub(crate) fn sys_sem_wait(&mut self, entry: Entry, sem: u64) -> KResult<()> {
         let task = entry.task();
-        self.config
-            .require(self.config.syscalls_threading, "semaphores")?;
         match self.sems_wait(sem, task)? {
             SemWaitResult::Acquired => Ok(()),
             SemWaitResult::MustBlock => {
@@ -367,8 +457,6 @@ impl Kernel {
     }
 
     pub(crate) fn sys_sem_post(&mut self, _entry: Entry, sem: u64) -> KResult<()> {
-        self.config
-            .require(self.config.syscalls_threading, "semaphores")?;
         if let Some(waiter) = self.sems_post(sem)? {
             self.wake_task(waiter);
         }
@@ -381,8 +469,6 @@ impl Kernel {
 
     pub(crate) fn sys_open(&mut self, entry: Entry, path: &str, flags: OpenFlags) -> KResult<i32> {
         let (task, core) = (entry.task(), entry.core());
-        self.config
-            .require(self.config.syscalls_files, "file syscalls")?;
         let (target, inner) = self.resolve(path);
         let kind = match target {
             MountTarget::Dev => {
@@ -420,20 +506,12 @@ impl Kernel {
                 FileKind::File { mount, inum }
             }
         };
-        let file = OpenFile::new(kind, flags);
-        self.tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
-            .fds
-            .install(file)
+        self.caller(task)?.fds.install(OpenFile::new(kind, flags))
     }
 
     pub(crate) fn sys_close(&mut self, entry: Entry, fd: i32) -> KResult<()> {
         let (task, core) = (entry.task(), entry.core());
-        let file = self
-            .tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
-            .fds
-            .remove(fd)?;
+        let file = self.caller(task)?.fds.remove(fd)?;
         // The buffer cache is write-back. Without the background flusher,
         // closing a descriptor that wrote to a disk filesystem drains its
         // dirty blocks synchronously (errors propagate to the caller — a
@@ -577,12 +655,7 @@ impl Kernel {
     /// still lands on the calling task, which is the point.
     pub(crate) fn sys_fsync(&mut self, entry: Entry, fd: i32) -> KResult<()> {
         let (task, core) = (entry.task(), entry.core());
-        let kind = {
-            let t = self
-                .tasks_mut(task)
-                .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-            t.fds.get(fd)?.kind.clone()
-        };
+        let kind = self.caller(task)?.fds.get(fd)?.kind.clone();
         match kind {
             FileKind::File { mount, .. } => self.flush_volume(mount, core, task)?,
             FileKind::Device(_) | FileKind::Proc { .. } => {}
@@ -600,11 +673,9 @@ impl Kernel {
 
     pub(crate) fn sys_dup(&mut self, entry: Entry, fd: i32) -> KResult<i32> {
         let task = entry.task();
-        let t = self
-            .tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-        let new_fd = t.fds.dup(fd)?;
-        let kind = t.fds.get(new_fd)?.kind.clone();
+        let fds = &mut self.caller(task)?.fds;
+        let new_fd = fds.dup(fd)?;
+        let kind = fds.get(new_fd)?.kind.clone();
         if let FileKind::Pipe { id, write_end } = kind {
             self.pipes_add_ref(id, write_end)?;
         }
@@ -613,19 +684,16 @@ impl Kernel {
 
     pub(crate) fn sys_pipe(&mut self, entry: Entry) -> KResult<(i32, i32)> {
         let task = entry.task();
-        self.config.require(self.config.syscalls_files, "pipes")?;
         let id = self.pipes_create();
-        let t = self
-            .tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-        let r = t.fds.install(OpenFile::new(
+        let fds = &mut self.caller(task)?.fds;
+        let r = fds.install(OpenFile::new(
             FileKind::Pipe {
                 id,
                 write_end: false,
             },
             OpenFlags::rdonly(),
         ))?;
-        let w = t.fds.install(OpenFile::new(
+        let w = fds.install(OpenFile::new(
             FileKind::Pipe {
                 id,
                 write_end: true,
@@ -640,10 +708,7 @@ impl Kernel {
 
     pub(crate) fn sys_lseek(&mut self, entry: Entry, fd: i32, offset: u64) -> KResult<u64> {
         let task = entry.task();
-        let t = self
-            .tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-        let f = t.fds.get_mut(fd)?;
+        let f = self.caller(task)?.fds.get_mut(fd)?;
         match f.kind {
             FileKind::File { .. } => {
                 f.offset = offset;
@@ -655,7 +720,6 @@ impl Kernel {
 
     pub(crate) fn sys_stat(&mut self, entry: Entry, path: &str) -> KResult<FileStat> {
         let (task, core) = (entry.task(), entry.core());
-        self.config.require(self.config.syscalls_files, "stat")?;
         let (target, inner) = self.resolve(path);
         match target {
             MountTarget::Volume(mount) => {
@@ -674,7 +738,6 @@ impl Kernel {
 
     pub(crate) fn sys_mkdir(&mut self, entry: Entry, path: &str) -> KResult<()> {
         let (task, core) = (entry.task(), entry.core());
-        self.config.require(self.config.syscalls_files, "mkdir")?;
         let (MountTarget::Volume(mount), inner) = self.resolve(path) else {
             return Err(KernelError::Permission(
                 "cannot mkdir in /dev or /proc".into(),
@@ -687,7 +750,6 @@ impl Kernel {
 
     pub(crate) fn sys_unlink(&mut self, entry: Entry, path: &str) -> KResult<()> {
         let (task, core) = (entry.task(), entry.core());
-        self.config.require(self.config.syscalls_files, "unlink")?;
         let (MountTarget::Volume(mount), inner) = self.resolve(path) else {
             return Err(KernelError::Permission(
                 "cannot unlink in /dev or /proc".into(),
@@ -698,7 +760,6 @@ impl Kernel {
 
     pub(crate) fn sys_list_dir(&mut self, entry: Entry, path: &str) -> KResult<Vec<String>> {
         let (task, core) = (entry.task(), entry.core());
-        self.config.require(self.config.syscalls_files, "readdir")?;
         let (target, inner) = self.resolve(path);
         match target {
             MountTarget::Volume(mount) => {
@@ -720,10 +781,7 @@ impl Kernel {
     pub(crate) fn sys_read(&mut self, entry: Entry, fd: i32, max: usize) -> KResult<Vec<u8>> {
         let (task, core) = (entry.task(), entry.core());
         let (kind, offset, flags) = {
-            let t = self
-                .tasks_mut(task)
-                .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-            let f = t.fds.get(fd)?;
+            let f = self.caller(task)?.fds.get(fd)?;
             if !f.flags.read {
                 return Err(KernelError::BadFd(fd));
             }
@@ -854,10 +912,7 @@ impl Kernel {
     pub(crate) fn sys_write(&mut self, entry: Entry, fd: i32, data: &[u8]) -> KResult<usize> {
         let (task, core) = (entry.task(), entry.core());
         let (kind, offset, flags) = {
-            let t = self
-                .tasks_mut(task)
-                .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-            let f = t.fds.get(fd)?;
+            let f = self.caller(task)?.fds.get(fd)?;
             if !f.flags.write {
                 return Err(KernelError::BadFd(fd));
             }
@@ -1014,8 +1069,6 @@ impl Kernel {
     // =====================================================================================
 
     pub(crate) fn sys_fb_info(&mut self, _entry: Entry) -> KResult<(u32, u32)> {
-        self.config
-            .require(self.config.framebuffer, "framebuffer")?;
         let info = self
             .board
             .framebuffer
@@ -1026,8 +1079,6 @@ impl Kernel {
 
     pub(crate) fn sys_fb_map(&mut self, entry: Entry) -> KResult<u64> {
         let (task, core) = (entry.task(), entry.core());
-        self.config
-            .require(self.config.framebuffer, "framebuffer")?;
         let info = self
             .board
             .framebuffer
@@ -1090,8 +1141,6 @@ impl Kernel {
 
     pub(crate) fn sys_fb_flush(&mut self, entry: Entry) -> KResult<()> {
         let (task, core) = (entry.task(), entry.core());
-        self.config
-            .require(self.config.framebuffer, "framebuffer")?;
         let lines = self.board.framebuffer.flush_all();
         let cost = self.board.cost.cache_flush_per_line * lines as u64;
         self.board.charge_kernel(core, cost);
@@ -1100,21 +1149,16 @@ impl Kernel {
             core,
             TraceKind::FramePresent,
             Some(task),
-            "flush",
+            0,
         );
         Ok(())
     }
 
     pub(crate) fn sys_surface_create(&mut self, entry: Entry, title: &str) -> KResult<i32> {
         let task = entry.task();
-        self.config
-            .require(self.config.window_manager, "window manager")?;
         let surface_id = self.wm.create_surface(task, title);
         let file = OpenFile::new(FileKind::SurfaceHandle { surface_id }, OpenFlags::rdwr());
-        self.tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
-            .fds
-            .install(file)
+        self.caller(task)?.fds.install(file)
     }
 
     pub(crate) fn sys_surface_configure(
@@ -1172,29 +1216,26 @@ impl Kernel {
         }
     }
 
-    fn surface_id_for(&self, task: TaskId, fd: i32) -> KResult<u64> {
-        let t = self
-            .task(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-        match t.fds.get(fd)?.kind {
+    fn surface_id_for(&mut self, task: TaskId, fd: i32) -> KResult<u64> {
+        match self.caller(task)?.fds.get(fd)?.kind {
             FileKind::SurfaceHandle { surface_id } => Ok(surface_id),
             _ => Err(KernelError::Invalid("fd is not a surface".into())),
         }
     }
 
+    /// The calling task `task`, which a failed lookup reports as missing.
+    fn caller(&mut self, task: TaskId) -> KResult<&mut Task> {
+        self.tasks_mut(task)
+            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))
+    }
+
     /// Task `task`'s open file behind `fd`.
     fn open_file(&mut self, task: TaskId, fd: i32) -> KResult<&mut OpenFile> {
-        self.tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?
-            .fds
-            .get_mut(fd)
+        self.caller(task)?.fds.get_mut(fd)
     }
 
     fn advance_offset(&mut self, task: TaskId, fd: i32, by: u64) -> KResult<()> {
-        let t = self
-            .tasks_mut(task)
-            .ok_or_else(|| KernelError::NotFound(format!("task {task}")))?;
-        if let Ok(f) = t.fds.get_mut(fd) {
+        if let Ok(f) = self.caller(task)?.fds.get_mut(fd) {
             f.offset = f.offset.saturating_add(by);
         }
         Ok(())
@@ -1276,6 +1317,13 @@ mod tests {
         let clock = k.board.clock.cycles(0) - clock0;
         assert_eq!(clock, k.task_sd_cycles(task) - task0, "billed to the task");
         clock
+    }
+
+    #[test]
+    fn the_syscall_table_is_in_number_order() {
+        let numbers: Vec<u64> = Sysno::ALL.iter().map(|&no| no as u64).collect();
+        assert!(numbers.windows(2).all(|w| w[0] < w[1]), "{numbers:?}");
+        assert_eq!(numbers.len(), 32);
     }
 
     /// With the card's posted write cache on, a FLUSH sent through the FAT

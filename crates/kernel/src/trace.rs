@@ -5,10 +5,20 @@
 //! and concurrency issues. The reproduction also uses it to regenerate the
 //! latency breakdowns of Figure 11: the input path records an event at every
 //! hop (IRQ, driver, dispatch, IPC, app) and the bench subtracts timestamps.
-
-use std::fmt::Display;
+//!
+//! An event is a few fixed words, like the real ring's, so logging one
+//! allocates nothing. Its `detail` word depends on its kind:
+//!
+//! * `SyscallEnter`: the call's number ([`crate::syscalls::Sysno`]);
+//! * `KeyEventDriver`, `KeyEventDispatch`, `KeyEventApp`: the key event's
+//!   timestamp, which Figure 11b matches the hops on;
+//! * `Exit`: the exit code, sign-extended;
+//! * `Compose`: the pixels composited;
+//! * `Irq`: the interrupt source ([`irq_word`]);
+//! * every other kind: 0.
 
 use hal::clock::CoreId;
+use hal::intc::Interrupt;
 
 /// Categories of trace events, matching the subsystems the paper instruments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,12 +45,12 @@ pub enum TraceKind {
     Wakeup,
     /// A page fault was handled.
     PageFault,
-    /// Free-form marker used by tests and benches.
-    Marker,
+    /// A task exited.
+    Exit,
 }
 
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Time in board microseconds.
     pub timestamp_us: u64,
@@ -50,9 +60,25 @@ pub struct TraceEvent {
     pub kind: TraceKind,
     /// Task involved, if any.
     pub task: Option<u64>,
-    /// Short free-form detail (kept small; the real buffer stores a couple of
-    /// words per event).
-    pub detail: String,
+    /// One word whose meaning depends on `kind` (the module doc lists them).
+    pub detail: u64,
+}
+
+/// The `detail` word of a [`TraceKind::Irq`] event: the source's position
+/// in [`Interrupt`]'s declaration, with a generic timer's core above it.
+pub fn irq_word(irq: Interrupt) -> u64 {
+    match irq {
+        Interrupt::SystemTimer1 => 0,
+        Interrupt::SystemTimer3 => 1,
+        Interrupt::GenericTimer(core) => 2 | ((core as u64) << 8),
+        Interrupt::UartRx => 3,
+        Interrupt::UartTx => 4,
+        Interrupt::UsbHc => 5,
+        Interrupt::Dma0 => 6,
+        Interrupt::GpioBank0 => 7,
+        Interrupt::SdHost => 8,
+        Interrupt::PanicButtonFiq => 9,
+    }
 }
 
 /// Default ring capacity (events, not bytes).
@@ -114,25 +140,21 @@ impl TraceBuffer {
         self.wrapped = true;
     }
 
-    /// Logs an event, formatting its detail only when logging is enabled:
-    /// a disabled ring builds nothing.
+    /// Logs an event built from its fields.
     pub fn record(
         &mut self,
         timestamp_us: u64,
         core: CoreId,
         kind: TraceKind,
         task: Option<u64>,
-        detail: impl Display,
+        detail: u64,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.log(TraceEvent {
             timestamp_us,
             core,
             kind,
             task,
-            detail: detail.to_string(),
+            detail,
         });
     }
 
@@ -175,7 +197,7 @@ mod tests {
             core: 0,
             kind,
             task: None,
-            detail: String::new(),
+            detail: 0,
         }
     }
 
@@ -183,7 +205,7 @@ mod tests {
     fn events_dump_in_order() {
         let mut tb = TraceBuffer::new(8);
         for t in 0..5 {
-            tb.log(ev(t, TraceKind::Marker));
+            tb.log(ev(t, TraceKind::Exit));
         }
         let d = tb.dump();
         assert_eq!(d.len(), 5);
@@ -194,7 +216,7 @@ mod tests {
     fn ring_overwrites_oldest_when_full() {
         let mut tb = TraceBuffer::new(4);
         for t in 0..10 {
-            tb.log(ev(t, TraceKind::Marker));
+            tb.log(ev(t, TraceKind::Exit));
         }
         let d = tb.dump();
         assert_eq!(d.len(), 4);
@@ -213,28 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn a_disabled_ring_never_formats_its_detail() {
-        /// A detail that counts how often it is formatted.
-        struct Counted<'a>(&'a std::cell::Cell<u32>);
-        impl Display for Counted<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                self.0.set(self.0.get() + 1);
-                f.write_str("detail")
-            }
-        }
-        let formatted = std::cell::Cell::new(0);
-        let mut tb = TraceBuffer::new(4);
-        tb.set_enabled(false);
-        tb.record(1, 0, TraceKind::Marker, None, Counted(&formatted));
-        assert_eq!(formatted.get(), 0);
-        assert_eq!(tb.total_logged(), 0);
-        tb.set_enabled(true);
-        tb.record(2, 0, TraceKind::Marker, None, Counted(&formatted));
-        assert_eq!(formatted.get(), 1);
-        assert_eq!(tb.dump()[0].detail, "detail");
-    }
-
-    #[test]
     fn of_kind_filters() {
         let mut tb = TraceBuffer::new(16);
         tb.log(ev(1, TraceKind::Irq));
@@ -247,12 +247,12 @@ mod tests {
     #[test]
     fn clear_resets_the_ring() {
         let mut tb = TraceBuffer::new(2);
-        tb.log(ev(1, TraceKind::Marker));
-        tb.log(ev(2, TraceKind::Marker));
-        tb.log(ev(3, TraceKind::Marker));
+        tb.log(ev(1, TraceKind::Exit));
+        tb.log(ev(2, TraceKind::Exit));
+        tb.log(ev(3, TraceKind::Exit));
         tb.clear();
         assert!(tb.dump().is_empty());
-        tb.log(ev(4, TraceKind::Marker));
+        tb.log(ev(4, TraceKind::Exit));
         assert_eq!(tb.dump().len(), 1);
     }
 }

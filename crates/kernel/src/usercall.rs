@@ -10,61 +10,17 @@
 //! stepped again until woken), and are gated on the prototype stage exactly
 //! as Table 1 prescribes.
 //!
-//! # The numbered syscalls
-//!
-//! Numbers follow Table 1's groups; a retired number is never reused. Each
-//! trapping stub enters through `Kernel::syscall`, which charges the entry,
-//! records `SyscallEnter` and mints the `Entry` its `sys_*` dispatch method
-//! takes.
-//!
-//! | group | number | syscall | [`UserCtx`] stub |
-//! |---|---|---|---|
-//! | task management & time | 0 | getpid | `getpid` |
-//! | | 1 | fork | `fork` |
-//! | | 2 | exec | `spawn` (its image's `open`, `read`s and `close` trap too) |
-//! | | 3 | exit | none: a step returns [`StepResult::Exited`] |
-//! | | 4 | wait | `wait_child` |
-//! | | 5 | kill | `kill` |
-//! | | 6 | sleep | `sleep_us`, `sleep_ms` |
-//! | | 7 | yield | `yield_now` |
-//! | | 8 | sbrk | `sbrk` |
-//! | | 9 | priority | `set_priority` |
-//! | | 10 | uptime | `now_us` (reads the clock, no trap) |
-//! | file system | 11 | open | `open` |
-//! | | 12 | close | `close` |
-//! | | 13 | read | `read`, and `read_key_event` on top of it |
-//! | | 14 | write | `write` |
-//! | | 15 | lseek | `lseek` |
-//! | | 16 | fsync | `fsync` |
-//! | | 17 | stat | `stat` |
-//! | | 18 | mkdir | `mkdir` |
-//! | | 19 | unlink | `unlink` |
-//! | | 20 | readdir | `list_dir` |
-//! | | 21 | pipe | `pipe` |
-//! | | 22 | dup | `dup` |
-//! | | 23 | mmap_fb | `fb_map` |
-//! | | 24 | fb_flush | `fb_flush` |
-//! | threading & synchronisation | 25 | clone | `clone_thread` |
-//! | | 26 | sem_create | `sem_create` |
-//! | | 27 | sem_wait | `sem_wait` |
-//! | | 28 | sem_post | `sem_post` |
-//!
-//! Three un-numbered calls trap as well: `fb_info` (the framebuffer mailbox
-//! query), `surface_create` and `surface_configure` (the window manager's
-//! protocol). `fb_write` and `surface_present` do not trap: they copy pixels
+//! Each trapping stub enters through `Kernel::syscall` with its call's
+//! [`Sysno`], the syscall table that holds every call's number and stage
+//! gate. `fb_write` and `surface_present` do not trap: they copy pixels
 //! through the caller's mapping or surface and pay only for the copy.
-//!
-//! Every stub here has a row in the boundary sweep of
-//! `tests/syscall_hardening.rs`, which drives it with integer edges and odd
-//! paths on both mounts and fails on any panic. A new stub adds a row there;
-//! the sweep's table check fails until it does.
 
 use hal::cost::CostModel;
 use protousb::KeyEvent;
 
 use crate::error::KResult;
 use crate::kernel::Kernel;
-use crate::syscalls::Entry;
+use crate::syscalls::{Entry, Sysno};
 use crate::task::TaskId;
 use crate::vfs::OpenFlags;
 use crate::wm::Rect;
@@ -141,17 +97,24 @@ impl<'a> UserCtx<'a> {
         UserCtx { kernel, task, core }
     }
 
-    /// Traps into the kernel: `Kernel::syscall` charges the entry and runs
-    /// `f` with the `Entry` that a trapping `sys_*` method takes.
-    fn trap<R>(&mut self, f: impl FnOnce(&mut Kernel, Entry) -> R) -> R {
-        self.kernel.syscall(self.task, self.core, f)
+    /// Traps into the kernel with syscall `no`: `Kernel::syscall` charges
+    /// the entry, checks the call's stage gate and runs `f` with the `Entry`
+    /// that a trapping `sys_*` method takes.
+    fn trap<R>(
+        &mut self,
+        no: Sysno,
+        f: impl FnOnce(&mut Kernel, Entry) -> KResult<R>,
+    ) -> KResult<R> {
+        self.kernel.syscall(no, self.task, self.core, f)
     }
 
     // ---- identity, time, cost ------------------------------------------------------
 
     /// The calling task's id (`getpid`).
     pub fn getpid(&mut self) -> TaskId {
-        self.trap(|k, e| k.sys_getpid(e))
+        // getpid has no stage gate, so its trap cannot fail.
+        self.trap(Sysno::Getpid, |_, e| Ok(e.task()))
+            .unwrap_or(self.task)
     }
 
     /// Current board time in microseconds.
@@ -191,35 +154,37 @@ impl<'a> UserCtx<'a> {
     /// the deadline passes. The conversion saturates, so `sleep_ms(u64::MAX)`
     /// parks forever as `sleep_us(u64::MAX)` does.
     pub fn sleep_ms(&mut self, ms: u64) -> KResult<()> {
-        self.trap(|k, e| k.sys_sleep_us(e, ms.saturating_mul(1000)))
+        self.trap(Sysno::Sleep, |k, e| {
+            k.sys_sleep_us(e, ms.saturating_mul(1000))
+        })
     }
 
     /// Sleeps for `us` microseconds.
     pub fn sleep_us(&mut self, us: u64) -> KResult<()> {
-        self.trap(|k, e| k.sys_sleep_us(e, us))
+        self.trap(Sysno::Sleep, |k, e| k.sys_sleep_us(e, us))
     }
 
     /// Yields the CPU without sleeping.
     pub fn yield_now(&mut self) -> KResult<()> {
-        self.trap(|k, e| k.sys_yield(e))
+        self.trap(Sysno::Yield, |k, e| k.sys_yield(e))
     }
 
     /// Grows the heap by `delta` bytes, returning the old break (`sbrk`).
     pub fn sbrk(&mut self, delta: i64) -> KResult<u64> {
-        self.trap(|k, e| k.sys_sbrk(e, delta))
+        self.trap(Sysno::Sbrk, |k, e| k.sys_sbrk(e, delta))
     }
 
     /// Forks the calling process: the child gets a full copy of the address
     /// space (eager, no copy-on-write) and runs `child_program`.
     pub fn fork(&mut self, child_program: Box<dyn UserProgram>) -> KResult<TaskId> {
-        self.trap(|k, e| k.sys_fork(e, child_program))
+        self.trap(Sysno::Fork, |k, e| k.sys_fork(e, child_program))
     }
 
     /// Spawns a program from an executable image on the filesystem
     /// (fork + exec): parses the image, builds the address space, and
     /// instantiates the registered program.
     pub fn spawn(&mut self, path: &str, args: &[String]) -> KResult<TaskId> {
-        self.trap(|k, e| k.sys_spawn(e, path, args))
+        self.trap(Sysno::Exec, |k, e| k.sys_spawn(e, path, args))
     }
 
     /// Reaps an exited child. While children exist but none has exited,
@@ -228,17 +193,17 @@ impl<'a> UserCtx<'a> {
     /// always comes back as `Some`: the `Option` stays until the
     /// benchmark's callers stop matching on `None`.
     pub fn wait_child(&mut self) -> KResult<Option<(TaskId, i32)>> {
-        self.trap(|k, e| k.sys_wait(e)).map(Some)
+        self.trap(Sysno::Wait, |k, e| k.sys_wait(e)).map(Some)
     }
 
     /// Kills another task.
     pub fn kill(&mut self, pid: TaskId) -> KResult<()> {
-        self.trap(|k, e| k.sys_kill(e, pid))
+        self.trap(Sysno::Kill, |k, e| k.sys_kill(e, pid))
     }
 
     /// Sets the calling task's scheduling priority.
     pub fn set_priority(&mut self, priority: u8) -> KResult<()> {
-        self.trap(|k, e| k.sys_set_priority(e, priority))
+        self.trap(Sysno::Priority, |k, e| k.sys_set_priority(e, priority))
     }
 
     // ---- threading & synchronisation ---------------------------------------------------
@@ -246,105 +211,105 @@ impl<'a> UserCtx<'a> {
     /// Creates a thread sharing the caller's address space
     /// (`clone(CLONE_VM)`).
     pub fn clone_thread(&mut self, thread_program: Box<dyn UserProgram>) -> KResult<TaskId> {
-        self.trap(|k, e| k.sys_clone_thread(e, thread_program))
+        self.trap(Sysno::Clone, |k, e| k.sys_clone_thread(e, thread_program))
     }
 
     /// Creates a semaphore with an initial value.
     pub fn sem_create(&mut self, value: i64) -> KResult<u64> {
-        self.trap(|k, e| k.sys_sem_create(e, value))
+        self.trap(Sysno::SemCreate, |k, e| k.sys_sem_create(e, value))
     }
 
     /// Semaphore wait (P). Blocks the task when the count is zero.
     pub fn sem_wait(&mut self, sem: u64) -> KResult<()> {
-        self.trap(|k, e| k.sys_sem_wait(e, sem))
+        self.trap(Sysno::SemWait, |k, e| k.sys_sem_wait(e, sem))
     }
 
     /// Semaphore post (V).
     pub fn sem_post(&mut self, sem: u64) -> KResult<()> {
-        self.trap(|k, e| k.sys_sem_post(e, sem))
+        self.trap(Sysno::SemPost, |k, e| k.sys_sem_post(e, sem))
     }
 
     // ---- file syscalls ----------------------------------------------------------------------
 
     /// Opens a path.
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> KResult<i32> {
-        self.trap(|k, e| k.sys_open(e, path, flags))
+        self.trap(Sysno::Open, |k, e| k.sys_open(e, path, flags))
     }
 
     /// Closes a descriptor.
     pub fn close(&mut self, fd: i32) -> KResult<()> {
-        self.trap(|k, e| k.sys_close(e, fd))
+        self.trap(Sysno::Close, |k, e| k.sys_close(e, fd))
     }
 
     /// Reads up to `max` bytes.
     pub fn read(&mut self, fd: i32, max: usize) -> KResult<Vec<u8>> {
-        self.trap(|k, e| k.sys_read(e, fd, max))
+        self.trap(Sysno::Read, |k, e| k.sys_read(e, fd, max))
     }
 
     /// Writes bytes, returning how many were accepted.
     pub fn write(&mut self, fd: i32, data: &[u8]) -> KResult<usize> {
-        self.trap(|k, e| k.sys_write(e, fd, data))
+        self.trap(Sysno::Write, |k, e| k.sys_write(e, fd, data))
     }
 
     /// Repositions the file offset.
     pub fn lseek(&mut self, fd: i32, offset: u64) -> KResult<u64> {
-        self.trap(|k, e| k.sys_lseek(e, fd, offset))
+        self.trap(Sysno::Lseek, |k, e| k.sys_lseek(e, fd, offset))
     }
 
     /// Flushes a file's dirty blocks from the write-back buffer cache to the
     /// underlying device (`fsync`).
     pub fn fsync(&mut self, fd: i32) -> KResult<()> {
-        self.trap(|k, e| k.sys_fsync(e, fd))
+        self.trap(Sysno::Fsync, |k, e| k.sys_fsync(e, fd))
     }
 
     /// Stats a path.
     pub fn stat(&mut self, path: &str) -> KResult<FileStat> {
-        self.trap(|k, e| k.sys_stat(e, path))
+        self.trap(Sysno::Stat, |k, e| k.sys_stat(e, path))
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str) -> KResult<()> {
-        self.trap(|k, e| k.sys_mkdir(e, path))
+        self.trap(Sysno::Mkdir, |k, e| k.sys_mkdir(e, path))
     }
 
     /// Removes a file.
     pub fn unlink(&mut self, path: &str) -> KResult<()> {
-        self.trap(|k, e| k.sys_unlink(e, path))
+        self.trap(Sysno::Unlink, |k, e| k.sys_unlink(e, path))
     }
 
     /// Lists a directory.
     pub fn list_dir(&mut self, path: &str) -> KResult<Vec<String>> {
-        self.trap(|k, e| k.sys_list_dir(e, path))
+        self.trap(Sysno::Readdir, |k, e| k.sys_list_dir(e, path))
     }
 
     /// Creates a pipe, returning (read fd, write fd).
     pub fn pipe(&mut self) -> KResult<(i32, i32)> {
-        self.trap(|k, e| k.sys_pipe(e))
+        self.trap(Sysno::Pipe, |k, e| k.sys_pipe(e))
     }
 
     /// Duplicates a descriptor.
     pub fn dup(&mut self, fd: i32) -> KResult<i32> {
-        self.trap(|k, e| k.sys_dup(e, fd))
+        self.trap(Sysno::Dup, |k, e| k.sys_dup(e, fd))
     }
 
     /// Convenience for event descriptors: reads and decodes one key event.
     /// Honours the descriptor's non-blocking flag (`Ok(None)` when empty and
     /// non-blocking).
     pub fn read_key_event(&mut self, fd: i32) -> KResult<Option<KeyEvent>> {
-        self.trap(|k, e| k.sys_read_key_event(e, fd))
+        self.trap(Sysno::Read, |k, e| k.sys_read_key_event(e, fd))
     }
 
     // ---- graphics -------------------------------------------------------------------------------
 
     /// The framebuffer geometry (width, height) in pixels.
     pub fn fb_info(&mut self) -> KResult<(u32, u32)> {
-        self.trap(|k, e| k.sys_fb_info(e))
+        self.trap(Sysno::FbInfo, |k, e| k.sys_fb_info(e))
     }
 
     /// Maps the framebuffer into the caller's address space, returning the
     /// user virtual address of the mapping (identity-mapped when possible).
     pub fn fb_map(&mut self) -> KResult<u64> {
-        self.trap(|k, e| k.sys_fb_map(e))
+        self.trap(Sysno::MmapFb, |k, e| k.sys_fb_map(e))
     }
 
     /// Writes pixels through the framebuffer mapping (direct rendering).
@@ -356,18 +321,20 @@ impl<'a> UserCtx<'a> {
     /// Cleans the CPU cache for the framebuffer (must be called every frame
     /// when rendering directly, §4.3).
     pub fn fb_flush(&mut self) -> KResult<()> {
-        self.trap(|k, e| k.sys_fb_flush(e))
+        self.trap(Sysno::FbFlush, |k, e| k.sys_fb_flush(e))
     }
 
     /// Creates a window-manager surface (opens `/dev/surface`), returning its
     /// descriptor.
     pub fn surface_create(&mut self, title: &str) -> KResult<i32> {
-        self.trap(|k, e| k.sys_surface_create(e, title))
+        self.trap(Sysno::SurfaceCreate, |k, e| k.sys_surface_create(e, title))
     }
 
     /// Configures a surface's geometry and floating flag.
     pub fn surface_configure(&mut self, fd: i32, rect: Rect, floating: bool) -> KResult<()> {
-        self.trap(|k, e| k.sys_surface_configure(e, fd, rect, floating))
+        self.trap(Sysno::SurfaceConfigure, |k, e| {
+            k.sys_surface_configure(e, fd, rect, floating)
+        })
     }
 
     /// Submits a full frame of pixels to a surface (indirect rendering).

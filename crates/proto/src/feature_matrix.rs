@@ -2,9 +2,11 @@
 //!
 //! The table the paper uses to communicate the decomposition: which apps,
 //! user-library pieces, kernel-core features, file layers and IO devices each
-//! prototype includes. The data here is derived from [`kernel::KernelConfig`]
-//! (so it cannot drift from what the kernel actually enforces) plus the app
-//! rows, and the renderer prints the same check-mark layout.
+//! prototype includes. Every capability the kernel checks comes from
+//! [`kernel::KernelConfig`], so it cannot drift from what the kernel actually
+//! enforces; the other rows (apps, the user library, and kernel features
+//! nothing checks, such as the UART) name the first prototype that has
+//! them. The renderer prints the same check-mark layout.
 
 use kernel::{KernelConfig, PrototypeStage};
 
@@ -39,13 +41,14 @@ fn row(section: &'static str, name: &'static str, f: impl Fn(&KernelConfig) -> b
     }
 }
 
-fn app_row(name: &'static str, first_stage: u8) -> FeatureRow {
+/// A row present from prototype `first_stage` on.
+fn from_stage(section: &'static str, name: &'static str, first_stage: u8) -> FeatureRow {
     let mut present = [false; 5];
     for (i, p) in present.iter_mut().enumerate() {
         *p = (i as u8 + 1) >= first_stage;
     }
     FeatureRow {
-        section: "Apps",
+        section,
         name,
         present,
     }
@@ -55,31 +58,31 @@ fn app_row(name: &'static str, first_stage: u8) -> FeatureRow {
 pub fn feature_matrix() -> Vec<FeatureRow> {
     let mut rows = vec![
         // Apps (first prototype in which each app runs).
-        app_row("helloworld", 1),
-        app_row("donut", 1),
-        app_row("mario", 3),
-        app_row("sysmon", 4),
-        app_row("shell & utilities", 4),
-        app_row("slider", 4),
-        app_row("buzzer", 4),
-        app_row("MusicPlayer", 5),
-        app_row("DOOM", 5),
-        app_row("launcher", 5),
-        app_row("blockchain", 5),
-        app_row("VideoPlayer", 5),
+        from_stage("Apps", "helloworld", 1),
+        from_stage("Apps", "donut", 1),
+        from_stage("Apps", "mario", 3),
+        from_stage("Apps", "sysmon", 4),
+        from_stage("Apps", "shell & utilities", 4),
+        from_stage("Apps", "slider", 4),
+        from_stage("Apps", "buzzer", 4),
+        from_stage("Apps", "MusicPlayer", 5),
+        from_stage("Apps", "DOOM", 5),
+        from_stage("Apps", "launcher", 5),
+        from_stage("Apps", "blockchain", 5),
+        from_stage("Apps", "VideoPlayer", 5),
         // User library.
-        app_row("malloc, syscalls, strings", 3),
-        app_row("proc/devfs wrappers", 4),
-        app_row("libc, minisdl & more", 5),
+        from_stage("Apps", "malloc, syscalls, strings", 3),
+        from_stage("Apps", "proc/devfs wrappers", 4),
+        from_stage("Apps", "libc, minisdl & more", 5),
     ];
-    // Kernel core, files and IO come straight from the kernel config.
+    // The capabilities the kernel checks come from its config.
     rows.extend([
-        row("Kernel core", "debug msg", |c| c.debug_msg),
-        row("Kernel core", "timer, timekeeping", |c| c.timers),
-        row("Kernel core", "irq", |c| c.irq),
+        from_stage("Kernel core", "debug msg", 1),
+        from_stage("Kernel core", "timer, timekeeping", 1),
+        from_stage("Kernel core", "irq", 1),
         row("Kernel core", "multitasking", |c| c.multitasking),
-        row("Kernel core", "memory allocator", |c| c.memory_allocator),
-        row("Kernel core", "privileges (EL0/1)", |c| c.privileges),
+        from_stage("Kernel core", "memory allocator", 2),
+        from_stage("Kernel core", "privileges (EL0/1)", 3),
         row("Kernel core", "virtual memory", |c| c.virtual_memory),
         row("Kernel core", "syscalls: tasks & time", |c| {
             c.syscalls_tasks
@@ -91,12 +94,12 @@ pub fn feature_matrix() -> Vec<FeatureRow> {
         row("Kernel core", "multicore", |c| c.multicore),
         row("Kernel core", "window manager", |c| c.window_manager),
         row("Files", "file abstraction", |c| c.file_abstraction),
-        row("Files", "procfs/devfs", |c| c.procfs_devfs),
-        row("Files", "ramdisk", |c| c.ramdisk),
+        from_stage("Files", "procfs/devfs", 4),
+        from_stage("Files", "ramdisk", 4),
         row("Files", "xv6 filesystem", |c| c.xv6fs),
         row("Files", "FAT32", |c| c.fat32),
-        row("IO", "UART", |c| c.uart),
-        row("IO", "timers (sys, generic)", |c| c.timers),
+        from_stage("IO", "UART", 1),
+        from_stage("IO", "timers (sys, generic)", 1),
         row("IO", "framebuffer", |c| c.framebuffer),
         row("IO", "USB keyboard", |c| c.usb_keyboard),
         row("IO", "sound (PWM)", |c| c.sound),
@@ -156,6 +159,10 @@ mod tests {
         assert_eq!(find("mario"), [false, false, true, true, true]);
         assert_eq!(find("USB keyboard"), [false, false, false, true, true]);
         assert_eq!(find("multicore"), [false, false, false, false, true]);
+        assert_eq!(find("UART"), [true; 5]);
+        assert_eq!(find("memory allocator"), [false, true, true, true, true]);
+        assert_eq!(find("privileges (EL0/1)"), [false, false, true, true, true]);
+        assert_eq!(find("ramdisk"), [false, false, false, true, true]);
     }
 
     #[test]

@@ -1147,6 +1147,13 @@ fn xv6fs_overwrite_cut_sweep_is_old_xor_new_or_refused_untouched() {
             let (before, after) = cuts.atomic::<Xv6Fs>(&what, 0..=cuts.end());
             assert!(holds(&before, "/f", &old) && holds(&after, "/f", &new));
         } else {
+            // Its flush rewrites nothing: the undo put the blocks it had
+            // found clean back clean.
+            assert_eq!(
+                cuts.end(),
+                0,
+                "[{what}] a refused overwrite persisted blocks"
+            );
             let image = cuts.image(cuts.end()).image();
             assert!(
                 image == cuts.pre.image(),

@@ -1,6 +1,7 @@
 //! Integration tests: boot every prototype and drive its target applications
 //! end to end, the way the paper's labs culminate in a working demo.
 
+use kernel::{KResult, KernelError, OpenFlags};
 use proto_repro::prelude::*;
 
 #[test]
@@ -181,18 +182,64 @@ fn blockchain_scales_with_cores() {
     );
 }
 
+/// A child or thread body that exits on its first step.
+struct ExitAtOnce;
+
+impl UserProgram for ExitAtOnce {
+    fn step(&mut self, _ctx: &mut UserCtx<'_>) -> StepResult {
+        StepResult::Exited(0)
+    }
+}
+
+/// A stage-gated call: its name, the first prototype that has it (Table 1)
+/// and one call of it.
+type Gated = (&'static str, u8, fn(&mut UserCtx<'_>) -> KResult<()>);
+
+/// Every stage-gated syscall with the first prototype Table 1 gives it.
+const GATED: [Gated; 17] = [
+    ("fb_info", 1, |c| c.fb_info().map(drop)),
+    ("fb_map", 1, |c| c.fb_map().map(drop)),
+    ("fb_flush", 1, |c| c.fb_flush()),
+    ("fork", 3, |c| c.fork(Box::new(ExitAtOnce)).map(drop)),
+    ("sbrk", 3, |c| c.sbrk(4096).map(drop)),
+    ("exec", 4, |c| c.spawn("/bin/helloworld", &[]).map(drop)),
+    ("open", 4, |c| {
+        c.open("/etc/rc", OpenFlags::rdonly()).map(drop)
+    }),
+    ("pipe", 4, |c| c.pipe().map(drop)),
+    ("stat", 4, |c| c.stat("/").map(drop)),
+    ("mkdir", 4, |c| c.mkdir("/gate")),
+    ("unlink", 4, |c| c.unlink("/missing")),
+    ("readdir", 4, |c| c.list_dir("/").map(drop)),
+    ("clone", 5, |c| {
+        c.clone_thread(Box::new(ExitAtOnce)).map(drop)
+    }),
+    ("sem_create", 5, |c| c.sem_create(1).map(drop)),
+    ("sem_wait", 5, |c| c.sem_wait(u64::MAX)),
+    ("sem_post", 5, |c| c.sem_post(u64::MAX)),
+    ("surface_create", 5, |c| c.surface_create("gate").map(drop)),
+];
+
 #[test]
-fn earlier_prototypes_reject_later_features() {
-    let mut sys = ProtoSystem::prototype(PrototypeStage::Multitasking).unwrap();
-    let tid = sys.kernel.spawn_bench_task("probe").unwrap();
-    let err = sys
-        .kernel
-        .with_task_ctx(tid, |ctx| ctx.open("/etc/rc", kernel::OpenFlags::rdonly()));
-    assert!(err.is_err(), "prototype 2 has no file syscalls");
-    let mut sys4 = ProtoSystem::prototype(PrototypeStage::Files).unwrap();
-    let tid4 = sys4.kernel.spawn_bench_task("probe").unwrap();
-    let err = sys4.kernel.with_task_ctx(tid4, |ctx| ctx.sem_create(1));
-    assert!(err.is_err(), "prototype 4 has no semaphores");
+fn each_stage_gate_opens_at_its_table1_prototype() {
+    // Before its first prototype a call fails with the gate's error, which
+    // names the prototype; from then on it never does, though it may fail
+    // for its arguments.
+    for stage in PrototypeStage::ALL {
+        let mut sys = ProtoSystem::prototype(stage).unwrap();
+        let tid = sys.kernel.spawn_bench_task("gates").unwrap();
+        let named = format!("(prototype {} \"{}\")", stage.number(), stage.name());
+        for (call, first, f) in GATED {
+            let r = sys.kernel.with_task_ctx(tid, f);
+            let gated = matches!(&r, Err(KernelError::NotSupported(m)) if m.contains(&named));
+            assert_eq!(
+                gated,
+                stage.number() < first,
+                "{call} on prototype {}: {r:?}",
+                stage.number()
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,17 +1,16 @@
 //! Hostile syscall arguments must end in an error, never a kernel panic.
 //!
-//! The boundary sweep drives every [`UserCtx`] syscall stub with integer
-//! edges and odd paths on both mounts and asserts only that each call
-//! returns: it does not say which error is right. The single-case tests
+//! The boundary sweep drives every [`UserCtx`] syscall stub, one row per
+//! [`Sysno`], with integer edges and odd paths on both mounts and asserts
+//! only that each call returns: it does not say which error is right. The single-case tests
 //! after it pin what one site does with one hostile argument (a clamp, a
 //! rejection, a saturation), each named for the behaviour it keeps.
 
-use std::collections::BTreeSet;
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use kernel::wm::Rect;
-use kernel::{KResult, OpenFlags, TaskId};
+use kernel::{KResult, OpenFlags, Sysno, TaskId};
 use proto_repro::prelude::*;
 
 /// The integer edges of a parameter type: 0, 1, -1, MIN, MAX, MAX - 1,
@@ -41,281 +40,269 @@ macro_rules! edges {
     };
 }
 
-/// `UserCtx`'s methods that are not syscalls: they read the clock, the
-/// cost model or the core, charge compute, print or record a frame, and
-/// never trap.
-const NOT_SYSCALLS: [&str; 6] = [
-    "now_us",
-    "cost",
-    "charge_user",
-    "core",
-    "print",
-    "record_frame",
-];
-
-/// A stub's name and the calls its row makes.
-type Row = (&'static str, fn(&mut Sweep));
-
-/// The sweep's table: one row per `UserCtx` syscall stub, in the order the
-/// rows run. `kill` runs last, because its edges include the window
-/// manager's pid and its own caller.
-const STUBS: &[Row] = &[
-    ("getpid", |s| {
-        s.call("getpid()", |ctx| Ok(ctx.getpid()));
-    }),
-    ("yield_now", |s| {
-        s.call("yield_now()", |ctx| ctx.yield_now());
-    }),
-    ("sleep_us", |s| {
-        for us in edges!(u64) {
-            s.call(format_args!("sleep_us({us})"), |ctx| ctx.sleep_us(us));
+/// The sweep's row for syscall `no`: the calls it makes. A stub that
+/// shares its call's number shares its row, after a fresh caller of its own.
+/// The `match` has no wildcard arm, so a new syscall does not compile until
+/// it has a row.
+fn row(no: Sysno, s: &mut Sweep) {
+    match no {
+        Sysno::Getpid => {
+            s.call("getpid()", |ctx| Ok(ctx.getpid()));
         }
-    }),
-    ("sleep_ms", |s| {
-        for ms in edges!(u64) {
-            s.call(format_args!("sleep_ms({ms})"), |ctx| ctx.sleep_ms(ms));
+        Sysno::Fork => {
+            s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce)));
         }
-    }),
-    ("sbrk", |s| {
-        for delta in edges!(i64) {
-            s.call(format_args!("sbrk({delta})"), |ctx| ctx.sbrk(delta));
-        }
-    }),
-    ("set_priority", |s| {
-        for p in edges!(u8) {
-            s.call(format_args!("set_priority({p})"), |ctx| ctx.set_priority(p));
-        }
-    }),
-    ("fork", |s| {
-        s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce)));
-    }),
-    ("wait_child", |s| {
-        s.call("wait_child() with no child", |ctx| ctx.wait_child());
-        s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce)));
-        s.call("wait_child()", |ctx| ctx.wait_child());
-        s.call("wait_child() again", |ctx| ctx.wait_child());
-    }),
-    ("spawn", |s| {
-        for path in s.paths() {
-            let args = [path.clone()];
-            s.call(format_args!("spawn({path:?})"), |ctx| {
-                ctx.spawn(&path, &args)
-            });
-        }
-    }),
-    ("clone_thread", |s| {
-        s.call("clone_thread()", |ctx| {
-            ctx.clone_thread(Box::new(ExitAtOnce))
-        });
-    }),
-    ("sem_create", |s| {
-        for value in edges!(i64) {
-            s.call(format_args!("sem_create({value})"), |ctx| {
-                ctx.sem_create(value)
-            });
-        }
-    }),
-    ("sem_post", |s| {
-        for (sem, what) in s.sems() {
-            for _ in 0..2 {
-                s.call(format_args!("sem_post({what})"), |ctx| ctx.sem_post(sem));
+        Sysno::Exec => {
+            for path in s.paths() {
+                let args = [path.clone()];
+                s.call(format_args!("spawn({path:?})"), |ctx| {
+                    ctx.spawn(&path, &args)
+                });
             }
         }
-    }),
-    ("sem_wait", |s| {
-        for (sem, what) in s.sems() {
-            s.call(format_args!("sem_wait({what})"), |ctx| ctx.sem_wait(sem));
+        // No stub traps with these: a step returns `StepResult::Exited`, and
+        // `now_us` reads the clock.
+        Sysno::Exit | Sysno::Uptime => {}
+        Sysno::Wait => {
+            s.call("wait_child() with no child", |ctx| ctx.wait_child());
+            s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce)));
+            s.call("wait_child()", |ctx| ctx.wait_child());
+            s.call("wait_child() again", |ctx| ctx.wait_child());
         }
-    }),
-    ("open", |s| {
-        let flags = [
-            OpenFlags::rdonly(),
-            OpenFlags::wronly_create(),
-            OpenFlags::rdwr(),
-            OpenFlags::rdonly_nonblock(),
-        ];
-        for path in s.paths() {
-            for f in flags {
-                if let Some(fd) = s.call(format_args!("open({path:?}, {f:?})"), |ctx| {
-                    ctx.open(&path, f)
-                }) {
-                    s.call(format_args!("close({fd})"), |ctx| ctx.close(fd));
+        // Its edges include the window manager's pid and its own caller.
+        Sysno::Kill => {
+            let mut pids = edges!(TaskId);
+            pids.extend(s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce))));
+            pids.extend(s.call("getpid()", |ctx| Ok(ctx.getpid())));
+            for pid in pids {
+                s.call(format_args!("kill({pid})"), |ctx| ctx.kill(pid));
+            }
+        }
+        Sysno::Sleep => {
+            for us in edges!(u64) {
+                s.call(format_args!("sleep_us({us})"), |ctx| ctx.sleep_us(us));
+            }
+            s.fresh_caller("sleep_ms");
+            for ms in edges!(u64) {
+                s.call(format_args!("sleep_ms({ms})"), |ctx| ctx.sleep_ms(ms));
+            }
+        }
+        Sysno::Yield => {
+            s.call("yield_now()", |ctx| ctx.yield_now());
+        }
+        Sysno::Sbrk => {
+            for delta in edges!(i64) {
+                s.call(format_args!("sbrk({delta})"), |ctx| ctx.sbrk(delta));
+            }
+        }
+        Sysno::Priority => {
+            for p in edges!(u8) {
+                s.call(format_args!("set_priority({p})"), |ctx| ctx.set_priority(p));
+            }
+        }
+        Sysno::Open => {
+            let flags = [
+                OpenFlags::rdonly(),
+                OpenFlags::wronly_create(),
+                OpenFlags::rdwr(),
+                OpenFlags::rdonly_nonblock(),
+            ];
+            for path in s.paths() {
+                for f in flags {
+                    if let Some(fd) = s.call(format_args!("open({path:?}, {f:?})"), |ctx| {
+                        ctx.open(&path, f)
+                    }) {
+                        s.call(format_args!("close({fd})"), |ctx| ctx.close(fd));
+                    }
                 }
             }
         }
-    }),
-    ("close", |s| {
-        let fds = s.fds();
-        // The second pass closes descriptors the first one already closed.
-        for fd in fds.iter().chain(&fds).copied() {
-            s.call(format_args!("close({fd})"), |ctx| ctx.close(fd));
-        }
-    }),
-    ("read", |s| {
-        for fd in s.fds() {
-            for max in edges!(usize) {
-                s.call(format_args!("read({fd}, {max})"), |ctx| ctx.read(fd, max));
+        Sysno::Close => {
+            let fds = s.fds();
+            // The second pass closes descriptors the first one already closed.
+            for fd in fds.iter().chain(&fds).copied() {
+                s.call(format_args!("close({fd})"), |ctx| ctx.close(fd));
             }
         }
-        let file = s.file_fd();
-        for offset in edges!(u64) {
-            for max in edges!(usize) {
-                s.call(format_args!("lseek({offset}) + read({max})"), |ctx| {
-                    ctx.lseek(file, offset)?;
-                    ctx.read(file, max)
-                });
+        Sysno::Read => {
+            for fd in s.fds() {
+                for max in edges!(usize) {
+                    s.call(format_args!("read({fd}, {max})"), |ctx| ctx.read(fd, max));
+                }
             }
-        }
-    }),
-    ("write", |s| {
-        for fd in s.fds() {
-            for len in [0, 1, 4097] {
-                s.call(format_args!("write({fd}, {len} bytes)"), |ctx| {
-                    ctx.write(fd, &vec![0x5A; len])
-                });
-            }
-        }
-        let file = s.file_fd();
-        for offset in edges!(u64) {
-            s.call(format_args!("lseek({offset}) + write"), |ctx| {
-                ctx.lseek(file, offset)?;
-                ctx.write(file, b"tail")
-            });
-        }
-    }),
-    ("lseek", |s| {
-        for fd in s.fds() {
+            let file = s.file_fd();
             for offset in edges!(u64) {
-                s.call(format_args!("lseek({fd}, {offset})"), |ctx| {
-                    ctx.lseek(fd, offset)
+                for max in edges!(usize) {
+                    s.call(format_args!("lseek({offset}) + read({max})"), |ctx| {
+                        ctx.lseek(file, offset)?;
+                        ctx.read(file, max)
+                    });
+                }
+            }
+            s.fresh_caller("read_key_event");
+            for fd in s.fds() {
+                s.call(format_args!("read_key_event({fd})"), |ctx| {
+                    ctx.read_key_event(fd)
                 });
             }
         }
-    }),
-    ("fsync", |s| {
-        for fd in s.fds() {
-            s.call(format_args!("fsync({fd})"), |ctx| ctx.fsync(fd));
+        Sysno::Write => {
+            for fd in s.fds() {
+                for len in [0, 1, 4097] {
+                    s.call(format_args!("write({fd}, {len} bytes)"), |ctx| {
+                        ctx.write(fd, &vec![0x5A; len])
+                    });
+                }
+            }
+            let file = s.file_fd();
+            for offset in edges!(u64) {
+                s.call(format_args!("lseek({offset}) + write"), |ctx| {
+                    ctx.lseek(file, offset)?;
+                    ctx.write(file, b"tail")
+                });
+            }
         }
-    }),
-    ("dup", |s| {
-        for fd in s.fds() {
-            s.call(format_args!("dup({fd})"), |ctx| ctx.dup(fd));
+        Sysno::Lseek => {
+            for fd in s.fds() {
+                for offset in edges!(u64) {
+                    s.call(format_args!("lseek({fd}, {offset})"), |ctx| {
+                        ctx.lseek(fd, offset)
+                    });
+                }
+            }
         }
-    }),
-    ("read_key_event", |s| {
-        for fd in s.fds() {
-            s.call(format_args!("read_key_event({fd})"), |ctx| {
-                ctx.read_key_event(fd)
-            });
+        Sysno::Fsync => {
+            for fd in s.fds() {
+                s.call(format_args!("fsync({fd})"), |ctx| ctx.fsync(fd));
+            }
         }
-    }),
-    ("stat", |s| {
-        for path in s.paths() {
-            s.call(format_args!("stat({path:?})"), |ctx| ctx.stat(&path));
+        Sysno::Stat => {
+            for path in s.paths() {
+                s.call(format_args!("stat({path:?})"), |ctx| ctx.stat(&path));
+            }
         }
-    }),
-    ("mkdir", |s| {
-        for path in s.paths() {
-            s.call(format_args!("mkdir({path:?})"), |ctx| ctx.mkdir(&path));
+        Sysno::Mkdir => {
+            for path in s.paths() {
+                s.call(format_args!("mkdir({path:?})"), |ctx| ctx.mkdir(&path));
+            }
         }
-    }),
-    ("list_dir", |s| {
-        for path in s.paths() {
-            s.call(format_args!("list_dir({path:?})"), |ctx| {
-                ctx.list_dir(&path)
-            });
+        Sysno::Unlink => {
+            for path in s.paths() {
+                s.call(format_args!("unlink({path:?})"), |ctx| ctx.unlink(&path));
+            }
         }
-    }),
-    ("unlink", |s| {
-        for path in s.paths() {
-            s.call(format_args!("unlink({path:?})"), |ctx| ctx.unlink(&path));
+        Sysno::Readdir => {
+            for path in s.paths() {
+                s.call(format_args!("list_dir({path:?})"), |ctx| {
+                    ctx.list_dir(&path)
+                });
+            }
         }
-    }),
-    ("pipe", |s| {
-        s.call("pipe()", |ctx| ctx.pipe());
-    }),
-    ("fb_info", |s| {
-        s.call("fb_info()", |ctx| ctx.fb_info());
-    }),
-    ("fb_flush", |s| {
-        s.call("fb_flush() unmapped", |ctx| ctx.fb_flush());
-        s.call("fb_map()", |ctx| ctx.fb_map());
-        s.call("fb_flush()", |ctx| ctx.fb_flush());
-    }),
-    ("fb_map", |s| {
-        for _ in 0..2 {
+        Sysno::Pipe => {
+            s.call("pipe()", |ctx| ctx.pipe());
+        }
+        Sysno::Dup => {
+            for fd in s.fds() {
+                s.call(format_args!("dup({fd})"), |ctx| ctx.dup(fd));
+            }
+        }
+        Sysno::MmapFb => {
+            for _ in 0..2 {
+                s.call("fb_map()", |ctx| ctx.fb_map());
+            }
+            s.fresh_caller("fb_write");
+            s.call("fb_write(0) unmapped", |ctx| ctx.fb_write(0, &[0]));
             s.call("fb_map()", |ctx| ctx.fb_map());
+            for offset in edges!(usize) {
+                for len in [0, 1, 2] {
+                    s.call(format_args!("fb_write({offset}, {len} px)"), |ctx| {
+                        ctx.fb_write(offset, &vec![0xFF00_FF00; len])
+                    });
+                }
+            }
         }
-    }),
-    ("fb_write", |s| {
-        s.call("fb_write(0) unmapped", |ctx| ctx.fb_write(0, &[0]));
-        s.call("fb_map()", |ctx| ctx.fb_map());
-        for offset in edges!(usize) {
-            for len in [0, 1, 2] {
-                s.call(format_args!("fb_write({offset}, {len} px)"), |ctx| {
-                    ctx.fb_write(offset, &vec![0xFF00_FF00; len])
+        Sysno::FbFlush => {
+            s.call("fb_flush() unmapped", |ctx| ctx.fb_flush());
+            s.call("fb_map()", |ctx| ctx.fb_map());
+            s.call("fb_flush()", |ctx| ctx.fb_flush());
+        }
+        Sysno::Clone => {
+            s.call("clone_thread()", |ctx| {
+                ctx.clone_thread(Box::new(ExitAtOnce))
+            });
+        }
+        Sysno::SemCreate => {
+            for value in edges!(i64) {
+                s.call(format_args!("sem_create({value})"), |ctx| {
+                    ctx.sem_create(value)
                 });
             }
         }
-    }),
-    ("surface_create", |s| {
-        for title in s.paths() {
-            s.call(format_args!("surface_create({title:?})"), |ctx| {
-                ctx.surface_create(&title)
-            });
-        }
-    }),
-    ("surface_configure", |s| {
-        for fd in s.fds() {
-            s.call(format_args!("surface_configure({fd})"), |ctx| {
-                ctx.surface_configure(fd, rect(0, 0, 8, 8), false)
-            });
-        }
-        let surface = s.surface_fd();
-        // The last edge, MAX - 1, leaves the surface far off screen for the
-        // compositor to run over afterwards.
-        let rects = edges!(u32).into_iter().flat_map(|e| {
-            [
-                rect(0, 0, e, e),
-                rect(0, 0, e, 1),
-                rect(0, 0, 1, e),
-                rect(e, e, 8, 8),
-            ]
-        });
-        for rect in rects {
-            for floating in [false, true] {
-                s.call(
-                    format_args!("surface_configure({rect:?}, {floating})"),
-                    |ctx| ctx.surface_configure(surface, rect, floating),
-                );
+        Sysno::SemWait => {
+            for (sem, what) in s.sems() {
+                s.call(format_args!("sem_wait({what})"), |ctx| ctx.sem_wait(sem));
             }
         }
-    }),
-    ("surface_present", |s| {
-        let surface = s.surface_fd();
-        s.call("surface_present() unconfigured", |ctx| {
-            ctx.surface_present(surface, &[])
-        });
-        s.call("surface_configure(8x8)", |ctx| {
-            ctx.surface_configure(surface, rect(0, 0, 8, 8), false)
-        });
-        for fd in s.fds() {
-            for len in [0, 1, 63, 64, 65] {
-                s.call(format_args!("surface_present({fd}, {len} px)"), |ctx| {
-                    ctx.surface_present(fd, &vec![0xFF00_00FF; len])
+        Sysno::SemPost => {
+            for (sem, what) in s.sems() {
+                for _ in 0..2 {
+                    s.call(format_args!("sem_post({what})"), |ctx| ctx.sem_post(sem));
+                }
+            }
+        }
+        Sysno::FbInfo => {
+            s.call("fb_info()", |ctx| ctx.fb_info());
+        }
+        Sysno::SurfaceCreate => {
+            for title in s.paths() {
+                s.call(format_args!("surface_create({title:?})"), |ctx| {
+                    ctx.surface_create(&title)
                 });
             }
         }
-    }),
-    ("kill", |s| {
-        let mut pids = edges!(TaskId);
-        pids.extend(s.call("fork()", |ctx| ctx.fork(Box::new(ExitAtOnce))));
-        pids.extend(s.call("getpid()", |ctx| Ok(ctx.getpid())));
-        for pid in pids {
-            s.call(format_args!("kill({pid})"), |ctx| ctx.kill(pid));
+        Sysno::SurfaceConfigure => {
+            for fd in s.fds() {
+                s.call(format_args!("surface_configure({fd})"), |ctx| {
+                    ctx.surface_configure(fd, rect(0, 0, 8, 8), false)
+                });
+            }
+            let surface = s.surface_fd();
+            // The last edge, MAX - 1, leaves the surface far off screen for
+            // the compositor to run over afterwards.
+            let rects = edges!(u32).into_iter().flat_map(|e| {
+                [
+                    rect(0, 0, e, e),
+                    rect(0, 0, e, 1),
+                    rect(0, 0, 1, e),
+                    rect(e, e, 8, 8),
+                ]
+            });
+            for rect in rects {
+                for floating in [false, true] {
+                    s.call(
+                        format_args!("surface_configure({rect:?}, {floating})"),
+                        |ctx| ctx.surface_configure(surface, rect, floating),
+                    );
+                }
+            }
+            s.fresh_caller("surface_present");
+            let surface = s.surface_fd();
+            s.call("surface_present() unconfigured", |ctx| {
+                ctx.surface_present(surface, &[])
+            });
+            s.call("surface_configure(8x8)", |ctx| {
+                ctx.surface_configure(surface, rect(0, 0, 8, 8), false)
+            });
+            for fd in s.fds() {
+                for len in [0, 1, 63, 64, 65] {
+                    s.call(format_args!("surface_present({fd}, {len} px)"), |ctx| {
+                        ctx.surface_present(fd, &vec![0xFF00_00FF; len])
+                    });
+                }
+            }
         }
-    }),
-];
+    }
+}
 
 fn rect(x: u32, y: u32, w: u32, h: u32) -> Rect {
     Rect { x, y, w, h }
@@ -350,7 +337,7 @@ impl Sweep {
             caller: 0,
             panics: Vec::new(),
         };
-        s.row("setup");
+        s.fresh_caller("setup");
         let file = format!("{mount}/sweep.bin");
         s.call("create sweep.bin", |ctx| {
             let fd = ctx.open(&file, OpenFlags::wronly_create())?;
@@ -362,7 +349,7 @@ impl Sweep {
     }
 
     /// Starts a row: later calls come from a fresh task.
-    fn row(&mut self, name: &str) {
+    fn fresh_caller(&mut self, name: &str) {
         self.caller = self.sys.kernel.spawn_bench_task(name).unwrap();
     }
 
@@ -479,31 +466,15 @@ impl Sweep {
 }
 
 #[test]
-fn every_user_ctx_syscall_stub_has_a_sweep_row() {
-    let src = include_str!("../crates/kernel/src/usercall.rs");
-    let methods = src
-        .split("impl<'a> UserCtx<'a> {")
-        .nth(1)
-        .expect("usercall.rs has UserCtx's impl block");
-    let stubs: BTreeSet<&str> = methods
-        .lines()
-        .filter_map(|l| l.trim_start().strip_prefix("pub fn "))
-        .filter_map(|l| l.split(['(', '<']).next())
-        .filter(|name| !NOT_SYSCALLS.contains(name))
-        .collect();
-    let rows: BTreeSet<&str> = STUBS.iter().map(|(name, _)| *name).collect();
-    assert_eq!(rows.len(), STUBS.len(), "a stub has two rows");
-    assert_eq!(stubs, rows, "UserCtx's syscall stubs and the sweep's rows");
-}
-
-#[test]
 fn boundary_values_through_every_stub_never_panic() {
     let mut panics = Vec::new();
     for mount in ["", "/d"] {
         let mut s = Sweep::new(mount);
-        for &(name, row) in STUBS {
-            s.row(name);
-            row(&mut s);
+        // kill runs last, because it kills its own caller.
+        let kill_last = Sysno::ALL.iter().filter(|&&no| no != Sysno::Kill);
+        for &no in kill_last.chain([&Sysno::Kill]) {
+            s.fresh_caller(&format!("{no:?}"));
+            row(no, &mut s);
         }
         // Let kbio, the window manager and the children work over what the
         // calls left behind.

@@ -1,7 +1,7 @@
 //! Integration tests for the syscall surface: files, pipes, devices, fork,
 //! threads and the framebuffer cache-flush behaviour.
 
-use kernel::{KResult, KernelError, OpenFlags};
+use kernel::{KResult, KernelError, OpenFlags, Sysno};
 use proto_repro::prelude::*;
 
 fn desktop() -> (ProtoSystem, kernel::TaskId) {
@@ -633,13 +633,13 @@ fn a_failing_fat_stat_is_charged_for_the_directory_it_read() {
     );
 }
 
-/// The `SyscallEnter` events that one call of `f` on `tid`'s context
-/// records.
+/// The numbers of the `SyscallEnter` events that one call of `f` on
+/// `tid`'s context records, in order.
 fn entries<R>(
     sys: &mut ProtoSystem,
     tid: kernel::TaskId,
     f: impl FnOnce(&mut kernel::UserCtx<'_>) -> R,
-) -> usize {
+) -> Vec<u64> {
     sys.kernel.trace.clear();
     sys.kernel.with_task_ctx(tid, f);
     sys.kernel
@@ -647,14 +647,15 @@ fn entries<R>(
         .of_kind(kernel::trace::TraceKind::SyscallEnter)
         .iter()
         .filter(|e| e.task == Some(tid))
-        .count()
+        .map(|e| e.detail)
+        .collect()
 }
 
 #[test]
 fn each_stub_records_one_entry_per_trap() {
-    // Every numbered trapping stub, plus fb_info and the two surface calls,
-    // enters the kernel exactly once; read_key_event enters once, through
-    // read. The clock read and the two pixel copies do not trap.
+    // Every trapping stub enters the kernel exactly once, with its call's
+    // number; read_key_event enters once, as read. The clock read and the
+    // two pixel copies do not trap.
     let (mut sys, tid) = desktop();
     struct Exit;
     impl kernel::UserProgram for Exit {
@@ -683,85 +684,57 @@ fn each_stub_records_one_entry_per_trap() {
         w: 8,
         h: 8,
     };
-    assert_eq!(entries(&mut sys, tid, |c| c.getpid()), 1, "getpid");
-    assert_eq!(entries(&mut sys, tid, |c| c.now_us()), 0, "now_us");
-    assert_eq!(entries(&mut sys, tid, |c| c.sleep_us(1)), 1, "sleep_us");
-    assert_eq!(entries(&mut sys, tid, |c| c.sleep_ms(1)), 1, "sleep_ms");
-    assert_eq!(entries(&mut sys, tid, |c| c.yield_now()), 1, "yield_now");
-    assert_eq!(entries(&mut sys, tid, |c| c.sbrk(4096)), 1, "sbrk");
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.fork(Box::new(Exit))),
-        1,
-        "fork"
-    );
-    assert_eq!(entries(&mut sys, tid, |c| c.wait_child()), 1, "wait_child");
-    assert_eq!(entries(&mut sys, tid, |c| c.kill(victim)), 1, "kill");
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.set_priority(1)),
-        1,
-        "set_priority"
-    );
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.clone_thread(Box::new(Exit))),
-        1,
-        "clone_thread"
-    );
-    assert_eq!(entries(&mut sys, tid, |c| c.sem_create(0)), 1, "sem_create");
-    assert_eq!(entries(&mut sys, tid, |c| c.sem_wait(sem)), 1, "sem_wait");
-    assert_eq!(entries(&mut sys, tid, |c| c.sem_post(sem)), 1, "sem_post");
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.open("/traps.txt", OpenFlags::rdonly())),
-        1,
-        "open"
-    );
-    assert_eq!(entries(&mut sys, tid, |c| c.read(fd, 4)), 1, "read");
-    assert_eq!(entries(&mut sys, tid, |c| c.write(fd, b"more")), 1, "write");
-    assert_eq!(entries(&mut sys, tid, |c| c.lseek(fd, 0)), 1, "lseek");
-    assert_eq!(entries(&mut sys, tid, |c| c.fsync(fd)), 1, "fsync");
-    assert_eq!(entries(&mut sys, tid, |c| c.stat("/traps.txt")), 1, "stat");
-    assert_eq!(entries(&mut sys, tid, |c| c.mkdir("/trapdir")), 1, "mkdir");
-    assert_eq!(entries(&mut sys, tid, |c| c.list_dir("/")), 1, "list_dir");
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.unlink("/trapdir")),
-        1,
-        "unlink"
-    );
-    assert_eq!(entries(&mut sys, tid, |c| c.pipe()), 1, "pipe");
-    assert_eq!(entries(&mut sys, tid, |c| c.dup(fd)), 1, "dup");
-    assert_eq!(entries(&mut sys, tid, |c| c.close(fd)), 1, "close");
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.read_key_event(events)),
-        1,
-        "read_key_event"
-    );
-    assert_eq!(entries(&mut sys, tid, |c| c.fb_info()), 1, "fb_info");
-    assert_eq!(entries(&mut sys, tid, |c| c.fb_map()), 1, "fb_map");
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.fb_write(0, &[0; 8])),
-        0,
-        "fb_write"
-    );
-    assert_eq!(entries(&mut sys, tid, |c| c.fb_flush()), 1, "fb_flush");
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.surface_create("more")),
-        1,
-        "surface_create"
-    );
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.surface_configure(surface, rect, false)),
-        1,
-        "surface_configure"
-    );
-    assert_eq!(
-        entries(&mut sys, tid, |c| c.surface_present(surface, &[0; 64])),
-        0,
-        "surface_present"
-    );
+    // Each call, and the syscalls its entries record.
+    macro_rules! traps {
+        ($($f:expr => [$($no:ident),*],)*) => {$(
+            let want = [$(Sysno::$no as u64),*];
+            assert_eq!(entries(&mut sys, tid, $f), want, "{}", stringify!($f));
+        )*};
+    }
+    traps! {
+        |c| c.getpid() => [Getpid],
+        |c| c.now_us() => [],
+        |c| c.sleep_us(1) => [Sleep],
+        |c| c.sleep_ms(1) => [Sleep],
+        |c| c.yield_now() => [Yield],
+        |c| c.sbrk(4096) => [Sbrk],
+        |c| c.fork(Box::new(Exit)) => [Fork],
+        |c| c.wait_child() => [Wait],
+        |c| c.kill(victim) => [Kill],
+        |c| c.set_priority(1) => [Priority],
+        |c| c.clone_thread(Box::new(Exit)) => [Clone],
+        |c| c.sem_create(0) => [SemCreate],
+        |c| c.sem_wait(sem) => [SemWait],
+        |c| c.sem_post(sem) => [SemPost],
+        |c| c.open("/traps.txt", OpenFlags::rdonly()) => [Open],
+        |c| c.read(fd, 4) => [Read],
+        |c| c.write(fd, b"more") => [Write],
+        |c| c.lseek(fd, 0) => [Lseek],
+        |c| c.fsync(fd) => [Fsync],
+        |c| c.stat("/traps.txt") => [Stat],
+        |c| c.mkdir("/trapdir") => [Mkdir],
+        |c| c.list_dir("/") => [Readdir],
+        |c| c.unlink("/trapdir") => [Unlink],
+        |c| c.pipe() => [Pipe],
+        |c| c.dup(fd) => [Dup],
+        |c| c.close(fd) => [Close],
+        |c| c.read_key_event(events) => [Read],
+        |c| c.fb_info() => [FbInfo],
+        |c| c.fb_map() => [MmapFb],
+        |c| c.fb_write(0, &[0; 8]) => [],
+        |c| c.fb_flush() => [FbFlush],
+        |c| c.surface_create("more") => [SurfaceCreate],
+        |c| c.surface_configure(surface, rect, false) => [SurfaceConfigure],
+        |c| c.surface_present(surface, &[0; 64]) => [],
+    }
     // exec enters once itself, then reads its image through open, one read
     // per 64 KB until the empty read at end of file, and close.
     let reads = image_size.div_ceil(64 * 1024) as usize + 1;
+    let mut exec = vec![Sysno::Exec as u64, Sysno::Open as u64];
+    exec.extend(vec![Sysno::Read as u64; reads]);
+    exec.push(Sysno::Close as u64);
     let spawned = entries(&mut sys, tid, |c| c.spawn("/bin/helloworld", &[]).unwrap());
-    assert_eq!(spawned, 1 + 1 + reads + 1);
+    assert_eq!(spawned, exec);
 }
 
 /// A child that exits with its code on its first step.
