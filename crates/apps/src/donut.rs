@@ -3,7 +3,7 @@
 //! Prototype 1's target app is "a donut spinning on display" — a1k0n's
 //! obfuscated-C torus, rendered either as ASCII over the UART or as pixels
 //! into the framebuffer. Prototype 2 runs N of them concurrently, each as a
-//! task whose spin rate visualises its scheduling priority (§4.1–§4.2). The
+//! task with its own spin rate, its `speed` argument (§4.1–§4.2). The
 //! math here is the genuine torus projection with a painter's depth buffer,
 //! so each frame does real work that the cost model then prices.
 
@@ -128,8 +128,7 @@ impl UserProgram for TextDonut {
 }
 
 /// The pixel donut: renders the torus into the framebuffer. Its `speed`
-/// (radians per frame) is what Prototype 2 varies with task priority, making
-/// scheduling visible on screen.
+/// (radians per frame) is what tells Prototype 2's donuts apart on screen.
 #[derive(Debug)]
 pub struct PixelDonut {
     a: f64,

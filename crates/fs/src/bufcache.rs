@@ -774,16 +774,6 @@ pub struct BufCache {
     /// the last barrier/poll took it — how `kbio` and `fsync` observe
     /// failures that surfaced after their submit returned.
     async_error: Option<crate::FsError>,
-    forced_meta_writes: u64,
-    demand_waits: u64,
-    async_write_errors: u64,
-    queue_full_stalls: u64,
-    batched_evictions: u64,
-    log_txns: u64,
-    log_commits: u64,
-    queue_full_yields: u64,
-    demand_blocks: u64,
-    demand_spin_reaps: u64,
     /// Consecutive write-back failures per block, reset on a confirmed
     /// write. When a block's count exceeds [`WRITE_RETRY_BUDGET`] it moves to
     /// `gave_up` and the cache latches `degraded`.
@@ -803,8 +793,9 @@ pub struct BufCache {
     /// new writes (`FsError::Io`) while still serving reads — the
     /// read-only degraded mode a filesystem surfaces to its callers.
     degraded: bool,
-    write_retries: u64,
-    write_gave_up: u64,
+    /// The counters [`BufCache::stats`] reports, kept in place. Its hits,
+    /// misses, write-backs and evictions stay 0: those are per shard.
+    stats: BufCacheStats,
     /// Completions ever applied (any path). The kernel compares this across
     /// scheduler passes to wake tasks parked on the block-I/O channel even
     /// when a completion was reaped inside some other task's cache call
@@ -824,12 +815,6 @@ pub struct BufCache {
     #[cfg(feature = "sanitize")]
     sanitize_skip: std::cell::Cell<u32>,
     tick: u64,
-    ranges_issued: u64,
-    singles_issued: u64,
-    flushes: u64,
-    partial_flushes: u64,
-    prefetch_cmds: u64,
-    prefetched_blocks: u64,
     /// Sequential-stream tracking table (see [`STREAM_SLOTS`]).
     streams: [Stream; STREAM_SLOTS],
 }
@@ -874,34 +859,17 @@ impl BufCache {
             blocking_reads: BTreeSet::new(),
             demand_read_error: None,
             async_error: None,
-            forced_meta_writes: 0,
-            demand_waits: 0,
-            async_write_errors: 0,
-            queue_full_stalls: 0,
-            batched_evictions: 0,
-            log_txns: 0,
-            log_commits: 0,
-            queue_full_yields: 0,
-            demand_blocks: 0,
-            demand_spin_reaps: 0,
             write_fail_counts: BTreeMap::new(),
             gave_up: BTreeSet::new(),
             write_backoff: BTreeMap::new(),
             degraded: false,
-            write_retries: 0,
-            write_gave_up: 0,
+            stats: BufCacheStats::default(),
             completions_applied: 0,
             wb_occupancy: [0; 9],
             lookups: 0,
             #[cfg(feature = "sanitize")]
             sanitize_skip: std::cell::Cell::new(0),
             tick: 0,
-            ranges_issued: 0,
-            singles_issued: 0,
-            flushes: 0,
-            partial_flushes: 0,
-            prefetch_cmds: 0,
-            prefetched_blocks: 0,
             streams: [Stream::default(); STREAM_SLOTS],
         }
     }
@@ -980,7 +948,7 @@ impl BufCache {
     /// the kernel's back-pressure fairness path calls this as it blocks
     /// the task.
     pub fn note_queue_full_yield(&mut self) {
-        self.queue_full_yields += 1;
+        self.stats.queue_full_yields += 1;
     }
 
     // ---- the intent log's group-commit accumulator ---------------------------------------
@@ -996,7 +964,7 @@ impl BufCache {
     /// Counts one logged transaction folded into the open group.
     pub fn group_note_txn(&mut self) {
         self.group_ops += 1;
-        self.log_txns += 1;
+        self.stats.log_txns += 1;
     }
 
     /// Logged transactions sitting in the open (uncommitted) group.
@@ -1042,7 +1010,7 @@ impl BufCache {
         self.group.clear();
         self.group_ops = 0;
         self.pending_frees.clear();
-        self.log_commits += 1;
+        self.stats.log_commits += 1;
         self.sanitize_check_always("group_clear_committed");
     }
 
@@ -1334,29 +1302,9 @@ impl BufCache {
         self.shards.iter().map(|s| s.stats).collect()
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics: the cache's counters plus the per-shard sums.
     pub fn stats(&self) -> BufCacheStats {
-        let mut out = BufCacheStats {
-            coalesced_ranges: self.ranges_issued,
-            single_cmds: self.singles_issued,
-            flushes: self.flushes,
-            partial_flushes: self.partial_flushes,
-            prefetch_cmds: self.prefetch_cmds,
-            prefetched_blocks: self.prefetched_blocks,
-            forced_meta_writes: self.forced_meta_writes,
-            demand_waits: self.demand_waits,
-            async_write_errors: self.async_write_errors,
-            queue_full_stalls: self.queue_full_stalls,
-            batched_evictions: self.batched_evictions,
-            log_txns: self.log_txns,
-            log_commits: self.log_commits,
-            queue_full_yields: self.queue_full_yields,
-            demand_blocks: self.demand_blocks,
-            demand_spin_reaps: self.demand_spin_reaps,
-            write_retries: self.write_retries,
-            write_gave_up: self.write_gave_up,
-            ..Default::default()
-        };
+        let mut out = self.stats;
         for s in &self.shards {
             out.hits += s.stats.hits;
             out.misses += s.stats.misses;
@@ -1467,11 +1415,11 @@ impl BufCache {
         *fails += 1;
         if *fails > WRITE_RETRY_BUDGET {
             if self.gave_up.insert(b) {
-                self.write_gave_up += 1;
+                self.stats.write_gave_up += 1;
             }
             self.degraded = true;
         } else {
-            self.write_retries += 1;
+            self.stats.write_retries += 1;
             // Counters tick down at the start of each budgeted pass, so a
             // value of 2^(k-1) means "sit out 2^(k-1) - 1 passes": the
             // first failure retries on the very next pass, repeat offenders
@@ -2056,7 +2004,7 @@ impl BufCache {
             if batch.is_empty() {
                 // Dependency cycle inside the closure: force the remainder
                 // out (counted) rather than deadlocking the eviction.
-                self.forced_meta_writes += set.len() as u64;
+                self.stats.forced_meta_writes += set.len() as u64;
                 batch = set.iter().copied().collect();
             }
             // Blocks only riding an older chain need no new one; the drain
@@ -2253,7 +2201,7 @@ impl BufCache {
             }
             self.submit_write_runs(dev, &chain)?;
         }
-        self.batched_evictions += 1;
+        self.stats.batched_evictions += 1;
         // Take the first extent of the shard whose blocks settled. Chains
         // complete strictly in submission order, so the early chains free
         // their extents while the later ones are still on the wire.
@@ -2376,7 +2324,7 @@ impl BufCache {
                     ext.dirty |= failed;
                     for b in sp.blocks() {
                         if failed & Extent::bit(b) != 0 {
-                            self.async_write_errors += 1;
+                            self.stats.async_write_errors += 1;
                             self.note_write_failure(b);
                         }
                     }
@@ -2445,15 +2393,15 @@ impl BufCache {
     fn count_cmds(&mut self, submitted: &Submission) -> u64 {
         match submitted {
             Submission::Queued(_) => {
-                self.ranges_issued += 1;
+                self.stats.coalesced_ranges += 1;
                 1
             }
             Submission::Done(c) => {
                 for &(_, count) in &c.runs {
                     if count > 1 {
-                        self.ranges_issued += 1;
+                        self.stats.coalesced_ranges += 1;
                     } else {
-                        self.singles_issued += 1;
+                        self.stats.single_cmds += 1;
                     }
                 }
                 c.runs.len() as u64
@@ -2483,7 +2431,7 @@ impl BufCache {
         };
         let cmds = self.count_cmds(&submitted);
         if prefetch {
-            self.prefetch_cmds += cmds;
+            self.stats.prefetch_cmds += cmds;
         }
         match submitted {
             Submission::Queued(id) => {
@@ -2583,7 +2531,7 @@ impl BufCache {
             // The writer is about to spin-reap someone's chains to make
             // queue room; count the stall so the kernel's backlog heuristics
             // (kick the flusher before spinning) have a signal to act on.
-            self.queue_full_stalls += 1;
+            self.stats.queue_full_stalls += 1;
             while !dev.can_submit() {
                 if self.reap_blocking(dev)?.is_empty() {
                     return Err(crate::FsError::Io(
@@ -2665,7 +2613,7 @@ impl BufCache {
             let waits = u64::from((pending & !valid & sp.mask()).count_ones());
             shard.stats.hits += hits + waits;
             shard.stats.misses += sp.len - hits - waits;
-            self.demand_waits += waits;
+            self.stats.demand_waits += waits;
             self.lookups += sp.len;
         }
         let cap = self.capacity_blocks() as u64;
@@ -2733,14 +2681,14 @@ impl BufCache {
                     // interrupt is coming; park the caller before pinning
                     // anything instead of reaping other tasks' chains on its
                     // clock.
-                    self.demand_blocks += 1;
+                    self.stats.demand_blocks += 1;
                     return Err(crate::FsError::WouldBlock);
                 }
                 // Pin target extents (allocating/evicting now, while nothing
                 // is half-installed) and mark the fill in flight.
                 self.pin_fill(dev, &missing)?;
                 while !dev.can_submit() {
-                    self.demand_spin_reaps += 1;
+                    self.stats.demand_spin_reaps += 1;
                     if self.reap_blocking(dev)?.is_empty() {
                         return Err(crate::FsError::Io(
                             "SD queue full with nothing in flight".into(),
@@ -2762,7 +2710,7 @@ impl BufCache {
                     // The window's fill (ours or an earlier prefetch) is on
                     // the wire: sleep on the completion interrupt instead of
                     // spinning the clock forward.
-                    self.demand_blocks += 1;
+                    self.stats.demand_blocks += 1;
                     return Err(crate::FsError::WouldBlock);
                 }
                 // Pending marks with nothing in flight: stale state (the
@@ -2783,7 +2731,7 @@ impl BufCache {
                 }]);
                 continue;
             }
-            self.demand_spin_reaps += 1;
+            self.stats.demand_spin_reaps += 1;
             let comps = self.reap_blocking(dev)?;
             // A failed *demand* chain is this caller's error (a failed
             // prefetch chain just reverts its blocks to missing and the next
@@ -2857,7 +2805,7 @@ impl BufCache {
         self.pin_fill(dev, &missing)?;
         let fetched: u64 = missing.iter().map(|r| r.len).sum();
         self.submit_fill(dev, &missing, true)?;
-        self.prefetched_blocks += fetched;
+        self.stats.prefetched_blocks += fetched;
         self.sanitize_check("prefetch_range");
         Ok(fetched)
     }
@@ -2986,10 +2934,10 @@ impl BufCache {
         let (_, stuck) = self.classed_dirty_runs();
         let stuck = self.without_group_sectors(stuck);
         if !stuck.is_empty() && self.gave_up.is_empty() {
-            self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>();
+            self.stats.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>();
             self.drain_chains(dev, &stuck)?;
         }
-        self.flushes += 1;
+        self.stats.flushes += 1;
         dev.flush()?;
         // Parked blocks hold dirty data the device never absorbed: the
         // barrier must fail (and pending frees stay pending) even though
@@ -3123,11 +3071,11 @@ impl BufCache {
             let stuck = self.without_group_sectors(stuck);
             let stuck = Self::without_blocks(stuck, &deferred);
             let budget = max_blocks - submitted;
-            self.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>().min(budget);
+            self.stats.forced_meta_writes += stuck.iter().map(|r| r.len).sum::<u64>().min(budget);
             submitted += self.submit_budgeted(dev, stuck, budget)?;
         }
         if submitted > 0 {
-            self.partial_flushes += 1;
+            self.stats.partial_flushes += 1;
         }
         self.sanitize_check("flush_some");
         match self.async_error.take() {

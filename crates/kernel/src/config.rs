@@ -1,13 +1,16 @@
-//! Prototype stages and the kernel feature matrix (Table 1).
+//! Prototype stages and Table 1's kernel half.
 //!
 //! Proto is developed as one complete OS and then decomposed into five
 //! incremental, self-contained prototypes (§1.2, §5.5). Each prototype is a
-//! configuration of the same code base: a set of kernel capabilities, user
-//! libraries and target applications. [`KernelConfig`] holds the
-//! capabilities of Table 1 that the kernel consults, at boot and at syscall
-//! entry ([`crate::syscalls::Sysno`]'s gates), so asking Prototype 2 for
-//! virtual memory or Prototype 4 for threads fails the same way it would in
-//! the course.
+//! configuration of the same code base: a set of kernel features, user
+//! libraries and target applications. [`Feature`] is Table 1's kernel half,
+//! declared once: each kernel-core, file and IO row with the first prototype
+//! that has it. A [`KernelConfig`] keeps only what a build chooses beside
+//! its stage, and [`KernelConfig::has`] derives every feature from the
+//! stage, so no build can mix features Table 1 does not allow. The kernel
+//! asks it at boot and at syscall entry ([`crate::syscalls::Sysno`]'s gates),
+//! so asking Prototype 2 for virtual memory or Prototype 4 for threads fails
+//! the same way it would in the course.
 
 use serde::{Deserialize, Serialize};
 
@@ -75,55 +78,117 @@ pub enum KernelVariant {
     Xv6Baseline,
 }
 
-/// The per-prototype capabilities the kernel consults (from the "Kernel
-/// core", "Files" and "IO" sections of Table 1). Table 1's other rows, such
-/// as the UART or procfs, are in every prototype from their first on, and
-/// nothing checks them.
+/// Declares [`Feature`] from Table 1's kernel half: per section, each row's
+/// variant, first prototype and Table 1 name, in Table 1's order.
+macro_rules! features {
+    ($($section:literal {
+        $($(#[$doc:meta])* $feature:ident = $first:ident $name:literal,)*
+    })*) => {
+        /// A row of Table 1's "Kernel core", "Files" and "IO" sections.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Feature {
+            $($($(#[$doc])* $feature,)*)*
+        }
+
+        impl Feature {
+            /// Every feature, in Table 1's order.
+            pub const ALL: &'static [Feature] = &[$($(Feature::$feature),*),*];
+
+            /// The first prototype that has the feature; every later one
+            /// keeps it.
+            pub fn first(self) -> PrototypeStage {
+                match self {
+                    $($(Feature::$feature => PrototypeStage::$first,)*)*
+                }
+            }
+
+            /// Table 1's section: "Kernel core", "Files" or "IO".
+            pub fn section(self) -> &'static str {
+                match self {
+                    $($(Feature::$feature)|* => $section,)*
+                }
+            }
+
+            /// Table 1's name for the feature.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($(Feature::$feature => $name,)*)*
+                }
+            }
+        }
+    };
+}
+
+features! {
+    "Kernel core" {
+        /// Debug messages over the UART. Nothing checks it.
+        DebugMsg = Baremetal "debug msg",
+        /// Timers and timekeeping. Nothing checks it.
+        Timekeeping = Baremetal "timer, timekeeping",
+        /// Interrupt handling. Nothing checks it.
+        Irq = Baremetal "irq",
+        /// More than one task: the scheduler.
+        Multitasking = Multitasking "multitasking",
+        /// The page-based allocator. Nothing checks it.
+        MemoryAllocator = Multitasking "memory allocator",
+        /// The EL0/EL1 split. Nothing checks it.
+        Privileges = UserKernel "privileges (EL0/1)",
+        /// Virtual memory with per-task address spaces.
+        VirtualMemory = UserKernel "virtual memory",
+        /// Task syscalls (the [`crate::syscalls::Sysno`] rows that need it).
+        SyscallsTasks = UserKernel "syscalls: tasks & time",
+        /// File syscalls (the `Sysno` rows that need it).
+        SyscallsFiles = Files "syscalls: files",
+        /// Threading and synchronisation syscalls (the `Sysno` rows that
+        /// need it).
+        SyscallsThreading = Desktop "syscalls: threading",
+        /// Multicore scheduling, each core ticked by its own generic timer.
+        Multicore = Desktop "multicore",
+        /// The kernel-thread window manager, unless the build drops it
+        /// ([`KernelConfig::window_manager`]).
+        WindowManager = Desktop "window manager",
+    }
+    "Files" {
+        /// The file abstraction: standard descriptors and the VFS.
+        FileAbstraction = Files "file abstraction",
+        /// `/proc` and `/dev`. Nothing checks it.
+        ProcfsDevfs = Files "procfs/devfs",
+        /// The root ramdisk. Nothing checks it.
+        Ramdisk = Files "ramdisk",
+        /// The xv6 filesystem on the ramdisk, mounted at `/`.
+        Xv6fs = Files "xv6 filesystem",
+        /// FAT32 on the SD card, mounted at `/d`.
+        Fat32 = Desktop "FAT32",
+    }
+    "IO" {
+        /// The UART console. Nothing checks it.
+        Uart = Baremetal "UART",
+        /// The system and generic timers. Nothing checks it.
+        Timers = Baremetal "timers (sys, generic)",
+        /// Framebuffer output.
+        Framebuffer = Baremetal "framebuffer",
+        /// USB keyboard input.
+        UsbKeyboard = Files "USB keyboard",
+        /// PWM + DMA sound output.
+        Sound = Files "sound (PWM)",
+        /// The SD card driver.
+        SdCard = Desktop "SD card",
+    }
+}
+
+/// A kernel build: its prototype stage, which [`Feature`]s that stage has
+/// ([`KernelConfig::has`]), and what a build chooses beside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelConfig {
     /// Which prototype this configuration corresponds to.
     pub stage: PrototypeStage,
     /// Which kernel variant (Proto or the xv6 baseline).
     pub variant: KernelVariant,
-
-    // ---- kernel core ----
-    /// Multitasking (scheduler).
-    pub multitasking: bool,
-    /// Virtual memory with per-task address spaces.
-    pub virtual_memory: bool,
-    /// Task syscalls (the [`crate::syscalls::Sysno`] rows that need it).
-    pub syscalls_tasks: bool,
-    /// File syscalls (the `Sysno` rows that need it).
-    pub syscalls_files: bool,
-    /// Threading and synchronisation syscalls (the `Sysno` rows that need
-    /// it).
-    pub syscalls_threading: bool,
-    /// Multicore scheduling.
-    pub multicore: bool,
-    /// The kernel-thread window manager.
+    /// Whether the build keeps [`Feature::WindowManager`] once its stage
+    /// has it. Benches that measure direct rendering drop it.
     pub window_manager: bool,
-
-    // ---- files ----
-    /// The file abstraction / VFS.
-    pub file_abstraction: bool,
-    /// The xv6 filesystem.
-    pub xv6fs: bool,
-    /// FAT32 on the SD card.
-    pub fat32: bool,
-
-    // ---- IO ----
-    /// Framebuffer output.
-    pub framebuffer: bool,
-    /// USB keyboard input.
-    pub usb_keyboard: bool,
-    /// PWM + DMA sound output.
-    pub sound: bool,
-    /// SD card driver.
-    pub sd_card: bool,
     /// Number of CPU cores the kernel will bring up.
     pub cores: usize,
-
-    // ---- I/O pipeline (the layer above the unified block cache) ----
     /// Interrupt-blocked demand I/O: a scheduled task whose FAT read hits
     /// an in-flight chain (or whose write finds the SD queue full) blocks
     /// on the block-I/O wait channel and is woken once a completion has
@@ -141,27 +206,21 @@ pub struct KernelConfig {
 impl KernelConfig {
     /// The configuration of a given prototype stage (Table 1's columns).
     pub fn for_stage(stage: PrototypeStage) -> Self {
-        let n = stage.number();
+        let multicore = stage >= Feature::Multicore.first();
         KernelConfig {
             stage,
             variant: KernelVariant::Proto,
-            multitasking: n >= 2,
-            virtual_memory: n >= 3,
-            syscalls_tasks: n >= 3,
-            syscalls_files: n >= 4,
-            syscalls_threading: n >= 5,
-            multicore: n >= 5,
-            window_manager: n >= 5,
-            file_abstraction: n >= 4,
-            xv6fs: n >= 4,
-            fat32: n >= 5,
-            framebuffer: true,
-            usb_keyboard: n >= 4,
-            sound: n >= 4,
-            sd_card: n >= 5,
-            cores: if n >= 5 { 4 } else { 1 },
+            window_manager: stage >= Feature::WindowManager.first(),
+            cores: if multicore { 4 } else { 1 },
             blocking_io: false,
         }
+    }
+
+    /// Whether this build has `feature`: its stage has reached the
+    /// feature's first prototype, and the build has not dropped the window
+    /// manager.
+    pub fn has(&self, feature: Feature) -> bool {
+        self.stage >= feature.first() && (feature != Feature::WindowManager || self.window_manager)
     }
 
     /// The full Prototype 5 configuration (the complete OS).
@@ -192,7 +251,7 @@ impl KernelConfig {
     /// cache's read-ahead flag and `Kernel::kbio_task` — and the ablation
     /// switches flip it there.
     pub fn storage_pipeline(&self) -> bool {
-        self.sd_card && self.variant == KernelVariant::Proto
+        self.has(Feature::SdCard) && self.variant == KernelVariant::Proto
     }
 
     /// Checks that a capability needed by a syscall or driver is present,
@@ -222,23 +281,35 @@ mod tests {
 
     #[test]
     fn feature_matrix_matches_table1_milestones() {
+        use Feature::*;
         let p1 = KernelConfig::for_stage(PrototypeStage::Baremetal);
-        assert!(p1.framebuffer);
-        assert!(!p1.multitasking && !p1.virtual_memory && !p1.file_abstraction);
+        assert!(p1.has(Framebuffer));
+        assert!(!p1.has(Multitasking) && !p1.has(VirtualMemory) && !p1.has(FileAbstraction));
 
         let p2 = KernelConfig::for_stage(PrototypeStage::Multitasking);
-        assert!(p2.multitasking && !p2.virtual_memory);
+        assert!(p2.has(Multitasking) && !p2.has(VirtualMemory));
 
         let p3 = KernelConfig::for_stage(PrototypeStage::UserKernel);
-        assert!(p3.virtual_memory && p3.syscalls_tasks && !p3.syscalls_files);
+        assert!(p3.has(VirtualMemory) && p3.has(SyscallsTasks) && !p3.has(SyscallsFiles));
 
         let p4 = KernelConfig::for_stage(PrototypeStage::Files);
-        assert!(p4.syscalls_files && p4.xv6fs && p4.usb_keyboard && p4.sound);
-        assert!(!p4.multicore && !p4.fat32 && !p4.syscalls_threading);
+        assert!(p4.has(SyscallsFiles) && p4.has(Xv6fs) && p4.has(UsbKeyboard) && p4.has(Sound));
+        assert!(!p4.has(Multicore) && !p4.has(Fat32) && !p4.has(SyscallsThreading));
 
         let p5 = KernelConfig::for_stage(PrototypeStage::Desktop);
-        assert!(p5.multicore && p5.fat32 && p5.window_manager && p5.syscalls_threading);
+        assert!(p5.has(Multicore) && p5.has(Fat32) && p5.has(WindowManager));
+        assert!(p5.has(SyscallsThreading));
         assert_eq!(p5.cores, 4);
+        let direct = KernelConfig {
+            window_manager: false,
+            ..p5
+        };
+        assert!(!direct.has(WindowManager) && direct.has(Fat32));
+        let forced = KernelConfig {
+            window_manager: true,
+            ..p4
+        };
+        assert!(!forced.has(WindowManager), "a build cannot add a feature");
     }
 
     #[test]
@@ -252,11 +323,15 @@ mod tests {
     #[test]
     fn require_reports_the_stage_in_the_error() {
         let p2 = KernelConfig::for_stage(PrototypeStage::Multitasking);
-        let err = p2.require(p2.virtual_memory, "virtual memory").unwrap_err();
+        let err = p2
+            .require(p2.has(Feature::VirtualMemory), "virtual memory")
+            .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("virtual memory"));
         assert!(msg.contains("Multitasking"));
-        assert!(p2.require(p2.multitasking, "multitasking").is_ok());
+        assert!(p2
+            .require(p2.has(Feature::Multitasking), "multitasking")
+            .is_ok());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use protofs::xv6fs::Xv6Fs;
 use protofs::{FsError, FsResult, MemDisk};
 use protousb::{KeyCode, KeyEvent, Modifiers, SimUsbKeyboard, UsbStack};
 
-use crate::config::{KernelConfig, KernelVariant};
+use crate::config::{Feature, KernelConfig, KernelVariant};
 use crate::debug::DebugMonitor;
 use crate::error::{KResult, KernelError};
 use crate::exec::{ProgramImage, ProgramRegistry};
@@ -544,7 +544,7 @@ impl Kernel {
         let kb = SharedKeyboard::new();
         self.board.usb.attach(KEYBOARD_PORT, Box::new(kb.clone()))?;
         self.shared_keyboard = Some(kb.clone());
-        if self.booted && self.config.usb_keyboard {
+        if self.booted && self.config.has(Feature::UsbKeyboard) {
             self.usb_stack.enumerate(&mut self.board.usb)?;
         }
         Ok(kb)
@@ -574,7 +574,7 @@ impl Kernel {
         self.board.intc.enable(Interrupt::UartRx);
 
         // Framebuffer via the mailbox property interface.
-        if self.config.framebuffer {
+        if self.config.has(Feature::Framebuffer) {
             let mut fb = std::mem::take(&mut self.board.framebuffer);
             self.board.mailbox.allocate_framebuffer(
                 &mut fb,
@@ -585,7 +585,7 @@ impl Kernel {
         }
 
         // Virtual memory: kernel block maps.
-        if self.config.virtual_memory {
+        if self.config.has(Feature::VirtualMemory) {
             self.mm.init_kernel_space(&mut self.board.mem)?;
         }
 
@@ -596,7 +596,7 @@ impl Kernel {
             self.board.intc.set_core_masked(core, false);
         }
         let now = self.board.now_us();
-        if self.config.multicore {
+        if self.config.has(Feature::Multicore) {
             for core in 0..self.config.cores {
                 self.board.intc.enable(Interrupt::GenericTimer(core));
                 self.board
@@ -611,7 +611,7 @@ impl Kernel {
         // Root filesystem on the ramdisk. Both volumes format and mount
         // under the cache defaults; the configured policies govern the
         // running system from then on.
-        if self.config.xv6fs {
+        if self.config.has(Feature::Xv6fs) {
             let mut ramdisk = MemDisk::new(RAMDISK_BYTES / protofs::BLOCK_SIZE as u64);
             let mut bc = BufCache::default();
             let fs = Xv6Fs::mkfs(
@@ -629,7 +629,7 @@ impl Kernel {
         }
 
         // USB: power the controller, enumerate whatever is plugged in.
-        if self.config.usb_keyboard {
+        if self.config.has(Feature::UsbKeyboard) {
             self.board.mailbox.set_power_state(3, true);
             self.board.usb.power_on();
             self.board.intc.enable(Interrupt::UsbHc);
@@ -638,13 +638,13 @@ impl Kernel {
         }
 
         // Sound path.
-        if self.config.sound {
+        if self.config.has(Feature::Sound) {
             self.board.intc.enable(Interrupt::Dma0);
             self.board.intc.enable(Interrupt::GpioBank0);
         }
 
         // SD card + FAT32 on partition 2, mounted at /d.
-        if self.config.sd_card && self.config.fat32 {
+        if self.config.has(Feature::SdCard) && self.config.has(Feature::Fat32) {
             self.board.sdhost.init()?;
             self.board.charge(0, cost.boot_sd_init);
             let blocks = self.board.sdhost.total_blocks() - FAT_PARTITION_START;
@@ -681,24 +681,27 @@ impl Kernel {
         // The DMA data path: scatter-gather chains on channel 0 with the
         // async command queue. The polled mode stays the fallback (and the
         // xv6-baseline behaviour).
-        if self.config.storage_pipeline() && self.config.fat32 {
+        if self.config.storage_pipeline() && self.config.has(Feature::Fat32) {
             self.board.sdhost.set_data_mode(SdDataMode::Dma);
             self.board.intc.enable(Interrupt::Dma0);
         }
 
         // The window-manager kernel thread.
-        if self.config.window_manager {
+        if self.config.has(Feature::WindowManager) {
             let wm_tid = self.spawn_kernel_thread("kwm", Box::new(WmThread))?;
-            // The WM runs frequently but briefly; give it a modest priority.
+            // Only /proc/tasks reads it: the round-robin scheduler reads no
+            // priority.
             if let Some(t) = self.tasks.get_mut(&wm_tid) {
                 t.priority = 5;
             }
         }
 
         // The background write-back flusher kernel thread.
-        if self.config.storage_pipeline() && (self.config.xv6fs || self.config.fat32) {
+        if self.config.storage_pipeline()
+            && (self.config.has(Feature::Xv6fs) || self.config.has(Feature::Fat32))
+        {
             let kbio_tid = self.spawn_kernel_thread("kbio", Box::new(KbioThread))?;
-            // Write-back is deferrable work; run it below interactive tasks.
+            // As for kwm, only /proc/tasks reads it.
             if let Some(t) = self.tasks.get_mut(&kbio_tid) {
                 t.priority = 3;
             }
@@ -835,7 +838,7 @@ impl Kernel {
     ) -> KResult<TaskId> {
         // Prototype 1 is "a baremetal appliance for a single application":
         // without multitasking exactly one user task may exist.
-        if !self.config.multitasking {
+        if !self.config.has(Feature::Multitasking) {
             let user_tasks = self.tasks.values().filter(|t| !t.kernel_thread).count();
             self.config
                 .require(user_tasks == 0, "multitasking (a second task)")?;
@@ -843,7 +846,7 @@ impl Kernel {
         let id = self.alloc_task_id();
         let mut task = Task::new(id, parent, image.name.clone(), false);
 
-        if self.config.virtual_memory {
+        if self.config.has(Feature::VirtualMemory) {
             let cost = self.board.cost.clone();
             let mut space = AddressSpace::new(&mut self.mm.frames, &mut self.board.mem)?;
             // Code at 0, data after it, heap after that, stack demand-paged.
@@ -893,7 +896,7 @@ impl Kernel {
         }
 
         // Standard descriptors 0/1/2 -> console.
-        if self.config.file_abstraction {
+        if self.config.has(Feature::FileAbstraction) {
             let mut fds = FdTable::new();
             for _ in 0..3 {
                 fds.install(OpenFile::new(
@@ -1286,7 +1289,7 @@ impl Kernel {
 
     // ---- metrics ------------------------------------------------------------------------------------
 
-    pub(crate) fn record_frame(&mut self, task: TaskId, phases: FramePhases) {
+    pub(crate) fn record_frame(&mut self, task: TaskId, core: usize, phases: FramePhases) {
         let now = self.now_us();
         let m = self.metrics.entry(task).or_default();
         if m.frames == 0 {
@@ -1298,7 +1301,7 @@ impl Kernel {
         m.draw_cycles += phases.draw_cycles;
         m.present_cycles += phases.present_cycles;
         self.trace
-            .record(now, 0, TraceKind::FramePresent, Some(task), 0);
+            .record(now, core, TraceKind::FramePresent, Some(task), 0);
     }
 
     pub(crate) fn console_print(&mut self, core: usize, text: &str) {
@@ -1423,8 +1426,6 @@ impl Kernel {
 
         match result {
             StepResult::Exited(code) => {
-                self.programs.insert(tid, program);
-                self.programs.remove(&tid);
                 self.handle_exit(tid, code);
                 self.sched.clear_current(core);
             }
@@ -1703,7 +1704,7 @@ impl Kernel {
             // Barrier while the DMA context still exists.
             self.sync_all()?;
         }
-        let dma = enabled && self.config.sd_card;
+        let dma = enabled && self.config.has(Feature::SdCard);
         self.board.sdhost.set_data_mode(if dma {
             SdDataMode::Dma
         } else {

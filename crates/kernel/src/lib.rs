@@ -63,7 +63,7 @@ pub mod usercall;
 pub mod vfs;
 pub mod wm;
 
-pub use config::{KernelConfig, KernelVariant, PrototypeStage};
+pub use config::{Feature, KernelConfig, KernelVariant, PrototypeStage};
 pub use error::{KResult, KernelError};
 pub use exec::{ProgramImage, ProgramRegistry};
 pub use kernel::{BootStats, Kernel, SharedKeyboard, TaskMetrics};

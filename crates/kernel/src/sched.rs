@@ -8,17 +8,13 @@
 //! timers once multicore is enabled; all other device interrupts stay on
 //! core 0.
 //!
-//! Priorities are implemented as weighted time slices: Prototype 2's "fast"
-//! and "slow" donuts differ only in priority, which makes the effect directly
-//! visible on screen as different spin rates.
+//! Each pick runs one step of the task's program, round robin. No decision
+//! here reads a task's priority: children inherit it and `/proc/tasks`
+//! shows it, but every runnable task gets the same turn.
 
 use std::collections::VecDeque;
 
-use crate::task::{TaskId, DEFAULT_PRIORITY};
-
-/// Base time slice, in microseconds, for a priority-[`DEFAULT_PRIORITY`]
-/// task. The slice scales linearly with priority.
-pub const BASE_SLICE_US: u64 = 10_000;
+use crate::task::TaskId;
 
 /// Per-core scheduler statistics (Figure 10's >95% utilisation claim is
 /// checked against these).
@@ -169,11 +165,6 @@ impl Scheduler {
         self.runqueues[core].len()
     }
 
-    /// The time slice (µs) a task of `priority` receives.
-    pub fn slice_for_priority(priority: u8) -> u64 {
-        BASE_SLICE_US * priority.max(1) as u64 / DEFAULT_PRIORITY as u64
-    }
-
     /// Records busy cycles on a core.
     pub fn account_busy(&mut self, core: usize, cycles: u64) {
         self.stats[core].busy_cycles += cycles;
@@ -269,16 +260,6 @@ mod tests {
         assert_eq!(s.pick_next(0), None);
         s.remove_from(6, 1);
         assert_eq!(s.queue_len(1), 0);
-    }
-
-    #[test]
-    fn priority_scales_the_time_slice() {
-        assert_eq!(
-            Scheduler::slice_for_priority(DEFAULT_PRIORITY),
-            BASE_SLICE_US
-        );
-        assert!(Scheduler::slice_for_priority(8) > Scheduler::slice_for_priority(2));
-        assert!(Scheduler::slice_for_priority(1) > 0);
     }
 
     #[test]

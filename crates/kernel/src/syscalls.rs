@@ -14,7 +14,7 @@ use hal::framebuffer::BYTES_PER_PIXEL;
 use hal::sdhost::SdDataMode;
 use protofs::{FsError, FsResult};
 
-use crate::config::KernelConfig;
+use crate::config::{Feature, KernelConfig};
 use crate::error::{KResult, KernelError};
 use crate::exec::ProgramImage;
 use crate::kernel::Kernel;
@@ -30,10 +30,10 @@ use crate::wm::Rect;
 pub(crate) use entry::Entry;
 
 /// Declares [`Sysno`] from its rows: each call's number and, for a call a
-/// prototype stage gates, the [`KernelConfig`] capability it needs and the
-/// name its error reports.
+/// prototype stage gates, the [`Feature`] it needs and the name its error
+/// reports.
 macro_rules! syscalls {
-    ($($(#[$doc:meta])* $call:ident = $no:literal $(needs $cap:ident $what:literal)?,)*) => {
+    ($($(#[$doc:meta])* $call:ident = $no:literal $(needs $feature:ident $what:literal)?,)*) => {
         /// A syscall's number. Numbers follow Table 1's groups, and a retired
         /// number is never reused.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +50,7 @@ macro_rules! syscalls {
             /// not have the call yet.
             pub(crate) fn gate(self, config: &KernelConfig) -> KResult<()> {
                 match self {
-                    $(Sysno::$call => syscalls!(@gate config $($cap $what)?),)*
+                    $(Sysno::$call => syscalls!(@gate config $($feature $what)?),)*
                 }
             }
         }
@@ -58,8 +58,8 @@ macro_rules! syscalls {
     (@gate $config:ident) => {
         Ok(())
     };
-    (@gate $config:ident $cap:ident $what:literal) => {
-        $config.require($config.$cap, $what)
+    (@gate $config:ident $feature:ident $what:literal) => {
+        $config.require($config.has(Feature::$feature), $what)
     };
 }
 
@@ -67,9 +67,9 @@ syscalls! {
     /// `UserCtx::getpid`.
     Getpid = 0,
     /// `UserCtx::fork`.
-    Fork = 1 needs syscalls_tasks "fork",
+    Fork = 1 needs SyscallsTasks "fork",
     /// `UserCtx::spawn`; the image's open, reads and close trap too.
-    Exec = 2 needs syscalls_files "exec from a file",
+    Exec = 2 needs SyscallsFiles "exec from a file",
     /// No stub traps with it: a step returns `StepResult::Exited`.
     Exit = 3,
     /// `UserCtx::wait_child`.
@@ -81,13 +81,13 @@ syscalls! {
     /// `UserCtx::yield_now`.
     Yield = 7,
     /// `UserCtx::sbrk`.
-    Sbrk = 8 needs virtual_memory "sbrk",
+    Sbrk = 8 needs VirtualMemory "sbrk",
     /// `UserCtx::set_priority`.
     Priority = 9,
     /// No stub traps with it: `UserCtx::now_us` reads the clock.
     Uptime = 10,
     /// `UserCtx::open`.
-    Open = 11 needs syscalls_files "file syscalls",
+    Open = 11 needs SyscallsFiles "file syscalls",
     /// `UserCtx::close`.
     Close = 12,
     /// `UserCtx::read`, and `UserCtx::read_key_event` on top of it.
@@ -99,34 +99,34 @@ syscalls! {
     /// `UserCtx::fsync`.
     Fsync = 16,
     /// `UserCtx::stat`.
-    Stat = 17 needs syscalls_files "stat",
+    Stat = 17 needs SyscallsFiles "stat",
     /// `UserCtx::mkdir`.
-    Mkdir = 18 needs syscalls_files "mkdir",
+    Mkdir = 18 needs SyscallsFiles "mkdir",
     /// `UserCtx::unlink`.
-    Unlink = 19 needs syscalls_files "unlink",
+    Unlink = 19 needs SyscallsFiles "unlink",
     /// `UserCtx::list_dir`.
-    Readdir = 20 needs syscalls_files "readdir",
+    Readdir = 20 needs SyscallsFiles "readdir",
     /// `UserCtx::pipe`.
-    Pipe = 21 needs syscalls_files "pipes",
+    Pipe = 21 needs SyscallsFiles "pipes",
     /// `UserCtx::dup`.
     Dup = 22,
     /// `UserCtx::fb_map`. `UserCtx::fb_write` stores through the mapping
     /// without a trap.
-    MmapFb = 23 needs framebuffer "framebuffer",
+    MmapFb = 23 needs Framebuffer "framebuffer",
     /// `UserCtx::fb_flush`.
-    FbFlush = 24 needs framebuffer "framebuffer",
+    FbFlush = 24 needs Framebuffer "framebuffer",
     /// `UserCtx::clone_thread`.
-    Clone = 25 needs syscalls_threading "clone(CLONE_VM)",
+    Clone = 25 needs SyscallsThreading "clone(CLONE_VM)",
     /// `UserCtx::sem_create`.
-    SemCreate = 26 needs syscalls_threading "semaphores",
+    SemCreate = 26 needs SyscallsThreading "semaphores",
     /// `UserCtx::sem_wait`.
-    SemWait = 27 needs syscalls_threading "semaphores",
+    SemWait = 27 needs SyscallsThreading "semaphores",
     /// `UserCtx::sem_post`.
-    SemPost = 28 needs syscalls_threading "semaphores",
+    SemPost = 28 needs SyscallsThreading "semaphores",
     /// `UserCtx::fb_info`, the framebuffer mailbox query.
-    FbInfo = 29 needs framebuffer "framebuffer",
+    FbInfo = 29 needs Framebuffer "framebuffer",
     /// `UserCtx::surface_create`.
-    SurfaceCreate = 30 needs window_manager "window manager",
+    SurfaceCreate = 30 needs WindowManager "window manager",
     /// `UserCtx::surface_configure`. `UserCtx::surface_present` copies
     /// into the surface without a trap.
     SurfaceConfigure = 31,
@@ -475,8 +475,10 @@ impl Kernel {
                 let dev = DeviceFile::from_path(&inner)
                     .ok_or_else(|| KernelError::NotFound(inner.clone()))?;
                 if dev == DeviceFile::Surface {
-                    self.config
-                        .require(self.config.window_manager, "window manager surfaces")?;
+                    self.config.require(
+                        self.config.has(Feature::WindowManager),
+                        "window manager surfaces",
+                    )?;
                     let title = self
                         .task(task)
                         .map(|t| t.name.clone())
@@ -943,7 +945,8 @@ impl Kernel {
                 Ok(pixels.len() * 4)
             }
             FileKind::Device(DeviceFile::SoundBuffer) => {
-                self.config.require(self.config.sound, "sound output")?;
+                self.config
+                    .require(self.config.has(Feature::Sound), "sound output")?;
                 let now = self.now_us();
                 let cost = self.board.cost.clone();
                 let outcome = self.sound.write_samples(&mut self.board.pwm, now, data)?;
@@ -1088,7 +1091,7 @@ impl Kernel {
             return Ok(*va);
         }
         let va = info.phys_addr; // identity mapping, as §4.3 prefers
-        if self.config.virtual_memory {
+        if self.config.has(Feature::VirtualMemory) {
             if let Ok(asid) = self.task_asid(task) {
                 let cost = self.board.cost.clone();
                 let mut space = self
@@ -1123,8 +1126,8 @@ impl Kernel {
         // Note: deliberately *no* syscall charge — this is a store through the
         // user's framebuffer mapping, not a trap. Only the pixel cost applies.
         self.config
-            .require(self.config.framebuffer, "framebuffer")?;
-        if self.config.virtual_memory && !self.fb_mappings.contains_key(&task) {
+            .require(self.config.has(Feature::Framebuffer), "framebuffer")?;
+        if self.config.has(Feature::VirtualMemory) && !self.fb_mappings.contains_key(&task) {
             // Touching an unmapped framebuffer is a fault.
             return Err(KernelError::Fault(
                 "framebuffer not mapped; call fb_map() first".into(),
@@ -1140,17 +1143,10 @@ impl Kernel {
     }
 
     pub(crate) fn sys_fb_flush(&mut self, entry: Entry) -> KResult<()> {
-        let (task, core) = (entry.task(), entry.core());
+        let core = entry.core();
         let lines = self.board.framebuffer.flush_all();
         let cost = self.board.cost.cache_flush_per_line * lines as u64;
         self.board.charge_kernel(core, cost);
-        self.trace.record(
-            self.board.now_us(),
-            core,
-            TraceKind::FramePresent,
-            Some(task),
-            0,
-        );
         Ok(())
     }
 

@@ -62,9 +62,9 @@ pub enum MmRef {
     KernelOnly,
 }
 
-/// Scheduling priority. Prototype 2's donuts spin at different rates because
-/// their tasks get different priorities; the scheduler gives higher-priority
-/// tasks proportionally more slices.
+/// A new task's priority. No scheduling decision reads a priority (the
+/// round-robin [`crate::sched::Scheduler`] gives every runnable task the
+/// same turn); children inherit it and `/proc/tasks` shows it.
 pub const DEFAULT_PRIORITY: u8 = 4;
 /// Maximum priority value.
 pub const MAX_PRIORITY: u8 = 8;
@@ -80,7 +80,7 @@ pub struct Task {
     pub name: String,
     /// Scheduling state.
     pub state: TaskState,
-    /// Priority (1..=MAX_PRIORITY, higher runs more).
+    /// Priority (1..=MAX_PRIORITY), which the scheduler does not read.
     pub priority: u8,
     /// Which core the task is assigned to.
     pub core: usize,

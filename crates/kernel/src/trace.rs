@@ -43,8 +43,6 @@ pub enum TraceKind {
     Compose,
     /// A task was woken from a wait queue.
     Wakeup,
-    /// A page fault was handled.
-    PageFault,
     /// A task exited.
     Exit,
 }

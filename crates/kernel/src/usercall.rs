@@ -145,7 +145,7 @@ impl<'a> UserCtx<'a> {
     /// Reports a finished frame with its phase breakdown (drives FPS and
     /// latency metrics).
     pub fn record_frame(&mut self, phases: FramePhases) {
-        self.kernel.record_frame(self.task, phases);
+        self.kernel.record_frame(self.task, self.core, phases);
     }
 
     // ---- task & time syscalls --------------------------------------------------------

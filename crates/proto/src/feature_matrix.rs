@@ -2,13 +2,13 @@
 //!
 //! The table the paper uses to communicate the decomposition: which apps,
 //! user-library pieces, kernel-core features, file layers and IO devices each
-//! prototype includes. Every capability the kernel checks comes from
-//! [`kernel::KernelConfig`], so it cannot drift from what the kernel actually
-//! enforces; the other rows (apps, the user library, and kernel features
-//! nothing checks, such as the UART) name the first prototype that has
-//! them. The renderer prints the same check-mark layout.
+//! prototype includes. The apps and the user library are declared here, by
+//! the first prototype that has each. The kernel-core, file and IO rows are
+//! the kernel's own table, [`kernel::Feature`], which boot and the syscall
+//! gates read too, so Table 1 cannot drift from what the kernel enforces.
+//! The renderer prints the same check-mark layout.
 
-use kernel::{KernelConfig, PrototypeStage};
+use kernel::Feature;
 
 /// One row of the feature matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,36 +21,12 @@ pub struct FeatureRow {
     pub present: [bool; 5],
 }
 
-fn configs() -> Vec<KernelConfig> {
-    PrototypeStage::ALL
-        .iter()
-        .map(|s| KernelConfig::for_stage(*s))
-        .collect()
-}
-
-fn row(section: &'static str, name: &'static str, f: impl Fn(&KernelConfig) -> bool) -> FeatureRow {
-    let cfgs = configs();
-    let mut present = [false; 5];
-    for (i, c) in cfgs.iter().enumerate() {
-        present[i] = f(c);
-    }
-    FeatureRow {
-        section,
-        name,
-        present,
-    }
-}
-
 /// A row present from prototype `first_stage` on.
 fn from_stage(section: &'static str, name: &'static str, first_stage: u8) -> FeatureRow {
-    let mut present = [false; 5];
-    for (i, p) in present.iter_mut().enumerate() {
-        *p = (i as u8 + 1) >= first_stage;
-    }
     FeatureRow {
         section,
         name,
-        present,
+        present: std::array::from_fn(|i| i as u8 + 1 >= first_stage),
     }
 }
 
@@ -75,36 +51,11 @@ pub fn feature_matrix() -> Vec<FeatureRow> {
         from_stage("Apps", "proc/devfs wrappers", 4),
         from_stage("Apps", "libc, minisdl & more", 5),
     ];
-    // The capabilities the kernel checks come from its config.
-    rows.extend([
-        from_stage("Kernel core", "debug msg", 1),
-        from_stage("Kernel core", "timer, timekeeping", 1),
-        from_stage("Kernel core", "irq", 1),
-        row("Kernel core", "multitasking", |c| c.multitasking),
-        from_stage("Kernel core", "memory allocator", 2),
-        from_stage("Kernel core", "privileges (EL0/1)", 3),
-        row("Kernel core", "virtual memory", |c| c.virtual_memory),
-        row("Kernel core", "syscalls: tasks & time", |c| {
-            c.syscalls_tasks
-        }),
-        row("Kernel core", "syscalls: files", |c| c.syscalls_files),
-        row("Kernel core", "syscalls: threading", |c| {
-            c.syscalls_threading
-        }),
-        row("Kernel core", "multicore", |c| c.multicore),
-        row("Kernel core", "window manager", |c| c.window_manager),
-        row("Files", "file abstraction", |c| c.file_abstraction),
-        from_stage("Files", "procfs/devfs", 4),
-        from_stage("Files", "ramdisk", 4),
-        row("Files", "xv6 filesystem", |c| c.xv6fs),
-        row("Files", "FAT32", |c| c.fat32),
-        from_stage("IO", "UART", 1),
-        from_stage("IO", "timers (sys, generic)", 1),
-        row("IO", "framebuffer", |c| c.framebuffer),
-        row("IO", "USB keyboard", |c| c.usb_keyboard),
-        row("IO", "sound (PWM)", |c| c.sound),
-        row("IO", "SD card", |c| c.sd_card),
-    ]);
+    rows.extend(
+        Feature::ALL
+            .iter()
+            .map(|f| from_stage(f.section(), f.name(), f.first().number())),
+    );
     rows
 }
 
@@ -163,6 +114,56 @@ mod tests {
         assert_eq!(find("memory allocator"), [false, true, true, true, true]);
         assert_eq!(find("privileges (EL0/1)"), [false, false, true, true, true]);
         assert_eq!(find("ramdisk"), [false, false, false, true, true]);
+    }
+
+    #[test]
+    fn render_prints_the_whole_of_table1() {
+        let expected = "\
+Feature                       P1  P2  P3  P4  P5
+-- Apps --
+helloworld                     x   x   x   x   x
+donut                          x   x   x   x   x
+mario                                  x   x   x
+sysmon                                     x   x
+shell & utilities                          x   x
+slider                                     x   x
+buzzer                                     x   x
+MusicPlayer                                    x
+DOOM                                           x
+launcher                                       x
+blockchain                                     x
+VideoPlayer                                    x
+malloc, syscalls, strings              x   x   x
+proc/devfs wrappers                        x   x
+libc, minisdl & more                           x
+-- Kernel core --
+debug msg                      x   x   x   x   x
+timer, timekeeping             x   x   x   x   x
+irq                            x   x   x   x   x
+multitasking                       x   x   x   x
+memory allocator                   x   x   x   x
+privileges (EL0/1)                     x   x   x
+virtual memory                         x   x   x
+syscalls: tasks & time                 x   x   x
+syscalls: files                            x   x
+syscalls: threading                            x
+multicore                                      x
+window manager                                 x
+-- Files --
+file abstraction                           x   x
+procfs/devfs                               x   x
+ramdisk                                    x   x
+xv6 filesystem                             x   x
+FAT32                                          x
+-- IO --
+UART                           x   x   x   x   x
+timers (sys, generic)          x   x   x   x   x
+framebuffer                    x   x   x   x   x
+USB keyboard                               x   x
+sound (PWM)                                x   x
+SD card                                        x
+";
+        assert_eq!(render(), expected);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 
 use hal::cost::Platform;
 use kernel::kernel::{Kernel, SharedKeyboard};
-use kernel::{KResult, KernelConfig, KernelVariant, PrototypeStage, TaskId};
+use kernel::{Feature, KResult, KernelConfig, KernelVariant, PrototypeStage, TaskId};
 
 use crate::assets;
 
@@ -148,18 +148,17 @@ impl ProtoSystem {
         }
         config.cores = config.cores.min(options.cores.max(1));
         let mut kernel = Kernel::new(config, options.platform);
-        kernel.board.set_active_cores(config.cores);
         apps::register_all(&mut kernel);
-        let keyboard = if options.keyboard && config.usb_keyboard {
+        let keyboard = if options.keyboard && config.has(Feature::UsbKeyboard) {
             Some(kernel.attach_keyboard()?)
         } else {
             None
         };
         kernel.boot()?;
-        if config.xv6fs {
+        if config.has(Feature::Xv6fs) {
             assets::install_root_assets(&mut kernel)?;
         }
-        if config.fat32 {
+        if config.has(Feature::Fat32) {
             assets::install_fat_assets(&mut kernel, options.small_assets)?;
         }
         Ok(ProtoSystem {

@@ -1,8 +1,9 @@
 //! Tier-1 tests of the stock apps' output, end to end through the kernel:
-//! DOOM's frames pinned pixel for pixel under a fixed key schedule, and the
-//! whole-file asset loads of DOOM and the media players when a cold read
-//! parks the task.
+//! DOOM's frames pinned pixel for pixel under a fixed key schedule, the
+//! trace event each of its frames logs, and the whole-file asset loads of
+//! DOOM and the media players when a cold read parks the task.
 
+use kernel::trace::TraceKind;
 use kernel::TaskId;
 use proto_repro::prelude::*;
 
@@ -101,6 +102,31 @@ fn doom_frames_under_a_fixed_key_schedule_are_pinned() {
     assert_eq!(
         hashes, pinned,
         "DOOM's scanout after each of frames 1 to 20"
+    );
+}
+
+#[test]
+fn doom_logs_one_frame_present_per_frame_on_its_core() {
+    let mut sys = ProtoSystem::desktop().unwrap();
+    let doom = sys.spawn("doom", &["/d/doom.wad".into()]).unwrap();
+    run_to_frame(&mut sys, doom, 13);
+    let trace = &sys.kernel.trace;
+    assert_eq!(
+        trace.dump().len() as u64,
+        trace.total_logged(),
+        "the ring must hold every event of the run"
+    );
+    let core = sys.kernel.task(doom).unwrap().core;
+    let presents: Vec<usize> = trace
+        .of_kind(TraceKind::FramePresent)
+        .iter()
+        .filter(|e| e.task == Some(doom))
+        .map(|e| e.core)
+        .collect();
+    assert_eq!(
+        presents,
+        vec![core; 13],
+        "one event per frame, on core {core}"
     );
 }
 
